@@ -11,12 +11,12 @@ use crate::data::{
     coverage_of_sessions, coverage_of_sessions_reduced, fault_universe, random_baseline_curve,
     reduced_universe, FaultSimStats,
 };
-use crate::parallel::{split_jobs, try_par_map};
+use crate::parallel::{par_map, split_jobs, try_par_map};
 use musa_circuits::Circuit;
 use musa_metrics::{Nlfce, NlfceInputs};
 use musa_analysis::screen_population;
 use musa_mutation::{
-    classify_mutants, execute_mutants_engine_opt, generate_mutants, survivor_class, Engine,
+    classify_mutants_jobs, execute_mutants_engine_opt, generate_mutants, survivor_class, Engine,
     EquivalenceClass, GenerateOptions, KillResult, Mutant, MutationError, MutationScore,
     OptLevel,
 };
@@ -79,9 +79,24 @@ pub fn run_sampling_experiment(
 /// Averages `config.repetitions` independent repetitions (fresh sample,
 /// data and baseline seeds each time): single 10 % samples are noisy.
 /// Every repetition's three seeds are pre-drawn from the `SplitMix64`
-/// stream in serial order and the repetitions are then sharded across
-/// `config.jobs` worker threads, so the returned aggregate is
-/// bit-identical for every thread count (see [`crate::parallel`]).
+/// stream in serial order, before any worker exists.
+///
+/// The repetitions run in three phases:
+///
+/// 1. per repetition, sharded across `config.jobs` worker threads:
+///    sample, generate the validation data, kill;
+/// 2. **one** equivalence classification of the union of every
+///    repetition's unscreened survivors, in ascending population order
+///    (a mutant's class is a pure function of the circuit, the mutant
+///    and the policy, so classifying it once serves every repetition
+///    that saw it survive);
+/// 3. per repetition, sharded again: score against the shared class
+///    table, fault-simulate the data, grade the random baseline.
+///
+/// Each phase merges by repetition index, so the returned aggregate is
+/// bit-identical for every thread count (see [`crate::parallel`]) — and
+/// to running each repetition on its own through
+/// [`SamplingRun::run_repetition`].
 ///
 /// # Errors
 ///
@@ -92,54 +107,12 @@ pub fn run_sampling_experiment_on(
     strategy: SamplingStrategy,
     config: &ExperimentConfig,
 ) -> Result<SamplingOutcome, MutationError> {
-    let seeds = repetition_seed_schedule(config);
-    let repetitions = seeds.len();
-    // The fault universe and its dominance reduction are pure netlist
-    // analyses: compute them once, not once per repetition.
-    let faults = fault_universe(circuit);
-    let reduction = config
-        .fault_reduce
-        .then(|| reduced_universe(circuit, &faults));
-    // The static pre-screen is likewise a pure analysis of the checked
-    // design and the population — one pass serves every repetition.
-    let screened = screen_mask(circuit, population, config);
-    if let Some(mask) = &screened {
+    let run = SamplingRun::new(circuit, population, strategy, config);
+    if let Some(mask) = &run.screened {
         let proven = mask.iter().filter(|&&s| s).count();
         musa_trace::count("screened", proven as u64);
     }
-    // Repetitions get the outer share of the thread budget; each
-    // repetition's mutant executions split what remains.
-    let (outer_jobs, inner_jobs) = split_jobs(config.jobs, repetitions);
-    let _trace = musa_trace::span_detail("repetitions", || circuit.name.clone());
-    let outcomes = try_par_map(outer_jobs, &seeds, |rep, &[sample, mg, baseline]| {
-        let outcome = run_sampling_once(
-            circuit,
-            population,
-            &strategy,
-            config,
-            &faults,
-            reduction.as_ref(),
-            screened.as_deref(),
-            sample,
-            mg,
-            baseline,
-            inner_jobs,
-        );
-        musa_trace::progress(|| {
-            format!(
-                "{}: repetition {}/{} done",
-                circuit.name,
-                rep + 1,
-                repetitions
-            )
-        });
-        outcome
-    })?;
-    let mut aggregate = SamplingAggregate::new();
-    for (repetition, outcome) in outcomes.into_iter().enumerate() {
-        aggregate.push(repetition, outcome);
-    }
-    Ok(aggregate.finish())
+    run.run_all()
 }
 
 /// The repetition seed schedule: triple `i` — `[sample, mg, baseline]`
@@ -174,10 +147,12 @@ fn screen_mask(
 ///
 /// [`run_sampling_experiment_on`] is the in-process driver; this struct
 /// exposes the **same** per-repetition computation — identical seed
-/// schedule, shared fault universe, dominance reduction and static
-/// screen — so any scheduler that runs every repetition (in any order,
-/// on any machine) and folds them through a [`SamplingAggregate`]
-/// reproduces the in-process outcome bit for bit.
+/// schedule, shared fault universe, dominance reduction, static screen
+/// and phase helpers — so any scheduler that runs every repetition (in
+/// any order, on any machine) and folds them through a
+/// [`SamplingAggregate`] reproduces the in-process outcome bit for bit.
+/// A lone repetition classifies only its own survivors; the classes it
+/// scores with are the ones the in-process run shares.
 pub struct SamplingRun<'a> {
     circuit: &'a Circuit,
     population: &'a [Mutant],
@@ -224,20 +199,180 @@ impl<'a> SamplingRun<'a> {
     /// Panics if `repetition >= self.repetitions()`.
     pub fn run_repetition(&self, repetition: usize) -> Result<SamplingOutcome, MutationError> {
         let [sample, mg, baseline] = self.seeds[repetition];
-        run_sampling_once(
+        let killed = self.kill_phase(sample, mg, self.config.jobs)?;
+        let table = self.classify(&[&killed.survivors])?;
+        Ok(self.finish(&killed, &table, baseline))
+    }
+
+    /// Every repetition in-process, in the three phases documented on
+    /// [`run_sampling_experiment_on`].
+    fn run_all(&self) -> Result<SamplingOutcome, MutationError> {
+        let repetitions = self.repetitions();
+        // Repetitions get the outer share of the thread budget; each
+        // repetition's mutant executions split what remains. The one
+        // classification between the phases has the whole budget.
+        let (outer_jobs, inner_jobs) = split_jobs(self.config.jobs, repetitions);
+        let _trace = musa_trace::span_detail("repetitions", || self.circuit.name.clone());
+        let killed = try_par_map(outer_jobs, &self.seeds, |_, &[sample, mg, _]| {
+            self.kill_phase(sample, mg, inner_jobs)
+        })?;
+        let survivor_sets: Vec<&[usize]> = killed.iter().map(|k| k.survivors.as_slice()).collect();
+        let table = self.classify(&survivor_sets)?;
+        let outcomes = par_map(outer_jobs, &killed, |rep, killed| {
+            let outcome = self.finish(killed, &table, self.seeds[rep][2]);
+            musa_trace::progress(|| {
+                format!(
+                    "{}: repetition {}/{} done",
+                    self.circuit.name,
+                    rep + 1,
+                    repetitions
+                )
+            });
+            outcome
+        });
+        let mut aggregate = SamplingAggregate::new();
+        for (repetition, outcome) in outcomes.into_iter().enumerate() {
+            aggregate.push(repetition, outcome);
+        }
+        Ok(aggregate.finish())
+    }
+
+    /// Phase 1 of one repetition: sample the population, generate
+    /// validation data from the sample, and run the **full** population
+    /// against it. Statically screened mutants never enter the
+    /// simulator: they stay unkilled and are classified directly with
+    /// the class execution would report.
+    fn kill_phase(
+        &self,
+        sample_seed: u64,
+        mg_seed: u64,
+        jobs: usize,
+    ) -> Result<Killed, MutationError> {
+        let (circuit, population) = (self.circuit, self.population);
+        let selected = {
+            let _trace = musa_trace::span("sample");
+            sample_mutants(population, &self.strategy, sample_seed)
+        };
+        let subset: Vec<Mutant> = selected.iter().map(|&i| population[i].clone()).collect();
+        let mg = MgConfig {
+            seed: mg_seed,
+            ..self.config.mg
+        };
+        let generated = {
+            let _trace = musa_trace::span("generate_data");
+            mutation_guided_tests(&circuit.checked, &circuit.name, &subset, &mg)?
+        };
+        let kills = {
+            let _trace = musa_trace::span("mutant_exec");
+            kills_over_sessions(
+                circuit,
+                population,
+                &generated.sessions,
+                jobs,
+                self.config.engine,
+                self.config.opt,
+                self.screened.as_deref(),
+            )?
+        };
+        Ok(Killed {
+            sampled: subset.len(),
+            sessions: generated.sessions,
+            survivors: kills.alive(),
+        })
+    }
+
+    /// Phase 2: the class table over the given repetitions' survivors
+    /// (see [`class_table`]), on the run's whole thread budget.
+    fn classify(
+        &self,
+        survivor_sets: &[&[usize]],
+    ) -> Result<Vec<EquivalenceClass>, MutationError> {
+        let _trace = musa_trace::span("classify");
+        class_table(
             self.circuit,
             self.population,
-            &self.strategy,
+            survivor_sets,
             self.config,
-            &self.faults,
-            self.reduction.as_ref(),
             self.screened.as_deref(),
-            sample,
-            mg,
-            baseline,
-            self.config.jobs,
         )
     }
+
+    /// Phase 3 of one repetition: the Mutation Score on the full
+    /// population, and the gate-level efficiency of the same data. The
+    /// mutation-data fault simulation honours the dominance-reduction
+    /// knob (its final coverage is exact either way); the baseline stays
+    /// on full simulation because its curve interior feeds dFC/dL
+    /// directly.
+    fn finish(
+        &self,
+        killed: &Killed,
+        table: &[EquivalenceClass],
+        baseline_seed: u64,
+    ) -> SamplingOutcome {
+        let circuit = self.circuit;
+        let generated = self.population.len();
+        // `MutationScore::from_results` over this repetition's kills:
+        // only survivors can count towards `E`.
+        let score = MutationScore {
+            generated,
+            killed: generated - killed.survivors.len(),
+            equivalent: killed
+                .survivors
+                .iter()
+                .filter(|&&i| table[i].is_equivalent())
+                .count(),
+        };
+        let (mutation_curve, fault_sim) = {
+            let _trace = musa_trace::span("fault_sim");
+            match &self.reduction {
+                Some(reduction) => {
+                    coverage_of_sessions_reduced(circuit, reduction, &killed.sessions)
+                }
+                None => (
+                    coverage_of_sessions(circuit, &self.faults, &killed.sessions),
+                    FaultSimStats::full(self.faults.len()),
+                ),
+            }
+        };
+        musa_trace::count("faults_simulated", fault_sim.faults_simulated as u64);
+        musa_trace::count("faults_total", fault_sim.faults_total as u64);
+        let baseline_len = self.config.baseline_len(mutation_curve.len());
+        let random_curve = {
+            let _trace = musa_trace::span("baseline");
+            random_baseline_curve(circuit, &self.faults, baseline_len, baseline_seed)
+        };
+        let metrics = NlfceInputs {
+            mutation: &mutation_curve,
+            random: &random_curve,
+        }
+        .compute();
+        SamplingOutcome {
+            strategy: self.strategy.label(),
+            population: generated,
+            sampled: killed.sampled,
+            mutation_score_pct: score.percent(),
+            score,
+            metrics,
+            nlfce: metrics.nlfce,
+            data_len: killed.sessions.iter().map(Vec::len).sum(),
+            fault_sim,
+            screened: self
+                .screened
+                .as_ref()
+                .map_or(0, |mask| mask.iter().filter(|&&s| s).count()),
+        }
+    }
+}
+
+/// One repetition between its kill phase and its scoring.
+struct Killed {
+    /// Mutants the validation data was generated from.
+    sampled: usize,
+    /// The validation data (one reset-started session each).
+    sessions: Vec<musa_mutation::TestSequence>,
+    /// Population indices no generated vector killed, ascending —
+    /// statically screened mutants included.
+    survivors: Vec<usize>,
 }
 
 /// Index-ordered merge of per-repetition [`SamplingOutcome`]s.
@@ -381,101 +516,6 @@ impl SamplingAggregate {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sampling_once(
-    circuit: &Circuit,
-    population: &[Mutant],
-    strategy: &SamplingStrategy,
-    config: &ExperimentConfig,
-    faults: &[musa_netlist::Fault],
-    reduction: Option<&musa_netlist::FaultReduction>,
-    screened: Option<&[bool]>,
-    sample_seed: u64,
-    mg_seed: u64,
-    baseline_seed: u64,
-    jobs: usize,
-) -> Result<SamplingOutcome, MutationError> {
-    // 1. Sample the population.
-    let selected = {
-        let _trace = musa_trace::span("sample");
-        sample_mutants(population, strategy, sample_seed)
-    };
-    let subset: Vec<Mutant> = selected.iter().map(|&i| population[i].clone()).collect();
-
-    // 2. Validation data from the sampled mutants only.
-    let mg = MgConfig {
-        seed: mg_seed,
-        ..config.mg
-    };
-    let generated = {
-        let _trace = musa_trace::span("generate_data");
-        mutation_guided_tests(&circuit.checked, &circuit.name, &subset, &mg)?
-    };
-
-    // 3. Mutation Score on the FULL population. Statically screened
-    // mutants never enter the simulator: they stay unkilled and are
-    // classified directly with the class execution would report.
-    let kills = {
-        let _trace = musa_trace::span("mutant_exec");
-        kills_over_sessions(
-            circuit,
-            population,
-            &generated.sessions,
-            jobs,
-            config.engine,
-            config.opt,
-            screened,
-        )?
-    };
-    let classes = {
-        let _trace = musa_trace::span("classify");
-        classify_survivors(circuit, population, &kills, config, screened)?
-    };
-    let score = MutationScore::from_results(&kills, &classes);
-
-    // 4. Gate-level efficiency of the same data. The mutation-data
-    // fault simulation honours the dominance-reduction knob (its final
-    // coverage is exact either way); the baseline stays on full
-    // simulation because its curve interior feeds dFC/dL directly.
-    let (mutation_curve, fault_sim) = {
-        let _trace = musa_trace::span("fault_sim");
-        match reduction {
-            Some(reduction) => {
-                coverage_of_sessions_reduced(circuit, reduction, &generated.sessions)
-            }
-            None => (
-                coverage_of_sessions(circuit, faults, &generated.sessions),
-                FaultSimStats::full(faults.len()),
-            ),
-        }
-    };
-    musa_trace::count("faults_simulated", fault_sim.faults_simulated as u64);
-    musa_trace::count("faults_total", fault_sim.faults_total as u64);
-    let baseline_len = config.baseline_len(mutation_curve.len());
-    let random_curve = {
-        let _trace = musa_trace::span("baseline");
-        random_baseline_curve(circuit, faults, baseline_len, baseline_seed)
-    };
-    let metrics = NlfceInputs {
-        mutation: &mutation_curve,
-        random: &random_curve,
-    }
-    .compute();
-
-    Ok(SamplingOutcome {
-        strategy: strategy.label(),
-        population: population.len(),
-        sampled: subset.len(),
-        mutation_score_pct: score.percent(),
-        score,
-        metrics,
-        nlfce: metrics.nlfce,
-        data_len: generated.total_len(),
-        fault_sim,
-        screened: screened.map_or(0, |mask| mask.iter().filter(|&&s| s).count()),
-    })
-}
-
 /// Executes the whole population against multi-session data with fault
 /// dropping across sessions, sharding each session's live mutants (or
 /// lane groups, on the lane engine) across `jobs` worker threads.
@@ -522,36 +562,52 @@ pub(crate) fn kills_over_sessions(
     Ok(KillResult { first_kill })
 }
 
-/// Classifies only the surviving mutants (killed ones are trivially
-/// non-equivalent), sparing the bulk of the equivalence budget.
-/// Survivors flagged in `screened` are assigned [`survivor_class`]
-/// directly — the class [`classify_mutants`] reports for any mutant
-/// that survives every sequence, which a statically proven-equivalent
-/// mutant is guaranteed to do — so the budget is spent only on the
-/// mutants that genuinely need it.
-pub(crate) fn classify_survivors(
+/// The equivalence class of every mutant that survives in any of
+/// `survivor_sets` (population indices), indexed like the population;
+/// every other entry is [`EquivalenceClass::Killable`].
+///
+/// Each distinct unscreened survivor is classified **once**, on the lane
+/// engine with `config.jobs` threads, in ascending population order —
+/// a mutant's class depends only on the circuit, the mutant and the
+/// policy, so one verdict serves every set it appears in. Mutants
+/// flagged in `screened` are assigned [`survivor_class`] directly — the
+/// class [`classify_mutants_jobs`] reports for any mutant that survives
+/// every sequence, which a statically proven-equivalent mutant is
+/// guaranteed to do — so the budget is spent only on the mutants that
+/// genuinely need it.
+///
+/// Counts `classify_mutants` (distinct mutants simulated) and
+/// `classify_cache_hits` (survivor lookups beyond the first per mutant).
+pub(crate) fn class_table(
     circuit: &Circuit,
     population: &[Mutant],
-    kills: &KillResult,
+    survivor_sets: &[&[usize]],
     config: &ExperimentConfig,
     screened: Option<&[bool]>,
 ) -> Result<Vec<EquivalenceClass>, MutationError> {
-    let survivors: Vec<usize> = kills.alive();
-    let to_simulate: Vec<usize> = survivors
-        .iter()
-        .copied()
-        .filter(|&i| !screened.is_some_and(|m| m[i]))
-        .collect();
-    let subset: Vec<Mutant> = to_simulate.iter().map(|&i| population[i].clone()).collect();
-    let survivor_classes = classify_mutants(
+    let is_screened = |i: usize| screened.is_some_and(|mask| mask[i]);
+    let mut wanted = vec![false; population.len()];
+    let mut lookups = 0usize;
+    for &i in survivor_sets.iter().flat_map(|set| set.iter()) {
+        if !is_screened(i) {
+            wanted[i] = true;
+            lookups += 1;
+        }
+    }
+    let distinct: Vec<usize> = (0..population.len()).filter(|&i| wanted[i]).collect();
+    musa_trace::count("classify_mutants", distinct.len() as u64);
+    musa_trace::count("classify_cache_hits", (lookups - distinct.len()) as u64);
+    let subset: Vec<Mutant> = distinct.iter().map(|&i| population[i].clone()).collect();
+    let classes = classify_mutants_jobs(
         &circuit.checked,
         &circuit.name,
         &subset,
         &config.equivalence,
+        config.jobs,
     )?;
-    let mut classes = vec![EquivalenceClass::Killable; population.len()];
-    for (slot, &mi) in to_simulate.iter().enumerate() {
-        classes[mi] = survivor_classes[slot];
+    let mut table = vec![EquivalenceClass::Killable; population.len()];
+    for (&mi, class) in distinct.iter().zip(classes) {
+        table[mi] = class;
     }
     if let Some(mask) = screened {
         let info = circuit
@@ -559,11 +615,11 @@ pub(crate) fn classify_survivors(
             .entity_info(&circuit.name)
             .ok_or_else(|| MutationError::EntityNotFound(circuit.name.clone()))?;
         let class = survivor_class(info, &config.equivalence);
-        for &mi in survivors.iter().filter(|&&i| mask[i]) {
-            classes[mi] = class;
+        for (entry, _) in table.iter_mut().zip(mask).filter(|(_, &s)| s) {
+            *entry = class;
         }
     }
-    Ok(classes)
+    Ok(table)
 }
 
 #[cfg(test)]

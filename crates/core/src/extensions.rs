@@ -15,7 +15,7 @@
 use crate::config::ExperimentConfig;
 use crate::data::{coverage_of_sessions, fault_universe, random_baseline_curve};
 use crate::experiment::{
-    classify_survivors, kills_over_sessions, run_sampling_experiment_on, SamplingOutcome,
+    class_table, kills_over_sessions, run_sampling_experiment_on, SamplingOutcome,
 };
 use crate::tables::TableError;
 use musa_circuits::{Benchmark, Circuit};
@@ -383,6 +383,7 @@ pub fn equivalence_ablation(
         None,
     )?;
 
+    let survivors = kills.alive();
     let mut points = Vec::with_capacity(budgets.len());
     for &budget in budgets {
         let mut cfg = *config;
@@ -390,7 +391,7 @@ pub fn equivalence_ablation(
             budget,
             ..config.equivalence
         };
-        let classes = classify_survivors(&circuit, &population, &kills, &cfg, None)?;
+        let classes = class_table(&circuit, &population, &[&survivors], &cfg, None)?;
         let score = MutationScore::from_results(&kills, &classes);
         points.push(AblationPoint {
             budget,

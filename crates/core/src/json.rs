@@ -256,15 +256,22 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The documents this
+/// workspace reads nest a handful of levels; the cap turns hostile input
+/// (`[[[[…`) into a [`JsonParseError`] instead of overflowing the stack
+/// of the recursive descent.
+const MAX_DEPTH: usize = 512;
+
 /// Parses a complete JSON document (one value plus optional
 /// whitespace).
 ///
 /// # Errors
 ///
 /// Returns a [`JsonParseError`] describing the first offending byte —
-/// including trailing garbage after the value.
+/// including trailing garbage after the value, and arrays or objects
+/// nested more than 512 levels deep.
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -277,6 +284,8 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -318,11 +327,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one container a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonParseError>,
+    ) -> Result<JsonValue, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -653,6 +677,34 @@ mod tests {
                 "{text:?}: got {err} (wanted {fragment:?})"
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"k\":", "}").replace(":}", ":null}")).is_ok());
+        for hostile in [
+            nest(MAX_DEPTH + 1, "[", "]"),
+            nest(MAX_DEPTH + 1, "{\"k\":", "}"),
+            "[".repeat(200_000),
+        ] {
+            let err = parse(&hostile).unwrap_err();
+            assert!(err.message.contains("nesting deeper than 512"), "{err}");
+            assert_eq!(err.offset, opening_offset(&hostile));
+        }
+    }
+
+    /// Byte offset of the container that would open level
+    /// `MAX_DEPTH + 1`.
+    fn opening_offset(text: &str) -> usize {
+        text.char_indices()
+            .filter(|&(_, c)| c == '[' || c == '{')
+            .nth(MAX_DEPTH)
+            .map(|(i, _)| i)
+            .unwrap()
     }
 
     #[test]

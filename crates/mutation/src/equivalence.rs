@@ -11,10 +11,25 @@
 //!   sequences from reset for sequential designs); survivors are
 //!   *presumed* equivalent.
 //!
+//! Classification runs on the bit-parallel [`crate::lanes`] engine: the
+//! population is compiled into a [`LanePlan`] and swept through the
+//! policy's sequences in order, each sweep costing `⌈N/63⌉` passes at
+//! most. A live mask carries the undecided mutants from one sequence to
+//! the next ([`LanePlan::first_kills_live`]): a mutant killed by an
+//! earlier sequence drops out of every later scan, and a lane group with
+//! nothing left undecided is skipped without recompiling. Once the
+//! undecided mutants would fit in half of the plan's groups (typically
+//! after the first sequence has killed the easy ones), they are
+//! repacked into a fresh, smaller plan for the remaining sequences.
+//! Because every lane is bit-identical to a scalar run of its mutant,
+//! the classes — and the error reported for a mutant that cannot be
+//! applied — are exactly those of the scalar one-mutant-at-a-time loop,
+//! which is kept in this module's tests as the differential oracle.
+//!
 //! The experiment crate's E4 ablation quantifies how the budget choice
 //! perturbs the Mutation Score.
 
-use crate::execute::{reference_transcript, run_one};
+use crate::lanes::{LaneOptions, LanePlan, MAX_LANES};
 use crate::mutant::{Mutant, MutationError};
 use musa_hdl::{Bits, CheckedDesign, EntityInfo};
 use musa_prng::{Prng, SplitMix64};
@@ -79,7 +94,7 @@ impl EquivalencePolicy {
     }
 }
 
-/// Classifies every mutant of a population.
+/// Classifies every mutant of a population, on one thread.
 ///
 /// # Errors
 ///
@@ -91,37 +106,69 @@ pub fn classify_mutants(
     mutants: &[Mutant],
     policy: &EquivalencePolicy,
 ) -> Result<Vec<EquivalenceClass>, MutationError> {
+    classify_mutants_jobs(checked, entity, mutants, policy, 1)
+}
+
+/// [`classify_mutants`] with the lane groups sharded across `jobs`
+/// worker threads (`0` = one per CPU), exactly like
+/// [`crate::execute_mutants_jobs`] shards a population. The classes are
+/// identical for every job count.
+///
+/// # Errors
+///
+/// Propagates [`MutationError`] when a mutant does not belong to the
+/// design (the lowest-index failing mutant is reported) or the entity
+/// is unknown.
+pub fn classify_mutants_jobs(
+    checked: &CheckedDesign,
+    entity: &str,
+    mutants: &[Mutant],
+    policy: &EquivalencePolicy,
+    jobs: usize,
+) -> Result<Vec<EquivalenceClass>, MutationError> {
     let info = checked
         .entity_info(entity)
         .ok_or_else(|| MutationError::EntityNotFound(entity.to_string()))?;
-
+    if mutants.is_empty() {
+        return Ok(Vec::new());
+    }
     let exhaustive = info.is_combinational() && info.input_bits() <= policy.exhaustive_limit;
+    let options = LaneOptions::default().with_jobs(jobs);
     let sequences = build_sequences(info, policy, exhaustive);
-
-    // Precompute reference transcripts once per sequence.
-    let references: Vec<Vec<Vec<Bits>>> = sequences
-        .iter()
-        .map(|s| reference_transcript(checked, entity, s))
-        .collect::<Result<_, _>>()?;
-
-    let mut classes = Vec::with_capacity(mutants.len());
-    for mutant in mutants {
-        let mut killed = false;
-        for (sequence, reference) in sequences.iter().zip(&references) {
-            if run_one(checked, entity, mutant, sequence, reference)?.is_some() {
-                killed = true;
+    // `undecided[i]`: mutant `i` has survived every sequence so far.
+    let mut undecided = vec![true; mutants.len()];
+    let mut next = 0;
+    while next < sequences.len() {
+        // Pack the undecided mutants into as few lane groups as they
+        // need; the live mask retires kills within the plan until half
+        // its groups would hold every mutant still undecided.
+        let members: Vec<usize> = (0..mutants.len()).filter(|&i| undecided[i]).collect();
+        if members.is_empty() {
+            break;
+        }
+        let packed: Vec<Mutant> = members.iter().map(|&i| mutants[i].clone()).collect();
+        let plan = LanePlan::new(checked, entity, &packed, &options)?;
+        let mut live = vec![true; packed.len()];
+        while next < sequences.len() {
+            let (kills, _) = plan.first_kills_live(&sequences[next], &live)?;
+            next += 1;
+            for (flag, kill) in live.iter_mut().zip(&kills.first_kill) {
+                *flag &= kill.is_none();
+            }
+            let remaining = live.iter().filter(|&&l| l).count();
+            if remaining == 0 || 2 * remaining.div_ceil(MAX_LANES) <= plan.group_count() {
                 break;
             }
         }
-        classes.push(if killed {
-            EquivalenceClass::Killable
-        } else if exhaustive {
-            EquivalenceClass::ProvenEquivalent
-        } else {
-            EquivalenceClass::PresumedEquivalent
-        });
+        for (&i, &alive) in members.iter().zip(&live) {
+            undecided[i] = alive;
+        }
     }
-    Ok(classes)
+    let survivor = survivor_class(info, policy);
+    Ok(undecided
+        .into_iter()
+        .map(|survived| if survived { survivor } else { EquivalenceClass::Killable })
+        .collect())
 }
 
 /// The class [`classify_mutants`] would assign to a mutant that
@@ -202,6 +249,7 @@ fn mask(width: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute::{execute_mutants_jobs, reference_transcript, run_one};
     use crate::generate::{generate_mutants, GenerateOptions};
     use crate::mutant::{MutantId, Rewrite};
     use crate::operator::MutationOperator;
@@ -210,6 +258,180 @@ mod tests {
 
     fn checked(src: &str) -> CheckedDesign {
         CheckedDesign::new(parse(src).unwrap()).unwrap()
+    }
+
+    /// The scalar classifier the lane sweep replaced, kept as the
+    /// differential oracle: every mutant on its own `Simulator`, through
+    /// the sequences in order, stopping at its first kill.
+    fn classify_mutants_scalar(
+        checked: &CheckedDesign,
+        entity: &str,
+        mutants: &[Mutant],
+        policy: &EquivalencePolicy,
+    ) -> Result<Vec<EquivalenceClass>, MutationError> {
+        let info = checked
+            .entity_info(entity)
+            .ok_or_else(|| MutationError::EntityNotFound(entity.to_string()))?;
+        let exhaustive = info.is_combinational() && info.input_bits() <= policy.exhaustive_limit;
+        let sequences = build_sequences(info, policy, exhaustive);
+        let references: Vec<Vec<Vec<Bits>>> = sequences
+            .iter()
+            .map(|s| reference_transcript(checked, entity, s))
+            .collect::<Result<_, _>>()?;
+        let mut classes = Vec::with_capacity(mutants.len());
+        for mutant in mutants {
+            let mut killed = false;
+            for (sequence, reference) in sequences.iter().zip(&references) {
+                if run_one(checked, entity, mutant, sequence, reference)?.is_some() {
+                    killed = true;
+                    break;
+                }
+            }
+            classes.push(if killed {
+                EquivalenceClass::Killable
+            } else {
+                survivor_class(info, policy)
+            });
+        }
+        Ok(classes)
+    }
+
+    /// Every bundled benchmark's MiniHDL source, by entity name.
+    const BUNDLED: [(&str, &str); 11] = [
+        ("c17", include_str!("../../circuits/src/hdl/c17.mhdl")),
+        ("b01", include_str!("../../circuits/src/hdl/b01.mhdl")),
+        ("b02", include_str!("../../circuits/src/hdl/b02.mhdl")),
+        ("b03", include_str!("../../circuits/src/hdl/b03.mhdl")),
+        ("b04", include_str!("../../circuits/src/hdl/b04.mhdl")),
+        ("b05", include_str!("../../circuits/src/hdl/b05.mhdl")),
+        ("b06", include_str!("../../circuits/src/hdl/b06.mhdl")),
+        ("b09", include_str!("../../circuits/src/hdl/b09.mhdl")),
+        ("c432", include_str!("../../circuits/src/hdl/c432.mhdl")),
+        ("c499", include_str!("../../circuits/src/hdl/c499.mhdl")),
+        ("c880", include_str!("../../circuits/src/hdl/c880.mhdl")),
+    ];
+
+    /// The lane classifier equals the scalar oracle, class for class, on
+    /// the survivors of a short random sequence — the population the
+    /// sampling experiment actually classifies. c17 takes the exhaustive
+    /// path; the wide combinational circuits run the fast policy only,
+    /// to keep debug-build runtime low.
+    #[test]
+    fn lane_classification_matches_the_scalar_oracle_on_every_bundled_circuit() {
+        for (entity, source) in BUNDLED {
+            let d = checked(source);
+            let info = d.entity_info(entity).unwrap();
+            let population = generate_mutants(&d, entity, &GenerateOptions::default());
+            // 32 random vectors leave nothing of c17 (5 input bits) to classify.
+            let budget = if entity == "c17" { 16 } else { 32 };
+            let short = EquivalencePolicy { budget, sequences: 1, exhaustive_limit: 0, seed: 3 };
+            let sequence = build_sequences(info, &short, false).remove(0);
+            let kills = execute_mutants_jobs(&d, entity, &population, &sequence, 1).unwrap();
+            // Two lane groups' worth keeps the wide circuits' oracle cheap.
+            let survivors: Vec<Mutant> =
+                kills.alive().iter().take(80).map(|&i| population[i].clone()).collect();
+            assert!(!survivors.is_empty(), "{entity}: nothing survived {budget} vectors");
+            let wide = matches!(entity, "c432" | "c499" | "c880");
+            let policies = if wide {
+                vec![EquivalencePolicy::fast(0x5EED)]
+            } else {
+                vec![EquivalencePolicy::default(), EquivalencePolicy::fast(0x5EED)]
+            };
+            for policy in policies {
+                let oracle = classify_mutants_scalar(&d, entity, &survivors, &policy).unwrap();
+                for jobs in [1, 2] {
+                    let lanes =
+                        classify_mutants_jobs(&d, entity, &survivors, &policy, jobs).unwrap();
+                    assert_eq!(lanes, oracle, "{entity}: {policy:?}, jobs={jobs}");
+                }
+                assert!(
+                    oracle.contains(&EquivalenceClass::Killable),
+                    "{entity}: the budget must kill some survivor"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn undecided_mutants_are_repacked_into_a_smaller_plan() {
+        // Three lane groups' worth of mutants, most of them killed by the
+        // first random sequence: the rest must move to a fresh plan of
+        // fewer groups, and the classes must not notice.
+        let d = checked(
+            "entity g is port(a : in bits(4); b : in bits(4); y : out bits(4));
+             comb begin y <= (a and a) + (b or b); end;
+             end;",
+        );
+        let once = generate_mutants(&d, "g", &GenerateOptions::default());
+        let policy = EquivalencePolicy { exhaustive_limit: 0, ..EquivalencePolicy::fast(5) };
+        let classes = classify_mutants_scalar(&d, "g", &once, &policy).unwrap();
+        let killable = once
+            .iter()
+            .zip(&classes)
+            .filter(|(_, class)| **class == EquivalenceClass::Killable)
+            .map(|(mutant, _)| mutant);
+        let mutants: Vec<Mutant> = once
+            .iter()
+            .chain(killable.cycle().take(3 * MAX_LANES - once.len()))
+            .cloned()
+            .collect();
+        let tracer = musa_trace::Tracer::new();
+        let lanes = {
+            let _install = tracer.install();
+            classify_mutants(&d, "g", &mutants, &policy).unwrap()
+        };
+        assert_eq!(lanes, classify_mutants_scalar(&d, "g", &mutants, &policy).unwrap());
+        let compiles = tracer
+            .finish()
+            .unwrap()
+            .spans
+            .iter()
+            .filter(|s| s.name == "lane_compile")
+            .count();
+        assert!(compiles > 3, "no repack: {compiles} group compiles");
+        assert!(lanes.contains(&EquivalenceClass::PresumedEquivalent));
+    }
+
+    #[test]
+    fn stillborn_mutants_error_exactly_like_the_scalar_oracle() {
+        // Deleting the only driver of a combinational output is rejected
+        // at apply time; both classifiers must report that very error,
+        // for the lowest failing index, even behind a valid mutant.
+        let d = checked(
+            "entity g is port(a : in bit; b : in bit; y : out bit);
+             comb begin y <= a and b; end;
+             end;",
+        );
+        let mut mutants = generate_mutants(&d, "g", &GenerateOptions::only(MutationOperator::Lor));
+        mutants.truncate(1);
+        mutants.push(Mutant {
+            id: MutantId(1),
+            operator: MutationOperator::Sdl,
+            site: d.design().entities[0].processes[0].body[0].id(),
+            rewrite: Rewrite::DeleteStmt,
+            description: "delete the y driver".into(),
+        });
+        for policy in [EquivalencePolicy::default(), EquivalencePolicy::fast(1)] {
+            let oracle = classify_mutants_scalar(&d, "g", &mutants, &policy);
+            let lanes = classify_mutants(&d, "g", &mutants, &policy);
+            assert!(matches!(oracle, Err(MutationError::Stillborn(_))), "{oracle:?}");
+            assert_eq!(format!("{lanes:?}"), format!("{oracle:?}"));
+        }
+    }
+
+    #[test]
+    fn an_empty_population_classifies_to_nothing() {
+        let d = checked(
+            "entity g is port(a : in bit; y : out bit);
+             comb begin y <= a; end;
+             end;",
+        );
+        let policy = EquivalencePolicy::default();
+        assert!(classify_mutants(&d, "g", &[], &policy).unwrap().is_empty());
+        assert!(matches!(
+            classify_mutants(&d, "zz", &[], &policy),
+            Err(MutationError::EntityNotFound(_))
+        ));
     }
 
     #[test]

@@ -18,6 +18,11 @@ use std::sync::Mutex;
 /// differential testing and because the scalar engine accepts arbitrary
 /// (even stillborn) mutants while the lane engine is built for
 /// validated populations.
+///
+/// The knob (`--engine`) selects the engine of the kill phase and of
+/// mutation-guided generation only: equivalence classification
+/// ([`crate::classify_mutants`]) always runs on the lane engine, whose
+/// classes match the scalar classifier's exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum Engine {
     /// One full `Simulator` pass per mutant, early-exiting at its first

@@ -299,9 +299,46 @@ impl<'a> LanePlan<'a> {
         &self,
         sequence: &[Vec<Bits>],
     ) -> Result<(KillResult, LaneStats), MutationError> {
-        let reference = self.reference_if_needed(sequence)?;
+        self.sweep_first_kills(sequence, None)
+    }
+
+    /// [`LanePlan::first_kills`] restricted to the mutants flagged in
+    /// `live` (indexed like the plan's population): a flagged mutant's
+    /// `first_kill` is exactly what [`LanePlan::first_kills`] reports
+    /// for it, an unflagged one reports `None` at no cost. Unflagged
+    /// lanes drop out of the output scan, scalar fallbacks for
+    /// unflagged mutants never run, and a group with no flagged mutant
+    /// is skipped outright (0 passes, 0 steps) — so a caller sweeping
+    /// one plan through several sequences pays only for what is still
+    /// undecided, without recompiling.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`MutationError`] exactly as the scalar engine does
+    /// over the flagged mutants: the lowest-index failing one is
+    /// reported.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live.len()` differs from the plan's population size.
+    pub fn first_kills_live(
+        &self,
+        sequence: &[Vec<Bits>],
+        live: &[bool],
+    ) -> Result<(KillResult, LaneStats), MutationError> {
+        assert_eq!(live.len(), self.mutants.len(), "one live flag per planned mutant");
+        self.sweep_first_kills(sequence, Some(live))
+    }
+
+    fn sweep_first_kills(
+        &self,
+        sequence: &[Vec<Bits>],
+        live: Option<&[bool]>,
+    ) -> Result<(KillResult, LaneStats), MutationError> {
+        let is_live = |slot: usize| live.map_or(true, |flags| flags[slot]);
+        let reference = self.reference_if_needed(sequence, is_live)?;
         let per_group = try_shard(self.jobs, self.groups.len(), |i| {
-            self.run_first_kill(&self.groups[i], sequence, reference.as_deref())
+            self.run_first_kill(&self.groups[i], sequence, reference.as_deref(), is_live)
         })?;
         let mut first_kill = Vec::with_capacity(self.mutants.len());
         let mut stats = LaneStats::default();
@@ -325,7 +362,7 @@ impl<'a> LanePlan<'a> {
         &self,
         sequence: &[Vec<Bits>],
     ) -> Result<(Vec<Vec<bool>>, LaneStats), MutationError> {
-        let reference = self.reference_if_needed(sequence)?;
+        let reference = self.reference_if_needed(sequence, |_| true)?;
         let per_group = try_shard(self.jobs, self.groups.len(), |i| {
             self.run_rows(&self.groups[i], sequence, reference.as_deref())
         })?;
@@ -341,14 +378,18 @@ impl<'a> LanePlan<'a> {
 
     /// The scalar reference transcript, computed **once per sequence**
     /// and shared by every group that needs a scalar fallback (the old
-    /// per-group path recomputed it in each such group).
+    /// per-group path recomputed it in each such group). Only fallbacks
+    /// of mutants that `is_live` keeps count.
     fn reference_if_needed(
         &self,
         sequence: &[Vec<Bits>],
+        is_live: impl Fn(usize) -> bool,
     ) -> Result<Option<Vec<Vec<Bits>>>, MutationError> {
         let needed = self.groups.iter().any(|g| match g {
-            PlanGroup::Tape { compiled, .. } => !compiled.fallback.is_empty(),
-            PlanGroup::ScalarOne { .. } => true,
+            PlanGroup::Tape { compiled, start, .. } => {
+                compiled.fallback.iter().any(|&slot| is_live(start + slot))
+            }
+            PlanGroup::ScalarOne { slot } => is_live(*slot),
         });
         if !needed {
             return Ok(None);
@@ -361,8 +402,12 @@ impl<'a> LanePlan<'a> {
         group: &PlanGroup,
         sequence: &[Vec<Bits>],
         reference: Option<&[Vec<Bits>]>,
+        is_live: impl Fn(usize) -> bool,
     ) -> Result<(Vec<Option<usize>>, LaneStats), MutationError> {
         match group {
+            PlanGroup::ScalarOne { slot } if !is_live(*slot) => {
+                Ok((vec![None], LaneStats::default()))
+            }
             PlanGroup::ScalarOne { slot } => {
                 let _trace = musa_trace::span("scalar_fallback");
                 let reference = reference.expect("scalar groups force a reference");
@@ -372,6 +417,14 @@ impl<'a> LanePlan<'a> {
                 Ok((vec![kill], LaneStats { passes: 1, steps, ..LaneStats::default() }))
             }
             PlanGroup::Tape { compiled, start, len } => {
+                let mut live_mask = 0u64;
+                for slot in (0..*len).filter(|&slot| is_live(start + slot)) {
+                    live_mask |= 1u64 << (slot + 1);
+                }
+                if live_mask == 0 {
+                    // Nothing left to decide here: no pass, no steps.
+                    return Ok((vec![None; *len], LaneStats::default()));
+                }
                 let mut fallback_mask = 0u64;
                 for &slot in &compiled.fallback {
                     fallback_mask |= 1u64 << (slot + 1);
@@ -384,7 +437,7 @@ impl<'a> LanePlan<'a> {
                     ..LaneStats::default()
                 };
                 let mut first_kill = vec![None; *len];
-                let mut alive = sim.used_mask & !fallback_mask;
+                let mut alive = sim.used_mask & !fallback_mask & live_mask;
                 {
                     let _trace = musa_trace::span("lane_interpret");
                     sim.reset();
@@ -404,9 +457,9 @@ impl<'a> LanePlan<'a> {
                         alive &= !newly;
                     }
                 }
-                if !compiled.fallback.is_empty() {
+                if compiled.fallback.iter().any(|&slot| is_live(start + slot)) {
                     let _trace = musa_trace::span("scalar_fallback");
-                    for &slot in &compiled.fallback {
+                    for &slot in compiled.fallback.iter().filter(|&&slot| is_live(start + slot)) {
                         let reference = reference.expect("fallbacks force a reference");
                         let kill = run_one(
                             self.checked,
@@ -901,6 +954,102 @@ mod tests {
                 kill_rows_lanes(&d, "t", &mutants, &sequence, &LaneOptions::default()).unwrap();
             let (cached_rows, _) = plan.kill_rows(&sequence).unwrap();
             assert_eq!(cached_rows, fresh_rows, "round {round} rows");
+        }
+    }
+
+    #[test]
+    fn live_sweep_reports_flagged_mutants_like_first_kills_and_none_otherwise() {
+        let d = checked(COUNTER);
+        let mutants = generate_mutants(&d, "t", &GenerateOptions::default());
+        let plan = LanePlan::new(&d, "t", &mutants, &LaneOptions::default()).unwrap();
+        let sequence: TestSequence =
+            (0..12).map(|i| vec![bit(u64::from(i % 5 == 0)), bit(u64::from(i % 3 != 1))]).collect();
+        let (full, _) = plan.first_kills(&sequence).unwrap();
+        for stride in [1, 2, 3] {
+            let live: Vec<bool> = (0..mutants.len()).map(|i| i % stride == 0).collect();
+            let (partial, _) = plan.first_kills_live(&sequence, &live).unwrap();
+            for (i, &flagged) in live.iter().enumerate() {
+                let expected = if flagged { full.first_kill[i] } else { None };
+                assert_eq!(partial.first_kill[i], expected, "stride {stride}, mutant {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_group_with_no_live_lane_takes_no_pass_and_no_step() {
+        let d = checked(COUNTER);
+        let mutants = generate_mutants(&d, "t", &GenerateOptions::default());
+        let opts = LaneOptions { lanes_per_pass: 4, ..LaneOptions::default() };
+        let plan = LanePlan::new(&d, "t", &mutants, &opts).unwrap();
+        assert!(plan.group_count() > 2);
+        let sequence: TestSequence = vec![vec![bit(0), bit(1)]; 6];
+        let (kills, stats) = plan.first_kills_live(&sequence, &vec![false; mutants.len()]).unwrap();
+        assert_eq!(kills.killed_count(), 0);
+        assert_eq!(stats, LaneStats::default(), "no live lane anywhere: no work at all");
+        // Only the first group's lanes live: exactly one pass runs.
+        let live: Vec<bool> = (0..mutants.len()).map(|i| i < 4).collect();
+        let (_, stats) = plan.first_kills_live(&sequence, &live).unwrap();
+        assert_eq!(stats.passes, 1);
+        assert!(stats.steps <= sequence.len());
+    }
+
+    #[test]
+    fn unflagged_scalar_fallbacks_never_run() {
+        use musa_hdl::ast::{walk_exprs, Expr, NodeId};
+        // A valid LOR mutant, a VR mutant that closes a combinational
+        // loop (`a` -> `z`, which reads `x`) and so plans as a lone
+        // scalar group, and a bogus-site mutant the tape cannot
+        // represent (a fallback inside a compiled group). Either broken
+        // mutant errors when it runs; unflagged, neither may run.
+        let d = checked(
+            "entity p is
+               port(a : in bit; b : in bit; y : out bit);
+             signal x : bit;
+             signal z : bit;
+             comb begin x <= a and b; end;
+             comb begin z <= not x; end;
+             comb begin y <= z; end;
+             end;",
+        );
+        let mut a_site = None;
+        walk_exprs(&d.design().entities[0].processes[0].body, &mut |e| {
+            if let Expr::Ref { id, name } = e {
+                if name.name == "a" {
+                    a_site = Some(*id);
+                }
+            }
+        });
+        let valid = generate_mutants(&d, "p", &GenerateOptions::only(MutationOperator::Lor))
+            .remove(0);
+        let cyclic = Mutant {
+            id: MutantId(1),
+            operator: MutationOperator::Vr,
+            site: a_site.unwrap(),
+            rewrite: Rewrite::Ref { new: "z".into() },
+            description: "a -> z closes a combinational loop".into(),
+        };
+        let bogus = Mutant {
+            id: MutantId(2),
+            operator: MutationOperator::Cr,
+            site: NodeId(999_999),
+            rewrite: Rewrite::Literal { value: 0 },
+            description: String::new(),
+        };
+        let sequence: TestSequence = (0..4u64).map(|p| vec![bit(p & 1), bit(p >> 1)]).collect();
+        // The loop splits the pair into two groups; the bogus site stays
+        // a fallback inside one compiled group.
+        for (broken, groups) in [(cyclic, 2), (bogus, 1)] {
+            let mutants = vec![valid.clone(), broken];
+            let plan = LanePlan::new(&d, "p", &mutants, &LaneOptions::default()).unwrap();
+            assert_eq!(plan.group_count(), groups);
+            let scalar = execute_mutants(&d, "p", &mutants, &sequence);
+            assert!(scalar.is_err(), "the broken mutant must fail on the scalar engine");
+            let all = plan.first_kills_live(&sequence, &[true, true]);
+            assert_eq!(format!("{all:?}"), format!("{scalar:?}"));
+            let (kills, stats) = plan.first_kills_live(&sequence, &[true, false]).unwrap();
+            assert_eq!(kills.first_kill[1], None);
+            assert!(kills.first_kill[0].is_some(), "the LOR mutant dies on 4 vectors");
+            assert_eq!(stats.passes, 1, "only the valid mutant's lane group runs");
         }
     }
 

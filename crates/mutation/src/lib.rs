@@ -14,6 +14,16 @@
 //! into each pass — `⌈N/63⌉` simulation passes for a population of
 //! `N`, composing multiplicatively with thread sharding.
 //!
+//! Equivalence classification always runs on the lane engine: a
+//! [`LanePlan`] over the population, swept through the policy's
+//! sequences in order at `⌈N/63⌉` passes per sequence at most, with a
+//! live mask ([`LanePlan::first_kills_live`]) dropping every mutant an
+//! earlier sequence killed and skipping lane groups left with nothing
+//! to decide; once the undecided mutants fit in half the groups, they
+//! are repacked into a smaller plan. The scalar per-mutant classifier
+//! it replaced survives only in the tests, as the differential oracle
+//! the lane classifier must match class for class.
+//!
 //! # Example: measuring a test set's mutation score
 //!
 //! ```
@@ -53,7 +63,9 @@ mod mutant;
 mod operator;
 mod score;
 
-pub use equivalence::{classify_mutants, survivor_class, EquivalenceClass, EquivalencePolicy};
+pub use equivalence::{
+    classify_mutants, classify_mutants_jobs, survivor_class, EquivalenceClass, EquivalencePolicy,
+};
 pub use execute::{
     execute_mutants, execute_mutants_engine, execute_mutants_engine_opt, execute_mutants_jobs,
     reference_transcript, run_one, Engine, KillResult, OptLevel, TestSequence,

@@ -186,6 +186,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_blob_is_a_miss_that_heals() {
+        // A blob nested far past the JSON parser's depth cap used to
+        // overflow the decoder's stack; it must decode as a miss instead.
+        let (dir, store) = scratch_store("nested");
+        let first = campaign().run_cached(&store).unwrap();
+        let key = first.key.clone().unwrap();
+        fs::write(store.blob_path(&key), "[".repeat(200_000)).unwrap();
+        let again = campaign().run_cached(&store).unwrap();
+        assert_eq!(again.outcome, StoreOutcome::Miss, "a hostile blob must recompute");
+        assert_eq!(normalized_json(&first.report), normalized_json(&again.report));
+        let healed = campaign().run_cached(&store).unwrap();
+        assert_eq!(healed.outcome, StoreOutcome::Hit);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn bench_and_lint_bypass_the_store() {
         let (dir, store) = scratch_store("bypass");
         let run = Campaign::named("c17")

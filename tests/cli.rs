@@ -325,6 +325,32 @@ fn campaign_rejects_malformed_requests_with_exit_2() {
 }
 
 #[test]
+fn campaign_rejects_deeply_nested_json_on_stdin_with_exit_2() {
+    // 200k open brackets used to overflow the recursive-descent parser's
+    // stack and abort the process; the nesting cap makes it a parse error.
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_musa"))
+        .args(["campaign", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("musa binary runs");
+    let hostile = format!("{}\n", "[".repeat(200_000));
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(hostile.as_bytes())
+        .expect("request written");
+    let out = child.wait_with_output().expect("musa exits");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than 512"), "stderr: {stderr}");
+}
+
+#[test]
 fn campaign_rejects_workers_on_non_sampling_tasks_with_exit_2() {
     let dir = std::env::temp_dir().join(format!("musa-cli-workers-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -99,6 +99,42 @@ fn sampling_counters_equal_outcome_fields() {
             outcome.screened as u64,
             "{bench}: screened"
         );
+        // One repetition: every unscreened survivor is classified once
+        // and nothing is served twice.
+        let unscreened_survivors =
+            outcome.population - outcome.score.killed - outcome.screened;
+        assert_eq!(
+            counter(&data, "classify_mutants"),
+            unscreened_survivors as u64,
+            "{bench}: classify_mutants"
+        );
+        assert_eq!(counter(&data, "classify_cache_hits"), 0, "{bench}: cache hits");
+    }
+}
+
+#[test]
+fn repetitions_share_one_classification_per_distinct_survivor() {
+    let counters = |jobs: usize| {
+        let mut config = one_rep_config();
+        config.repetitions = 3;
+        config.jobs = jobs;
+        let report = Campaign::named("b01")
+            .config(config)
+            .trace(true)
+            .task(Task::Sampling { fraction: 0.10 })
+            .run()
+            .unwrap();
+        let data = report.trace.expect("tracing was enabled");
+        (
+            counter(&data, "classify_mutants"),
+            counter(&data, "classify_cache_hits"),
+        )
+    };
+    let (classified, hits) = counters(1);
+    assert!(classified > 0, "b01 leaves survivors to classify");
+    assert!(hits > 0, "survivors shared between repetitions are classified once");
+    for jobs in [2, 4] {
+        assert_eq!(counters(jobs), (classified, hits), "jobs={jobs}");
     }
 }
 
