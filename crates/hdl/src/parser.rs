@@ -78,17 +78,60 @@ pub fn parse(source: &str) -> Result<Design> {
         tokens,
         pos: 0,
         next_id: 0,
+        depth: 0,
     };
     parser.design()
 }
+
+/// The deepest nesting [`parse`] accepts. Each `if`/`case`/`for` block,
+/// each operator node (`a and b`, `not a`, `a & b`, `a[i]`, `a sll 1`,
+/// `orr(a)`, …) and each pair of parentheses is one level, so a chain
+/// `a and b and c` is two levels deep, like the tree it parses to.
+///
+/// The parser, and the checker, synthesizer and lint passes that walk
+/// its tree, recurse once per level; the cap turns hostile input
+/// (`((((…` or `a and a and …`) into an ordinary parse error instead of
+/// a stack overflow. The bundled designs nest at most 8 levels.
+const MAX_NESTING: usize = 128;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
+    /// Levels above the construct being parsed. An expression parsed
+    /// here spans at most `MAX_NESTING - depth` levels below its root.
+    depth: usize,
 }
 
 impl Parser {
+    /// Parses one construct a nesting level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, inner: fn(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let result = inner(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// The height of one level over subtrees at most `below` levels
+    /// tall, refusing a tree that would reach past [`MAX_NESTING`].
+    fn above(&self, below: usize) -> Result<usize> {
+        if self.depth + below >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(below + 1)
+    }
+
+    fn too_deep(&self) -> HdlError {
+        HdlError::parse(
+            format!("nesting deeper than {MAX_NESTING} levels"),
+            self.peek().span,
+        )
+    }
+
     fn fresh(&mut self) -> NodeId {
         let id = NodeId(self.next_id);
         self.next_id += 1;
@@ -391,13 +434,13 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt> {
         if self.peek_kw("if") {
-            return self.if_stmt();
+            return self.nested(Self::if_stmt);
         }
         if self.peek_kw("case") {
-            return self.case_stmt();
+            return self.nested(Self::case_stmt);
         }
         if self.peek_kw("for") {
-            return self.for_stmt();
+            return self.nested(Self::for_stmt);
         }
         if self.peek_kw("null") {
             let id = self.fresh();
@@ -424,7 +467,7 @@ impl Parser {
                 ));
             }
         };
-        let value = self.expr()?;
+        let (value, _) = self.expr()?;
         self.expect(Tok::Semi)?;
         Ok(Stmt::Assign {
             id,
@@ -460,7 +503,7 @@ impl Parser {
                 self.pos = checkpoint;
                 self.next_id = checkpoint_id;
             }
-            let index = self.expr()?;
+            let (index, _) = self.expr()?;
             self.expect(Tok::RBracket)?;
             Some(Select::Index(index))
         } else {
@@ -473,14 +516,14 @@ impl Parser {
         let id = self.fresh();
         self.expect_kw("if")?;
         let mut arms = Vec::new();
-        let cond = self.expr()?;
+        let (cond, _) = self.expr()?;
         self.expect_kw("then")?;
         let body = self.stmt_list()?;
         arms.push((cond, body));
         let mut else_body = None;
         loop {
             if self.eat_kw("elsif") {
-                let cond = self.expr()?;
+                let (cond, _) = self.expr()?;
                 self.expect_kw("then")?;
                 let body = self.stmt_list()?;
                 arms.push((cond, body));
@@ -500,7 +543,7 @@ impl Parser {
     fn case_stmt(&mut self) -> Result<Stmt> {
         let id = self.fresh();
         self.expect_kw("case")?;
-        let subject = self.expr()?;
+        let (subject, _) = self.expr()?;
         self.expect_kw("is")?;
         let mut arms = Vec::new();
         let mut default = None;
@@ -568,10 +611,15 @@ impl Parser {
     }
 
     // ---- expressions --------------------------------------------------
+    //
+    // Each returns the expression with its height: the levels it spans
+    // below its root (0 for a name or literal), at most
+    // `MAX_NESTING - depth`. Left-associative chains build their tree in
+    // a loop, so the height, not the recursion, is what bounds them.
 
     /// Entry point: logical level (loosest).
-    fn expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.rel_expr()?;
+    fn expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut lhs, mut height) = self.rel_expr()?;
         loop {
             let op = match &self.peek().tok {
                 Tok::Ident(s) => match s.as_str() {
@@ -581,13 +629,14 @@ impl Parser {
                     "nand" => BinOp::Nand,
                     "nor" => BinOp::Nor,
                     "xnor" => BinOp::Xnor,
-                    _ => return Ok(lhs),
+                    _ => return Ok((lhs, height)),
                 },
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, height)),
             };
             let id = self.fresh();
             self.bump();
-            let rhs = self.rel_expr()?;
+            let (rhs, rhs_height) = self.rel_expr()?;
+            height = self.above(height.max(rhs_height))?;
             lhs = Expr::Binary {
                 id,
                 op,
@@ -597,8 +646,8 @@ impl Parser {
         }
     }
 
-    fn rel_expr(&mut self) -> Result<Expr> {
-        let lhs = self.add_expr()?;
+    fn rel_expr(&mut self) -> Result<(Expr, usize)> {
+        let (lhs, lhs_height) = self.add_expr()?;
         let op = match self.peek().tok {
             Tok::Eq => BinOp::Eq,
             Tok::SlashEq => BinOp::Ne,
@@ -606,66 +655,61 @@ impl Parser {
             Tok::LessEq => BinOp::Le,
             Tok::Greater => BinOp::Gt,
             Tok::GreaterEq => BinOp::Ge,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, lhs_height)),
         };
         let id = self.fresh();
         self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            id,
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
+        let (rhs, rhs_height) = self.add_expr()?;
+        let height = self.above(lhs_height.max(rhs_height))?;
+        Ok((
+            Expr::Binary {
+                id,
+                op,
+                lhs: Box::new(lhs),
+                rhs: Box::new(rhs),
+            },
+            height,
+        ))
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
+    fn add_expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut lhs, mut height) = self.mul_expr()?;
         loop {
-            match self.peek().tok {
-                Tok::Plus => {
-                    let id = self.fresh();
-                    self.bump();
-                    let rhs = self.mul_expr()?;
-                    lhs = Expr::Binary {
-                        id,
-                        op: BinOp::Add,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                    };
-                }
-                Tok::Minus => {
-                    let id = self.fresh();
-                    self.bump();
-                    let rhs = self.mul_expr()?;
-                    lhs = Expr::Binary {
-                        id,
-                        op: BinOp::Sub,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                    };
-                }
-                Tok::Amp => {
-                    let id = self.fresh();
-                    self.bump();
-                    let rhs = self.mul_expr()?;
-                    lhs = Expr::Concat {
-                        id,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                    };
-                }
-                _ => return Ok(lhs),
-            }
+            // `None` is concatenation.
+            let op = match self.peek().tok {
+                Tok::Plus => Some(BinOp::Add),
+                Tok::Minus => Some(BinOp::Sub),
+                Tok::Amp => None,
+                _ => return Ok((lhs, height)),
+            };
+            let id = self.fresh();
+            self.bump();
+            let (rhs, rhs_height) = self.mul_expr()?;
+            height = self.above(height.max(rhs_height))?;
+            let (lhs_box, rhs_box) = (Box::new(lhs), Box::new(rhs));
+            lhs = match op {
+                Some(op) => Expr::Binary {
+                    id,
+                    op,
+                    lhs: lhs_box,
+                    rhs: rhs_box,
+                },
+                None => Expr::Concat {
+                    id,
+                    lhs: lhs_box,
+                    rhs: rhs_box,
+                },
+            };
         }
     }
 
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.shift_expr()?;
+    fn mul_expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut lhs, mut height) = self.shift_expr()?;
         while self.peek().tok == Tok::Star {
             let id = self.fresh();
             self.bump();
-            let rhs = self.shift_expr()?;
+            let (rhs, rhs_height) = self.shift_expr()?;
+            height = self.above(height.max(rhs_height))?;
             lhs = Expr::Binary {
                 id,
                 op: BinOp::Mul,
@@ -673,22 +717,23 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn shift_expr(&mut self) -> Result<Expr> {
-        let mut arg = self.unary_expr()?;
+    fn shift_expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut arg, mut height) = self.unary_expr()?;
         loop {
             let op = if self.peek_kw("sll") {
                 ShiftOp::Left
             } else if self.peek_kw("srl") {
                 ShiftOp::Right
             } else {
-                return Ok(arg);
+                return Ok((arg, height));
             };
             let id = self.fresh();
             self.bump();
             let amount = self.small_int("shift amount")?;
+            height = self.above(height)?;
             arg = Expr::Shift {
                 id,
                 op,
@@ -698,22 +743,25 @@ impl Parser {
         }
     }
 
-    fn unary_expr(&mut self) -> Result<Expr> {
+    fn unary_expr(&mut self) -> Result<(Expr, usize)> {
         if self.peek_kw("not") {
             let id = self.fresh();
             self.bump();
-            let arg = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                id,
-                op: UnaryOp::Not,
-                arg: Box::new(arg),
-            });
+            let (arg, arg_height) = self.nested(Self::unary_expr)?;
+            return Ok((
+                Expr::Unary {
+                    id,
+                    op: UnaryOp::Not,
+                    arg: Box::new(arg),
+                },
+                self.above(arg_height)?,
+            ));
         }
         self.postfix_expr()
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr> {
-        let mut e = self.atom()?;
+    fn postfix_expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut e, mut height) = self.atom()?;
         while self.peek().tok == Tok::LBracket {
             let id = self.fresh();
             self.bump();
@@ -728,6 +776,7 @@ impl Parser {
                     let hi = u32::try_from(hi).map_err(|_| {
                         HdlError::parse("slice bound out of range", self.peek().span)
                     })?;
+                    height = self.above(height)?;
                     e = Expr::Slice {
                         id,
                         base: Box::new(e),
@@ -739,38 +788,42 @@ impl Parser {
                 self.pos = checkpoint;
                 self.next_id = checkpoint_id;
             }
-            let index = self.expr()?;
+            let (index, index_height) = self.nested(Self::expr)?;
             self.expect(Tok::RBracket)?;
+            height = self.above(height.max(index_height))?;
             e = Expr::Index {
                 id,
                 base: Box::new(e),
                 index: Box::new(index),
             };
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn atom(&mut self) -> Result<Expr> {
+    fn atom(&mut self) -> Result<(Expr, usize)> {
         match &self.peek().tok {
             Tok::Int(..) => {
                 let id = self.fresh();
                 let t = self.bump();
                 if let Tok::Int(value, width) = t.tok {
-                    Ok(Expr::Literal {
-                        id,
-                        value,
-                        width,
-                        span: t.span,
-                    })
+                    Ok((
+                        Expr::Literal {
+                            id,
+                            value,
+                            width,
+                            span: t.span,
+                        },
+                        0,
+                    ))
                 } else {
                     unreachable!()
                 }
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let (e, height) = self.nested(Self::expr)?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                Ok((e, self.above(height)?))
             }
             Tok::Ident(s) => {
                 let reduce = match s.as_str() {
@@ -783,17 +836,20 @@ impl Parser {
                     let id = self.fresh();
                     self.bump();
                     self.expect(Tok::LParen)?;
-                    let arg = self.expr()?;
+                    let (arg, height) = self.nested(Self::expr)?;
                     self.expect(Tok::RParen)?;
-                    return Ok(Expr::Reduce {
-                        id,
-                        op,
-                        arg: Box::new(arg),
-                    });
+                    return Ok((
+                        Expr::Reduce {
+                            id,
+                            op,
+                            arg: Box::new(arg),
+                        },
+                        self.above(height)?,
+                    ));
                 }
                 let id = self.fresh();
                 let name = self.name()?;
-                Ok(Expr::Ref { id, name })
+                Ok((Expr::Ref { id, name }, 0))
             }
             other => Err(HdlError::parse(
                 format!("expected an expression, found {other}"),
@@ -1043,6 +1099,94 @@ mod tests {
              end;"
         )
         .is_err());
+    }
+
+    /// A one-entity design whose output is `depth` levels of `open` …
+    /// `close` around `a`.
+    fn nested_design(depth: usize, open: &str, close: &str) -> String {
+        format!(
+            "entity e is port(a : in bit; y : out bit); comb begin y <= {}a{}; end; end;",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    /// `depth` nested `if` blocks around one assignment of `value`.
+    fn nested_ifs(depth: usize, value: &str) -> String {
+        format!(
+            "entity e is port(a : in bit; y : out bit); comb begin {} y <= {value}; {} end; end;",
+            "if a then ".repeat(depth),
+            "end if; ".repeat(depth)
+        )
+    }
+
+    /// `a` followed by `links` copies of `link`: a left-deep chain.
+    fn chain(links: usize, link: &str) -> String {
+        format!("a{}", link.repeat(links))
+    }
+
+    fn assert_too_deep(src: &str, what: &str) {
+        let err = parse(src).unwrap_err();
+        assert!(
+            err.to_string().contains("nesting deeper than 128 levels"),
+            "{what}: {err}"
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        for (open, close) in [("(", ")"), ("orr(", ")"), ("not ", ""), ("a[", "]")] {
+            assert!(
+                parse(&nested_design(MAX_NESTING, open, close)).is_ok(),
+                "{open}"
+            );
+            assert_too_deep(&nested_design(MAX_NESTING + 1, open, close), open);
+        }
+        assert!(parse(&nested_ifs(MAX_NESTING, "a")).is_ok());
+        assert_too_deep(&nested_ifs(MAX_NESTING + 1, "a"), "if");
+    }
+
+    #[test]
+    fn chains_count_one_level_per_link() {
+        for link in [
+            " and a", " xor a", " + a", " - a", " & a", " * a", " sll 1", "[0:0]", "[a]",
+        ] {
+            assert!(
+                parse(&nested_ifs(0, &chain(MAX_NESTING, link))).is_ok(),
+                "{link}"
+            );
+            assert_too_deep(&nested_ifs(0, &chain(MAX_NESTING + 1, link)), link);
+        }
+        // A relational node is one more level over its operands.
+        let compare = |links: usize| nested_ifs(0, &format!("{} = a", chain(links, " + a")));
+        assert!(parse(&compare(MAX_NESTING - 1)).is_ok());
+        assert_too_deep(&compare(MAX_NESTING), "=");
+    }
+
+    #[test]
+    fn blocks_parentheses_and_chains_share_one_budget() {
+        // 64 `if` blocks leave 64 levels for the expression inside.
+        assert!(parse(&nested_ifs(64, &chain(64, " and a"))).is_ok());
+        assert_too_deep(&nested_ifs(64, &chain(65, " and a")), "if + and");
+        // A chain inside parentheses: the parentheses are one level.
+        let inner = format!("({})", chain(MAX_NESTING - 1, " or a"));
+        assert!(parse(&nested_ifs(0, &inner)).is_ok());
+        assert_too_deep(
+            &nested_ifs(0, &format!("({})", chain(MAX_NESTING, " or a"))),
+            "( or )",
+        );
+        // A deep right operand counts as much as a deep left one.
+        let right = |depth: usize| format!("a and {}a{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&nested_ifs(0, &right(MAX_NESTING - 1))).is_ok());
+        assert_too_deep(&nested_ifs(0, &right(MAX_NESTING)), "and (((");
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error() {
+        assert_too_deep(&nested_design(200_000, "(", ")"), "200k (");
+        for link in [" and a", " & a"] {
+            assert_too_deep(&nested_ifs(0, &chain(200_000, link)), link);
+        }
     }
 
     #[test]

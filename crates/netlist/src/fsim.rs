@@ -1,21 +1,37 @@
-//! Stuck-at fault simulation with fault dropping.
+//! Stuck-at fault simulation with fault dropping, compiled onto the
+//! netlist's flat levelized form.
 //!
-//! Two engines behind one entry point, [`fault_simulate`]:
+//! Two engines behind one entry point, [`fault_simulate`], both running
+//! on the CSR arrays that [`Netlist::freeze`] builds, with dense
+//! per-site forces — no gate evaluation hashes or allocates:
 //!
 //! * **combinational** circuits use *parallel-pattern single-fault
-//!   propagation* (PPSFP): 64 test patterns per pass, one fault at a
-//!   time, with fault dropping;
+//!   propagation* (PPSFP): the good machine is evaluated once per
+//!   64-pattern batch; then each live fault is seeded at its site (the
+//!   stem, or the one forced gate pin) and propagated in topological
+//!   order through that site's fanout cone only, dropping every gate
+//!   whose faulty word equals the good word on the lanes that could
+//!   still lower the fault's first detection;
 //! * **sequential** circuits use *parallel-fault* simulation: the good
 //!   machine in lane 0 and up to 63 faulty machines in the remaining
-//!   lanes, all driven by the same vector sequence from the reset state.
+//!   lanes, all driven by the same vector sequence from the reset state,
+//!   with `[sa0, sa1]` lane masks per net, per fan-in slot and per flop
+//!   D pin.
 //!
 //! Both record, for every fault, the index of the **first** detecting
-//! vector, from which coverage-versus-length curves are derived.
+//! vector, from which coverage-versus-length curves are derived. The
+//! interpretive [`LogicSim`](crate::LogicSim) with
+//! [`Injections`](crate::Injections) is the reference model the tests
+//! compare both engines against.
+//!
+//! Every `fault_simulate*` call adds the gate evaluations it executed
+//! (good-machine sweeps plus faulty-cone events for PPSFP, full sweeps
+//! for parallel-fault) to the `fsim_gate_evals` trace counter, once.
 
 use crate::dominance::{FaultPlan, FaultReduction};
 use crate::fault::Fault;
+use crate::flat::{broadcast, Flat, Site};
 use crate::netlist::Netlist;
-use crate::sim::{Injections, LogicSim};
 
 /// One primary-input assignment (one bit per PI, in `Netlist::inputs`
 /// order).
@@ -111,14 +127,9 @@ impl FaultSimResult {
 ///
 /// Panics if any pattern length differs from the circuit's input count.
 pub fn fault_simulate(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> FaultSimResult {
-    for v in vectors {
-        assert_eq!(v.len(), nl.inputs().len(), "pattern width mismatch");
-    }
-    let first_detected = if nl.is_combinational() {
-        ppsfp(nl, faults, vectors)
-    } else {
-        parallel_fault(nl, faults, vectors)
-    };
+    let mut evals = 0;
+    let first_detected = simulate(nl, faults, vectors, &mut evals);
+    musa_trace::count("fsim_gate_evals", evals);
     FaultSimResult {
         faults: faults.to_vec(),
         first_detected,
@@ -142,11 +153,10 @@ pub fn fault_simulate_sessions(
 ) -> FaultSimResult {
     let indices: Vec<usize> = (0..faults.len()).collect();
     let _trace = musa_trace::span("fault_simulate");
-    let (first, total) = simulate_subset_sessions(nl, faults, &indices, sessions);
-    let mut first_detected = vec![None; faults.len()];
-    for (slot, &fi) in indices.iter().enumerate() {
-        first_detected[fi] = first[slot];
-    }
+    let mut evals = 0;
+    let (first_detected, total) =
+        simulate_subset_sessions(nl, faults, &indices, sessions, &mut evals);
+    musa_trace::count("fsim_gate_evals", evals);
     FaultSimResult {
         faults: faults.to_vec(),
         first_detected,
@@ -163,6 +173,7 @@ fn simulate_subset_sessions(
     faults: &[Fault],
     indices: &[usize],
     sessions: &[Vec<Pattern>],
+    evals: &mut u64,
 ) -> (Vec<Option<usize>>, usize) {
     let mut first: Vec<Option<usize>> = vec![None; indices.len()];
     let mut base = 0usize;
@@ -174,10 +185,10 @@ fn simulate_subset_sessions(
             continue;
         }
         let subset: Vec<Fault> = alive.iter().map(|&s| faults[indices[s]]).collect();
-        let result = fault_simulate(nl, &subset, session);
+        let detected = simulate(nl, &subset, session, evals);
         let mut still = Vec::with_capacity(alive.len());
         for (lane, &slot) in alive.iter().enumerate() {
-            match result.first_detected[lane] {
+            match detected[lane] {
                 Some(t) => first[slot] = Some(base + t),
                 None => still.push(slot),
             }
@@ -240,9 +251,10 @@ pub fn fault_simulate_sessions_reduced(
 ) -> FaultSimResult {
     let faults = reduction.faults();
     let kept = reduction.simulated_indices();
+    let mut evals = 0;
     let (kept_first, total) = {
         let _trace = musa_trace::span("fault_simulate");
-        simulate_subset_sessions(nl, faults, &kept, sessions)
+        simulate_subset_sessions(nl, faults, &kept, sessions, &mut evals)
     };
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     for (slot, &fi) in kept.iter().enumerate() {
@@ -265,7 +277,7 @@ pub fn fault_simulate_sessions_reduced(
                 base += session.len();
                 continue;
             }
-            let good = good_outputs(nl, session);
+            let good = good_trace(nl, session, &mut evals);
             for &(i, output, expect) in &observed {
                 if first_detected[i].is_some() {
                     continue;
@@ -293,7 +305,8 @@ pub fn fault_simulate_sessions_reduced(
     // (typically "undetected") is never inferred.
     let _trace = musa_trace::span("fault_residual");
     let (residual_first, residual_total) =
-        simulate_subset_sessions(nl, faults, &residual, sessions);
+        simulate_subset_sessions(nl, faults, &residual, sessions, &mut evals);
+    musa_trace::count("fsim_gate_evals", evals);
     debug_assert!(residual.is_empty() || residual_total == total);
     for (slot, &fi) in residual.iter().enumerate() {
         first_detected[fi] = residual_first[slot];
@@ -308,106 +321,358 @@ pub fn fault_simulate_sessions_reduced(
 }
 
 /// Good-circuit output transcript (used by test generators for response
-/// comparison and by the sequential engine internally).
+/// comparison and by the dominance-reduced engine for observed faults).
+///
+/// # Panics
+///
+/// Panics if any pattern length differs from the circuit's input count.
 pub fn good_outputs(nl: &Netlist, vectors: &[Pattern]) -> Vec<Vec<bool>> {
-    let mut sim = LogicSim::new(nl);
-    sim.reset();
-    let none = Injections::none();
-    vectors
-        .iter()
-        .map(|v| {
-            sim.step_broadcast(v, &none)
-                .into_iter()
-                .map(|w| w & 1 == 1)
-                .collect()
-        })
-        .collect()
+    good_trace(nl, vectors, &mut 0)
+}
+
+/// [`good_outputs`], adding the gate evaluations to `evals`:
+/// combinational circuits settle 64 vectors per sweep, sequential ones
+/// step the unforced parallel-fault machine from reset.
+fn good_trace(nl: &Netlist, vectors: &[Pattern], evals: &mut u64) -> Vec<Vec<bool>> {
+    check_widths(nl, vectors);
+    let flat = nl.flat();
+    let mut values = vec![0u64; flat.net_count()];
+    let mut trace = Vec::with_capacity(vectors.len());
+    if nl.is_combinational() {
+        for batch in vectors.chunks(64) {
+            load_batch(nl, &mut values, batch);
+            flat.sweep(&mut values);
+            *evals += flat.gate_count() as u64;
+            trace.extend((0..batch.len()).map(|lane| {
+                nl.outputs()
+                    .iter()
+                    .map(|o| values[o.0 as usize] >> lane & 1 == 1)
+                    .collect()
+            }));
+        }
+    } else {
+        let forces = Forces::new(flat);
+        let mut state = reset_state(flat);
+        for bits in vectors {
+            step(nl, &mut values, &mut state, &forces, bits);
+            *evals += flat.gate_count() as u64;
+            trace.push(
+                nl.outputs()
+                    .iter()
+                    .map(|o| values[o.0 as usize] & 1 == 1)
+                    .collect(),
+            );
+        }
+    }
+    trace
+}
+
+/// Asserts every pattern has one bit per primary input.
+fn check_widths(nl: &Netlist, vectors: &[Pattern]) {
+    for v in vectors {
+        assert_eq!(v.len(), nl.inputs().len(), "pattern width mismatch");
+    }
+}
+
+/// One session from reset: the first detections of `faults` over
+/// `vectors`, adding the gate evaluations to `evals`.
+fn simulate(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+    evals: &mut u64,
+) -> Vec<Option<usize>> {
+    check_widths(nl, vectors);
+    if nl.is_combinational() {
+        ppsfp(nl, faults, vectors, evals)
+    } else {
+        parallel_fault(nl, faults, vectors, evals)
+    }
+}
+
+/// The lowest `len` lanes of a word.
+fn lane_mask(len: usize) -> u64 {
+    if len >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << len) - 1
+    }
+}
+
+/// Sets the constants and packs up to 64 patterns into the input words
+/// (lane `k` = `batch[k]`).
+fn load_batch(nl: &Netlist, values: &mut [u64], batch: &[Pattern]) {
+    for &(net, word) in &nl.flat().consts {
+        values[net as usize] = word;
+    }
+    for (slot, input) in nl.inputs().iter().enumerate() {
+        values[input.0 as usize] = batch.iter().enumerate().fold(0, |word, (lane, pattern)| {
+            word | u64::from(pattern[slot]) << lane
+        });
+    }
 }
 
 /// Parallel-pattern single-fault propagation for combinational circuits.
-fn ppsfp(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> Vec<Option<usize>> {
+fn ppsfp(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+    evals: &mut u64,
+) -> Vec<Option<usize>> {
+    let flat = nl.flat();
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut sim = LogicSim::new(nl);
-    let none = Injections::none();
-    let num_inputs = nl.inputs().len();
-
+    // (fault index, site, stuck word) of every fault still undetected.
+    let mut live: Vec<(usize, Site, u64)> = faults
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (i, flat.site(f), broadcast(f.stuck_at_one)))
+        .filter(|&(_, site, _)| site != Site::Inert)
+        .collect();
+    let mut cone = Cone::new(flat);
     for (batch_index, batch) in vectors.chunks(64).enumerate() {
-        let base = batch_index * 64;
-        // Pack the batch into per-input words: lane k = pattern base+k.
-        let mut words = vec![0u64; num_inputs];
-        for (lane, pattern) in batch.iter().enumerate() {
-            for (i, &bit) in pattern.iter().enumerate() {
-                if bit {
-                    words[i] |= 1 << lane;
+        if live.is_empty() {
+            break; // every fault dropped
+        }
+        load_batch(nl, &mut cone.values, batch);
+        flat.sweep(&mut cone.values);
+        *evals += flat.gate_count() as u64;
+        let lanes = lane_mask(batch.len());
+        live.retain(
+            |&(fi, site, stuck)| match cone.first_lane(flat, site, stuck, lanes, evals) {
+                Some(lane) => {
+                    first_detected[fi] = Some(batch_index * 64 + lane);
+                    false
                 }
-            }
-        }
-        let lane_mask = if batch.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << batch.len()) - 1
-        };
-
-        sim.set_inputs(&words);
-        sim.eval(&none);
-        let good = sim.outputs();
-
-        for (fi, fault) in faults.iter().enumerate() {
-            if first_detected[fi].is_some() {
-                continue; // fault dropping
-            }
-            sim.eval(&Injections::single(fault));
-            let bad = sim.outputs();
-            let mut diff = 0u64;
-            for (g, b) in good.iter().zip(&bad) {
-                diff |= g ^ b;
-            }
-            diff &= lane_mask;
-            if diff != 0 {
-                first_detected[fi] = Some(base + diff.trailing_zeros() as usize);
-            }
-        }
+                None => true,
+            },
+        );
     }
     first_detected
 }
 
+/// Single-fault propagation scratch over one batch's good machine.
+struct Cone {
+    /// Net words: the good machine, overwritten inside the current
+    /// fault's cone and restored afterwards.
+    values: Vec<u64>,
+    /// Nets overwritten for the current fault, with their good words.
+    saved: Vec<(u32, u64)>,
+    /// Gates awaiting evaluation, as a bitset over gate indices.
+    pending: Vec<u64>,
+}
+
+impl Cone {
+    fn new(flat: &Flat) -> Self {
+        Cone {
+            values: vec![0; flat.net_count()],
+            saved: Vec::new(),
+            pending: vec![0; flat.gate_count().div_ceil(64)],
+        }
+    }
+
+    /// The lowest lane of `lanes` in which the fault at `site`, stuck at
+    /// `stuck`, flips a primary output; leaves `values` as it found it.
+    ///
+    /// Events run in gate (topological) order, so each gate is evaluated
+    /// at most once, after all its changed inputs. `search` holds the
+    /// lanes that could still lower the answer: the batch lanes at
+    /// first, then only those below the lowest detecting lane found so
+    /// far. A gate whose faulty word equals its good word on `search`
+    /// stops the event there: lanes are independent, so whatever it
+    /// would change downstream lies in lanes that no longer matter.
+    fn first_lane(
+        &mut self,
+        flat: &Flat,
+        site: Site,
+        stuck: u64,
+        lanes: u64,
+        evals: &mut u64,
+    ) -> Option<usize> {
+        let (net, word) = match site {
+            Site::Net(net) => (net, stuck),
+            Site::Pin { gate, slot } => {
+                *evals += 1;
+                let (g, slot) = (gate as usize, slot as usize);
+                let word =
+                    flat.eval_pins(g, &self.values, |s, w| if s == slot { stuck } else { w });
+                (flat.out[g].0, word)
+            }
+            Site::DPin(_) | Site::Inert => return None,
+        };
+        let mut search = lanes;
+        let mut diff = 0u64;
+        if (word ^ self.values[net as usize]) & search != 0 {
+            self.change(flat, net, word, &mut diff, &mut search);
+            // Readers are ascending, so no gate before the first one's
+            // word is ever pending.
+            let mut w = flat
+                .readers(net)
+                .first()
+                .map_or(self.pending.len(), |&g| g as usize / 64);
+            while w < self.pending.len() && search != 0 {
+                let bits = self.pending[w];
+                if bits == 0 {
+                    w += 1;
+                    continue;
+                }
+                self.pending[w] = bits & (bits - 1);
+                let g = w * 64 + bits.trailing_zeros() as usize;
+                *evals += 1;
+                let word = flat.eval(g, &self.values);
+                let out = flat.out[g].0;
+                if (word ^ self.values[out as usize]) & search != 0 {
+                    self.change(flat, out, word, &mut diff, &mut search);
+                }
+            }
+            // An early stop leaves events behind.
+            self.pending[w..].fill(0);
+        }
+        for (net, good) in self.saved.drain(..).rev() {
+            self.values[net as usize] = good;
+        }
+        (diff != 0).then(|| diff.trailing_zeros() as usize)
+    }
+
+    /// Writes a faulty word that differs from the good one on `search`:
+    /// at a primary output, records the detecting lanes and narrows
+    /// `search` to the lanes below them; then schedules the readers.
+    fn change(&mut self, flat: &Flat, net: u32, word: u64, diff: &mut u64, search: &mut u64) {
+        let slot = net as usize;
+        if flat.is_output[slot] {
+            *diff |= (word ^ self.values[slot]) & *search;
+            *search = (1u64 << diff.trailing_zeros()) - 1;
+        }
+        self.saved.push((net, self.values[slot]));
+        self.values[slot] = word;
+        for &g in flat.readers(net) {
+            self.pending[g as usize / 64] |= 1 << (g % 64);
+        }
+    }
+}
+
+/// Dense per-lane stuck-at forces of one parallel-fault word.
+struct Forces {
+    /// `[sa0, sa1]` lane masks per net.
+    net: Vec<[u64; 2]>,
+    /// `[sa0, sa1]` lane masks per fan-in slot.
+    pin: Vec<[u64; 2]>,
+    /// `[sa0, sa1]` lane masks per flop D pin.
+    dpin: Vec<[u64; 2]>,
+    /// Gates with a forced fan-in slot (the only ones that read `pin`).
+    pinned: Vec<bool>,
+}
+
+impl Forces {
+    /// No forces: every lane is the good machine.
+    fn new(flat: &Flat) -> Self {
+        Forces {
+            net: vec![[0; 2]; flat.net_count()],
+            pin: vec![[0; 2]; flat.fanin.len()],
+            dpin: vec![[0; 2]; flat.flops.len()],
+            pinned: vec![false; flat.gate_count()],
+        }
+    }
+
+    /// Forces `fault` in `lanes`.
+    fn add(&mut self, flat: &Flat, fault: &Fault, lanes: u64) {
+        let masks = match flat.site(fault) {
+            Site::Net(net) => &mut self.net[net as usize],
+            Site::Pin { gate, slot } => {
+                self.pinned[gate as usize] = true;
+                &mut self.pin[slot as usize]
+            }
+            Site::DPin(flop) => &mut self.dpin[flop as usize],
+            Site::Inert => return,
+        };
+        masks[usize::from(fault.stuck_at_one)] |= lanes;
+    }
+
+    /// Removes every force.
+    fn clear(&mut self) {
+        self.net.fill([0; 2]);
+        self.pin.fill([0; 2]);
+        self.dpin.fill([0; 2]);
+        self.pinned.fill(false);
+    }
+}
+
+/// `word` under `[sa0, sa1]` forces.
+#[inline]
+fn force(word: u64, [sa0, sa1]: [u64; 2]) -> u64 {
+    (word | sa1) & !sa0
+}
+
+/// Every flop at its power-on value, in all lanes.
+fn reset_state(flat: &Flat) -> Vec<u64> {
+    flat.flops.iter().map(|f| broadcast(f.init)).collect()
+}
+
+/// One clock cycle: settles the combinational core under `forces` with
+/// `bits` broadcast on the inputs, then clocks the flops. `values` keeps
+/// the settled words, so the primary outputs are read afterwards.
+fn step(nl: &Netlist, values: &mut [u64], state: &mut [u64], forces: &Forces, bits: &[bool]) {
+    let flat = nl.flat();
+    for &(net, word) in &flat.consts {
+        values[net as usize] = force(word, forces.net[net as usize]);
+    }
+    for (flop, &word) in flat.flops.iter().zip(state.iter()) {
+        values[flop.q as usize] = force(word, forces.net[flop.q as usize]);
+    }
+    for (input, &bit) in nl.inputs().iter().zip(bits) {
+        let net = input.0 as usize;
+        values[net] = force(broadcast(bit), forces.net[net]);
+    }
+    for g in 0..flat.gate_count() {
+        let word = if forces.pinned[g] {
+            flat.eval_pins(g, values, |slot, w| force(w, forces.pin[slot]))
+        } else {
+            flat.eval(g, values)
+        };
+        let out = flat.out[g].0 as usize;
+        values[out] = force(word, forces.net[out]);
+    }
+    for ((flop, word), &masks) in flat.flops.iter().zip(state.iter_mut()).zip(&forces.dpin) {
+        *word = force(values[flop.d as usize], masks);
+    }
+}
+
 /// Parallel-fault simulation for sequential circuits: lane 0 is the good
 /// machine, lanes 1..=63 carry one fault each.
-fn parallel_fault(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> Vec<Option<usize>> {
+fn parallel_fault(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+    evals: &mut u64,
+) -> Vec<Option<usize>> {
+    let flat = nl.flat();
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut sim = LogicSim::new(nl);
-    let pending: Vec<usize> = (0..faults.len()).collect();
-
-    for chunk in pending.chunks(63) {
-        let mut inj = Injections::none();
-        for (slot, &fi) in chunk.iter().enumerate() {
-            inj.add(&faults[fi], 1u64 << (slot + 1));
+    let mut values = vec![0u64; flat.net_count()];
+    let mut forces = Forces::new(flat);
+    for (chunk_index, chunk) in faults.chunks(63).enumerate() {
+        forces.clear();
+        for (slot, fault) in chunk.iter().enumerate() {
+            forces.add(flat, fault, 1u64 << (slot + 1));
         }
-        let active_mask = if chunk.len() == 63 {
-            !1
-        } else {
-            ((1u64 << (chunk.len() + 1)) - 1) & !1
-        };
-
-        sim.reset();
+        let active_mask = lane_mask(chunk.len() + 1) & !1;
+        let mut state = reset_state(flat);
         let mut detected_lanes = 0u64;
-        for (t, pattern) in vectors.iter().enumerate() {
-            let outs = sim.step_broadcast(pattern, &inj);
-            let mut diff = 0u64;
-            for word in outs {
-                // Lanes differing from lane 0 (the good machine).
-                let good_broadcast = 0u64.wrapping_sub(word & 1);
-                diff |= word ^ good_broadcast;
-            }
-            let newly = diff & active_mask & !detected_lanes;
+        for (t, bits) in vectors.iter().enumerate() {
+            step(nl, &mut values, &mut state, &forces, bits);
+            *evals += flat.gate_count() as u64;
+            // Lanes differing from lane 0 (the good machine).
+            let diff = nl.outputs().iter().fold(0u64, |diff, o| {
+                let word = values[o.0 as usize];
+                diff | (word ^ 0u64.wrapping_sub(word & 1))
+            });
+            let mut newly = diff & active_mask & !detected_lanes;
             if newly != 0 {
-                for (slot, &fi) in chunk.iter().enumerate() {
-                    if newly >> (slot + 1) & 1 == 1 {
-                        first_detected[fi] = Some(t);
-                    }
-                }
                 detected_lanes |= newly;
-                if detected_lanes & active_mask == active_mask {
+                while newly != 0 {
+                    let lane = newly.trailing_zeros() as usize;
+                    first_detected[chunk_index * 63 + lane - 1] = Some(t);
+                    newly &= newly - 1;
+                }
+                if detected_lanes == active_mask {
                     break; // whole batch detected
                 }
             }
@@ -422,6 +687,7 @@ mod tests {
     use crate::bench::{parse_bench, C17};
     use crate::fault::{collapsed_faults, full_faults, Fault};
     use crate::netlist::{GateKind, Netlist};
+    use crate::sim::{Injections, LogicSim};
 
     fn exhaustive_patterns(n: usize) -> Vec<Pattern> {
         (0..1u64 << n)
@@ -631,7 +897,6 @@ y = OR(q, b)
         // Regression guard: fault forcing during one injection must not
         // corrupt the applied stimulus for later injections in the same
         // batch (input-net faults are the sensitive case).
-        use crate::sim::{Injections, LogicSim};
         let nl = parse_bench(C17, "c17").unwrap();
         let faults = full_faults(&nl);
         let patterns: Vec<Pattern> = (0..20u64)

@@ -1,11 +1,13 @@
 //! # musa-netlist — gate-level netlists and stuck-at fault simulation
 //!
 //! The gate-level substrate of the `musa` workspace: netlist data
-//! structure with `.bench` I/O, 64-lane bit-parallel logic simulation,
-//! the single stuck-at fault model with structural collapsing and
-//! dominance-based fault-list reduction ([`reduce_faults`]), and fault
-//! simulation engines (parallel-pattern for combinational circuits,
-//! parallel-fault for sequential ones).
+//! structure with `.bench` I/O, the single stuck-at fault model with
+//! structural collapsing and dominance-based fault-list reduction
+//! ([`reduce_faults`]), and fault simulation engines (parallel-pattern
+//! single-fault propagation for combinational circuits, parallel-fault
+//! for sequential ones) compiled onto a flat levelized form that
+//! [`Netlist::freeze`] builds. The 64-lane interpretive [`LogicSim`] is
+//! kept as the reference model the engines are tested against.
 //!
 //! This replaces the commercial gate-level flow the DATE'05 paper relied
 //! on — see the workspace `DESIGN.md` §3 for the substitution notes.
@@ -32,6 +34,7 @@
 mod bench;
 mod dominance;
 mod fault;
+mod flat;
 mod fsim;
 mod netlist;
 mod sim;

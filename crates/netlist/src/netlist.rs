@@ -5,6 +5,7 @@
 //! a logic gate over other nets, or a D flip-flop. Primary outputs are
 //! nets marked as observable.
 
+use crate::flat::Flat;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -210,9 +211,9 @@ pub struct Netlist {
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
     dffs: Vec<NetId>,
-    /// Topological order of gate nets (inputs/consts/flops excluded);
-    /// populated by `freeze`.
-    topo: Vec<NetId>,
+    /// The compiled form the fault simulators run on, holding the
+    /// topological gate order; built by `freeze`.
+    flat: Flat,
     frozen: bool,
 }
 
@@ -227,7 +228,7 @@ impl Netlist {
             inputs: Vec::new(),
             outputs: Vec::new(),
             dffs: Vec::new(),
-            topo: Vec::new(),
+            flat: Flat::default(),
             frozen: false,
         }
     }
@@ -288,9 +289,12 @@ impl Netlist {
     /// Marks a net as a primary output.
     pub fn mark_output(&mut self, net: NetId) {
         self.outputs.push(net);
+        self.frozen = false;
     }
 
-    /// Validates the netlist and computes the evaluation order.
+    /// Validates the netlist, computes the evaluation order and builds
+    /// the flat levelized form the fault simulators run on (CSR fan-in
+    /// and fan-out over gates in that order; O(nets) words).
     ///
     /// # Errors
     ///
@@ -387,7 +391,7 @@ impl Netlist {
                 .unwrap_or_default();
             return Err(NetlistError::CombinationalLoop { on });
         }
-        self.topo = topo;
+        self.flat = Flat::build(&self.nodes, topo, &self.outputs, &self.dffs);
         self.frozen = true;
         Ok(self)
     }
@@ -461,8 +465,17 @@ impl Netlist {
     ///
     /// Panics if the netlist was not frozen.
     pub fn topo_order(&self) -> &[NetId] {
+        &self.flat().out
+    }
+
+    /// The flat levelized form built by `freeze`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist was not frozen.
+    pub(crate) fn flat(&self) -> &Flat {
         assert!(self.frozen, "netlist must be frozen first");
-        &self.topo
+        &self.flat
     }
 
     /// Fan-out table: for every net, the nets of the gates/flops reading it.
@@ -551,7 +564,7 @@ impl Netlist {
     pub fn depth(&self) -> usize {
         assert!(self.frozen, "netlist must be frozen first");
         let mut level = vec![0usize; self.nodes.len()];
-        for &g in &self.topo {
+        for &g in &self.flat.out {
             if let Node::Gate { inputs, .. } = self.node(g) {
                 level[g.0 as usize] = inputs
                     .iter()

@@ -1,16 +1,23 @@
-//! 64-lane bit-parallel logic simulation with fault injection.
+//! 64-lane bit-parallel logic simulation with fault injection — the
+//! reference model.
 //!
 //! Every net carries a 64-bit word; lane *k* (bit *k*) is an independent
 //! simulation. The two classic uses:
 //!
-//! * **parallel-pattern** — lanes are 64 different input patterns
-//!   (combinational fault simulation, random-pattern evaluation);
+//! * **parallel-pattern** — lanes are 64 different input patterns;
 //! * **parallel-fault** — lanes are 64 machines receiving the *same*
 //!   input, lane 0 the good machine and lanes 1..64 machines with one
-//!   injected fault each (sequential fault simulation).
+//!   injected fault each.
 //!
 //! Injection is expressed as per-lane force masks on nets (stem faults)
-//! or on individual gate input pins (branch faults).
+//! or on individual gate input pins (branch faults), kept in hash maps.
+//!
+//! [`LogicSim`] interprets the [`Netlist`] directly — one `Node` match
+//! and one force lookup per net and pin — which makes it easy to audit
+//! and slow. The fault simulators ([`crate::fault_simulate`] and
+//! friends) and [`crate::good_outputs`] run on the compiled flat form
+//! instead; `LogicSim` with [`Injections::single`] is the oracle their
+//! differential tests compare against, one fault at a time.
 
 use crate::fault::{Fault, FaultSite};
 use crate::netlist::{Netlist, Node};

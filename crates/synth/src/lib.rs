@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use musa_hdl::{parse, Bits, CheckedDesign, Simulator};
-//! use musa_netlist::{good_outputs, LogicSim};
+//! use musa_netlist::good_outputs;
 //! use musa_synth::{flatten_inputs, synthesize, unflatten_outputs};
 //!
 //! let design = parse(

@@ -45,27 +45,36 @@ pub fn random_sequence(info: &EntityInfo, len: usize, seed: u64) -> Vec<Vec<Bits
         .collect()
 }
 
-/// Generates `len` gate-level patterns from a maximal-length LFSR, one
+/// Generates `len` gate-level patterns from maximal-length LFSRs, one
 /// register step per pattern (the hardware TPG discipline).
 ///
-/// # Panics
-///
-/// Panics if `num_inputs` is 0 or exceeds 64.
+/// Inputs are taken 64 at a time: block `k` is driven by its own
+/// register, seeded from the `k`-th output of a SplitMix64 stream over
+/// `seed`, so circuits of up to 64 inputs see a single register and a
+/// wider circuit's first 64 inputs see exactly what a 64-input circuit
+/// would. With no inputs, every pattern is empty.
 pub fn lfsr_patterns(num_inputs: usize, len: usize, seed: u64) -> Vec<Pattern> {
-    assert!(
-        (1..=64).contains(&num_inputs),
-        "LFSR pattern source supports 1..=64 inputs"
-    );
-    // Give the register a few spare stages so short-input circuits still
-    // see a long period.
-    let width = (num_inputs as u32 + 4).clamp(8, 64);
-    let seed = SplitMix64::new(seed).next_u64() | 1; // non-zero
-    let mut lfsr = Lfsr::new(width, seed).expect("valid width and non-zero seed");
+    let mut seeds = SplitMix64::new(seed);
+    let mut registers: Vec<(Lfsr, usize)> = (0..num_inputs)
+        .step_by(64)
+        .map(|first| {
+            let bits = (num_inputs - first).min(64);
+            // Give the register a few spare stages so short-input
+            // circuits still see a long period.
+            let width = (bits as u32 + 4).clamp(8, 64);
+            let seed = seeds.next_u64() | 1; // non-zero
+            let lfsr = Lfsr::new(width, seed).expect("valid width and non-zero seed");
+            (lfsr, bits)
+        })
+        .collect();
     (0..len)
         .map(|_| {
-            lfsr.step();
-            let state = lfsr.state();
-            (0..num_inputs).map(|i| (state >> i) & 1 == 1).collect()
+            let mut pattern = Vec::with_capacity(num_inputs);
+            for (lfsr, bits) in &mut registers {
+                let state = lfsr.step();
+                pattern.extend((0..*bits).map(|i| (state >> i) & 1 == 1));
+            }
+            pattern
         })
         .collect()
 }
@@ -84,10 +93,6 @@ pub fn random_patterns(num_inputs: usize, len: usize, seed: u64) -> Vec<Pattern>
 /// name marks them as a reset (`reset`/`rst`, or the synthesized
 /// `reset_0`/`rst_0` bit names), which are asserted with probability
 /// `1/`[`RESET_SPARSITY`].
-///
-/// # Panics
-///
-/// Panics if the netlist has no or more than 64 inputs.
 pub fn testbench_patterns(
     nl: &musa_netlist::Netlist,
     len: usize,
@@ -177,10 +182,48 @@ mod tests {
         assert!((0.45..0.55).contains(&ratio), "ratio {ratio}");
     }
 
+    /// The single-register source that every recorded digest was
+    /// produced with.
+    fn single_register(num_inputs: usize, len: usize, seed: u64) -> Vec<Pattern> {
+        let width = (num_inputs as u32 + 4).clamp(8, 64);
+        let seed = SplitMix64::new(seed).next_u64() | 1;
+        let mut lfsr = Lfsr::new(width, seed).unwrap();
+        (0..len)
+            .map(|_| {
+                lfsr.step();
+                let state = lfsr.state();
+                (0..num_inputs).map(|i| (state >> i) & 1 == 1).collect()
+            })
+            .collect()
+    }
+
     #[test]
-    #[should_panic(expected = "1..=64")]
-    fn lfsr_rejects_zero_inputs() {
-        let _ = lfsr_patterns(0, 10, 1);
+    fn lfsr_patterns_are_unchanged_up_to_64_inputs() {
+        for num_inputs in 1..=64 {
+            for seed in [1, 0xDA7E_2005] {
+                assert_eq!(
+                    lfsr_patterns(num_inputs, 70, seed),
+                    single_register(num_inputs, 70, seed),
+                    "{num_inputs} inputs, seed {seed:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lfsr_patterns_cover_zero_and_wide_input_counts() {
+        assert_eq!(lfsr_patterns(0, 10, 1), vec![Vec::<bool>::new(); 10]);
+        let narrow = lfsr_patterns(64, 50, 9);
+        for wide_inputs in [65, 128, 200] {
+            let wide = lfsr_patterns(wide_inputs, 50, 9);
+            assert_eq!(wide.len(), 50);
+            assert!(wide.iter().all(|p| p.len() == wide_inputs));
+            // The first block is the 64-input source; the others vary.
+            for (w, n) in wide.iter().zip(&narrow) {
+                assert_eq!(&w[..64], n.as_slice());
+            }
+            assert!(wide.windows(2).any(|p| p[0][64..] != p[1][64..]));
+        }
     }
 
     #[test]

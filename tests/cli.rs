@@ -663,6 +663,81 @@ fn missing_file_reports_error_not_panic() {
     assert!(stderr.contains("error:"), "stderr: {stderr}");
 }
 
+/// `musa faultsim` over netlists emitted by `musa synth` from the bundled
+/// c432 (combinational: PPSFP) and b01 (sequential: parallel-fault).
+/// The goldens predate the compiled fault simulator, and the command
+/// passes the path the golden records, so the name line matches too.
+#[test]
+fn faultsim_stdout_matches_the_goldens() {
+    for bench in ["c432", "b01"] {
+        assert_eq!(
+            stdout_of(&[
+                "faultsim",
+                &format!("tests/fixtures/{bench}.bench"),
+                "200",
+                "7"
+            ]),
+            golden(&format!("faultsim_{bench}.txt")),
+            "musa faultsim {bench} drifted"
+        );
+    }
+}
+
+#[test]
+fn faultsim_grades_netlists_with_no_or_more_than_64_inputs() {
+    for fixture in ["wide65", "no_inputs"] {
+        let path = format!("tests/fixtures/hostile/{fixture}.bench");
+        let stdout = stdout_of(&["faultsim", &path, "100", "3"]);
+        assert!(
+            stdout.starts_with(&format!("{path}: ")) && stdout.contains("vectors -> "),
+            "{fixture}: {stdout}"
+        );
+        assert!(
+            stdout.lines().next().unwrap().ends_with("% coverage"),
+            "{stdout}"
+        );
+    }
+}
+
+#[test]
+fn deeply_nested_hdl_is_a_parse_error_not_an_abort() {
+    // The parser recurses once per nested parenthesis, and the checker
+    // and synthesizer once per level of the tree, so 200k nested
+    // parentheses or a 200k-link chain would overflow the stack (exit
+    // 134); the nesting cap must turn each into a parse error (exit 1).
+    let dir = std::env::temp_dir().join(format!("musa-cli-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bodies = [
+        (
+            "parens",
+            format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000)),
+        ),
+        ("and", format!("a{}", " and a".repeat(200_000))),
+        ("concat", format!("a{}", " & a".repeat(200_000))),
+    ];
+    for (name, body) in bodies {
+        let path = dir.join(format!("{name}.mhdl"));
+        std::fs::write(
+            &path,
+            format!(
+                "entity e is port(a : in bit; y : out bit); comb begin y <= {body}; end; end;\n"
+            ),
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        for args in [vec!["info", path, "e"], vec!["lint", path]] {
+            let out = musa(&args);
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("nesting deeper than"),
+                "{name} {args:?}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn info_requires_file_and_entity() {
     let out = musa(&["info", "only-one-arg"]);

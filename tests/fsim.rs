@@ -1,0 +1,210 @@
+//! Differential suite for the compiled fault simulator: first-detection
+//! indices from `fault_simulate_sessions` (PPSFP for combinational
+//! circuits, parallel-fault for sequential ones) must equal the
+//! one-fault-at-a-time `LogicSim` + `Injections::single` reference, and
+//! `good_outputs` must equal the reference's good machine — on every
+//! bundled circuit and on random netlists.
+
+use musa::circuits::Benchmark;
+use musa::netlist::{
+    collapsed_faults, fault_simulate_sessions, full_faults, good_outputs, Fault, GateKind,
+    Injections, LogicSim, NetId, Netlist, Pattern,
+};
+use musa::prng::{Prng, SplitMix64};
+use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// The reference model's good-machine output trace of each session.
+fn reference_good(nl: &Netlist, sessions: &[Vec<Pattern>]) -> Vec<Vec<Vec<bool>>> {
+    let none = Injections::none();
+    sessions
+        .iter()
+        .map(|session| {
+            let mut sim = LogicSim::new(nl);
+            session
+                .iter()
+                .map(|v| {
+                    sim.step_broadcast(v, &none)
+                        .iter()
+                        .map(|w| w & 1 == 1)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The reference first detection of one fault: each session from reset,
+/// the faulty machine stepped alone and compared with the good trace.
+fn reference_first(
+    nl: &Netlist,
+    fault: &Fault,
+    sessions: &[Vec<Pattern>],
+    good: &[Vec<Vec<bool>>],
+) -> Option<usize> {
+    let inj = Injections::single(fault);
+    let mut base = 0;
+    for (session, good) in sessions.iter().zip(good) {
+        let mut sim = LogicSim::new(nl);
+        for (t, v) in session.iter().enumerate() {
+            let bad: Vec<bool> = sim
+                .step_broadcast(v, &inj)
+                .iter()
+                .map(|w| w & 1 == 1)
+                .collect();
+            if bad != good[t] {
+                return Some(base + t);
+            }
+        }
+        base += session.len();
+    }
+    None
+}
+
+fn random_patterns(rng: &mut SplitMix64, width: usize, len: usize) -> Vec<Pattern> {
+    (0..len)
+        .map(|_| (0..width).map(|_| rng.next_u64() & 1 == 1).collect())
+        .collect()
+}
+
+/// Cuts `vectors` into 1–3 non-empty sessions at random points.
+fn split_sessions(rng: &mut SplitMix64, vectors: &[Pattern]) -> Vec<Vec<Pattern>> {
+    let count = 1 + rng.below(3.min(vectors.len()) as u64) as usize;
+    let mut cuts: Vec<usize> = (1..count)
+        .map(|_| 1 + rng.below(vectors.len() as u64 - 1) as usize)
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut sessions = Vec::new();
+    let mut start = 0;
+    for cut in cuts.into_iter().chain([vectors.len()]) {
+        sessions.push(vectors[start..cut].to_vec());
+        start = cut;
+    }
+    sessions
+}
+
+/// Checks the engine on `faults` against the reference on at most
+/// `checked` of them (an even stride through the list starting at
+/// `offset`; the engine still simulates the whole list, so batch
+/// packing is exercised in full), plus the good-machine trace.
+fn assert_matches_reference(
+    nl: &Netlist,
+    faults: &[Fault],
+    sessions: &[Vec<Pattern>],
+    checked: usize,
+    offset: usize,
+    memo: &mut HashMap<Fault, Option<usize>>,
+) {
+    let good = reference_good(nl, sessions);
+    for (session, expected) in sessions.iter().zip(&good) {
+        assert_eq!(
+            &good_outputs(nl, session),
+            expected,
+            "{}: good_outputs",
+            nl.name()
+        );
+    }
+    let result = fault_simulate_sessions(nl, faults, sessions);
+    assert_eq!(
+        result.vectors_applied,
+        sessions.iter().map(Vec::len).sum::<usize>()
+    );
+    let stride = faults.len().div_ceil(checked.max(1)).max(1);
+    for i in (offset % stride..faults.len()).step_by(stride) {
+        let fault = &faults[i];
+        let expected = *memo
+            .entry(*fault)
+            .or_insert_with(|| reference_first(nl, fault, sessions, &good));
+        assert_eq!(
+            result.first_detected[i],
+            expected,
+            "{}: fault {} over sessions of {:?} vectors",
+            nl.name(),
+            fault.describe(nl),
+            sessions.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+    }
+}
+
+#[test]
+fn every_bundled_circuit_matches_the_single_fault_reference() {
+    for bench in Benchmark::all() {
+        let circuit = bench.load().unwrap();
+        let nl = &circuit.netlist;
+        let full = full_faults(nl);
+        let collapsed = collapsed_faults(nl);
+        let mut rng = SplitMix64::new(0xF51 ^ nl.net_count() as u64);
+        let pool = random_patterns(&mut rng, nl.inputs().len(), 200);
+        for (round, len) in [1usize, 63, 64, 65, 200].into_iter().enumerate() {
+            let sessions = split_sessions(&mut rng, &pool[..len]);
+            // One memo per stimulus: the collapsed list is a subset of
+            // the full one, and per-fault verdicts do not depend on the
+            // list they are simulated in.
+            let mut memo = HashMap::new();
+            for faults in [&full, &collapsed] {
+                assert_matches_reference(nl, faults, &sessions, 8, round, &mut memo);
+            }
+        }
+    }
+}
+
+/// A random frozen netlist: 1–4 inputs, an optional constant, 0–2 flops
+/// whose data inputs close feedback loops, and 2–12 gates over earlier
+/// nets (so nets fan out and pin faults exist).
+fn random_netlist(seed: u64) -> Netlist {
+    const KINDS: [GateKind; 8] = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+    ];
+    let mut rng = SplitMix64::new(seed);
+    let mut nl = Netlist::new(format!("rand{seed:x}"));
+    let mut nets: Vec<NetId> = (0..1 + rng.below(4))
+        .map(|i| nl.add_input(format!("i{i}")))
+        .collect();
+    if rng.below(2) == 0 {
+        nets.push(nl.add_const("k", rng.below(2) == 0));
+    }
+    let flops: Vec<NetId> = (0..rng.below(3))
+        .map(|i| nl.add_dff(format!("q{i}"), rng.below(2) == 0))
+        .collect();
+    nets.extend(&flops);
+    for g in 0..2 + rng.below(11) {
+        let kind = KINDS[rng.below(8) as usize];
+        let arity = match kind {
+            GateKind::Not | GateKind::Buf => 1,
+            _ => 2 + rng.below(2) as usize,
+        };
+        let inputs = (0..arity)
+            .map(|_| nets[rng.below(nets.len() as u64) as usize])
+            .collect();
+        nets.push(nl.add_gate(format!("g{g}"), kind, inputs));
+    }
+    for &q in &flops {
+        nl.connect_dff(q, nets[rng.below(nets.len() as u64) as usize]);
+    }
+    for _ in 0..1 + rng.below(3) {
+        nl.mark_output(nets[rng.below(nets.len() as u64) as usize]);
+    }
+    nl.freeze().expect("gates only read earlier nets")
+}
+
+proptest! {
+    /// Random netlists, vectors and session splits: every fault of the
+    /// full universe gets the reference's first-detection index.
+    #[test]
+    fn random_netlists_match_the_single_fault_reference(seed in any::<u64>(), len in 1usize..=70) {
+        let nl = random_netlist(seed);
+        let mut rng = SplitMix64::new(seed.rotate_left(17));
+        let vectors = random_patterns(&mut rng, nl.inputs().len(), len);
+        let sessions = split_sessions(&mut rng, &vectors);
+        let faults = full_faults(&nl);
+        assert_matches_reference(&nl, &faults, &sessions, faults.len(), 0, &mut HashMap::new());
+    }
+}

@@ -9,7 +9,8 @@ use musa::core::{
     DEFAULT_SEED,
 };
 use musa::mutation::{execute_mutants_lanes_opts, generate_mutants, GenerateOptions, LaneOptions};
-use musa::testgen::random_sequence;
+use musa::netlist::{collapsed_faults, fault_simulate};
+use musa::testgen::{lfsr_patterns, random_sequence};
 use musa::trace::{TraceData, Tracer};
 use std::process::{Command, Output};
 
@@ -136,6 +137,53 @@ fn repetitions_share_one_classification_per_distinct_survivor() {
     for jobs in [2, 4] {
         assert_eq!(counters(jobs), (classified, hits), "jobs={jobs}");
     }
+}
+
+#[test]
+fn fsim_gate_evals_is_identical_for_every_job_count() {
+    let evals = |jobs: usize| {
+        let mut config = one_rep_config();
+        config.jobs = jobs;
+        let report = Campaign::named("c432")
+            .config(config)
+            .trace(true)
+            .task(Task::Sampling { fraction: 0.10 })
+            .run()
+            .unwrap();
+        counter(
+            &report.trace.expect("tracing was enabled"),
+            "fsim_gate_evals",
+        )
+    };
+    let serial = evals(1);
+    assert!(serial > 0);
+    for jobs in [2, 4] {
+        assert_eq!(evals(jobs), serial, "jobs={jobs}");
+    }
+}
+
+#[test]
+fn fsim_gate_evals_shows_the_cone_pruning_on_c432() {
+    // The whole-netlist-per-fault engine would evaluate every gate for
+    // every fault in every 64-pattern batch; cone-limited propagation
+    // with event pruning must do strictly less, and at least the good
+    // machine's sweep per batch.
+    let circuit = Benchmark::C432.load().unwrap();
+    let nl = &circuit.netlist;
+    let faults = collapsed_faults(nl);
+    let patterns = lfsr_patterns(nl.inputs().len(), 200, 7);
+    let tracer = Tracer::new();
+    {
+        let _install = tracer.install();
+        fault_simulate(nl, &faults, &patterns);
+    }
+    let evals = counter(
+        &tracer.finish().expect("enabled tracer yields data"),
+        "fsim_gate_evals",
+    );
+    let (gates, batches) = (nl.gate_count() as u64, patterns.len().div_ceil(64) as u64);
+    assert!(evals >= gates * batches, "{evals}");
+    assert!(evals < gates * faults.len() as u64 * batches, "{evals}");
 }
 
 // ---------------------------------------------------------------------
