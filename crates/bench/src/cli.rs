@@ -45,10 +45,10 @@ pub enum CliError {
     /// `--trace-format` had a missing or unrecognized value (expected
     /// `json` or `chrome`).
     TraceFormatValue,
-    /// An unrecognized `--flag` (strict front ends only).
+    /// An unrecognized `--flag`.
     UnknownFlag(String),
-    /// More positional arguments than the front end accepts.
-    TooManyPositionals,
+    /// A positional argument beyond the number the front end accepts.
+    TooManyPositionals(String),
 }
 
 /// On-disk format for `--trace <file>`.
@@ -128,7 +128,7 @@ pub struct Parsed {
     pub paper: bool,
     /// `--json` seen.
     pub json: bool,
-    /// `--help`/`-h` seen (lenient front ends only).
+    /// `--help`/`-h` seen; parsing stopped there.
     pub help: bool,
     /// `--seed N`.
     pub seed: Option<u64>,
@@ -150,19 +150,14 @@ pub struct Parsed {
 
 /// Parses the shared flag set from raw arguments.
 ///
-/// `lenient` selects the experiment binaries' contract: unknown
-/// arguments are ignored with a stderr warning and `--help`/`-h` is
-/// recognized. Strict mode (the `musa sample` contract) rejects
-/// unknown `--flags` and caps positionals at `max_positionals`.
+/// Unknown `--flags` are errors, and so is any positional beyond
+/// `max_positionals`. `--help`/`-h` stops the parse: it sets
+/// [`Parsed::help`] and leaves the rest of the line unread.
 ///
 /// # Errors
 ///
 /// Returns the [`CliError`] describing the first offending argument.
-pub fn parse_tokens(
-    args: &[String],
-    max_positionals: usize,
-    lenient: bool,
-) -> Result<Parsed, CliError> {
+pub fn parse_tokens(args: &[String], max_positionals: usize) -> Result<Parsed, CliError> {
     let mut parsed = Parsed::default();
     let mut i = 0;
     while i < args.len() {
@@ -238,17 +233,16 @@ pub fn parse_tokens(
             // Help short-circuits, exactly like the pre-redesign loop:
             // anything after it — including malformed values — is
             // never parsed.
-            "--help" | "-h" if lenient => {
+            "--help" | "-h" => {
                 parsed.help = true;
                 return Ok(parsed);
             }
-            other if lenient => eprintln!("ignoring unknown argument `{other}`"),
             flag if flag.starts_with("--") => {
                 return Err(CliError::UnknownFlag(flag.to_string()));
             }
             positional => {
                 if parsed.positionals.len() >= max_positionals {
-                    return Err(CliError::TooManyPositionals);
+                    return Err(CliError::TooManyPositionals(positional.to_string()));
                 }
                 parsed.positionals.push(positional.to_string());
             }
@@ -360,12 +354,11 @@ options (shared by every musa_bench experiment binary):
     /// Parses `--fast`, `--paper`, `--json`, `--seed N`, `--jobs N`
     /// and `--engine E` from `std::env::args`; `--help` prints
     /// [`CliOptions::USAGE`] and exits 0. A missing or unparsable
-    /// `--seed`/`--jobs`/`--engine` value exits 2 rather than silently
-    /// running with the default; unknown arguments are ignored with a
-    /// warning.
+    /// `--seed`/`--jobs`/`--engine` value, or an unknown argument,
+    /// exits 2 with the usage text rather than running.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match parse_tokens(&args, 0, true) {
+        match parse_tokens(&args, 0) {
             Ok(parsed) if parsed.help => {
                 println!("{}", Self::USAGE);
                 std::process::exit(0);
@@ -383,6 +376,7 @@ options (shared by every musa_bench experiment binary):
                 trace: parsed.trace,
             },
             Err(e) => {
+                let unknown;
                 let message = match e {
                     CliError::SeedValue => "--seed expects an integer value",
                     CliError::JobsValue => "--jobs expects an integer value",
@@ -394,9 +388,9 @@ options (shared by every musa_bench experiment binary):
                     CliError::OptValue => "--opt expects `full` or `off`",
                     CliError::TraceValue => "--trace expects a file path",
                     CliError::TraceFormatValue => "--trace-format expects `json` or `chrome`",
-                    // Lenient parsing ignores unknown arguments.
-                    CliError::UnknownFlag(_) | CliError::TooManyPositionals => {
-                        unreachable!("lenient mode ignores unknown arguments")
+                    CliError::UnknownFlag(arg) | CliError::TooManyPositionals(arg) => {
+                        unknown = format!("unknown argument `{arg}`");
+                        &unknown
                     }
                 };
                 eprintln!("{message}");
@@ -487,7 +481,7 @@ impl SampleArgs {
                 rest.push(arg.clone());
             }
         }
-        let parsed = parse_tokens(&rest, 2, false).map_err(|e| match e {
+        let parsed = parse_tokens(&rest, 2).map_err(|e| match e {
             CliError::SeedValue => "--seed expects an integer".to_string(),
             CliError::JobsValue => "--jobs expects a thread count".to_string(),
             CliError::EngineMissing => "--engine expects scalar|lanes".to_string(),
@@ -498,8 +492,11 @@ impl SampleArgs {
             CliError::TraceFormatValue => "--trace-format expects json|chrome".to_string(),
             CliError::EngineInvalid(detail) => detail,
             CliError::UnknownFlag(flag) => format!("unknown flag `{flag}`; {SAMPLE_USAGE}"),
-            CliError::TooManyPositionals => SAMPLE_USAGE.to_string(),
+            CliError::TooManyPositionals(_) => SAMPLE_USAGE.to_string(),
         })?;
+        if parsed.help {
+            return Err(SAMPLE_USAGE.to_string());
+        }
         let Some(name) = parsed.positionals.first() else {
             return Err(SAMPLE_USAGE.to_string());
         };
@@ -1092,7 +1089,6 @@ mod tests {
         let parsed = parse_tokens(
             &strings(&["--fast", "--seed", "9", "--jobs", "2", "--engine", "lanes", "--json"]),
             0,
-            true,
         )
         .unwrap();
         assert!(parsed.fast && parsed.json && !parsed.paper);
@@ -1104,33 +1100,32 @@ mod tests {
     #[test]
     fn shared_parser_reports_value_errors() {
         assert_eq!(
-            parse_tokens(&strings(&["--seed", "zz"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--seed", "zz"]), 0).unwrap_err(),
             CliError::SeedValue
         );
         assert_eq!(
-            parse_tokens(&strings(&["--jobs"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--jobs"]), 0).unwrap_err(),
             CliError::JobsValue
         );
         assert_eq!(
-            parse_tokens(&strings(&["--engine"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--engine"]), 0).unwrap_err(),
             CliError::EngineMissing
         );
         assert!(matches!(
-            parse_tokens(&strings(&["--engine", "turbo"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--engine", "turbo"]), 0).unwrap_err(),
             CliError::EngineInvalid(_)
         ));
     }
 
     #[test]
     fn fault_reduce_flag_parses_and_reaches_the_config() {
-        let parsed =
-            parse_tokens(&strings(&["--fault-reduce", "off"]), 0, true).unwrap();
+        let parsed = parse_tokens(&strings(&["--fault-reduce", "off"]), 0).unwrap();
         assert_eq!(parsed.fault_reduce, Some(false));
-        let parsed = parse_tokens(&strings(&["--fault-reduce", "on"]), 0, true).unwrap();
+        let parsed = parse_tokens(&strings(&["--fault-reduce", "on"]), 0).unwrap();
         assert_eq!(parsed.fault_reduce, Some(true));
         for bad in [&["--fault-reduce"][..], &["--fault-reduce", "maybe"][..]] {
             assert_eq!(
-                parse_tokens(&strings(bad), 0, true).unwrap_err(),
+                parse_tokens(&strings(bad), 0).unwrap_err(),
                 CliError::FaultReduceValue,
                 "{bad:?}"
             );
@@ -1162,13 +1157,13 @@ mod tests {
 
     #[test]
     fn screen_flag_parses_and_reaches_the_config() {
-        let parsed = parse_tokens(&strings(&["--screen", "off"]), 0, true).unwrap();
+        let parsed = parse_tokens(&strings(&["--screen", "off"]), 0).unwrap();
         assert_eq!(parsed.screen, Some(false));
-        let parsed = parse_tokens(&strings(&["--screen", "static"]), 0, true).unwrap();
+        let parsed = parse_tokens(&strings(&["--screen", "static"]), 0).unwrap();
         assert_eq!(parsed.screen, Some(true));
         for bad in [&["--screen"][..], &["--screen", "on"][..]] {
             assert_eq!(
-                parse_tokens(&strings(bad), 0, true).unwrap_err(),
+                parse_tokens(&strings(bad), 0).unwrap_err(),
                 CliError::ScreenValue,
                 "{bad:?}"
             );
@@ -1199,13 +1194,13 @@ mod tests {
 
     #[test]
     fn opt_flag_parses_and_reaches_the_config() {
-        let parsed = parse_tokens(&strings(&["--opt", "off"]), 0, true).unwrap();
+        let parsed = parse_tokens(&strings(&["--opt", "off"]), 0).unwrap();
         assert_eq!(parsed.opt, Some(OptLevel::Off));
-        let parsed = parse_tokens(&strings(&["--opt", "full"]), 0, true).unwrap();
+        let parsed = parse_tokens(&strings(&["--opt", "full"]), 0).unwrap();
         assert_eq!(parsed.opt, Some(OptLevel::Full));
         for bad in [&["--opt"][..], &["--opt", "fast"][..]] {
             assert_eq!(
-                parse_tokens(&strings(bad), 0, true).unwrap_err(),
+                parse_tokens(&strings(bad), 0).unwrap_err(),
                 CliError::OptValue,
                 "{bad:?}"
             );
@@ -1230,7 +1225,6 @@ mod tests {
                 "--trace", "t.json", "--trace-format", "chrome", "--profile", "--progress",
             ]),
             0,
-            true,
         )
         .unwrap();
         assert_eq!(parsed.trace.trace.as_deref(), Some("t.json"));
@@ -1238,15 +1232,15 @@ mod tests {
         assert!(parsed.trace.profile && parsed.trace.progress);
         assert!(parsed.trace.wants_trace());
         assert_eq!(
-            parse_tokens(&strings(&["--trace"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--trace"]), 0).unwrap_err(),
             CliError::TraceValue
         );
         assert_eq!(
-            parse_tokens(&strings(&["--trace", "--fast"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--trace", "--fast"]), 0).unwrap_err(),
             CliError::TraceValue
         );
         assert_eq!(
-            parse_tokens(&strings(&["--trace-format", "xml"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--trace-format", "xml"]), 0).unwrap_err(),
             CliError::TraceFormatValue
         );
         // --profile alone is enough to need a live tracer; the default
@@ -1265,25 +1259,31 @@ mod tests {
         // The pre-redesign loop exited at --help without reading the
         // rest of the line; `--help --seed zz` must report help, not a
         // value error.
-        let parsed = parse_tokens(&strings(&["--help", "--seed", "zz"]), 0, true).unwrap();
+        let parsed = parse_tokens(&strings(&["--help", "--seed", "zz"]), 0).unwrap();
         assert!(parsed.help);
         // ...while an error BEFORE --help still wins, as it always did.
         assert_eq!(
-            parse_tokens(&strings(&["--seed", "zz", "--help"]), 0, true).unwrap_err(),
+            parse_tokens(&strings(&["--seed", "zz", "--help"]), 0).unwrap_err(),
             CliError::SeedValue
         );
     }
 
     #[test]
-    fn strict_mode_rejects_unknown_flags_and_extra_positionals() {
+    fn unknown_flags_and_extra_positionals_are_errors() {
         assert_eq!(
-            parse_tokens(&strings(&["--frobnicate"]), 2, false).unwrap_err(),
+            parse_tokens(&strings(&["--frobnicate"]), 2).unwrap_err(),
             CliError::UnknownFlag("--frobnicate".into())
         );
         assert_eq!(
-            parse_tokens(&strings(&["a", "b", "c"]), 2, false).unwrap_err(),
-            CliError::TooManyPositionals
+            parse_tokens(&strings(&["a", "b", "c"]), 2).unwrap_err(),
+            CliError::TooManyPositionals("c".into())
         );
+        // The experiment binaries take no positionals at all.
+        assert_eq!(
+            parse_tokens(&strings(&["--fast", "frobnicate"]), 0).unwrap_err(),
+            CliError::TooManyPositionals("frobnicate".into())
+        );
+        assert!(parse_tokens(&strings(&["-h"]), 0).unwrap().help);
     }
 
     #[test]
@@ -1306,6 +1306,7 @@ mod tests {
         assert!(SampleArgs::parse(&strings(&["c17", "--wat"]))
             .unwrap_err()
             .contains("unknown flag `--wat`"));
+        assert_eq!(SampleArgs::parse(&strings(&["c17", "--help"])).unwrap_err(), SAMPLE_USAGE);
     }
 
     #[test]

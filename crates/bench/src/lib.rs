@@ -17,23 +17,25 @@
 //! routes through [`musa_core::Campaign`], and the default stdout is
 //! byte-identical to the pre-redesign binaries (pinned by the diff
 //! tests in `tests/cli_diff.rs`). `--json` emits the typed
-//! [`musa_core::Report`] instead. Criterion micro-benchmarks live
-//! under `benches/`.
+//! [`musa_core::Report`] instead. An unknown argument exits 2 with the
+//! usage text. Criterion micro-benchmarks live under `benches/`.
+//!
+//! The crate also hosts the argument layers of the `musa` subcommands
+//! that run campaigns: `musa sample` and `musa bench` ([`cli`]), and
+//! `musa campaign` ([`campaign`]), which runs a `musa.request.v1`
+//! document in process or through the `musa_store` result store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod cli;
-pub mod service;
 
 pub use cli::{
     drive, run_trajectory, BenchCommand, Bin, CliOptions, SampleArgs, TrajectoryArgs,
     BENCH_USAGE,
 };
-pub use service::{
-    run_campaign, run_client, run_serve, run_worker, CampaignArgs, ClientArgs, ServeArgs,
-    ServiceError, CAMPAIGN_USAGE, CLIENT_USAGE, SERVE_USAGE,
-};
+pub use campaign::{run_campaign, run_stored, CampaignArgs, CAMPAIGN_USAGE};
 pub use musa_core::paper;
 
 #[cfg(test)]

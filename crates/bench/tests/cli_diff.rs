@@ -133,3 +133,16 @@ fn conflicting_presets_exit_nonzero() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn unknown_argument_exits_2_with_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .arg("--frobnicate")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument `--frobnicate`"), "stderr: {stderr}");
+    assert!(stderr.contains("--help"), "usage text expected: {stderr}");
+}

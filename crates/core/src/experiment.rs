@@ -94,9 +94,7 @@ pub fn run_sampling_experiment(
 ///    table, fault-simulate the data, grade the random baseline.
 ///
 /// Each phase merges by repetition index, so the returned aggregate is
-/// bit-identical for every thread count (see [`crate::parallel`]) — and
-/// to running each repetition on its own through
-/// [`SamplingRun::run_repetition`].
+/// bit-identical for every thread count (see [`crate::parallel`]).
 ///
 /// # Errors
 ///
@@ -118,8 +116,8 @@ pub fn run_sampling_experiment_on(
 /// The repetition seed schedule: triple `i` — `[sample, mg, baseline]`
 /// — is exactly what serial repetition `i` draws from the `SplitMix64`
 /// stream. Seed assignment is position-based and drawn before any
-/// worker exists, so every scheduler (serial, threaded, out-of-process)
-/// hands repetition `i` identical seeds.
+/// worker exists, so every thread count hands repetition `i` identical
+/// seeds.
 fn repetition_seed_schedule(config: &ExperimentConfig) -> Vec<[u64; 3]> {
     let mut seeder = SplitMix64::new(config.seed ^ 0xA5A5_5A5A_1234_4321);
     (0..config.repetitions.max(1))
@@ -142,18 +140,11 @@ fn screen_mask(
     })
 }
 
-/// Shared state for running individual sampling repetitions out of
-/// order — or out of process (`musa campaign --workers N`).
-///
-/// [`run_sampling_experiment_on`] is the in-process driver; this struct
-/// exposes the **same** per-repetition computation — identical seed
-/// schedule, shared fault universe, dominance reduction, static screen
-/// and phase helpers — so any scheduler that runs every repetition (in
-/// any order, on any machine) and folds them through a
-/// [`SamplingAggregate`] reproduces the in-process outcome bit for bit.
-/// A lone repetition classifies only its own survivors; the classes it
-/// scores with are the ones the in-process run shares.
-pub struct SamplingRun<'a> {
+/// The per-circuit state every repetition of one sampling experiment
+/// shares: seed schedule, fault universe, dominance reduction and
+/// static screen, plus the phase helpers of
+/// [`run_sampling_experiment_on`].
+struct SamplingRun<'a> {
     circuit: &'a Circuit,
     population: &'a [Mutant],
     strategy: SamplingStrategy,
@@ -167,7 +158,7 @@ pub struct SamplingRun<'a> {
 impl<'a> SamplingRun<'a> {
     /// Precomputes the shared per-circuit state (fault universe,
     /// dominance reduction, static screen, seed schedule).
-    pub fn new(
+    fn new(
         circuit: &'a Circuit,
         population: &'a [Mutant],
         strategy: SamplingStrategy,
@@ -180,34 +171,10 @@ impl<'a> SamplingRun<'a> {
         Self { circuit, population, strategy, config, faults, reduction, screened, seeds }
     }
 
-    /// Number of repetitions the schedule holds
-    /// (`config.repetitions.max(1)`).
-    pub fn repetitions(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// Runs repetition `repetition` exactly as the in-process driver
-    /// would: same seeds, same shared analyses. Mutant executions use
-    /// `config.jobs` worker threads (a wall-clock knob only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MutationError`] from mutant execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repetition >= self.repetitions()`.
-    pub fn run_repetition(&self, repetition: usize) -> Result<SamplingOutcome, MutationError> {
-        let [sample, mg, baseline] = self.seeds[repetition];
-        let killed = self.kill_phase(sample, mg, self.config.jobs)?;
-        let table = self.classify(&[&killed.survivors])?;
-        Ok(self.finish(&killed, &table, baseline))
-    }
-
-    /// Every repetition in-process, in the three phases documented on
+    /// Every repetition, in the three phases documented on
     /// [`run_sampling_experiment_on`].
     fn run_all(&self) -> Result<SamplingOutcome, MutationError> {
-        let repetitions = self.repetitions();
+        let repetitions = self.seeds.len();
         // Repetitions get the outer share of the thread budget; each
         // repetition's mutant executions split what remains. The one
         // classification between the phases has the whole budget.
@@ -872,33 +839,6 @@ mod tests {
             let a = in_order.finish();
             let b = rotated.finish();
             prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-    }
-
-    #[test]
-    fn sampling_run_repetitions_aggregate_to_the_in_process_outcome() {
-        // The per-repetition API behind `musa campaign --workers` must
-        // reproduce the in-process driver bit for bit — including when
-        // repetitions are pushed out of order, as worker merges do.
-        for bench in [Benchmark::C17, Benchmark::B01] {
-            let circuit = bench.load().unwrap();
-            let population = generate_mutants(
-                &circuit.checked,
-                &circuit.name,
-                &GenerateOptions::default(),
-            );
-            let config = ExperimentConfig::fast(0x5EED);
-            let strategy = SamplingStrategy::random(0.4);
-            let in_process =
-                run_sampling_experiment_on(&circuit, &population, strategy.clone(), &config)
-                    .unwrap();
-            let run = SamplingRun::new(&circuit, &population, strategy, &config);
-            assert_eq!(run.repetitions(), config.repetitions);
-            let mut aggregate = SamplingAggregate::new();
-            for repetition in (0..run.repetitions()).rev() {
-                aggregate.push(repetition, run.run_repetition(repetition).unwrap());
-            }
-            assert_identical(&in_process, &aggregate.finish(), &format!("{bench}"));
         }
     }
 

@@ -535,7 +535,9 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII");
-        if integral {
+        // `-0` is how the emitter spells a negative-zero float; keeping
+        // it a float keeps its sign through a parse.
+        if integral && text != "-0" {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(u));
             }
@@ -613,6 +615,15 @@ mod tests {
         assert_eq!(parse("1e3").unwrap(), JsonValue::Float(1000.0));
         assert_eq!(parse("-2.5e-1").unwrap(), JsonValue::Float(-0.25));
         assert_eq!(parse("\"hi\"").unwrap(), JsonValue::Str("hi".into()));
+    }
+
+    #[test]
+    fn negative_zero_round_trips() {
+        let text = Json::Float(-0.0).render();
+        assert_eq!(text, "-0");
+        let back = parse(&text).unwrap().as_f64().unwrap();
+        assert!(back == 0.0 && back.is_sign_negative(), "{back}");
+        assert_eq!(Json::Float(back).render(), text);
     }
 
     #[test]

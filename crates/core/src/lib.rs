@@ -69,9 +69,8 @@ pub use bench_task::{
     HistoryRow, Regression, BENCH_HISTORY_SCHEMA, BENCH_SCHEMA, DEFAULT_BENCHES,
 };
 pub use campaign::{
-    curve_json, metrics_json, outcome_json, score_json, BenchAblation, BenchOutcome, BenchSweep,
-    BenchTopUp, Campaign, CampaignError, CampaignPlan, MgOutcome, Preset, Report, ReportData,
-    RunMeta, Task, DEFAULT_SEED,
+    BenchAblation, BenchOutcome, BenchSweep, BenchTopUp, Campaign, CampaignError, CampaignPlan,
+    MgOutcome, Preset, Report, ReportData, RunMeta, Task, DEFAULT_SEED,
 };
 pub use config::ExperimentConfig;
 pub use json::Json;
@@ -85,7 +84,6 @@ pub use data::{
 };
 pub use experiment::{
     run_sampling_experiment, run_sampling_experiment_on, SamplingAggregate, SamplingOutcome,
-    SamplingRun,
 };
 pub use parallel::{available_jobs, par_map, resolve_jobs, split_jobs, try_par_map};
 pub use extensions::{

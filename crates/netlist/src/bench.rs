@@ -63,9 +63,9 @@ impl From<NetlistError> for BenchError {
 ///
 /// # Errors
 ///
-/// Returns [`BenchError::Syntax`] for malformed lines and
-/// [`BenchError::Invalid`] when the described circuit is ill-formed
-/// (dangling nets, loops, …).
+/// Returns [`BenchError::Syntax`] for malformed lines (including a net
+/// defined twice) and [`BenchError::Invalid`] when the described
+/// circuit is ill-formed (dangling nets, loops, …).
 ///
 /// # Examples
 ///
@@ -100,7 +100,8 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, BenchError> {
             message: message.to_string(),
         };
         if let Some(rest) = code.strip_prefix("INPUT") {
-            inputs.push(parse_paren_arg(rest).ok_or_else(|| syntax("expected INPUT(name)"))?);
+            let input = parse_paren_arg(rest).ok_or_else(|| syntax("expected INPUT(name)"))?;
+            inputs.push((input, line));
         } else if let Some(rest) = code.strip_prefix("OUTPUT") {
             outputs.push(parse_paren_arg(rest).ok_or_else(|| syntax("expected OUTPUT(name)"))?);
         } else if let Some(eq) = code.find('=') {
@@ -130,11 +131,22 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, BenchError> {
 
     let mut nl = Netlist::new(name);
     let mut ids: HashMap<String, NetId> = HashMap::new();
-    for input in &inputs {
+    // Every net has exactly one definition: an INPUT line or a gate.
+    let redefined = |net: &str, line: usize| BenchError::Syntax {
+        line,
+        message: format!("net `{net}` is defined twice"),
+    };
+    for (input, line) in &inputs {
+        if ids.contains_key(input) {
+            return Err(redefined(input, *line));
+        }
         ids.insert(input.clone(), nl.add_input(input.clone()));
     }
     // First pass: declare all gate/flop outputs so forward references work.
     for gate in &gates {
+        if ids.contains_key(&gate.out) {
+            return Err(redefined(&gate.out, gate.line));
+        }
         let id = match gate.func.as_str() {
             "DFF" | "DFF0" => nl.add_dff(gate.out.clone(), false),
             "DFF1" => nl.add_dff(gate.out.clone(), true),
@@ -410,6 +422,30 @@ y = AND(b, one)
     fn rejects_unknown_output() {
         let err = parse_bench("INPUT(a)\nOUTPUT(nope)\ny = NOT(a)\n", "x").unwrap_err();
         assert!(err.to_string().contains("nope"));
+    }
+
+    #[test]
+    fn rejects_a_net_defined_twice() {
+        // Two placeholder gates for `y` used to leave the first one
+        // unresolved, which panicked in the rebuild.
+        for (text, expected) in [
+            (
+                "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUFF(a)\n",
+                "line 4: net `y` is defined twice",
+            ),
+            (
+                "INPUT(a)\nINPUT(b)\nOUTPUT(a)\na = NOT(b)\n",
+                "line 4: net `a` is defined twice",
+            ),
+            (
+                "INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n",
+                "line 2: net `a` is defined twice",
+            ),
+        ] {
+            let err = parse_bench(text, "x").unwrap_err();
+            assert!(matches!(err, BenchError::Syntax { .. }), "{err}");
+            assert!(err.to_string().ends_with(expected), "{err}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use musa_metrics::Nlfce;
 use musa_mutation::{MutationOperator, MutationScore};
 
 /// The campaign-report schema tag this decoder accepts.
-pub const CAMPAIGN_SCHEMA: &str = "musa.campaign.v1";
+const CAMPAIGN_SCHEMA: &str = "musa.campaign.v1";
 
 /// Decodes a stored blob into the payload for `task`, or `None` if the
 /// blob is not a well-formed `musa.campaign.v1` document for exactly
@@ -33,7 +33,7 @@ pub const CAMPAIGN_SCHEMA: &str = "musa.campaign.v1";
 ///
 /// [`Task::Bench`] and [`Task::Lint`] emit their own documents and
 /// bypass the store entirely; they always decode to `None` here.
-pub fn decode_report_data(blob: &str, task: &Task) -> Option<ReportData> {
+pub(crate) fn decode_report_data(blob: &str, task: &Task) -> Option<ReportData> {
     let doc = json::parse(blob).ok()?;
     if doc.get("schema")?.as_str()? != CAMPAIGN_SCHEMA {
         return None;
@@ -197,9 +197,8 @@ fn strategy(label: &str) -> Option<&'static str> {
     }
 }
 
-/// Decodes one `outcome_json`-encoded [`SamplingOutcome`] (also the
-/// payload format of `musa.shard.v1` worker results).
-pub(crate) fn outcome(v: &JsonValue) -> Option<SamplingOutcome> {
+/// Decodes one `outcome_json`-encoded [`SamplingOutcome`].
+fn outcome(v: &JsonValue) -> Option<SamplingOutcome> {
     Some(SamplingOutcome {
         strategy: strategy(v.get("strategy")?.as_str()?)?,
         population: v.get("population")?.as_usize()?,

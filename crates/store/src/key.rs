@@ -7,7 +7,7 @@
 //! ordering, preset spelling and other surface details never matter —
 //! and covers the task (with parameters), benchmarks, seed and every
 //! effective configuration field **except** `jobs` and `opt`, which
-//! respectively shard and speed up the work without touching a single
+//! respectively spread and speed up the work without touching a single
 //! output bit (`wall` and tracing never enter the plan at all).
 //!
 //! `engine`, `fault_reduce` and `screen` are included even though the
@@ -95,7 +95,7 @@ pub(crate) fn key_material(plan: &CampaignPlan) -> String {
         config.equivalence.seed,
     );
     // `config.jobs` and `config.opt` intentionally absent: pure
-    // wall-clock knobs — sharding and the lane-tape optimizer are both
+    // wall-clock knobs — threading and the lane-tape optimizer are both
     // pinned bit-identical by the differential suites, so results are
     // shareable across their settings.
     s

@@ -1,11 +1,10 @@
-//! # musa-store — content-addressed campaign results, sharding, serving
+//! # musa-store — content-addressed campaign results
 //!
 //! The paper's experiments are **pure functions** of the validated
 //! campaign: task, parameters, seed, benchmarks and the effective
 //! configuration. Jobs, engine, fault reduction, screening and tracing
 //! are wall-clock knobs pinned bit-identical by the differential
-//! suites. That purity is the scaling lever this crate turns into
-//! infrastructure:
+//! suites. That purity makes a finished campaign safe to cache:
 //!
 //! * [`CampaignKey`] — a canonical, content-addressed key derived from
 //!   a [`CampaignPlan`](musa_core::CampaignPlan) (`jobs`, wall time and
@@ -19,29 +18,23 @@
 //!   rendered text and JSON are **byte-identical** to a fresh run
 //!   (wall clock aside), because hits round-trip through the same
 //!   `musa_core::json` encoding the report emitter uses;
-//! * [`shard`] — `musa campaign --workers N`: split the bench ×
-//!   repetition grid across worker *processes* and merge through the
-//!   order-independent [`SamplingAggregate`](musa_core::SamplingAggregate),
-//!   bit-identical to in-process at every worker count;
-//! * [`serve`] — a std-only TCP service loop (`musa serve` /
-//!   `musa client`) that accepts `musa.request.v1` documents, consults
-//!   the store and streams reports back.
+//! * [`request`] — the `musa.request.v1` document `musa campaign`
+//!   reads, parsed into the same validated
+//!   [`Campaign`](musa_core::Campaign) builder the library exposes.
 //!
-//! Everything is `std`-only: no serde, no async runtime, no hash crate.
+//! Everything is `std`-only: no serde, no hash crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decode;
+mod decode;
 mod digest;
 mod key;
 pub mod request;
 mod run_cached;
-pub mod serve;
-pub mod shard;
 mod store;
 
 pub use digest::{digest128_hex, fnv1a64};
 pub use key::CampaignKey;
-pub use run_cached::{meta_from_plan, CachedRun, RunCached, StoreOutcome};
+pub use run_cached::{CachedRun, RunCached, StoreOutcome};
 pub use store::{Store, StoreEntry, INDEX_SCHEMA};

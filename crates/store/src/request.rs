@@ -1,9 +1,9 @@
 //! The `musa.request.v1` wire format.
 //!
 //! A request document describes a campaign the way a *caller* would —
-//! builder knobs, not a resolved configuration — so the server and the
-//! sharding workers rebuild the exact [`Campaign`] the client holds
-//! and every derived artifact (preset label in the report header, the
+//! builder knobs, not a resolved configuration — so `musa campaign`
+//! rebuilds the exact [`Campaign`] a library caller would hold, and
+//! every derived artifact (preset label in the report header, the
 //! campaign key, validation errors) comes out identically:
 //!
 //! ```json

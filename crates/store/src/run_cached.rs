@@ -27,7 +27,7 @@ pub enum StoreOutcome {
 }
 
 impl StoreOutcome {
-    /// Status label for CLI/serve surfaces (`hit` / `miss` / `bypass`).
+    /// Status label for the CLI (`hit` / `miss` / `bypass`).
     pub fn label(self) -> &'static str {
         match self {
             StoreOutcome::Hit => "hit",
@@ -96,10 +96,9 @@ impl RunCached for Campaign {
 }
 
 /// Builds the [`RunMeta`] a fresh [`Campaign::run`] of `plan` would
-/// attach, with the given wall time. Shared by the store hit path and
-/// the sharded driver so every execution mode stamps reports
-/// identically.
-pub fn meta_from_plan(plan: &CampaignPlan, wall: Duration) -> RunMeta {
+/// attach, with the given wall time, so a hit stamps its report
+/// exactly like a fresh run.
+fn meta_from_plan(plan: &CampaignPlan, wall: Duration) -> RunMeta {
     RunMeta {
         benches: plan.benches.iter().map(|b| b.name().to_string()).collect(),
         seed: plan.config.seed,

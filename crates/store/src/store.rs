@@ -12,8 +12,8 @@
 //!
 //! * **Atomic writes** — blobs and the index are written to a
 //!   temporary sibling and renamed into place, so readers (including
-//!   concurrent `musa serve` connections and sharded workers) never
-//!   observe a half-written file.
+//!   concurrent `musa` processes sharing one store) never observe a
+//!   half-written file.
 //! * **Corruption tolerance** — the blob is the source of truth and is
 //!   re-validated on decode; the index is purely advisory. A missing,
 //!   truncated or garbage file can only ever produce a *miss* (and a
@@ -128,8 +128,8 @@ impl CampaignKey {
 
 /// Writes `text` to `path` atomically: a temporary sibling (suffixed
 /// with the writer's pid plus a per-process sequence number, so
-/// neither concurrent processes nor concurrent server threads ever
-/// collide) is written, flushed and renamed into place.
+/// neither concurrent processes nor concurrent threads ever collide)
+/// is written, flushed and renamed into place.
 pub(crate) fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);

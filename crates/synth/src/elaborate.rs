@@ -19,7 +19,7 @@ use crate::builder::GateBuilder;
 use musa_hdl::ast::*;
 use musa_hdl::{CheckedDesign, DriveClass, EntityInfo, SymbolId, SymbolKind};
 use musa_netlist::{NetId, Netlist, NetlistError};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Error during synthesis.
@@ -90,7 +90,7 @@ pub fn synthesize(checked: &CheckedDesign, entity_name: &str) -> Result<Netlist,
         info,
         builder: GateBuilder::new(entity_name),
         env: HashMap::new(),
-        dff_bits: HashMap::new(),
+        dff_bits: BTreeMap::new(),
     };
     elab.run(entity)?;
     // Sweep dead logic (unread builder constants, folded-away cones) so
@@ -104,7 +104,7 @@ struct Elaborator<'a> {
     /// Current symbolic value of every symbol, LSB first.
     env: HashMap<SymbolId, Vec<NetId>>,
     /// Register symbol → flip-flop output nets.
-    dff_bits: HashMap<SymbolId, Vec<NetId>>,
+    dff_bits: BTreeMap<SymbolId, Vec<NetId>>,
 }
 
 impl<'a> Elaborator<'a> {
@@ -159,10 +159,10 @@ impl<'a> Elaborator<'a> {
         //    ensures the seed never escapes.
         for &pidx in &self.info.comb_order {
             let process = &entity.processes[pidx];
-            for (&sym, &driver) in &self.info.drivers {
-                if driver == pidx && !self.env.contains_key(&sym) {
-                    let width = self.info.symbol(sym).width;
-                    let bits = self.builder.constant_word(width, 0);
+            for (i, symbol) in self.info.symbols.iter().enumerate() {
+                let sym = SymbolId(i as u32);
+                if self.info.drivers.get(&sym) == Some(&pidx) && !self.env.contains_key(&sym) {
+                    let bits = self.builder.constant_word(symbol.width, 0);
                     self.env.insert(sym, bits);
                 }
             }
@@ -291,18 +291,14 @@ impl<'a> Elaborator<'a> {
         else_body: Option<&[Stmt]>,
         env: &mut HashMap<SymbolId, Vec<NetId>>,
     ) {
-        let Some(((cond, body), rest)) = arms.split_first() else {
-            if let Some(body) = else_body {
-                self.exec_stmts(body, env);
-            }
-            return;
-        };
-        let cond_bit = self.expr_bits(cond, env)[0];
-        let mut env_then = env.clone();
-        self.exec_stmts(body, &mut env_then);
-        let mut env_else = env.clone();
-        self.exec_if(rest, else_body, &mut env_else);
-        self.merge(cond_bit, env_then, env_else, env);
+        let mut branches = Vec::with_capacity(arms.len());
+        for (cond, body) in arms {
+            let cond_bit = self.expr_bits(cond, env)[0];
+            let mut env_then = env.clone();
+            self.exec_stmts(body, &mut env_then);
+            branches.push((cond_bit, env_then));
+        }
+        self.merge_chain(branches, else_body, env);
     }
 
     fn exec_case(
@@ -312,25 +308,52 @@ impl<'a> Elaborator<'a> {
         default: Option<&[Stmt]>,
         env: &mut HashMap<SymbolId, Vec<NetId>>,
     ) {
-        let Some((arm, rest)) = arms.split_first() else {
-            if let Some(body) = default {
-                self.exec_stmts(body, env);
+        let mut branches = Vec::with_capacity(arms.len());
+        for arm in arms {
+            let mut cond = self.builder.zero();
+            for &choice in &arm.choices {
+                let hit = self.builder.index_is(subject_bits, choice);
+                cond = self.builder.or(cond, hit);
             }
-            return;
-        };
-        let mut cond = self.builder.zero();
-        for &choice in &arm.choices {
-            let hit = self.builder.index_is(subject_bits, choice);
-            cond = self.builder.or(cond, hit);
+            let mut env_then = env.clone();
+            self.exec_stmts(&arm.body, &mut env_then);
+            branches.push((cond, env_then));
         }
-        let mut env_then = env.clone();
-        self.exec_stmts(&arm.body, &mut env_then);
-        let mut env_else = env.clone();
-        self.exec_case(subject_bits, rest, default, &mut env_else);
-        self.merge(cond, env_then, env_else, env);
+        self.merge_chain(branches, default, env);
     }
 
-    /// Merges two branch environments through per-bit muxes.
+    /// Folds a prioritised arm chain into `env`. Each branch is an arm's
+    /// condition and the environment its body left, both computed from
+    /// the environment the whole `if`/`case` started from. Runs the
+    /// fallback (`else`/`default`) body, then merges the arms from the
+    /// last to the first, so the first arm's condition has the final
+    /// say.
+    ///
+    /// Together with [`Self::exec_if`]/[`Self::exec_case`] this creates
+    /// gates in the order a recursive lowering would — conditions and
+    /// bodies first to last, the fallback, then the muxes last to first —
+    /// without a stack frame per arm, so arm lists of any length
+    /// elaborate.
+    fn merge_chain(
+        &mut self,
+        branches: Vec<(NetId, HashMap<SymbolId, Vec<NetId>>)>,
+        fallback: Option<&[Stmt]>,
+        env: &mut HashMap<SymbolId, Vec<NetId>>,
+    ) {
+        let mut merged = env.clone();
+        if let Some(body) = fallback {
+            self.exec_stmts(body, &mut merged);
+        }
+        for (cond, env_then) in branches.into_iter().rev() {
+            let mut outer = env.clone();
+            self.merge(cond, env_then, merged, &mut outer);
+            merged = outer;
+        }
+        *env = merged;
+    }
+
+    /// Merges two branch environments through per-bit muxes, in
+    /// [`SymbolId`] order so the netlist is the same on every run.
     fn merge(
         &mut self,
         cond: NetId,
@@ -338,6 +361,8 @@ impl<'a> Elaborator<'a> {
         env_else: HashMap<SymbolId, Vec<NetId>>,
         env: &mut HashMap<SymbolId, Vec<NetId>>,
     ) {
+        let mut env_then: Vec<(SymbolId, Vec<NetId>)> = env_then.into_iter().collect();
+        env_then.sort_unstable_by_key(|&(sym, _)| sym);
         for (sym, then_bits) in env_then {
             // Symbols introduced inside one branch only (loop indices) are
             // dead after it; skip them.

@@ -26,12 +26,12 @@
 //!   test-oriented sampling experiments (Tables 1 and 2) and the
 //!   [`Campaign`](musa_core::Campaign) front door with typed,
 //!   JSON-serializable reports;
-//! * [`store`] — the content-addressed campaign result store, the
-//!   multi-process sharding driver (`musa campaign --workers`) and the
-//!   TCP campaign service (`musa serve` / `musa client`);
+//! * [`store`] — the content-addressed campaign result store
+//!   (`--store`) and the `musa.request.v1` campaign document
+//!   (`musa campaign`);
 //! * [`bench`](mod@bench) — the experiment binaries plus the shared
-//!   [`cli`](musa_bench::cli) argument layer they and `musa sample`
-//!   parse through.
+//!   [`cli`](musa_bench::cli) argument layer they, `musa sample` and
+//!   `musa campaign` parse through.
 //!
 //! ## Quickstart
 //!

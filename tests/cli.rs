@@ -274,16 +274,18 @@ fn help_subcommand_lists_every_command_including_bench_trajectory() {
         "--quick", "--baseline", "--filter", "--write",
         // ...and the analysis knobs.
         "--screen static|off", "musa.lint.v1",
-        // ...and the store/serving layer.
-        "campaign", "serve", "client", "--workers", "--store", "--addr",
-        "musa.request.v1", "--once",
+        // ...and the result store.
+        "campaign", "--store", "musa.request.v1",
     ] {
         assert!(stdout.contains(fragment), "help lacks {fragment}: {stdout}");
+    }
+    for retired in ["serve", "client", "__worker", "--workers", "--addr", "--once"] {
+        assert!(!stdout.contains(retired), "help still lists {retired}: {stdout}");
     }
 }
 
 // ---------------------------------------------------------------------
-// `musa campaign` / `serve` / `client` / `__worker` argument contract
+// `musa campaign` argument contract
 // ---------------------------------------------------------------------
 
 #[test]
@@ -295,9 +297,9 @@ fn campaign_without_request_exits_2_with_usage() {
 
 #[test]
 fn campaign_rejects_bad_flags_and_missing_files_with_exit_2() {
-    let out = musa(&["campaign", "req.json", "--workers", "x"]);
+    let out = musa(&["campaign", "req.json", "--store"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--workers expects"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--store expects"));
 
     let out = musa(&["campaign", "/nonexistent/req.json"]);
     assert_eq!(out.status.code(), Some(2), "unreadable request is a pre-computation decision");
@@ -350,6 +352,8 @@ fn campaign_rejects_deeply_nested_json_on_stdin_with_exit_2() {
     assert!(stderr.contains("nesting deeper than 512"), "stderr: {stderr}");
 }
 
+/// Every campaign runs in process, so `campaign` takes no `--workers`,
+/// whatever the request's task.
 #[test]
 fn campaign_rejects_workers_on_non_sampling_tasks_with_exit_2() {
     let dir = std::env::temp_dir().join(format!("musa-cli-workers-{}", std::process::id()));
@@ -363,38 +367,44 @@ fn campaign_rejects_workers_on_non_sampling_tasks_with_exit_2() {
     let out = musa(&["campaign", req.to_str().unwrap(), "--workers", "2"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("sampling"),
+        String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--workers`"),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `serve` and `client` are not subcommands: any use of them is a usage
+/// error.
 #[test]
 fn serve_and_client_arg_errors_exit_2() {
-    let out = musa(&["serve"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: musa serve"));
-
-    let out = musa(&["serve", "--addr"]);
-    assert_eq!(out.status.code(), Some(2));
-
-    let out = musa(&["client", "req.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: musa client"));
-
-    let out = musa(&["client", "--addr", "127.0.0.1:1"]);
-    assert_eq!(out.status.code(), Some(2), "missing request document");
+    for args in [
+        &["serve"][..],
+        &["serve", "--addr"],
+        &["serve", "--once"],
+        &["client", "req.json"],
+        &["client", "--addr", "127.0.0.1:1"],
+    ] {
+        let out = musa(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("usage: musa <"), "{args:?}: {stderr}");
+    }
 }
 
+/// `__worker` is not a subcommand: any use of it is a usage error.
 #[test]
 fn worker_arg_errors_exit_2() {
-    let out = musa(&["__worker"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--cells"));
-
-    let out = musa(&["__worker", "--cells"]);
-    assert_eq!(out.status.code(), Some(2));
+    for args in [
+        &["__worker"][..],
+        &["__worker", "--cells"],
+        &["__worker", "--cells", "c17:0"],
+    ] {
+        let out = musa(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("usage: musa <"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -733,6 +743,84 @@ fn deeply_nested_hdl_is_a_parse_error_not_an_abort() {
                 stderr.contains("nesting deeper than"),
                 "{name} {args:?}: {stderr}"
             );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `musa synth` on a sequential design with `case` and nested `if`:
+/// its mux order used to follow hash order, so the netlist changed from
+/// run to run.
+#[test]
+fn synth_b05_matches_the_golden() {
+    assert_eq!(
+        stdout_of(&["synth", "crates/circuits/src/hdl/b05.mhdl", "b05"]),
+        golden("synth_b05.bench")
+    );
+}
+
+#[test]
+fn long_elsif_and_case_arm_lists_synthesize() {
+    // Synthesis lowered `elsif` and `case` arms recursively, one stack
+    // frame per arm, so 20,000 arms overflowed the stack (exit 134).
+    const ARMS: usize = 20_000;
+    let dir = std::env::temp_dir().join(format!("musa-cli-arms-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let elsif: String = (1..ARMS)
+        .map(|i| format!("    elsif a[{}] = {} then y <= {};\n", i % 16, i / 16 % 2, i % 2))
+        .collect();
+    let case: String = (0..ARMS)
+        .map(|i| format!("      when {i} => y <= {};\n", i % 2))
+        .collect();
+    let bodies = [
+        ("elsif", format!("    if a[0] = 1 then y <= 0;\n{elsif}    else y <= 0;\n    end if;\n")),
+        ("case", format!("    case a is\n{case}      when others => y <= 0;\n    end case;\n")),
+    ];
+    for (name, body) in bodies {
+        let path = dir.join(format!("{name}.mhdl"));
+        std::fs::write(
+            &path,
+            format!("entity e is\n  port(a : in bits(16); y : out bit);\n  comb begin\n{body}  end;\nend;\n"),
+        )
+        .unwrap();
+        let out = musa(&["info", path.to_str().unwrap(), "e"]);
+        assert_eq!(out.status.code(), Some(0), "{name}: {out:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every file-taking subcommand over every file of the hostile corpus,
+/// plus an empty and a non-UTF-8 file: malformed input is an error
+/// (exit 1 or 2), never a panic (101) or an abort (134).
+#[test]
+fn hostile_inputs_exit_0_1_or_2_under_every_subcommand() {
+    let dir = std::env::temp_dir().join(format!("musa-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.mhdl");
+    std::fs::write(&empty, "").unwrap();
+    let binary = dir.join("binary.mhdl");
+    std::fs::write(&binary, [0xff, 0xfe, 0x00, b'e', 0x80]).unwrap();
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir("tests/fixtures/hostile")
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    files.sort();
+    files.extend([empty, binary]);
+    for file in &files {
+        let path = file.to_str().unwrap();
+        for args in [
+            &["info", path, "e"][..],
+            &["synth", path, "e"],
+            &["mutants", path, "e"],
+            &["lint", path],
+            &["faultsim", path],
+            &["scoap", path],
+            &["atpg", path],
+            &["campaign", path],
+            &["bench", "--baseline", path],
+        ] {
+            let out = musa(args);
+            assert!(matches!(out.status.code(), Some(0..=2)), "{args:?}: {out:?}");
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -6,6 +6,8 @@ use musa::core::{
     run_sampling_experiment_on, ExperimentConfig, OperatorProfile, Table1, Table2,
 };
 use musa::mutation::{generate_mutants, GenerateOptions, MutationOperator};
+use musa::netlist::write_bench;
+use musa::synth::synthesize;
 use musa::testgen::SamplingStrategy;
 
 #[test]
@@ -108,4 +110,18 @@ fn pipeline_is_deterministic_per_seed() {
         b.rows[0].test_oriented.mutation_score_pct
     );
     assert_eq!(a.rows[0].random.nlfce, b.rows[0].random.nlfce);
+}
+
+#[test]
+fn synthesis_is_reproducible_within_a_process() {
+    // Every map the elaborator walks gets a fresh hash seed, so a walk
+    // in hash order would give a different netlist on each call.
+    for bench in Benchmark::all() {
+        let circuit = bench.load().unwrap();
+        let expected = write_bench(&circuit.netlist);
+        for _ in 0..4 {
+            let again = synthesize(&circuit.checked, &circuit.name).unwrap();
+            assert_eq!(write_bench(&again), expected, "{bench}");
+        }
+    }
 }
