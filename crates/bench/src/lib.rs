@@ -18,7 +18,8 @@
 //! byte-identical to the pre-redesign binaries (pinned by the diff
 //! tests in `tests/cli_diff.rs`). `--json` emits the typed
 //! [`musa_core::Report`] instead. An unknown argument exits 2 with the
-//! usage text. Criterion micro-benchmarks live under `benches/`.
+//! usage text. Timing lives elsewhere: `musa bench` times the kernels,
+//! and the repository's `campaign_bench` package times whole campaigns.
 //!
 //! The crate also hosts the argument layers of the `musa` subcommands
 //! that run campaigns: `musa sample` and `musa bench` ([`cli`]), and

@@ -7,10 +7,12 @@
 //!
 //! The original benchmark netlists are not redistributable in this
 //! offline environment; each circuit is re-implemented from its published
-//! functional description and synthesized to gates with [`musa_synth`]
-//! (see the workspace `DESIGN.md` §3 for why this preserves the paper's
-//! measurements). The crate's test-suite cross-simulates every behavioral
-//! model against its synthesized netlist.
+//! functional description and synthesized to gates with [`musa_synth`].
+//! The paper's tables compare operators and sampling strategies on each
+//! circuit, so a functional re-implementation preserves what they
+//! compare, though not their absolute values. The crate's test-suite
+//! cross-simulates every behavioral model against its synthesized
+//! netlist.
 //!
 //! # Example
 //!

@@ -1,16 +1,18 @@
 //! The `Campaign` builder — one typed front door for every experiment.
 //!
-//! Before this module, each entry point (`run_sampling_experiment`,
-//! [`OperatorProfile::measure`], [`Table1::measure`], the E1–E4
-//! extension drivers) was a free function with its own plumbing for
-//! seed / jobs / engine / preset, and every CLI caller re-implemented
-//! argument handling and stdout formatting around them. A [`Campaign`]
-//! validates its inputs **once**, runs the selected [`Task`] through
-//! the existing deterministic parallel machinery, and returns a typed
-//! [`Report`] that wraps today's result structs plus run metadata —
-//! with a stable text renderer ([`Report::render_text`], byte-identical
-//! to the pre-redesign binaries' stdout) and a dependency-free JSON
-//! emitter ([`Report::to_json`]).
+//! A [`Campaign`] validates its inputs **once**, runs the selected
+//! [`Task`] through the deterministic parallel machinery, and returns a
+//! typed [`Report`] that wraps the experiments' result structs plus run
+//! metadata — with a stable text renderer ([`Report::render_text`],
+//! byte-identical to the pre-redesign binaries' stdout) and a
+//! dependency-free JSON emitter ([`Report::to_json`]).
+//!
+//! Every task but the benchmark trajectory runs through one per-bench
+//! loop: it loads every circuit up front, then measures each bench
+//! inside its `bench` trace span. Experiments get the bench as a
+//! [`BenchContext`] (the lint task needs none), built inside a `setup`
+//! span, so one bench's population, fault list, dominance plan and
+//! screen are derived once however many experiments share them.
 //!
 //! ```
 //! use musa_core::{Campaign, ReportData, Task};
@@ -30,21 +32,20 @@
 
 use crate::bench_task::{run_bench, BenchOptions, BenchReport};
 use crate::config::ExperimentConfig;
+use crate::context::BenchContext;
 use crate::lint_task::{lint_bench, lint_report_json, render_lint_text, LintRow};
 use crate::experiment::{run_sampling_experiment, SamplingOutcome};
 use crate::extensions::{
-    atpg_topup_on, coverage_curves, equivalence_ablation, sweep_fractions, AblationPoint,
-    CurvePair, SweepPoint, TopUpOutcome,
+    atpg_topup, coverage_curves, equivalence_ablation, sweep_fractions, AblationPoint, CurvePair,
+    SweepPoint, TopUpOutcome,
 };
 use crate::json::Json;
 use crate::parallel::resolve_jobs;
 use crate::profile::OperatorProfile;
-use crate::tables::{Table1, Table2, TableError};
-use musa_circuits::Benchmark;
+use crate::tables::{Table1, Table2, Table2Row, TableError};
+use musa_circuits::{Benchmark, Circuit};
 use musa_metrics::{f2, pct, signed0, Align, Nlfce, Table};
-use musa_mutation::{
-    generate_mutants, Engine, GenerateOptions, MutationOperator, MutationScore, OptLevel,
-};
+use musa_mutation::{Engine, MutationError, MutationOperator, MutationScore, OptLevel};
 use musa_testgen::{mutation_guided_tests, SamplingStrategy};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -529,156 +530,137 @@ pub struct CampaignPlan {
 
 impl CampaignPlan {
     fn execute(&self) -> Result<ReportData, CampaignError> {
-        let config = &self.config;
-        let per_bench = |bench: Benchmark, e: TableError| CampaignError::Run {
-            bench: bench.name().to_string(),
-            source: e,
-        };
-        match &self.task {
+        Ok(match &self.task {
             Task::Sampling { fraction } => {
-                let mut rows = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("sampling {}", bench.name()));
-                    let circuit = bench.load().map_err(|e| per_bench(bench, e.into()))?;
-                    let outcome = run_sampling_experiment(
-                        &circuit,
-                        SamplingStrategy::random(*fraction),
-                        config,
-                    )
-                    .map_err(|e| per_bench(bench, e.into()))?;
-                    rows.push(BenchOutcome { bench: circuit.name.clone(), outcome });
-                }
-                Ok(ReportData::Sampling(rows))
+                ReportData::Sampling(self.each_context("sampling", |ctx| {
+                    let outcome =
+                        run_sampling_experiment(ctx, SamplingStrategy::random(*fraction))?;
+                    Ok(BenchOutcome {
+                        bench: ctx.circuit().name.clone(),
+                        outcome,
+                    })
+                })?)
             }
-            Task::OperatorProfile { operators } => {
-                let mut profiles = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("profiling {}", bench.name()));
-                    let circuit = bench.load().map_err(|e| per_bench(bench, e.into()))?;
-                    let profile = OperatorProfile::measure(&circuit, operators, config)
-                        .map_err(|e| per_bench(bench, e.into()))?;
-                    profiles.push(profile);
-                }
-                Ok(ReportData::OperatorProfile(profiles))
-            }
+            Task::OperatorProfile { operators } => ReportData::OperatorProfile(
+                self.each_context("profiling", |ctx| OperatorProfile::measure(ctx, operators))?,
+            ),
             Task::MutationGuided => {
-                let mut rows = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("generating for {}", bench.name()));
-                    let circuit = bench.load().map_err(|e| per_bench(bench, e.into()))?;
-                    let population = generate_mutants(
-                        &circuit.checked,
-                        &circuit.name,
-                        &GenerateOptions::default(),
-                    );
+                ReportData::MutationGuided(self.each_context("generating for", |ctx| {
+                    let circuit = ctx.circuit();
                     // `config.mg` is honored as-is, like every other
                     // task — reproducible against a direct
                     // `mutation_guided_tests` call with the same config.
                     let generated = mutation_guided_tests(
                         &circuit.checked,
                         &circuit.name,
-                        &population,
-                        &config.mg,
-                    )
-                    .map_err(|e| per_bench(bench, e.into()))?;
-                    rows.push(MgOutcome {
+                        ctx.population(),
+                        &ctx.config().mg,
+                    )?;
+                    Ok(MgOutcome {
                         bench: circuit.name.clone(),
-                        population: population.len(),
+                        population: ctx.population().len(),
                         sessions: generated.sessions.len(),
                         total_len: generated.total_len(),
                         killed: generated.killed_count(),
                         rounds: generated.rounds,
-                    });
-                }
-                Ok(ReportData::MutationGuided(rows))
+                    })
+                })?)
             }
-            Task::Table1 { operators } => {
-                Ok(ReportData::Table1(Table1::measure(&self.benches, operators, config)?))
-            }
-            Task::Table2 { fraction } => {
-                Ok(ReportData::Table2(Table2::measure(&self.benches, *fraction, config)?))
-            }
+            Task::Table1 { operators } => ReportData::Table1(Table1::from_profiles(
+                self.each_context("profiling", |ctx| OperatorProfile::measure(ctx, operators))?,
+            )),
+            Task::Table2 { fraction } => ReportData::Table2(Table2 {
+                rows: self.each_context("comparing strategies on", |ctx| {
+                    Table2Row::measure(ctx, *fraction)
+                })?,
+            }),
             Task::SweepFraction { fractions } => {
-                let mut rows = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("sweeping {}", bench.name()));
-                    let points = sweep_fractions(bench, fractions, config)
-                        .map_err(|e| per_bench(bench, e))?;
-                    rows.push(BenchSweep { bench: bench.name().to_string(), points });
-                }
-                Ok(ReportData::SweepFraction(rows))
+                ReportData::SweepFraction(self.each_context("sweeping", |ctx| {
+                    let points = sweep_fractions(ctx, fractions)?;
+                    Ok(BenchSweep {
+                        bench: ctx.circuit().name.clone(),
+                        points,
+                    })
+                })?)
             }
-            Task::CoverageCurves { points } => {
-                let mut pairs = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("tracing curves for {}", bench.name()));
-                    let pair = coverage_curves(bench, *points, config)
-                        .map_err(|e| per_bench(bench, e))?;
-                    pairs.push(pair);
-                }
-                Ok(ReportData::CoverageCurves(pairs))
-            }
+            Task::CoverageCurves { points } => ReportData::CoverageCurves(
+                self.each_context("tracing curves for", |ctx| coverage_curves(ctx, *points))?,
+            ),
             Task::AtpgTopup { backtrack_limit } => {
-                // Load and check every circuit before the first (much
-                // more expensive) measurement, so a sequential bench
-                // late in the list cannot discard completed work.
-                let mut circuits = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let circuit = bench.load().map_err(|e| per_bench(bench, e.into()))?;
-                    if !circuit.is_combinational() {
-                        return Err(CampaignError::NotCombinational(
-                            bench.name().to_string(),
-                        ));
-                    }
-                    circuits.push((bench, circuit));
-                }
-                let mut rows = Vec::with_capacity(circuits.len());
-                for (bench, circuit) in &circuits {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("topping up {}", bench.name()));
-                    let modes = atpg_topup_on(circuit, *backtrack_limit, config)
-                        .map_err(|e| per_bench(*bench, e))?;
-                    rows.push(BenchTopUp { bench: bench.name().to_string(), modes });
-                }
-                Ok(ReportData::AtpgTopup(rows))
+                ReportData::AtpgTopup(self.each_context("topping up", |ctx| {
+                    let modes = atpg_topup(ctx, *backtrack_limit)?;
+                    Ok(BenchTopUp {
+                        bench: ctx.circuit().name.clone(),
+                        modes,
+                    })
+                })?)
             }
             Task::EquivalenceAblation { budgets } => {
-                let mut rows = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("ablating {}", bench.name()));
-                    let points = equivalence_ablation(bench, budgets, config)
-                        .map_err(|e| per_bench(bench, e))?;
-                    rows.push(BenchAblation { bench: bench.name().to_string(), points });
-                }
-                Ok(ReportData::EquivalenceAblation(rows))
+                ReportData::EquivalenceAblation(self.each_context("ablating", |ctx| {
+                    let points = equivalence_ablation(ctx, budgets)?;
+                    Ok(BenchAblation {
+                        bench: ctx.circuit().name.clone(),
+                        points,
+                    })
+                })?)
             }
-            Task::Bench { quick } => {
-                let report = run_bench(
-                    &self.benches,
-                    &BenchOptions { quick: *quick, seed: config.seed },
-                )?;
-                Ok(ReportData::Bench(report))
-            }
+            // The trajectory keeps its own timing grid.
+            Task::Bench { quick } => ReportData::Bench(run_bench(
+                &self.benches,
+                &BenchOptions {
+                    quick: *quick,
+                    seed: self.config.seed,
+                },
+            )?),
             Task::Lint => {
-                let mut rows = Vec::with_capacity(self.benches.len());
-                for &bench in &self.benches {
-                    let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
-                    musa_trace::progress(|| format!("linting {}", bench.name()));
-                    // Load first so a hypothetical parse/check failure
-                    // surfaces as the usual per-bench error, not a
-                    // panic inside the lint helper.
-                    bench.load().map_err(|e| per_bench(bench, e.into()))?;
-                    rows.push(lint_bench(bench));
-                }
-                Ok(ReportData::Lint(rows))
+                ReportData::Lint(self.each_bench("linting", |bench, _| Ok(lint_bench(bench)))?)
             }
+        })
+    }
+
+    /// The per-bench loop of every task but [`Task::Bench`]. It loads
+    /// every circuit before the first (much more expensive) measurement,
+    /// so a failure there, or a sequential bench handed to
+    /// [`Task::AtpgTopup`], cannot discard completed work. Then it runs
+    /// `measure` on each bench in turn, inside the bench's `bench` trace
+    /// span and after its progress line (`"{verb} {bench}"`); a failure
+    /// is reported as [`CampaignError::Run`] for that bench.
+    fn each_bench<T>(
+        &self,
+        verb: &str,
+        mut measure: impl FnMut(Benchmark, Circuit) -> Result<T, TableError>,
+    ) -> Result<Vec<T>, CampaignError> {
+        let failed = |bench: Benchmark, source| CampaignError::Run {
+            bench: bench.name().to_string(),
+            source,
+        };
+        let mut rows = Vec::with_capacity(self.benches.len());
+        let mut circuits = Vec::with_capacity(self.benches.len());
+        for &bench in &self.benches {
+            let circuit = bench.load().map_err(|e| failed(bench, e.into()))?;
+            if matches!(self.task, Task::AtpgTopup { .. }) && !circuit.is_combinational() {
+                return Err(CampaignError::NotCombinational(bench.name().to_string()));
+            }
+            circuits.push(circuit);
         }
+        for (&bench, circuit) in self.benches.iter().zip(circuits) {
+            let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
+            musa_trace::progress(|| format!("{verb} {}", bench.name()));
+            rows.push(measure(bench, circuit).map_err(|e| failed(bench, e))?);
+        }
+        Ok(rows)
+    }
+
+    /// [`each_bench`](Self::each_bench) with each circuit wrapped in its
+    /// [`BenchContext`].
+    fn each_context<T>(
+        &self,
+        verb: &str,
+        mut measure: impl FnMut(&BenchContext) -> Result<T, MutationError>,
+    ) -> Result<Vec<T>, CampaignError> {
+        self.each_bench(verb, |_, circuit| {
+            Ok(measure(&BenchContext::new(circuit, &self.config))?)
+        })
     }
 }
 
@@ -1586,15 +1568,15 @@ mod tests {
         assert!(report.to_json().contains("\"preset\": \"custom\""));
         // The custom mg sub-seed was actually used: the campaign's
         // output reproduces a direct generator call with config.mg.
-        let circuit = Benchmark::C17.load().unwrap();
-        let population = generate_mutants(
+        let ctx = BenchContext::new(Benchmark::C17.load().unwrap(), &config);
+        let circuit = ctx.circuit();
+        let direct_mg = mutation_guided_tests(
             &circuit.checked,
             &circuit.name,
-            &GenerateOptions::default(),
-        );
-        let direct_mg =
-            mutation_guided_tests(&circuit.checked, &circuit.name, &population, &config.mg)
-                .unwrap();
+            ctx.population(),
+            &config.mg,
+        )
+        .unwrap();
         let ReportData::MutationGuided(rows) = &report.data else { panic!() };
         assert_eq!(rows[0].total_len, direct_mg.total_len());
         assert_eq!(rows[0].killed, direct_mg.killed_count());
@@ -1660,13 +1642,11 @@ mod tests {
         // The front door must not change a single bit of the result.
         let report = sampling_report();
         let ReportData::Sampling(rows) = &report.data else { panic!() };
-        let circuit = Benchmark::C17.load().unwrap();
-        let direct = crate::experiment::run_sampling_experiment(
-            &circuit,
-            SamplingStrategy::random(0.5),
+        let ctx = BenchContext::new(
+            Benchmark::C17.load().unwrap(),
             &ExperimentConfig::fast(7).with_jobs(2),
-        )
-        .unwrap();
+        );
+        let direct = run_sampling_experiment(&ctx, SamplingStrategy::random(0.5)).unwrap();
         assert_eq!(format!("{:?}", rows[0].outcome), format!("{direct:?}"));
     }
 

@@ -4,17 +4,10 @@ use musa_circuits::Circuit;
 use musa_metrics::CoverageCurve;
 use musa_mutation::TestSequence;
 use musa_netlist::{
-    collapsed_faults, fault_simulate_sessions, fault_simulate_sessions_reduced, reduce_faults,
-    Fault, FaultReduction, Pattern,
+    fault_simulate_sessions, fault_simulate_sessions_reduced, Fault, FaultReduction, Pattern,
 };
 use musa_synth::flatten_sequence;
 use musa_testgen::testbench_patterns;
-
-/// The gate-level fault universe of a circuit (collapsed single
-/// stuck-at list).
-pub fn fault_universe(circuit: &Circuit) -> Vec<Fault> {
-    collapsed_faults(&circuit.netlist)
-}
 
 /// Lane occupancy of one fault-simulation measurement: how many faults
 /// actually occupied simulation lanes versus the full collapsed list.
@@ -38,12 +31,6 @@ impl FaultSimStats {
             faults_total: total,
         }
     }
-}
-
-/// The dominance reduction of a circuit's fault universe (see
-/// [`musa_netlist::reduce_faults`]).
-pub fn reduced_universe(circuit: &Circuit, faults: &[Fault]) -> FaultReduction {
-    reduce_faults(&circuit.netlist, faults)
 }
 
 /// Flattens behavioral test sessions into gate-level pattern sessions.
@@ -109,22 +96,24 @@ pub fn random_baseline_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BenchContext, ExperimentConfig};
     use musa_circuits::Benchmark;
     use musa_hdl::Bits;
+    use musa_netlist::collapsed_faults;
 
     #[test]
     fn universe_is_nonempty_and_stable() {
-        let c17 = Benchmark::C17.load().unwrap();
-        let u1 = fault_universe(&c17);
-        let u2 = fault_universe(&c17);
-        assert!(!u1.is_empty());
-        assert_eq!(u1, u2);
+        let config = ExperimentConfig::fast(1);
+        let u1 = BenchContext::new(Benchmark::C17.load().unwrap(), &config);
+        let u2 = BenchContext::new(Benchmark::C17.load().unwrap(), &config);
+        assert!(!u1.faults().is_empty());
+        assert_eq!(u1.faults(), u2.faults());
     }
 
     #[test]
     fn coverage_of_exhaustive_c17_sessions_is_full() {
         let c17 = Benchmark::C17.load().unwrap();
-        let faults = fault_universe(&c17);
+        let faults = collapsed_faults(&c17.netlist);
         // All 32 patterns as one behavioral session.
         let session: TestSequence = (0..32u64)
             .map(|p| (0..5).map(|i| Bits::new(1, (p >> i) & 1)).collect())
@@ -137,7 +126,7 @@ mod tests {
     #[test]
     fn random_baseline_improves_with_length() {
         let c17 = Benchmark::C17.load().unwrap();
-        let faults = fault_universe(&c17);
+        let faults = collapsed_faults(&c17.netlist);
         let short = random_baseline_curve(&c17, &faults, 4, 9);
         let long = random_baseline_curve(&c17, &faults, 64, 9);
         assert!(long.final_coverage() >= short.final_coverage());
@@ -147,7 +136,7 @@ mod tests {
     #[test]
     fn sequential_sessions_flatten_correctly() {
         let b01 = Benchmark::B01.load().unwrap();
-        let faults = fault_universe(&b01);
+        let faults = collapsed_faults(&b01.netlist);
         let session: TestSequence = (0..16u64)
             .map(|i| {
                 vec![

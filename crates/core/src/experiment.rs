@@ -7,21 +7,18 @@
 //! baseline.
 
 use crate::config::ExperimentConfig;
-use crate::data::{
-    coverage_of_sessions, coverage_of_sessions_reduced, fault_universe, random_baseline_curve,
-    reduced_universe, FaultSimStats,
-};
+use crate::context::BenchContext;
+use crate::data::{random_baseline_curve, FaultSimStats};
 use crate::parallel::{par_map, split_jobs, try_par_map};
-use musa_circuits::Circuit;
 use musa_metrics::{Nlfce, NlfceInputs};
-use musa_analysis::screen_population;
 use musa_mutation::{
-    classify_mutants_jobs, execute_mutants_engine_opt, generate_mutants, survivor_class, Engine,
-    EquivalenceClass, GenerateOptions, KillResult, Mutant, MutationError, MutationScore,
-    OptLevel,
+    classify_mutants_jobs, execute_mutants_engine_opt, survivor_class, EquivalenceClass,
+    EquivalencePolicy, KillResult, Mutant, MutationError, MutationScore,
 };
 use musa_prng::{Prng, SplitMix64};
-use musa_testgen::{mutation_guided_tests, sample_mutants, MgConfig, SamplingStrategy};
+use musa_testgen::{
+    mutation_guided_tests, sample_mutants, MgConfig, OperatorWeights, SamplingStrategy,
+};
 
 /// Outcome of one sampling experiment (one Table 2 cell pair).
 #[derive(Debug, Clone)]
@@ -55,28 +52,9 @@ pub struct SamplingOutcome {
     pub screened: usize,
 }
 
-/// Runs one sampling experiment on a circuit.
+/// Runs one sampling experiment on a bench.
 ///
-/// # Errors
-///
-/// Propagates [`MutationError`] from mutant execution.
-pub fn run_sampling_experiment(
-    circuit: &Circuit,
-    strategy: SamplingStrategy,
-    config: &ExperimentConfig,
-) -> Result<SamplingOutcome, MutationError> {
-    let population = generate_mutants(
-        &circuit.checked,
-        &circuit.name,
-        &GenerateOptions::default(),
-    );
-    run_sampling_experiment_on(circuit, &population, strategy, config)
-}
-
-/// Same as [`run_sampling_experiment`] but over a pre-generated
-/// population (avoids re-enumeration when comparing strategies).
-///
-/// Averages `config.repetitions` independent repetitions (fresh sample,
+/// Averages `ctx.config().repetitions` independent repetitions (fresh sample,
 /// data and baseline seeds each time): single 10 % samples are noisy.
 /// Every repetition's three seeds are pre-drawn from the `SplitMix64`
 /// stream in serial order, before any worker exists.
@@ -99,18 +77,38 @@ pub fn run_sampling_experiment(
 /// # Errors
 ///
 /// Propagates [`MutationError`] from mutant execution.
-pub fn run_sampling_experiment_on(
-    circuit: &Circuit,
-    population: &[Mutant],
+pub fn run_sampling_experiment(
+    ctx: &BenchContext,
     strategy: SamplingStrategy,
-    config: &ExperimentConfig,
 ) -> Result<SamplingOutcome, MutationError> {
-    let run = SamplingRun::new(circuit, population, strategy, config);
-    if let Some(mask) = &run.screened {
-        let proven = mask.iter().filter(|&&s| s).count();
-        musa_trace::count("screened", proven as u64);
+    if ctx.screened().is_some() {
+        musa_trace::count("screened", ctx.screened_count() as u64);
     }
-    run.run_all()
+    SamplingRun {
+        ctx,
+        strategy,
+        seeds: repetition_seed_schedule(ctx.config()),
+    }
+    .run_all()
+}
+
+/// Both Table 2 strategies at one `fraction`: test-oriented sampling
+/// with `weights`, then random sampling.
+///
+/// # Errors
+///
+/// Propagates [`MutationError`] from mutant execution.
+pub(crate) fn compare_strategies(
+    ctx: &BenchContext,
+    fraction: f64,
+    weights: &OperatorWeights,
+) -> Result<(SamplingOutcome, SamplingOutcome), MutationError> {
+    let test_oriented = run_sampling_experiment(
+        ctx,
+        SamplingStrategy::test_oriented(fraction, weights.clone()),
+    )?;
+    let random = run_sampling_experiment(ctx, SamplingStrategy::random(fraction))?;
+    Ok((test_oriented, random))
 }
 
 /// The repetition seed schedule: triple `i` — `[sample, mg, baseline]`
@@ -125,76 +123,44 @@ fn repetition_seed_schedule(config: &ExperimentConfig) -> Vec<[u64; 3]> {
         .collect()
 }
 
-/// The static pre-screen mask (`Some` only when screening is on):
-/// `mask[i]` flags mutant `i` as statically proven equivalent.
-fn screen_mask(
-    circuit: &Circuit,
-    population: &[Mutant],
-    config: &ExperimentConfig,
-) -> Option<Vec<bool>> {
-    config.screen.then(|| {
-        screen_population(&circuit.checked, &circuit.name, population)
-            .iter()
-            .map(|class| class.is_proven())
-            .collect()
-    })
-}
-
-/// The per-circuit state every repetition of one sampling experiment
-/// shares: seed schedule, fault universe, dominance reduction and
-/// static screen, plus the phase helpers of
-/// [`run_sampling_experiment_on`].
+/// One sampling experiment: the bench's shared state (population, fault
+/// list, dominance plan and screen, borrowed from the context) plus the
+/// strategy and seed schedule, and the phase helpers of
+/// [`run_sampling_experiment`].
 struct SamplingRun<'a> {
-    circuit: &'a Circuit,
-    population: &'a [Mutant],
+    ctx: &'a BenchContext,
     strategy: SamplingStrategy,
-    config: &'a ExperimentConfig,
-    faults: Vec<musa_netlist::Fault>,
-    reduction: Option<musa_netlist::FaultReduction>,
-    screened: Option<Vec<bool>>,
     seeds: Vec<[u64; 3]>,
 }
 
-impl<'a> SamplingRun<'a> {
-    /// Precomputes the shared per-circuit state (fault universe,
-    /// dominance reduction, static screen, seed schedule).
-    fn new(
-        circuit: &'a Circuit,
-        population: &'a [Mutant],
-        strategy: SamplingStrategy,
-        config: &'a ExperimentConfig,
-    ) -> Self {
-        let faults = fault_universe(circuit);
-        let reduction = config.fault_reduce.then(|| reduced_universe(circuit, &faults));
-        let screened = screen_mask(circuit, population, config);
-        let seeds = repetition_seed_schedule(config);
-        Self { circuit, population, strategy, config, faults, reduction, screened, seeds }
-    }
-
+impl SamplingRun<'_> {
     /// Every repetition, in the three phases documented on
-    /// [`run_sampling_experiment_on`].
+    /// [`run_sampling_experiment`].
     fn run_all(&self) -> Result<SamplingOutcome, MutationError> {
+        let ctx = self.ctx;
+        let name = &ctx.circuit().name;
         let repetitions = self.seeds.len();
         // Repetitions get the outer share of the thread budget; each
         // repetition's mutant executions split what remains. The one
         // classification between the phases has the whole budget.
-        let (outer_jobs, inner_jobs) = split_jobs(self.config.jobs, repetitions);
-        let _trace = musa_trace::span_detail("repetitions", || self.circuit.name.clone());
+        let (outer_jobs, inner_jobs) = split_jobs(ctx.config().jobs, repetitions);
+        let _trace = musa_trace::span_detail("repetitions", || name.clone());
         let killed = try_par_map(outer_jobs, &self.seeds, |_, &[sample, mg, _]| {
             self.kill_phase(sample, mg, inner_jobs)
         })?;
         let survivor_sets: Vec<&[usize]> = killed.iter().map(|k| k.survivors.as_slice()).collect();
-        let table = self.classify(&survivor_sets)?;
+        let table = {
+            let _trace = musa_trace::span("classify");
+            class_table(
+                ctx,
+                &survivor_sets,
+                &ctx.config().equivalence,
+                ctx.screened(),
+            )?
+        };
         let outcomes = par_map(outer_jobs, &killed, |rep, killed| {
             let outcome = self.finish(killed, &table, self.seeds[rep][2]);
-            musa_trace::progress(|| {
-                format!(
-                    "{}: repetition {}/{} done",
-                    self.circuit.name,
-                    rep + 1,
-                    repetitions
-                )
-            });
+            musa_trace::progress(|| format!("{name}: repetition {}/{repetitions} done", rep + 1));
             outcome
         });
         let mut aggregate = SamplingAggregate::new();
@@ -215,7 +181,8 @@ impl<'a> SamplingRun<'a> {
         mg_seed: u64,
         jobs: usize,
     ) -> Result<Killed, MutationError> {
-        let (circuit, population) = (self.circuit, self.population);
+        let ctx = self.ctx;
+        let (circuit, population) = (ctx.circuit(), ctx.population());
         let selected = {
             let _trace = musa_trace::span("sample");
             sample_mutants(population, &self.strategy, sample_seed)
@@ -223,7 +190,7 @@ impl<'a> SamplingRun<'a> {
         let subset: Vec<Mutant> = selected.iter().map(|&i| population[i].clone()).collect();
         let mg = MgConfig {
             seed: mg_seed,
-            ..self.config.mg
+            ..ctx.config().mg
         };
         let generated = {
             let _trace = musa_trace::span("generate_data");
@@ -231,15 +198,7 @@ impl<'a> SamplingRun<'a> {
         };
         let kills = {
             let _trace = musa_trace::span("mutant_exec");
-            kills_over_sessions(
-                circuit,
-                population,
-                &generated.sessions,
-                jobs,
-                self.config.engine,
-                self.config.opt,
-                self.screened.as_deref(),
-            )?
+            kills_over_sessions(ctx, &generated.sessions, jobs, ctx.screened())?
         };
         Ok(Killed {
             sampled: subset.len(),
@@ -248,36 +207,20 @@ impl<'a> SamplingRun<'a> {
         })
     }
 
-    /// Phase 2: the class table over the given repetitions' survivors
-    /// (see [`class_table`]), on the run's whole thread budget.
-    fn classify(
-        &self,
-        survivor_sets: &[&[usize]],
-    ) -> Result<Vec<EquivalenceClass>, MutationError> {
-        let _trace = musa_trace::span("classify");
-        class_table(
-            self.circuit,
-            self.population,
-            survivor_sets,
-            self.config,
-            self.screened.as_deref(),
-        )
-    }
-
     /// Phase 3 of one repetition: the Mutation Score on the full
     /// population, and the gate-level efficiency of the same data. The
-    /// mutation-data fault simulation honours the dominance-reduction
-    /// knob (its final coverage is exact either way); the baseline stays
-    /// on full simulation because its curve interior feeds dFC/dL
-    /// directly.
+    /// mutation-data fault simulation runs on the context's dominance
+    /// plan when there is one (its final coverage is exact either way);
+    /// the baseline stays on full simulation because its curve interior
+    /// feeds dFC/dL directly.
     fn finish(
         &self,
         killed: &Killed,
         table: &[EquivalenceClass],
         baseline_seed: u64,
     ) -> SamplingOutcome {
-        let circuit = self.circuit;
-        let generated = self.population.len();
+        let ctx = self.ctx;
+        let generated = ctx.population().len();
         // `MutationScore::from_results` over this repetition's kills:
         // only survivors can count towards `E`.
         let score = MutationScore {
@@ -291,22 +234,14 @@ impl<'a> SamplingRun<'a> {
         };
         let (mutation_curve, fault_sim) = {
             let _trace = musa_trace::span("fault_sim");
-            match &self.reduction {
-                Some(reduction) => {
-                    coverage_of_sessions_reduced(circuit, reduction, &killed.sessions)
-                }
-                None => (
-                    coverage_of_sessions(circuit, &self.faults, &killed.sessions),
-                    FaultSimStats::full(self.faults.len()),
-                ),
-            }
+            ctx.data_coverage(&killed.sessions)
         };
         musa_trace::count("faults_simulated", fault_sim.faults_simulated as u64);
         musa_trace::count("faults_total", fault_sim.faults_total as u64);
-        let baseline_len = self.config.baseline_len(mutation_curve.len());
+        let baseline_len = ctx.config().baseline_len(mutation_curve.len());
         let random_curve = {
             let _trace = musa_trace::span("baseline");
-            random_baseline_curve(circuit, &self.faults, baseline_len, baseline_seed)
+            random_baseline_curve(ctx.circuit(), ctx.faults(), baseline_len, baseline_seed)
         };
         let metrics = NlfceInputs {
             mutation: &mutation_curve,
@@ -323,10 +258,7 @@ impl<'a> SamplingRun<'a> {
             nlfce: metrics.nlfce,
             data_len: killed.sessions.iter().map(Vec::len).sum(),
             fault_sim,
-            screened: self
-                .screened
-                .as_ref()
-                .map_or(0, |mask| mask.iter().filter(|&&s| s).count()),
+            screened: ctx.screened_count(),
         }
     }
 }
@@ -483,22 +415,19 @@ impl SamplingAggregate {
     }
 }
 
-/// Executes the whole population against multi-session data with fault
-/// dropping across sessions, sharding each session's live mutants (or
-/// lane groups, on the lane engine) across `jobs` worker threads.
-/// Mutants flagged in `screened` are statically proven unkillable and
-/// never occupy a simulation slot (their `first_kill` stays `None`,
-/// exactly as exhaustive execution would leave it).
-#[allow(clippy::too_many_arguments)]
+/// Executes the bench's whole population against multi-session data
+/// with fault dropping across sessions, sharding each session's live
+/// mutants (or lane groups, on the lane engine) across `jobs` worker
+/// threads. Mutants flagged in `screened` are statically proven
+/// unkillable and never occupy a simulation slot (their `first_kill`
+/// stays `None`, exactly as exhaustive execution would leave it).
 pub(crate) fn kills_over_sessions(
-    circuit: &Circuit,
-    population: &[Mutant],
-    sessions: &[Vec<Vec<musa_hdl::Bits>>],
+    ctx: &BenchContext,
+    sessions: &[musa_mutation::TestSequence],
     jobs: usize,
-    engine: Engine,
-    opt: OptLevel,
     screened: Option<&[bool]>,
 ) -> Result<KillResult, MutationError> {
+    let (circuit, population, config) = (ctx.circuit(), ctx.population(), ctx.config());
     let mut first_kill: Vec<Option<usize>> = vec![None; population.len()];
     let mut base = 0usize;
     for session in sessions {
@@ -516,8 +445,8 @@ pub(crate) fn kills_over_sessions(
             &subset,
             session,
             jobs,
-            engine,
-            opt,
+            config.engine,
+            config.opt,
         )?;
         for (slot, &mi) in live.iter().enumerate() {
             if let Some(t) = result.first_kill[slot] {
@@ -529,9 +458,10 @@ pub(crate) fn kills_over_sessions(
     Ok(KillResult { first_kill })
 }
 
-/// The equivalence class of every mutant that survives in any of
-/// `survivor_sets` (population indices), indexed like the population;
-/// every other entry is [`EquivalenceClass::Killable`].
+/// The equivalence class under `policy` of every mutant that survives
+/// in any of `survivor_sets` (population indices), indexed like the
+/// bench's population; every other entry is
+/// [`EquivalenceClass::Killable`].
 ///
 /// Each distinct unscreened survivor is classified **once**, on the lane
 /// engine with `config.jobs` threads, in ascending population order —
@@ -546,12 +476,12 @@ pub(crate) fn kills_over_sessions(
 /// Counts `classify_mutants` (distinct mutants simulated) and
 /// `classify_cache_hits` (survivor lookups beyond the first per mutant).
 pub(crate) fn class_table(
-    circuit: &Circuit,
-    population: &[Mutant],
+    ctx: &BenchContext,
     survivor_sets: &[&[usize]],
-    config: &ExperimentConfig,
+    policy: &EquivalencePolicy,
     screened: Option<&[bool]>,
 ) -> Result<Vec<EquivalenceClass>, MutationError> {
+    let (circuit, population) = (ctx.circuit(), ctx.population());
     let is_screened = |i: usize| screened.is_some_and(|mask| mask[i]);
     let mut wanted = vec![false; population.len()];
     let mut lookups = 0usize;
@@ -569,8 +499,8 @@ pub(crate) fn class_table(
         &circuit.checked,
         &circuit.name,
         &subset,
-        &config.equivalence,
-        config.jobs,
+        policy,
+        ctx.config().jobs,
     )?;
     let mut table = vec![EquivalenceClass::Killable; population.len()];
     for (&mi, class) in distinct.iter().zip(classes) {
@@ -581,7 +511,7 @@ pub(crate) fn class_table(
             .checked
             .entity_info(&circuit.name)
             .ok_or_else(|| MutationError::EntityNotFound(circuit.name.clone()))?;
-        let class = survivor_class(info, &config.equivalence);
+        let class = survivor_class(info, policy);
         for (entry, _) in table.iter_mut().zip(mask).filter(|(_, &s)| s) {
             *entry = class;
         }
@@ -593,8 +523,12 @@ pub(crate) fn class_table(
 mod tests {
     use super::*;
     use musa_circuits::Benchmark;
-    use musa_testgen::OperatorWeights;
+    use musa_mutation::Engine;
     use proptest::prelude::*;
+
+    fn context(bench: Benchmark, config: &ExperimentConfig) -> BenchContext {
+        BenchContext::new(bench.load().unwrap(), config)
+    }
 
     /// A synthetic outcome whose every field is derived from `k`, so
     /// repetitions are guaranteed to differ wherever aggregation must
@@ -717,31 +651,19 @@ mod tests {
     #[test]
     fn parallel_jobs_are_bit_identical_to_serial_on_c17_and_b01() {
         for bench in [Benchmark::C17, Benchmark::B01] {
-            let circuit = bench.load().unwrap();
-            let population = generate_mutants(
-                &circuit.checked,
-                &circuit.name,
-                &GenerateOptions::default(),
-            );
             let config = ExperimentConfig::fast(0xD0_0D);
-            let serial = run_sampling_experiment_on(
-                &circuit,
-                &population,
-                SamplingStrategy::random(0.4),
-                &config.with_jobs(1),
-            )
-            .unwrap();
-            for jobs in [2, 8] {
-                let parallel = run_sampling_experiment_on(
-                    &circuit,
-                    &population,
+            let run = |jobs: usize| {
+                run_sampling_experiment(
+                    &context(bench, &config.with_jobs(jobs)),
                     SamplingStrategy::random(0.4),
-                    &config.with_jobs(jobs),
                 )
-                .unwrap();
+                .unwrap()
+            };
+            let serial = run(1);
+            for jobs in [2, 8] {
                 assert_identical(
                     &serial,
-                    &parallel,
+                    &run(jobs),
                     &format!("{bench}: jobs=1 vs jobs={jobs}"),
                 );
             }
@@ -751,26 +673,14 @@ mod tests {
     #[test]
     fn lane_engine_outcome_is_bit_identical_to_scalar() {
         for bench in [Benchmark::C17, Benchmark::B01] {
-            let circuit = bench.load().unwrap();
-            let population = generate_mutants(
-                &circuit.checked,
-                &circuit.name,
-                &GenerateOptions::default(),
-            );
             let config = ExperimentConfig::fast(0xE6);
-            let scalar = run_sampling_experiment_on(
-                &circuit,
-                &population,
-                SamplingStrategy::random(0.4),
-                &config,
-            )
-            .unwrap();
+            let scalar =
+                run_sampling_experiment(&context(bench, &config), SamplingStrategy::random(0.4))
+                    .unwrap();
             for jobs in [1, 4] {
-                let lanes = run_sampling_experiment_on(
-                    &circuit,
-                    &population,
+                let lanes = run_sampling_experiment(
+                    &context(bench, &config.with_engine(Engine::Lanes).with_jobs(jobs)),
                     SamplingStrategy::random(0.4),
-                    &config.with_engine(Engine::Lanes).with_jobs(jobs),
                 )
                 .unwrap();
                 assert_identical(
@@ -785,18 +695,13 @@ mod tests {
     #[test]
     fn kill_results_are_identical_across_job_counts_on_b01_and_c17() {
         for bench in [Benchmark::B01, Benchmark::C17] {
-            let circuit = bench.load().unwrap();
-            let population = generate_mutants(
-                &circuit.checked,
-                &circuit.name,
-                &GenerateOptions::default(),
-            );
-            let info = circuit.checked.entity_info(&circuit.name).unwrap();
-            let sequence = musa_testgen::random_sequence(info, 24, 0xBEEF);
+            let ctx = context(bench, &ExperimentConfig::fast(0));
+            let (circuit, population) = (ctx.circuit(), ctx.population());
+            let sequence = musa_testgen::random_sequence(circuit.info(), 24, 0xBEEF);
             let serial = musa_mutation::execute_mutants(
                 &circuit.checked,
                 &circuit.name,
-                &population,
+                population,
                 &sequence,
             )
             .unwrap();
@@ -804,7 +709,7 @@ mod tests {
                 let sharded = musa_mutation::execute_mutants_jobs(
                     &circuit.checked,
                     &circuit.name,
-                    &population,
+                    population,
                     &sequence,
                     jobs,
                 )
@@ -844,13 +749,8 @@ mod tests {
 
     #[test]
     fn random_sampling_experiment_runs_on_c17() {
-        let c17 = Benchmark::C17.load().unwrap();
-        let outcome = run_sampling_experiment(
-            &c17,
-            SamplingStrategy::random(0.5),
-            &ExperimentConfig::fast(0x21),
-        )
-        .unwrap();
+        let ctx = context(Benchmark::C17, &ExperimentConfig::fast(0x21));
+        let outcome = run_sampling_experiment(&ctx, SamplingStrategy::random(0.5)).unwrap();
         assert_eq!(outcome.strategy, "random");
         assert!(outcome.population > 0);
         assert_eq!(
@@ -864,27 +764,9 @@ mod tests {
 
     #[test]
     fn full_fraction_scores_at_least_any_subset() {
-        let c17 = Benchmark::C17.load().unwrap();
-        let config = ExperimentConfig::fast(0x33);
-        let population = generate_mutants(
-            &c17.checked,
-            &c17.name,
-            &GenerateOptions::default(),
-        );
-        let all = run_sampling_experiment_on(
-            &c17,
-            &population,
-            SamplingStrategy::random(1.0),
-            &config,
-        )
-        .unwrap();
-        let tenth = run_sampling_experiment_on(
-            &c17,
-            &population,
-            SamplingStrategy::random(0.10),
-            &config,
-        )
-        .unwrap();
+        let ctx = context(Benchmark::C17, &ExperimentConfig::fast(0x33));
+        let all = run_sampling_experiment(&ctx, SamplingStrategy::random(1.0)).unwrap();
+        let tenth = run_sampling_experiment(&ctx, SamplingStrategy::random(0.10)).unwrap();
         assert!(
             all.mutation_score_pct + 1e-9 >= tenth.mutation_score_pct,
             "all={} tenth={}",
@@ -895,40 +777,17 @@ mod tests {
 
     #[test]
     fn strategies_share_the_population_and_budget() {
-        let c17 = Benchmark::C17.load().unwrap();
-        let config = ExperimentConfig::fast(0x44);
-        let population = generate_mutants(
-            &c17.checked,
-            &c17.name,
-            &GenerateOptions::default(),
-        );
-        let random = run_sampling_experiment_on(
-            &c17,
-            &population,
-            SamplingStrategy::random(0.25),
-            &config,
-        )
-        .unwrap();
-        let oriented = run_sampling_experiment_on(
-            &c17,
-            &population,
-            SamplingStrategy::test_oriented(0.25, OperatorWeights::new()),
-            &config,
-        )
-        .unwrap();
+        let ctx = context(Benchmark::C17, &ExperimentConfig::fast(0x44));
+        let (oriented, random) = compare_strategies(&ctx, 0.25, &OperatorWeights::new()).unwrap();
         assert_eq!(random.population, oriented.population);
         assert_eq!(random.sampled, oriented.sampled);
+        assert_eq!(oriented.strategy, "test-oriented");
     }
 
     #[test]
     fn sequential_circuit_experiment_runs() {
-        let b01 = Benchmark::B01.load().unwrap();
-        let outcome = run_sampling_experiment(
-            &b01,
-            SamplingStrategy::random(0.3),
-            &ExperimentConfig::fast(0x55),
-        )
-        .unwrap();
+        let ctx = context(Benchmark::B01, &ExperimentConfig::fast(0x55));
+        let outcome = run_sampling_experiment(&ctx, SamplingStrategy::random(0.3)).unwrap();
         assert!(outcome.mutation_score_pct > 0.0);
         assert!(outcome.data_len > 0);
     }

@@ -1,4 +1,4 @@
-//! Extension experiments E1–E4 (see `DESIGN.md` §1).
+//! Extension experiments E1–E4.
 //!
 //! The paper's own motivation (§1: validation-data reuse should cut
 //! ATPG effort; §5: "further experiments must be conducted") defines
@@ -11,22 +11,18 @@
 //!   without re-used validation data.
 //! * **E4** — equivalence-budget ablation: sensitivity of the Mutation
 //!   Score to the equivalent-mutant presumption budget.
+//!
+//! Each runs on one bench's [`BenchContext`].
 
-use crate::config::ExperimentConfig;
-use crate::data::{coverage_of_sessions, fault_universe, random_baseline_curve};
-use crate::experiment::{
-    class_table, kills_over_sessions, run_sampling_experiment_on, SamplingOutcome,
-};
-use crate::tables::TableError;
-use musa_circuits::{Benchmark, Circuit};
-use musa_mutation::{
-    generate_mutants, EquivalencePolicy, GenerateOptions, MutationScore,
-};
+use crate::context::BenchContext;
+use crate::data::{coverage_of_sessions, random_baseline_curve, sessions_to_patterns};
+use crate::experiment::{class_table, compare_strategies, kills_over_sessions, SamplingOutcome};
+use crate::profile::OperatorProfile;
+use musa_mutation::{EquivalencePolicy, MutationError, MutationOperator, MutationScore};
 use musa_netlist::{fault_simulate_sessions, Fault, Pattern};
 use musa_prng::{Prng, SplitMix64};
 use musa_testgen::{
-    atpg_all, lfsr_patterns, mutation_guided_tests, MgConfig, OperatorWeights, PodemResult,
-    SamplingStrategy,
+    atpg_all, lfsr_patterns, mutation_guided_tests, MgConfig, PodemResult, SamplingStrategy,
 };
 
 // ---------------------------------------------------------------------
@@ -44,53 +40,28 @@ pub struct SweepPoint {
     pub random: SamplingOutcome,
 }
 
-/// Runs E1 on one benchmark.
+/// Runs E1 on one bench: both strategies at every fraction, with the
+/// test-oriented weights of the bench's operator profile.
 ///
 /// # Errors
 ///
-/// Returns a [`TableError`] on load or mutation failures.
+/// Propagates [`MutationError`] from mutant execution.
 pub fn sweep_fractions(
-    bench: Benchmark,
+    ctx: &BenchContext,
     fractions: &[f64],
-    config: &ExperimentConfig,
-) -> Result<Vec<SweepPoint>, TableError> {
-    let circuit = bench.load()?;
-    let profile = crate::profile::OperatorProfile::measure(
-        &circuit,
-        &musa_mutation::MutationOperator::all(),
-        config,
-    )?;
-    let weights = profile.weights();
-    let population = generate_mutants(
-        &circuit.checked,
-        &circuit.name,
-        &GenerateOptions::default(),
-    );
-    let mut points = Vec::with_capacity(fractions.len());
-    for &fraction in fractions {
-        let test_oriented = run_sampling_experiment_on(
-            &circuit,
-            &population,
-            SamplingStrategy::test_oriented(fraction, weights_clone(&weights)),
-            config,
-        )?;
-        let random = run_sampling_experiment_on(
-            &circuit,
-            &population,
-            SamplingStrategy::random(fraction),
-            config,
-        )?;
-        points.push(SweepPoint {
-            fraction,
-            test_oriented,
-            random,
-        });
-    }
-    Ok(points)
-}
-
-fn weights_clone(w: &OperatorWeights) -> OperatorWeights {
-    w.clone()
+) -> Result<Vec<SweepPoint>, MutationError> {
+    let weights = OperatorProfile::measure(ctx, &MutationOperator::all())?.weights();
+    fractions
+        .iter()
+        .map(|&fraction| {
+            let (test_oriented, random) = compare_strategies(ctx, fraction, &weights)?;
+            Ok(SweepPoint {
+                fraction,
+                test_oriented,
+                random,
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -108,34 +79,24 @@ pub struct CurvePair {
     pub random: Vec<(usize, f64)>,
 }
 
-/// Runs E2 on one benchmark: generates validation data from the whole
-/// mutant population and samples both coverage curves.
+/// Runs E2 on one bench: generates validation data from the whole
+/// mutant population and samples both coverage curves. Both are fully
+/// simulated, since the samples read the curves' interior.
 ///
 /// # Errors
 ///
-/// Returns a [`TableError`] on load or mutation failures.
-pub fn coverage_curves(
-    bench: Benchmark,
-    points: usize,
-    config: &ExperimentConfig,
-) -> Result<CurvePair, TableError> {
-    let circuit = bench.load()?;
-    let faults = fault_universe(&circuit);
-    let population = generate_mutants(
-        &circuit.checked,
-        &circuit.name,
-        &GenerateOptions::default(),
-    );
+/// Propagates [`MutationError`] from mutant execution.
+pub fn coverage_curves(ctx: &BenchContext, points: usize) -> Result<CurvePair, MutationError> {
+    let (circuit, config) = (ctx.circuit(), ctx.config());
     let mg = MgConfig {
         seed: config.seed ^ 0xE2,
         ..config.mg
     };
-    let generated = mutation_guided_tests(&circuit.checked, &circuit.name, &population, &mg)
-        .map_err(TableError::from)?;
-    let mutation = coverage_of_sessions(&circuit, &faults, &generated.sessions);
+    let generated = mutation_guided_tests(&circuit.checked, &circuit.name, ctx.population(), &mg)?;
+    let mutation = coverage_of_sessions(circuit, ctx.faults(), &generated.sessions);
     let random = random_baseline_curve(
-        &circuit,
-        &faults,
+        circuit,
+        ctx.faults(),
         config.baseline_len(mutation.len()),
         config.seed ^ 0xE2E2,
     );
@@ -193,67 +154,37 @@ pub struct TopUpOutcome {
     pub final_coverage: f64,
 }
 
-/// Runs E3 on one *combinational* benchmark for all three modes.
+/// Runs E3 on one *combinational* bench for all three modes.
 ///
 /// # Errors
 ///
-/// Returns a [`TableError`] on load or mutation failures.
-///
-/// # Panics
-///
-/// Panics if the benchmark is sequential (PODEM is combinational; the
-/// paper's c432/c499 are the E3 targets).
-pub fn atpg_topup(
-    bench: Benchmark,
-    backtrack_limit: u64,
-    config: &ExperimentConfig,
-) -> Result<Vec<TopUpOutcome>, TableError> {
-    let circuit = bench.load()?;
-    atpg_topup_on(&circuit, backtrack_limit, config)
-}
-
-/// [`atpg_topup`] over an already-loaded circuit (spares the re-load
-/// when the caller has checked combinationality itself).
-///
-/// # Errors
-///
-/// Returns a [`TableError`] on mutation failures.
+/// Propagates [`MutationError`] from mutant execution.
 ///
 /// # Panics
 ///
 /// Panics if the circuit is sequential (PODEM is combinational; the
 /// paper's c432/c499 are the E3 targets).
-pub fn atpg_topup_on(
-    circuit: &Circuit,
+pub fn atpg_topup(
+    ctx: &BenchContext,
     backtrack_limit: u64,
-    config: &ExperimentConfig,
-) -> Result<Vec<TopUpOutcome>, TableError> {
+) -> Result<Vec<TopUpOutcome>, MutationError> {
+    let (circuit, config) = (ctx.circuit(), ctx.config());
     assert!(
         circuit.is_combinational(),
         "E3 targets combinational circuits"
     );
-    let faults = fault_universe(circuit);
     let mut seeder = SplitMix64::new(config.seed ^ 0xE3);
 
     // Validation data from the full mutant population.
-    let population = generate_mutants(
-        &circuit.checked,
-        &circuit.name,
-        &GenerateOptions::default(),
-    );
     let mg = MgConfig {
         seed: seeder.next_u64(),
         ..config.mg
     };
-    let generated = mutation_guided_tests(&circuit.checked, &circuit.name, &population, &mg)
-        .map_err(TableError::from)?;
-    let validation_patterns: Vec<Pattern> = crate::data::sessions_to_patterns(
-        circuit,
-        &generated.sessions,
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+    let generated = mutation_guided_tests(&circuit.checked, &circuit.name, ctx.population(), &mg)?;
+    let validation_patterns: Vec<Pattern> = sessions_to_patterns(circuit, &generated.sessions)
+        .into_iter()
+        .flatten()
+        .collect();
     let random_patterns = lfsr_patterns(
         circuit.netlist.inputs().len(),
         validation_patterns.len().max(1),
@@ -265,21 +196,19 @@ pub fn atpg_topup_on(
         (TopUpMode::RandomFirst, random_patterns),
         (TopUpMode::ValidationFirst, validation_patterns),
     ];
-    let mut outcomes = Vec::with_capacity(3);
-    for (mode, initial) in modes {
-        outcomes.push(top_up_once(circuit, &faults, mode, initial, backtrack_limit));
-    }
-    Ok(outcomes)
+    Ok(modes
+        .into_iter()
+        .map(|(mode, initial)| top_up_once(ctx, mode, initial, backtrack_limit))
+        .collect())
 }
 
 fn top_up_once(
-    circuit: &Circuit,
-    faults: &[Fault],
+    ctx: &BenchContext,
     mode: TopUpMode,
     initial: Vec<Pattern>,
     backtrack_limit: u64,
 ) -> TopUpOutcome {
-    let nl = &circuit.netlist;
+    let (nl, faults) = (&ctx.circuit().netlist, ctx.faults());
     let initial_vectors = initial.len();
     let after_initial = fault_simulate_sessions(nl, faults, &[initial]);
     let mut undetected: Vec<Fault> = after_initial.undetected();
@@ -340,26 +269,20 @@ pub struct AblationPoint {
     pub score: MutationScore,
 }
 
-/// Runs E4 on one benchmark: fixed validation data (random 10 % sample),
+/// Runs E4 on one bench: fixed validation data (random 10 % sample),
 /// varying equivalence budget.
 ///
 /// # Errors
 ///
-/// Returns a [`TableError`] on load or mutation failures.
+/// Propagates [`MutationError`] from mutant execution.
 pub fn equivalence_ablation(
-    bench: Benchmark,
+    ctx: &BenchContext,
     budgets: &[usize],
-    config: &ExperimentConfig,
-) -> Result<Vec<AblationPoint>, TableError> {
-    let circuit = bench.load()?;
-    let population = generate_mutants(
-        &circuit.checked,
-        &circuit.name,
-        &GenerateOptions::default(),
-    );
+) -> Result<Vec<AblationPoint>, MutationError> {
+    let (circuit, population, config) = (ctx.circuit(), ctx.population(), ctx.config());
     let mut seeder = SplitMix64::new(config.seed ^ 0xE4);
     let selected = musa_testgen::sample_mutants(
-        &population,
+        population,
         &SamplingStrategy::random(0.10),
         seeder.next_u64(),
     );
@@ -368,52 +291,47 @@ pub fn equivalence_ablation(
         seed: seeder.next_u64(),
         ..config.mg
     };
-    let generated = mutation_guided_tests(&circuit.checked, &circuit.name, &subset, &mg)
-        .map_err(TableError::from)?;
+    let generated = mutation_guided_tests(&circuit.checked, &circuit.name, &subset, &mg)?;
     // The ablation varies the *classification budget*; screening would
     // remove exactly the mutants whose class the budget decides, so the
     // whole population runs unscreened here.
-    let kills = kills_over_sessions(
-        &circuit,
-        &population,
-        &generated.sessions,
-        config.jobs,
-        config.engine,
-        config.opt,
-        None,
-    )?;
+    let kills = kills_over_sessions(ctx, &generated.sessions, config.jobs, None)?;
 
     let survivors = kills.alive();
-    let mut points = Vec::with_capacity(budgets.len());
-    for &budget in budgets {
-        let mut cfg = *config;
-        cfg.equivalence = EquivalencePolicy {
-            budget,
-            ..config.equivalence
-        };
-        let classes = class_table(&circuit, &population, &[&survivors], &cfg, None)?;
-        let score = MutationScore::from_results(&kills, &classes);
-        points.push(AblationPoint {
-            budget,
-            equivalent: score.equivalent,
-            score,
-        });
-    }
-    Ok(points)
+    budgets
+        .iter()
+        .map(|&budget| {
+            let policy = EquivalencePolicy {
+                budget,
+                ..config.equivalence
+            };
+            let classes = class_table(ctx, &[&survivors], &policy, None)?;
+            let score = MutationScore::from_results(&kills, &classes);
+            Ok(AblationPoint {
+                budget,
+                equivalent: score.equivalent,
+                score,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
+    use musa_circuits::Benchmark;
+
+    fn c17(seed: u64) -> BenchContext {
+        BenchContext::new(
+            Benchmark::C17.load().unwrap(),
+            &ExperimentConfig::fast(seed),
+        )
+    }
 
     #[test]
     fn e1_sweep_runs_and_counts_scale() {
-        let points = sweep_fractions(
-            Benchmark::C17,
-            &[0.2, 1.0],
-            &ExperimentConfig::fast(0xE1),
-        )
-        .unwrap();
+        let points = sweep_fractions(&c17(0xE1), &[0.2, 1.0]).unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[0].test_oriented.sampled < points[1].test_oriented.sampled);
         assert_eq!(points[1].test_oriented.sampled, points[1].random.sampled);
@@ -421,7 +339,7 @@ mod tests {
 
     #[test]
     fn e2_curves_have_samples() {
-        let pair = coverage_curves(Benchmark::C17, 16, &ExperimentConfig::fast(0xE2)).unwrap();
+        let pair = coverage_curves(&c17(0xE2), 16).unwrap();
         assert_eq!(pair.circuit, "c17");
         assert!(!pair.mutation.is_empty());
         assert!(!pair.random.is_empty());
@@ -431,8 +349,7 @@ mod tests {
 
     #[test]
     fn e3_validation_first_reduces_effort() {
-        let outcomes =
-            atpg_topup(Benchmark::C17, 10_000, &ExperimentConfig::fast(0xE3)).unwrap();
+        let outcomes = atpg_topup(&c17(0xE3), 10_000).unwrap();
         assert_eq!(outcomes.len(), 3);
         let scratch = &outcomes[0];
         let validation = &outcomes[2];
@@ -449,12 +366,7 @@ mod tests {
 
     #[test]
     fn e4_ablation_is_monotone_in_budget() {
-        let points = equivalence_ablation(
-            Benchmark::C17,
-            &[10, 500],
-            &ExperimentConfig::fast(0xE4),
-        )
-        .unwrap();
+        let points = equivalence_ablation(&c17(0xE4), &[10, 500]).unwrap();
         assert_eq!(points.len(), 2);
         // More budget can only reduce (or keep) the equivalent count:
         // survivors get more chances to be killed in classification.

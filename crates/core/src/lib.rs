@@ -2,21 +2,23 @@
 //!
 //! The paper's contribution, end to end:
 //!
-//! 1. [`OperatorProfile::measure`] — per-operator stuck-at efficiency
+//! 1. [`BenchContext`] — one circuit's shared state, derived once per
+//!    bench: the mutant population, the collapsed fault list, the
+//!    dominance plan and the static screen;
+//! 2. [`OperatorProfile::measure`] — per-operator stuck-at efficiency
 //!    (`ΔFC%`, `ΔL%`, `NLFCE`): **Table 1**;
-//! 2. [`OperatorProfile::weights`] — efficiency weights for the
+//! 3. [`OperatorProfile::weights`] — efficiency weights for the
 //!    test-oriented sampler;
-//! 3. [`run_sampling_experiment`] — sample → generate validation data →
-//!    Mutation Score on the full population + gate-level NLFCE:
-//!    **Table 2**;
-//! 4. [`Table1`] / [`Table2`] — drivers that regenerate the paper's
-//!    tables on the benchmark suite;
+//! 4. [`run_sampling_experiment`] — sample → generate validation data →
+//!    Mutation Score on the full population + gate-level NLFCE;
+//!    [`Table2Row::measure`] runs it for both strategies: **Table 2**;
 //! 5. extension experiments [`sweep_fractions`] (E1),
 //!    [`coverage_curves`] (E2), [`atpg_topup`] (E3) and
 //!    [`equivalence_ablation`] (E4);
 //! 6. the [`Campaign`] builder — the typed front door every CLI caller
-//!    routes through: validate once, run any [`Task`], get a [`Report`]
-//!    with run metadata, a stable text rendering and JSON;
+//!    routes through: validate once, run any [`Task`] over a list of
+//!    benches, get a [`Report`] with run metadata, a stable text
+//!    rendering and JSON;
 //! 7. the benchmark trajectory ([`run_bench`], `musa bench`) — a fixed
 //!    grid of timed workloads summarized with robust statistics,
 //!    emitted as `musa.bench.v1` JSON and regression-gated against
@@ -33,12 +35,11 @@
 //!
 //! ```
 //! use musa_circuits::Benchmark;
-//! use musa_core::{run_sampling_experiment, ExperimentConfig};
+//! use musa_core::{run_sampling_experiment, BenchContext, ExperimentConfig};
 //! use musa_testgen::SamplingStrategy;
 //!
-//! let circuit = Benchmark::C17.load()?;
-//! let config = ExperimentConfig::fast(0xC0FFEE);
-//! let outcome = run_sampling_experiment(&circuit, SamplingStrategy::random(0.5), &config)?;
+//! let ctx = BenchContext::new(Benchmark::C17.load()?, &ExperimentConfig::fast(0xC0FFEE));
+//! let outcome = run_sampling_experiment(&ctx, SamplingStrategy::random(0.5))?;
 //! println!(
 //!     "MS = {:.2}%  NLFCE = {:+.0}  ({} vectors)",
 //!     outcome.mutation_score_pct, outcome.nlfce, outcome.data_len
@@ -52,6 +53,7 @@
 pub mod bench_task;
 pub mod campaign;
 mod config;
+mod context;
 mod data;
 mod experiment;
 mod extensions;
@@ -73,22 +75,21 @@ pub use campaign::{
     MgOutcome, Preset, Report, ReportData, RunMeta, Task, DEFAULT_SEED,
 };
 pub use config::ExperimentConfig;
+pub use context::BenchContext;
 pub use json::Json;
 pub use lint_task::{
     lint_bench, lint_report_json, lint_source, render_lint_text, total_findings,
     LintFindingRow, LintRow, LINT_SCHEMA,
 };
 pub use data::{
-    coverage_of_sessions, coverage_of_sessions_reduced, fault_universe, random_baseline_curve,
-    reduced_universe, sessions_to_patterns, FaultSimStats,
+    coverage_of_sessions, coverage_of_sessions_reduced, random_baseline_curve,
+    sessions_to_patterns, FaultSimStats,
 };
-pub use experiment::{
-    run_sampling_experiment, run_sampling_experiment_on, SamplingAggregate, SamplingOutcome,
-};
+pub use experiment::{run_sampling_experiment, SamplingAggregate, SamplingOutcome};
 pub use parallel::{available_jobs, par_map, resolve_jobs, split_jobs, try_par_map};
 pub use extensions::{
-    atpg_topup, atpg_topup_on, coverage_curves, equivalence_ablation, sweep_fractions,
-    AblationPoint, CurvePair, SweepPoint, TopUpMode, TopUpOutcome,
+    atpg_topup, coverage_curves, equivalence_ablation, sweep_fractions, AblationPoint, CurvePair,
+    SweepPoint, TopUpMode, TopUpOutcome,
 };
 pub use profile::{OperatorEfficiency, OperatorProfile};
 pub use trace_report::{

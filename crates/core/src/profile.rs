@@ -6,16 +6,12 @@
 //! `NLFCE` (paper §3). The resulting profile drives the test-oriented
 //! sampling weights (paper §4).
 
-use crate::config::ExperimentConfig;
-use crate::data::{
-    coverage_of_sessions, coverage_of_sessions_reduced, fault_universe, random_baseline_curve,
-    reduced_universe, FaultSimStats,
-};
+use crate::context::BenchContext;
+use crate::data::{random_baseline_curve, FaultSimStats};
 use crate::experiment::SamplingAggregate;
 use crate::parallel::try_par_map;
-use musa_circuits::Circuit;
 use musa_metrics::{Nlfce, NlfceInputs};
-use musa_mutation::{generate_mutants, GenerateOptions, Mutant, MutationError, MutationOperator};
+use musa_mutation::{Mutant, MutationError, MutationOperator};
 use musa_prng::{Prng, SplitMix64};
 use musa_testgen::{mutation_guided_tests, MgConfig, OperatorWeights};
 
@@ -33,7 +29,7 @@ pub struct OperatorEfficiency {
     /// The paper's three metrics versus the pseudo-random baseline.
     pub metrics: Nlfce,
     /// Lane occupancy of the mutation-data fault simulation (see
-    /// [`ExperimentConfig::fault_reduce`]).
+    /// [`crate::ExperimentConfig::fault_reduce`]).
     pub fault_sim: FaultSimStats,
 }
 
@@ -48,7 +44,8 @@ pub struct OperatorProfile {
 }
 
 impl OperatorProfile {
-    /// Measures the given operators on a circuit.
+    /// Measures the given operators on a bench, each on its view of
+    /// the bench's population ([`BenchContext::operator_population`]).
     ///
     /// Operators with an empty mutant population are omitted — the paper
     /// notes "all mutation operators are not necessarily applied on
@@ -58,18 +55,14 @@ impl OperatorProfile {
     ///
     /// Propagates [`MutationError`] from mutant execution.
     pub fn measure(
-        circuit: &Circuit,
+        ctx: &BenchContext,
         operators: &[MutationOperator],
-        config: &ExperimentConfig,
     ) -> Result<Self, MutationError> {
-        let faults = fault_universe(circuit);
-        let reduction = config
-            .fault_reduce
-            .then(|| reduced_universe(circuit, &faults));
+        let (circuit, config) = (ctx.circuit(), ctx.config());
         let mut seeder = SplitMix64::new(config.seed ^ 0x9E3779B97F4A7C15);
         let repetitions = config.repetitions.max(1);
 
-        // Enumerate mutants serially, then pre-draw every repetition's
+        // Take each operator's mutants, then pre-draw every repetition's
         // (data, baseline) seed pair in exactly the order the serial
         // loop consumed them — operator-major, repetition-minor, empty
         // operators drawing nothing. The flattened (operator ×
@@ -82,11 +75,7 @@ impl OperatorProfile {
         let mut populations: Vec<(MutationOperator, Vec<Mutant>)> = Vec::new();
         let mut cells: Vec<Cell> = Vec::new();
         for &operator in operators {
-            let mutants = generate_mutants(
-                &circuit.checked,
-                &circuit.name,
-                &GenerateOptions::only(operator),
-            );
+            let mutants = ctx.operator_population(operator);
             if mutants.is_empty() {
                 continue;
             }
@@ -114,18 +103,10 @@ impl OperatorProfile {
             };
             let generated =
                 mutation_guided_tests(&circuit.checked, &circuit.name, mutants, &mg)?;
-            let (mutation_curve, fault_sim) = match &reduction {
-                Some(reduction) => {
-                    coverage_of_sessions_reduced(circuit, reduction, &generated.sessions)
-                }
-                None => (
-                    coverage_of_sessions(circuit, &faults, &generated.sessions),
-                    FaultSimStats::full(faults.len()),
-                ),
-            };
+            let (mutation_curve, fault_sim) = ctx.data_coverage(&generated.sessions);
             let baseline_len = config.baseline_len(mutation_curve.len());
             let random_curve =
-                random_baseline_curve(circuit, &faults, baseline_len, cell.baseline_seed);
+                random_baseline_curve(circuit, ctx.faults(), baseline_len, cell.baseline_seed);
             let metrics = NlfceInputs {
                 mutation: &mutation_curve,
                 random: &random_curve,
@@ -181,7 +162,7 @@ impl OperatorProfile {
                         reps.iter().map(|r| r.fault_sim.faults_simulated).sum(),
                         reps.len(),
                     ),
-                    faults_total: faults.len(),
+                    faults_total: ctx.faults().len(),
                 },
             });
         }
@@ -211,17 +192,18 @@ impl OperatorProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
     use musa_circuits::Benchmark;
+
+    /// The profile of `operators` on c17 under `config`.
+    fn c17_profile(operators: &[MutationOperator], config: &ExperimentConfig) -> OperatorProfile {
+        let ctx = BenchContext::new(Benchmark::C17.load().unwrap(), config);
+        OperatorProfile::measure(&ctx, operators).unwrap()
+    }
 
     #[test]
     fn profile_covers_applicable_operators() {
-        let c17 = Benchmark::C17.load().unwrap();
-        let profile = OperatorProfile::measure(
-            &c17,
-            &MutationOperator::all(),
-            &ExperimentConfig::fast(0xAB),
-        )
-        .unwrap();
+        let profile = c17_profile(&MutationOperator::all(), &ExperimentConfig::fast(0xAB));
         assert_eq!(profile.circuit, "c17");
         // c17 has NAND logic and variables, but no relational/arith ops
         // and no constant declarations: LOR/VR/UOI… apply, ROR/AOR don't.
@@ -237,13 +219,10 @@ mod tests {
 
     #[test]
     fn weights_are_positive_and_reflect_nlfce() {
-        let c17 = Benchmark::C17.load().unwrap();
-        let profile = OperatorProfile::measure(
-            &c17,
+        let profile = c17_profile(
             &[MutationOperator::Lor, MutationOperator::Vr],
             &ExperimentConfig::fast(0xCD),
-        )
-        .unwrap();
+        );
         let weights = profile.weights();
         for row in &profile.rows {
             assert!(weights.weight(row.operator) >= 1.0);
@@ -252,10 +231,9 @@ mod tests {
 
     #[test]
     fn profile_is_deterministic() {
-        let c17 = Benchmark::C17.load().unwrap();
         let config = ExperimentConfig::fast(0x11);
-        let p1 = OperatorProfile::measure(&c17, &[MutationOperator::Lor], &config).unwrap();
-        let p2 = OperatorProfile::measure(&c17, &[MutationOperator::Lor], &config).unwrap();
+        let p1 = c17_profile(&[MutationOperator::Lor], &config);
+        let p2 = c17_profile(&[MutationOperator::Lor], &config);
         assert_eq!(p1.rows[0].data_len, p2.rows[0].data_len);
         assert_eq!(p1.rows[0].metrics.nlfce, p2.rows[0].metrics.nlfce);
     }
@@ -263,13 +241,10 @@ mod tests {
     #[test]
     fn profile_is_bit_identical_across_engines() {
         use musa_mutation::Engine;
-        let c17 = Benchmark::C17.load().unwrap();
         let config = ExperimentConfig::fast(0x3C);
         let operators = [MutationOperator::Lor, MutationOperator::Vr];
-        let scalar = OperatorProfile::measure(&c17, &operators, &config).unwrap();
-        let lanes =
-            OperatorProfile::measure(&c17, &operators, &config.with_engine(Engine::Lanes))
-                .unwrap();
+        let scalar = c17_profile(&operators, &config);
+        let lanes = c17_profile(&operators, &config.with_engine(Engine::Lanes));
         assert_eq!(
             format!("{:?}", scalar.rows),
             format!("{:?}", lanes.rows),
@@ -279,14 +254,11 @@ mod tests {
 
     #[test]
     fn profile_is_bit_identical_for_every_job_count() {
-        let c17 = Benchmark::C17.load().unwrap();
         let config = ExperimentConfig::fast(0x2B);
         let operators = [MutationOperator::Lor, MutationOperator::Vr];
-        let serial =
-            OperatorProfile::measure(&c17, &operators, &config.with_jobs(1)).unwrap();
+        let serial = c17_profile(&operators, &config.with_jobs(1));
         for jobs in [2, 8] {
-            let parallel =
-                OperatorProfile::measure(&c17, &operators, &config.with_jobs(jobs)).unwrap();
+            let parallel = c17_profile(&operators, &config.with_jobs(jobs));
             assert_eq!(
                 format!("{:?}", serial.rows),
                 format!("{:?}", parallel.rows),

@@ -1,15 +1,14 @@
-//! Drivers that regenerate the paper's two tables.
+//! The paper's two tables, assembled from per-bench measurements.
 
-use crate::config::ExperimentConfig;
-use crate::experiment::{run_sampling_experiment_on, SamplingOutcome};
+use crate::context::BenchContext;
+use crate::experiment::{compare_strategies, SamplingOutcome};
 use crate::profile::OperatorProfile;
-use musa_circuits::{Benchmark, CircuitError};
+use musa_circuits::CircuitError;
 use musa_metrics::{f2, signed0, Align, Table};
-use musa_mutation::{generate_mutants, GenerateOptions, MutationError, MutationOperator};
-use musa_testgen::SamplingStrategy;
+use musa_mutation::{MutationError, MutationOperator};
 use std::fmt;
 
-/// Errors from the table drivers.
+/// Why one bench of a campaign failed.
 #[derive(Debug)]
 pub enum TableError {
     /// A benchmark failed to load (packaging bug).
@@ -66,35 +65,23 @@ pub struct Table1 {
 }
 
 impl Table1 {
-    /// Measures operator efficiency on the given circuits (paper:
-    /// b01, b03, c432, c499 with operators LOR/VR/CVR/CR).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TableError`] if a circuit fails to load or mutation
-    /// execution fails.
-    pub fn measure(
-        benchmarks: &[Benchmark],
-        operators: &[MutationOperator],
-        config: &ExperimentConfig,
-    ) -> Result<Self, TableError> {
-        let mut rows = Vec::new();
-        let mut profiles = Vec::new();
-        for &bench in benchmarks {
-            let circuit = bench.load()?;
-            let profile = OperatorProfile::measure(&circuit, operators, config)?;
-            for r in &profile.rows {
-                rows.push(Table1Row {
-                    circuit: circuit.name.clone(),
+    /// Table 1 from per-circuit operator profiles (paper: b01, b03,
+    /// c432, c499 with operators LOR/VR/CVR/CR), one row per profiled
+    /// operator in circuit-major order.
+    pub fn from_profiles(profiles: Vec<OperatorProfile>) -> Self {
+        let rows = profiles
+            .iter()
+            .flat_map(|profile| {
+                profile.rows.iter().map(|r| Table1Row {
+                    circuit: profile.circuit.clone(),
                     operator: r.operator,
                     delta_fc_pct: r.metrics.delta_fc_pct,
                     delta_l_pct: r.metrics.delta_l_pct,
                     nlfce: r.metrics.nlfce,
-                });
-            }
-            profiles.push(profile);
-        }
-        Ok(Self { rows, profiles })
+                })
+            })
+            .collect();
+        Self { rows, profiles }
     }
 
     /// Renders the table in the paper's layout.
@@ -139,53 +126,27 @@ pub struct Table2 {
     pub rows: Vec<Table2Row>,
 }
 
-impl Table2 {
-    /// Compares the two sampling strategies at the given fraction
-    /// (paper: 10 %), deriving test-oriented weights from a fresh
-    /// operator profile per circuit.
+impl Table2Row {
+    /// Compares the two sampling strategies on one bench at the given
+    /// fraction (paper: 10 %), deriving the test-oriented weights from
+    /// the bench's operator profile over every operator.
     ///
     /// # Errors
     ///
-    /// Returns a [`TableError`] if a circuit fails to load or mutation
-    /// execution fails.
-    pub fn measure(
-        benchmarks: &[Benchmark],
-        fraction: f64,
-        config: &ExperimentConfig,
-    ) -> Result<Self, TableError> {
-        let mut rows = Vec::new();
-        for &bench in benchmarks {
-            let circuit = bench.load()?;
-            let profile =
-                OperatorProfile::measure(&circuit, &MutationOperator::all(), config)?;
-            let weights = profile.weights();
-            let population = generate_mutants(
-                &circuit.checked,
-                &circuit.name,
-                &GenerateOptions::default(),
-            );
-            let test_oriented = run_sampling_experiment_on(
-                &circuit,
-                &population,
-                SamplingStrategy::test_oriented(fraction, weights),
-                config,
-            )?;
-            let random = run_sampling_experiment_on(
-                &circuit,
-                &population,
-                SamplingStrategy::random(fraction),
-                config,
-            )?;
-            rows.push(Table2Row {
-                circuit: circuit.name.clone(),
-                sampled: test_oriented.sampled,
-                test_oriented,
-                random,
-            });
-        }
-        Ok(Self { rows })
+    /// Propagates [`MutationError`] from mutant execution.
+    pub fn measure(ctx: &BenchContext, fraction: f64) -> Result<Self, MutationError> {
+        let profile = OperatorProfile::measure(ctx, &MutationOperator::all())?;
+        let (test_oriented, random) = compare_strategies(ctx, fraction, &profile.weights())?;
+        Ok(Self {
+            circuit: ctx.circuit().name.clone(),
+            sampled: test_oriented.sampled,
+            test_oriented,
+            random,
+        })
     }
+}
 
+impl Table2 {
     /// Renders the table in the paper's layout.
     pub fn render(&self) -> String {
         let mut table = Table::new(vec![
@@ -213,16 +174,21 @@ impl Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
+    use musa_circuits::Benchmark;
+
+    fn c17(config: &ExperimentConfig) -> BenchContext {
+        BenchContext::new(Benchmark::C17.load().unwrap(), config)
+    }
 
     #[test]
     fn table1_fast_on_c17() {
-        let t = Table1::measure(
-            &[Benchmark::C17],
-            &[MutationOperator::Lor, MutationOperator::Vr],
-            &ExperimentConfig::fast(0x71),
-        )
-        .unwrap();
-        assert!(!t.rows.is_empty());
+        let ctx = c17(&ExperimentConfig::fast(0x71));
+        let profile =
+            OperatorProfile::measure(&ctx, &[MutationOperator::Lor, MutationOperator::Vr]).unwrap();
+        let t = Table1::from_profiles(vec![profile]);
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.profiles.len(), 1);
         let rendered = t.render();
         assert!(rendered.contains("c17"));
         assert!(rendered.contains("LOR"));
@@ -231,11 +197,10 @@ mod tests {
 
     #[test]
     fn table2_fast_on_c17() {
-        let t = Table2::measure(&[Benchmark::C17], 0.5, &ExperimentConfig::fast(0x72)).unwrap();
-        assert_eq!(t.rows.len(), 1);
-        let row = &t.rows[0];
+        let row = Table2Row::measure(&c17(&ExperimentConfig::fast(0x72)), 0.5).unwrap();
         assert_eq!(row.test_oriented.sampled, row.random.sampled);
-        let rendered = t.render();
+        assert_eq!(row.sampled, row.test_oriented.sampled);
+        let rendered = Table2 { rows: vec![row] }.render();
         assert!(rendered.contains("TO MS%"));
         assert!(rendered.contains("c17"));
     }

@@ -8,7 +8,7 @@
 //! c432).
 
 use musa_circuits::Benchmark;
-use musa_core::{ExperimentConfig, Table1, Table2};
+use musa_core::{Campaign, ExperimentConfig, ReportData, Table1, Table2, Task};
 use musa_mutation::MutationOperator;
 use musa_netlist::{
     collapsed_faults, fault_simulate_sessions, fault_simulate_sessions_reduced, reduce_faults,
@@ -96,22 +96,46 @@ fn b03_and_c432_strictly_reduce_the_simulated_lane_count() {
     }
 }
 
+/// Runs `task` on `benches` through the campaign front door, with
+/// `config` taken as-is.
+fn run(benches: &[Benchmark], config: ExperimentConfig, task: Task) -> ReportData {
+    Campaign::new(benches[0])
+        .benches(benches)
+        .config(config)
+        .task(task)
+        .run()
+        .unwrap()
+        .data
+}
+
+fn table1(
+    benches: &[Benchmark],
+    operators: &[MutationOperator],
+    config: ExperimentConfig,
+) -> Table1 {
+    let task = Task::Table1 {
+        operators: operators.to_vec(),
+    };
+    let ReportData::Table1(table) = run(benches, config, task) else {
+        unreachable!()
+    };
+    table
+}
+
+fn table2(benches: &[Benchmark], fraction: f64, config: ExperimentConfig) -> Table2 {
+    let ReportData::Table2(table) = run(benches, config, Task::Table2 { fraction }) else {
+        unreachable!()
+    };
+    table
+}
+
 #[test]
 fn table1_is_bit_identical_with_reduction_on_and_off() {
     let operators = [MutationOperator::Lor, MutationOperator::Vr];
     let config = ExperimentConfig::fast(0x7AB1E);
-    let on = Table1::measure(
-        &[Benchmark::C17, Benchmark::B01],
-        &operators,
-        &config.with_fault_reduce(true),
-    )
-    .unwrap();
-    let off = Table1::measure(
-        &[Benchmark::C17, Benchmark::B01],
-        &operators,
-        &config.with_fault_reduce(false),
-    )
-    .unwrap();
+    let benches = [Benchmark::C17, Benchmark::B01];
+    let on = table1(&benches, &operators, config.with_fault_reduce(true));
+    let off = table1(&benches, &operators, config.with_fault_reduce(false));
     // Everything except the lane-occupancy report must match bitwise
     // (Debug round-trips f64 exactly).
     assert_eq!(format!("{:?}", on.rows), format!("{:?}", off.rows));
@@ -128,18 +152,9 @@ fn table2_is_bit_identical_with_reduction_on_and_off_on_b03_and_c432() {
     // sane; the identity claim is config-independent.
     let mut config = ExperimentConfig::fast(0x7AB2E);
     config.repetitions = 1;
-    let on = Table2::measure(
-        &[Benchmark::B03, Benchmark::C432],
-        0.25,
-        &config.with_fault_reduce(true),
-    )
-    .unwrap();
-    let off = Table2::measure(
-        &[Benchmark::B03, Benchmark::C432],
-        0.25,
-        &config.with_fault_reduce(false),
-    )
-    .unwrap();
+    let benches = [Benchmark::B03, Benchmark::C432];
+    let on = table2(&benches, 0.25, config.with_fault_reduce(true));
+    let off = table2(&benches, 0.25, config.with_fault_reduce(false));
     for (row_on, row_off) in on.rows.iter().zip(&off.rows) {
         assert_eq!(row_on.circuit, row_off.circuit);
         assert_eq!(row_on.sampled, row_off.sampled);

@@ -8,7 +8,10 @@
 //!
 //! It exists so that the `musa` workspace can mutate and simulate
 //! *high-level* circuit descriptions, exactly as the DATE'05 paper mutates
-//! VHDL — see the workspace `DESIGN.md` for the substitution rationale.
+//! VHDL. MiniHDL keeps the constructs the ten VHDL mutation operators
+//! rewrite (logical, relational and arithmetic operators, names,
+//! constants, conditions and statements) without the cost of a full VHDL
+//! front end, and it is small enough to synthesize in-tree.
 //!
 //! The crate provides the full front-end plus a cycle-based simulator:
 //!

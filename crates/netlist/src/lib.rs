@@ -10,7 +10,9 @@
 //! kept as the reference model the engines are tested against.
 //!
 //! This replaces the commercial gate-level flow the DATE'05 paper relied
-//! on — see the workspace `DESIGN.md` §3 for the substitution notes.
+//! on. The paper's metrics (`ΔFC%`, `ΔL%`, `NLFCE`) read single stuck-at
+//! coverage curves, which any exact fault simulator yields; the numbers
+//! depend on the netlists, not on the tool that grades them.
 //!
 //! # Example: fault coverage of random patterns on c17
 //!

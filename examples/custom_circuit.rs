@@ -7,7 +7,7 @@
 //! ```
 
 use musa::circuits::Circuit;
-use musa::core::{run_sampling_experiment, ExperimentConfig};
+use musa::core::{run_sampling_experiment, BenchContext, ExperimentConfig};
 use musa::hdl::{Bits, Simulator};
 use musa::netlist::good_outputs;
 use musa::prng::{Prng, SplitMix64};
@@ -75,8 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cross-simulation: 100 cycles, behavioral == gates");
 
     // 3. Reuse: the paper's sampling experiment on the custom circuit.
-    let config = ExperimentConfig::fast(0x06A1);
-    let outcome = run_sampling_experiment(&circuit, SamplingStrategy::random(0.25), &config)?;
+    let ctx = BenchContext::new(circuit, &ExperimentConfig::fast(0x06A1));
+    let outcome = run_sampling_experiment(&ctx, SamplingStrategy::random(0.25))?;
     println!(
         "validation reuse: {} of {} mutants sampled -> {} vectors, MS = {:.2}%, NLFCE = {:+.0}",
         outcome.sampled,

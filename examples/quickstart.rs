@@ -9,8 +9,8 @@
 //! strategies at a 10 % mutant budget.
 
 use musa::circuits::Benchmark;
-use musa::core::{run_sampling_experiment_on, ExperimentConfig, OperatorProfile};
-use musa::mutation::{generate_mutants, GenerateOptions, MutationOperator};
+use musa::core::{run_sampling_experiment, BenchContext, ExperimentConfig, OperatorProfile};
+use musa::mutation::MutationOperator;
 use musa::testgen::SamplingStrategy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,10 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.netlist.dff_count()
     );
 
-    let config = ExperimentConfig::fast(0x5EED);
+    // The circuit's mutant population and fault list, derived once and
+    // shared by every experiment below.
+    let ctx = BenchContext::new(circuit, &ExperimentConfig::fast(0x5EED));
 
     // 1. Operator-efficiency profile (paper Table 1, one circuit).
-    let profile = OperatorProfile::measure(&circuit, &MutationOperator::paper_set(), &config)?;
+    let profile = OperatorProfile::measure(&ctx, &MutationOperator::paper_set())?;
     println!("\nOperator efficiency (ΔFC%, ΔL%, NLFCE):");
     for row in &profile.rows {
         println!(
@@ -38,14 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. Sampling-strategy face-off (paper Table 2, one circuit).
-    let population = generate_mutants(&circuit.checked, &circuit.name, &GenerateOptions::default());
-    println!("\nFull mutant population: {}", population.len());
+    println!("\nFull mutant population: {}", ctx.population().len());
     let weights = profile.weights();
     for strategy in [
         SamplingStrategy::test_oriented(0.10, weights),
         SamplingStrategy::random(0.10),
     ] {
-        let outcome = run_sampling_experiment_on(&circuit, &population, strategy, &config)?;
+        let outcome = run_sampling_experiment(&ctx, strategy)?;
         println!(
             "  {:<13}: {} mutants -> {} vectors, MS = {:.2}%, NLFCE = {:+.0}",
             outcome.strategy,

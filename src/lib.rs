@@ -22,8 +22,10 @@
 //! * [`circuits`] — behavioral re-implementations of the paper's benchmark
 //!   circuits (ITC'99 b01/b03, ISCAS'85 c432/c499, and friends);
 //! * [`metrics`] — MS, coverage curves, ΔFC%, ΔL% and NLFCE;
-//! * [`core`] — the paper's pipeline: operator-efficiency profiling, the
-//!   test-oriented sampling experiments (Tables 1 and 2) and the
+//! * [`core`] — the paper's pipeline: the per-bench
+//!   [`BenchContext`](musa_core::BenchContext) every experiment shares,
+//!   operator-efficiency profiling, the test-oriented sampling
+//!   experiments (Tables 1 and 2) and the
 //!   [`Campaign`](musa_core::Campaign) front door with typed,
 //!   JSON-serializable reports;
 //! * [`store`] — the content-addressed campaign result store
@@ -37,13 +39,12 @@
 //!
 //! ```
 //! use musa::circuits::Benchmark;
-//! use musa::core::{ExperimentConfig, run_sampling_experiment};
+//! use musa::core::{run_sampling_experiment, BenchContext, ExperimentConfig};
 //! use musa::testgen::SamplingStrategy;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let circuit = Benchmark::B01.load()?;
-//! let config = ExperimentConfig::fast(0xC0FFEE);
-//! let outcome = run_sampling_experiment(&circuit, SamplingStrategy::random(0.10), &config)?;
+//! let ctx = BenchContext::new(Benchmark::B01.load()?, &ExperimentConfig::fast(0xC0FFEE));
+//! let outcome = run_sampling_experiment(&ctx, SamplingStrategy::random(0.10))?;
 //! println!("MS = {:.2}%  NLFCE = {:+.0}", outcome.mutation_score_pct, outcome.nlfce);
 //! # Ok(())
 //! # }

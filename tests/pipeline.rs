@@ -3,21 +3,30 @@
 
 use musa::circuits::Benchmark;
 use musa::core::{
-    run_sampling_experiment_on, ExperimentConfig, OperatorProfile, Table1, Table2,
+    run_sampling_experiment, BenchContext, Campaign, ExperimentConfig, OperatorProfile, ReportData,
+    Table2Row, Task,
 };
-use musa::mutation::{generate_mutants, GenerateOptions, MutationOperator};
+use musa::mutation::MutationOperator;
 use musa::netlist::write_bench;
 use musa::synth::synthesize;
 use musa::testgen::SamplingStrategy;
 
+fn context(bench: Benchmark, config: &ExperimentConfig) -> BenchContext {
+    BenchContext::new(bench.load().expect("benchmark loads"), config)
+}
+
 #[test]
 fn table1_runs_on_a_paper_circuit() {
-    let table = Table1::measure(
-        &[Benchmark::B01],
-        &MutationOperator::paper_set(),
-        &ExperimentConfig::fast(0x1A),
-    )
-    .expect("table 1 must run");
+    let report = Campaign::new(Benchmark::B01)
+        .config(ExperimentConfig::fast(0x1A))
+        .task(Task::Table1 {
+            operators: MutationOperator::paper_set().to_vec(),
+        })
+        .run()
+        .expect("table 1 must run");
+    let ReportData::Table1(table) = &report.data else {
+        unreachable!()
+    };
     // All four paper operators apply to b01.
     assert_eq!(table.rows.len(), 4);
     for row in &table.rows {
@@ -32,9 +41,11 @@ fn table1_runs_on_a_paper_circuit() {
 
 #[test]
 fn table2_strategies_share_budget_and_score_sanely() {
-    let table = Table2::measure(&[Benchmark::C17], 0.25, &ExperimentConfig::fast(0x2B))
-        .expect("table 2 must run");
-    let row = &table.rows[0];
+    let row = Table2Row::measure(
+        &context(Benchmark::C17, &ExperimentConfig::fast(0x2B)),
+        0.25,
+    )
+    .expect("table 2 must run");
     assert_eq!(row.test_oriented.sampled, row.random.sampled);
     for outcome in [&row.test_oriented, &row.random] {
         assert!(outcome.mutation_score_pct > 0.0);
@@ -46,52 +57,22 @@ fn table2_strategies_share_budget_and_score_sanely() {
 
 #[test]
 fn profile_weights_feed_sampling() {
-    let circuit = Benchmark::C17.load().expect("benchmark loads");
-    let config = ExperimentConfig::fast(0x3C);
-    let profile = OperatorProfile::measure(&circuit, &MutationOperator::all(), &config)
-        .expect("profiling runs");
+    let ctx = context(Benchmark::C17, &ExperimentConfig::fast(0x3C));
+    let profile = OperatorProfile::measure(&ctx, &MutationOperator::all()).expect("profiling runs");
     assert!(!profile.rows.is_empty());
     let weights = profile.weights();
-    let population = generate_mutants(
-        &circuit.checked,
-        &circuit.name,
-        &GenerateOptions::default(),
-    );
-    let outcome = run_sampling_experiment_on(
-        &circuit,
-        &population,
-        SamplingStrategy::test_oriented(0.20, weights),
-        &config,
-    )
-    .expect("experiment runs");
+    let outcome = run_sampling_experiment(&ctx, SamplingStrategy::test_oriented(0.20, weights))
+        .expect("experiment runs");
     assert_eq!(outcome.strategy, "test-oriented");
     assert!(outcome.sampled > 0);
-    assert!(outcome.sampled < population.len());
+    assert!(outcome.sampled < ctx.population().len());
 }
 
 #[test]
 fn growing_the_sample_never_hurts_the_mean_score() {
-    let circuit = Benchmark::C17.load().expect("benchmark loads");
-    let config = ExperimentConfig::fast(0x4D);
-    let population = generate_mutants(
-        &circuit.checked,
-        &circuit.name,
-        &GenerateOptions::default(),
-    );
-    let small = run_sampling_experiment_on(
-        &circuit,
-        &population,
-        SamplingStrategy::random(0.10),
-        &config,
-    )
-    .unwrap();
-    let full = run_sampling_experiment_on(
-        &circuit,
-        &population,
-        SamplingStrategy::random(1.0),
-        &config,
-    )
-    .unwrap();
+    let ctx = context(Benchmark::C17, &ExperimentConfig::fast(0x4D));
+    let small = run_sampling_experiment(&ctx, SamplingStrategy::random(0.10)).unwrap();
+    let full = run_sampling_experiment(&ctx, SamplingStrategy::random(1.0)).unwrap();
     assert!(
         full.mutation_score_pct + 1e-9 >= small.mutation_score_pct,
         "full {} < small {}",
@@ -103,13 +84,13 @@ fn growing_the_sample_never_hurts_the_mean_score() {
 #[test]
 fn pipeline_is_deterministic_per_seed() {
     let config = ExperimentConfig::fast(0x5E);
-    let a = Table2::measure(&[Benchmark::C17], 0.25, &config).unwrap();
-    let b = Table2::measure(&[Benchmark::C17], 0.25, &config).unwrap();
+    let a = Table2Row::measure(&context(Benchmark::C17, &config), 0.25).unwrap();
+    let b = Table2Row::measure(&context(Benchmark::C17, &config), 0.25).unwrap();
     assert_eq!(
-        a.rows[0].test_oriented.mutation_score_pct,
-        b.rows[0].test_oriented.mutation_score_pct
+        a.test_oriented.mutation_score_pct,
+        b.test_oriented.mutation_score_pct
     );
-    assert_eq!(a.rows[0].random.nlfce, b.rows[0].random.nlfce);
+    assert_eq!(a.random.nlfce, b.random.nlfce);
 }
 
 #[test]

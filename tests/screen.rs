@@ -5,7 +5,7 @@
 //! * **bit-identity** — screening on vs off yields identical sampling
 //!   outcomes (kills, MS, NLFCE, every reported number) on every
 //!   bundled benchmark, and identical Table 1 / Table 2 renders. The
-//!   Table 2 rows *are* `run_sampling_experiment_on` outcomes, so the
+//!   Table 2 rows *are* `run_sampling_experiment` outcomes, so the
 //!   all-bench outcome sweep is the table-level guarantee;
 //! * **usefulness** — the screen proves at least one equivalent on b01
 //!   (the `if rst = 1` width-1 relational site), so the knob is
@@ -13,7 +13,9 @@
 
 use musa::analysis::screen_population;
 use musa::circuits::Benchmark;
-use musa::core::{ExperimentConfig, Table1, Table2, run_sampling_experiment_on};
+use musa::core::{
+    run_sampling_experiment, BenchContext, Campaign, ExperimentConfig, ReportData, Task,
+};
 use musa::hdl::Bits;
 use musa::mutation::{
     execute_mutants_jobs, generate_mutants, GenerateOptions, Mutant, MutationOperator,
@@ -90,18 +92,16 @@ fn b01_static_screen_proves_equivalents() {
 /// its rows are exactly these outcomes.
 #[test]
 fn sampling_outcomes_are_identical_with_screen_on_and_off() {
-    for (circuit, population) in circuits() {
+    for (circuit, _) in circuits() {
         let seed = 0x5C_4EE0 ^ circuit.name.len() as u64;
         let on_cfg = ExperimentConfig::fast(seed).with_screen(true);
         let off_cfg = ExperimentConfig::fast(seed).with_screen(false);
-        let on = run_sampling_experiment_on(
-            circuit, population, SamplingStrategy::random(0.3), &on_cfg,
-        )
-        .expect("experiment runs");
-        let off = run_sampling_experiment_on(
-            circuit, population, SamplingStrategy::random(0.3), &off_cfg,
-        )
-        .expect("experiment runs");
+        let run = |config: &ExperimentConfig| {
+            let ctx = BenchContext::new(circuit.clone(), config);
+            run_sampling_experiment(&ctx, SamplingStrategy::random(0.3)).expect("experiment runs")
+        };
+        let on = run(&on_cfg);
+        let off = run(&off_cfg);
         assert_eq!(off.screened, 0, "{}: off must not screen", circuit.name);
         let mut masked = on.clone();
         masked.screened = 0;
@@ -117,14 +117,27 @@ fn sampling_outcomes_are_identical_with_screen_on_and_off() {
 #[test]
 fn table_renders_are_identical_with_screen_on_and_off() {
     let benches = [Benchmark::C17, Benchmark::B01];
+    let render = |config: ExperimentConfig, task: Task| {
+        let report = Campaign::new(benches[0])
+            .benches(&benches)
+            .config(config)
+            .task(task)
+            .run()
+            .unwrap();
+        match &report.data {
+            ReportData::Table1(table) => table.render(),
+            ReportData::Table2(table) => table.render(),
+            _ => unreachable!(),
+        }
+    };
     let on_cfg = ExperimentConfig::fast(0x7AB1E).with_screen(true);
     let off_cfg = on_cfg.with_screen(false);
-    let t1_on = Table1::measure(&benches, &MutationOperator::paper_set(), &on_cfg).unwrap();
-    let t1_off = Table1::measure(&benches, &MutationOperator::paper_set(), &off_cfg).unwrap();
-    assert_eq!(t1_on.render(), t1_off.render());
-    let t2_on = Table2::measure(&benches, 0.25, &on_cfg).unwrap();
-    let t2_off = Table2::measure(&benches, 0.25, &off_cfg).unwrap();
-    assert_eq!(t2_on.render(), t2_off.render());
+    let table1 = || Task::Table1 {
+        operators: MutationOperator::paper_set().to_vec(),
+    };
+    assert_eq!(render(on_cfg, table1()), render(off_cfg, table1()));
+    let table2 = Task::Table2 { fraction: 0.25 };
+    assert_eq!(render(on_cfg, table2.clone()), render(off_cfg, table2));
 }
 
 proptest! {

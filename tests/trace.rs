@@ -11,7 +11,7 @@ use musa::core::{
 use musa::mutation::{execute_mutants_lanes_opts, generate_mutants, GenerateOptions, LaneOptions};
 use musa::netlist::{collapsed_faults, fault_simulate};
 use musa::testgen::{lfsr_patterns, random_sequence};
-use musa::trace::{TraceData, Tracer};
+use musa::trace::{SpanRecord, TraceData, Tracer};
 use std::process::{Command, Output};
 
 fn musa_bin(args: &[&str]) -> Output {
@@ -184,6 +184,60 @@ fn fsim_gate_evals_shows_the_cone_pruning_on_c432() {
     let (gates, batches) = (nl.gate_count() as u64, patterns.len().div_ceil(64) as u64);
     assert!(evals >= gates * batches, "{evals}");
     assert!(evals < gates * faults.len() as u64 * batches, "{evals}");
+}
+
+/// The `detail` of the `bench` span enclosing `span`, following parent
+/// links across fork boundaries.
+fn enclosing_bench<'a>(data: &'a TraceData, span: &'a SpanRecord) -> Option<&'a str> {
+    let mut current = span;
+    while current.name != "bench" {
+        let parent_seq = current.parent_seq?;
+        // A context's top-level span is parented in the forking context.
+        let path = match current.depth {
+            0 => &current.path[..current.path.len().checked_sub(2)?],
+            _ => &current.path[..],
+        };
+        current = data
+            .spans
+            .iter()
+            .find(|s| s.path == path && s.seq == parent_seq)?;
+    }
+    current.detail.as_deref()
+}
+
+#[test]
+fn table2_derives_each_bench_state_once() {
+    // Both strategies and the operator profile share one bench's
+    // population, fault plan and screen: one `setup` per bench, and
+    // every `fault_plan`/`screen` span inside it.
+    let benches = [Benchmark::C17, Benchmark::B01];
+    let report = Campaign::new(benches[0])
+        .benches(&benches)
+        .config(one_rep_config())
+        .trace(true)
+        .task(Task::Table2 { fraction: 0.10 })
+        .run()
+        .unwrap();
+    let data = report.trace.expect("tracing was enabled");
+    for name in ["setup", "fault_plan", "screen"] {
+        let per_bench: Vec<Option<&str>> = data
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| enclosing_bench(&data, s))
+            .collect();
+        assert_eq!(per_bench, [Some("c17"), Some("b01")], "{name} spans");
+    }
+    for setup in data.spans.iter().filter(|s| s.name == "setup") {
+        let nested = |name: &str| {
+            data.spans
+                .iter()
+                .filter(|s| s.name == name && s.path == setup.path)
+                .filter(|s| s.parent_seq == Some(setup.seq))
+                .count()
+        };
+        assert_eq!((nested("fault_plan"), nested("screen")), (1, 1));
+    }
 }
 
 // ---------------------------------------------------------------------
