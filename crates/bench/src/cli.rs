@@ -13,8 +13,8 @@
 use musa_circuits::Benchmark;
 use musa_core::{
     bench_history_json, chrome_json, compare, next_bench_path, render_bench_history,
-    render_profile, trace_json, BenchReport, Campaign, CampaignError, ComparePolicy,
-    ExperimentConfig, Report, ReportData, Task, DEFAULT_BENCHES, DEFAULT_SEED,
+    render_profile, trace_json, BenchReport, Campaign, CampaignError, ComparePolicy, Report,
+    ReportData, Task, DEFAULT_BENCHES, DEFAULT_SEED,
 };
 use musa_mutation::{Engine, MutationOperator, OptLevel};
 
@@ -398,23 +398,6 @@ options (shared by every musa_bench experiment binary):
                 std::process::exit(2);
             }
         }
-    }
-
-    /// The experiment configuration these options select (kept for
-    /// callers that drive `musa_core` directly rather than through
-    /// [`drive`]).
-    pub fn config(&self) -> ExperimentConfig {
-        let config = if self.fast {
-            ExperimentConfig::fast(self.seed)
-        } else {
-            ExperimentConfig::paper(self.seed)
-        };
-        config
-            .with_jobs(self.jobs)
-            .with_engine(self.engine)
-            .with_fault_reduce(self.fault_reduce)
-            .with_screen(self.screen)
-            .with_opt(self.opt)
     }
 }
 
@@ -947,6 +930,7 @@ impl Bin {
             .jobs(opts.jobs)
             .engine(opts.engine)
             .fault_reduce(opts.fault_reduce)
+            .screen(opts.screen)
             .opt(opts.opt)
             .trace(opts.trace.wants_trace())
             .task(self.task(opts.fast));
@@ -1018,6 +1002,11 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The configuration a bench binary actually runs with `opts`.
+    fn config(opts: &CliOptions) -> musa_core::ExperimentConfig {
+        Bin::Table2.campaign(opts).plan().unwrap().config
+    }
+
     #[test]
     fn default_options() {
         let opts = CliOptions {
@@ -1032,7 +1021,7 @@ mod tests {
             opt: OptLevel::Full,
             trace: TraceOpts::default(),
         };
-        let cfg = opts.config();
+        let cfg = config(&opts);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.jobs, 0, "0 = one worker per available CPU");
     }
@@ -1051,7 +1040,7 @@ mod tests {
             opt: OptLevel::Full,
             trace: TraceOpts::default(),
         };
-        assert_eq!(opts.config().jobs, 3);
+        assert_eq!(config(&opts).jobs, 3);
     }
 
     #[test]
@@ -1068,7 +1057,7 @@ mod tests {
             opt: OptLevel::Full,
             trace: TraceOpts::default(),
         };
-        let cfg = opts.config();
+        let cfg = config(&opts);
         assert_eq!(cfg.engine, Engine::Lanes);
         assert_eq!(cfg.mg.engine, Engine::Lanes);
     }
@@ -1142,7 +1131,7 @@ mod tests {
             opt: OptLevel::Full,
             trace: TraceOpts::default(),
         };
-        assert!(!opts.config().fault_reduce);
+        assert!(!config(&opts).fault_reduce);
         let args =
             SampleArgs::parse(&strings(&["c17", "--fault-reduce", "off"])).unwrap();
         assert!(!args.fault_reduce);
@@ -1180,7 +1169,7 @@ mod tests {
             opt: OptLevel::Full,
             trace: TraceOpts::default(),
         };
-        assert!(!opts.config().screen);
+        assert!(!config(&opts).screen);
         let args = SampleArgs::parse(&strings(&["c17", "--screen", "off"])).unwrap();
         assert!(!args.screen);
         assert!(
@@ -1206,7 +1195,7 @@ mod tests {
             );
         }
         let opts = CliOptions { opt: OptLevel::Off, ..CliOptions::default() };
-        let cfg = opts.config();
+        let cfg = config(&opts);
         assert_eq!(cfg.opt, OptLevel::Off);
         assert_eq!(cfg.mg.opt, OptLevel::Off, "--opt must reach generation too");
         let args = SampleArgs::parse(&strings(&["c17", "--opt", "off"])).unwrap();

@@ -1,7 +1,7 @@
 //! Experiment configuration shared by every pipeline stage.
 
 use musa_mutation::{Engine, EquivalencePolicy, OptLevel};
-use musa_testgen::{MgConfig, Selection};
+use musa_testgen::MgConfig;
 
 /// Knobs of the end-to-end experiments.
 ///
@@ -76,7 +76,6 @@ impl ExperimentConfig {
                 pool_size: 32,
                 subseq_len: 16,
                 max_rounds: 2,
-                selection: Selection::FirstCome,
                 seed,
                 engine: Engine::default(),
                 opt: OptLevel::default(),

@@ -12,8 +12,8 @@ use crate::data::{random_baseline_curve, FaultSimStats};
 use crate::parallel::{par_map, split_jobs, try_par_map};
 use musa_metrics::{Nlfce, NlfceInputs};
 use musa_mutation::{
-    classify_mutants_jobs, execute_mutants_engine_opt, survivor_class, EquivalenceClass,
-    EquivalencePolicy, KillResult, Mutant, MutationError, MutationScore,
+    classify_mutants_jobs, first_kills_over, survivor_class, EquivalenceClass, EquivalencePolicy,
+    KillResult, LaneOptions, Mutant, MutationError, MutationScore,
 };
 use musa_prng::{Prng, SplitMix64};
 use musa_testgen::{
@@ -415,47 +415,44 @@ impl SamplingAggregate {
     }
 }
 
-/// Executes the bench's whole population against multi-session data
-/// with fault dropping across sessions, sharding each session's live
-/// mutants (or lane groups, on the lane engine) across `jobs` worker
-/// threads. Mutants flagged in `screened` are statically proven
-/// unkillable and never occupy a simulation slot (their `first_kill`
-/// stays `None`, exactly as exhaustive execution would leave it).
+/// Executes the bench's whole population against multi-session data,
+/// one [`first_kills_over`] sweep with the sessions in order: a mutant
+/// killed by one session is not simulated again, and `first_kill`
+/// indexes the concatenated data. `jobs` shards each session's live
+/// mutants (or lane groups, on the lane engine) across worker threads.
+/// Mutants flagged in `screened` are statically proven unkillable and
+/// never occupy a simulation slot (their `first_kill` stays `None`,
+/// exactly as exhaustive execution would leave it).
 pub(crate) fn kills_over_sessions(
     ctx: &BenchContext,
     sessions: &[musa_mutation::TestSequence],
     jobs: usize,
     screened: Option<&[bool]>,
 ) -> Result<KillResult, MutationError> {
-    let (circuit, population, config) = (ctx.circuit(), ctx.population(), ctx.config());
-    let mut first_kill: Vec<Option<usize>> = vec![None; population.len()];
-    let mut base = 0usize;
-    for session in sessions {
-        let live: Vec<usize> = (0..population.len())
-            .filter(|&i| first_kill[i].is_none() && !screened.is_some_and(|m| m[i]))
-            .collect();
-        if live.is_empty() {
-            base += session.len();
-            continue;
-        }
-        let subset: Vec<Mutant> = live.iter().map(|&i| population[i].clone()).collect();
-        let result = execute_mutants_engine_opt(
-            &circuit.checked,
-            &circuit.name,
-            &subset,
-            session,
-            jobs,
-            config.engine,
-            config.opt,
-        )?;
-        for (slot, &mi) in live.iter().enumerate() {
-            if let Some(t) = result.first_kill[slot] {
-                first_kill[mi] = Some(base + t);
-            }
-        }
-        base += session.len();
-    }
-    Ok(KillResult { first_kill })
+    let (circuit, config) = (ctx.circuit(), ctx.config());
+    let kills = first_kills_over(
+        &circuit.checked,
+        &circuit.name,
+        ctx.population(),
+        sessions,
+        screened,
+        config.engine,
+        &LaneOptions::default().with_jobs(jobs).with_opt(config.opt),
+    )?;
+    let starts: Vec<usize> = sessions
+        .iter()
+        .scan(0, |offset, session| {
+            let start = *offset;
+            *offset += session.len();
+            Some(start)
+        })
+        .collect();
+    Ok(KillResult {
+        first_kill: kills
+            .into_iter()
+            .map(|kill| kill.map(|(session, t)| starts[session] + t))
+            .collect(),
+    })
 }
 
 /// The equivalence class under `policy` of every mutant that survives

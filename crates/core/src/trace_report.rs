@@ -105,7 +105,7 @@ fn span_json(span: &SpanRecord, normalize_times: bool) -> Json {
         ("depth", Json::count(span.depth as usize)),
         (
             "parent_seq",
-            Json::opt_count(span.parent_seq.map(|s| s as usize)),
+            Json::opt_count(span.parent.as_ref().map(|&(_, seq)| seq as usize)),
         ),
         ("start_ns", Json::UInt(start_ns)),
         ("dur_ns", Json::UInt(dur_ns)),
@@ -248,7 +248,7 @@ struct PhaseRow {
 ///
 /// `busy ms` is each phase's *self* time — span duration minus the
 /// durations of its child spans (children in forked contexts are
-/// attributed through their `parent_seq` link) — summed over every
+/// attributed through their recorded parent key) — summed over every
 /// span with that name across all worker threads. Busy time measures
 /// thread-occupancy, so with `--jobs N` it can exceed wall time; the
 /// `wall ms` column scales each phase's busy share to the run's
@@ -327,20 +327,13 @@ pub fn render_profile_data(trace: &TraceData, wall: std::time::Duration) -> Stri
 /// durations), sorted by self time descending then name.
 fn aggregate_self_time(trace: &TraceData) -> Vec<PhaseRow> {
     // Key every span by (context path, seq) — unique by construction —
-    // and charge each span's duration to its parent, whether the parent
-    // sits in the same context (depth > 0) or two path elements up (a
-    // forked context's top-level span).
+    // and charge each span's duration to the parent key it recorded,
+    // however many fork levels up that parent sits.
     let mut child_ns: BTreeMap<(&[u32], u32), u64> = BTreeMap::new();
     for span in &trace.spans {
-        let Some(parent_seq) = span.parent_seq else {
-            continue;
-        };
-        let parent_path = if span.depth > 0 {
-            span.path.as_slice()
-        } else {
-            &span.path[..span.path.len().saturating_sub(2)]
-        };
-        *child_ns.entry((parent_path, parent_seq)).or_insert(0) += span.dur_ns;
+        if let Some((path, seq)) = &span.parent {
+            *child_ns.entry((path.as_slice(), *seq)).or_insert(0) += span.dur_ns;
+        }
     }
     let mut by_name: BTreeMap<&'static str, PhaseRow> = BTreeMap::new();
     for span in &trace.spans {
@@ -375,7 +368,7 @@ mod tests {
         path: &[u32],
         seq: u32,
         depth: u32,
-        parent_seq: Option<u32>,
+        parent: Option<(&[u32], u32)>,
         start_ns: u64,
         dur_ns: u64,
     ) -> SpanRecord {
@@ -385,7 +378,7 @@ mod tests {
             path: path.to_vec(),
             seq,
             depth,
-            parent_seq,
+            parent: parent.map(|(path, seq)| (path.to_vec(), seq)),
             start_ns,
             dur_ns,
         }
@@ -414,11 +407,11 @@ mod tests {
         TraceData {
             spans: vec![
                 record("campaign", &[], 0, 0, None, 0, 100_000_000),
-                record("bench", &[], 1, 1, Some(0), 1_000, 90_000_000),
+                record("bench", &[], 1, 1, Some((&[], 0)), 1_000, 90_000_000),
                 // Two forked children of the bench span, overlapping in
                 // time as parallel workers would.
-                record("work", &[2, 0], 0, 0, Some(1), 2_000, 60_000_000),
-                record("work", &[2, 1], 0, 0, Some(1), 2_000, 60_000_000),
+                record("work", &[2, 0], 0, 0, Some((&[], 1)), 2_000, 60_000_000),
+                record("work", &[2, 1], 0, 0, Some((&[], 1)), 2_000, 60_000_000),
             ],
             counters: vec![("lane_passes", 12), ("screened", 3)],
         }

@@ -11,26 +11,24 @@
 //!   sequences from reset for sequential designs); survivors are
 //!   *presumed* equivalent.
 //!
-//! Classification runs on the bit-parallel [`crate::lanes`] engine: the
-//! population is compiled into a [`LanePlan`] and swept through the
-//! policy's sequences in order, each sweep costing `⌈N/63⌉` passes at
-//! most. A live mask carries the undecided mutants from one sequence to
-//! the next ([`LanePlan::first_kills_live`]): a mutant killed by an
-//! earlier sequence drops out of every later scan, and a lane group with
-//! nothing left undecided is skipped without recompiling. Once the
-//! undecided mutants would fit in half of the plan's groups (typically
-//! after the first sequence has killed the easy ones), they are
-//! repacked into a fresh, smaller plan for the remaining sequences.
-//! Because every lane is bit-identical to a scalar run of its mutant,
-//! the classes — and the error reported for a mutant that cannot be
-//! applied — are exactly those of the scalar one-mutant-at-a-time loop,
-//! which is kept in this module's tests as the differential oracle.
+//! Classification is one [`first_kills_over`] sweep on the bit-parallel
+//! lane engine through the policy's sequences, in order: a mutant
+//! killed by an earlier sequence drops out of every later one, lane
+//! groups with nothing left undecided are skipped without recompiling,
+//! and the undecided mutants are repacked into a smaller plan once they
+//! fit in half of its groups. Because every lane is bit-identical to a
+//! scalar run of its mutant, the classes — and the error reported for
+//! a mutant that cannot be applied — are exactly those of the scalar
+//! one-mutant-at-a-time loop, which is kept in this module's tests as
+//! the differential oracle.
 //!
 //! The experiment crate's E4 ablation quantifies how the budget choice
 //! perturbs the Mutation Score.
 
-use crate::lanes::{LaneOptions, LanePlan, MAX_LANES};
+use crate::execute::Engine;
+use crate::lanes::LaneOptions;
 use crate::mutant::{Mutant, MutationError};
+use crate::sweep::first_kills_over;
 use musa_hdl::{Bits, CheckedDesign, EntityInfo};
 use musa_prng::{Prng, SplitMix64};
 
@@ -133,41 +131,20 @@ pub fn classify_mutants_jobs(
         return Ok(Vec::new());
     }
     let exhaustive = info.is_combinational() && info.input_bits() <= policy.exhaustive_limit;
-    let options = LaneOptions::default().with_jobs(jobs);
     let sequences = build_sequences(info, policy, exhaustive);
-    // `undecided[i]`: mutant `i` has survived every sequence so far.
-    let mut undecided = vec![true; mutants.len()];
-    let mut next = 0;
-    while next < sequences.len() {
-        // Pack the undecided mutants into as few lane groups as they
-        // need; the live mask retires kills within the plan until half
-        // its groups would hold every mutant still undecided.
-        let members: Vec<usize> = (0..mutants.len()).filter(|&i| undecided[i]).collect();
-        if members.is_empty() {
-            break;
-        }
-        let packed: Vec<Mutant> = members.iter().map(|&i| mutants[i].clone()).collect();
-        let plan = LanePlan::new(checked, entity, &packed, &options)?;
-        let mut live = vec![true; packed.len()];
-        while next < sequences.len() {
-            let (kills, _) = plan.first_kills_live(&sequences[next], &live)?;
-            next += 1;
-            for (flag, kill) in live.iter_mut().zip(&kills.first_kill) {
-                *flag &= kill.is_none();
-            }
-            let remaining = live.iter().filter(|&&l| l).count();
-            if remaining == 0 || 2 * remaining.div_ceil(MAX_LANES) <= plan.group_count() {
-                break;
-            }
-        }
-        for (&i, &alive) in members.iter().zip(&live) {
-            undecided[i] = alive;
-        }
-    }
+    let kills = first_kills_over(
+        checked,
+        entity,
+        mutants,
+        &sequences,
+        None,
+        Engine::Lanes,
+        &LaneOptions::default().with_jobs(jobs),
+    )?;
     let survivor = survivor_class(info, policy);
-    Ok(undecided
+    Ok(kills
         .into_iter()
-        .map(|survived| if survived { survivor } else { EquivalenceClass::Killable })
+        .map(|kill| if kill.is_some() { EquivalenceClass::Killable } else { survivor })
         .collect())
 }
 
@@ -251,6 +228,7 @@ mod tests {
     use super::*;
     use crate::execute::{execute_mutants_jobs, reference_transcript, run_one};
     use crate::generate::{generate_mutants, GenerateOptions};
+    use crate::lanes::MAX_LANES;
     use crate::mutant::{MutantId, Rewrite};
     use crate::operator::MutationOperator;
     use musa_hdl::ast::{BinOp, Expr, NodeId};

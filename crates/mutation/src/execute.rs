@@ -19,10 +19,12 @@ use std::sync::Mutex;
 /// (even stillborn) mutants while the lane engine is built for
 /// validated populations.
 ///
-/// The knob (`--engine`) selects the engine of the kill phase and of
-/// mutation-guided generation only: equivalence classification
-/// ([`crate::classify_mutants`]) always runs on the lane engine, whose
-/// classes match the scalar classifier's exactly.
+/// Every grading stage dispatches on it through one function,
+/// [`crate::first_kills_over`]. The knob (`--engine`) selects the engine
+/// of the kill phase and of mutation-guided generation only:
+/// equivalence classification ([`crate::classify_mutants`]) always runs
+/// on the lane engine, whose classes match the scalar classifier's
+/// exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum Engine {
     /// One full `Simulator` pass per mutant, early-exiting at its first
@@ -283,7 +285,8 @@ pub fn execute_mutants_engine(
     execute_mutants_engine_opt(checked, entity, mutants, sequence, jobs, engine, OptLevel::Full)
 }
 
-/// [`execute_mutants_engine`] with an explicit lane-tape [`OptLevel`].
+/// [`execute_mutants_engine`] with an explicit lane-tape [`OptLevel`]:
+/// the one-sequence case of [`crate::first_kills_over`].
 /// Bit-identical across opt levels (and engines — the scalar engine has
 /// no tapes to optimize and ignores the knob).
 ///
@@ -300,17 +303,16 @@ pub fn execute_mutants_engine_opt(
     engine: Engine,
     opt: OptLevel,
 ) -> Result<KillResult, MutationError> {
-    match engine {
-        Engine::Scalar => execute_mutants_jobs(checked, entity, mutants, sequence, jobs),
-        Engine::Lanes => crate::lanes::execute_mutants_lanes_opts(
-            checked,
-            entity,
-            mutants,
-            sequence,
-            &crate::lanes::LaneOptions::default().with_jobs(jobs).with_opt(opt),
-        )
-        .map(|(kills, _)| kills),
-    }
+    let kills = crate::sweep::first_kills_over(
+        checked,
+        entity,
+        mutants,
+        &[sequence],
+        None,
+        engine,
+        &crate::lanes::LaneOptions::default().with_jobs(jobs).with_opt(opt),
+    )?;
+    Ok(KillResult { first_kill: kills.into_iter().map(|kill| kill.map(|(_, t)| t)).collect() })
 }
 
 /// `0` means one worker per available CPU; anything else is literal.

@@ -13,6 +13,14 @@
 //! groups shard across worker threads, so lanes compose multiplicatively
 //! with `jobs`.
 //!
+//! First kills are the only thing the engine reports: a lane retires at
+//! its first differing cycle, and a group stops once all its lanes have.
+//! A [`LanePlan`] compiles a population once and runs it against any
+//! number of sequences, with a live mask that skips mutants already
+//! decided. [`crate::first_kills_over`] is the one sweep built on it;
+//! classification, the kill phase and test generation all go through
+//! that sweep.
+//!
 //! Results are **bit-identical** to the scalar engine
 //! ([`crate::execute_mutants_jobs`]) for every lane count and job
 //! count. Mutants the tape cannot represent (an unknown site, a rewrite
@@ -33,7 +41,7 @@ mod verify;
 use crate::execute::{reference_transcript, run_one, try_shard, KillResult, OptLevel};
 use crate::mutant::{Mutant, MutationError};
 use compile::{compile_group, BaseCompile, CompileError, Compiled, Executable};
-use musa_hdl::{Bits, CheckedDesign, Simulator};
+use musa_hdl::{Bits, CheckedDesign};
 use tape::{LaneVm, LANES};
 
 /// Maximum number of mutants per simulation pass (lane 0 is the
@@ -78,7 +86,7 @@ impl LaneOptions {
         self
     }
 
-    fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes_per_pass.clamp(1, MAX_LANES)
     }
 }
@@ -155,34 +163,15 @@ pub fn execute_mutants_lanes_opts(
     LanePlan::new(checked, entity, mutants, options)?.first_kills(sequence)
 }
 
-/// Full kill matrix on the lane engine: `rows[mutant][t]` is `true`
-/// when the mutant's outputs differ from the reference at cycle `t`.
-/// No early exit — every cycle is graded (the mutation-guided
-/// generator's combinational path consumes whole rows).
-///
-/// # Errors
-///
-/// Propagates [`MutationError`] exactly as the scalar engine does.
-pub fn kill_rows_lanes(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    sequence: &[Vec<Bits>],
-    options: &LaneOptions,
-) -> Result<Vec<Vec<bool>>, MutationError> {
-    LanePlan::new(checked, entity, mutants, options)?
-        .kill_rows(sequence)
-        .map(|(rows, _)| rows)
-}
-
 /// A population compiled once and executable against **any number of
 /// test sequences** — the compiled-tape cache behind the lane engine.
 ///
-/// [`execute_mutants_lanes`] / [`kill_rows_lanes`] compile the
-/// population's lane groups and throw the tapes away after one
-/// sequence. Callers that grade the *same* population against many
-/// sequences — the mutation-guided generator's candidate pools, custom
-/// sweeps — build one `LanePlan` instead and amortise compilation:
+/// [`execute_mutants_lanes`] compiles the population's lane groups and
+/// throws the tapes away after one sequence. Grading the *same*
+/// population against many sequences — what
+/// [`crate::first_kills_over`] does for classification, the kill phase
+/// and test generation — takes one `LanePlan` instead and amortises
+/// compilation:
 ///
 /// * the group-independent *reference prefix* (read-dependency sets,
 ///   base evaluation order, power-on lanes) is computed **once per
@@ -352,30 +341,6 @@ impl<'a> LanePlan<'a> {
         Ok((KillResult { first_kill }, stats))
     }
 
-    /// Full kill matrix, exactly like [`kill_rows_lanes`], re-using the
-    /// compiled tapes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MutationError`] exactly as the scalar engine does.
-    pub fn kill_rows(
-        &self,
-        sequence: &[Vec<Bits>],
-    ) -> Result<(Vec<Vec<bool>>, LaneStats), MutationError> {
-        let reference = self.reference_if_needed(sequence, |_| true)?;
-        let per_group = try_shard(self.jobs, self.groups.len(), |i| {
-            self.run_rows(&self.groups[i], sequence, reference.as_deref())
-        })?;
-        let mut rows = Vec::with_capacity(self.mutants.len());
-        let mut stats = LaneStats::default();
-        for (group_rows, group_stats) in per_group {
-            rows.extend(group_rows);
-            stats.absorb(group_stats);
-        }
-        stats.emit();
-        Ok((rows, stats))
-    }
-
     /// The scalar reference transcript, computed **once per sequence**
     /// and shared by every group that needs a scalar fallback (the old
     /// per-group path recomputed it in each such group). Only fallbacks
@@ -477,62 +442,6 @@ impl<'a> LanePlan<'a> {
             }
         }
     }
-
-    fn run_rows(
-        &self,
-        group: &PlanGroup,
-        sequence: &[Vec<Bits>],
-        reference: Option<&[Vec<Bits>]>,
-    ) -> Result<(Vec<Vec<bool>>, LaneStats), MutationError> {
-        match group {
-            PlanGroup::ScalarOne { slot } => {
-                let _trace = musa_trace::span("scalar_fallback");
-                let stats =
-                    LaneStats { passes: 1, steps: sequence.len(), ..LaneStats::default() };
-                let reference = reference.expect("scalar groups force a reference");
-                let row =
-                    scalar_row(self.checked, &self.entity, &self.mutants[*slot], sequence, reference)?;
-                Ok((vec![row], stats))
-            }
-            PlanGroup::Tape { compiled, start, len } => {
-                let mut sim = GroupSim::new(compiled, *len);
-                let mut stats = LaneStats {
-                    passes: 1,
-                    instrs_before: compiled.instrs_before,
-                    instrs_after: compiled.instrs_after,
-                    ..LaneStats::default()
-                };
-                let mut rows = vec![vec![false; sequence.len()]; *len];
-                {
-                    let _trace = musa_trace::span("lane_interpret");
-                    sim.reset();
-                    for (t, vector) in sequence.iter().enumerate() {
-                        let diff = sim.step(vector, sim.used_mask);
-                        stats.steps += 1;
-                        for (slot, row) in rows.iter_mut().enumerate() {
-                            row[t] = diff & (1u64 << (slot + 1)) != 0;
-                        }
-                    }
-                }
-                if !compiled.fallback.is_empty() {
-                    let _trace = musa_trace::span("scalar_fallback");
-                    for &slot in &compiled.fallback {
-                        let reference = reference.expect("fallbacks force a reference");
-                        rows[slot] = scalar_row(
-                            self.checked,
-                            &self.entity,
-                            &self.mutants[start + slot],
-                            sequence,
-                            reference,
-                        )?;
-                        stats.passes += 1;
-                        stats.steps += sequence.len();
-                    }
-                }
-                Ok((rows, stats))
-            }
-        }
-    }
 }
 
 /// Compiles one contiguous mutant range, bisecting on joint
@@ -621,9 +530,8 @@ impl<'a> GroupSim<'a> {
     /// `scan` whose sampled outputs differ from lane 0.
     ///
     /// `scan` limits the output XOR comparison to the lanes the caller
-    /// still cares about: the first-kill path passes its shrinking
-    /// alive mask, so long sequences stop scanning dead mutants
-    /// mid-sequence; the kill-matrix path passes every used lane.
+    /// still cares about: the shrinking alive mask, so long sequences
+    /// stop scanning dead mutants mid-sequence.
     fn step(&mut self, inputs: &[Bits], scan: u64) -> u64 {
         assert_eq!(
             inputs.len(),
@@ -654,26 +562,6 @@ impl<'a> GroupSim<'a> {
         }
         diff
     }
-}
-
-/// Scalar fallback for one row of the kill matrix (the reference
-/// transcript is computed once per plan execution and shared).
-fn scalar_row(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutant: &Mutant,
-    sequence: &[Vec<Bits>],
-    reference: &[Vec<Bits>],
-) -> Result<Vec<bool>, MutationError> {
-    let mutated = mutant.apply(checked)?;
-    let mut sim = Simulator::new(&mutated, entity)
-        .map_err(|_| MutationError::EntityNotFound(entity.to_string()))?;
-    sim.reset();
-    Ok(sequence
-        .iter()
-        .zip(reference)
-        .map(|(vector, expected)| sim.step(vector) != *expected)
-        .collect())
 }
 
 #[cfg(test)]
@@ -846,28 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_rows_match_per_cycle_differences() {
-        let d = checked(GATE);
-        let mutants = generate_mutants(&d, "g", &GenerateOptions::default());
-        let sequence = exhaustive_pairs();
-        let rows =
-            kill_rows_lanes(&d, "g", &mutants, &sequence, &LaneOptions::default()).unwrap();
-        assert_eq!(rows.len(), mutants.len());
-        for (mi, row) in rows.iter().enumerate() {
-            let reference = reference_transcript(&d, "g", &sequence).unwrap();
-            let mutated = mutants[mi].apply(&d).unwrap();
-            let mut sim = Simulator::new(&mutated, "g").unwrap();
-            for (t, vector) in sequence.iter().enumerate() {
-                assert_eq!(
-                    row[t],
-                    sim.step(vector) != reference[t],
-                    "mutant {mi} cycle {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn slice_targets_dynamic_indices_and_reductions_match_scalar() {
         // Constructs no bundled benchmark exercises together: slice
         // writes, a dynamically indexed write under a guard, reductions
@@ -933,8 +799,7 @@ mod tests {
     #[test]
     fn lane_plan_is_reusable_across_sequences() {
         // The compiled-tape cache: one plan graded against several
-        // sequences must match a fresh engine call per sequence, for
-        // both the first-kill and the kill-matrix path.
+        // sequences must match a fresh engine call per sequence.
         let d = checked(COUNTER);
         let mutants = generate_mutants(&d, "t", &GenerateOptions::default());
         let plan = LanePlan::new(&d, "t", &mutants, &LaneOptions::default()).unwrap();
@@ -950,10 +815,6 @@ mod tests {
             let fresh = execute_mutants_lanes(&d, "t", &mutants, &sequence).unwrap();
             let (cached, _) = plan.first_kills(&sequence).unwrap();
             assert_eq!(cached.first_kill, fresh.first_kill, "round {round}");
-            let fresh_rows =
-                kill_rows_lanes(&d, "t", &mutants, &sequence, &LaneOptions::default()).unwrap();
-            let (cached_rows, _) = plan.kill_rows(&sequence).unwrap();
-            assert_eq!(cached_rows, fresh_rows, "round {round} rows");
         }
     }
 
@@ -1162,8 +1023,7 @@ mod tests {
 
     /// The central pipeline contract: for every entity shape the suite
     /// exercises, the optimized engine, the unoptimized engine and the
-    /// scalar engine agree bit-for-bit on first kills *and* whole kill
-    /// matrices.
+    /// scalar engine agree bit-for-bit on first kills.
     #[test]
     fn optimizer_is_bit_identical_to_unoptimized_and_scalar() {
         let dyn_entity = "entity m is
@@ -1212,9 +1072,6 @@ mod tests {
                 execute_mutants_lanes_opts(&d, entity, &mutants, &sequence, &off).unwrap();
             assert_eq!(opt_kills.first_kill, scalar.first_kill, "{entity}: full vs scalar");
             assert_eq!(raw_kills.first_kill, scalar.first_kill, "{entity}: off vs scalar");
-            let opt_rows = kill_rows_lanes(&d, entity, &mutants, &sequence, &full).unwrap();
-            let raw_rows = kill_rows_lanes(&d, entity, &mutants, &sequence, &off).unwrap();
-            assert_eq!(opt_rows, raw_rows, "{entity}: kill matrices diverge");
         }
     }
 

@@ -14,15 +14,18 @@
 //! into each pass — `⌈N/63⌉` simulation passes for a population of
 //! `N`, composing multiplicatively with thread sharding.
 //!
-//! Equivalence classification always runs on the lane engine: a
-//! [`LanePlan`] over the population, swept through the policy's
-//! sequences in order at `⌈N/63⌉` passes per sequence at most, with a
-//! live mask ([`LanePlan::first_kills_live`]) dropping every mutant an
-//! earlier sequence killed and skipping lane groups left with nothing
-//! to decide; once the undecided mutants fit in half the groups, they
-//! are repacked into a smaller plan. The scalar per-mutant classifier
-//! it replaced survives only in the tests, as the differential oracle
-//! the lane classifier must match class for class.
+//! Every caller that grades a population asks one question: when does
+//! each mutant first die? [`first_kills_over`] is the one sweep that
+//! answers it, for an ordered list of sequences each applied from
+//! reset. It retires a mutant at its first kill and, on the lane
+//! engine, reuses one [`LanePlan`] across the sequences with a live
+//! mask, repacking the survivors into a smaller plan once they fit in
+//! half its groups. Equivalence classification ([`classify_mutants`])
+//! always sweeps on the lane engine; the scalar per-mutant classifier
+//! survives only in the tests, as the differential oracle the lane
+//! classifier must match class for class. The kill phase of an
+//! experiment and mutation-guided generation sweep on the engine the
+//! configuration selects.
 //!
 //! # Example: measuring a test set's mutation score
 //!
@@ -62,6 +65,7 @@ pub mod lanes;
 mod mutant;
 mod operator;
 mod score;
+mod sweep;
 
 pub use equivalence::{
     classify_mutants, classify_mutants_jobs, survivor_class, EquivalenceClass, EquivalencePolicy,
@@ -71,10 +75,11 @@ pub use execute::{
     reference_transcript, run_one, Engine, KillResult, OptLevel, TestSequence,
 };
 pub use lanes::{
-    execute_mutants_lanes, execute_mutants_lanes_opts, kill_rows_lanes, LaneOptions,
-    LanePlan, LaneStats, MAX_LANES,
+    execute_mutants_lanes, execute_mutants_lanes_opts, LaneOptions, LanePlan, LaneStats,
+    MAX_LANES,
 };
 pub use generate::{count_by_operator, generate_mutants, GenerateOptions};
 pub use mutant::{Mutant, MutantId, MutationError, Rewrite};
 pub use operator::MutationOperator;
 pub use score::MutationScore;
+pub use sweep::first_kills_over;

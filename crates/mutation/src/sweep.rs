@@ -1,0 +1,157 @@
+//! The first-kill sweep: when does each mutant first die over an
+//! ordered list of test sequences, each applied from reset?
+//!
+//! Equivalence classification, the kill phase of an experiment and
+//! mutation-guided generation all ask that one question, and all ask
+//! it here. A mutant retires at its first kill: no later sequence
+//! simulates it again.
+//!
+//! On the lane engine the live mutants are packed into one
+//! [`LanePlan`], which is swept through the sequences with a live mask
+//! ([`LanePlan::first_kills_live`]): a sequence costs one pass per lane
+//! group that still holds a live mutant, and nothing is recompiled.
+//! Once the live mutants would fit in half the plan's groups, they are
+//! repacked into a fresh, smaller plan for the remaining sequences. The
+//! scalar engine runs each live mutant on its own simulator, sequence
+//! by sequence. Both engines report identical kills, and the same error
+//! for a mutant that cannot be applied.
+
+use crate::execute::{reference_transcript, run_one, try_shard, Engine};
+use crate::lanes::{LaneOptions, LanePlan};
+use crate::mutant::{Mutant, MutationError};
+use musa_hdl::{Bits, CheckedDesign};
+
+/// Each mutant's first killing `(sequence index, cycle)` when
+/// `sequences` run in order, each from reset: `None` for a mutant that
+/// no sequence kills and for every mutant flagged in `skip`.
+///
+/// `options.jobs` shards the mutants (scalar engine) or lane groups
+/// (lane engine) of each sequence across worker threads;
+/// `options.opt` and `options.lanes_per_pass` apply to the lane engine
+/// only. The result is identical for every engine and option.
+///
+/// # Errors
+///
+/// Returns [`MutationError::EntityNotFound`] for an unknown entity
+/// before any work. Otherwise propagates [`MutationError`] from mutant
+/// application: the lowest-index failing live mutant of the first
+/// sequence on which one fails.
+///
+/// # Panics
+///
+/// Panics if `skip` holds a different number of flags than `mutants`.
+pub fn first_kills_over<S: AsRef<[Vec<Bits>]>>(
+    checked: &CheckedDesign,
+    entity: &str,
+    mutants: &[Mutant],
+    sequences: &[S],
+    skip: Option<&[bool]>,
+    engine: Engine,
+    options: &LaneOptions,
+) -> Result<Vec<Option<(usize, usize)>>, MutationError> {
+    if checked.entity_info(entity).is_none() {
+        return Err(MutationError::EntityNotFound(entity.to_string()));
+    }
+    let mut sweep = Sweep {
+        checked,
+        entity,
+        mutants,
+        live: match skip {
+            Some(skip) => {
+                assert_eq!(skip.len(), mutants.len(), "one skip flag per mutant");
+                skip.iter().map(|&skipped| !skipped).collect()
+            }
+            None => vec![true; mutants.len()],
+        },
+        first_kill: vec![None; mutants.len()],
+    };
+    match engine {
+        Engine::Scalar => sweep.scalar(sequences, options.jobs)?,
+        Engine::Lanes => sweep.lanes(sequences, options)?,
+    }
+    Ok(sweep.first_kill)
+}
+
+/// The state of one sweep: which mutants are still live, and the first
+/// kill of each retired one.
+struct Sweep<'a> {
+    checked: &'a CheckedDesign,
+    entity: &'a str,
+    mutants: &'a [Mutant],
+    live: Vec<bool>,
+    first_kill: Vec<Option<(usize, usize)>>,
+}
+
+impl Sweep<'_> {
+    /// Population indices of the live mutants, ascending.
+    fn members(&self) -> Vec<usize> {
+        (0..self.mutants.len()).filter(|&i| self.live[i]).collect()
+    }
+
+    fn retire(&mut self, mutant: usize, sequence: usize, cycle: usize) {
+        self.live[mutant] = false;
+        self.first_kill[mutant] = Some((sequence, cycle));
+    }
+
+    fn scalar<S: AsRef<[Vec<Bits>]>>(
+        &mut self,
+        sequences: &[S],
+        jobs: usize,
+    ) -> Result<(), MutationError> {
+        for (s, sequence) in sequences.iter().enumerate() {
+            let members = self.members();
+            if members.is_empty() {
+                break;
+            }
+            let sequence = sequence.as_ref();
+            let reference = reference_transcript(self.checked, self.entity, sequence)?;
+            let kills = try_shard(jobs, members.len(), |k| {
+                run_one(
+                    self.checked,
+                    self.entity,
+                    &self.mutants[members[k]],
+                    sequence,
+                    &reference,
+                )
+            })?;
+            for (&i, kill) in members.iter().zip(kills) {
+                if let Some(t) = kill {
+                    self.retire(i, s, t);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn lanes<S: AsRef<[Vec<Bits>]>>(
+        &mut self,
+        sequences: &[S],
+        options: &LaneOptions,
+    ) -> Result<(), MutationError> {
+        let mut next = 0;
+        while next < sequences.len() {
+            let members = self.members();
+            if members.is_empty() {
+                break;
+            }
+            let packed: Vec<Mutant> = members.iter().map(|&i| self.mutants[i].clone()).collect();
+            let plan = LanePlan::new(self.checked, self.entity, &packed, options)?;
+            let mut plan_live = vec![true; packed.len()];
+            while next < sequences.len() {
+                let (kills, _) = plan.first_kills_live(sequences[next].as_ref(), &plan_live)?;
+                for (slot, kill) in kills.first_kill.iter().enumerate() {
+                    if let Some(t) = *kill {
+                        plan_live[slot] = false;
+                        self.retire(members[slot], next, t);
+                    }
+                }
+                next += 1;
+                let remaining = plan_live.iter().filter(|&&live| live).count();
+                if remaining == 0 || 2 * remaining.div_ceil(options.lanes()) <= plan.group_count() {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+}

@@ -18,7 +18,6 @@
 
 use crate::digest::digest128_hex;
 use musa_core::{CampaignPlan, Task};
-use musa_testgen::Selection;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -76,13 +75,15 @@ pub(crate) fn key_material(plan: &CampaignPlan) -> String {
     let _ = writeln!(s, "engine={}", config.engine.name());
     let _ = writeln!(s, "fault_reduce={}", config.fault_reduce);
     let _ = writeln!(s, "screen={}", config.screen);
+    // `first-come` names the generator's admission policy, the only
+    // one it has; it stays in the material so existing stores keep
+    // their keys.
     let _ = writeln!(
         s,
-        "mg={},{},{},{},{},{}",
+        "mg={},{},{},first-come,{},{}",
         config.mg.pool_size,
         config.mg.subseq_len,
         config.mg.max_rounds,
-        selection_name(config.mg.selection),
         config.mg.seed,
         config.mg.engine.name(),
     );
@@ -99,14 +100,6 @@ pub(crate) fn key_material(plan: &CampaignPlan) -> String {
     // pinned bit-identical by the differential suites, so results are
     // shareable across their settings.
     s
-}
-
-fn selection_name(selection: Selection) -> &'static str {
-    match selection {
-        Selection::PerMutant => "per-mutant",
-        Selection::FirstCome => "first-come",
-        Selection::Greedy => "greedy",
-    }
 }
 
 fn task_params(task: &Task) -> String {

@@ -5,7 +5,8 @@
 //! * [`random_sequence`] / [`lfsr_patterns`] — the pseudo-random baseline
 //!   (paper §3);
 //! * [`mutation_guided_tests`] — mutation-adequate validation data:
-//!   vectors are kept only when they kill live mutants (paper §2);
+//!   candidates are admitted first-come, in generation order, whenever
+//!   they kill a mutant no earlier admitted candidate killed (paper §2);
 //! * [`SamplingStrategy`] / [`sample_mutants`] — classical random
 //!   sampling versus the paper's test-oriented, efficiency-weighted
 //!   sampling (paper §4);
@@ -46,14 +47,12 @@
 #![warn(missing_docs)]
 
 mod atpg;
-mod compact;
 mod mutation_guided;
 mod random;
 mod sampling;
 
 pub use atpg::{atpg_all, podem, AtpgStats, PodemResult};
-pub use compact::{compact_sessions, compact_vectors, CompactionOutcome};
-pub use mutation_guided::{mutation_guided_tests, GeneratedTests, MgConfig, Selection};
+pub use mutation_guided::{mutation_guided_tests, GeneratedTests, MgConfig};
 pub use random::{
     lfsr_patterns, random_patterns, random_sequence, testbench_patterns, RESET_SPARSITY,
 };

@@ -2,47 +2,28 @@
 //!
 //! "To generate validation data with mutation testing, we select vectors
 //! that can distinguish a program from a set of faulty versions" — the
-//! generator proposes pseudo-random candidates and keeps only those that
-//! kill still-live mutants (greedy cover), so the emitted data is
-//! *mutation-adequate* by construction.
+//! generator proposes pseudo-random candidates and keeps, in generation
+//! order, each candidate that kills a mutant no earlier kept candidate
+//! killed, so the emitted data is *mutation-adequate* by construction.
 //!
-//! * Combinational entities: candidates are single vectors; the output
-//!   is one session of selected vectors.
-//! * Sequential entities: candidates are short subsequences applied from
-//!   reset; each selected subsequence becomes its own session and is
-//!   truncated right after its last new kill.
+//! Each round grades its candidate pool with one
+//! [`first_kills_over`] sweep over the mutants still live; a candidate
+//! is admitted exactly when it is some live mutant's first kill.
+//!
+//! * Combinational entities: the pool is one sequence of independent
+//!   candidate vectors; the admitted vectors, across every round, form
+//!   one session.
+//! * Sequential entities: each candidate is a short subsequence applied
+//!   from reset; each admitted subsequence becomes its own session,
+//!   whole.
 
-use musa_hdl::{Bits, CheckedDesign, Simulator};
+use musa_hdl::CheckedDesign;
 use musa_mutation::{
-    reference_transcript, run_one, Engine, LaneOptions, LanePlan, Mutant, MutationError,
-    OptLevel, TestSequence,
+    first_kills_over, Engine, LaneOptions, Mutant, MutationError, OptLevel, TestSequence,
 };
 use musa_prng::{Prng, SplitMix64};
 
 use crate::random::random_sequence;
-
-/// How candidates are admitted into the validation data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Selection {
-    /// **One witness per mutant**: every killable mutant contributes the
-    /// first candidate that kills *it*, even when an earlier selection
-    /// already killed it. This mirrors constraint-based mutation test
-    /// generation (DeMillo & Offutt, the paper's reference \[2\]), where
-    /// each mutant yields its own test case — validation campaigns are
-    /// redundant by nature, and that redundancy is what makes the data
-    /// a useful structural test set.
-    PerMutant,
-    /// Accept candidates **in generation order** whenever they kill at
-    /// least one still-live mutant — the minimal mutation-adequate
-    /// filter (no per-mutant redundancy). The default: it matches the
-    /// paper's data-efficiency profile (positive ΔL at equal coverage).
-    #[default]
-    FirstCome,
-    /// Greedy set-cover: repeatedly take the candidate killing the most
-    /// live mutants. Produces near-minimal data (useful for compaction
-    /// studies; *not* what the paper measures).
-    Greedy,
-}
 
 /// Configuration of the mutation-guided generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +35,6 @@ pub struct MgConfig {
     pub subseq_len: usize,
     /// Rounds without a new kill before giving up on the survivors.
     pub max_rounds: usize,
-    /// Candidate admission policy.
-    pub selection: Selection,
     /// PRNG seed.
     pub seed: u64,
     /// Mutant-execution engine grading the candidate pools. Both
@@ -73,7 +52,6 @@ impl Default for MgConfig {
             pool_size: 128,
             subseq_len: 24,
             max_rounds: 12,
-            selection: Selection::FirstCome,
             seed: 0x6D67,
             engine: Engine::default(),
             opt: OptLevel::default(),
@@ -88,7 +66,6 @@ impl MgConfig {
             pool_size: 48,
             subseq_len: 12,
             max_rounds: 6,
-            selection: Selection::FirstCome,
             seed,
             engine: Engine::default(),
             opt: OptLevel::default(),
@@ -149,279 +126,60 @@ pub fn mutation_guided_tests(
     let info = checked
         .entity_info(entity)
         .ok_or_else(|| MutationError::EntityNotFound(entity.to_string()))?;
-    if info.is_combinational() {
-        combinational(checked, entity, mutants, config)
-    } else {
-        sequential(checked, entity, mutants, config)
-    }
-}
-
-/// Greedy cover over single candidate vectors (combinational).
-fn combinational(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    config: &MgConfig,
-) -> Result<GeneratedTests, MutationError> {
-    let info = checked.entity_info(entity).expect("entity checked above");
-    let mut rng = SplitMix64::new(config.seed);
-    let mut killed = vec![false; mutants.len()];
-    let mut selected: TestSequence = Vec::new();
-    let mut rounds = 0usize;
-
-    while killed.iter().any(|&k| !k) && rounds < config.max_rounds {
-        rounds += 1;
-        let pool = random_sequence(info, config.pool_size, rng.next_u64());
-
-        // Kill matrix: per live mutant, the set of pool vectors that kill
-        // it. Combinational ⇒ vectors are independent, one run suffices.
-        // The lane engine grades 63 live mutants per pass; the scalar
-        // engine one — the matrices are bit-identical.
-        let live: Vec<usize> = (0..mutants.len()).filter(|&i| !killed[i]).collect();
-        let kills: Vec<Vec<bool>> = match config.engine {
-            Engine::Scalar => {
-                let reference = reference_transcript(checked, entity, &pool)?;
-                let mut kills = Vec::with_capacity(live.len());
-                for &mi in &live {
-                    let mutated = mutants[mi].apply(checked)?;
-                    let mut sim = Simulator::new(&mutated, entity)
-                        .map_err(|_| MutationError::EntityNotFound(entity.to_string()))?;
-                    let row: Vec<bool> = pool
-                        .iter()
-                        .zip(&reference)
-                        .map(|(vector, expected)| sim.step(vector) != *expected)
-                        .collect();
-                    kills.push(row);
-                }
-                kills
-            }
-            Engine::Lanes => {
-                let subset: Vec<Mutant> =
-                    live.iter().map(|&mi| mutants[mi].clone()).collect();
-                let options = LaneOptions::default().with_opt(config.opt);
-                let plan = LanePlan::new(checked, entity, &subset, &options)?;
-                plan.kill_rows(&pool)?.0
-            }
-        };
-
-        // Admit vectors from this pool.
-        let mut live_mask: Vec<bool> = vec![true; live.len()];
-        let mut any_selected = false;
-        match config.selection {
-            Selection::PerMutant => {
-                // Mutant-major order: each live mutant appends its first
-                // killing vector from this pool.
-                for (slot, row) in kills.iter().enumerate() {
-                    if let Some(v) = row.iter().position(|&k| k) {
-                        selected.push(pool[v].clone());
-                        any_selected = true;
-                        live_mask[slot] = false;
-                        killed[live[slot]] = true;
-                    }
-                }
-            }
-            Selection::FirstCome => {
-                for v in 0..pool.len() {
-                    let gain = kills
-                        .iter()
-                        .zip(&live_mask)
-                        .filter(|(row, &alive)| alive && row[v])
-                        .count();
-                    if gain == 0 {
-                        continue;
-                    }
-                    selected.push(pool[v].clone());
-                    any_selected = true;
-                    for (slot, alive) in live_mask.iter_mut().enumerate() {
-                        if *alive && kills[slot][v] {
-                            *alive = false;
-                            killed[live[slot]] = true;
-                        }
-                    }
-                }
-            }
-            Selection::Greedy => loop {
-                let mut best: Option<(usize, usize)> = None; // (vector, gain)
-                for v in 0..pool.len() {
-                    let gain = kills
-                        .iter()
-                        .zip(&live_mask)
-                        .filter(|(row, &alive)| alive && row[v])
-                        .count();
-                    if gain > 0 && best.map(|(_, g)| gain > g).unwrap_or(true) {
-                        best = Some((v, gain));
-                    }
-                }
-                let Some((v, _)) = best else { break };
-                selected.push(pool[v].clone());
-                any_selected = true;
-                for (slot, alive) in live_mask.iter_mut().enumerate() {
-                    if *alive && kills[slot][v] {
-                        *alive = false;
-                        killed[live[slot]] = true;
-                    }
-                }
-            },
-        }
-        if !any_selected {
-            break; // pool exhausted without progress: survivors stay live
-        }
-    }
-
-    let sessions = if selected.is_empty() {
-        Vec::new()
-    } else {
-        vec![selected]
-    };
-    Ok(GeneratedTests {
-        sessions,
-        killed,
-        rounds,
-    })
-}
-
-/// Greedy cover over candidate subsequences applied from reset
-/// (sequential).
-fn sequential(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    config: &MgConfig,
-) -> Result<GeneratedTests, MutationError> {
-    let info = checked.entity_info(entity).expect("entity checked above");
-    let mut rng = SplitMix64::new(config.seed);
-    let mut killed = vec![false; mutants.len()];
-    let mut sessions: Vec<TestSequence> = Vec::new();
-    let mut rounds = 0usize;
+    let combinational = info.is_combinational();
     // Sequential pools are smaller: each candidate costs subseq_len steps.
     let pool_count = (config.pool_size / 4).max(4);
+    let options = LaneOptions::default().with_opt(config.opt);
+    let mut rng = SplitMix64::new(config.seed);
+    let mut killed = vec![false; mutants.len()];
+    let mut vectors: TestSequence = Vec::new();
+    let mut sessions: Vec<TestSequence> = Vec::new();
+    let mut rounds = 0usize;
 
-    while killed.iter().any(|&k| !k) && rounds < config.max_rounds {
+    while killed.contains(&false) && rounds < config.max_rounds {
         rounds += 1;
-        let pool: Vec<TestSequence> = (0..pool_count)
-            .map(|_| random_sequence(info, config.subseq_len, rng.next_u64()))
-            .collect();
-
-        let live: Vec<usize> = (0..mutants.len()).filter(|&i| !killed[i]).collect();
-        // first_kill[mutant_slot][candidate]: both engines grade every
-        // (live mutant, candidate) pair from reset; the lane engine
-        // batches 63 live mutants per candidate pass.
-        let first_kill: Vec<Vec<Option<usize>>> = match config.engine {
-            Engine::Scalar => {
-                let references: Vec<Vec<Vec<Bits>>> = pool
-                    .iter()
-                    .map(|s| reference_transcript(checked, entity, s))
-                    .collect::<Result<_, _>>()?;
-                let mut first_kill = Vec::with_capacity(live.len());
-                for &mi in &live {
-                    let row: Vec<Option<usize>> = pool
-                        .iter()
-                        .zip(&references)
-                        .map(|(candidate, reference)| {
-                            run_one(checked, entity, &mutants[mi], candidate, reference)
-                        })
-                        .collect::<Result<_, _>>()?;
-                    first_kill.push(row);
-                }
-                first_kill
-            }
-            Engine::Lanes => {
-                // One `LanePlan` per round: the live subset's lane
-                // groups compile once and grade the whole candidate
-                // pool (the pre-cache path recompiled per candidate).
-                let subset: Vec<Mutant> =
-                    live.iter().map(|&mi| mutants[mi].clone()).collect();
-                let options = LaneOptions::default().with_opt(config.opt);
-                let plan = LanePlan::new(checked, entity, &subset, &options)?;
-                let mut first_kill = vec![Vec::with_capacity(pool.len()); live.len()];
-                for candidate in &pool {
-                    let (result, _) = plan.first_kills(candidate)?;
-                    for (slot, row) in first_kill.iter_mut().enumerate() {
-                        row.push(result.first_kill[slot]);
-                    }
-                }
-                first_kill
-            }
+        let pool: Vec<TestSequence> = if combinational {
+            vec![random_sequence(info, config.pool_size, rng.next_u64())]
+        } else {
+            (0..pool_count)
+                .map(|_| random_sequence(info, config.subseq_len, rng.next_u64()))
+                .collect()
         };
-
-        let mut live_mask: Vec<bool> = vec![true; live.len()];
-        let mut any_selected = false;
-        match config.selection {
-            Selection::PerMutant => {
-                // Each live mutant appends the first subsequence that
-                // kills it, truncated right after its own first kill.
-                for (slot, row) in first_kill.iter().enumerate() {
-                    let hit = row
-                        .iter()
-                        .enumerate()
-                        .find_map(|(c, k)| k.map(|t| (c, t)));
-                    if let Some((c, t)) = hit {
-                        sessions.push(pool[c][..=t].to_vec());
-                        any_selected = true;
-                        live_mask[slot] = false;
-                        killed[live[slot]] = true;
-                    }
-                }
-            }
-            Selection::FirstCome => {
-                // Accept whole subsequences, in generation order, whenever
-                // they kill something still live.
-                for c in 0..pool.len() {
-                    let gain = first_kill
-                        .iter()
-                        .zip(&live_mask)
-                        .filter(|(row, &alive)| alive && row[c].is_some())
-                        .count();
-                    if gain == 0 {
-                        continue;
-                    }
-                    sessions.push(pool[c].clone());
-                    any_selected = true;
-                    for (slot, alive) in live_mask.iter_mut().enumerate() {
-                        if *alive && first_kill[slot][c].is_some() {
-                            *alive = false;
-                            killed[live[slot]] = true;
-                        }
-                    }
-                }
-            }
-            Selection::Greedy => loop {
-                let mut best: Option<(usize, usize)> = None;
-                for c in 0..pool.len() {
-                    let gain = first_kill
-                        .iter()
-                        .zip(&live_mask)
-                        .filter(|(row, &alive)| alive && row[c].is_some())
-                        .count();
-                    if gain > 0 && best.map(|(_, g)| gain > g).unwrap_or(true) {
-                        best = Some((c, gain));
-                    }
-                }
-                let Some((c, _)) = best else { break };
-                // Truncate right after the last first-kill this candidate
-                // contributes (all earlier kills are preserved).
-                let cut = first_kill
-                    .iter()
-                    .zip(&live_mask)
-                    .filter_map(|(row, &alive)| if alive { row[c] } else { None })
-                    .max()
-                    .expect("gain > 0 implies a kill")
-                    + 1;
-                sessions.push(pool[c][..cut].to_vec());
-                any_selected = true;
-                for (slot, alive) in live_mask.iter_mut().enumerate() {
-                    if *alive && first_kill[slot][c].is_some_and(|t| t < cut) {
-                        *alive = false;
-                        killed[live[slot]] = true;
-                    }
-                }
-            },
+        let kills = first_kills_over(
+            checked,
+            entity,
+            mutants,
+            &pool,
+            Some(&killed),
+            config.engine,
+            &options,
+        )?;
+        // The admitted candidates: every live mutant's first kill, once
+        // each, in generation order — a vector of the one combinational
+        // pool sequence, or a whole sequential subsequence.
+        let mut admitted: Vec<usize> = kills
+            .iter()
+            .flatten()
+            .map(|&(candidate, cycle)| if combinational { cycle } else { candidate })
+            .collect();
+        admitted.sort_unstable();
+        admitted.dedup();
+        if admitted.is_empty() {
+            break; // pool exhausted without progress: survivors stay live
         }
-        if !any_selected {
-            break;
+        for (flag, kill) in killed.iter_mut().zip(&kills) {
+            *flag |= kill.is_some();
+        }
+        if combinational {
+            vectors.extend(admitted.iter().map(|&t| pool[0][t].clone()));
+        } else {
+            sessions.extend(admitted.iter().map(|&c| pool[c].clone()));
         }
     }
 
+    if !vectors.is_empty() {
+        sessions.push(vectors);
+    }
     Ok(GeneratedTests {
         sessions,
         killed,
@@ -481,48 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_modes_order_by_length() {
-        let d = checked(
-            "entity g is
-               port(a : in bits(6); b : in bits(6); y : out bits(6));
-             comb begin y <= a xor b; end;
-             end;",
-        );
-        let mutants = generate_mutants(&d, "g", &GenerateOptions::default());
-        let with = |selection| {
-            mutation_guided_tests(
-                &d,
-                "g",
-                &mutants,
-                &MgConfig {
-                    selection,
-                    ..MgConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let per_mutant = with(Selection::PerMutant);
-        let first_come = with(Selection::FirstCome);
-        let greedy = with(Selection::Greedy);
-        assert!(
-            greedy.total_len() <= first_come.total_len(),
-            "greedy {} vs first-come {}",
-            greedy.total_len(),
-            first_come.total_len()
-        );
-        assert!(
-            first_come.total_len() <= per_mutant.total_len(),
-            "first-come {} vs per-mutant {}",
-            first_come.total_len(),
-            per_mutant.total_len()
-        );
-        // Per-mutant data holds one witness per killed mutant.
-        assert_eq!(per_mutant.total_len(), per_mutant.killed_count());
-        // All modes kill comparably (same pools per seed).
-        assert!(greedy.killed_count() <= per_mutant.killed_count() + 2);
-    }
-
-    #[test]
     fn sequential_sessions_start_from_reset_and_kill() {
         let d = checked(
             "entity t is
@@ -560,13 +276,63 @@ mod tests {
         }
     }
 
+    /// Every bundled benchmark's MiniHDL source, by entity name.
+    const BUNDLED: [(&str, &str); 11] = [
+        ("c17", include_str!("../../circuits/src/hdl/c17.mhdl")),
+        ("b01", include_str!("../../circuits/src/hdl/b01.mhdl")),
+        ("b02", include_str!("../../circuits/src/hdl/b02.mhdl")),
+        ("b03", include_str!("../../circuits/src/hdl/b03.mhdl")),
+        ("b04", include_str!("../../circuits/src/hdl/b04.mhdl")),
+        ("b05", include_str!("../../circuits/src/hdl/b05.mhdl")),
+        ("b06", include_str!("../../circuits/src/hdl/b06.mhdl")),
+        ("b09", include_str!("../../circuits/src/hdl/b09.mhdl")),
+        ("c432", include_str!("../../circuits/src/hdl/c432.mhdl")),
+        ("c499", include_str!("../../circuits/src/hdl/c499.mhdl")),
+        ("c880", include_str!("../../circuits/src/hdl/c880.mhdl")),
+    ];
+
+    /// Replays the admitted data on the scalar engine, one admission at
+    /// a time in order — each vector on its own (combinational), each
+    /// session from reset (sequential): every admission must kill a
+    /// mutant no earlier one kills, and together they must kill exactly
+    /// the claimed mutants.
+    fn assert_first_come(
+        d: &CheckedDesign,
+        entity: &str,
+        mutants: &[Mutant],
+        data: &GeneratedTests,
+    ) {
+        let admissions: Vec<TestSequence> = if d.entity_info(entity).unwrap().is_combinational() {
+            data.sessions.iter().flatten().map(|vector| vec![vector.clone()]).collect()
+        } else {
+            data.sessions.clone()
+        };
+        let mut killed = vec![false; mutants.len()];
+        for (k, admission) in admissions.iter().enumerate() {
+            let kills = execute_mutants(d, entity, mutants, admission).unwrap();
+            let fresh = kills
+                .first_kill
+                .iter()
+                .zip(&killed)
+                .filter(|(kill, &done)| kill.is_some() && !done)
+                .count();
+            assert!(fresh > 0, "{entity}: admission {k} kills nothing new");
+            for (flag, kill) in killed.iter_mut().zip(&kills.first_kill) {
+                *flag |= kill.is_some();
+            }
+        }
+        assert_eq!(killed, data.killed, "{entity}: kill claims differ from the replay");
+    }
+
     #[test]
     fn lane_engine_generates_bit_identical_data() {
-        // Transparent engine pick-up: the emitted sessions, kill claims
-        // and round counts must match the scalar engine exactly, on both
-        // the combinational and the sequential generator path.
-        let cases = [
+        // The emitted sessions, kill claims and round counts must match
+        // across engines on both generator paths. The wide circuits
+        // take a strided subset to keep the scalar engine cheap in
+        // debug builds.
+        let toys = [
             (
+                "g",
                 "entity g is
                    port(a : in bits(4); b : in bits(4); y : out bits(4); f : out bit);
                  comb begin
@@ -574,9 +340,9 @@ mod tests {
                    f <= a < b;
                  end;
                  end;",
-                "g",
             ),
             (
+                "t",
                 "entity t is
                    port(clk : in bit; rst : in bit; en : in bit; q : out bits(3));
                  signal c : bits(3);
@@ -589,24 +355,35 @@ mod tests {
                  end;
                  comb begin q <= c; end;
                  end;",
-                "t",
             ),
         ];
-        for (src, entity) in cases {
+        for (entity, src) in toys.into_iter().chain(BUNDLED) {
             let d = checked(src);
-            let mutants = generate_mutants(&d, entity, &GenerateOptions::default());
-            let scalar =
-                mutation_guided_tests(&d, entity, &mutants, &MgConfig::fast(7)).unwrap();
-            let lanes = mutation_guided_tests(
+            let population = generate_mutants(&d, entity, &GenerateOptions::default());
+            let stride = population.len().div_ceil(40).max(1);
+            let mutants: Vec<Mutant> = population.into_iter().step_by(stride).collect();
+            let config = MgConfig::fast(7);
+            let scalar = mutation_guided_tests(
                 &d,
                 entity,
                 &mutants,
-                &MgConfig::fast(7).with_engine(Engine::Lanes),
+                &config.with_engine(Engine::Scalar),
             )
             .unwrap();
-            assert_eq!(scalar.sessions, lanes.sessions, "{entity}: sessions differ");
-            assert_eq!(scalar.killed, lanes.killed, "{entity}: kill claims differ");
-            assert_eq!(scalar.rounds, lanes.rounds, "{entity}: rounds differ");
+            for opt in [OptLevel::Full, OptLevel::Off] {
+                let lanes = mutation_guided_tests(
+                    &d,
+                    entity,
+                    &mutants,
+                    &config.with_engine(Engine::Lanes).with_opt(opt),
+                )
+                .unwrap();
+                assert_eq!(scalar.sessions, lanes.sessions, "{entity}/{opt}: sessions differ");
+                assert_eq!(scalar.killed, lanes.killed, "{entity}/{opt}: kill claims differ");
+                assert_eq!(scalar.rounds, lanes.rounds, "{entity}/{opt}: rounds differ");
+            }
+            assert!(scalar.killed_count() > 0, "{entity}: nothing killed");
+            assert_first_come(&d, entity, &mutants, &scalar);
         }
     }
 

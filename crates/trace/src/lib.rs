@@ -35,7 +35,8 @@
 //! drawn serially from the parent context's sequence counter at
 //! [`ForkScope::capture`] time. Within a context, spans are numbered
 //! by a serial `seq` in open order. `(path, seq)` therefore identifies
-//! a span globally and deterministically.
+//! a span globally and deterministically, and each span records its
+//! parent under that key ([`SpanRecord::parent`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,11 +63,12 @@ pub struct SpanRecord {
     pub seq: u32,
     /// Nesting depth within the context (`0` = context top level).
     pub depth: u32,
-    /// `seq` of the enclosing span. For `depth > 0` the parent lives in
-    /// the *same* context; for `depth == 0` in a forked context it is
-    /// the span that was open in the **parent** context (path truncated
-    /// by two) when the fork was captured. `None` only at the root.
-    pub parent_seq: Option<u32>,
+    /// `(path, seq)` of the enclosing span. For `depth > 0` the parent
+    /// lives in the *same* context; for `depth == 0` in a forked context
+    /// it is the span that enclosed the fork when it was captured, which
+    /// may sit several fork levels up when the forking context had no
+    /// span of its own open. `None` only for spans no span encloses.
+    pub parent: Option<(Vec<u32>, u32)>,
     /// Nanoseconds since the tracer's epoch at span open.
     pub start_ns: u64,
     /// Span duration in nanoseconds.
@@ -134,7 +136,7 @@ impl Tracer {
                 *c.borrow_mut() = Some(Context {
                     shared: Arc::clone(shared),
                     path: Vec::new(),
-                    parent_seq: None,
+                    parent: None,
                     next_seq: 0,
                     open: Vec::new(),
                 });
@@ -178,11 +180,23 @@ impl Default for Tracer {
 struct Context {
     shared: Arc<Shared>,
     path: Vec<u32>,
-    /// Enclosing span in the parent context (forked contexts only).
-    parent_seq: Option<u32>,
+    /// `(path, seq)` of the span enclosing the fork that created this
+    /// context (forked contexts only).
+    parent: Option<(Vec<u32>, u32)>,
     next_seq: u32,
     /// Stack of `seq`s of currently open spans.
     open: Vec<u32>,
+}
+
+impl Context {
+    /// `(path, seq)` of the innermost open span, or else of the span
+    /// enclosing this context's own fork.
+    fn enclosing(&self) -> Option<(Vec<u32>, u32)> {
+        match self.open.last() {
+            Some(&seq) => Some((self.path.clone(), seq)),
+            None => self.parent.clone(),
+        }
+    }
 }
 
 thread_local! {
@@ -237,7 +251,7 @@ fn open_span(name: &'static str, detail: Option<String>) -> SpanGuard {
         let seq = ctx.next_seq;
         ctx.next_seq += 1;
         let depth = u32::try_from(ctx.open.len()).expect("span nesting fits u32");
-        let parent_seq = ctx.open.last().copied().or(ctx.parent_seq);
+        let parent = ctx.enclosing();
         ctx.open.push(seq);
         let start_ns = elapsed_ns(&ctx.shared.epoch);
         SpanGuard(Some(OpenSpan {
@@ -245,7 +259,7 @@ fn open_span(name: &'static str, detail: Option<String>) -> SpanGuard {
             detail,
             seq,
             depth,
-            parent_seq,
+            parent,
             start_ns,
         }))
     })
@@ -261,7 +275,7 @@ pub struct OpenSpan {
     detail: Option<String>,
     seq: u32,
     depth: u32,
-    parent_seq: Option<u32>,
+    parent: Option<(Vec<u32>, u32)>,
     start_ns: u64,
 }
 
@@ -290,7 +304,7 @@ impl Drop for SpanGuard {
                 path: ctx.path.clone(),
                 seq: open.seq,
                 depth: open.depth,
-                parent_seq: open.parent_seq,
+                parent: open.parent,
                 start_ns: open.start_ns,
                 dur_ns,
             };
@@ -334,13 +348,14 @@ pub struct ForkScope {
 struct ForkInner {
     shared: Arc<Shared>,
     path: Vec<u32>,
-    parent_seq: Option<u32>,
+    parent: Option<(Vec<u32>, u32)>,
 }
 
 impl ForkScope {
     /// Captures the current thread's context (or an inert scope when
     /// tracing is off). The innermost open span becomes the parent of
-    /// every entered child context.
+    /// every entered child context; with no span open, the span that
+    /// encloses the current context does.
     #[must_use]
     pub fn capture() -> Self {
         CURRENT.with(|c| {
@@ -356,7 +371,7 @@ impl ForkScope {
                 inner: Some(ForkInner {
                     shared: Arc::clone(&ctx.shared),
                     path,
-                    parent_seq: ctx.open.last().copied().or(ctx.parent_seq),
+                    parent: ctx.enclosing(),
                 }),
             }
         })
@@ -375,7 +390,7 @@ impl ForkScope {
                 *c.borrow_mut() = Some(Context {
                     shared: Arc::clone(&inner.shared),
                     path,
-                    parent_seq: inner.parent_seq,
+                    parent: inner.parent.clone(),
                     next_seq: 0,
                     open: Vec::new(),
                 });
@@ -454,8 +469,8 @@ mod tests {
             names(&data),
             vec![("outer", vec![], 0, 0), ("inner", vec![], 1, 1)]
         );
-        assert_eq!(data.spans[1].parent_seq, Some(0));
-        assert_eq!(data.spans[0].parent_seq, None);
+        assert_eq!(data.spans[1].parent, Some((vec![], 0)));
+        assert_eq!(data.spans[0].parent, None);
         assert!(data.spans[0].dur_ns >= data.spans[1].dur_ns);
         assert_eq!(data.counters, vec![("hits", 3)]);
     }
@@ -479,10 +494,10 @@ mod tests {
     }
 
     /// The deterministic-structure contract: same work, any job count,
-    /// identical `(name, path, seq, depth, parent_seq)` stream.
+    /// identical `(name, path, seq, depth, parent)` stream.
     #[test]
     fn fork_structure_is_identical_for_every_job_count() {
-        type Shape = (&'static str, Vec<u32>, u32, u32, Option<u32>);
+        type Shape = (&'static str, Vec<u32>, u32, u32, Option<(Vec<u32>, u32)>);
         fn run(jobs: usize) -> Vec<Shape> {
             let tracer = Tracer::new();
             {
@@ -518,13 +533,13 @@ mod tests {
                 .unwrap()
                 .spans
                 .iter()
-                .map(|s| (s.name, s.path.clone(), s.seq, s.depth, s.parent_seq))
+                .map(|s| (s.name, s.path.clone(), s.seq, s.depth, s.parent.clone()))
                 .collect()
         }
         let serial = run(1);
         assert_eq!(serial.len(), 8); // campaign + 7 work items
         // Child paths are [fork_id=1, item]: seq 0 went to "campaign".
-        assert_eq!(serial[1], ("work", vec![1, 0], 0, 0, Some(0)));
+        assert_eq!(serial[1], ("work", vec![1, 0], 0, 0, Some((vec![], 0))));
         for jobs in [2, 3, 8] {
             assert_eq!(run(jobs), serial, "jobs={jobs}");
         }
@@ -564,9 +579,29 @@ mod tests {
         // outer fork id 1 (seq 0 = "outer" span), inner fork id 1
         // (child context seq 0 = "mid" span).
         assert_eq!(leaf.path, vec![1, 3, 1, 1]);
-        assert_eq!(leaf.parent_seq, Some(0), "parented on mid");
+        assert_eq!(leaf.parent, Some((vec![1, 3], 0)), "parented on mid");
         let mid = data.spans.iter().find(|s| s.name == "mid").unwrap();
-        assert_eq!(mid.parent_seq, Some(0), "parented on outer across the fork");
+        assert_eq!(mid.parent, Some((vec![], 0)), "parented on outer across the fork");
+    }
+
+    #[test]
+    fn a_fork_from_a_context_without_open_spans_parents_on_the_outer_span() {
+        // The middle context opens no span of its own before forking
+        // again: the leaf's parent is the outer span, two fork levels up.
+        let tracer = Tracer::new();
+        {
+            let _g = tracer.install();
+            let _outer_span = span("outer");
+            let fork = ForkScope::capture();
+            let _middle = fork.enter(0);
+            let inner = ForkScope::capture();
+            let _leaf = inner.enter(2);
+            let _s = span("leaf");
+        }
+        let data = tracer.finish().unwrap();
+        let leaf = data.spans.iter().find(|s| s.name == "leaf").unwrap();
+        assert_eq!(leaf.path, vec![1, 0, 0, 2]);
+        assert_eq!(leaf.parent, Some((vec![], 0)), "parented on outer");
     }
 
     #[test]

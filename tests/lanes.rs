@@ -5,8 +5,9 @@
 use musa::circuits::Benchmark;
 use musa::hdl::Bits;
 use musa::mutation::{
-    execute_mutants_engine, execute_mutants_jobs, execute_mutants_lanes_opts, generate_mutants,
-    Engine, GenerateOptions, LaneOptions, LanePlan, Mutant, OptLevel, MAX_LANES,
+    execute_mutants, execute_mutants_engine, execute_mutants_jobs, execute_mutants_lanes_opts,
+    first_kills_over, generate_mutants, Engine, GenerateOptions, LaneOptions, LanePlan, Mutant,
+    OptLevel, MAX_LANES,
 };
 use musa::prng::{Prng, SplitMix64};
 use proptest::prelude::*;
@@ -132,6 +133,74 @@ fn engine_dispatch_is_identical_through_the_public_entry_point() {
     )
     .unwrap();
     assert_eq!(scalar.first_kill, lanes.first_kill);
+}
+
+/// The plain loop the first-kill sweep replaces: the sequences in
+/// order, each from reset, over the mutants neither skipped nor killed
+/// by an earlier sequence.
+fn first_kills_by_loop(
+    circuit: &musa::circuits::Circuit,
+    mutants: &[Mutant],
+    sequences: &[Vec<Vec<Bits>>],
+    skip: &[bool],
+) -> Vec<Option<(usize, usize)>> {
+    let mut first_kill = vec![None; mutants.len()];
+    for (s, sequence) in sequences.iter().enumerate() {
+        let live: Vec<usize> =
+            (0..mutants.len()).filter(|&i| !skip[i] && first_kill[i].is_none()).collect();
+        let subset: Vec<Mutant> = live.iter().map(|&i| mutants[i].clone()).collect();
+        let kills = execute_mutants(&circuit.checked, &circuit.name, &subset, sequence).unwrap();
+        for (&i, kill) in live.iter().zip(kills.first_kill) {
+            first_kill[i] = kill.map(|t| (s, t));
+        }
+    }
+    first_kill
+}
+
+#[test]
+fn first_kill_sweep_matches_the_per_sequence_loop_on_every_bundled_circuit() {
+    // Eight lanes per pass give the lane plan a dozen groups, so the
+    // sweep repacks its survivors as well as reusing one plan.
+    for (circuit, population) in circuits() {
+        let mutants = subsample(population, 100);
+        let mut rng = SplitMix64::new(0x5EE9 ^ circuit.name.len() as u64);
+        let sequences: Vec<Vec<Vec<Bits>>> = (0..3)
+            .map(|_| {
+                let cycles = 2 + rng.below(8) as usize;
+                random_sequence_for(circuit, cycles, rng.next_u64())
+            })
+            .collect();
+        let skip: Vec<bool> = (0..mutants.len()).map(|_| rng.below(5) == 0).collect();
+        let expected = first_kills_by_loop(circuit, &mutants, &sequences, &skip);
+        assert!(expected.iter().any(Option::is_some), "{}: nothing killed", circuit.name);
+        let sweep = |engine, options: LaneOptions| {
+            first_kills_over(
+                &circuit.checked,
+                &circuit.name,
+                &mutants,
+                &sequences,
+                Some(&skip),
+                engine,
+                &options,
+            )
+            .unwrap()
+        };
+        let scalar = sweep(Engine::Scalar, LaneOptions::default());
+        assert_eq!(scalar, expected, "{}: scalar", circuit.name);
+        for jobs in [1, 2] {
+            for opt in [OptLevel::Full, OptLevel::Off] {
+                for lanes_per_pass in [8, MAX_LANES] {
+                    let options = LaneOptions { lanes_per_pass, jobs, opt };
+                    assert_eq!(
+                        sweep(Engine::Lanes, options),
+                        expected,
+                        "{}: lanes, {options:?}",
+                        circuit.name
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Per-circuit `(full, off)` plans over the FULL population, compiled

@@ -5,10 +5,12 @@
 
 use musa::circuits::Benchmark;
 use musa::core::{
-    trace_json_with, validate_trace_document, Campaign, ExperimentConfig, ReportData, Task,
-    DEFAULT_SEED,
+    render_profile, trace_json_with, validate_trace_document, Campaign, ExperimentConfig,
+    ReportData, Task, DEFAULT_SEED,
 };
-use musa::mutation::{execute_mutants_lanes_opts, generate_mutants, GenerateOptions, LaneOptions};
+use musa::mutation::{
+    execute_mutants_lanes_opts, generate_mutants, GenerateOptions, LaneOptions, MutationOperator,
+};
 use musa::netlist::{collapsed_faults, fault_simulate};
 use musa::testgen::{lfsr_patterns, random_sequence};
 use musa::trace::{SpanRecord, TraceData, Tracer};
@@ -186,21 +188,18 @@ fn fsim_gate_evals_shows_the_cone_pruning_on_c432() {
     assert!(evals < gates * faults.len() as u64 * batches, "{evals}");
 }
 
+/// The span `span` records as its parent, wherever it sits.
+fn parent_of<'a>(data: &'a TraceData, span: &SpanRecord) -> Option<&'a SpanRecord> {
+    let (path, seq) = span.parent.as_ref()?;
+    data.spans.iter().find(|s| &s.path == path && s.seq == *seq)
+}
+
 /// The `detail` of the `bench` span enclosing `span`, following parent
 /// links across fork boundaries.
 fn enclosing_bench<'a>(data: &'a TraceData, span: &'a SpanRecord) -> Option<&'a str> {
     let mut current = span;
     while current.name != "bench" {
-        let parent_seq = current.parent_seq?;
-        // A context's top-level span is parented in the forking context.
-        let path = match current.depth {
-            0 => &current.path[..current.path.len().checked_sub(2)?],
-            _ => &current.path[..],
-        };
-        current = data
-            .spans
-            .iter()
-            .find(|s| s.path == path && s.seq == parent_seq)?;
+        current = parent_of(data, current)?;
     }
     current.detail.as_deref()
 }
@@ -232,11 +231,67 @@ fn table2_derives_each_bench_state_once() {
         let nested = |name: &str| {
             data.spans
                 .iter()
-                .filter(|s| s.name == name && s.path == setup.path)
-                .filter(|s| s.parent_seq == Some(setup.seq))
+                .filter(|s| s.name == name)
+                .filter(|s| s.parent == Some((setup.path.clone(), setup.seq)))
                 .count()
         };
         assert_eq!((nested("fault_plan"), nested("screen")), (1, 1));
+    }
+}
+
+/// The busy total of the `--profile` table: its `total` row's busy ms.
+fn profile_busy_ms(report: &musa::core::Report) -> f64 {
+    let table = render_profile(report).expect("tracing was enabled");
+    let total = table
+        .lines()
+        .find(|line| line.starts_with("total"))
+        .unwrap_or_else(|| panic!("no total row:\n{table}"));
+    total.split_whitespace().nth(2).unwrap().parse().unwrap()
+}
+
+#[test]
+fn profile_busy_time_adds_up_to_the_root_spans() {
+    // At one job nothing overlaps, so each span's self time is counted
+    // once: the busy total equals the root spans' summed duration. A
+    // parent key that resolves to nothing (a span forked twice, with no
+    // span open in the middle context) would count its subtree twice.
+    let tasks = [
+        Task::Table1 { operators: MutationOperator::paper_set().to_vec() },
+        Task::Table2 { fraction: 0.10 },
+        Task::Sampling { fraction: 0.10 },
+    ];
+    for task in tasks {
+        let report = Campaign::new(Benchmark::C17)
+            .benches(&[Benchmark::C17, Benchmark::B01])
+            .config(one_rep_config())
+            .trace(true)
+            .task(task.clone())
+            .run()
+            .unwrap();
+        let data = report.trace.as_ref().expect("tracing was enabled");
+        for span in data.spans.iter().filter(|s| s.parent.is_some()) {
+            assert!(
+                parent_of(data, span).is_some(),
+                "{}: {} at {:?}/{} has no recorded parent {:?}",
+                task.slug(),
+                span.name,
+                span.path,
+                span.seq,
+                span.parent
+            );
+        }
+        let roots_ms: f64 = data
+            .spans
+            .iter()
+            .filter(|s| s.parent.is_none())
+            .map(|s| s.dur_ns as f64 / 1e6)
+            .sum();
+        let busy_ms = profile_busy_ms(&report);
+        assert!(
+            (busy_ms - roots_ms).abs() <= 0.01 * roots_ms,
+            "{}: busy {busy_ms:.2} ms vs root spans {roots_ms:.2} ms",
+            task.slug()
+        );
     }
 }
 
