@@ -276,9 +276,10 @@ pub struct CliOptions {
     /// default on). Reported numbers are identical either way; only
     /// the `screened` count in the JSON report changes.
     pub screen: bool,
-    /// Lane-tape optimizer level (`--opt full|off`, default full).
-    /// Both levels are bit-identical in every reported number; `off`
-    /// exists as the benchmark/debug baseline.
+    /// Lane executor (`--opt full|off`, default full): the fused
+    /// executor or the raw-tape interpreter. Both levels are
+    /// bit-identical in every reported number; `off` exists as the
+    /// benchmark/debug baseline.
     pub opt: OptLevel,
     /// Observability flags (`--trace`, `--trace-format`, `--profile`,
     /// `--progress`). All off by default; every report output stays
@@ -330,11 +331,11 @@ options (shared by every musa_bench experiment binary):
               fold into the E term directly — reported numbers are
               bit-identical either way
   --opt full|off
-              lane-tape optimizer level (default full): `full` runs the
-              compile → optimize → execute pipeline (const folding,
-              copy/select propagation, CSE, DCE, superinstruction
-              fusion); `off` interprets the raw tapes — outcomes are
-              bit-identical, only wall time changes
+              lane executor (default full): `full` lowers the compiled
+              lane tapes to the fused executor (constant pool, scalar
+              prefix, superinstruction fusion); `off` interprets the
+              raw tapes — outcomes are bit-identical, only wall time
+              changes
   --json      emit the typed campaign report as JSON (stable
               `musa.campaign.v1` schema) instead of text
   --trace FILE
@@ -419,7 +420,7 @@ pub struct SampleArgs {
     pub fault_reduce: bool,
     /// Static equivalent-mutant pre-screening (default on).
     pub screen: bool,
-    /// Lane-tape optimizer level (default full).
+    /// Lane executor level (default full, the fused executor).
     pub opt: OptLevel,
     /// `--paper` preset requested (default: fast).
     pub paper: bool,
@@ -1203,7 +1204,7 @@ mod tests {
         assert!(SampleArgs::parse(&strings(&["c17", "--opt", "fast"]))
             .unwrap_err()
             .contains("full|off"));
-        // Default: the optimizer is on.
+        // Default: the fused executor.
         assert_eq!(SampleArgs::parse(&strings(&["c17"])).unwrap().opt, OptLevel::Full);
     }
 

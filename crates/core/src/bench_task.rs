@@ -151,9 +151,9 @@ pub struct BenchCell {
     pub bench: String,
     /// Mutant-execution engine (`mutant_exec` only).
     pub engine: Option<Engine>,
-    /// Lane-tape optimizer level (`mutant_exec` on `lanes` only; the
-    /// scalar engine has no tapes to optimize). `None` also covers
-    /// reports committed before the optimizer existed.
+    /// Lane executor level (`mutant_exec` on `lanes` only; the scalar
+    /// engine has no tapes). `None` also covers reports committed
+    /// before the `opt` field existed.
     pub opt: Option<OptLevel>,
     /// Worker threads, `0` = auto (`mutant_exec` only).
     pub jobs: Option<usize>,
@@ -168,9 +168,10 @@ pub struct BenchCell {
 impl BenchCell {
     /// The stable cell identifier baselines are matched on, e.g.
     /// `mutant_exec/c432/lanes-opt/jobs=1` or `fault_sim/b01/reduce=on`.
-    /// Lane cells carry their optimizer level (`lanes-opt` /
-    /// `lanes-noopt`); a plain `lanes` id only arises from reports
-    /// committed before the optimizer existed.
+    /// Lane cells carry their executor level (`lanes-opt` for the
+    /// fused executor, `lanes-noopt` for the raw-tape interpreter); a
+    /// plain `lanes` id only arises from reports committed before the
+    /// `opt` field existed.
     pub fn id(&self) -> String {
         match self.workload {
             BenchWorkload::MutantExec => format!(
@@ -353,9 +354,9 @@ pub fn run_bench(
                     wall: RobustStats::of(&[0.0]),
                     invariants: CellInvariants::default(),
                 };
-                // Compile + optimize happen once, outside the timed
-                // region: the cell measures execution throughput, so an
-                // optimizer that trades compile time for run time shows
+                // Compile + lowering happen once, outside the timed
+                // region: the cell measures execution throughput, so a
+                // lowering that trades compile time for run time shows
                 // its run-time side here (compile cost is bounded by the
                 // plan step and amortized over the whole campaign).
                 let plan = match engine {
@@ -448,7 +449,7 @@ pub fn run_bench(
         }
     }
 
-    // The lane-tape optimizer must not change any outcome — pin the
+    // The lane executor must not change any outcome — pin the
     // opt/noopt invariant identity right in the report run.
     for bench in benches {
         let by_opt: Vec<&BenchCell> = cells
@@ -672,7 +673,7 @@ fn cell_from_json(value: &JsonValue) -> Result<BenchCell, String> {
         Some("full") => Some(OptLevel::Full),
         Some("off") => Some(OptLevel::Off),
         Some(other) => return Err(format!("bad opt `{other}`")),
-        // Reports committed before the optimizer existed have no
+        // Reports committed before the `opt` field existed have no
         // `opt` key; their lane cells keep the legacy `lanes` id.
         None => None,
     };
@@ -816,8 +817,9 @@ pub enum Regression {
         /// Current scalar÷lanes median ratio.
         current: f64,
     },
-    /// The lane-tape optimizer's noopt÷opt speedup ratio dropped
-    /// beyond threshold — the optimizer stopped paying for itself.
+    /// The fused executor's noopt÷opt speedup over the raw-tape
+    /// interpreter dropped beyond threshold — the lowering stopped
+    /// paying for itself.
     OptRatio {
         /// `(workload, bench, jobs)` key, e.g. `mutant_exec/c432/jobs=1`.
         key: String,
@@ -864,8 +866,8 @@ fn engine_ratios(report: &BenchReport, min_gate_ns: f64) -> Vec<(String, f64)> {
         if cell.engine != Some(Engine::Scalar) {
             continue;
         }
-        // The lanes partner is the production configuration: optimizer
-        // on, or a pre-optimizer report with no recorded level.
+        // The lanes partner is the production configuration: the fused
+        // executor, or an older report with no recorded level.
         let Some(partner) = report.cells.iter().find(|c| {
             c.workload == cell.workload
                 && c.bench == cell.bench
@@ -893,9 +895,10 @@ fn engine_ratios(report: &BenchReport, min_gate_ns: f64) -> Vec<(String, f64)> {
 }
 
 /// Noopt÷opt median ratios per `(workload, bench, jobs)` key — the
-/// lane-tape optimizer's machine-independent speedup, for cell pairs
-/// whose optimized median clears the gate floor. Empty for reports
-/// committed before the optimizer existed (no `lanes-noopt` cells).
+/// fused executor's machine-independent speedup over the raw-tape
+/// interpreter, for cell pairs whose `lanes-opt` median clears the
+/// gate floor. Empty for reports committed before the `opt` field
+/// existed (no `lanes-noopt` cells).
 fn opt_ratios(report: &BenchReport, min_gate_ns: f64) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for cell in &report.cells {
@@ -996,7 +999,7 @@ pub fn compare(
             });
         }
     }
-    // Optimizer-ratio gate: same machine-independence argument as the
+    // Executor-ratio gate: same machine-independence argument as the
     // engine ratio — noopt and opt run the same work on the same box,
     // so their quotient transfers across machines.
     let current_opt = opt_ratios(current, policy.min_gate_ns);
@@ -1258,7 +1261,7 @@ mod tests {
         let mut noopt = exec_cell("c432", Engine::Lanes, 1, 1.0, 5);
         noopt.opt = Some(OptLevel::Off);
         assert_eq!(noopt.id(), "mutant_exec/c432/lanes-noopt/jobs=1");
-        // Pre-optimizer reports (no recorded level) keep the legacy id.
+        // Older reports (no recorded level) keep the legacy id.
         let mut legacy = exec_cell("c432", Engine::Lanes, 1, 1.0, 5);
         legacy.opt = None;
         assert_eq!(legacy.id(), "mutant_exec/c432/lanes/jobs=1");
@@ -1380,10 +1383,10 @@ mod tests {
             cell.opt = Some(OptLevel::Off);
             cell
         };
-        // opt 10 ms vs noopt 20 ms: the optimizer earns 2.0x.
+        // opt 10 ms vs noopt 20 ms: the fused executor earns 2.0x.
         let mut baseline = report(grid());
         baseline.cells.push(noopt_cell(20.0));
-        // The optimizer decays to 1.1x: ratio falls past the 30 % gate.
+        // The fused executor decays to 1.1x: ratio falls past the 30 % gate.
         let mut current = report(grid());
         current.cells.push(noopt_cell(11.0));
         let findings = compare(&baseline, &current, &ComparePolicy::quick());
@@ -1396,7 +1399,7 @@ mod tests {
         assert!((b - 2.0).abs() < 1e-9);
         assert!((c - 1.1).abs() < 1e-9);
         // A noopt cell that speeds up alongside opt passes (ratio held),
-        // and pre-optimizer baselines (no noopt cells) never gate.
+        // and older baselines (no noopt cells) never gate.
         let mut faster = report(grid());
         faster.cells.push(noopt_cell(19.0));
         assert_eq!(compare(&baseline, &faster, &ComparePolicy::quick()), vec![]);
@@ -1516,7 +1519,7 @@ mod tests {
         assert_eq!(
             report.cells[2].invariants.lane_passes,
             report.cells[4].invariants.lane_passes,
-            "optimization must not change the pass structure"
+            "the executor level must not change the pass structure"
         );
         // ...and the fsim pair detects identically while reduction
         // frees lanes.

@@ -333,8 +333,9 @@ impl Campaign {
         self
     }
 
-    /// Lane-tape optimizer level (default `full`). Purely a wall-clock
-    /// knob: outcomes are bit-identical at every level.
+    /// Lane executor (default `full`, the fused executor; `off` runs
+    /// the raw-tape interpreter). Purely a wall-clock knob: outcomes
+    /// are bit-identical at every level.
     #[must_use]
     pub fn opt(mut self, opt: OptLevel) -> Self {
         self.opt = Some(opt);
@@ -683,7 +684,7 @@ pub struct RunMeta {
     pub fault_reduce: bool,
     /// Whether static equivalent-mutant pre-screening was on.
     pub screen: bool,
-    /// Lane-tape optimizer level.
+    /// Lane executor level (`full` fused executor, `off` interpreter).
     pub opt: OptLevel,
     /// Configuration preset.
     pub preset: Preset,

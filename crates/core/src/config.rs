@@ -54,11 +54,12 @@ pub struct ExperimentConfig {
     /// Every reported number is bit-identical with the knob on or off;
     /// on is the default.
     pub screen: bool,
-    /// Lane-tape optimizer level for every lane-engine stage: `full`
-    /// (the default) runs the compile → optimize → execute pipeline
-    /// (pass framework, constant pooling, superinstruction fusion);
-    /// `off` executes the raw compiler tapes. Outcomes are bit-identical
-    /// either way — like `jobs` and `engine`, purely a wall-clock knob.
+    /// Lane executor for every lane-engine stage: `full` (the default)
+    /// lowers the compiler's tapes to the fused executor (constant
+    /// pooling, scalar prefix, superinstruction fusion); `off` runs the
+    /// raw compiler tapes on the reference interpreter. Outcomes are
+    /// bit-identical either way — like `jobs` and `engine`, purely a
+    /// wall-clock knob.
     pub opt: OptLevel,
 }
 
@@ -130,7 +131,7 @@ impl ExperimentConfig {
         self
     }
 
-    /// Returns a copy with the given lane-tape optimizer level, for
+    /// Returns a copy with the given lane executor level, for
     /// population grading *and* mutation-guided generation.
     #[must_use]
     pub fn with_opt(mut self, opt: OptLevel) -> Self {

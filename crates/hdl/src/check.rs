@@ -428,7 +428,8 @@ impl<'a> Checker<'a> {
                     .map(|id| self.symbols[id.0 as usize].width)
             }
             Expr::Index { .. } => Some(1),
-            Expr::Slice { hi, lo, .. } => Some(hi - lo + 1),
+            // A malformed slice has no width; `check_expr` reports it.
+            Expr::Slice { hi, lo, .. } => hi.checked_sub(*lo)?.checked_add(1),
             Expr::Unary { arg, .. } => self.try_det(arg),
             Expr::Binary { op, lhs, rhs, .. } => {
                 if op.is_relational() {
@@ -1498,6 +1499,14 @@ mod tests {
              end;",
         );
         assert!(msg.contains("out of range"), "{msg}");
+        // A reversed slice whose width is inferred before it is checked
+        // (found by `tests/props.rs::parser_never_panics`).
+        let msg = check_err(
+            "entity e is port(a : in bits(4); y : out bits(3));
+             comb begin y <= a[0:2] and a[2:0]; end;
+             end;",
+        );
+        assert!(msg.contains("hi < lo"), "{msg}");
     }
 
     #[test]

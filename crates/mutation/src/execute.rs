@@ -66,25 +66,23 @@ impl FromStr for Engine {
     }
 }
 
-/// Lane-tape optimization level.
+/// Which executor runs the lane engine's compiled tapes (`--opt`).
 ///
-/// `Full` (the default) runs the tape-to-tape pass pipeline
-/// ([`crate::lanes`]' `opt` module: constant folding, copy/select
-/// propagation, select-chain flattening, CSE, dead-store + dead-code
-/// elimination with register compaction) and lowers the result through
-/// superinstruction fusion; `Off` executes the raw compiler output
-/// one-op-at-a-time, exactly like the pre-optimizer engine. The two
-/// settings are **bit-identical** for every population, sequence and
-/// job count — every pass is semantics-preserving per lane — so the
-/// knob exists for differential testing and benchmarking, and `opt`
-/// stays *out* of the `musa.key.v1` cache key. The scalar engine
-/// ignores it.
+/// `Full` (the default) lowers the compiler's tapes to the fused
+/// executor: a pooled constant file, a scalar prefix for the values no
+/// mutant can influence, and superinstructions for hot op pairs. `Off`
+/// runs the same tapes one instruction at a time on the raw-tape
+/// reference interpreter. The two settings are **bit-identical** for
+/// every population, sequence and job count, so the knob exists for
+/// differential testing and benchmarking, and `opt` stays *out* of the
+/// `musa.key.v1` cache key. The scalar engine ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum OptLevel {
-    /// Optimize tapes and fuse hot instruction pairs. The default.
+    /// Lower tapes to the fused executor. The default.
     #[default]
     Full,
-    /// Interpret the raw compiler output (the benchmarking baseline).
+    /// Interpret the raw compiler output (the tests' oracle and the
+    /// benchmarking baseline).
     Off,
 }
 
@@ -285,10 +283,10 @@ pub fn execute_mutants_engine(
     execute_mutants_engine_opt(checked, entity, mutants, sequence, jobs, engine, OptLevel::Full)
 }
 
-/// [`execute_mutants_engine`] with an explicit lane-tape [`OptLevel`]:
-/// the one-sequence case of [`crate::first_kills_over`].
+/// [`execute_mutants_engine`] with an explicit lane executor
+/// ([`OptLevel`]): the one-sequence case of [`crate::first_kills_over`].
 /// Bit-identical across opt levels (and engines — the scalar engine has
-/// no tapes to optimize and ignores the knob).
+/// no tapes and ignores the knob).
 ///
 /// # Errors
 ///

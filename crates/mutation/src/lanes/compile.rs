@@ -1,5 +1,9 @@
 //! Entity → lane-tape compiler.
 //!
+//! First stage of the compile → lower/execute pipeline; its tapes go
+//! straight to [`super::exec`]'s lowering (or, at [`OptLevel::Off`], to
+//! the raw-tape interpreter).
+//!
 //! Compiles one checked entity **once per lane group** into two flat
 //! tapes — the combinational settle and the clock edge — with every
 //! mutation site of the group folded in as a mask-driven lane select
@@ -31,16 +35,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 pub(crate) enum Executable {
     /// `--opt off`: the compiler's raw SSA tapes, run on the
     /// [`super::tape::LaneVm::run`] reference interpreter — the
-    /// pre-pipeline engine, kept live as the baseline the
-    /// `lanes-noopt` bench cells and the differential suites measure
-    /// the optimizer against.
+    /// baseline the `lanes-noopt` bench cells and the differential
+    /// suites measure the fused executor against.
     Raw {
         /// The combinational settle (runs on reset, after inputs, after edge).
         comb: Tape,
         /// The clock edge: next-state computation plus register commit.
         edge: Tape,
     },
-    /// `--opt full`: pass-pipeline output lowered to fused executor
+    /// `--opt full`: the compiler's tapes lowered to fused executor
     /// tapes with a shared constant pool.
     Lowered {
         /// The combinational settle (runs on reset, after inputs, after edge).
@@ -53,8 +56,8 @@ pub(crate) enum Executable {
 }
 
 /// A group compiled for lane execution — the output of the
-/// compile → optimize → execute-lowering pipeline (the last two stages
-/// are skipped at [`OptLevel::Off`]).
+/// compile → lower pipeline (the lowering is skipped at
+/// [`OptLevel::Off`]).
 #[derive(Debug)]
 pub(crate) struct Compiled {
     /// The executable tapes, shaped by the [`OptLevel`].
@@ -74,11 +77,6 @@ pub(crate) struct Compiled {
     /// Scalar scratch registers (pool plus the widest scalar prefix at
     /// `Full`; zero at `Off` — the interpreter has no scalar file).
     pub scratch_scalar: usize,
-    /// SSA instructions out of the compiler, both tapes.
-    pub instrs_before: usize,
-    /// Executor ops after the pass pipeline, pooling and fusion
-    /// (`instrs_before` again at [`OptLevel::Off`]).
-    pub instrs_after: usize,
     /// Group-local indices of mutants the tape cannot represent; the
     /// runner executes these through the scalar engine. Ascending.
     pub fallback: Vec<usize>,
@@ -229,8 +227,8 @@ pub(crate) fn compile_group(
     let order = comb_order_union(entity, info, group, base)?;
     let mut compiler = Compiler::new(entity, info, Sites::build(checked, entity, group));
     let init = compiler.build_init(&base.init);
-    let mut comb = compiler.compile_comb(&order);
-    let mut edge = compiler.compile_edge();
+    let comb = compiler.compile_comb(&order);
+    let edge = compiler.compile_edge();
     let fallback: Vec<usize> = (0..group.len())
         .filter(|slot| compiler.applied & (1u64 << (slot + 1)) == 0)
         .collect();
@@ -239,21 +237,12 @@ pub(crate) fn compile_group(
         super::verify::verify_tape(&comb, init.len());
         super::verify::verify_tape(&edge, init.len());
     }
-    let instrs_before = comb.instrs.len() + edge.instrs.len();
-    let (exec, scratch, scratch_scalar, instrs_after) = match opt {
+    let (exec, scratch, scratch_scalar) = match opt {
         OptLevel::Off => {
             let scratch = comb.instrs.len().max(edge.instrs.len());
-            (Executable::Raw { comb, edge }, scratch, 0, instrs_before)
+            (Executable::Raw { comb, edge }, scratch, 0)
         }
         OptLevel::Full => {
-            super::opt::PassPipeline::standard().optimize(&mut comb, &mut edge, &info.outputs);
-            // Re-check the rewritten tapes: every pass must leave the
-            // same structural invariants the compiler established.
-            #[cfg(debug_assertions)]
-            {
-                super::verify::verify_tape(&comb, init.len());
-                super::verify::verify_tape(&edge, init.len());
-            }
             let lowered = lower_unit(&comb, &edge, &init);
             #[cfg(debug_assertions)]
             {
@@ -271,7 +260,7 @@ pub(crate) fn compile_group(
                 edge: lowered.edge,
                 consts: lowered.consts,
             };
-            (exec, lowered.scratch, lowered.scratch_scalar, lowered.ops_total)
+            (exec, lowered.scratch, lowered.scratch_scalar)
         }
     };
     Ok(Compiled {
@@ -286,8 +275,6 @@ pub(crate) fn compile_group(
         combinational: info.is_combinational(),
         scratch,
         scratch_scalar,
-        instrs_before,
-        instrs_after,
         fallback,
     })
 }

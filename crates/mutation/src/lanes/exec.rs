@@ -1,10 +1,11 @@
 //! The lane executor: SSA tapes lowered to an explicit-destination op
 //! stream with superinstruction fusion.
 //!
-//! Final stage of the compile → optimize → execute pipeline (run at
-//! `--opt full`; `--opt off` skips it and interprets the raw tapes).
-//! Lowering turns a [`Tape`] into an [`ExecTape`] whose ops carry their
-//! destination register and precomputed width masks; it additionally:
+//! Second stage of the compile → lower/execute pipeline: the
+//! compiler's tapes come here as they are (`--opt full`; `--opt off`
+//! interprets them on [`LaneVm::run`] instead). Lowering turns a
+//! [`Tape`] into an [`ExecTape`] whose ops carry their destination
+//! register and precomputed width masks; it additionally:
 //!
 //! * **pools constants** — `Const` broadcasts are materialized once per
 //!   group simulation (they are loop-invariant across every sweep), so
@@ -153,9 +154,6 @@ pub(crate) struct Lowered {
     pub scratch: usize,
     /// Scalar scratch registers (pool + widest scalar prefix).
     pub scratch_scalar: usize,
-    /// Total ops across all four streams (the post-pipeline instruction
-    /// count [`super::LaneStats`] reports as `instrs_after`).
-    pub ops_total: usize,
 }
 
 /// Per-instruction lane-divergence flags for a tape pair.
@@ -186,8 +184,7 @@ fn divergence(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord]) -> (Vec<
                     Instr::Load { sym } => div_sym[sym as usize],
                     _ => {
                         let mut any = false;
-                        let mut c = instr.clone();
-                        super::opt::for_each_operand(&mut c, |r| any |= flags[*r as usize]);
+                        instr.for_each_operand(|r| any |= flags[r as usize]);
                         any
                     }
                 };
@@ -210,7 +207,7 @@ fn divergence(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord]) -> (Vec<
     (dc, de)
 }
 
-/// Lowers an optimized tape pair for execution. `init` seeds the
+/// Lowers a compiled tape pair for execution. `init` seeds the
 /// divergence analysis: symbols whose initial lanes already differ
 /// (mutated power-on state) taint their loads.
 pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord]) -> Lowered {
@@ -242,15 +239,12 @@ pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord
     let widest = |t: &ExecTape| t.ops.last().map(|op| op.dst() + 1);
     let lane_w = widest(&comb.main).max(widest(&edge.main)).unwrap_or(first);
     let scalar_w = widest(&comb.pre).max(widest(&edge.pre)).unwrap_or(first);
-    let ops_total =
-        comb.pre.ops.len() + comb.main.ops.len() + edge.pre.ops.len() + edge.main.ops.len();
     Lowered {
         comb,
         edge,
         consts,
         scratch: lane_w.max(first) as usize,
         scratch_scalar: scalar_w.max(first) as usize,
-        ops_total,
     }
 }
 
@@ -315,8 +309,7 @@ fn lower_fused(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool])
     // only when that consumer is its *only* reader and it is not stored.
     let mut uses = vec![0u32; n];
     for instr in &tape.instrs {
-        let mut counted = instr.clone();
-        super::opt::for_each_operand(&mut counted, |r| uses[*r as usize] += 1);
+        instr.for_each_operand(|r| uses[r as usize] += 1);
     }
     let mut stored = vec![false; n];
     for &(_, reg) in &tape.stores {
@@ -453,18 +446,16 @@ fn lower_fused(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool])
             continue;
         }
         let p = plan[i].or(fold_side[i]);
-        let mut c = instr.clone();
-        super::opt::for_each_operand(&mut c, |r| {
+        instr.for_each_operand(|r| {
             let mut mark = |r: Reg| {
                 if !div[r as usize] && map_l[r as usize].is_none() {
                     needs_splat[r as usize] = true;
                 }
             };
-            if Some(*r) == p {
-                let mut pc = tape.instrs[*r as usize].clone();
-                super::opt::for_each_operand(&mut pc, |pr| mark(*pr));
+            if Some(r) == p {
+                tape.instrs[r as usize].for_each_operand(mark);
             } else {
-                mark(*r);
+                mark(r);
             }
         });
     }

@@ -13,6 +13,12 @@
 //! groups shard across worker threads, so lanes compose multiplicatively
 //! with `jobs`.
 //!
+//! The pipeline has two stages: `compile` turns the entity into a
+//! comb/edge tape pair, and `exec` lowers that pair as it is to the
+//! fused executor (constant pool, uniform scalar prefix,
+//! superinstructions). At [`OptLevel::Off`] the lowering is skipped and
+//! the raw tapes run on the reference interpreter, the tests' oracle.
+//!
 //! First kills are the only thing the engine reports: a lane retires at
 //! its first differing cycle, and a group stops once all its lanes have.
 //! A [`LanePlan`] compiles a population once and runs it against any
@@ -31,7 +37,6 @@
 
 mod compile;
 mod exec;
-mod opt;
 mod tape;
 // The structural tape checker runs (and therefore compiles) only in
 // debug builds, mirroring the `debug_assertions` hook in `compile`.
@@ -57,11 +62,11 @@ pub struct LaneOptions {
     pub lanes_per_pass: usize,
     /// Worker threads sharding the lane groups (`0` = one per CPU).
     pub jobs: usize,
-    /// Tape-optimizer level. [`OptLevel::Full`] (the default) runs the
-    /// pass pipeline and the fusing lowering; [`OptLevel::Off`] skips
-    /// both and interprets the compiler's raw tapes — the pre-pipeline
-    /// engine, kept for differential testing and the `lanes-noopt`
-    /// benchmark cells. Bit-identical either way.
+    /// Which executor runs the compiled tapes. [`OptLevel::Full`] (the
+    /// default) lowers them to the fused executor; [`OptLevel::Off`]
+    /// interprets the compiler's raw tapes — the reference
+    /// interpreter, kept for differential testing and the
+    /// `lanes-noopt` benchmark cells. Bit-identical either way.
     pub opt: OptLevel,
 }
 
@@ -79,7 +84,7 @@ impl LaneOptions {
         self
     }
 
-    /// Options with the given tape-optimizer level.
+    /// Options with the given executor level ([`LaneOptions::opt`]).
     #[must_use]
     pub fn with_opt(mut self, opt: OptLevel) -> Self {
         self.opt = opt;
@@ -104,13 +109,6 @@ pub struct LaneStats {
     /// at their own first kill) makes this less than
     /// `passes × sequence_len`.
     pub steps: usize,
-    /// SSA instructions the compiler produced across the executed lane
-    /// groups (both tapes, before the optimizer).
-    pub instrs_before: usize,
-    /// Executor ops after the pass pipeline, constant pooling and
-    /// superinstruction fusion — what each step actually evaluates. At
-    /// [`OptLevel::Off`] this equals `instrs_before`.
-    pub instrs_after: usize,
 }
 
 impl LaneStats {
@@ -127,8 +125,6 @@ impl LaneStats {
     fn absorb(&mut self, group: LaneStats) {
         self.passes += group.passes;
         self.steps += group.steps;
-        self.instrs_before += group.instrs_before;
-        self.instrs_after += group.instrs_after;
     }
 }
 
@@ -379,7 +375,7 @@ impl<'a> LanePlan<'a> {
                 let kill =
                     run_one(self.checked, &self.entity, &self.mutants[*slot], sequence, reference)?;
                 let steps = kill.map_or(sequence.len(), |t| t + 1);
-                Ok((vec![kill], LaneStats { passes: 1, steps, ..LaneStats::default() }))
+                Ok((vec![kill], LaneStats { passes: 1, steps }))
             }
             PlanGroup::Tape { compiled, start, len } => {
                 let mut live_mask = 0u64;
@@ -395,12 +391,7 @@ impl<'a> LanePlan<'a> {
                     fallback_mask |= 1u64 << (slot + 1);
                 }
                 let mut sim = GroupSim::new(compiled, *len);
-                let mut stats = LaneStats {
-                    passes: 1,
-                    instrs_before: compiled.instrs_before,
-                    instrs_after: compiled.instrs_after,
-                    ..LaneStats::default()
-                };
+                let mut stats = LaneStats { passes: 1, ..LaneStats::default() };
                 let mut first_kill = vec![None; *len];
                 let mut alive = sim.used_mask & !fallback_mask & live_mask;
                 {
@@ -1022,8 +1013,9 @@ mod tests {
     }
 
     /// The central pipeline contract: for every entity shape the suite
-    /// exercises, the optimized engine, the unoptimized engine and the
-    /// scalar engine agree bit-for-bit on first kills.
+    /// exercises, the fused executor (`OptLevel::Full`), the raw-tape
+    /// interpreter (`OptLevel::Off`) and the scalar engine agree
+    /// bit-for-bit on first kills.
     #[test]
     fn optimizer_is_bit_identical_to_unoptimized_and_scalar() {
         let dyn_entity = "entity m is
@@ -1073,27 +1065,5 @@ mod tests {
             assert_eq!(opt_kills.first_kill, scalar.first_kill, "{entity}: full vs scalar");
             assert_eq!(raw_kills.first_kill, scalar.first_kill, "{entity}: off vs scalar");
         }
-    }
-
-    #[test]
-    fn optimizer_shrinks_the_executed_stream() {
-        let d = checked(COUNTER);
-        let mutants = generate_mutants(&d, "t", &GenerateOptions::default());
-        let sequence: TestSequence = vec![vec![bit(0), bit(1)]; 4];
-        let full = LaneOptions::default();
-        let (_, opt_stats) =
-            execute_mutants_lanes_opts(&d, "t", &mutants, &sequence, &full).unwrap();
-        assert!(
-            opt_stats.instrs_after < opt_stats.instrs_before,
-            "pipeline must shrink the tape: {opt_stats:?}"
-        );
-        let off = LaneOptions::default().with_opt(OptLevel::Off);
-        let (_, raw_stats) =
-            execute_mutants_lanes_opts(&d, "t", &mutants, &sequence, &off).unwrap();
-        assert_eq!(
-            raw_stats.instrs_after, raw_stats.instrs_before,
-            "off is a 1:1 transliteration"
-        );
-        assert_eq!(raw_stats.instrs_before, opt_stats.instrs_before, "same compiler output");
     }
 }

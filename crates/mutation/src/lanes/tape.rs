@@ -8,6 +8,12 @@
 //! with [`Instr::MaskSel`] (compile-time lane mask) and control-flow
 //! divergence with [`Instr::Sel`] (runtime per-lane predicate); there is
 //! no per-lane branching anywhere in the executor.
+//!
+//! The tape is the hand-off between the two stages of the lane
+//! pipeline: [`super::compile`] emits it and [`super::exec`] lowers it,
+//! as is, to the fused executor (`--opt full`). [`LaneVm::run`]
+//! interprets it directly (`--opt off`) and is the executable
+//! definition of its semantics.
 
 use musa_hdl::ast::{BinOp, ReduceOp, ShiftOp};
 use musa_hdl::Bits;
@@ -55,6 +61,41 @@ pub(crate) enum Instr {
     WithSlice { cur: Reg, v: Reg, hi: u32, lo: u32 },
 }
 
+impl Instr {
+    /// Visits every operand register of the instruction, in field order.
+    pub(crate) fn for_each_operand(&self, mut f: impl FnMut(Reg)) {
+        match *self {
+            Instr::Load { .. } | Instr::Const { .. } => {}
+            Instr::Not { a, .. }
+            | Instr::Reduce { a, .. }
+            | Instr::Shift { a, .. }
+            | Instr::Slice { a, .. } => f(a),
+            Instr::MaskSel { a, b, .. } | Instr::Bin { a, b, .. } | Instr::Concat { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            Instr::Sel { cond, a, b } => {
+                f(cond);
+                f(a);
+                f(b);
+            }
+            Instr::DynGet { base, index, .. } => {
+                f(base);
+                f(index);
+            }
+            Instr::DynSet { cur, index, bit, .. } => {
+                f(cur);
+                f(index);
+                f(bit);
+            }
+            Instr::WithSlice { cur, v, .. } => {
+                f(cur);
+                f(v);
+            }
+        }
+    }
+}
+
 /// A compiled tape: the instruction stream plus the write-back list
 /// committing results to persistent symbol state after the sweep.
 #[derive(Debug, Default)]
@@ -100,8 +141,8 @@ impl LaneVm {
     /// This is the *reference interpreter* — the executable definition
     /// of tape semantics, and the engine `--opt off` runs in
     /// production. `--opt full` sweeps go through the lowered
-    /// `super::exec` path instead; the optimizer and executor test
-    /// suites use this as their differential oracle.
+    /// `super::exec` path instead; the executor's tests use this as
+    /// their differential oracle.
     pub fn run(&mut self, tape: &Tape) {
         for (i, instr) in tape.instrs.iter().enumerate() {
             let mut out = [0u64; LANES];

@@ -4,9 +4,8 @@
 //! executor silently relies on — SSA operand-before-use, symbol indices
 //! in range, well-formed slices, and mutation masks that never touch
 //! the reference lane — and panics with a precise message when a
-//! compile bug violates one. It runs after every group compile under
-//! `debug_assertions` — on the raw tapes out of the compiler *and* on
-//! the tapes the optimizer pipeline rewrote — so release sweeps pay
+//! compile bug violates one. It runs on the compiler's tapes after
+//! every group compile under `debug_assertions`, so release sweeps pay
 //! nothing. [`verify_exec`] applies the matching rules to the lowered
 //! executor stream, including the fused superinstructions.
 

@@ -108,7 +108,10 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, BenchError> {
             let out = code[..eq].trim().to_string();
             let rhs = code[eq + 1..].trim();
             let open = rhs.find('(').ok_or_else(|| syntax("expected FUNC(args)"))?;
-            let close = rhs.rfind(')').ok_or_else(|| syntax("missing `)`"))?;
+            let close = rhs
+                .rfind(')')
+                .filter(|&close| close > open)
+                .ok_or_else(|| syntax("missing `)`"))?;
             let func = rhs[..open].trim().to_ascii_uppercase();
             let args: Vec<String> = rhs[open + 1..close]
                 .split(',')
@@ -454,6 +457,10 @@ y = AND(b, one)
         assert!(parse_bench("wibble\n", "x").is_err());
         assert!(parse_bench("y = AND(a", "x").is_err());
         assert!(parse_bench("INPUT(a)\nq = DFF(a, a)\nOUTPUT(q)\n", "x").is_err());
+        // A `)` before the gate's `(` must not slice backwards
+        // (found by `tests/props.rs::bench_parser_never_panics`).
+        assert!(parse_bench("y = )AND(a", "x").is_err());
+        assert!(parse_bench("y = AND)(a", "x").is_err());
     }
 
     #[test]

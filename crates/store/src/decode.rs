@@ -355,4 +355,44 @@ mod tests {
             None
         );
     }
+
+    /// Random single-byte inserts, deletes and replacements of real
+    /// blobs decode to `Some` or `None`; none panics. Edits that keep
+    /// the document well formed (a digit for a digit) still decode, so
+    /// the edits reach every field decoder, not just the JSON layer.
+    #[test]
+    fn edited_blobs_decode_or_miss_without_panicking() {
+        const BYTES: &[u8] = b"{}[]\",:-.0123456789eE tfn";
+        let mut state = 0x0D15_EA5E_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for task in [Task::Sampling { fraction: 0.5 }, Task::Table2 { fraction: 0.5 }] {
+            let blob = run(task.clone()).to_json().into_bytes();
+            let mut decoded = 0;
+            for _ in 0..512 {
+                let mut bytes = blob.clone();
+                let at = (next() % (bytes.len() as u64 + 1)) as usize;
+                let byte = match next() % 2 {
+                    0 => BYTES[(next() % BYTES.len() as u64) as usize],
+                    _ => next() as u8,
+                };
+                match next() % 3 {
+                    0 => bytes.insert(at, byte),
+                    _ if at == bytes.len() => {}
+                    1 => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes[at] = byte,
+                }
+                let text = String::from_utf8_lossy(&bytes);
+                decoded += usize::from(decode_report_data(&text, &task).is_some());
+            }
+            assert!(decoded > 0, "{}: no edited blob decoded", task.slug());
+        }
+    }
 }

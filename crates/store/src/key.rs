@@ -96,9 +96,10 @@ pub(crate) fn key_material(plan: &CampaignPlan) -> String {
         config.equivalence.seed,
     );
     // `config.jobs` and `config.opt` intentionally absent: pure
-    // wall-clock knobs — threading and the lane-tape optimizer are both
-    // pinned bit-identical by the differential suites, so results are
-    // shareable across their settings.
+    // wall-clock knobs — threading and the lane executor (fused or
+    // raw-tape interpreter) are both pinned bit-identical by the
+    // differential suites, so results are shareable across their
+    // settings.
     s
 }
 
@@ -145,8 +146,9 @@ mod tests {
 
     #[test]
     fn opt_level_shares_the_key() {
-        // The optimizer is bit-identity-pinned, so `--opt off` may reuse
-        // a `--opt full` result (and vice versa).
+        // The fused executor and the raw-tape interpreter are
+        // bit-identity-pinned, so `--opt off` may reuse a `--opt full`
+        // result (and vice versa).
         use musa_mutation::OptLevel;
         assert_eq!(key(&base()), key(&base().opt(OptLevel::Off)));
     }

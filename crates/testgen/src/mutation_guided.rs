@@ -41,8 +41,9 @@ pub struct MgConfig {
     /// engines emit bit-identical data; `lanes` grades up to 63 live
     /// mutants per simulation pass.
     pub engine: Engine,
-    /// Lane-tape optimizer level (ignored by the scalar engine). Both
-    /// levels emit bit-identical data.
+    /// Lane executor: the fused executor (`full`) or the raw-tape
+    /// interpreter (`off`); ignored by the scalar engine. Both levels
+    /// emit bit-identical data.
     pub opt: OptLevel,
 }
 
@@ -79,7 +80,7 @@ impl MgConfig {
         self
     }
 
-    /// Returns a copy with the given lane-tape optimizer level.
+    /// Returns a copy with the given lane executor ([`MgConfig::opt`]).
     #[must_use]
     pub fn with_opt(mut self, opt: OptLevel) -> Self {
         self.opt = opt;

@@ -227,11 +227,11 @@ fn opt_plans() -> &'static Vec<(LanePlan<'static>, LanePlan<'static>)> {
 }
 
 proptest! {
-    /// The optimizer is semantics-preserving on every bundled circuit's
-    /// FULL mutant population: for random stimulus, the optimized
-    /// pipeline reproduces the unoptimized pipeline's first-kill vector
-    /// bit for bit (and the unoptimized side really ran untouched
-    /// tapes).
+    /// The fused executor is semantics-preserving on every bundled
+    /// circuit's FULL mutant population: for random stimulus, the
+    /// lowered tapes (`OptLevel::Full`) reproduce the raw-tape
+    /// interpreter's (`OptLevel::Off`) first-kill vector bit for bit.
+    /// The sweep test above pins both levels to the scalar engine.
     #[test]
     fn optimizer_preserves_kills_on_full_populations(
         seed in any::<u64>(),
@@ -239,15 +239,13 @@ proptest! {
     ) {
         for ((circuit, population), (full, off)) in circuits().iter().zip(opt_plans()) {
             let sequence = random_sequence_for(circuit, cycles, seed);
-            let (kills_full, stats_full) = full.first_kills(&sequence).unwrap();
-            let (kills_off, stats_off) = off.first_kills(&sequence).unwrap();
+            let (kills_full, _) = full.first_kills(&sequence).unwrap();
+            let (kills_off, _) = off.first_kills(&sequence).unwrap();
             prop_assert_eq!(
                 &kills_full.first_kill, &kills_off.first_kill,
-                "{}: optimized and unoptimized kills diverged", circuit.name,
+                "{}: fused-executor and interpreter kills diverged", circuit.name,
             );
             prop_assert_eq!(kills_full.first_kill.len(), population.len());
-            prop_assert!(stats_full.instrs_after <= stats_full.instrs_before);
-            prop_assert_eq!(stats_off.instrs_after, stats_off.instrs_before);
         }
     }
 }

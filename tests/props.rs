@@ -1,12 +1,77 @@
 //! Workspace-level property-based tests (proptest): invariants that
 //! must hold across the whole public API for arbitrary inputs.
 
+use musa::core::{json, BenchReport};
 use musa::hdl::{parse, Bits, CheckedDesign, Simulator};
 use musa::metrics::{mad, median, RobustStats};
-use musa::netlist::good_outputs;
+use musa::netlist::{good_outputs, parse_bench};
 use musa::prng::{Lfsr, Prng, SplitMix64, XorShift64Star};
+use musa::store::request::parse_request;
 use musa::synth::{flatten_inputs, synthesize, unflatten_outputs};
 use proptest::prelude::*;
+
+/// Committed documents the never-panic properties edit: edited real
+/// documents reach parser states random strings never get past the
+/// first token to.
+const B05_MHDL: &str = include_str!("../crates/circuits/src/hdl/b05.mhdl");
+const C432_BENCH: &str = include_str!("fixtures/c432.bench");
+const BENCH_GOLDEN: &str = include_str!("golden/bench_c17_quick.json");
+/// A loadable `musa bench` baseline (the golden above has its numbers
+/// normalized, so `BenchReport::from_json` stops at its `meta` block).
+const BENCH_REPORT: &str = include_str!("../BENCH_4.json");
+const CAMPAIGN_REPORT: &str = include_str!("golden/sample_c17.json");
+/// The sampling request CI's store job sends to `musa campaign`.
+const SAMPLING_REQUEST: &str = r#"{"schema": "musa.request.v1", "task": "sampling",
+ "params": {"fraction": 0.1}, "benches": ["b01", "c17"],
+ "seed": 7, "preset": "fast"}"#;
+
+/// Bytes the MiniHDL, `.bench` and JSON grammars give meaning to;
+/// half of all inserted or replacing bytes are drawn from here.
+const STRUCTURAL: &[u8] = b"{}[]\",:;<-+.0123456789eE \n\t\\=()#tfnu";
+
+/// One single-byte edit: `(position, kind, byte)`, kind 0 inserts,
+/// 1 deletes, 2 replaces.
+type Edit = (u64, u8, u8);
+
+/// One to three stacked single-byte edits.
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    proptest::collection::vec((any::<u64>(), 0u8..3, any::<u8>()), 1..4)
+}
+
+/// Applies `edits` to `doc` byte-wise; the result is read back
+/// lossily, since every parser here takes `&str`.
+fn edited(doc: &str, edits: &[Edit]) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    for &(pos, kind, byte) in edits {
+        let byte = if byte & 1 == 0 {
+            STRUCTURAL[usize::from(byte >> 1) % STRUCTURAL.len()]
+        } else {
+            byte
+        };
+        let at = (pos % (bytes.len() as u64 + 1)) as usize;
+        match kind {
+            0 => bytes.insert(at, byte),
+            _ if at == bytes.len() => {}
+            1 => {
+                bytes.remove(at);
+            }
+            _ => bytes[at] = byte,
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The edited documents start from inputs every parser accepts.
+#[test]
+fn committed_documents_parse() {
+    assert!(CheckedDesign::new(parse(B05_MHDL).unwrap()).is_ok());
+    assert!(parse_bench(C432_BENCH, "c432").is_ok());
+    for doc in [BENCH_GOLDEN, BENCH_REPORT, CAMPAIGN_REPORT, SAMPLING_REQUEST] {
+        assert!(json::parse(doc).is_ok(), "{doc}");
+    }
+    assert!(parse_request(SAMPLING_REQUEST).is_ok());
+    assert!(BenchReport::from_json(BENCH_REPORT).is_ok());
+}
 
 proptest! {
     /// Bits arithmetic is exactly u64 arithmetic modulo 2^width.
@@ -58,10 +123,48 @@ proptest! {
         }
     }
 
-    /// The lexer never panics, whatever bytes arrive.
+    /// The MiniHDL parser and checker never panic, whatever bytes
+    /// arrive: random strings and edited copies of a bundled design.
     #[test]
-    fn parser_never_panics(input in ".{0,200}") {
+    fn parser_never_panics(input in ".{0,200}", edits in edits()) {
         let _ = parse(&input);
+        if let Ok(design) = parse(&edited(B05_MHDL, &edits)) {
+            let _ = CheckedDesign::new(design);
+        }
+    }
+
+    /// `.bench` parsing ends in `Ok` or `Err` on random strings and on
+    /// edited copies of a committed netlist.
+    #[test]
+    fn bench_parser_never_panics(input in ".{0,200}", edits in edits()) {
+        let _ = parse_bench(&input, "noise");
+        let _ = parse_bench(&edited(C432_BENCH, &edits), "c432");
+    }
+
+    /// The JSON parser ends in `Ok` or `Err` on random strings and on
+    /// edited copies of every committed document kind it reads.
+    #[test]
+    fn json_parser_never_panics(input in ".{0,200}", edits in edits()) {
+        let _ = json::parse(&input);
+        for doc in [BENCH_GOLDEN, CAMPAIGN_REPORT, SAMPLING_REQUEST] {
+            let _ = json::parse(&edited(doc, &edits));
+        }
+    }
+
+    /// `musa.request.v1` parsing ends in `Ok` or `Err` on random strings
+    /// and on edited copies of CI's sampling request.
+    #[test]
+    fn request_parser_never_panics(input in ".{0,200}", edits in edits()) {
+        let _ = parse_request(&input);
+        let _ = parse_request(&edited(SAMPLING_REQUEST, &edits));
+    }
+
+    /// `musa bench` baselines load with `Ok` or `Err` from random
+    /// strings and from edited copies of a committed baseline.
+    #[test]
+    fn bench_report_parser_never_panics(input in ".{0,200}", edits in edits()) {
+        let _ = BenchReport::from_json(&input);
+        let _ = BenchReport::from_json(&edited(BENCH_REPORT, &edits));
     }
 
     /// The robust-stats helpers are order-free: every permutation of

@@ -414,11 +414,12 @@ fn sample_profile_prints_a_phase_table() {
     assert!(stdout.contains("campaign"), "{stdout}");
     assert!(stdout.contains("wall ms"), "{stdout}");
     assert!(stdout.contains("counter"), "{stdout}");
-    // The lane-tape optimizer runs by default, so the pass pipeline
-    // shows up both as a phase row and via its shrinkage counters.
-    assert!(stdout.contains("lane_opt"), "{stdout}");
-    assert!(stdout.contains("lane_opt_instrs_before"), "{stdout}");
-    assert!(stdout.contains("lane_opt_instrs_after"), "{stdout}");
+    // The lane pipeline has two stages: the compile shows up as a phase
+    // row, the fused executor's lowering via its fusion counter, and
+    // nothing sits between them.
+    assert!(stdout.contains("lane_compile"), "{stdout}");
+    assert!(stdout.contains("lane_fused_ops"), "{stdout}");
+    assert!(!stdout.contains("lane_opt"), "{stdout}");
     // With --json the table moves to stderr so stdout stays parseable.
     let out = musa_bin(&["sample", "c17", "--profile", "--json"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
