@@ -276,7 +276,7 @@ pub struct CliOptions {
     /// default on). Reported numbers are identical either way; only
     /// the `screened` count in the JSON report changes.
     pub screen: bool,
-    /// Lane executor (`--opt full|off`, default full): the fused
+    /// Lane executor (`--opt full|off`, default full): the lowered
     /// executor or the raw-tape interpreter. Both levels are
     /// bit-identical in every reported number; `off` exists as the
     /// benchmark/debug baseline.
@@ -331,11 +331,10 @@ options (shared by every musa_bench experiment binary):
               fold into the E term directly — reported numbers are
               bit-identical either way
   --opt full|off
-              lane executor (default full): `full` lowers the compiled
-              lane tapes to the fused executor (constant pool, scalar
-              prefix, superinstruction fusion); `off` interprets the
-              raw tapes — outcomes are bit-identical, only wall time
-              changes
+              lane executor (default full): `full` runs the compiled
+              lane tapes on the lowered executor (constant pool, scalar
+              prefix); `off` interprets the raw tapes — outcomes are
+              bit-identical, only wall time changes
   --json      emit the typed campaign report as JSON (stable
               `musa.campaign.v1` schema) instead of text
   --trace FILE
@@ -420,7 +419,7 @@ pub struct SampleArgs {
     pub fault_reduce: bool,
     /// Static equivalent-mutant pre-screening (default on).
     pub screen: bool,
-    /// Lane executor level (default full, the fused executor).
+    /// Lane executor level (default full, the lowered executor).
     pub opt: OptLevel,
     /// `--paper` preset requested (default: fast).
     pub paper: bool,
@@ -1204,7 +1203,7 @@ mod tests {
         assert!(SampleArgs::parse(&strings(&["c17", "--opt", "fast"]))
             .unwrap_err()
             .contains("full|off"));
-        // Default: the fused executor.
+        // Default: the lowered executor.
         assert_eq!(SampleArgs::parse(&strings(&["c17"])).unwrap().opt, OptLevel::Full);
     }
 

@@ -169,7 +169,7 @@ impl BenchCell {
     /// The stable cell identifier baselines are matched on, e.g.
     /// `mutant_exec/c432/lanes-opt/jobs=1` or `fault_sim/b01/reduce=on`.
     /// Lane cells carry their executor level (`lanes-opt` for the
-    /// fused executor, `lanes-noopt` for the raw-tape interpreter); a
+    /// lowered executor, `lanes-noopt` for the raw-tape interpreter); a
     /// plain `lanes` id only arises from reports committed before the
     /// `opt` field existed.
     pub fn id(&self) -> String {
@@ -817,7 +817,7 @@ pub enum Regression {
         /// Current scalar÷lanes median ratio.
         current: f64,
     },
-    /// The fused executor's noopt÷opt speedup over the raw-tape
+    /// The lowered executor's noopt÷opt speedup over the raw-tape
     /// interpreter dropped beyond threshold — the lowering stopped
     /// paying for itself.
     OptRatio {
@@ -866,7 +866,7 @@ fn engine_ratios(report: &BenchReport, min_gate_ns: f64) -> Vec<(String, f64)> {
         if cell.engine != Some(Engine::Scalar) {
             continue;
         }
-        // The lanes partner is the production configuration: the fused
+        // The lanes partner is the production configuration: the lowered
         // executor, or an older report with no recorded level.
         let Some(partner) = report.cells.iter().find(|c| {
             c.workload == cell.workload
@@ -895,7 +895,7 @@ fn engine_ratios(report: &BenchReport, min_gate_ns: f64) -> Vec<(String, f64)> {
 }
 
 /// Noopt÷opt median ratios per `(workload, bench, jobs)` key — the
-/// fused executor's machine-independent speedup over the raw-tape
+/// lowered executor's machine-independent speedup over the raw-tape
 /// interpreter, for cell pairs whose `lanes-opt` median clears the
 /// gate floor. Empty for reports committed before the `opt` field
 /// existed (no `lanes-noopt` cells).
@@ -1383,10 +1383,10 @@ mod tests {
             cell.opt = Some(OptLevel::Off);
             cell
         };
-        // opt 10 ms vs noopt 20 ms: the fused executor earns 2.0x.
+        // opt 10 ms vs noopt 20 ms: the lowered executor earns 2.0x.
         let mut baseline = report(grid());
         baseline.cells.push(noopt_cell(20.0));
-        // The fused executor decays to 1.1x: ratio falls past the 30 % gate.
+        // The lowered executor decays to 1.1x: ratio falls past the 30 % gate.
         let mut current = report(grid());
         current.cells.push(noopt_cell(11.0));
         let findings = compare(&baseline, &current, &ComparePolicy::quick());

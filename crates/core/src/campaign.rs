@@ -333,7 +333,7 @@ impl Campaign {
         self
     }
 
-    /// Lane executor (default `full`, the fused executor; `off` runs
+    /// Lane executor (default `full`, the lowered executor; `off` runs
     /// the raw-tape interpreter). Purely a wall-clock knob: outcomes
     /// are bit-identical at every level.
     #[must_use]
@@ -684,7 +684,7 @@ pub struct RunMeta {
     pub fault_reduce: bool,
     /// Whether static equivalent-mutant pre-screening was on.
     pub screen: bool,
-    /// Lane executor level (`full` fused executor, `off` interpreter).
+    /// Lane executor level (`full` lowered executor, `off` interpreter).
     pub opt: OptLevel,
     /// Configuration preset.
     pub preset: Preset,

@@ -55,11 +55,10 @@ pub struct ExperimentConfig {
     /// on is the default.
     pub screen: bool,
     /// Lane executor for every lane-engine stage: `full` (the default)
-    /// lowers the compiler's tapes to the fused executor (constant
-    /// pooling, scalar prefix, superinstruction fusion); `off` runs the
-    /// raw compiler tapes on the reference interpreter. Outcomes are
-    /// bit-identical either way — like `jobs` and `engine`, purely a
-    /// wall-clock knob.
+    /// runs the compiler's tapes on the lowered executor (constant
+    /// pooling, scalar prefix); `off` runs the raw compiler tapes on
+    /// the reference interpreter. Outcomes are bit-identical either
+    /// way — like `jobs` and `engine`, purely a wall-clock knob.
     pub opt: OptLevel,
 }
 

@@ -25,33 +25,11 @@
 //! averages) stay deterministic because they always fold in index
 //! order, never arrival order.
 //!
-//! `musa_mutation::execute_mutants_jobs` re-implements this contract
-//! for the mutant-population shard (that crate sits *below* this one
-//! in the dependency graph) — changes here must be kept in sync there.
+//! The work queue itself is [`musa_trace::try_fork_map`], which the
+//! mutation crate's mutant and lane-group shards share (that crate sits
+//! *below* this one in the dependency graph).
 
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Number of worker threads the machine supports, used when a job count
-/// of `0` (= "auto") is requested.
-///
-/// Falls back to 1 when the platform cannot report its parallelism.
-pub fn available_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Resolves a requested job count: `0` means "use [`available_jobs`]",
-/// anything else is taken literally.
-pub fn resolve_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        available_jobs()
-    } else {
-        requested
-    }
-}
+pub use musa_trace::{available_jobs, resolve_jobs};
 
 /// Maps `f` over `items` on up to `jobs` threads, returning results in
 /// item order.
@@ -93,54 +71,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let jobs = resolve_jobs(jobs).min(items.len().max(1));
-    // Trace fork point: captured serially before any worker exists, so
-    // child contexts are identified by *item index*, never by which
-    // worker thread happens to pull the item — the recorded structure
-    // is identical for every job count (and inert when tracing is off).
-    let fork = musa_trace::ForkScope::capture();
-    if jobs <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let _trace = fork.enter(i);
-                f(i, item)
-            })
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    // One pre-sized slot per item so workers never contend on a growing
-    // collection; a worker locks only to deposit its own slot.
-    let slots: Vec<Mutex<Option<Result<R, E>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = {
-                    let _trace = fork.enter(i);
-                    f(i, item)
-                };
-                *slots[i].lock().expect("no panics while depositing") = Some(result);
-            });
-        }
-    });
-
-    // Index-ordered reduction: the first error reported is the one the
-    // serial loop would have hit.
-    let mut out = Vec::with_capacity(items.len());
-    for slot in slots {
-        match slot.into_inner().expect("worker deposited without panic") {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("scope joins every worker; all slots filled"),
-        }
-    }
-    Ok(out)
+    musa_trace::try_fork_map(jobs, items.len(), |i| f(i, &items[i]))
 }
 
 /// Splits `jobs` threads between an outer loop of `outer_items` and the

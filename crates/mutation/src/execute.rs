@@ -8,8 +8,6 @@ use crate::mutant::{Mutant, MutationError};
 use musa_hdl::{Bits, CheckedDesign, Simulator};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which mutant-execution engine grades a population.
 ///
@@ -68,9 +66,9 @@ impl FromStr for Engine {
 
 /// Which executor runs the lane engine's compiled tapes (`--opt`).
 ///
-/// `Full` (the default) lowers the compiler's tapes to the fused
-/// executor: a pooled constant file, a scalar prefix for the values no
-/// mutant can influence, and superinstructions for hot op pairs. `Off`
+/// `Full` (the default) lowers the compiler's tapes one op per
+/// instruction and runs them on the lowered executor: a pooled constant
+/// file and a scalar prefix for the values no mutant can influence. `Off`
 /// runs the same tapes one instruction at a time on the raw-tape
 /// reference interpreter. The two settings are **bit-identical** for
 /// every population, sequence and job count, so the knob exists for
@@ -78,7 +76,7 @@ impl FromStr for Engine {
 /// `musa.key.v1` cache key. The scalar engine ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum OptLevel {
-    /// Lower tapes to the fused executor. The default.
+    /// Run the lowered executor. The default.
     #[default]
     Full,
     /// Interpret the raw compiler output (the tests' oracle and the
@@ -185,12 +183,8 @@ pub fn execute_mutants(
 /// the lowest-index failure is reported, exactly as the serial loop
 /// would.
 ///
-/// The work queue itself is `try_shard`, shared with the lane
-/// engine's group sharding. It mirrors
-/// `musa_core::parallel::try_par_map` (same work-queue,
-/// deposit-by-index and lowest-index-error contract), re-implemented
-/// here because `musa_core` sits *above* this crate in the dependency
-/// graph — keep the two in sync.
+/// The work queue is [`musa_trace::try_fork_map`], shared with the lane
+/// engine's group sharding and `musa_core::parallel`.
 ///
 /// # Errors
 ///
@@ -204,64 +198,10 @@ pub fn execute_mutants_jobs(
     jobs: usize,
 ) -> Result<KillResult, MutationError> {
     let reference = reference_transcript(checked, entity, sequence)?;
-    let first_kill = try_shard(jobs, mutants.len(), |i| {
+    let first_kill = musa_trace::try_fork_map(jobs, mutants.len(), |i| {
         run_one(checked, entity, &mutants[i], sequence, &reference)
     })?;
     Ok(KillResult { first_kill })
-}
-
-/// Runs `count` independent work items across `jobs` worker threads
-/// (`0` = one per CPU; `<= 1` runs serially in index order), pulling
-/// items off an atomic counter for load balancing and depositing
-/// results **by index**. The merged output — including which error is
-/// reported when several items fail (the lowest-index one) — is
-/// therefore identical for every thread count. Shared by the scalar
-/// mutant loop and the lane engine's group sharding.
-pub(crate) fn try_shard<T: Send>(
-    jobs: usize,
-    count: usize,
-    run: impl Fn(usize) -> Result<T, MutationError> + Sync,
-) -> Result<Vec<T>, MutationError> {
-    let jobs = resolve_jobs(jobs).min(count.max(1));
-    // Trace fork point: item-indexed child contexts, captured serially
-    // so the recorded structure is job-count-invariant (see
-    // `musa_core::parallel::try_par_map` — keep the two in sync).
-    let fork = musa_trace::ForkScope::capture();
-    if jobs <= 1 {
-        return (0..count)
-            .map(|i| {
-                let _trace = fork.enter(i);
-                run(i)
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T, MutationError>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = {
-                    let _trace = fork.enter(i);
-                    run(i)
-                };
-                *slots[i].lock().expect("worker deposits its own slot") = Some(result);
-            });
-        }
-    });
-    let mut merged = Vec::with_capacity(count);
-    for slot in slots {
-        match slot.into_inner().expect("scope joined all workers") {
-            Some(Ok(value)) => merged.push(value),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every slot is filled before the scope exits"),
-        }
-    }
-    Ok(merged)
 }
 
 /// [`execute_mutants_jobs`] with a selectable [`Engine`]. The outcome
@@ -311,15 +251,6 @@ pub fn execute_mutants_engine_opt(
         &crate::lanes::LaneOptions::default().with_jobs(jobs).with_opt(opt),
     )?;
     Ok(KillResult { first_kill: kills.into_iter().map(|kill| kill.map(|(_, t)| t)).collect() })
-}
-
-/// `0` means one worker per available CPU; anything else is literal.
-pub(crate) fn resolve_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        requested
-    }
 }
 
 /// Executes a single mutant; returns the first killing vector index.

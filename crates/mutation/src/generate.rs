@@ -18,27 +18,18 @@ use musa_hdl::{CheckedDesign, EntityInfo, SymbolKind};
 pub struct GenerateOptions {
     /// Operator classes to enumerate (default: all ten).
     pub operators: Vec<MutationOperator>,
-    /// Validate each mutant by re-checking (default: true). Disable only
-    /// in benchmarks measuring raw enumeration speed.
-    pub validate: bool,
 }
 
 impl Default for GenerateOptions {
     fn default() -> Self {
-        Self {
-            operators: MutationOperator::all().to_vec(),
-            validate: true,
-        }
+        Self { operators: MutationOperator::all().to_vec() }
     }
 }
 
 impl GenerateOptions {
     /// Restricts generation to a single operator class.
     pub fn only(operator: MutationOperator) -> Self {
-        Self {
-            operators: vec![operator],
-            validate: true,
-        }
+        Self { operators: vec![operator] }
     }
 }
 
@@ -93,7 +84,7 @@ pub fn generate_mutants(
             rewrite,
             description,
         };
-        if options.validate && mutant.apply(checked).is_err() {
+        if mutant.apply(checked).is_err() {
             continue; // stillborn
         }
         mutants.push(mutant);

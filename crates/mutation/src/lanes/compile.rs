@@ -36,15 +36,15 @@ pub(crate) enum Executable {
     /// `--opt off`: the compiler's raw SSA tapes, run on the
     /// [`super::tape::LaneVm::run`] reference interpreter — the
     /// baseline the `lanes-noopt` bench cells and the differential
-    /// suites measure the fused executor against.
+    /// suites measure the lowered executor against.
     Raw {
         /// The combinational settle (runs on reset, after inputs, after edge).
         comb: Tape,
         /// The clock edge: next-state computation plus register commit.
         edge: Tape,
     },
-    /// `--opt full`: the compiler's tapes lowered to fused executor
-    /// tapes with a shared constant pool.
+    /// `--opt full`: the compiler's tapes lowered to executor tapes
+    /// with a shared constant pool.
     Lowered {
         /// The combinational settle (runs on reset, after inputs, after edge).
         comb: ExecUnit,
@@ -246,9 +246,10 @@ pub(crate) fn compile_group(
             let lowered = lower_unit(&comb, &edge, &init);
             #[cfg(debug_assertions)]
             {
-                for unit in [&lowered.comb, &lowered.edge] {
+                for (unit, tape) in [(&lowered.comb, &comb), (&lowered.edge, &edge)] {
                     super::verify::verify_unit(
                         unit,
+                        tape,
                         init.len(),
                         lowered.consts.len(),
                         lowered.scratch_scalar,

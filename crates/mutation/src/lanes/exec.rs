@@ -1,5 +1,5 @@
 //! The lane executor: SSA tapes lowered to an explicit-destination op
-//! stream with superinstruction fusion.
+//! stream, one op per instruction.
 //!
 //! Second stage of the compile → lower/execute pipeline: the
 //! compiler's tapes come here as they are (`--opt full`; `--opt off`
@@ -10,15 +10,11 @@
 //! * **pools constants** — `Const` broadcasts are materialized once per
 //!   group simulation (they are loop-invariant across every sweep), so
 //!   the per-step loop never touches them again;
-//! * **fuses hot pairs** — profile data over the bundled benches shows
-//!   the dominant adjacent pairs are `Bin`→`MaskSel` (every expression
-//!   mutation folds its rewritten operator through a lane select),
-//!   `Load`→`Bin` (fan-out-1 signal reads), `Not`→`Bin` (inverters
-//!   feeding a single gate), `Bin`→`Bin` (fan-out-1 gate chains — the
-//!   bulk of a gate-level netlist) and `Not`→`Reduce` (reduction of a
-//!   complemented operand); each becomes one superinstruction when the
-//!   producer has exactly one consumer and is not stored, saving a
-//!   512-byte lane-word round trip per step.
+//! * **splits off a scalar prefix** — values no mutation site can
+//!   influence evaluate once on `u64`s, and `Splat`s carry the ones the
+//!   lane stream reads into lane words.
+//!
+//! Every other instruction lowers to exactly one [`ExecOp`].
 
 use super::tape::{Instr, LaneVm, Reg, Tape, LANES};
 use musa_hdl::ast::{BinOp, ReduceOp, ShiftOp};
@@ -57,29 +53,6 @@ pub(crate) enum ExecOp {
     DynSet { dst: Reg, cur: Reg, index: Reg, bit: Reg, width: u32 },
     /// Constant-slice write: `field` is the positioned slice mask.
     WithSlice { dst: Reg, cur: Reg, v: Reg, lo: u32, field: u64 },
-    /// Fused `Bin`+`MaskSel`: masked lanes take `op(a, b)`, the rest
-    /// read `other`.
-    BinMaskSel { dst: Reg, op: BinOp, a: Reg, b: Reg, m: u64, mask: u64, other: Reg },
-    /// Fused `Bin`+`MaskSel` with the computed value on the
-    /// fall-through arm: masked lanes read `other`.
-    BinMaskSelLo { dst: Reg, op: BinOp, a: Reg, b: Reg, m: u64, mask: u64, other: Reg },
-    /// Fused `Load`+`Bin`: `op(state[sym], b)`.
-    LoadBin { dst: Reg, op: BinOp, sym: u32, b: Reg, m: u64 },
-    /// Fused `Bin`+`Load`: `op(a, state[sym])`.
-    BinLoad { dst: Reg, op: BinOp, a: Reg, sym: u32, m: u64 },
-    /// Fused `Not`+`Reduce` (one masked complement, no intermediate).
-    NotReduce { dst: Reg, op: ReduceOp, a: Reg, m: u64 },
-    /// Fused `Not`+`Bin`: `op(!a & nm, b)` — an inverter feeding its
-    /// only consumer's left operand.
-    NotBin { dst: Reg, op: BinOp, a: Reg, nm: u64, b: Reg, m: u64 },
-    /// Fused `Bin`+`Not`: `op(a, !b & nm)`.
-    BinNot { dst: Reg, op: BinOp, a: Reg, b: Reg, nm: u64, m: u64 },
-    /// Fused `Bin`+`Bin` with the inner pair on the left:
-    /// `op(op1(a, b), c)` — a fan-out-1 gate feeding the next gate.
-    BinBinL { dst: Reg, op1: BinOp, a: Reg, b: Reg, m1: u64, op: BinOp, c: Reg, m: u64 },
-    /// Fused `Bin`+`Bin` with the inner pair on the right:
-    /// `op(c, op1(a, b))`.
-    BinBinR { dst: Reg, op1: BinOp, a: Reg, b: Reg, m1: u64, op: BinOp, c: Reg, m: u64 },
     /// Broadcast scalar register `src` into a lane word: the bridge
     /// from the scalar prefix into the lane stream. Emitted at the head
     /// of a lane tape, once per uniform value divergent ops consume.
@@ -103,15 +76,6 @@ impl ExecOp {
             | ExecOp::DynGet { dst, .. }
             | ExecOp::DynSet { dst, .. }
             | ExecOp::WithSlice { dst, .. }
-            | ExecOp::BinMaskSel { dst, .. }
-            | ExecOp::BinMaskSelLo { dst, .. }
-            | ExecOp::LoadBin { dst, .. }
-            | ExecOp::BinLoad { dst, .. }
-            | ExecOp::NotReduce { dst, .. }
-            | ExecOp::NotBin { dst, .. }
-            | ExecOp::BinNot { dst, .. }
-            | ExecOp::BinBinL { dst, .. }
-            | ExecOp::BinBinR { dst, .. }
             | ExecOp::Splat { dst, .. } => dst,
         }
     }
@@ -226,12 +190,8 @@ pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord
     }
     let first = consts.len() as Reg;
     let (dc, de) = divergence(comb, edge, init);
-    let (comb, fused_c) = lower_fused(comb, &pool, first, &dc);
-    let (edge, fused_e) = lower_fused(edge, &pool, first, &de);
-    let fused = fused_c + fused_e;
-    if fused > 0 {
-        musa_trace::count("lane_fused_ops", fused as u64);
-    }
+    let comb = lower(comb, &pool, first, &dc);
+    let edge = lower(edge, &pool, first, &de);
     let scalar = comb.pre.ops.len() + edge.pre.ops.len();
     if scalar > 0 {
         musa_trace::count("lane_scalar_ops", scalar as u64);
@@ -248,8 +208,8 @@ pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord
     }
 }
 
-/// Lowers one instruction without fusion, mapping operands through `res`.
-fn plain_op(instr: &Instr, dst: Reg, res: impl Fn(Reg) -> Reg) -> ExecOp {
+/// Lowers one instruction, mapping operands through `res`.
+fn lower_op(instr: &Instr, dst: Reg, res: impl Fn(Reg) -> Reg) -> ExecOp {
     match *instr {
         Instr::Load { sym } => ExecOp::Load { dst, sym },
         Instr::Const { value } => ExecOp::Const { dst, value },
@@ -298,119 +258,14 @@ fn plain_op(instr: &Instr, dst: Reg, res: impl Fn(Reg) -> Reg) -> ExecOp {
     }
 }
 
-/// Full lowering: constants resolve into the pool, uniform ops drop to
-/// the scalar prefix, fusible producer → consumer pairs in the lane
-/// stream collapse into superinstructions, and surviving ops get dense
-/// destinations starting at `first` in their respective register file.
-/// Returns the fused-pair count.
-fn lower_fused(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool]) -> (ExecUnit, usize) {
+/// Lowers one tape: constants resolve into the pool, uniform
+/// instructions lower to the scalar prefix and divergent ones to the
+/// lane stream, one op each, with dense destinations starting at
+/// `first` in their respective register file.
+fn lower(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool]) -> ExecUnit {
     let n = tape.instrs.len();
-    // Use counts decide fusibility: a producer folds into its consumer
-    // only when that consumer is its *only* reader and it is not stored.
-    let mut uses = vec![0u32; n];
-    for instr in &tape.instrs {
-        instr.for_each_operand(|r| uses[r as usize] += 1);
-    }
-    let mut stored = vec![false; n];
-    for &(_, reg) in &tape.stores {
-        stored[reg as usize] = true;
-    }
-    // Fusion concerns the lane stream only: a uniform producer stays a
-    // scalar op and reaches its lane consumers through one Splat.
-    let fusible = |r: Reg| uses[r as usize] == 1 && !stored[r as usize] && div[r as usize];
-
-    // Plan fusions. `taken[p]` marks producer `p` as embedded in its
-    // consumer. Select/reduce fusions are planned first: a Bin claimed
-    // by a MaskSel cannot also claim its own Load operand (it is not
-    // emitted), while an unclaimed Bin may.
-    let mut taken = vec![false; n];
-    let mut plan: Vec<Option<Reg>> = vec![None; n];
-    for (i, instr) in tape.instrs.iter().enumerate() {
-        match *instr {
-            Instr::MaskSel { a, b, .. } => {
-                if fusible(a) && matches!(tape.instrs[a as usize], Instr::Bin { .. }) {
-                    taken[a as usize] = true;
-                    plan[i] = Some(a);
-                } else if fusible(b) && matches!(tape.instrs[b as usize], Instr::Bin { .. }) {
-                    taken[b as usize] = true;
-                    plan[i] = Some(b);
-                }
-            }
-            // The width guard: masks must agree for the fused complement.
-            Instr::Reduce { a, width, .. }
-                if fusible(a)
-                    && matches!(tape.instrs[a as usize],
-                        Instr::Not { width: w2, .. } if w2 == width) =>
-            {
-                taken[a as usize] = true;
-                plan[i] = Some(a);
-            }
-            _ => {}
-        }
-    }
-    // Second wave: a Bin that claimed nothing yet embeds a fan-out-1
-    // `Bin` operand — the gate-chain shape of a netlist. The producer
-    // must not have embedded a producer of its own: a fused op lowers
-    // exactly one level, so nested plans are excluded. `Bin` embedding
-    // stays fan-out-1 only: a fused inner pair reads one extra operand,
-    // so duplicating it into several consumers would add traffic.
-    for i in 0..tape.instrs.len() {
-        if taken[i] || plan[i].is_some() {
-            continue;
-        }
-        let Instr::Bin { a, b, .. } = tape.instrs[i] else { continue };
-        let inner_ok = |r: Reg| {
-            fusible(r)
-                && !taken[r as usize]
-                && plan[r as usize].is_none()
-                && matches!(tape.instrs[r as usize], Instr::Bin { .. })
-        };
-        if inner_ok(a) {
-            taken[a as usize] = true;
-            plan[i] = Some(a);
-        } else if b != a && inner_ok(b) {
-            taken[b as usize] = true;
-            plan[i] = Some(b);
-        }
-    }
-    // Third wave: fold `Load` and `Not` producers into every remaining
-    // Bin consumer — *any* fan-out, not just 1. Re-reading state or
-    // recomputing a masked complement inside the consumer costs the
-    // same lane-word traffic as reading the producer's register, so a
-    // fold is never a loss, and the producer op disappears entirely
-    // once every one of its readers folds it.
-    let mut folded = vec![0u32; n];
-    let mut fold_side: Vec<Option<Reg>> = vec![None; n];
-    for i in 0..tape.instrs.len() {
-        if taken[i] || plan[i].is_some() || !div[i] {
-            continue;
-        }
-        let Instr::Bin { a, b, .. } = tape.instrs[i] else { continue };
-        let can_fold = |r: Reg| {
-            div[r as usize]
-                && !stored[r as usize]
-                && !taken[r as usize]
-                && plan[r as usize].is_none()
-                && matches!(
-                    tape.instrs[r as usize],
-                    Instr::Load { .. } | Instr::Not { .. }
-                )
-        };
-        let (fa, fb) = (can_fold(a), b != a && can_fold(b));
-        let pick = match (fa, fb) {
-            // Prefer the side whose producer can vanish (its only use).
-            (true, true) if uses[b as usize] == 1 && uses[a as usize] != 1 => b,
-            (true, _) => a,
-            (false, true) => b,
-            (false, false) => continue,
-        };
-        folded[pick as usize] += 1;
-        fold_side[i] = Some(pick);
-    }
-
-    // Emit, in three passes. `map_s[i]`/`map_l[i]` are instruction i's
-    // scalar / lane register; pooled constants keep their pool slot in
-    // both files, embedded producers never need one.
+    // `map_s[i]`/`map_l[i]` are instruction i's scalar / lane register;
+    // pooled constants keep their pool slot in both files.
     let mut map_s: Vec<Option<Reg>> = vec![None; n];
     let mut map_l: Vec<Option<Reg>> = vec![None; n];
     for (i, instr) in tape.instrs.iter().enumerate() {
@@ -421,8 +276,7 @@ fn lower_fused(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool])
         }
     }
 
-    // Pass 1: the scalar prefix — every uniform op, lowered plainly
-    // (scalar ops are cheap enough that fusion would buy nothing).
+    // The scalar prefix: every uniform op.
     let mut pre_ops = Vec::new();
     let mut next_s = first;
     for (i, instr) in tape.instrs.iter().enumerate() {
@@ -430,34 +284,22 @@ fn lower_fused(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool])
             continue;
         }
         let res = |r: Reg| map_s[r as usize].expect("uniform operand lowered before use");
-        pre_ops.push(plain_op(instr, next_s, res));
+        pre_ops.push(lower_op(instr, next_s, res));
         map_s[i] = Some(next_s);
         next_s += 1;
     }
 
-    // Pass 2: find the uniform values the lane stream actually reads —
-    // each needs one Splat at the head of the lane stream. The reads of
-    // an emitted lane op are its own operands, with a planned/folded
-    // producer expanded to *that* producer's operands (the fused op
-    // re-derives the producer inline).
+    // One Splat at the head of the lane stream for every uniform value
+    // a divergent op reads.
     let mut needs_splat = vec![false; n];
     for (i, instr) in tape.instrs.iter().enumerate() {
-        if !div[i] || taken[i] {
-            continue;
-        }
-        let p = plan[i].or(fold_side[i]);
-        instr.for_each_operand(|r| {
-            let mut mark = |r: Reg| {
+        if div[i] {
+            instr.for_each_operand(|r| {
                 if !div[r as usize] && map_l[r as usize].is_none() {
                     needs_splat[r as usize] = true;
                 }
-            };
-            if Some(r) == p {
-                tape.instrs[r as usize].for_each_operand(mark);
-            } else {
-                mark(r);
-            }
-        });
+            });
+        }
     }
     let mut ops = Vec::with_capacity(n);
     let mut next = first;
@@ -470,77 +312,14 @@ fn lower_fused(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool])
         }
     }
 
-    // Pass 3: the divergent lane stream.
-    let mut fused = 0;
+    // The divergent lane stream.
     for (i, instr) in tape.instrs.iter().enumerate() {
-        if !div[i] || taken[i] {
-            continue;
-        }
-        // A Load/Not every reader folded has no consumers left: the
-        // fused ops re-derive its value, so it never materializes.
-        if matches!(instr, Instr::Load { .. } | Instr::Not { .. })
-            && !stored[i]
-            && uses[i] > 0
-            && folded[i] == uses[i]
-        {
+        if !div[i] {
             continue;
         }
         let res = |r: Reg| map_l[r as usize].expect("SSA operand lowered before use");
-        let dst = next;
-        let op = match (instr, plan[i].or(fold_side[i])) {
-            (&Instr::MaskSel { mask, a, b }, Some(p)) => {
-                fused += 1;
-                let Instr::Bin { op, a: ba, b: bb, width } = tape.instrs[p as usize] else {
-                    unreachable!("planned MaskSel producer is a Bin");
-                };
-                let (ba, bb, m) = (res(ba), res(bb), Bits::mask_of(width));
-                if p == a {
-                    ExecOp::BinMaskSel { dst, op, a: ba, b: bb, m, mask, other: res(b) }
-                } else {
-                    ExecOp::BinMaskSelLo { dst, op, a: ba, b: bb, m, mask, other: res(a) }
-                }
-            }
-            (&Instr::Reduce { op, width, .. }, Some(p)) => {
-                fused += 1;
-                let Instr::Not { a: inner, .. } = tape.instrs[p as usize] else {
-                    unreachable!("planned Reduce producer is a Not");
-                };
-                ExecOp::NotReduce { dst, op, a: res(inner), m: Bits::mask_of(width) }
-            }
-            (&Instr::Bin { op, a, b, width }, Some(p)) => {
-                fused += 1;
-                let m = Bits::mask_of(width);
-                match tape.instrs[p as usize] {
-                    Instr::Load { sym } => {
-                        if p == a {
-                            ExecOp::LoadBin { dst, op, sym, b: res(b), m }
-                        } else {
-                            ExecOp::BinLoad { dst, op, a: res(a), sym, m }
-                        }
-                    }
-                    Instr::Not { a: na, width: nw } => {
-                        let nm = Bits::mask_of(nw);
-                        if p == a {
-                            ExecOp::NotBin { dst, op, a: res(na), nm, b: res(b), m }
-                        } else {
-                            ExecOp::BinNot { dst, op, a: res(a), b: res(na), nm, m }
-                        }
-                    }
-                    Instr::Bin { op: op1, a: ia, b: ib, width: w1 } => {
-                        let (ia, ib, m1) = (res(ia), res(ib), Bits::mask_of(w1));
-                        if p == a {
-                            ExecOp::BinBinL { dst, op1, a: ia, b: ib, m1, op, c: res(b), m }
-                        } else {
-                            ExecOp::BinBinR { dst, op1, a: ia, b: ib, m1, op, c: res(a), m }
-                        }
-                    }
-                    _ => unreachable!("planned Bin producer is a Load, Not or Bin"),
-                }
-            }
-            (instr, _) => plain_op(instr, dst, res),
-        };
-        ops.push(op);
-        map_l[i] = Some(dst);
+        ops.push(lower_op(instr, next, res));
+        map_l[i] = Some(next);
         next += 1;
     }
 
@@ -556,13 +335,10 @@ fn lower_fused(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool])
             pre_stores.push((sym, map_s[reg as usize].expect("stored reg survives lowering")));
         }
     }
-    (
-        ExecUnit {
-            pre: ExecTape { ops: pre_ops, stores: pre_stores },
-            main: ExecTape { ops, stores },
-        },
-        fused,
-    )
+    ExecUnit {
+        pre: ExecTape { ops: pre_ops, stores: pre_stores },
+        main: ExecTape { ops, stores },
+    }
 }
 
 /// Per-lane binary-operator evaluation, identical to the scalar
@@ -599,8 +375,9 @@ fn reduce(op: ReduceOp, x: u64, m: u64) -> u64 {
 
 /// Lanes evaluated per executor sweep column. A full 64-lane register
 /// file for a realistic tape overflows L1 (~150 live registers × 512 B
-/// ≈ 75 KB), so the executor sweeps the tape once per 16-lane column:
-/// the touched cache lines shrink 4× and stay resident across ops.
+/// ≈ 75 KB), so the executor sweeps the tape once per 32-lane column,
+/// two columns per lane word: each sweep touches half of every lane
+/// word's cache lines, which stay resident across ops.
 /// Columns are disjoint lanes, so per-column store commits cannot be
 /// observed across columns and results are bit-identical.
 const TILE: usize = 32;
@@ -666,8 +443,8 @@ impl LaneVm {
                 ExecOp::WithSlice { cur, v, lo, field, .. } => {
                     (s[cur as usize] & !field) | (s[v as usize] << lo)
                 }
-                // MaskSel is divergent by definition and fused /
-                // Splat ops are lane-stream-only: none reach here.
+                // MaskSel is divergent by definition and Splat is
+                // lane-stream-only: neither reaches here.
                 _ => unreachable!("op never emitted in the scalar prefix"),
             };
             self.sregs[op.dst() as usize] = v;
@@ -677,7 +454,7 @@ impl LaneVm {
         }
     }
 
-    /// Evaluates a lowered tape: one forward sweep per 16-lane column,
+    /// Evaluates a lowered tape: one forward sweep per `TILE`-lane column,
     /// writing each op's destination in place (no lane-word copy), then
     /// that column's write-backs.
     pub(crate) fn run_exec(&mut self, tape: &ExecTape) {
@@ -784,74 +561,6 @@ impl LaneVm {
                         out[l] = (c[l] & !field) | (x[l] << shift);
                     }
                 }
-                ExecOp::BinMaskSel { op, a, b, m, mask, other, .. } => {
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    let o = tile(&regs[other as usize], lo);
-                    let mask = mask >> lo;
-                    for l in 0..TILE {
-                        let sel = 0u64.wrapping_sub((mask >> l) & 1);
-                        let v = bin(op, x[l], y[l], m);
-                        out[l] = o[l] ^ ((v ^ o[l]) & sel);
-                    }
-                }
-                ExecOp::BinMaskSelLo { op, a, b, m, mask, other, .. } => {
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    let o = tile(&regs[other as usize], lo);
-                    let mask = mask >> lo;
-                    for l in 0..TILE {
-                        let sel = 0u64.wrapping_sub((mask >> l) & 1);
-                        let v = bin(op, x[l], y[l], m);
-                        out[l] = v ^ ((o[l] ^ v) & sel);
-                    }
-                }
-                ExecOp::LoadBin { op, sym, b, m, .. } => {
-                    let x = tile(&self.state[sym as usize], lo);
-                    let y = tile(&regs[b as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = bin(op, x[l], y[l], m);
-                    }
-                }
-                ExecOp::BinLoad { op, a, sym, m, .. } => {
-                    let x = tile(&regs[a as usize], lo);
-                    let y = tile(&self.state[sym as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = bin(op, x[l], y[l], m);
-                    }
-                }
-                ExecOp::NotReduce { op, a, m, .. } => {
-                    let x = tile(&regs[a as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = reduce(op, !x[l] & m, m);
-                    }
-                }
-                ExecOp::NotBin { op, a, nm, b, m, .. } => {
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    for l in 0..TILE {
-                        out[l] = bin(op, !x[l] & nm, y[l], m);
-                    }
-                }
-                ExecOp::BinNot { op, a, b, nm, m, .. } => {
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    for l in 0..TILE {
-                        out[l] = bin(op, x[l], !y[l] & nm, m);
-                    }
-                }
-                ExecOp::BinBinL { op1, a, b, m1, op, c, m, .. } => {
-                    let x = tile(&regs[a as usize], lo);
-                    let y = tile(&regs[b as usize], lo);
-                    let z = tile(&regs[c as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = bin(op, bin(op1, x[l], y[l], m1), z[l], m);
-                    }
-                }
-                ExecOp::BinBinR { op1, a, b, m1, op, c, m, .. } => {
-                    let x = tile(&regs[a as usize], lo);
-                    let y = tile(&regs[b as usize], lo);
-                    let z = tile(&regs[c as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = bin(op, z[l], bin(op1, x[l], y[l], m1), m);
-                    }
-                }
             }
         }
         // Commit this column's write-backs. Columns are disjoint lanes,
@@ -893,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn bin_masksel_pairs_fuse_and_match_the_interpreter() {
+    fn lowering_matches_the_interpreter_on_bin_masksel_pairs() {
         // The expression-mutation shape: original Bin, mutated Bin,
         // MaskSel routing the mutant lane.
         let comb = Tape {
@@ -906,26 +615,12 @@ mod tests {
             ],
             stores: vec![(2, 4)],
         };
-        let init = [ramp(1), ramp(2), [0; LANES]];
-        let lowered = lower_unit(&comb, &Tape::default(), &init);
-        // The mutated Bin fuses into the MaskSel; the original Bin is
-        // claimed by the fall-through arm... it has one use too, so the
-        // planner takes the `a` side first (the mutated op).
-        assert!(
-            lowered
-                .comb
-                .main
-                .ops
-                .iter()
-                .any(|op| matches!(op, ExecOp::BinMaskSel { .. })),
-            "{:?}",
-            lowered.comb.main.ops
-        );
-        assert_lowering_matches(comb, &init);
+        assert_lowering_matches(comb, &[ramp(1), ramp(2), [0; LANES]]);
     }
 
     #[test]
-    fn load_bin_and_not_reduce_fuse() {
+    fn lowering_matches_the_interpreter_on_load_bin_and_not_reduce() {
+        // A complemented operand reduced to one bit.
         let comb = Tape {
             instrs: vec![
                 Instr::Load { sym: 0 },
@@ -936,16 +631,12 @@ mod tests {
             ],
             stores: vec![(2, 4)],
         };
-        let init = [ramp(3), ramp(4), [0; LANES]];
-        let lowered = lower_unit(&comb, &Tape::default(), &init);
-        assert!(lowered.comb.main.ops.iter().any(|op| matches!(op, ExecOp::LoadBin { .. })));
-        assert!(lowered.comb.main.ops.iter().any(|op| matches!(op, ExecOp::NotReduce { .. })));
-        assert_lowering_matches(comb, &init);
+        assert_lowering_matches(comb, &[ramp(3), ramp(4), [0; LANES]]);
     }
 
     #[test]
-    fn multi_use_and_stored_producers_do_not_fuse() {
-        // The Bin feeds the MaskSel *and* is stored: it must stay.
+    fn lowering_matches_the_interpreter_on_multi_use_and_stored_producers() {
+        // A Bin that feeds the MaskSel and is also stored.
         let comb = Tape {
             instrs: vec![
                 Instr::Load { sym: 0 },
@@ -955,17 +646,7 @@ mod tests {
             ],
             stores: vec![(0, 2), (1, 3)],
         };
-        let init = [ramp(5), ramp(6)];
-        let lowered = lower_unit(&comb, &Tape::default(), &init);
-        assert!(
-            lowered.comb.main.ops.iter().all(|op| !matches!(
-                op,
-                ExecOp::BinMaskSel { .. } | ExecOp::BinMaskSelLo { .. }
-            )),
-            "{:?}",
-            lowered.comb.main.ops
-        );
-        assert_lowering_matches(comb, &init);
+        assert_lowering_matches(comb, &[ramp(5), ramp(6)]);
     }
 
     #[test]

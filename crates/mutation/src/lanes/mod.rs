@@ -14,9 +14,9 @@
 //! with `jobs`.
 //!
 //! The pipeline has two stages: `compile` turns the entity into a
-//! comb/edge tape pair, and `exec` lowers that pair as it is to the
-//! fused executor (constant pool, uniform scalar prefix,
-//! superinstructions). At [`OptLevel::Off`] the lowering is skipped and
+//! comb/edge tape pair, and `exec` lowers that pair as it is, one op
+//! per instruction (constant pool, uniform scalar prefix), and runs
+//! it. At [`OptLevel::Off`] the lowering is skipped and
 //! the raw tapes run on the reference interpreter, the tests' oracle.
 //!
 //! First kills are the only thing the engine reports: a lane retires at
@@ -33,7 +33,7 @@
 //! that does not fit its node, a replacement the checker would reject)
 //! are executed through the scalar engine lane-by-lane, so even
 //! pathological inputs keep exact behavioural parity; populations from
-//! [`crate::generate_mutants`] with validation on never need that path.
+//! [`crate::generate_mutants`] never need that path.
 
 mod compile;
 mod exec;
@@ -43,7 +43,7 @@ mod tape;
 #[cfg(debug_assertions)]
 mod verify;
 
-use crate::execute::{reference_transcript, run_one, try_shard, KillResult, OptLevel};
+use crate::execute::{reference_transcript, run_one, KillResult, OptLevel};
 use crate::mutant::{Mutant, MutationError};
 use compile::{compile_group, BaseCompile, CompileError, Compiled, Executable};
 use musa_hdl::{Bits, CheckedDesign};
@@ -63,7 +63,7 @@ pub struct LaneOptions {
     /// Worker threads sharding the lane groups (`0` = one per CPU).
     pub jobs: usize,
     /// Which executor runs the compiled tapes. [`OptLevel::Full`] (the
-    /// default) lowers them to the fused executor; [`OptLevel::Off`]
+    /// default) runs them on the lowered executor; [`OptLevel::Off`]
     /// interprets the compiler's raw tapes — the reference
     /// interpreter, kept for differential testing and the
     /// `lanes-noopt` benchmark cells. Bit-identical either way.
@@ -250,7 +250,7 @@ impl<'a> LanePlan<'a> {
             .step_by(lanes.max(1))
             .map(|start| (start, lanes.min(mutants.len() - start)))
             .collect();
-        let nested = try_shard(options.jobs, ranges.len(), |i| {
+        let nested = musa_trace::try_fork_map(options.jobs, ranges.len(), |i| {
             let _trace = musa_trace::span("lane_compile");
             let compiled = compile_range(checked, entity, mutants, ranges[i], &base, options.opt);
             musa_trace::progress(|| {
@@ -322,7 +322,7 @@ impl<'a> LanePlan<'a> {
     ) -> Result<(KillResult, LaneStats), MutationError> {
         let is_live = |slot: usize| live.map_or(true, |flags| flags[slot]);
         let reference = self.reference_if_needed(sequence, is_live)?;
-        let per_group = try_shard(self.jobs, self.groups.len(), |i| {
+        let per_group = musa_trace::try_fork_map(self.jobs, self.groups.len(), |i| {
             self.run_first_kill(&self.groups[i], sequence, reference.as_deref(), is_live)
         })?;
         let mut first_kill = Vec::with_capacity(self.mutants.len());
@@ -489,7 +489,7 @@ impl<'a> GroupSim<'a> {
     }
 
     /// One combinational settle, on whichever engine the opt level
-    /// compiled: the fused executor or the raw-tape interpreter.
+    /// compiled: the lowered executor or the raw-tape interpreter.
     fn settle(&mut self) {
         match &self.compiled.exec {
             Executable::Raw { comb, .. } => self.vm.run(comb),
@@ -1013,7 +1013,7 @@ mod tests {
     }
 
     /// The central pipeline contract: for every entity shape the suite
-    /// exercises, the fused executor (`OptLevel::Full`), the raw-tape
+    /// exercises, the lowered executor (`OptLevel::Full`), the raw-tape
     /// interpreter (`OptLevel::Off`) and the scalar engine agree
     /// bit-for-bit on first kills.
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! The tape is the hand-off between the two stages of the lane
 //! pipeline: [`super::compile`] emits it and [`super::exec`] lowers it,
-//! as is, to the fused executor (`--opt full`). [`LaneVm::run`]
+//! as is, for the lowered executor (`--opt full`). [`LaneVm::run`]
 //! interprets it directly (`--opt off`) and is the executable
 //! definition of its semantics.
 

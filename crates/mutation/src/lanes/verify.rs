@@ -7,7 +7,8 @@
 //! compile bug violates one. It runs on the compiler's tapes after
 //! every group compile under `debug_assertions`, so release sweeps pay
 //! nothing. [`verify_exec`] applies the matching rules to the lowered
-//! executor stream, including the fused superinstructions.
+//! executor stream, and [`verify_unit`] checks that the lowering emits
+//! one op per instruction.
 
 use super::exec::{ExecOp, ExecTape, ExecUnit};
 use super::tape::{Instr, Reg, Tape};
@@ -98,33 +99,34 @@ pub(crate) fn verify_tape(tape: &Tape, n_symbols: usize) {
     }
 }
 
-/// Panics unless a lowered unit upholds the executor's invariants:
-/// both streams pass [`verify_exec`], and the scalar prefix contains
-/// no lane-only op (`MaskSel`, `Splat`, or a fused superinstruction —
-/// uniform ops lower plainly and mask selects are divergent by
-/// definition).
-pub(crate) fn verify_unit(unit: &ExecUnit, n_symbols: usize, n_consts: usize, n_scalar: usize) {
+/// Panics unless `unit`, lowered from `tape`, upholds the executor's
+/// invariants: both streams pass [`verify_exec`], the scalar prefix
+/// contains no lane-only op (`MaskSel` is divergent by definition,
+/// `Splat` feeds the lane stream), and the lowering is op for op —
+/// every non-`Const` instruction of `tape` became exactly one op,
+/// `Splat`s aside.
+pub(crate) fn verify_unit(
+    unit: &ExecUnit,
+    tape: &Tape,
+    n_symbols: usize,
+    n_consts: usize,
+    n_scalar: usize,
+) {
     verify_exec(&unit.pre, n_symbols, n_consts, 0);
     for (i, op) in unit.pre.ops.iter().enumerate() {
         assert!(
-            !matches!(
-                op,
-                ExecOp::MaskSel { .. }
-                    | ExecOp::Splat { .. }
-                    | ExecOp::BinMaskSel { .. }
-                    | ExecOp::BinMaskSelLo { .. }
-                    | ExecOp::LoadBin { .. }
-                    | ExecOp::BinLoad { .. }
-                    | ExecOp::NotReduce { .. }
-                    | ExecOp::NotBin { .. }
-                    | ExecOp::BinNot { .. }
-                    | ExecOp::BinBinL { .. }
-                    | ExecOp::BinBinR { .. }
-            ),
+            !matches!(op, ExecOp::MaskSel { .. } | ExecOp::Splat { .. }),
             "scalar-prefix op {i} is lane-only: {op:?}"
         );
     }
     verify_exec(&unit.main, n_symbols, n_consts, n_scalar);
+    let instrs = tape.instrs.iter().filter(|i| !matches!(i, Instr::Const { .. })).count();
+    let ops = unit.pre.ops.iter().chain(&unit.main.ops);
+    let ops = ops.filter(|op| !matches!(op, ExecOp::Splat { .. })).count();
+    assert!(
+        ops == instrs,
+        "lowering is op-for-op: {instrs} non-constant instructions, {ops} ops"
+    );
 }
 
 /// Panics unless a lowered tape upholds the executor's invariants.
@@ -133,10 +135,10 @@ pub(crate) fn verify_unit(unit: &ExecUnit, n_symbols: usize, n_consts: usize, n_
 ///   constant pool (`run_exec` splits the register file at `dst`, so
 ///   every operand must reference a strictly lower register);
 /// * every operand is either a pool register or a prior destination;
-/// * `Load`/`LoadBin`/`BinLoad` and store symbols index into state;
+/// * `Load` and store symbols index into state;
 /// * `Splat` sources stay inside the `n_scalar`-register scalar file;
-/// * every lane-select mask (plain or fused) selects at least one lane
-///   and never the reference lane.
+/// * every `MaskSel` mask selects at least one lane and never the
+///   reference lane.
 pub(crate) fn verify_exec(tape: &ExecTape, n_symbols: usize, n_consts: usize, n_scalar: usize) {
     let mut defined: Vec<bool> = vec![true; n_consts];
     let mut prev: Option<Reg> = None;
@@ -163,17 +165,14 @@ pub(crate) fn verify_exec(tape: &ExecTape, n_symbols: usize, n_consts: usize, n_
                 "exec op {i} {role} symbol {sym} out of range (state has {n_symbols})"
             );
         };
-        let check_mask = |mask: u64| {
-            assert!(mask != 0, "exec op {i} has an empty mutation mask");
-            assert!(mask & 1 == 0, "exec op {i} mutation mask selects reference lane 0");
-        };
         match *op {
             ExecOp::Load { sym, .. } => check_sym(sym, "loads"),
             ExecOp::Const { .. } => {}
             ExecOp::MaskSel { mask, a, b, .. } => {
                 check_reg(a, "mask-sel a");
                 check_reg(b, "mask-sel b");
-                check_mask(mask);
+                assert!(mask != 0, "exec op {i} has an empty mutation mask");
+                assert!(mask & 1 == 0, "exec op {i} mutation mask selects reference lane 0");
             }
             ExecOp::Sel { cond, a, b, .. } => {
                 check_reg(cond, "sel cond");
@@ -183,8 +182,7 @@ pub(crate) fn verify_exec(tape: &ExecTape, n_symbols: usize, n_consts: usize, n_
             ExecOp::Not { a, .. }
             | ExecOp::Reduce { a, .. }
             | ExecOp::Shift { a, .. }
-            | ExecOp::Slice { a, .. }
-            | ExecOp::NotReduce { a, .. } => check_reg(a, "unary"),
+            | ExecOp::Slice { a, .. } => check_reg(a, "unary"),
             ExecOp::Bin { a, b, .. } | ExecOp::Concat { a, b, .. } => {
                 check_reg(a, "lhs");
                 check_reg(b, "rhs");
@@ -201,30 +199,6 @@ pub(crate) fn verify_exec(tape: &ExecTape, n_symbols: usize, n_consts: usize, n_
             ExecOp::WithSlice { cur, v, .. } => {
                 check_reg(cur, "with-slice cur");
                 check_reg(v, "with-slice value");
-            }
-            ExecOp::BinMaskSel { a, b, other, mask, .. }
-            | ExecOp::BinMaskSelLo { a, b, other, mask, .. } => {
-                check_reg(a, "fused bin lhs");
-                check_reg(b, "fused bin rhs");
-                check_reg(other, "fused sel arm");
-                check_mask(mask);
-            }
-            ExecOp::LoadBin { sym, b, .. } => {
-                check_sym(sym, "fused-loads");
-                check_reg(b, "fused bin rhs");
-            }
-            ExecOp::BinLoad { a, sym, .. } => {
-                check_reg(a, "fused bin lhs");
-                check_sym(sym, "fused-loads");
-            }
-            ExecOp::NotBin { a, b, .. } | ExecOp::BinNot { a, b, .. } => {
-                check_reg(a, "fused bin lhs");
-                check_reg(b, "fused bin rhs");
-            }
-            ExecOp::BinBinL { a, b, c, .. } | ExecOp::BinBinR { a, b, c, .. } => {
-                check_reg(a, "fused inner lhs");
-                check_reg(b, "fused inner rhs");
-                check_reg(c, "fused outer operand");
             }
             ExecOp::Splat { src, .. } => {
                 assert!(
@@ -326,7 +300,7 @@ mod tests {
         ExecTape {
             ops: vec![
                 ExecOp::Load { dst: 1, sym: 0 },
-                ExecOp::BinMaskSel { dst: 2, op: BinOp::Or, a: 0, b: 1, m: 0xf, mask: 0b10, other: 1 },
+                ExecOp::MaskSel { dst: 2, mask: 0b10, a: 0, b: 1 },
             ],
             stores: vec![(0, 2)],
         }
@@ -348,18 +322,36 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "no prior op defines")]
-    fn fused_operand_of_undefined_register_panics() {
+    fn exec_operand_of_undefined_register_panics() {
         let mut tape = valid_exec();
-        // r1 is skipped: the fused op reads a hole in the register file.
+        // r1 is skipped: the MaskSel reads a hole in the register file.
         tape.ops.remove(0);
         verify_exec(&tape, 1, 1, 0);
     }
 
     #[test]
     #[should_panic(expected = "reference lane 0")]
-    fn fused_mask_touching_lane_zero_panics() {
+    fn exec_mask_touching_lane_zero_panics() {
         let mut tape = valid_exec();
-        tape.ops[1] = ExecOp::BinMaskSel { dst: 2, op: BinOp::Or, a: 0, b: 1, m: 0xf, mask: 0b11, other: 1 };
+        tape.ops[1] = ExecOp::MaskSel { dst: 2, mask: 0b11, a: 0, b: 1 };
         verify_exec(&tape, 1, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lowering is op-for-op")]
+    fn unit_missing_an_op_panics() {
+        // `valid_tape` lowers to Load, Bin and MaskSel over the pooled
+        // constant r0; here the MaskSel is dropped.
+        let unit = ExecUnit {
+            pre: ExecTape::default(),
+            main: ExecTape {
+                ops: vec![
+                    ExecOp::Load { dst: 1, sym: 0 },
+                    ExecOp::Bin { dst: 2, op: BinOp::Add, a: 1, b: 0, m: 0xf },
+                ],
+                stores: vec![(0, 2)],
+            },
+        };
+        verify_unit(&unit, &valid_tape(), 1, 1, 0);
     }
 }

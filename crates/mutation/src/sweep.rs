@@ -16,7 +16,7 @@
 //! by sequence. Both engines report identical kills, and the same error
 //! for a mutant that cannot be applied.
 
-use crate::execute::{reference_transcript, run_one, try_shard, Engine};
+use crate::execute::{reference_transcript, run_one, Engine};
 use crate::lanes::{LaneOptions, LanePlan};
 use crate::mutant::{Mutant, MutationError};
 use musa_hdl::{Bits, CheckedDesign};
@@ -105,7 +105,7 @@ impl Sweep<'_> {
             }
             let sequence = sequence.as_ref();
             let reference = reference_transcript(self.checked, self.entity, sequence)?;
-            let kills = try_shard(jobs, members.len(), |k| {
+            let kills = musa_trace::try_fork_map(jobs, members.len(), |k| {
                 run_one(
                     self.checked,
                     self.entity,

@@ -96,7 +96,7 @@ pub(crate) fn key_material(plan: &CampaignPlan) -> String {
         config.equivalence.seed,
     );
     // `config.jobs` and `config.opt` intentionally absent: pure
-    // wall-clock knobs — threading and the lane executor (fused or
+    // wall-clock knobs — threading and the lane executor (lowered or
     // raw-tape interpreter) are both pinned bit-identical by the
     // differential suites, so results are shareable across their
     // settings.
@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn opt_level_shares_the_key() {
-        // The fused executor and the raw-tape interpreter are
+        // The lowered executor and the raw-tape interpreter are
         // bit-identity-pinned, so `--opt off` may reuse a `--opt full`
         // result (and vice versa).
         use musa_mutation::OptLevel;

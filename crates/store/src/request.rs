@@ -25,7 +25,7 @@
 //! `task` and `benches` are required; everything else is optional and
 //! defaults exactly like the builder (seed [`DEFAULT_SEED`], paper
 //! preset, all jobs, default engine, reduction and screening on, and
-//! the fused lane executor).
+//! the lowered lane executor).
 //! Errors are strings meant for a CLI usage message — a malformed
 //! request is a *caller* mistake and exits with code 2 before any
 //! computation starts.

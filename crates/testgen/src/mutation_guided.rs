@@ -41,7 +41,7 @@ pub struct MgConfig {
     /// engines emit bit-identical data; `lanes` grades up to 63 live
     /// mutants per simulation pass.
     pub engine: Engine,
-    /// Lane executor: the fused executor (`full`) or the raw-tape
+    /// Lane executor: the lowered executor (`full`) or the raw-tape
     /// interpreter (`off`); ignored by the scalar engine. Both levels
     /// emit bit-identical data.
     pub opt: OptLevel,

@@ -15,7 +15,9 @@
 //!   spawning and enter child context `i` around work item `i`, so the
 //!   recorded structure depends only on the item index, never on which
 //!   worker ran the item or when. Merging sorts by `(path, seq)`,
-//!   making the span list **bit-identical for every `--jobs` count**;
+//!   making the span list **bit-identical for every `--jobs` count**.
+//!   [`try_fork_map`] is the workspace's one work queue built on that
+//!   contract;
 //! - with no tracer installed — or with the [`Tracer::off`] sink
 //!   installed — every helper is a no-op that **never reads the
 //!   clock**, so instrumented code paths stay bit-identical to their
@@ -44,7 +46,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -401,6 +403,87 @@ impl ForkScope {
             _not_send: PhantomData,
         }
     }
+}
+
+/// Number of worker threads the machine supports, used when a job count
+/// of `0` (= "auto") is requested.
+///
+/// Falls back to 1 when the platform cannot report its parallelism.
+pub fn available_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Resolves a requested job count: `0` means "use [`available_jobs`]",
+/// anything else is taken literally.
+pub fn resolve_jobs(requested: usize) -> usize {
+    if requested == 0 {
+        available_jobs()
+    } else {
+        requested
+    }
+}
+
+/// Runs work items `0..count` on up to `jobs` threads and returns their
+/// results in index order, or the error of the *lowest failing index* —
+/// the one the serial loop would have hit first — whichever worker hit
+/// an error when.
+///
+/// `jobs` is resolved via [`resolve_jobs`]; a resolved count of 1 (or
+/// fewer than 2 items) runs inline with no thread spawned. Otherwise
+/// workers pull indices off an atomic counter (item costs vary widely,
+/// so the balancing is dynamic) and deposit each result in its own
+/// slot. A [`ForkScope`] is captured before any worker starts and
+/// entered once per item index, so the recorded trace is identical for
+/// every job count.
+///
+/// # Errors
+///
+/// Returns the lowest-index error produced by `run`.
+///
+/// # Panics
+///
+/// Propagates a panic from `run` (the scope joins all workers first).
+pub fn try_fork_map<T: Send, E: Send>(
+    jobs: usize,
+    count: usize,
+    run: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let jobs = resolve_jobs(jobs).min(count.max(1));
+    let fork = ForkScope::capture();
+    if jobs <= 1 {
+        return (0..count)
+            .map(|i| {
+                let _trace = fork.enter(i);
+                run(i)
+            })
+            .collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    break;
+                }
+                let result = {
+                    let _trace = fork.enter(i);
+                    run(i)
+                };
+                *slots[i].lock().expect("worker deposits its own slot") = Some(result);
+            });
+        }
+    });
+    let mut merged = Vec::with_capacity(count);
+    for slot in slots {
+        match slot.into_inner().expect("scope joined all workers") {
+            Some(Ok(value)) => merged.push(value),
+            Some(Err(e)) => return Err(e),
+            None => unreachable!("every slot is filled before the scope exits"),
+        }
+    }
+    Ok(merged)
 }
 
 /// Whether coarse progress lines (stderr) are enabled for this process.

@@ -178,6 +178,9 @@ fn load_design(args: &[String]) -> Result<(CheckedDesign, String), String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let design = parse(&source).map_err(|e| e.render(&source))?;
     let checked = CheckedDesign::new(design).map_err(|e| e.render(&source))?;
+    if checked.entity_info(entity).is_none() {
+        return Err(format!("no entity `{entity}`"));
+    }
     Ok((checked, entity.clone()))
 }
 
@@ -203,9 +206,7 @@ fn print_netlist_stats(nl: &Netlist) {
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let (checked, entity) = load_design(args)?;
-    let info = checked
-        .entity_info(&entity)
-        .ok_or_else(|| format!("no entity `{entity}`"))?;
+    let info = checked.entity_info(&entity).expect("load_design resolved the entity");
     println!("{entity}:");
     println!(
         "  {} data inputs ({} bits), {} outputs ({} bits), {}",

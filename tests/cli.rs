@@ -673,6 +673,19 @@ fn missing_file_reports_error_not_panic() {
     assert!(stderr.contains("error:"), "stderr: {stderr}");
 }
 
+/// `info`, `synth` and `mutants` resolve the entity before doing any
+/// work, so an unknown one is the same error in all three.
+#[test]
+fn design_commands_reject_an_unknown_entity() {
+    for cmd in ["info", "synth", "mutants"] {
+        let out = musa(&[cmd, "crates/circuits/src/hdl/c17.mhdl", "nope"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("no entity `nope`"), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd}: {out:?}");
+    }
+}
+
 /// `musa faultsim` over netlists emitted by `musa synth` from the bundled
 /// c432 (combinational: PPSFP) and b01 (sequential: parallel-fault).
 /// The goldens predate the compiled fault simulator, and the command

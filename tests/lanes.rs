@@ -227,7 +227,7 @@ fn opt_plans() -> &'static Vec<(LanePlan<'static>, LanePlan<'static>)> {
 }
 
 proptest! {
-    /// The fused executor is semantics-preserving on every bundled
+    /// The lowered executor is semantics-preserving on every bundled
     /// circuit's FULL mutant population: for random stimulus, the
     /// lowered tapes (`OptLevel::Full`) reproduce the raw-tape
     /// interpreter's (`OptLevel::Off`) first-kill vector bit for bit.
@@ -243,7 +243,7 @@ proptest! {
             let (kills_off, _) = off.first_kills(&sequence).unwrap();
             prop_assert_eq!(
                 &kills_full.first_kill, &kills_off.first_kill,
-                "{}: fused-executor and interpreter kills diverged", circuit.name,
+                "{}: lowered-executor and interpreter kills diverged", circuit.name,
             );
             prop_assert_eq!(kills_full.first_kill.len(), population.len());
         }

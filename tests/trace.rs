@@ -415,10 +415,10 @@ fn sample_profile_prints_a_phase_table() {
     assert!(stdout.contains("wall ms"), "{stdout}");
     assert!(stdout.contains("counter"), "{stdout}");
     // The lane pipeline has two stages: the compile shows up as a phase
-    // row, the fused executor's lowering via its fusion counter, and
-    // nothing sits between them.
+    // row, the lowering via its scalar-prefix counter, and nothing sits
+    // between them.
     assert!(stdout.contains("lane_compile"), "{stdout}");
-    assert!(stdout.contains("lane_fused_ops"), "{stdout}");
+    assert!(stdout.contains("lane_scalar_ops"), "{stdout}");
     assert!(!stdout.contains("lane_opt"), "{stdout}");
     // With --json the table moves to stderr so stdout stays parseable.
     let out = musa_bin(&["sample", "c17", "--profile", "--json"]);
