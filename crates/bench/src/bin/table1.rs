@@ -2,8 +2,12 @@
 //!
 //! ```text
 //! cargo run --release -p musa_bench --bin table1 \
-//!     [--fast] [--seed N] [--jobs N] [--engine scalar|lanes] [--json]
+//!     [--fast|--paper] [--seed N|0xHEX] [--jobs N] [--engine scalar|lanes] \
+//!     [--fault-reduce on|off] [--screen static|off] [--opt full|off] [--json] \
+//!     [--trace FILE] [--trace-format json|chrome] [--profile] [--progress]
 //! ```
+//!
+//! `--help` lists what each flag does.
 
 fn main() {
     musa_bench::drive(musa_bench::Bin::Table1);

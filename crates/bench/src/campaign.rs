@@ -2,13 +2,13 @@
 //! in process, through [`Campaign::run`], or through the result store
 //! ([`RunCached`]) when `--store` is given.
 //!
-//! Argument parsing lives here (next to the other shared CLI layers)
-//! so `src/main.rs` stays a dispatcher and the exit-code contract is
+//! The exit-code contract lives here, next to the shared argument
+//! parser, so `src/main.rs` stays a dispatcher and the contract is
 //! testable: **2** for anything decided before computation starts (bad
 //! flags, unreadable or malformed requests), **1** for runtime failures
 //! (a failed run, an unusable store directory).
 
-use crate::cli::print_report;
+use crate::cli::{parse_args, print_report};
 use musa_core::{Campaign, Report};
 use musa_store::{RunCached, Store};
 use std::io::Read as _;
@@ -16,47 +16,8 @@ use std::io::Read as _;
 /// The `musa campaign` usage line.
 pub const CAMPAIGN_USAGE: &str = "usage: musa campaign <request.json|-> [--store DIR] [--json]";
 
-/// `musa campaign` arguments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignArgs {
-    /// Request document path, `-` for stdin.
-    pub request: String,
-    /// Result-store directory, when caching is wanted.
-    pub store: Option<String>,
-    /// Emit the JSON report instead of text.
-    pub json: bool,
-}
-
-impl CampaignArgs {
-    /// Parses everything after `musa campaign`.
-    ///
-    /// # Errors
-    ///
-    /// A usage string (exit 2).
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut request = None;
-        let mut store = None;
-        let mut json = false;
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--store" => {
-                    store = Some(iter.next().ok_or("--store expects a directory")?.clone());
-                }
-                "--json" => json = true,
-                other if request.is_none() && (other == "-" || !other.starts_with('-')) => {
-                    request = Some(other.to_string());
-                }
-                other => return Err(format!("unexpected argument `{other}`; {CAMPAIGN_USAGE}")),
-            }
-        }
-        Ok(Self {
-            request: request.ok_or(CAMPAIGN_USAGE)?,
-            store,
-            json,
-        })
-    }
-}
+/// The flags of `musa campaign`; `-` names the request on stdin.
+pub const CAMPAIGN_FLAGS: &[&str] = &["-", "--store", "--json"];
 
 /// A `musa campaign` failure, tagged with its exit-code class.
 enum Failure {
@@ -86,9 +47,12 @@ pub fn run_campaign(args: &[String]) -> u8 {
     }
 }
 
-fn parse_and_run(args: &[String]) -> Result<(), Failure> {
-    let args = CampaignArgs::parse(args).map_err(Failure::Usage)?;
-    let request_text = read_request(&args.request)?;
+fn parse_and_run(argv: &[String]) -> Result<(), Failure> {
+    let args = parse_args(argv, CAMPAIGN_FLAGS, 1).map_err(|e| Failure::Usage(e.to_string()))?;
+    let Some(request) = args.positionals.first().filter(|_| !args.help) else {
+        return Err(Failure::Usage(CAMPAIGN_USAGE.to_string()));
+    };
+    let request_text = read_request(request)?;
     let campaign = musa_store::request::parse_request(&request_text).map_err(Failure::Usage)?;
     campaign.plan().map_err(|e| Failure::Usage(e.to_string()))?;
     let report = match &args.store {
@@ -142,23 +106,31 @@ mod tests {
 
     #[test]
     fn campaign_args_parse_and_reject() {
+        let args =
+            parse_args(&strings(&["req.json", "--store", "d", "--json"]), CAMPAIGN_FLAGS, 1)
+                .unwrap();
+        assert_eq!(args.positionals, ["req.json"]);
+        assert_eq!(args.store.as_deref(), Some("d"));
+        assert!(args.json);
         assert_eq!(
-            CampaignArgs::parse(&strings(&["req.json", "--store", "d", "--json"])).unwrap(),
-            CampaignArgs {
-                request: "req.json".into(),
-                store: Some("d".into()),
-                json: true
-            }
-        );
-        assert_eq!(
-            CampaignArgs::parse(&strings(&["-"])).unwrap().request,
-            "-",
+            parse_args(&strings(&["-"]), CAMPAIGN_FLAGS, 1).unwrap().positionals,
+            ["-"],
             "stdin spelling"
         );
-        assert!(CampaignArgs::parse(&[]).is_err(), "request is required");
-        assert!(CampaignArgs::parse(&strings(&["req.json", "--store"])).is_err());
-        assert!(CampaignArgs::parse(&strings(&["a.json", "b.json"])).is_err());
-        assert!(CampaignArgs::parse(&strings(&["req.json", "--bogus"])).is_err());
-        assert!(CampaignArgs::parse(&strings(&["req.json", "--workers", "2"])).is_err());
+        for flag in CAMPAIGN_FLAGS.iter().filter(|f| f.starts_with("--")) {
+            assert!(CAMPAIGN_USAGE.contains(flag), "usage lacks {flag}");
+        }
+        // Every usage error exits 2 before any request is read.
+        for argv in [
+            &[][..],
+            &["--help"],
+            &["req.json", "--store"],
+            &["req.json", "--store", "--json"],
+            &["a.json", "b.json"],
+            &["req.json", "--bogus"],
+            &["req.json", "--workers", "2"],
+        ] {
+            assert_eq!(run_campaign(&strings(argv)), 2, "{argv:?}");
+        }
     }
 }

@@ -1,55 +1,51 @@
-//! The shared argument layer every `musa` CLI front end routes through.
+//! The one argument parser every `musa` CLI front end routes through.
 //!
-//! Before the campaign redesign, the six experiment binaries and
-//! `musa sample` each hand-rolled their own `--seed/--jobs/--engine/…`
-//! parsing and stdout formatting. This module parses the shared flag
-//! set **once** ([`parse_tokens`] behind [`CliOptions::from_args`] and
-//! [`SampleArgs::parse`]) and drives the whole run through
-//! [`musa_core::Campaign`] ([`drive`]), so a binary's `main` is one
-//! line. Default (non-`--json`) stdout is byte-identical to the
-//! pre-redesign binaries — pinned by the CLI diff tests in
-//! `tests/cli_diff.rs`.
+//! The six experiment binaries, `musa sample`, `musa bench`,
+//! `musa campaign` and `musa lint` each hand [`parse_args`] the flags
+//! they accept and get one [`Args`] back. [`Args::apply`] carries the
+//! campaign knobs into a [`musa_core::Campaign`], and [`drive`] runs an
+//! experiment binary end to end, so a binary's `main` is one line.
+//! Default (non-`--json`) stdout is byte-identical to the pre-redesign
+//! binaries — pinned by the CLI diff tests in `tests/cli_diff.rs`.
 
 use musa_circuits::Benchmark;
 use musa_core::{
     bench_history_json, chrome_json, compare, next_bench_path, render_bench_history,
     render_profile, trace_json, BenchReport, Campaign, CampaignError, ComparePolicy, Report,
-    ReportData, Task, DEFAULT_BENCHES, DEFAULT_SEED,
+    ReportData, Task, DEFAULT_BENCHES,
 };
 use musa_mutation::{Engine, MutationOperator, OptLevel};
+use std::fmt;
 
-/// Soft parse failures; each front end maps them to its legacy
-/// wording and exit path.
+/// An argument a front end cannot use. Every front end words it the
+/// same way; each keeps its own exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
-    /// `--seed` had a missing or unparsable value.
-    SeedValue,
-    /// `--jobs` had a missing or unparsable value.
-    JobsValue,
-    /// `--engine` had no value.
-    EngineMissing,
-    /// `--engine` had an unrecognized value; carries the
-    /// [`Engine`] parse message.
-    EngineInvalid(String),
-    /// `--fault-reduce` had a missing or unrecognized value (expected
-    /// `on` or `off`).
-    FaultReduceValue,
-    /// `--screen` had a missing or unrecognized value (expected
-    /// `static` or `off`).
-    ScreenValue,
-    /// `--opt` had a missing or unrecognized value (expected `full`
-    /// or `off`).
-    OptValue,
-    /// `--trace` had a missing value (a file path).
-    TraceValue,
-    /// `--trace-format` had a missing or unrecognized value (expected
-    /// `json` or `chrome`).
-    TraceFormatValue,
-    /// An unrecognized `--flag`.
-    UnknownFlag(String),
-    /// A positional argument beyond the number the front end accepts.
-    TooManyPositionals(String),
+    /// `flag` had no value, or one it cannot read.
+    Value {
+        /// The flag as spelled on the command line.
+        flag: &'static str,
+        /// What the flag takes (`on|off`, `a file path`, …).
+        expects: &'static str,
+    },
+    /// `--engine` named no engine; carries [`Engine`]'s parse message.
+    Engine(String),
+    /// An argument the front end does not accept: a flag outside its
+    /// list, or a positional beyond the number it takes.
+    Unknown(String),
 }
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Value { flag, expects } => write!(f, "{flag} expects {expects}"),
+            CliError::Engine(message) => f.write_str(message),
+            CliError::Unknown(arg) => write!(f, "unknown argument `{arg}`"),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
 
 /// On-disk format for `--trace <file>`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,8 +76,8 @@ pub struct TraceOpts {
 
 impl TraceOpts {
     /// Whether the campaign needs a live tracer (a trace file or the
-    /// profile table was requested). When `false` the campaign runs
-    /// with the no-op sink and every output stays bit-identical.
+    /// profile table was requested). When `false` the campaign installs
+    /// no tracer and every output stays bit-identical.
     pub fn wants_trace(&self) -> bool {
         self.trace.is_some() || self.profile
     }
@@ -119,200 +115,241 @@ pub fn emit_observability(
     Ok(())
 }
 
-/// The flag set shared by every front end, as parsed.
-#[derive(Debug, Clone, Default)]
-pub struct Parsed {
-    /// `--fast` seen.
-    pub fast: bool,
-    /// `--paper` seen.
-    pub paper: bool,
-    /// `--json` seen.
-    pub json: bool,
+/// The flags of the six experiment binaries.
+pub const BIN_FLAGS: &[&str] = &[
+    "--fast", "--paper", "--json", "--seed", "--jobs", "--engine", "--fault-reduce",
+    "--screen", "--opt", "--trace", "--trace-format", "--profile", "--progress",
+];
+
+/// The flags of `musa sample`: the experiment binaries' plus `--store`.
+pub const SAMPLE_FLAGS: &[&str] = &[
+    "--fast", "--paper", "--json", "--seed", "--jobs", "--engine", "--fault-reduce",
+    "--screen", "--opt", "--trace", "--trace-format", "--profile", "--progress", "--store",
+];
+
+/// The flags of `musa bench`.
+pub const BENCH_FLAGS: &[&str] = &[
+    "--quick", "--json", "--filter", "--baseline", "--write", "--seed", "--history",
+    "--trace", "--trace-format", "--profile", "--progress",
+];
+
+/// The flags of `musa lint`.
+pub const LINT_FLAGS: &[&str] = &["--all", "--json"];
+
+/// The `musa lint` usage line.
+pub const LINT_USAGE: &str = "usage: musa lint <name>|--all|<file.mhdl> [--json]";
+
+/// Every flag and positional a front end can be given, as parsed. A
+/// knob left `None` keeps the campaign preset's value.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Args {
     /// `--help`/`-h` seen; parsing stopped there.
     pub help: bool,
-    /// `--seed N`.
+    /// `--fast`: the scaled-down preset.
+    pub fast: bool,
+    /// `--paper`: the paper-scale preset (passing it *and* `--fast` is
+    /// a campaign validation error).
+    pub paper: bool,
+    /// `--json`: print the report as JSON instead of text.
+    pub json: bool,
+    /// `--seed N`: master seed, decimal or `0x` hex.
     pub seed: Option<u64>,
-    /// `--jobs N`.
+    /// `--jobs N`: worker threads (`0` = one per available CPU).
     pub jobs: Option<usize>,
-    /// `--engine E`.
+    /// `--engine scalar|lanes`: mutant-execution engine.
     pub engine: Option<Engine>,
-    /// `--fault-reduce on|off`.
+    /// `--fault-reduce on|off`: dominance fault-list reduction.
     pub fault_reduce: Option<bool>,
-    /// `--screen static|off`.
+    /// `--screen static|off`: static equivalent-mutant pre-screening.
     pub screen: Option<bool>,
-    /// `--opt full|off`.
+    /// `--opt full|off`: the lowered executor or the raw-tape
+    /// interpreter.
     pub opt: Option<OptLevel>,
     /// `--trace`, `--trace-format`, `--profile`, `--progress`.
     pub trace: TraceOpts,
+    /// `--store DIR`: run through the content-addressed result store.
+    pub store: Option<String>,
+    /// `--quick`: 1 warmup + 3 samples per bench cell; the baseline
+    /// gate drops absolute wall time.
+    pub quick: bool,
+    /// `--write`: save the bench report as the next free
+    /// `BENCH_<n>.json`.
+    pub write: bool,
+    /// `--history`: render the committed `BENCH_<n>.json` trajectory
+    /// instead of measuring.
+    pub history: bool,
+    /// `--filter <bench>`: measure one benchmark only.
+    pub filter: Option<String>,
+    /// `--baseline <file>`: compare against a committed bench report.
+    pub baseline: Option<String>,
+    /// `--all`: every bundled benchmark.
+    pub all: bool,
     /// Non-flag arguments, in order.
     pub positionals: Vec<String>,
 }
 
-/// Parses the shared flag set from raw arguments.
+/// Parses a front end's arguments (everything after the program or
+/// subcommand name).
 ///
-/// Unknown `--flags` are errors, and so is any positional beyond
-/// `max_positionals`. `--help`/`-h` stops the parse: it sets
-/// [`Parsed::help`] and leaves the rest of the line unread.
+/// An argument that starts with `-` is a flag, and a flag outside
+/// `accepts` is an error; `-` alone is a positional where `accepts`
+/// lists it. `--help`/`-h` stops the parse: it sets [`Args::help`] and
+/// leaves the rest of the line unread. A value that names a path never
+/// starts with `-`, so a forgotten value never swallows the next flag.
 ///
 /// # Errors
 ///
-/// Returns the [`CliError`] describing the first offending argument.
-pub fn parse_tokens(args: &[String], max_positionals: usize) -> Result<Parsed, CliError> {
-    let mut parsed = Parsed::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fast" => parsed.fast = true,
-            "--paper" => parsed.paper = true,
-            "--json" => parsed.json = true,
+/// The [`CliError`] of the first offending argument, including any
+/// positional beyond `max_positionals`.
+///
+/// # Panics
+///
+/// When `accepts` names a flag this parser does not handle.
+pub fn parse_args(
+    argv: &[String],
+    accepts: &[&str],
+    max_positionals: usize,
+) -> Result<Args, CliError> {
+    let mut args = Args::default();
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let rest = &mut rest;
+        match arg.as_str() {
+            "--help" | "-h" => {
+                args.help = true;
+                break;
+            }
+            flag if flag.starts_with('-') && !accepts.contains(&flag) => {
+                return Err(CliError::Unknown(flag.to_string()));
+            }
+            "--fast" => args.fast = true,
+            "--paper" => args.paper = true,
+            "--json" => args.json = true,
+            "--quick" => args.quick = true,
+            "--write" => args.write = true,
+            "--history" => args.history = true,
+            "--all" => args.all = true,
+            "--profile" => args.trace.profile = true,
+            "--progress" => args.trace.progress = true,
             "--seed" => {
-                parsed.seed = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or(CliError::SeedValue)?,
-                );
-                i += 1;
+                args.seed = Some(value(rest, "--seed", "a decimal or 0x-hex integer", parse_seed)?);
             }
             "--jobs" => {
-                parsed.jobs = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or(CliError::JobsValue)?,
-                );
-                i += 1;
+                args.jobs = Some(value(rest, "--jobs", "a thread count", |v| v.parse().ok())?);
             }
             "--engine" => {
-                let raw = args.get(i + 1).ok_or(CliError::EngineMissing)?;
-                parsed.engine =
-                    Some(raw.parse().map_err(CliError::EngineInvalid)?);
-                i += 1;
+                let raw = value(rest, "--engine", "scalar|lanes", Some)?;
+                args.engine = Some(raw.parse().map_err(CliError::Engine)?);
             }
             "--fault-reduce" => {
-                parsed.fault_reduce = Some(match args.get(i + 1).map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => return Err(CliError::FaultReduceValue),
-                });
-                i += 1;
+                args.fault_reduce = Some(value(rest, "--fault-reduce", "on|off", |v| match v {
+                    "on" => Some(true),
+                    "off" => Some(false),
+                    _ => None,
+                })?);
             }
             "--screen" => {
-                parsed.screen = Some(match args.get(i + 1).map(String::as_str) {
-                    Some("static") => true,
-                    Some("off") => false,
-                    _ => return Err(CliError::ScreenValue),
-                });
-                i += 1;
+                args.screen = Some(value(rest, "--screen", "static|off", |v| match v {
+                    "static" => Some(true),
+                    "off" => Some(false),
+                    _ => None,
+                })?);
             }
-            "--opt" => {
-                parsed.opt = Some(match args.get(i + 1).map(String::as_str) {
-                    Some("full") => OptLevel::Full,
-                    Some("off") => OptLevel::Off,
-                    _ => return Err(CliError::OptValue),
-                });
-                i += 1;
-            }
-            "--trace" => {
-                parsed.trace.trace = Some(
-                    args.get(i + 1)
-                        .filter(|v| !v.starts_with('-'))
-                        .ok_or(CliError::TraceValue)?
-                        .clone(),
-                );
-                i += 1;
-            }
+            "--opt" => args.opt = Some(value(rest, "--opt", "full|off", |v| v.parse().ok())?),
             "--trace-format" => {
-                parsed.trace.format = match args.get(i + 1).map(String::as_str) {
-                    Some("json") => TraceFormat::Json,
-                    Some("chrome") => TraceFormat::Chrome,
-                    _ => return Err(CliError::TraceFormatValue),
-                };
-                i += 1;
+                args.trace.format = value(rest, "--trace-format", "json|chrome", |v| match v {
+                    "json" => Some(TraceFormat::Json),
+                    "chrome" => Some(TraceFormat::Chrome),
+                    _ => None,
+                })?;
             }
-            "--profile" => parsed.trace.profile = true,
-            "--progress" => parsed.trace.progress = true,
-            // Help short-circuits, exactly like the pre-redesign loop:
-            // anything after it — including malformed values — is
-            // never parsed.
-            "--help" | "-h" => {
-                parsed.help = true;
-                return Ok(parsed);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::UnknownFlag(flag.to_string()));
+            "--trace" => args.trace.trace = Some(value(rest, "--trace", "a file path", path)?),
+            "--store" => args.store = Some(value(rest, "--store", "a directory", path)?),
+            "--filter" => args.filter = Some(value(rest, "--filter", "a benchmark name", path)?),
+            "--baseline" => args.baseline = Some(value(rest, "--baseline", "a file path", path)?),
+            flag if flag != "-" && flag.starts_with('-') => {
+                unreachable!("a flag list names `{flag}`, which parse_args does not handle")
             }
             positional => {
-                if parsed.positionals.len() >= max_positionals {
-                    return Err(CliError::TooManyPositionals(positional.to_string()));
+                if args.positionals.len() >= max_positionals {
+                    return Err(CliError::Unknown(positional.to_string()));
                 }
-                parsed.positionals.push(positional.to_string());
+                args.positionals.push(positional.to_string());
             }
         }
-        i += 1;
     }
-    Ok(parsed)
+    Ok(args)
 }
 
-/// Command-line options shared by every bench binary.
-#[derive(Debug, Clone)]
-pub struct CliOptions {
-    /// Use the scaled-down configuration.
-    pub fast: bool,
-    /// `--paper` was passed explicitly (the default preset anyway;
-    /// passing it *and* `--fast` is a campaign validation error).
-    pub paper: bool,
-    /// Emit the campaign report as JSON instead of text.
-    pub json: bool,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads (`0` = one per available CPU).
-    pub jobs: usize,
-    /// Mutant-execution engine (`scalar` or `lanes`).
-    pub engine: Engine,
-    /// Dominance fault-list reduction for the mutation-data fault
-    /// simulation (`--fault-reduce on|off`, default on). Reported
-    /// numbers are identical either way; only lane occupancy changes.
-    pub fault_reduce: bool,
-    /// Static equivalent-mutant pre-screening (`--screen static|off`,
-    /// default on). Reported numbers are identical either way; only
-    /// the `screened` count in the JSON report changes.
-    pub screen: bool,
-    /// Lane executor (`--opt full|off`, default full): the lowered
-    /// executor or the raw-tape interpreter. Both levels are
-    /// bit-identical in every reported number; `off` exists as the
-    /// benchmark/debug baseline.
-    pub opt: OptLevel,
-    /// Observability flags (`--trace`, `--trace-format`, `--profile`,
-    /// `--progress`). All off by default; every report output stays
-    /// bit-identical when they are.
-    pub trace: TraceOpts,
+/// The value after `flag`, when `read` accepts it.
+fn value<'a, T>(
+    rest: &mut std::slice::Iter<'a, String>,
+    flag: &'static str,
+    expects: &'static str,
+    read: impl FnOnce(&'a str) -> Option<T>,
+) -> Result<T, CliError> {
+    rest.next().and_then(|v| read(v)).ok_or(CliError::Value { flag, expects })
 }
 
-impl Default for CliOptions {
-    fn default() -> Self {
-        Self {
-            fast: false,
-            paper: false,
-            json: false,
-            seed: DEFAULT_SEED,
-            jobs: 0,
-            engine: Engine::default(),
-            fault_reduce: true,
-            screen: true,
-            opt: OptLevel::default(),
-            trace: TraceOpts::default(),
+/// A path-like value; one that starts with `-` is the next flag, so
+/// the value is missing.
+fn path(value: &str) -> Option<String> {
+    (!value.starts_with('-')).then(|| value.to_string())
+}
+
+/// Reads a seed the way reports print it: decimal, or hexadecimal
+/// after `0x`.
+pub fn parse_seed(text: &str) -> Option<u64> {
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            u64::from_str_radix(hex, 16).ok()
         }
+        Some(_) => None,
+        None => text.parse().ok(),
     }
 }
 
-impl CliOptions {
-    /// The usage text every bench binary prints for `--help`.
-    pub const USAGE: &'static str = "\
+impl Args {
+    /// `campaign` with the knobs these arguments set: seed, jobs,
+    /// engine, fault reduction, screen, executor, preset and tracing.
+    /// An unset knob keeps the preset's value.
+    pub fn apply(&self, mut campaign: Campaign) -> Campaign {
+        if let Some(seed) = self.seed {
+            campaign = campaign.seed(seed);
+        }
+        if let Some(jobs) = self.jobs {
+            campaign = campaign.jobs(jobs);
+        }
+        if let Some(engine) = self.engine {
+            campaign = campaign.engine(engine);
+        }
+        if let Some(fault_reduce) = self.fault_reduce {
+            campaign = campaign.fault_reduce(fault_reduce);
+        }
+        if let Some(screen) = self.screen {
+            campaign = campaign.screen(screen);
+        }
+        if let Some(opt) = self.opt {
+            campaign = campaign.opt(opt);
+        }
+        if self.fast {
+            campaign = campaign.fast();
+        }
+        if self.paper {
+            campaign = campaign.paper();
+        }
+        campaign.trace(self.trace.wants_trace())
+    }
+}
+
+/// The usage text every experiment binary prints for `--help`.
+pub const BIN_USAGE: &str = "\
 options (shared by every musa_bench experiment binary):
   --fast      scaled-down configuration: seconds instead of minutes
   --paper     paper-scale configuration (the default; conflicts with
               --fast)
-  --seed N    master seed (default 0xDA7E2005); every stage derives
-              its own sub-seeds from it
+  --seed N    master seed, decimal or 0x hex (default 0xDA7E2005);
+              every stage derives its own sub-seeds from it
   --jobs N    worker threads (default: one per available CPU);
               results are bit-identical for every value, so this is
               purely a wall-clock knob
@@ -351,91 +388,20 @@ options (shared by every musa_bench experiment binary):
               (bench / repetition / lane-group granularity)
   --help      print this text";
 
-    /// Parses `--fast`, `--paper`, `--json`, `--seed N`, `--jobs N`
-    /// and `--engine E` from `std::env::args`; `--help` prints
-    /// [`CliOptions::USAGE`] and exits 0. A missing or unparsable
-    /// `--seed`/`--jobs`/`--engine` value, or an unknown argument,
-    /// exits 2 with the usage text rather than running.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match parse_tokens(&args, 0) {
-            Ok(parsed) if parsed.help => {
-                println!("{}", Self::USAGE);
-                std::process::exit(0);
-            }
-            Ok(parsed) => Self {
-                fast: parsed.fast,
-                paper: parsed.paper,
-                json: parsed.json,
-                seed: parsed.seed.unwrap_or(DEFAULT_SEED),
-                jobs: parsed.jobs.unwrap_or(0),
-                engine: parsed.engine.unwrap_or_default(),
-                fault_reduce: parsed.fault_reduce.unwrap_or(true),
-                screen: parsed.screen.unwrap_or(true),
-                opt: parsed.opt.unwrap_or_default(),
-                trace: parsed.trace,
-            },
-            Err(e) => {
-                let unknown;
-                let message = match e {
-                    CliError::SeedValue => "--seed expects an integer value",
-                    CliError::JobsValue => "--jobs expects an integer value",
-                    CliError::EngineMissing | CliError::EngineInvalid(_) => {
-                        "--engine expects `scalar` or `lanes`"
-                    }
-                    CliError::FaultReduceValue => "--fault-reduce expects `on` or `off`",
-                    CliError::ScreenValue => "--screen expects `static` or `off`",
-                    CliError::OptValue => "--opt expects `full` or `off`",
-                    CliError::TraceValue => "--trace expects a file path",
-                    CliError::TraceFormatValue => "--trace-format expects `json` or `chrome`",
-                    CliError::UnknownFlag(arg) | CliError::TooManyPositionals(arg) => {
-                        unknown = format!("unknown argument `{arg}`");
-                        &unknown
-                    }
-                };
-                eprintln!("{message}");
-                eprintln!("{}", Self::USAGE);
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// `musa sample` arguments (strict front end: positionals plus the
-/// shared flags; unknown flags are errors).
+/// `musa sample` arguments: a benchmark name, an optional fraction and
+/// the sample flags.
 #[derive(Debug, Clone)]
 pub struct SampleArgs {
     /// Benchmark name.
     pub name: String,
     /// Sampling fraction (default 10 %).
     pub fraction: f64,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads (`0` = auto).
-    pub jobs: usize,
-    /// Mutant-execution engine.
-    pub engine: Engine,
-    /// Dominance fault-list reduction (default on).
-    pub fault_reduce: bool,
-    /// Static equivalent-mutant pre-screening (default on).
-    pub screen: bool,
-    /// Lane executor level (default full, the lowered executor).
-    pub opt: OptLevel,
-    /// `--paper` preset requested (default: fast).
-    pub paper: bool,
-    /// `--fast` passed explicitly.
-    pub fast: bool,
-    /// Emit JSON.
-    pub json: bool,
-    /// Observability flags (`--trace`, `--trace-format`, `--profile`,
-    /// `--progress`).
-    pub trace: TraceOpts,
-    /// `--store DIR`: run through the content-addressed result store.
-    pub store: Option<String>,
+    /// The flags ([`SAMPLE_FLAGS`]).
+    pub args: Args,
 }
 
 /// The `musa sample` usage line.
-pub const SAMPLE_USAGE: &str = "expected <name> [fraction] [--jobs N] [--seed N] \
+pub const SAMPLE_USAGE: &str = "expected <name> [fraction] [--jobs N] [--seed N|0xHEX] \
 [--paper] [--fast] [--json] [--engine scalar|lanes] [--fault-reduce on|off] \
 [--screen static|off] [--opt full|off] [--store DIR] [--trace FILE] \
 [--trace-format json|chrome] [--profile] [--progress]";
@@ -446,123 +412,48 @@ impl SampleArgs {
     ///
     /// # Errors
     ///
-    /// Returns the legacy `musa sample` error strings: usage on a
-    /// missing name or extra positionals, per-flag messages otherwise.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        // `--store DIR` is specific to `musa sample`, so it is peeled
-        // off before the shared token parser sees the argument list.
-        let mut store = None;
-        let mut rest = Vec::with_capacity(args.len());
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            if arg == "--store" {
-                let Some(dir) = iter.next() else {
-                    return Err("--store expects a directory".to_string());
-                };
-                store = Some(dir.clone());
-            } else {
-                rest.push(arg.clone());
-            }
-        }
-        let parsed = parse_tokens(&rest, 2).map_err(|e| match e {
-            CliError::SeedValue => "--seed expects an integer".to_string(),
-            CliError::JobsValue => "--jobs expects a thread count".to_string(),
-            CliError::EngineMissing => "--engine expects scalar|lanes".to_string(),
-            CliError::FaultReduceValue => "--fault-reduce expects on|off".to_string(),
-            CliError::ScreenValue => "--screen expects static|off".to_string(),
-            CliError::OptValue => "--opt expects full|off".to_string(),
-            CliError::TraceValue => "--trace expects a file path".to_string(),
-            CliError::TraceFormatValue => "--trace-format expects json|chrome".to_string(),
-            CliError::EngineInvalid(detail) => detail,
-            CliError::UnknownFlag(flag) => format!("unknown flag `{flag}`; {SAMPLE_USAGE}"),
-            CliError::TooManyPositionals(_) => SAMPLE_USAGE.to_string(),
-        })?;
-        if parsed.help {
-            return Err(SAMPLE_USAGE.to_string());
-        }
-        let Some(name) = parsed.positionals.first() else {
+    /// The usage line on `--help`, a missing name or extra positionals;
+    /// the [`CliError`] message or a fraction or `--store` message
+    /// otherwise.
+    pub fn parse(argv: &[String]) -> Result<Self, String> {
+        let args = parse_args(argv, SAMPLE_FLAGS, 2).map_err(|e| e.to_string())?;
+        let Some(name) = args.positionals.first().filter(|_| !args.help).cloned() else {
             return Err(SAMPLE_USAGE.to_string());
         };
-        let fraction = match parsed.positionals.get(1) {
+        let fraction = match args.positionals.get(1) {
             Some(raw) => raw
                 .parse()
                 .map_err(|_| "bad fraction (expected 0..=1)".to_string())?,
             None => 0.10,
         };
-        if store.is_some() && parsed.trace.wants_trace() {
+        if args.store.is_some() && args.trace.wants_trace() {
             return Err(
                 "--store cannot be combined with --trace/--profile (a store hit \
 replays a cached result and records no trace)"
                     .to_string(),
             );
         }
-        Ok(Self {
-            name: name.clone(),
-            fraction,
-            seed: parsed.seed.unwrap_or(DEFAULT_SEED),
-            jobs: parsed.jobs.unwrap_or(0),
-            engine: parsed.engine.unwrap_or_default(),
-            fault_reduce: parsed.fault_reduce.unwrap_or(true),
-            screen: parsed.screen.unwrap_or(true),
-            opt: parsed.opt.unwrap_or_default(),
-            paper: parsed.paper,
-            fast: parsed.fast,
-            json: parsed.json,
-            trace: parsed.trace,
-            store,
-        })
+        Ok(Self { name, fraction, args })
     }
 
     /// The campaign these arguments select (`musa sample` defaults to
     /// the fast preset; `--paper` upgrades, and passing both flags is
     /// a campaign validation error).
     pub fn campaign(&self) -> Campaign {
-        let mut campaign = Campaign::named(&self.name)
-            .seed(self.seed)
-            .jobs(self.jobs)
-            .engine(self.engine)
-            .fault_reduce(self.fault_reduce)
-            .screen(self.screen)
-            .opt(self.opt)
-            .trace(self.trace.wants_trace())
-            .task(Task::Sampling { fraction: self.fraction });
-        if self.paper {
-            campaign = campaign.paper();
+        let campaign = self.args.apply(
+            Campaign::named(&self.name).task(Task::Sampling { fraction: self.fraction }),
+        );
+        if self.args.paper {
+            campaign
+        } else {
+            campaign.fast()
         }
-        if self.fast || !self.paper {
-            campaign = campaign.fast();
-        }
-        campaign
     }
 }
 
 // ---------------------------------------------------------------------
 // `musa bench` — benchmark trajectory
 // ---------------------------------------------------------------------
-
-/// `musa bench` trajectory arguments.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TrajectoryArgs {
-    /// `--quick`: 1 warmup + 3 samples per cell; the baseline gate
-    /// drops absolute wall time.
-    pub quick: bool,
-    /// `--json`: print the `musa.bench.v1` report instead of text.
-    pub json: bool,
-    /// `--filter <bench>`: measure one benchmark only.
-    pub filter: Option<String>,
-    /// `--baseline <file>`: compare against a committed report.
-    pub baseline: Option<String>,
-    /// `--write`: save the report as the next free `BENCH_<n>.json`.
-    pub write: bool,
-    /// `--seed N`.
-    pub seed: Option<u64>,
-    /// `--history`: render the per-cell median trajectory over the
-    /// committed `BENCH_<n>.json` files instead of measuring.
-    pub history: bool,
-    /// Observability flags (`--trace`, `--trace-format`, `--profile`,
-    /// `--progress`).
-    pub trace: TraceOpts,
-}
 
 /// The `musa bench` usage text (`musa help` points here too).
 pub const BENCH_USAGE: &str = "\
@@ -587,7 +478,8 @@ trajectory flags:
   --baseline <file>  compare against a committed BENCH_<n>.json and
                      exit 1 on any gated regression
   --write            write the report to the next free BENCH_<n>.json
-  --seed N           master seed (default 0xDA7E2005)
+  --seed N           master seed, decimal or 0x hex (default
+                     0xDA7E2005)
   --history          no measuring: read BENCH_1.json, BENCH_2.json, …
                      from the working directory and print each cell's
                      median wall-time trajectory (text, or
@@ -605,8 +497,9 @@ pub enum BenchCommand {
     /// The legacy contract: `musa bench <name>` prints netlist stats
     /// and the mutant-population size (exit 1 on an unknown name).
     Legacy(String),
-    /// Trajectory mode: run the timed grid.
-    Trajectory(TrajectoryArgs),
+    /// Trajectory mode: run the timed grid. It has no help screen, so
+    /// the caller treats [`Args::help`] as a usage error.
+    Trajectory(Args),
 }
 
 impl BenchCommand {
@@ -616,70 +509,15 @@ impl BenchCommand {
     ///
     /// # Errors
     ///
-    /// A message naming the offending argument; front ends print it
+    /// The [`CliError`] of the offending argument; front ends print it
     /// with [`BENCH_USAGE`] and exit 2.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        if args.len() == 1 && !args[0].starts_with('-') {
-            return Ok(BenchCommand::Legacy(args[0].clone()));
+    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
+        let args = parse_args(argv, BENCH_FLAGS, 1)?;
+        match args.positionals.as_slice() {
+            [name] if argv.len() == 1 => Ok(BenchCommand::Legacy(name.clone())),
+            [extra] => Err(CliError::Unknown(extra.clone())),
+            _ => Ok(BenchCommand::Trajectory(args)),
         }
-        let mut trajectory = TrajectoryArgs::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => trajectory.quick = true,
-                "--json" => trajectory.json = true,
-                "--write" => trajectory.write = true,
-                "--history" => trajectory.history = true,
-                "--profile" => trajectory.trace.profile = true,
-                "--progress" => trajectory.trace.progress = true,
-                "--trace" => {
-                    trajectory.trace.trace = Some(
-                        args.get(i + 1)
-                            .filter(|v| !v.starts_with('-'))
-                            .ok_or("--trace expects a file path")?
-                            .clone(),
-                    );
-                    i += 1;
-                }
-                "--trace-format" => {
-                    trajectory.trace.format = match args.get(i + 1).map(String::as_str) {
-                        Some("json") => TraceFormat::Json,
-                        Some("chrome") => TraceFormat::Chrome,
-                        _ => return Err("--trace-format expects json|chrome".to_string()),
-                    };
-                    i += 1;
-                }
-                "--filter" => {
-                    trajectory.filter = Some(
-                        args.get(i + 1)
-                            .filter(|v| !v.starts_with('-'))
-                            .ok_or("--filter expects a benchmark name")?
-                            .clone(),
-                    );
-                    i += 1;
-                }
-                "--baseline" => {
-                    trajectory.baseline = Some(
-                        args.get(i + 1)
-                            .filter(|v| !v.starts_with('-'))
-                            .ok_or("--baseline expects a file path")?
-                            .clone(),
-                    );
-                    i += 1;
-                }
-                "--seed" => {
-                    trajectory.seed = Some(
-                        args.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or("--seed expects an integer value")?,
-                    );
-                    i += 1;
-                }
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-            i += 1;
-        }
-        Ok(BenchCommand::Trajectory(trajectory))
     }
 }
 
@@ -687,7 +525,7 @@ impl BenchCommand {
 /// `0` on success, `1` on a campaign failure or any gated regression,
 /// `2` on a usage-level error (unknown `--filter` benchmark,
 /// unreadable or malformed `--baseline` file).
-pub fn run_trajectory(args: &TrajectoryArgs) -> u8 {
+pub fn run_trajectory(args: &Args) -> u8 {
     if args.history {
         return run_history(args);
     }
@@ -730,11 +568,9 @@ pub fn run_trajectory(args: &TrajectoryArgs) -> u8 {
         None => None,
     };
     musa_trace::set_progress(args.trace.progress);
-    let campaign = Campaign::new(Benchmark::C17)
-        .benches(&benches)
-        .seed(args.seed.unwrap_or(DEFAULT_SEED))
-        .trace(args.trace.wants_trace())
-        .task(Task::Bench { quick: args.quick });
+    let campaign = args.apply(
+        Campaign::new(Benchmark::C17).benches(&benches).task(Task::Bench { quick: args.quick }),
+    );
     let report = match campaign.run() {
         Ok(report) => report,
         Err(e) => {
@@ -788,7 +624,7 @@ pub fn run_trajectory(args: &TrajectoryArgs) -> u8 {
 /// wall-time trajectory — the ROADMAP's `dev/bench`-style history
 /// renderer. Exit `0` on success, `2` when no reports exist or one is
 /// malformed.
-fn run_history(args: &TrajectoryArgs) -> u8 {
+fn run_history(args: &Args) -> u8 {
     // Same naming contract as `next_bench_path`: indices may have gaps
     // (they are never reused), so scan the directory instead of
     // counting up from 1.
@@ -922,25 +758,13 @@ impl Bin {
         }
     }
 
-    /// The campaign this binary's options select.
-    pub fn campaign(self, opts: &CliOptions) -> Campaign {
-        let mut campaign = Campaign::new(Benchmark::C17)
-            .benches(&self.benches(opts.fast))
-            .seed(opts.seed)
-            .jobs(opts.jobs)
-            .engine(opts.engine)
-            .fault_reduce(opts.fault_reduce)
-            .screen(opts.screen)
-            .opt(opts.opt)
-            .trace(opts.trace.wants_trace())
-            .task(self.task(opts.fast));
-        if opts.fast {
-            campaign = campaign.fast();
-        }
-        if opts.paper {
-            campaign = campaign.paper();
-        }
-        campaign
+    /// The campaign this binary's arguments select.
+    pub fn campaign(self, args: &Args) -> Campaign {
+        args.apply(
+            Campaign::new(Benchmark::C17)
+                .benches(&self.benches(args.fast))
+                .task(self.task(args.fast)),
+        )
     }
 
     /// The legacy stderr line for a failure.
@@ -964,14 +788,28 @@ impl Bin {
 
 /// Parses `std::env::args`, runs the binary's campaign and prints the
 /// report (text by default, `--json` for the typed report). The whole
-/// `main` of every experiment binary.
+/// `main` of every experiment binary: `--help` prints [`BIN_USAGE`] and
+/// exits 0, and an argument error exits 2 with the usage text before
+/// anything runs.
 pub fn drive(bin: Bin) {
-    let opts = CliOptions::from_args();
-    musa_trace::set_progress(opts.trace.progress);
-    match bin.campaign(&opts).run() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv, BIN_FLAGS, 0) {
+        Ok(args) if args.help => {
+            println!("{BIN_USAGE}");
+            std::process::exit(0);
+        }
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            eprintln!("{BIN_USAGE}");
+            std::process::exit(2);
+        }
+    };
+    musa_trace::set_progress(args.trace.progress);
+    match bin.campaign(&args).run() {
         Ok(report) => {
-            print_report(&report, opts.json);
-            if let Err(message) = emit_observability(&report, &opts.trace, opts.json) {
+            print_report(&report, args.json);
+            if let Err(message) = emit_observability(&report, &args.trace, args.json) {
                 eprintln!("error: {message}");
                 std::process::exit(1);
             }
@@ -997,88 +835,90 @@ pub fn print_report(report: &Report, json: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musa_core::{ExperimentConfig, Preset, DEFAULT_SEED};
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    /// The configuration a bench binary actually runs with `opts`.
-    fn config(opts: &CliOptions) -> musa_core::ExperimentConfig {
-        Bin::Table2.campaign(opts).plan().unwrap().config
+    /// The experiment binaries' parse of `args`.
+    fn bin_args(args: &[&str]) -> Result<Args, CliError> {
+        parse_args(&strings(args), BIN_FLAGS, 0)
+    }
+
+    /// The configuration `table2` actually runs with `args`.
+    fn config(args: &[&str]) -> ExperimentConfig {
+        Bin::Table2.campaign(&bin_args(args).unwrap()).plan().unwrap().config
     }
 
     #[test]
     fn default_options() {
-        let opts = CliOptions {
-            fast: true,
-            paper: false,
-            json: false,
-            seed: 42,
-            jobs: 0,
-            engine: Engine::Scalar,
-            fault_reduce: true,
-            screen: true,
-            opt: OptLevel::Full,
-            trace: TraceOpts::default(),
-        };
-        let cfg = config(&opts);
+        let cfg = config(&["--fast", "--seed", "42"]);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.jobs, 0, "0 = one worker per available CPU");
     }
 
     #[test]
     fn jobs_option_reaches_the_config() {
-        let opts = CliOptions {
-            fast: false,
-            paper: false,
-            json: false,
-            seed: 1,
-            jobs: 3,
-            engine: Engine::Scalar,
-            fault_reduce: true,
-            screen: true,
-            opt: OptLevel::Full,
-            trace: TraceOpts::default(),
-        };
-        assert_eq!(config(&opts).jobs, 3);
+        assert_eq!(config(&["--seed", "1", "--jobs", "3"]).jobs, 3);
     }
 
     #[test]
     fn engine_option_reaches_the_config_and_generation() {
-        let opts = CliOptions {
-            fast: true,
-            paper: false,
-            json: false,
-            seed: 1,
-            jobs: 0,
-            engine: Engine::Lanes,
-            fault_reduce: true,
-            screen: true,
-            opt: OptLevel::Full,
-            trace: TraceOpts::default(),
-        };
-        let cfg = config(&opts);
+        let cfg = config(&["--fast", "--engine", "lanes"]);
         assert_eq!(cfg.engine, Engine::Lanes);
         assert_eq!(cfg.mg.engine, Engine::Lanes);
     }
 
     #[test]
-    fn usage_documents_every_flag() {
-        for flag in [
-            "--fast", "--paper", "--seed", "--jobs", "--engine", "--fault-reduce",
-            "--screen", "--opt", "--json", "--trace", "--trace-format", "--profile",
-            "--progress", "--help",
-        ] {
-            assert!(CliOptions::USAGE.contains(flag), "usage lacks {flag}");
+    fn unset_knobs_keep_the_preset() {
+        // The pre-parser binaries passed every knob with its default
+        // spelled out; leaving them unset must resolve to the same plan.
+        let spelled_out = |campaign: Campaign| {
+            campaign
+                .seed(DEFAULT_SEED)
+                .jobs(0)
+                .engine(Engine::default())
+                .fault_reduce(true)
+                .screen(true)
+                .opt(OptLevel::default())
+        };
+        for fast in [false, true] {
+            let argv: &[&str] = if fast { &["--fast"] } else { &[] };
+            let args = bin_args(argv).unwrap();
+            let bare = Bin::Table2.campaign(&args).plan().unwrap();
+            let full = spelled_out(Bin::Table2.campaign(&args)).plan().unwrap();
+            assert_eq!(bare.config, full.config, "fast={fast}");
+            assert_eq!(bare.preset, full.preset, "fast={fast}");
         }
+        // `musa sample` defaults to the fast preset; --paper upgrades.
+        let plan = |argv: &[&str]| SampleArgs::parse(&strings(argv)).unwrap().campaign().plan();
+        assert_eq!(plan(&["c17"]).unwrap().preset, Preset::Fast);
+        assert_eq!(plan(&["c17", "--paper"]).unwrap().preset, Preset::Paper);
+        assert_eq!(plan(&["c17", "--fast"]).unwrap().preset, Preset::Fast);
+        assert!(plan(&["c17", "--paper", "--fast"]).is_err(), "conflicting presets");
+    }
+
+    #[test]
+    fn usage_documents_every_flag() {
+        for (flags, usage) in [
+            (BIN_FLAGS, BIN_USAGE),
+            (SAMPLE_FLAGS, SAMPLE_USAGE),
+            (BENCH_FLAGS, BENCH_USAGE),
+            (LINT_FLAGS, LINT_USAGE),
+        ] {
+            for flag in flags {
+                assert!(usage.contains(flag), "usage lacks {flag}: {usage}");
+            }
+        }
+        assert!(BIN_USAGE.contains("--help"));
     }
 
     #[test]
     fn shared_parser_handles_the_full_flag_set() {
-        let parsed = parse_tokens(
-            &strings(&["--fast", "--seed", "9", "--jobs", "2", "--engine", "lanes", "--json"]),
-            0,
-        )
+        let parsed = bin_args(&[
+            "--fast", "--seed", "9", "--jobs", "2", "--engine", "lanes", "--json",
+        ])
         .unwrap();
         assert!(parsed.fast && parsed.json && !parsed.paper);
         assert_eq!(parsed.seed, Some(9));
@@ -1088,156 +928,144 @@ mod tests {
 
     #[test]
     fn shared_parser_reports_value_errors() {
+        let value = |flag, expects| CliError::Value { flag, expects };
         assert_eq!(
-            parse_tokens(&strings(&["--seed", "zz"]), 0).unwrap_err(),
-            CliError::SeedValue
+            bin_args(&["--seed", "zz"]).unwrap_err(),
+            value("--seed", "a decimal or 0x-hex integer")
         );
-        assert_eq!(
-            parse_tokens(&strings(&["--jobs"]), 0).unwrap_err(),
-            CliError::JobsValue
-        );
-        assert_eq!(
-            parse_tokens(&strings(&["--engine"]), 0).unwrap_err(),
-            CliError::EngineMissing
-        );
+        assert_eq!(bin_args(&["--jobs"]).unwrap_err(), value("--jobs", "a thread count"));
+        assert_eq!(bin_args(&["--engine"]).unwrap_err(), value("--engine", "scalar|lanes"));
         assert!(matches!(
-            parse_tokens(&strings(&["--engine", "turbo"]), 0).unwrap_err(),
-            CliError::EngineInvalid(_)
+            bin_args(&["--engine", "turbo"]).unwrap_err(),
+            CliError::Engine(message) if message.contains("unknown engine `turbo`")
         ));
     }
 
     #[test]
+    fn errors_read_the_same_on_every_front_end() {
+        assert_eq!(
+            bin_args(&["--fault-reduce", "2"]).unwrap_err().to_string(),
+            "--fault-reduce expects on|off"
+        );
+        assert_eq!(
+            SampleArgs::parse(&strings(&["c17", "--fault-reduce", "2"])).unwrap_err(),
+            "--fault-reduce expects on|off"
+        );
+        assert_eq!(
+            bin_args(&["--store", "s"]).unwrap_err().to_string(),
+            "unknown argument `--store`"
+        );
+        assert_eq!(
+            BenchCommand::parse(&strings(&["--fast"])).unwrap_err().to_string(),
+            "unknown argument `--fast`"
+        );
+    }
+
+    #[test]
+    fn seeds_read_decimal_and_hex() {
+        assert_eq!(parse_seed("0xDA7E2005"), Some(3_665_698_821));
+        assert_eq!(parse_seed("0xda7e2005"), Some(DEFAULT_SEED));
+        assert_eq!(parse_seed("195911405"), parse_seed("0x0BAD5EED"));
+        assert_eq!(parse_seed("16"), Some(16));
+        for bad in ["0x", "0xg", "-1", "", "0x+5", "0x10000000000000000"] {
+            assert_eq!(parse_seed(bad), None, "{bad:?}");
+        }
+        assert_eq!(bin_args(&["--seed", "0x10"]).unwrap().seed, Some(16));
+        let sample = SampleArgs::parse(&strings(&["c17", "--seed", "0x10"])).unwrap();
+        assert_eq!(sample.args.seed, Some(16));
+        let Ok(BenchCommand::Trajectory(bench)) =
+            BenchCommand::parse(&strings(&["--seed", "0x10"]))
+        else {
+            panic!("flags select trajectory mode");
+        };
+        assert_eq!(bench.seed, Some(16));
+    }
+
+    #[test]
     fn fault_reduce_flag_parses_and_reaches_the_config() {
-        let parsed = parse_tokens(&strings(&["--fault-reduce", "off"]), 0).unwrap();
-        assert_eq!(parsed.fault_reduce, Some(false));
-        let parsed = parse_tokens(&strings(&["--fault-reduce", "on"]), 0).unwrap();
-        assert_eq!(parsed.fault_reduce, Some(true));
+        assert_eq!(bin_args(&["--fault-reduce", "off"]).unwrap().fault_reduce, Some(false));
+        assert_eq!(bin_args(&["--fault-reduce", "on"]).unwrap().fault_reduce, Some(true));
         for bad in [&["--fault-reduce"][..], &["--fault-reduce", "maybe"][..]] {
             assert_eq!(
-                parse_tokens(&strings(bad), 0).unwrap_err(),
-                CliError::FaultReduceValue,
+                bin_args(bad).unwrap_err(),
+                CliError::Value { flag: "--fault-reduce", expects: "on|off" },
                 "{bad:?}"
             );
         }
-        let opts = CliOptions {
-            fast: true,
-            paper: false,
-            json: false,
-            seed: 1,
-            jobs: 0,
-            engine: Engine::Scalar,
-            fault_reduce: false,
-            screen: true,
-            opt: OptLevel::Full,
-            trace: TraceOpts::default(),
-        };
-        assert!(!config(&opts).fault_reduce);
-        let args =
-            SampleArgs::parse(&strings(&["c17", "--fault-reduce", "off"])).unwrap();
-        assert!(!args.fault_reduce);
-        assert!(
-            SampleArgs::parse(&strings(&["c17", "--fault-reduce", "2"]))
-                .unwrap_err()
-                .contains("on|off")
-        );
+        assert!(!config(&["--fast", "--fault-reduce", "off"]).fault_reduce);
+        let sample = SampleArgs::parse(&strings(&["c17", "--fault-reduce", "off"])).unwrap();
+        assert!(!sample.campaign().plan().unwrap().config.fault_reduce);
         // Default: reduction on.
-        assert!(SampleArgs::parse(&strings(&["c17"])).unwrap().fault_reduce);
+        let sample = SampleArgs::parse(&strings(&["c17"])).unwrap();
+        assert!(sample.campaign().plan().unwrap().config.fault_reduce);
     }
 
     #[test]
     fn screen_flag_parses_and_reaches_the_config() {
-        let parsed = parse_tokens(&strings(&["--screen", "off"]), 0).unwrap();
-        assert_eq!(parsed.screen, Some(false));
-        let parsed = parse_tokens(&strings(&["--screen", "static"]), 0).unwrap();
-        assert_eq!(parsed.screen, Some(true));
+        assert_eq!(bin_args(&["--screen", "off"]).unwrap().screen, Some(false));
+        assert_eq!(bin_args(&["--screen", "static"]).unwrap().screen, Some(true));
         for bad in [&["--screen"][..], &["--screen", "on"][..]] {
             assert_eq!(
-                parse_tokens(&strings(bad), 0).unwrap_err(),
-                CliError::ScreenValue,
+                bin_args(bad).unwrap_err(),
+                CliError::Value { flag: "--screen", expects: "static|off" },
                 "{bad:?}"
             );
         }
-        let opts = CliOptions {
-            fast: true,
-            paper: false,
-            json: false,
-            seed: 1,
-            jobs: 0,
-            engine: Engine::Scalar,
-            fault_reduce: true,
-            screen: false,
-            opt: OptLevel::Full,
-            trace: TraceOpts::default(),
-        };
-        assert!(!config(&opts).screen);
-        let args = SampleArgs::parse(&strings(&["c17", "--screen", "off"])).unwrap();
-        assert!(!args.screen);
-        assert!(
-            SampleArgs::parse(&strings(&["c17", "--screen", "on"]))
-                .unwrap_err()
-                .contains("static|off")
-        );
+        assert!(!config(&["--fast", "--screen", "off"]).screen);
+        let sample = SampleArgs::parse(&strings(&["c17", "--screen", "off"])).unwrap();
+        assert!(!sample.campaign().plan().unwrap().config.screen);
+        assert!(SampleArgs::parse(&strings(&["c17", "--screen", "on"]))
+            .unwrap_err()
+            .contains("static|off"));
         // Default: screening on.
-        assert!(SampleArgs::parse(&strings(&["c17"])).unwrap().screen);
+        let sample = SampleArgs::parse(&strings(&["c17"])).unwrap();
+        assert!(sample.campaign().plan().unwrap().config.screen);
     }
 
     #[test]
     fn opt_flag_parses_and_reaches_the_config() {
-        let parsed = parse_tokens(&strings(&["--opt", "off"]), 0).unwrap();
-        assert_eq!(parsed.opt, Some(OptLevel::Off));
-        let parsed = parse_tokens(&strings(&["--opt", "full"]), 0).unwrap();
-        assert_eq!(parsed.opt, Some(OptLevel::Full));
+        assert_eq!(bin_args(&["--opt", "off"]).unwrap().opt, Some(OptLevel::Off));
+        assert_eq!(bin_args(&["--opt", "full"]).unwrap().opt, Some(OptLevel::Full));
         for bad in [&["--opt"][..], &["--opt", "fast"][..]] {
             assert_eq!(
-                parse_tokens(&strings(bad), 0).unwrap_err(),
-                CliError::OptValue,
+                bin_args(bad).unwrap_err(),
+                CliError::Value { flag: "--opt", expects: "full|off" },
                 "{bad:?}"
             );
         }
-        let opts = CliOptions { opt: OptLevel::Off, ..CliOptions::default() };
-        let cfg = config(&opts);
+        let cfg = config(&["--opt", "off"]);
         assert_eq!(cfg.opt, OptLevel::Off);
         assert_eq!(cfg.mg.opt, OptLevel::Off, "--opt must reach generation too");
-        let args = SampleArgs::parse(&strings(&["c17", "--opt", "off"])).unwrap();
-        assert_eq!(args.opt, OptLevel::Off);
-        assert!(SampleArgs::parse(&strings(&["c17", "--opt", "fast"]))
-            .unwrap_err()
-            .contains("full|off"));
+        let sample = SampleArgs::parse(&strings(&["c17", "--opt", "off"])).unwrap();
+        assert_eq!(sample.campaign().plan().unwrap().config.opt, OptLevel::Off);
         // Default: the lowered executor.
-        assert_eq!(SampleArgs::parse(&strings(&["c17"])).unwrap().opt, OptLevel::Full);
+        let sample = SampleArgs::parse(&strings(&["c17"])).unwrap();
+        assert_eq!(sample.campaign().plan().unwrap().config.opt, OptLevel::Full);
     }
 
     #[test]
     fn trace_flags_parse_and_reach_the_campaign() {
-        let parsed = parse_tokens(
-            &strings(&[
-                "--trace", "t.json", "--trace-format", "chrome", "--profile", "--progress",
-            ]),
-            0,
-        )
+        let parsed = bin_args(&[
+            "--trace", "t.json", "--trace-format", "chrome", "--profile", "--progress",
+        ])
         .unwrap();
         assert_eq!(parsed.trace.trace.as_deref(), Some("t.json"));
         assert_eq!(parsed.trace.format, TraceFormat::Chrome);
         assert!(parsed.trace.profile && parsed.trace.progress);
         assert!(parsed.trace.wants_trace());
+        let missing = CliError::Value { flag: "--trace", expects: "a file path" };
+        assert_eq!(bin_args(&["--trace"]).unwrap_err(), missing);
+        assert_eq!(bin_args(&["--trace", "--fast"]).unwrap_err(), missing);
         assert_eq!(
-            parse_tokens(&strings(&["--trace"]), 0).unwrap_err(),
-            CliError::TraceValue
-        );
-        assert_eq!(
-            parse_tokens(&strings(&["--trace", "--fast"]), 0).unwrap_err(),
-            CliError::TraceValue
-        );
-        assert_eq!(
-            parse_tokens(&strings(&["--trace-format", "xml"]), 0).unwrap_err(),
-            CliError::TraceFormatValue
+            bin_args(&["--trace-format", "xml"]).unwrap_err(),
+            CliError::Value { flag: "--trace-format", expects: "json|chrome" }
         );
         // --profile alone is enough to need a live tracer; the default
         // flag set is not (so untraced runs stay bit-identical).
         let args = SampleArgs::parse(&strings(&["c17", "--profile"])).unwrap();
-        assert!(args.trace.wants_trace());
+        assert!(args.args.trace.wants_trace());
         let args = SampleArgs::parse(&strings(&["c17"])).unwrap();
-        assert!(!args.trace.wants_trace());
+        assert!(!args.args.trace.wants_trace());
         assert!(SampleArgs::parse(&strings(&["c17", "--trace-format", "xml"]))
             .unwrap_err()
             .contains("json|chrome"));
@@ -1245,34 +1073,42 @@ mod tests {
 
     #[test]
     fn help_short_circuits_before_later_malformed_values() {
-        // The pre-redesign loop exited at --help without reading the
-        // rest of the line; `--help --seed zz` must report help, not a
-        // value error.
-        let parsed = parse_tokens(&strings(&["--help", "--seed", "zz"]), 0).unwrap();
-        assert!(parsed.help);
-        // ...while an error BEFORE --help still wins, as it always did.
+        // `--help --seed zz` reports help, not a value error...
+        assert!(bin_args(&["--help", "--seed", "zz"]).unwrap().help);
+        assert!(bin_args(&["-h", "--frobnicate"]).unwrap().help);
+        // ...while an error BEFORE --help still wins.
         assert_eq!(
-            parse_tokens(&strings(&["--seed", "zz", "--help"]), 0).unwrap_err(),
-            CliError::SeedValue
+            bin_args(&["--seed", "zz", "--help"]).unwrap_err(),
+            CliError::Value { flag: "--seed", expects: "a decimal or 0x-hex integer" }
         );
     }
 
     #[test]
     fn unknown_flags_and_extra_positionals_are_errors() {
+        let unknown = |arg: &str| CliError::Unknown(arg.into());
         assert_eq!(
-            parse_tokens(&strings(&["--frobnicate"]), 2).unwrap_err(),
-            CliError::UnknownFlag("--frobnicate".into())
+            parse_args(&strings(&["--frobnicate"]), SAMPLE_FLAGS, 2).unwrap_err(),
+            unknown("--frobnicate")
         );
         assert_eq!(
-            parse_tokens(&strings(&["a", "b", "c"]), 2).unwrap_err(),
-            CliError::TooManyPositionals("c".into())
+            parse_args(&strings(&["a", "b", "c"]), SAMPLE_FLAGS, 2).unwrap_err(),
+            unknown("c")
         );
         // The experiment binaries take no positionals at all.
+        assert_eq!(bin_args(&["--fast", "frobnicate"]).unwrap_err(), unknown("frobnicate"));
+        // A single-dash argument is a flag; `-` alone only where listed.
+        assert_eq!(bin_args(&["-x"]).unwrap_err(), unknown("-x"));
+        assert_eq!(parse_args(&strings(&["-"]), LINT_FLAGS, 1).unwrap_err(), unknown("-"));
         assert_eq!(
-            parse_tokens(&strings(&["--fast", "frobnicate"]), 0).unwrap_err(),
-            CliError::TooManyPositionals("frobnicate".into())
+            parse_args(&strings(&["-"]), &["-"], 1).unwrap().positionals,
+            ["-"]
         );
-        assert!(parse_tokens(&strings(&["-h"]), 0).unwrap().help);
+        // A flag outside the front end's list is unknown there.
+        assert_eq!(
+            parse_args(&strings(&["--fast"]), LINT_FLAGS, 1).unwrap_err(),
+            unknown("--fast")
+        );
+        assert!(bin_args(&["-h"]).unwrap().help);
     }
 
     #[test]
@@ -1281,9 +1117,9 @@ mod tests {
             .unwrap();
         assert_eq!(args.name, "c17");
         assert_eq!(args.fraction, 0.5);
-        assert_eq!(args.jobs, 2);
-        assert_eq!(args.seed, 9);
-        assert!(!args.paper);
+        assert_eq!(args.args.jobs, Some(2));
+        assert_eq!(args.args.seed, Some(9));
+        assert!(!args.args.paper);
 
         assert_eq!(SampleArgs::parse(&[]).unwrap_err(), SAMPLE_USAGE);
         assert!(SampleArgs::parse(&strings(&["c17", "xx"]))
@@ -1292,20 +1128,30 @@ mod tests {
         assert!(SampleArgs::parse(&strings(&["c17", "--engine", "turbo"]))
             .unwrap_err()
             .contains("unknown engine"));
-        assert!(SampleArgs::parse(&strings(&["c17", "--wat"]))
-            .unwrap_err()
-            .contains("unknown flag `--wat`"));
+        assert_eq!(
+            SampleArgs::parse(&strings(&["c17", "--wat"])).unwrap_err(),
+            "unknown argument `--wat`"
+        );
+        assert_eq!(
+            SampleArgs::parse(&strings(&["c17", "0.5", "extra"])).unwrap_err(),
+            "unknown argument `extra`"
+        );
         assert_eq!(SampleArgs::parse(&strings(&["c17", "--help"])).unwrap_err(), SAMPLE_USAGE);
     }
 
     #[test]
     fn sample_store_flag_parses_and_excludes_tracing() {
         let args = SampleArgs::parse(&strings(&["c17", "--store", ".musa-store"])).unwrap();
-        assert_eq!(args.store.as_deref(), Some(".musa-store"));
-        assert!(SampleArgs::parse(&strings(&["c17"])).unwrap().store.is_none());
-        assert!(SampleArgs::parse(&strings(&["c17", "--store"]))
-            .unwrap_err()
-            .contains("--store expects a directory"));
+        assert_eq!(args.args.store.as_deref(), Some(".musa-store"));
+        assert!(SampleArgs::parse(&strings(&["c17"])).unwrap().args.store.is_none());
+        // A missing directory is an error, also when the next flag
+        // would otherwise be taken for it.
+        for missing in [&["c17", "--store"][..], &["c17", "--store", "--json"][..]] {
+            assert_eq!(
+                SampleArgs::parse(&strings(missing)).unwrap_err(),
+                "--store expects a directory"
+            );
+        }
         for tracing in [&["--trace", "t.json"][..], &["--profile"][..]] {
             let mut tokens = vec!["c17", "--store", "s"];
             tokens.extend_from_slice(tracing);
@@ -1330,7 +1176,7 @@ mod tests {
         // No arguments, or any flag — trajectory mode.
         assert_eq!(
             BenchCommand::parse(&[]).unwrap(),
-            BenchCommand::Trajectory(TrajectoryArgs::default())
+            BenchCommand::Trajectory(Args::default())
         );
         let parsed = BenchCommand::parse(&strings(&[
             "--quick", "--json", "--filter", "c17", "--baseline", "BENCH_1.json",
@@ -1340,7 +1186,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             parsed,
-            BenchCommand::Trajectory(TrajectoryArgs {
+            BenchCommand::Trajectory(Args {
                 quick: true,
                 json: true,
                 filter: Some("c17".into()),
@@ -1354,8 +1200,17 @@ mod tests {
                     profile: true,
                     progress: true,
                 },
+                ..Args::default()
             })
         );
+        // Trajectory mode has no help screen: the caller sees `help`.
+        for help in ["--help", "-h"] {
+            let Ok(BenchCommand::Trajectory(args)) = BenchCommand::parse(&strings(&[help]))
+            else {
+                panic!("{help} must not select the legacy stats contract");
+            };
+            assert!(args.help, "{help}");
+        }
     }
 
     #[test]
@@ -1369,37 +1224,26 @@ mod tests {
             (&["--trace", "--quick"][..], "--trace expects"),
             (&["--trace-format", "xml"][..], "--trace-format expects"),
             (&["--quick", "extra"][..], "unknown argument `extra`"),
+            (&["extra", "--quick"][..], "unknown argument `extra`"),
             (&["--frobnicate"][..], "unknown argument `--frobnicate`"),
+            (&["-x"][..], "unknown argument `-x`"),
         ] {
-            let err = BenchCommand::parse(&strings(args)).unwrap_err();
+            let err = BenchCommand::parse(&strings(args)).unwrap_err().to_string();
             assert!(err.contains(fragment), "{args:?}: {err}");
         }
     }
 
     #[test]
-    fn bench_usage_documents_every_trajectory_flag() {
-        for flag in [
-            "--quick", "--json", "--filter", "--baseline", "--write", "--seed",
-            "--history", "--trace", "--trace-format", "--profile", "--progress",
-        ] {
-            assert!(BENCH_USAGE.contains(flag), "usage lacks {flag}");
-        }
-    }
-
-    #[test]
     fn trajectory_rejects_unknown_filter_before_measuring() {
-        let args = TrajectoryArgs {
-            filter: Some("zz99".into()),
-            ..TrajectoryArgs::default()
-        };
+        let args = Args { filter: Some("zz99".into()), ..Args::default() };
         assert_eq!(run_trajectory(&args), 2);
     }
 
     #[test]
     fn trajectory_rejects_missing_and_malformed_baselines() {
-        let missing = TrajectoryArgs {
+        let missing = Args {
             baseline: Some("/nonexistent/BENCH_0.json".into()),
-            ..TrajectoryArgs::default()
+            ..Args::default()
         };
         assert_eq!(run_trajectory(&missing), 2);
         let dir = std::env::temp_dir()
@@ -1407,9 +1251,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("broken.json");
         std::fs::write(&path, "{ not json").unwrap();
-        let malformed = TrajectoryArgs {
+        let malformed = Args {
             baseline: Some(path.to_str().unwrap().to_string()),
-            ..TrajectoryArgs::default()
+            ..Args::default()
         };
         assert_eq!(run_trajectory(&malformed), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1436,6 +1280,8 @@ mod tests {
             Task::EquivalenceAblation { budgets: vec![100, 500, 2_000, 10_000, 50_000] }
         );
         // Every bin's campaign validates (no run).
+        let args = bin_args(&["--fast", "--seed", "1", "--jobs", "1", "--engine", "scalar"])
+            .unwrap();
         for bin in [
             Bin::Table1,
             Bin::Table2,
@@ -1444,19 +1290,7 @@ mod tests {
             Bin::AtpgTopup,
             Bin::EquivalenceAblation,
         ] {
-            let opts = CliOptions {
-                fast: true,
-                paper: false,
-                json: false,
-                seed: 1,
-                jobs: 1,
-                engine: Engine::Scalar,
-                fault_reduce: true,
-                screen: true,
-                opt: OptLevel::Full,
-                trace: TraceOpts::default(),
-            };
-            bin.campaign(&opts).validate().unwrap_or_else(|e| panic!("{bin:?}: {e}"));
+            bin.campaign(&args).validate().unwrap_or_else(|e| panic!("{bin:?}: {e}"));
         }
     }
 }

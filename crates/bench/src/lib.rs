@@ -12,19 +12,25 @@
 //! | `equivalence_ablation` | E4 — MS vs equivalence budget |
 //!
 //! Every binary is a one-line wrapper over the shared [`cli`] layer:
-//! arguments (`--fast`, `--paper`, `--seed N`, `--jobs N`,
-//! `--engine E`, `--json`, `--help`) parse in one place, the run
-//! routes through [`musa_core::Campaign`], and the default stdout is
-//! byte-identical to the pre-redesign binaries (pinned by the diff
-//! tests in `tests/cli_diff.rs`). `--json` emits the typed
-//! [`musa_core::Report`] instead. An unknown argument exits 2 with the
-//! usage text. Timing lives elsewhere: `musa bench` times the kernels,
-//! and the repository's `campaign_bench` package times whole campaigns.
+//! arguments parse in one place ([`cli::parse_args`], shared with the
+//! `musa` subcommands), the run routes through
+//! [`musa_core::Campaign`], and the default stdout is byte-identical to
+//! the pre-redesign binaries (pinned by the diff tests in
+//! `tests/cli_diff.rs`). The binaries accept `--fast`, `--paper`,
+//! `--seed N` (decimal or `0x` hex), `--jobs N`,
+//! `--engine scalar|lanes`, `--fault-reduce on|off`,
+//! `--screen static|off`, `--opt full|off`, `--json` (the typed
+//! [`musa_core::Report`] instead of text), `--trace FILE`,
+//! `--trace-format json|chrome`, `--profile`, `--progress` and
+//! `--help`. An unknown argument exits 2 with the usage text. Timing
+//! lives elsewhere: `musa bench` times the kernels, and the
+//! repository's `campaign_bench` package times whole campaigns.
 //!
 //! The crate also hosts the argument layers of the `musa` subcommands
-//! that run campaigns: `musa sample` and `musa bench` ([`cli`]), and
-//! `musa campaign` ([`campaign`]), which runs a `musa.request.v1`
-//! document in process or through the `musa_store` result store.
+//! that run campaigns: `musa sample`, `musa bench` and `musa lint`
+//! ([`cli`]), and `musa campaign` ([`campaign`]), which runs a
+//! `musa.request.v1` document in process or through the `musa_store`
+//! result store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +38,8 @@
 pub mod campaign;
 pub mod cli;
 
-pub use cli::{
-    drive, run_trajectory, BenchCommand, Bin, CliOptions, SampleArgs, TrajectoryArgs,
-    BENCH_USAGE,
-};
-pub use campaign::{run_campaign, run_stored, CampaignArgs, CAMPAIGN_USAGE};
+pub use cli::{drive, run_trajectory, Args, BenchCommand, Bin, SampleArgs, BENCH_USAGE};
+pub use campaign::{run_campaign, run_stored, CAMPAIGN_USAGE};
 pub use musa_core::paper;
 
 #[cfg(test)]

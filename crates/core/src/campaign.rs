@@ -478,15 +478,12 @@ impl Campaign {
     /// Validation errors before any work starts; [`CampaignError::Task`]
     /// / [`CampaignError::Run`] when a measurement fails.
     pub fn run(&self) -> Result<Report, CampaignError> {
-        // `Tracer::off` keeps every span/counter helper below a no-op
-        // that never reads the clock, so untraced runs stay bit- and
-        // timing-path-identical to the pre-instrumentation code.
-        let tracer = if self.trace {
-            musa_trace::Tracer::new()
-        } else {
-            musa_trace::Tracer::off()
-        };
-        let _install = tracer.install();
+        // An untraced run installs nothing: its spans and counters land
+        // in whatever tracer the caller installed (the `musa` binary's
+        // `--profile`), and with none installed they are no-ops that
+        // never read the clock.
+        let tracer = self.trace.then(musa_trace::Tracer::new);
+        let _install = tracer.as_ref().map(musa_trace::Tracer::install);
         let resolved = {
             let _trace = musa_trace::span("validate");
             self.resolve()?
@@ -510,7 +507,7 @@ impl Campaign {
             },
             task: resolved.task,
             data,
-            trace: tracer.finish(),
+            trace: tracer.map(|tracer| tracer.finish()),
         })
     }
 }

@@ -361,7 +361,6 @@ mod tests {
         assert_eq!(lanes, classify_mutants_scalar(&d, "g", &mutants, &policy).unwrap());
         let compiles = tracer
             .finish()
-            .unwrap()
             .spans
             .iter()
             .filter(|s| s.name == "lane_compile")

@@ -18,10 +18,9 @@
 //!   making the span list **bit-identical for every `--jobs` count**.
 //!   [`try_fork_map`] is the workspace's one work queue built on that
 //!   contract;
-//! - with no tracer installed — or with the [`Tracer::off`] sink
-//!   installed — every helper is a no-op that **never reads the
-//!   clock**, so instrumented code paths stay bit-identical to their
-//!   un-instrumented selves when observability is disabled.
+//! - with no tracer installed every helper is a no-op that **never
+//!   reads the clock**, so instrumented code paths stay bit-identical
+//!   to their un-instrumented selves when observability is disabled.
 //!
 //! This crate is `std`-only and sits at the bottom of the workspace
 //! dependency graph; rendering the collected data (the `musa.trace.v1`
@@ -94,11 +93,10 @@ struct Shared {
     counters: Mutex<BTreeMap<&'static str, u64>>,
 }
 
-/// A span + counter collector. Cheap to clone (an `Arc` handle); the
-/// [`Tracer::off`] variant carries no state and records nothing.
+/// A span + counter collector. Cheap to clone (an `Arc` handle).
 #[derive(Clone)]
 pub struct Tracer {
-    shared: Option<Arc<Shared>>,
+    shared: Arc<Shared>,
 }
 
 impl Tracer {
@@ -106,44 +104,27 @@ impl Tracer {
     #[must_use]
     pub fn new() -> Self {
         Tracer {
-            shared: Some(Arc::new(Shared {
+            shared: Arc::new(Shared {
                 epoch: Instant::now(),
                 spans: Mutex::new(Vec::new()),
                 counters: Mutex::new(BTreeMap::new()),
-            })),
+            }),
         }
-    }
-
-    /// The disabled sink: installing it keeps every [`span`]/[`count`]
-    /// below a no-op that never reads the clock, and masks any tracer
-    /// installed further up the stack.
-    #[must_use]
-    pub fn off() -> Self {
-        Tracer { shared: None }
-    }
-
-    /// Whether this tracer records anything.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.shared.is_some()
     }
 
     /// Installs this tracer as the current thread's root context until
     /// the returned guard drops (the previous context is restored).
     #[must_use]
     pub fn install(&self) -> InstallGuard {
-        let prev = CURRENT.with(|c| c.borrow_mut().take());
-        if let Some(shared) = &self.shared {
-            CURRENT.with(|c| {
-                *c.borrow_mut() = Some(Context {
-                    shared: Arc::clone(shared),
-                    path: Vec::new(),
-                    parent: None,
-                    next_seq: 0,
-                    open: Vec::new(),
-                });
-            });
-        }
+        let prev = CURRENT.with(|c| {
+            c.borrow_mut().replace(Context {
+                shared: Arc::clone(&self.shared),
+                path: Vec::new(),
+                parent: None,
+                next_seq: 0,
+                open: Vec::new(),
+            })
+        });
         InstallGuard {
             prev,
             _not_send: PhantomData,
@@ -151,24 +132,25 @@ impl Tracer {
     }
 
     /// The merged collection: spans sorted by `(path, seq)`, counters
-    /// by name. `None` for the [`Tracer::off`] sink.
+    /// by name.
     #[must_use]
-    pub fn finish(&self) -> Option<TraceData> {
-        let shared = self.shared.as_ref()?;
-        let mut spans = shared
+    pub fn finish(&self) -> TraceData {
+        let mut spans = self
+            .shared
             .spans
             .lock()
             .expect("no panics while depositing spans")
             .clone();
         spans.sort_by(|a, b| a.path.cmp(&b.path).then(a.seq.cmp(&b.seq)));
-        let counters = shared
+        let counters = self
+            .shared
             .counters
             .lock()
             .expect("no panics while bumping counters")
             .iter()
             .map(|(&k, &v)| (k, v))
             .collect();
-        Some(TraceData { spans, counters })
+        TraceData { spans, counters }
     }
 }
 
@@ -528,11 +510,7 @@ mod tests {
             let _s = span("root");
             count("hits", 3);
         }
-        let off = Tracer::off();
-        let _g = off.install();
         assert!(!tracing());
-        let _s = span("still_off");
-        assert!(off.finish().is_none());
     }
 
     #[test]
@@ -547,7 +525,7 @@ mod tests {
             }
             count("hits", 1);
         }
-        let data = tracer.finish().unwrap();
+        let data = tracer.finish();
         assert_eq!(
             names(&data),
             vec![("outer", vec![], 0, 0), ("inner", vec![], 1, 1)]
@@ -556,24 +534,6 @@ mod tests {
         assert_eq!(data.spans[0].parent, None);
         assert!(data.spans[0].dur_ns >= data.spans[1].dur_ns);
         assert_eq!(data.counters, vec![("hits", 3)]);
-    }
-
-    #[test]
-    fn off_sink_masks_an_outer_tracer() {
-        let tracer = Tracer::new();
-        let _g = tracer.install();
-        {
-            let off = Tracer::off();
-            let _mask = off.install();
-            let _s = span("hidden");
-            count("hidden", 1);
-        }
-        let _s = span("visible");
-        drop(_s);
-        let data = tracer.finish().unwrap();
-        assert_eq!(data.spans.len(), 1);
-        assert_eq!(data.spans[0].name, "visible");
-        assert!(data.counters.is_empty());
     }
 
     /// The deterministic-structure contract: same work, any job count,
@@ -613,7 +573,6 @@ mod tests {
             }
             tracer
                 .finish()
-                .unwrap()
                 .spans
                 .iter()
                 .map(|s| (s.name, s.path.clone(), s.seq, s.depth, s.parent.clone()))
@@ -639,7 +598,7 @@ mod tests {
                 let _s = span("work");
             }
         }
-        let data = tracer.finish().unwrap();
+        let data = tracer.finish();
         let paths: Vec<Vec<u32>> = data.spans.iter().map(|s| s.path.clone()).collect();
         assert_eq!(paths, vec![vec![0, 0], vec![1, 0]]);
     }
@@ -657,7 +616,7 @@ mod tests {
             let _leaf = inner.enter(1);
             let _s = span("leaf");
         }
-        let data = tracer.finish().unwrap();
+        let data = tracer.finish();
         let leaf = data.spans.iter().find(|s| s.name == "leaf").unwrap();
         // outer fork id 1 (seq 0 = "outer" span), inner fork id 1
         // (child context seq 0 = "mid" span).
@@ -681,7 +640,7 @@ mod tests {
             let _leaf = inner.enter(2);
             let _s = span("leaf");
         }
-        let data = tracer.finish().unwrap();
+        let data = tracer.finish();
         let leaf = data.spans.iter().find(|s| s.name == "leaf").unwrap();
         assert_eq!(leaf.path, vec![1, 0, 0, 2]);
         assert_eq!(leaf.parent, Some((vec![], 0)), "parented on outer");
@@ -704,7 +663,7 @@ mod tests {
             });
             count("per_thread", 2);
         }
-        let data = tracer.finish().unwrap();
+        let data = tracer.finish();
         assert_eq!(data.counters, vec![("per_thread", 42)]);
     }
 

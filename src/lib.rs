@@ -31,9 +31,10 @@
 //! * [`store`] — the content-addressed campaign result store
 //!   (`--store`) and the `musa.request.v1` campaign document
 //!   (`musa campaign`);
-//! * [`bench`](mod@bench) — the experiment binaries plus the shared
-//!   [`cli`](musa_bench::cli) argument layer they, `musa sample` and
-//!   `musa campaign` parse through.
+//! * [`bench`](mod@bench) — the experiment binaries plus the one
+//!   [`cli`](musa_bench::cli) argument parser they and the `musa`
+//!   subcommands that take flags (`sample`, `bench`, `campaign`,
+//!   `lint`) parse through.
 //!
 //! ## Quickstart
 //!

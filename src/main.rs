@@ -39,7 +39,8 @@
 
 use musa::bench::campaign::{run_campaign, run_stored};
 use musa::bench::cli::{
-    emit_observability, print_report, run_trajectory, BenchCommand, SampleArgs, BENCH_USAGE,
+    emit_observability, parse_args, parse_seed, print_report, run_trajectory, BenchCommand,
+    CliError, SampleArgs, BENCH_USAGE, LINT_FLAGS, LINT_USAGE,
 };
 use musa::circuits::{Benchmark, Circuit};
 use musa::core::{
@@ -94,6 +95,9 @@ breakdown after the run and --progress emits coarse stderr progress
 lines; `sample` and `bench` additionally accept --trace FILE
 [--trace-format json|chrome] to save the collected spans + counters
 (musa.trace.v1, or Chrome trace_event for Perfetto)
+
+seeds (--seed N, faultsim's SEED) are decimal or 0x-prefixed hex, as
+every report prints them
 ";
 
 fn main() -> ExitCode {
@@ -101,8 +105,9 @@ fn main() -> ExitCode {
     // `sample` and `bench` parse the observability flags themselves and
     // host the tracer inside their campaign (which owns the measured
     // wall clock). For every other subcommand, main hosts both: strip
-    // `--profile`/`--progress` here, trace the dispatch, and render the
-    // breakdown against the whole command's elapsed time.
+    // `--profile`/`--progress` here, trace the dispatch inside one
+    // `command` span, and render the breakdown against the whole
+    // command's elapsed time.
     let campaign_owned = matches!(
         args.first().map(String::as_str),
         Some("sample") | Some("bench")
@@ -121,19 +126,17 @@ fn main() -> ExitCode {
             _ => true,
         });
     }
-    let tracer = if profile {
-        musa::trace::Tracer::new()
-    } else {
-        musa::trace::Tracer::off()
-    };
+    if !profile {
+        return dispatch(&args);
+    }
+    let tracer = musa::trace::Tracer::new();
     let started = std::time::Instant::now();
     let code = {
         let _install = tracer.install();
+        let _command = musa::trace::span("command");
         dispatch(&args)
     };
-    if let Some(data) = tracer.finish() {
-        print!("{}", musa::core::render_profile_data(&data, started.elapsed()));
-    }
+    print!("{}", musa::core::render_profile_data(&tracer.finish(), started.elapsed()));
     code
 }
 
@@ -247,7 +250,7 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         return Err("expected <file.bench> [vectors] [seed]".into());
     };
     let vectors: usize = args.get(1).map_or(Ok(64), |s| s.parse().map_err(|_| "bad vector count"))?;
-    let seed: u64 = args.get(2).map_or(Ok(1), |s| s.parse().map_err(|_| "bad seed"))?;
+    let seed: u64 = args.get(2).map_or(Ok(1), |s| parse_seed(s).ok_or("bad seed"))?;
     let nl = load_netlist(path)?;
     let faults = collapsed_faults(&nl);
     let patterns = lfsr_patterns(nl.inputs().len(), vectors, seed);
@@ -319,15 +322,21 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Ok(BenchCommand::Trajectory(trajectory)) => {
+        Ok(BenchCommand::Trajectory(trajectory)) if !trajectory.help => {
             ExitCode::from(run_trajectory(&trajectory))
         }
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{BENCH_USAGE}");
-            ExitCode::from(2)
-        }
+        parsed => usage_error(parsed.err(), BENCH_USAGE),
     }
+}
+
+/// A front end's usage error: the parse error (if any), then the usage
+/// text, on stderr; exit 2.
+fn usage_error(error: Option<CliError>, usage: &str) -> ExitCode {
+    if let Some(error) = error {
+        eprintln!("error: {error}");
+    }
+    eprintln!("{usage}");
+    ExitCode::from(2)
 }
 
 fn bench_stats(name: &str) -> Result<(), String> {
@@ -344,36 +353,20 @@ fn bench_stats(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-const LINT_USAGE: &str = "usage: musa lint <name>|--all|<file.mhdl> [--json]";
-
 /// `musa lint`: exit 0 when every target is clean, 1 when findings (or
 /// a parse/check error in file mode) exist, 2 on usage errors and
 /// unknown benchmark names — decided before any analysis runs.
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut all = false;
-    let mut target: Option<&str> = None;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--all" => all = true,
-            other if target.is_none() && !other.starts_with('-') => target = Some(other),
-            other => {
-                eprintln!("error: unexpected argument `{other}`");
-                eprintln!("{LINT_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if all == target.is_some() {
-        eprintln!("{LINT_USAGE}");
-        return ExitCode::from(2);
-    }
+fn cmd_lint(argv: &[String]) -> ExitCode {
+    let args = match parse_args(argv, LINT_FLAGS, 1) {
+        Ok(args) if !args.help && args.all != (args.positionals.len() == 1) => args,
+        parsed => return usage_error(parsed.err(), LINT_USAGE),
+    };
+    let (json, target) = (args.json, args.positionals.first());
     // An explicit .mhdl path lints an on-disk file without a campaign.
     if let Some(path) = target.filter(|t| t.ends_with(".mhdl")) {
         return lint_file(path, json);
     }
-    let benches: Vec<Benchmark> = if all {
+    let benches: Vec<Benchmark> = if args.all {
         Benchmark::all().to_vec()
     } else {
         let name = target.expect("checked above: exactly one of --all/<name>");
@@ -444,15 +437,16 @@ fn exit_by_findings(findings: usize) -> ExitCode {
 
 fn cmd_sample(args: &[String]) -> Result<(), String> {
     let sample = SampleArgs::parse(args)?;
-    musa::trace::set_progress(sample.trace.progress);
-    if let Some(dir) = &sample.store {
+    let (json, trace) = (sample.args.json, &sample.args.trace);
+    musa::trace::set_progress(trace.progress);
+    if let Some(dir) = &sample.args.store {
         let report = run_stored(&sample.campaign(), dir)?;
-        print_report(&report, sample.json);
+        print_report(&report, json);
         return Ok(());
     }
     let report = sample.campaign().run().map_err(|e| e.to_string())?;
-    print_report(&report, sample.json);
-    emit_observability(&report, &sample.trace, sample.json)
+    print_report(&report, json);
+    emit_observability(&report, trace, json)
 }
 
 fn cmd_list() -> Result<(), String> {

@@ -307,7 +307,7 @@ fn campaign_rejects_bad_flags_and_missing_files_with_exit_2() {
 
     let out = musa(&["campaign", "req.json", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--bogus`"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument `--bogus`"));
 }
 
 #[test]
@@ -367,7 +367,7 @@ fn campaign_rejects_workers_on_non_sampling_tasks_with_exit_2() {
     let out = musa(&["campaign", req.to_str().unwrap(), "--workers", "2"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--workers`"),
+        String::from_utf8_lossy(&out.stderr).contains("unknown argument `--workers`"),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
@@ -704,6 +704,20 @@ fn faultsim_stdout_matches_the_goldens() {
             "musa faultsim {bench} drifted"
         );
     }
+}
+
+/// Every report prints its seed in hex, so a seed copied from one must
+/// read back: `0x` spellings run exactly like their decimal values.
+#[test]
+fn hex_seeds_equal_their_decimal_spelling() {
+    assert_eq!(
+        stdout_of(&["faultsim", "tests/fixtures/b01.bench", "200", "0x7"]),
+        golden("faultsim_b01.txt")
+    );
+    assert_eq!(
+        stdout_of(&["sample", "c17", "0.5", "--seed", "0x10", "--jobs", "1"]),
+        stdout_of(&["sample", "c17", "0.5", "--seed", "16", "--jobs", "1"])
+    );
 }
 
 #[test]

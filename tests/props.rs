@@ -1,6 +1,10 @@
 //! Workspace-level property-based tests (proptest): invariants that
 //! must hold across the whole public API for arbitrary inputs.
 
+use musa::bench::campaign::CAMPAIGN_FLAGS;
+use musa::bench::cli::{
+    parse_args, BenchCommand, Bin, SampleArgs, BENCH_FLAGS, BIN_FLAGS, LINT_FLAGS, SAMPLE_FLAGS,
+};
 use musa::core::{json, BenchReport};
 use musa::hdl::{parse, Bits, CheckedDesign, Simulator};
 use musa::metrics::{mad, median, RobustStats};
@@ -61,6 +65,64 @@ fn edited(doc: &str, edits: &[Edit]) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// One real command line per front end: the experiment binaries,
+/// `musa sample`, `musa bench`, `musa campaign` and `musa lint`.
+const COMMAND_LINES: &[&[&str]] = &[
+    &["--fast", "--seed", "7", "--jobs", "2", "--engine", "lanes", "--json"],
+    &["c17", "0.5", "--seed", "0x10", "--jobs", "1", "--screen", "off", "--store", ".s"],
+    &["--quick", "--filter", "c17", "--seed", "7", "--baseline", "BENCH_4.json"],
+    &["req.json", "--store", ".s", "--json"],
+    &["c17", "--json"],
+];
+
+/// Whole arguments the command-line edits draw, besides every front
+/// end's flags and a random string: help and dash spellings, flag
+/// values, and decimal, hex, negative and huge numbers.
+const ARGUMENTS: &[&str] = &[
+    "-", "--", "-h", "--help", "0", "7", "0.5", "1.5", "0x10", "0xDA7E2005", "0x", "0xg",
+    "-1", "-0.5", "18446744073709551616", "99999999999999999999999999", "c17", "b05", "zz99",
+    "on", "off", "static", "full", "lanes", "chrome",
+];
+
+/// One whole-argument edit: `(position, kind, pick)`; kind 0 inserts
+/// a drawn argument, 1 deletes one, 2 replaces one with a drawn
+/// argument, and 3 applies the byte edits inside it.
+type ArgEdit = (u64, u8, u64);
+
+/// Applies `arg_edits` to a command line, drawing from every front
+/// end's flags, [`ARGUMENTS`] and `noise`.
+fn edited_line(line: &[&str], arg_edits: &[ArgEdit], bytes: &[Edit], noise: &str) -> Vec<String> {
+    let mut pool = [BIN_FLAGS, SAMPLE_FLAGS, BENCH_FLAGS, CAMPAIGN_FLAGS, LINT_FLAGS, ARGUMENTS]
+        .concat();
+    pool.push(noise);
+    let mut args: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+    for &(pos, kind, pick) in arg_edits {
+        let drawn = pool[(pick % pool.len() as u64) as usize].to_string();
+        let at = (pos % (args.len() as u64 + 1)) as usize;
+        match kind {
+            0 => args.insert(at, drawn),
+            _ if at == args.len() => {}
+            1 => {
+                args.remove(at);
+            }
+            2 => args[at] = drawn,
+            _ => args[at] = edited(&args[at], bytes),
+        }
+    }
+    args
+}
+
+/// `result`'s value, after checking that an error carries a message.
+fn settled<T, E: std::fmt::Display>(result: Result<T, E>, argv: &[String]) -> Option<T> {
+    match result {
+        Ok(value) => Some(value),
+        Err(e) => {
+            assert!(!e.to_string().is_empty(), "{argv:?}: an error without a message");
+            None
+        }
+    }
+}
+
 /// The edited documents start from inputs every parser accepts.
 #[test]
 fn committed_documents_parse() {
@@ -71,6 +133,15 @@ fn committed_documents_parse() {
     }
     assert!(parse_request(SAMPLING_REQUEST).is_ok());
     assert!(BenchReport::from_json(BENCH_REPORT).is_ok());
+    let argv = |line: &[&str]| line.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    assert!(parse_args(&argv(COMMAND_LINES[0]), BIN_FLAGS, 0).is_ok());
+    assert!(SampleArgs::parse(&argv(COMMAND_LINES[1])).is_ok());
+    assert!(matches!(
+        BenchCommand::parse(&argv(COMMAND_LINES[2])),
+        Ok(BenchCommand::Trajectory(_))
+    ));
+    assert!(parse_args(&argv(COMMAND_LINES[3]), CAMPAIGN_FLAGS, 1).is_ok());
+    assert!(parse_args(&argv(COMMAND_LINES[4]), LINT_FLAGS, 1).is_ok());
 }
 
 proptest! {
@@ -165,6 +236,42 @@ proptest! {
     fn bench_report_parser_never_panics(input in ".{0,200}", edits in edits()) {
         let _ = BenchReport::from_json(&input);
         let _ = BenchReport::from_json(&edited(BENCH_REPORT, &edits));
+    }
+
+    /// Every front end's argument parser ends in `Ok` or in an `Err`
+    /// with a message, whatever command line arrives: each front end's
+    /// real line with one to three whole arguments inserted, deleted,
+    /// replaced or byte-edited goes to every parser, and every campaign
+    /// a front end builds from a parse plans to `Ok` or `Err` too. The
+    /// edits draw every front end's flags, so a flag list naming a flag
+    /// the parser does not handle fails here.
+    #[test]
+    fn cli_parsers_never_panic(
+        arg_edits in proptest::collection::vec((any::<u64>(), 0u8..4, any::<u64>()), 1..4),
+        byte_edits in edits(),
+        noise in ".{0,12}",
+    ) {
+        for line in COMMAND_LINES {
+            let argv = edited_line(line, &arg_edits, &byte_edits, &noise);
+            if let Some(args) = settled(parse_args(&argv, BIN_FLAGS, 0), &argv) {
+                for bin in [
+                    Bin::Table1,
+                    Bin::Table2,
+                    Bin::SweepFraction,
+                    Bin::CoverageCurves,
+                    Bin::AtpgTopup,
+                    Bin::EquivalenceAblation,
+                ] {
+                    settled(bin.campaign(&args).plan(), &argv);
+                }
+            }
+            if let Some(sample) = settled(SampleArgs::parse(&argv), &argv) {
+                settled(sample.campaign().plan(), &argv);
+            }
+            settled(BenchCommand::parse(&argv), &argv);
+            settled(parse_args(&argv, CAMPAIGN_FLAGS, 1), &argv);
+            settled(parse_args(&argv, LINT_FLAGS, 1), &argv);
+        }
     }
 
     /// The robust-stats helpers are order-free: every permutation of
