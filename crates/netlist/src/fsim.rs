@@ -12,11 +12,17 @@
 //!   order through that site's fanout cone only, dropping every gate
 //!   whose faulty word equals the good word on the lanes that could
 //!   still lower the fault's first detection;
-//! * **sequential** circuits use *parallel-fault* simulation: the good
-//!   machine in lane 0 and up to 63 faulty machines in the remaining
-//!   lanes, all driven by the same vector sequence from the reset state,
-//!   with `[sa0, sa1]` lane masks per net, per fan-in slot and per flop
-//!   D pin.
+//! * **sequential** circuits use *time-major* parallel-fault simulation:
+//!   frame by frame from the reset state, words of up to 63 faulty
+//!   machines beside the good machine in lane 0, with `[sa0, sa1]` lane
+//!   masks per net, per fan-in slot and per flop D pin. Each live fault
+//!   keeps its flop state as a sparse difference from the good state
+//!   (PROOFS, Niermann, Cheng & Patel, IEEE TCAD 1992), and a frame
+//!   packs into its words only the faults it can affect: those whose
+//!   state differs and those whose site the good machine excites (the
+//!   activity screen of HOPE, Lee & Ha, IEEE TCAD 1996). Every other
+//!   fault's machine equals the good machine in that frame. Detected
+//!   faults leave at the frame that detects them.
 //!
 //! Both record, for every fault, the index of the **first** detecting
 //! vector, from which coverage-versus-length curves are derived. The
@@ -24,9 +30,13 @@
 //! [`Injections`](crate::Injections) is the reference model the tests
 //! compare both engines against.
 //!
-//! Every `fault_simulate*` call adds the gate evaluations it executed
-//! (good-machine sweeps plus faulty-cone events for PPSFP, full sweeps
-//! for parallel-fault) to the `fsim_gate_evals` trace counter, once.
+//! Every `fault_simulate*` call adds its work to trace counters, once:
+//! `fsim_gate_evals` counts the gate evaluations it executed
+//! (good-machine sweeps plus faulty-cone events for PPSFP, one full
+//! sweep per simulated word per frame for sequential circuits). On
+//! sequential circuits, `fsim_fault_frames` sums the live faults over
+//! the frames and `fsim_active_fault_frames` the faults that rode a
+//! word; combinational circuits emit neither.
 
 use crate::dominance::{FaultPlan, FaultReduction};
 use crate::fault::Fault;
@@ -118,18 +128,18 @@ impl FaultSimResult {
 
 /// Simulates `faults` against `vectors` and reports first detections.
 ///
-/// Dispatches to PPSFP for combinational circuits and parallel-fault for
-/// sequential ones. Detection means: some primary output differs from the
-/// good circuit at some vector (sequential machines start from reset and
-/// never re-synchronise).
+/// Dispatches to PPSFP for combinational circuits and time-major
+/// parallel-fault simulation for sequential ones. Detection means: some
+/// primary output differs from the good circuit at some vector
+/// (sequential machines start from reset and never re-synchronise).
 ///
 /// # Panics
 ///
 /// Panics if any pattern length differs from the circuit's input count.
 pub fn fault_simulate(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> FaultSimResult {
-    let mut evals = 0;
-    let first_detected = simulate(nl, faults, vectors, &mut evals);
-    musa_trace::count("fsim_gate_evals", evals);
+    let mut work = Work::default();
+    let first_detected = simulate(nl, faults, vectors, &mut work);
+    work.emit(nl);
     FaultSimResult {
         faults: faults.to_vec(),
         first_detected,
@@ -153,10 +163,10 @@ pub fn fault_simulate_sessions(
 ) -> FaultSimResult {
     let indices: Vec<usize> = (0..faults.len()).collect();
     let _trace = musa_trace::span("fault_simulate");
-    let mut evals = 0;
+    let mut work = Work::default();
     let (first_detected, total) =
-        simulate_subset_sessions(nl, faults, &indices, sessions, &mut evals);
-    musa_trace::count("fsim_gate_evals", evals);
+        simulate_subset_sessions(nl, faults, &indices, sessions, &mut work);
+    work.emit(nl);
     FaultSimResult {
         faults: faults.to_vec(),
         first_detected,
@@ -173,7 +183,7 @@ fn simulate_subset_sessions(
     faults: &[Fault],
     indices: &[usize],
     sessions: &[Vec<Pattern>],
-    evals: &mut u64,
+    work: &mut Work,
 ) -> (Vec<Option<usize>>, usize) {
     let mut first: Vec<Option<usize>> = vec![None; indices.len()];
     let mut base = 0usize;
@@ -185,7 +195,7 @@ fn simulate_subset_sessions(
             continue;
         }
         let subset: Vec<Fault> = alive.iter().map(|&s| faults[indices[s]]).collect();
-        let detected = simulate(nl, &subset, session, evals);
+        let detected = simulate(nl, &subset, session, work);
         let mut still = Vec::with_capacity(alive.len());
         for (lane, &slot) in alive.iter().enumerate() {
             match detected[lane] {
@@ -251,10 +261,10 @@ pub fn fault_simulate_sessions_reduced(
 ) -> FaultSimResult {
     let faults = reduction.faults();
     let kept = reduction.simulated_indices();
-    let mut evals = 0;
+    let mut work = Work::default();
     let (kept_first, total) = {
         let _trace = musa_trace::span("fault_simulate");
-        simulate_subset_sessions(nl, faults, &kept, sessions, &mut evals)
+        simulate_subset_sessions(nl, faults, &kept, sessions, &mut work)
     };
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     for (slot, &fi) in kept.iter().enumerate() {
@@ -277,7 +287,7 @@ pub fn fault_simulate_sessions_reduced(
                 base += session.len();
                 continue;
             }
-            let good = good_trace(nl, session, &mut evals);
+            let good = good_trace(nl, session, &mut work.gate_evals);
             for &(i, output, expect) in &observed {
                 if first_detected[i].is_some() {
                     continue;
@@ -305,8 +315,8 @@ pub fn fault_simulate_sessions_reduced(
     // (typically "undetected") is never inferred.
     let _trace = musa_trace::span("fault_residual");
     let (residual_first, residual_total) =
-        simulate_subset_sessions(nl, faults, &residual, sessions, &mut evals);
-    musa_trace::count("fsim_gate_evals", evals);
+        simulate_subset_sessions(nl, faults, &residual, sessions, &mut work);
+    work.emit(nl);
     debug_assert!(residual.is_empty() || residual_total == total);
     for (slot, &fi) in residual.iter().enumerate() {
         first_detected[fi] = residual_first[slot];
@@ -332,7 +342,7 @@ pub fn good_outputs(nl: &Netlist, vectors: &[Pattern]) -> Vec<Vec<bool>> {
 
 /// [`good_outputs`], adding the gate evaluations to `evals`:
 /// combinational circuits settle 64 vectors per sweep, sequential ones
-/// step the unforced parallel-fault machine from reset.
+/// step the unforced machine from reset.
 fn good_trace(nl: &Netlist, vectors: &[Pattern], evals: &mut u64) -> Vec<Vec<bool>> {
     check_widths(nl, vectors);
     let flat = nl.flat();
@@ -375,18 +385,44 @@ fn check_widths(nl: &Netlist, vectors: &[Pattern]) {
 }
 
 /// One session from reset: the first detections of `faults` over
-/// `vectors`, adding the gate evaluations to `evals`.
+/// `vectors`, adding the work done to `work`.
 fn simulate(
     nl: &Netlist,
     faults: &[Fault],
     vectors: &[Pattern],
-    evals: &mut u64,
+    work: &mut Work,
 ) -> Vec<Option<usize>> {
     check_widths(nl, vectors);
     if nl.is_combinational() {
-        ppsfp(nl, faults, vectors, evals)
+        ppsfp(nl, faults, vectors, &mut work.gate_evals)
     } else {
-        parallel_fault(nl, faults, vectors, evals)
+        time_major(nl, faults, vectors, work)
+    }
+}
+
+/// The work counters of one `fault_simulate*` call, emitted once at its
+/// end.
+#[derive(Debug, Default)]
+struct Work {
+    /// Gate evaluations (`fsim_gate_evals`).
+    gate_evals: u64,
+    /// Live faults summed over the sequential frames
+    /// (`fsim_fault_frames`).
+    fault_frames: u64,
+    /// Faults that rode a word, summed over the sequential frames
+    /// (`fsim_active_fault_frames`).
+    active_fault_frames: u64,
+}
+
+impl Work {
+    /// Adds the counters to the trace; the frame counters only for a
+    /// sequential netlist, the only kind that has frames.
+    fn emit(&self, nl: &Netlist) {
+        musa_trace::count("fsim_gate_evals", self.gate_evals);
+        if !nl.is_combinational() {
+            musa_trace::count("fsim_fault_frames", self.fault_frames);
+            musa_trace::count("fsim_active_fault_frames", self.active_fault_frames);
+        }
     }
 }
 
@@ -550,7 +586,8 @@ impl Cone {
     }
 }
 
-/// Dense per-lane stuck-at forces of one parallel-fault word.
+/// Dense per-lane stuck-at forces of one sequential word, set and
+/// cleared site by site.
 struct Forces {
     /// `[sa0, sa1]` lane masks per net.
     net: Vec<[u64; 2]>,
@@ -573,9 +610,9 @@ impl Forces {
         }
     }
 
-    /// Forces `fault` in `lanes`.
-    fn add(&mut self, flat: &Flat, fault: &Fault, lanes: u64) {
-        let masks = match flat.site(fault) {
+    /// Forces `site` stuck at `stuck` in `lanes`.
+    fn add(&mut self, site: Site, stuck: bool, lanes: u64) {
+        let masks = match site {
             Site::Net(net) => &mut self.net[net as usize],
             Site::Pin { gate, slot } => {
                 self.pinned[gate as usize] = true;
@@ -584,15 +621,20 @@ impl Forces {
             Site::DPin(flop) => &mut self.dpin[flop as usize],
             Site::Inert => return,
         };
-        masks[usize::from(fault.stuck_at_one)] |= lanes;
+        masks[usize::from(stuck)] |= lanes;
     }
 
-    /// Removes every force.
-    fn clear(&mut self) {
-        self.net.fill([0; 2]);
-        self.pin.fill([0; 2]);
-        self.dpin.fill([0; 2]);
-        self.pinned.fill(false);
+    /// Removes every force at `site` (and the per-pin path of its gate).
+    fn clear(&mut self, site: Site) {
+        match site {
+            Site::Net(net) => self.net[net as usize] = [0; 2],
+            Site::Pin { gate, slot } => {
+                self.pinned[gate as usize] = false;
+                self.pin[slot as usize] = [0; 2];
+            }
+            Site::DPin(flop) => self.dpin[flop as usize] = [0; 2],
+            Site::Inert => {}
+        }
     }
 }
 
@@ -636,49 +678,265 @@ fn step(nl: &Netlist, values: &mut [u64], state: &mut [u64], forces: &Forces, bi
     }
 }
 
-/// Parallel-fault simulation for sequential circuits: lane 0 is the good
-/// machine, lanes 1..=63 carry one fault each.
-fn parallel_fault(
+/// Faults per word: lane 0 of every word is the good machine.
+const WORD: usize = 63;
+
+/// A live fault of the sequential engine.
+struct Live {
+    /// Position in the simulated fault list.
+    index: usize,
+    site: Site,
+    stuck: bool,
+    /// The net whose good value excites the fault when it differs from
+    /// `stuck`: the net itself, a pin's source net or a flop's D net.
+    watch: u32,
+    /// The flops whose faulty state differs from the good state: the
+    /// fault's whole state, kept as a difference, as the range
+    /// `start..end` of the machine's difference pool (`(0, 0)` when
+    /// there is none).
+    diff: (usize, usize),
+}
+
+impl Live {
+    /// Whether the fault's state equals the good state.
+    fn quiet(&self) -> bool {
+        self.diff == (0, 0)
+    }
+}
+
+/// Time-major fault simulation for sequential circuits.
+///
+/// Each frame simulates only the faults it can affect, 63 to a word
+/// beside the good machine in lane 0. A fault rides a word when its
+/// state differs from the good state or when the good machine excites
+/// its site; any other fault's machine *is* the good machine in that
+/// frame, so its state stays equal and no output can tell them apart.
+/// The first word carries the diverged faults first and fills up with
+/// unscreened ones; its lane 0 then supplies the good values that
+/// screen the rest. A fault leaves at the frame that detects it. Once
+/// every live fault fits one word, that word stays in place for the
+/// rest of the session, one sweep a frame.
+fn time_major(
     nl: &Netlist,
     faults: &[Fault],
     vectors: &[Pattern],
-    evals: &mut u64,
+    work: &mut Work,
 ) -> Vec<Option<usize>> {
     let flat = nl.flat();
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut values = vec![0u64; flat.net_count()];
-    let mut forces = Forces::new(flat);
-    for (chunk_index, chunk) in faults.chunks(63).enumerate() {
-        forces.clear();
-        for (slot, fault) in chunk.iter().enumerate() {
-            forces.add(flat, fault, 1u64 << (slot + 1));
-        }
-        let active_mask = lane_mask(chunk.len() + 1) & !1;
-        let mut state = reset_state(flat);
-        let mut detected_lanes = 0u64;
-        for (t, bits) in vectors.iter().enumerate() {
-            step(nl, &mut values, &mut state, &forces, bits);
-            *evals += flat.gate_count() as u64;
-            // Lanes differing from lane 0 (the good machine).
-            let diff = nl.outputs().iter().fold(0u64, |diff, o| {
-                let word = values[o.0 as usize];
-                diff | (word ^ 0u64.wrapping_sub(word & 1))
-            });
-            let mut newly = diff & active_mask & !detected_lanes;
-            if newly != 0 {
-                detected_lanes |= newly;
-                while newly != 0 {
-                    let lane = newly.trailing_zeros() as usize;
-                    first_detected[chunk_index * 63 + lane - 1] = Some(t);
-                    newly &= newly - 1;
-                }
-                if detected_lanes == active_mask {
-                    break; // whole batch detected
-                }
+    let mut live: Vec<Live> = faults
+        .iter()
+        .enumerate()
+        .filter_map(|(index, f)| {
+            let site = flat.site(f);
+            let watch = match site {
+                Site::Net(net) => net,
+                Site::Pin { slot, .. } => flat.fanin[slot as usize],
+                Site::DPin(flop) => flat.flops[flop as usize].d,
+                Site::Inert => return None,
+            };
+            Some(Live {
+                index,
+                site,
+                stuck: f.stuck_at_one,
+                watch,
+                diff: (0, 0),
+            })
+        })
+        .collect();
+    let mut machine = Machine::new(flat);
+    // Positions in `live`: the frame's words in order, and the faults
+    // whose state equals the good state.
+    let mut order: Vec<usize> = Vec::new();
+    let mut quiet: Vec<usize> = Vec::new();
+    let mut frames = vectors.iter().enumerate();
+    while live.len() > WORD {
+        let Some((t, bits)) = frames.next() else {
+            return first_detected;
+        };
+        work.fault_frames += live.len() as u64;
+        order.clear();
+        quiet.clear();
+        for (i, fault) in live.iter().enumerate() {
+            if fault.quiet() {
+                quiet.push(i);
+            } else {
+                order.push(i);
             }
         }
+        let fill = WORD.saturating_sub(order.len()).min(quiet.len());
+        order.extend(quiet.drain(..fill));
+        let first = order.len().min(WORD);
+        let mut detected =
+            machine.frame(nl, bits, t, &mut live, &order[..first], &mut first_detected);
+        // Screen the quiet rest on the first word's good values (lane 0).
+        order.extend(quiet.iter().copied().filter(|&i| machine.excites(&live[i])));
+        for word in order[first..].chunks(WORD) {
+            detected |= machine.frame(nl, bits, t, &mut live, word, &mut first_detected);
+        }
+        work.active_fault_frames += order.len() as u64;
+        work.gate_evals += (order.len().div_ceil(WORD) * flat.gate_count()) as u64;
+        if detected {
+            live.retain(|f| first_detected[f.index].is_none());
+        }
+        machine.advance();
+    }
+    // One word holds every live fault: it runs the rest of the session
+    // in place, and a detected fault only leaves its lane.
+    machine.load(&live);
+    for (t, bits) in frames {
+        if machine.active == 0 {
+            break; // every fault dropped
+        }
+        let riders = u64::from(machine.active.count_ones());
+        work.fault_frames += riders;
+        work.active_fault_frames += riders;
+        work.gate_evals += flat.gate_count() as u64;
+        machine.step(nl, bits, t, &mut first_detected);
     }
     first_detected
+}
+
+/// The word the sequential engine steps, and the good state and the
+/// live faults' state differences the frame starts from and ends in.
+struct Machine {
+    values: Vec<u64>,
+    state: Vec<u64>,
+    forces: Forces,
+    /// `(fault index, site)` of each loaded lane, from lane 1 on.
+    lanes: Vec<(usize, Site)>,
+    /// The loaded lanes whose fault is still undetected.
+    active: u64,
+    /// The good flop state at the start of the frame, in every lane.
+    good: Vec<u64>,
+    /// The differing flops of every live fault at the start of the
+    /// frame, fault by fault (`Live::diff` ranges).
+    pool: Vec<u32>,
+    /// The same at the end of the frame, filled word by word.
+    spare: Vec<u32>,
+}
+
+impl Machine {
+    fn new(flat: &Flat) -> Self {
+        Machine {
+            values: vec![0; flat.net_count()],
+            state: vec![0; flat.flops.len()],
+            forces: Forces::new(flat),
+            lanes: Vec::with_capacity(WORD),
+            active: 0,
+            good: reset_state(flat),
+            pool: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Loads `faults` (at most 63) into lanes 1.. in place of the last
+    /// word: their forces, site by site, and their state, the good state
+    /// with each fault's difference.
+    fn load<'a>(&mut self, faults: impl IntoIterator<Item = &'a Live>) {
+        for &(_, site) in &self.lanes {
+            self.forces.clear(site);
+        }
+        self.lanes.clear();
+        self.state.copy_from_slice(&self.good);
+        for (lane, fault) in faults.into_iter().enumerate() {
+            self.forces.add(fault.site, fault.stuck, 2 << lane);
+            self.lanes.push((fault.index, fault.site));
+            for &flop in &self.pool[fault.diff.0..fault.diff.1] {
+                self.state[flop as usize] ^= 2 << lane;
+            }
+        }
+        self.active = lane_mask(self.lanes.len() + 1) & !1;
+    }
+
+    /// One clock cycle of the loaded word on `bits`. Returns the active
+    /// lanes an output detects, records them at `t` and retires them.
+    fn step(
+        &mut self,
+        nl: &Netlist,
+        bits: &[bool],
+        t: usize,
+        first_detected: &mut [Option<usize>],
+    ) -> u64 {
+        step(nl, &mut self.values, &mut self.state, &self.forces, bits);
+        // Lanes differing from lane 0 (the good machine).
+        let detected = nl.outputs().iter().fold(0u64, |diff, o| {
+            let word = self.values[o.0 as usize];
+            diff | (word ^ 0u64.wrapping_sub(word & 1))
+        }) & self.active;
+        let mut rest = detected;
+        while rest != 0 {
+            let lane = rest.trailing_zeros() as usize;
+            first_detected[self.lanes[lane - 1].0] = Some(t);
+            rest &= rest - 1;
+        }
+        self.active &= !detected;
+        detected
+    }
+
+    /// One frame of the faults at `word`: loads, steps, and stores each
+    /// fault's next state difference in `spare`. Returns whether an
+    /// output detected one.
+    fn frame(
+        &mut self,
+        nl: &Netlist,
+        bits: &[bool],
+        t: usize,
+        live: &mut [Live],
+        word: &[usize],
+        first_detected: &mut [Option<usize>],
+    ) -> bool {
+        self.load(word.iter().map(|&i| &live[i]));
+        let detected = self.step(nl, bits, t, first_detected);
+        // Count each lane's differing flops, give each fault its range
+        // of `spare`, then fill the ranges in flop order.
+        let flips = |state: u64| state ^ broadcast(state & 1 == 1);
+        let mut cursor = [0usize; 64];
+        for &state in &self.state {
+            let mut rest = flips(state);
+            while rest != 0 {
+                cursor[rest.trailing_zeros() as usize] += 1;
+                rest &= rest - 1;
+            }
+        }
+        let mut end = self.spare.len();
+        for (lane, &i) in word.iter().enumerate() {
+            let start = end;
+            end += cursor[lane + 1];
+            // A quiet fault keeps the empty range at 0, valid in any pool.
+            live[i].diff = if start == end { (0, 0) } else { (start, end) };
+            cursor[lane + 1] = start;
+        }
+        self.spare.resize(end, 0);
+        for (flop, &state) in self.state.iter().enumerate() {
+            let mut rest = flips(state);
+            while rest != 0 {
+                let lane = rest.trailing_zeros() as usize;
+                self.spare[cursor[lane]] = flop as u32;
+                cursor[lane] += 1;
+                rest &= rest - 1;
+            }
+        }
+        detected != 0
+    }
+
+    /// Whether the good machine of the last step (lane 0) drives the
+    /// net `fault` watches opposite to its stuck value.
+    fn excites(&self, fault: &Live) -> bool {
+        (self.values[fault.watch as usize] & 1 == 1) != fault.stuck
+    }
+
+    /// Ends a frame: its good state (lane 0 of the last word after the
+    /// clock) and state differences are the next one's start. Every
+    /// fault whose state differed rode a word, so every non-empty
+    /// `Live::diff` now points into `spare`.
+    fn advance(&mut self) {
+        for (good, &state) in self.good.iter_mut().zip(&self.state) {
+            *good = broadcast(state & 1 == 1);
+        }
+        std::mem::swap(&mut self.pool, &mut self.spare);
+        self.spare.clear();
+    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! structure with `.bench` I/O, the single stuck-at fault model with
 //! structural collapsing and dominance-based fault-list reduction
 //! ([`reduce_faults`]), and fault simulation engines (parallel-pattern
-//! single-fault propagation for combinational circuits, parallel-fault
-//! for sequential ones) compiled onto a flat levelized form that
-//! [`Netlist::freeze`] builds. The 64-lane interpretive [`LogicSim`] is
-//! kept as the reference model the engines are tested against.
+//! single-fault propagation for combinational circuits, time-major
+//! parallel-fault for sequential ones) compiled onto a flat levelized
+//! form that [`Netlist::freeze`] builds. The 64-lane interpretive
+//! [`LogicSim`] is kept as the reference model the engines are tested
+//! against.
 //!
 //! This replaces the commercial gate-level flow the DATE'05 paper relied
 //! on. The paper's metrics (`ΔFC%`, `ΔL%`, `NLFCE`) read single stuck-at

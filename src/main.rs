@@ -4,7 +4,8 @@
 //! musa info   <file.mhdl> <entity>      parse/check/synthesize, print stats
 //! musa synth  <file.mhdl> <entity>      emit the synthesized .bench netlist
 //! musa mutants <file.mhdl> <entity>     enumerate the mutant population
-//! musa faultsim <file.bench> [N] [SEED] grade N LFSR patterns (default 64)
+//! musa faultsim <file.bench> [N] [SEED] grade N LFSR patterns (default 64;
+//!                                       N × max(inputs, 1) ≤ 4194304)
 //! musa scoap  <file.bench> [TOP]        SCOAP testability, hardest nets
 //! musa atpg   <file.bench> [LIMIT]      PODEM over the collapsed faults
 //! musa bench  <name>                    stats for a bundled benchmark
@@ -62,7 +63,8 @@ usage: musa <command> ...
   info     <file.mhdl> <entity>      parse/check/synthesize, print stats
   synth    <file.mhdl> <entity>      emit the synthesized .bench netlist
   mutants  <file.mhdl> <entity>      enumerate the mutant population
-  faultsim <file.bench> [N] [SEED]   grade N LFSR patterns (default 64)
+  faultsim <file.bench> [N] [SEED]   grade N LFSR patterns (default 64;
+                                     N × max(inputs, 1) ≤ 4194304)
   scoap    <file.bench> [TOP]        SCOAP testability, hardest nets
   atpg     <file.bench> [LIMIT]      PODEM over the collapsed faults
   bench    <name>                    stats for one bundled benchmark
@@ -245,6 +247,10 @@ fn cmd_mutants(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The most pattern bits `musa faultsim` generates: `N` vectors of
+/// `max(inputs, 1)` bits each, checked before any is generated.
+const MAX_PATTERN_BITS: usize = 1 << 22;
+
 fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     let Some(path) = args.first() else {
         return Err("expected <file.bench> [vectors] [seed]".into());
@@ -252,6 +258,12 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     let vectors: usize = args.get(1).map_or(Ok(64), |s| s.parse().map_err(|_| "bad vector count"))?;
     let seed: u64 = args.get(2).map_or(Ok(1), |s| parse_seed(s).ok_or("bad seed"))?;
     let nl = load_netlist(path)?;
+    let width = nl.inputs().len().max(1);
+    if !vectors.checked_mul(width).is_some_and(|bits| bits <= MAX_PATTERN_BITS) {
+        return Err(format!(
+            "{vectors} vectors of {width} bits exceed the {MAX_PATTERN_BITS}-bit pattern limit"
+        ));
+    }
     let faults = collapsed_faults(&nl);
     let patterns = lfsr_patterns(nl.inputs().len(), vectors, seed);
     let result = fault_simulate(&nl, &faults, &patterns);

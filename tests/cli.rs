@@ -720,6 +720,25 @@ fn hex_seeds_equal_their_decimal_spelling() {
     );
 }
 
+/// A vector count whose pattern storage overflows (or would exhaust
+/// memory) is refused before any pattern is generated.
+#[test]
+fn faultsim_rejects_a_vector_count_past_the_pattern_limit() {
+    let out = musa(&[
+        "faultsim",
+        "tests/fixtures/b01.bench",
+        "18446744073709551615",
+        "7",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("pattern limit"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{out:?}");
+}
+
 #[test]
 fn faultsim_grades_netlists_with_no_or_more_than_64_inputs() {
     for fixture in ["wide65", "no_inputs"] {

@@ -164,6 +164,36 @@ fn fsim_gate_evals_is_identical_for_every_job_count() {
     }
 }
 
+/// The sequential engine's frame counters on b03: every job count
+/// simulates the same faults over the same frames, and the screen
+/// leaves some live faults out of the words.
+#[test]
+fn fsim_frame_counters_are_identical_for_every_job_count_on_b03() {
+    let counters = |jobs: usize| {
+        let mut config = one_rep_config();
+        config.jobs = jobs;
+        let report = Campaign::named("b03")
+            .config(config)
+            .trace(true)
+            .task(Task::Sampling { fraction: 0.10 })
+            .run()
+            .unwrap();
+        let data = report.trace.expect("tracing was enabled");
+        (
+            counter(&data, "fsim_fault_frames"),
+            counter(&data, "fsim_active_fault_frames"),
+        )
+    };
+    let (live, active) = counters(1);
+    assert!(
+        0 < active && active < live,
+        "{active} active of {live} live"
+    );
+    for jobs in [2, 4] {
+        assert_eq!(counters(jobs), (live, active), "jobs={jobs}");
+    }
+}
+
 #[test]
 fn fsim_gate_evals_shows_the_cone_pruning_on_c432() {
     // The whole-netlist-per-fault engine would evaluate every gate for
