@@ -1,11 +1,10 @@
 //! Dataflow facts over the MiniHDL AST.
 //!
-//! Everything here is deliberately independent of the checker's
-//! verdict: the lint catalog runs on *parsed* designs (many lint rules
-//! diagnose exactly the situations the checker rejects outright), so
-//! all facts degrade gracefully when widths or names cannot be
-//! resolved. When checked side tables are available (the mutant
-//! pre-screen), the per-node width oracle makes folding exact.
+//! Folding works from names and literal widths alone, and takes the
+//! checker's per-node width table as an optional oracle that makes it
+//! exact (the mutant pre-screen passes it). Scheduling, cycle detection
+//! and width inference are the checker's: see
+//! [`musa_hdl::EntityInfo`].
 //!
 //! The facts provided:
 //!
@@ -14,8 +13,7 @@
 //! * [`analyze_dead`] — statement reachability under constant
 //!   conditions, constant case subjects and empty loop ranges;
 //! * [`EntityFacts`] — assigned-vs-read signal accounting per process,
-//!   with the transitive output read-cone and combinational-cycle
-//!   detection built on top.
+//!   with the transitive output read-cone built on top.
 
 use musa_hdl::ast::{
     BinOp, ConstDecl, Entity, Expr, NodeId, PortDir, Process, ReduceOp, Select, ShiftOp, Stmt,
@@ -397,8 +395,7 @@ fn mark_expr(expr: &Expr, nodes: &mut HashSet<NodeId>) {
 ///
 /// Process-local variables and loop indices are excluded: reads and
 /// writes record only ports, constants and signals, which is what the
-/// unread/write-only/multi-driven lint rules and the output read-cone
-/// reason about.
+/// unread-signal and write-only-cone lint rules reason about.
 #[derive(Debug)]
 pub struct EntityFacts {
     /// Per process: top-level names read (in conditions, subjects,
@@ -474,77 +471,6 @@ impl EntityFacts {
             }
         }
     }
-
-    /// Detects combinational cycles among `comb` processes, including
-    /// self-reads, via Kahn's algorithm on the process dependency
-    /// graph. Returns the process indices stuck on a cycle (empty when
-    /// acyclic).
-    pub fn comb_cycle(&self, entity: &Entity) -> Vec<usize> {
-        let comb: Vec<usize> = entity
-            .processes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p.kind, musa_hdl::ast::ProcessKind::Comb))
-            .map(|(i, _)| i)
-            .collect();
-        // Edge p -> q when q reads something p writes (p must settle
-        // first). A self-edge (a process reading its own output) is a
-        // cycle on its own.
-        let mut indegree: HashMap<usize, usize> = comb.iter().map(|&i| (i, 0)).collect();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for &p in &comb {
-            for &q in &comb {
-                let depends = self.writes[p].iter().any(|w| self.reads[q].contains(w));
-                if depends {
-                    edges.push((p, q));
-                    *indegree.get_mut(&q).expect("comb process") += 1;
-                }
-            }
-        }
-        let mut queue: Vec<usize> = comb
-            .iter()
-            .copied()
-            .filter(|i| indegree[i] == 0)
-            .collect();
-        while let Some(p) = queue.pop() {
-            for &(from, to) in &edges {
-                if from == p {
-                    let d = indegree.get_mut(&to).expect("comb process");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(to);
-                    }
-                }
-            }
-        }
-        // Kahn leaves both the cycle and everything downstream of it
-        // unresolved; report only genuine cycle members (nodes that can
-        // reach themselves through stuck nodes).
-        let stuck: HashSet<usize> = comb.into_iter().filter(|i| indegree[i] > 0).collect();
-        let mut on_cycle: Vec<usize> = stuck
-            .iter()
-            .copied()
-            .filter(|&p| {
-                let mut seen = HashSet::new();
-                let mut frontier = vec![p];
-                while let Some(n) = frontier.pop() {
-                    for &(from, to) in &edges {
-                        if from == n && stuck.contains(&to) {
-                            if to == p {
-                                return true;
-                            }
-                            if seen.insert(to) {
-                                frontier.push(to);
-                            }
-                        }
-                    }
-                }
-                false
-            })
-            .collect();
-        on_cycle.sort_unstable();
-        on_cycle
-    }
 }
 
 /// Names local to a process: its variables plus every `for` index used
@@ -557,53 +483,6 @@ fn process_locals(process: &Process) -> HashSet<String> {
         }
     });
     locals
-}
-
-/// Infers the width of an expression from declaration widths alone
-/// (no checker tables), for linting unchecked designs. Returns `None`
-/// when a leaf's width is unknown.
-pub fn infer_width(expr: &Expr, decls: &HashMap<String, u32>) -> Option<u32> {
-    match expr {
-        Expr::Literal { width, .. } => *width,
-        Expr::Ref { name, .. } => decls.get(&name.name).copied(),
-        Expr::Index { .. } => Some(1),
-        Expr::Slice { hi, lo, .. } => {
-            if hi >= lo {
-                Some(hi - lo + 1)
-            } else {
-                None
-            }
-        }
-        Expr::Unary { arg, .. } => infer_width(arg, decls),
-        Expr::Binary { op, lhs, rhs, .. } => {
-            if op.is_relational() {
-                Some(1)
-            } else {
-                infer_width(lhs, decls).or_else(|| infer_width(rhs, decls))
-            }
-        }
-        Expr::Reduce { .. } => Some(1),
-        Expr::Concat { lhs, rhs, .. } => {
-            Some(infer_width(lhs, decls)? + infer_width(rhs, decls)?)
-        }
-        Expr::Shift { arg, .. } => infer_width(arg, decls),
-    }
-}
-
-/// Declaration widths of an entity's top-level names (ports, constants,
-/// signals).
-pub fn decl_widths(entity: &Entity) -> HashMap<String, u32> {
-    let mut map = HashMap::new();
-    for p in &entity.ports {
-        map.insert(p.name.name.clone(), p.width);
-    }
-    for c in &entity.consts {
-        map.insert(c.name.name.clone(), c.width);
-    }
-    for s in &entity.signals {
-        map.insert(s.name.name.clone(), s.width);
-    }
-    map
 }
 
 /// Width of a named constant declaration, used by the pre-screen.
@@ -748,37 +627,5 @@ mod tests {
         assert!(cone.contains("t") && cone.contains("a"));
         // `orphan` is written from a cone process but never read into it.
         assert!(!cone.contains("orphan"));
-        assert!(facts.comb_cycle(&ent).is_empty());
-    }
-
-    #[test]
-    fn comb_cycle_detected_including_self_read() {
-        let src = "
-            entity e is
-              port(y : out bit);
-            signal s : bit;
-            comb begin s <= not s; end;
-            comb begin y <= s; end;
-            end;
-        ";
-        let ent = entity(src);
-        let facts = EntityFacts::new(&ent);
-        assert_eq!(facts.comb_cycle(&ent), vec![0]);
-    }
-
-    #[test]
-    fn infer_width_from_decls() {
-        let src = "
-            entity e is
-              port(a : in bits(4); b : in bits(4); y : out bits(8));
-            comb begin y <= a & b; end;
-            end;
-        ";
-        let ent = entity(src);
-        let decls = decl_widths(&ent);
-        let Stmt::Assign { value, .. } = &ent.processes[0].body[0] else {
-            panic!("expected assign");
-        };
-        assert_eq!(infer_width(value, &decls), Some(8));
     }
 }

@@ -1,17 +1,14 @@
-//! The lint catalog: span-carrying diagnostics over *parsed* designs.
+//! The lint catalog: span-carrying diagnostics over *checked* designs.
 //!
-//! Lints run before (and independently of) semantic checking: several
-//! rules diagnose exactly the situations [`musa_hdl::CheckedDesign`]
-//! rejects outright (multi-driven values, combinational cycles,
-//! duplicate case choices), so requiring a checked design would make
-//! them unreachable. Width- and constant-dependent rules degrade
-//! gracefully when a width cannot be inferred from declarations.
+//! Lints run on the [`CheckedDesign`] the checker builds. Whatever the
+//! checker rejects (multi-driven values, combinational loops, duplicate
+//! case choices, width mismatches) never reaches a rule, so the catalog
+//! covers what a well-formed design can still get wrong, and rules read
+//! the checker's side tables instead of re-deriving them.
 
-use crate::dataflow::{
-    analyze_dead, decl_widths, fold_expr, infer_width, ConstEnv, EntityFacts,
-};
-use musa_hdl::ast::{Design, Entity, PortDir, Select, Stmt};
-use musa_hdl::Span;
+use crate::dataflow::{analyze_dead, fold_expr, ConstEnv, EntityFacts};
+use musa_hdl::ast::{Entity, NodeId, Stmt};
+use musa_hdl::{CheckedDesign, EntityInfo, Span};
 use std::collections::{HashMap, HashSet};
 
 /// One rule of the lint catalog.
@@ -20,7 +17,8 @@ pub enum LintRule {
     /// A statement that can never execute (constant guard, matched
     /// constant case subject, or empty loop range).
     DeadStatement,
-    /// A signal or constant that is never read anywhere.
+    /// A signal or constant that is never read anywhere. Unread input
+    /// ports are an interface contract, not a bug, and are not reported.
     UnreadSignal,
     /// A signal that is written and read, but whose value can never
     /// reach an output port.
@@ -30,28 +28,15 @@ pub enum LintRule {
     /// A `case` without `when others` that does not cover every
     /// subject value (latch inference risk).
     IncompleteCase,
-    /// An assignment whose value is wider than its target.
-    WidthTruncation,
-    /// A case choice value repeated across or within arms.
-    DuplicateCaseChoice,
-    /// Combinational processes forming a dependency cycle (including a
-    /// process reading a signal it drives).
-    CombLoop,
-    /// A signal or output port driven by more than one process.
-    MultiDriven,
 }
 
 /// Every rule, in catalog order.
-pub const LINT_RULES: [LintRule; 9] = [
+pub const LINT_RULES: [LintRule; 5] = [
     LintRule::DeadStatement,
     LintRule::UnreadSignal,
     LintRule::WriteOnlyCone,
     LintRule::ConstantCondition,
     LintRule::IncompleteCase,
-    LintRule::WidthTruncation,
-    LintRule::DuplicateCaseChoice,
-    LintRule::CombLoop,
-    LintRule::MultiDriven,
 ];
 
 impl LintRule {
@@ -63,10 +48,6 @@ impl LintRule {
             LintRule::WriteOnlyCone => "write-only-cone",
             LintRule::ConstantCondition => "constant-condition",
             LintRule::IncompleteCase => "incomplete-case",
-            LintRule::WidthTruncation => "width-truncation",
-            LintRule::DuplicateCaseChoice => "duplicate-case-choice",
-            LintRule::CombLoop => "comb-loop",
-            LintRule::MultiDriven => "multi-driven",
         }
     }
 
@@ -78,10 +59,6 @@ impl LintRule {
             LintRule::WriteOnlyCone => "signal value never reaches an output",
             LintRule::ConstantCondition => "condition is constant",
             LintRule::IncompleteCase => "case without `when others` misses values",
-            LintRule::WidthTruncation => "assignment truncates its value",
-            LintRule::DuplicateCaseChoice => "case choice value repeated",
-            LintRule::CombLoop => "combinational dependency cycle",
-            LintRule::MultiDriven => "value driven by multiple processes",
         }
     }
 }
@@ -99,13 +76,13 @@ pub struct LintFinding {
     pub message: String,
 }
 
-/// Runs the whole catalog over a parsed design.
+/// Runs the whole catalog over a checked design.
 ///
 /// Findings are sorted by entity (declaration order), then source
 /// position, then rule slug, so output is deterministic.
-pub fn lint_design(design: &Design) -> Vec<LintFinding> {
+pub fn lint_design(checked: &CheckedDesign) -> Vec<LintFinding> {
     let mut findings: Vec<(usize, LintFinding)> = Vec::new();
-    for (idx, entity) in design.entities.iter().enumerate() {
+    for (idx, (entity, info)) in checked.entities().enumerate() {
         let mut emit = |rule: LintRule, span: Span, message: String| {
             findings.push((
                 idx,
@@ -117,7 +94,7 @@ pub fn lint_design(design: &Design) -> Vec<LintFinding> {
                 },
             ));
         };
-        lint_entity(entity, &mut emit);
+        lint_entity(entity, info, &mut emit);
     }
     findings.sort_by(|(ia, a), (ib, b)| {
         (ia, a.span.lo, a.rule.slug()).cmp(&(ib, b.span.lo, b.rule.slug()))
@@ -125,10 +102,9 @@ pub fn lint_design(design: &Design) -> Vec<LintFinding> {
     findings.into_iter().map(|(_, f)| f).collect()
 }
 
-fn lint_entity(entity: &Entity, emit: &mut impl FnMut(LintRule, Span, String)) {
+fn lint_entity(entity: &Entity, info: &EntityInfo, emit: &mut impl FnMut(LintRule, Span, String)) {
     let env = ConstEnv::from_entity(entity);
     let facts = EntityFacts::new(entity);
-    let top_widths = decl_widths(entity);
 
     structure_rules(entity, &facts, emit);
 
@@ -141,23 +117,16 @@ fn lint_entity(entity: &Entity, emit: &mut impl FnMut(LintRule, Span, String)) {
                 "statement can never execute".to_owned(),
             );
         }
-        // Local variables shadow nothing (names are unique), but their
-        // widths matter for truncation checks inside this process.
-        let mut widths = top_widths.clone();
-        for var in &process.vars {
-            widths.insert(var.name.name.clone(), var.width);
-        }
         musa_hdl::ast::walk_stmts(&process.body, &mut |stmt| {
             if dead.nodes.contains(&stmt.id()) {
                 return; // already reported as part of a dead region
             }
-            stmt_rules(stmt, &env, &widths, &dead.nodes, emit);
+            stmt_rules(stmt, &env, &info.widths, &dead.nodes, emit);
         });
     }
 }
 
-/// Entity-level rules: unread names, write-only cones, multi-driven
-/// values and combinational cycles.
+/// Entity-level rules: unread names and write-only cones.
 fn structure_rules(
     entity: &Entity,
     facts: &EntityFacts,
@@ -196,66 +165,15 @@ fn structure_rules(
             );
         }
     }
-
-    // Multi-driven: a name `<=`-assigned by two or more processes.
-    let mut driver_count: HashMap<&str, usize> = HashMap::new();
-    for writes in &facts.writes {
-        for name in writes {
-            *driver_count.entry(name.as_str()).or_insert(0) += 1;
-        }
-    }
-    let decl_span = |name: &str| {
-        entity
-            .signals
-            .iter()
-            .map(|s| (&s.name.name, s.name.span))
-            .chain(entity.ports.iter().map(|p| (&p.name.name, p.name.span)))
-            .find(|(n, _)| n.as_str() == name)
-            .map_or(Span::dummy(), |(_, span)| span)
-    };
-    let mut multi: Vec<(&str, usize)> = driver_count
-        .iter()
-        .filter(|&(_, &n)| n >= 2)
-        .map(|(&name, &n)| (name, n))
-        .collect();
-    multi.sort_unstable();
-    for (name, n) in multi {
-        emit(
-            LintRule::MultiDriven,
-            decl_span(name),
-            format!("`{name}` is driven by {n} processes"),
-        );
-    }
-
-    let cycle = facts.comb_cycle(entity);
-    if !cycle.is_empty() {
-        let mut names: Vec<&str> = cycle
-            .iter()
-            .flat_map(|&p| facts.writes[p].iter().map(String::as_str))
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        let span = names.first().map_or(Span::dummy(), |n| decl_span(n));
-        emit(
-            LintRule::CombLoop,
-            span,
-            format!("combinational cycle through: {}", names.join(", ")),
-        );
-    }
-
-    // Input ports that are never read get the unread treatment too?
-    // No: unused inputs are an interface contract, not a bug — the
-    // catalog stays at signals and constants.
-    let _ = PortDir::In;
 }
 
-/// Statement-level rules: constant conditions, incomplete cases,
-/// duplicate choices and width truncation.
+/// Statement-level rules: constant conditions and incomplete cases.
+/// `widths` is the checker's per-expression width table.
 fn stmt_rules(
     stmt: &Stmt,
     env: &ConstEnv,
-    widths: &HashMap<String, u32>,
-    dead: &HashSet<musa_hdl::ast::NodeId>,
+    widths: &HashMap<NodeId, u32>,
+    dead: &HashSet<NodeId>,
     emit: &mut impl FnMut(LintRule, Span, String),
 ) {
     match stmt {
@@ -277,66 +195,29 @@ fn stmt_rules(
         Stmt::Case {
             subject,
             arms,
-            default,
+            default: None,
             ..
         } => {
-            // Duplicate choices: first repeat of each value, scanning
-            // arms in match order.
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut reported: HashSet<u64> = HashSet::new();
-            for arm in arms {
-                for &choice in &arm.choices {
-                    if !seen.insert(choice) && reported.insert(choice) {
-                        emit(
-                            LintRule::DuplicateCaseChoice,
-                            subject.span(),
-                            format!("case choice {choice} is repeated"),
-                        );
-                    }
-                }
-            }
-            if default.is_none() {
-                let missing = match infer_width(subject, widths) {
-                    Some(w) if w < 64 => {
-                        let covered = seen.iter().filter(|&&c| c < (1u64 << w)).count() as u64;
-                        (covered < (1u64 << w)).then(|| {
-                            format!(
-                                "case covers {covered} of {} subject values and has no `when others`",
-                                1u64 << w
-                            )
-                        })
-                    }
-                    Some(_) => Some(
-                        "case over a 64-bit subject cannot cover all values without `when others`"
-                            .to_owned(),
-                    ),
-                    None => Some("case has no `when others`".to_owned()),
-                };
-                if let Some(message) = missing {
-                    emit(LintRule::IncompleteCase, subject.span(), message);
-                }
-            }
-        }
-        Stmt::Assign { target, value, .. } => {
-            let target_width = match &target.sel {
-                Some(Select::Index(_)) => Some(1),
-                Some(Select::Slice { hi, lo }) => (hi >= lo).then(|| hi - lo + 1),
-                None => widths.get(&target.base.name).copied(),
+            // The checker admits only distinct choices that fit the
+            // subject, so counting them counts the covered values.
+            let covered: usize = arms.iter().map(|arm| arm.choices.len()).sum();
+            let missing = match widths.get(&subject.id()) {
+                Some(&w) if w < 64 => ((covered as u64) < (1u64 << w)).then(|| {
+                    format!(
+                        "case covers {covered} of {} subject values and has no `when others`",
+                        1u64 << w
+                    )
+                }),
+                _ => Some(
+                    "case over a 64-bit subject cannot cover all values without `when others`"
+                        .to_owned(),
+                ),
             };
-            if let (Some(tw), Some(vw)) = (target_width, infer_width(value, widths)) {
-                if vw > tw {
-                    emit(
-                        LintRule::WidthTruncation,
-                        stmt.span(),
-                        format!(
-                            "assignment truncates a {vw}-bit value into the {tw}-bit target `{}`",
-                            target.base.name
-                        ),
-                    );
-                }
+            if let Some(message) = missing {
+                emit(LintRule::IncompleteCase, subject.span(), message);
             }
         }
-        Stmt::For { .. } | Stmt::Null { .. } => {}
+        _ => {}
     }
 }
 
@@ -345,11 +226,14 @@ mod tests {
     use super::*;
     use musa_hdl::parse;
 
-    /// Parses (without checking) and lints, returning `(slug, message)`
-    /// pairs in report order.
+    fn checked(src: &str) -> CheckedDesign {
+        CheckedDesign::new(parse(src).unwrap()).unwrap()
+    }
+
+    /// Parses, checks and lints, returning `(slug, message)` pairs in
+    /// report order.
     fn lint(src: &str) -> Vec<(&'static str, String)> {
-        let design = parse(src).unwrap();
-        lint_design(&design)
+        lint_design(&checked(src))
             .into_iter()
             .map(|f| (f.rule.slug(), f.message))
             .collect()
@@ -474,7 +358,7 @@ mod tests {
             entity e is
               port(a : in bit; y : out bit);
             comb begin
-              if 1 = 1 then y <= a; else y <= 0; end if;
+              if 0b1 = 1 then y <= a; else y <= 0; end if;
             end;
             end;
         ";
@@ -501,6 +385,7 @@ mod tests {
             entity e is
               port(s : in bits(2); y : out bit);
             comb begin
+              y <= 0;
               case s is
                 when 0 => y <= 1;
                 when 1 => y <= 0;
@@ -530,115 +415,30 @@ mod tests {
     }
 
     #[test]
-    fn width_truncation_positive_and_negative() {
-        let dirty = "
-            entity e is
-              port(a : in bits(4); b : in bits(4); y : out bits(4));
-            comb begin y <= a & b; end;
-            end;
-        ";
-        let got = lint(dirty);
-        assert!(
-            got.iter()
-                .any(|(s, m)| *s == "width-truncation" && m.contains("8-bit value")),
-            "{got:?}"
-        );
-        let clean = "
+    fn incomplete_case_over_a_loop_index_counts_its_checked_width() {
+        // The checker gives `k` in 0 .. 3 two bits, so two choices cover
+        // two of its four values.
+        let src = "
             entity e is
               port(a : in bits(4); y : out bits(4));
-            comb begin y <= a; end;
-            end;
-        ";
-        assert!(!slugs(clean).contains(&"width-truncation"));
-    }
-
-    #[test]
-    fn duplicate_case_choice_positive_and_negative() {
-        let dirty = "
-            entity e is
-              port(s : in bits(2); y : out bit);
             comb begin
-              case s is
-                when 0 => y <= 1;
-                when 0 => y <= 0;
-                when others => y <= 0;
-              end case;
+              y <= a;
+              for k in 0 .. 3 loop
+                case k is
+                  when 0 => y[0] <= not a[0];
+                  when 1 => y[1] <= not a[1];
+                end case;
+              end loop;
             end;
             end;
         ";
-        let got = lint(dirty);
-        assert!(
-            got.iter()
-                .any(|(s, m)| *s == "duplicate-case-choice" && m.contains("choice 0")),
-            "{got:?}"
+        assert_eq!(
+            lint(src),
+            vec![(
+                "incomplete-case",
+                "case covers 2 of 4 subject values and has no `when others`".to_owned()
+            )]
         );
-        let clean = "
-            entity e is
-              port(s : in bits(2); y : out bit);
-            comb begin
-              case s is
-                when 0 => y <= 1;
-                when 1 => y <= 0;
-                when others => y <= 0;
-              end case;
-            end;
-            end;
-        ";
-        assert!(!slugs(clean).contains(&"duplicate-case-choice"));
-    }
-
-    #[test]
-    fn comb_loop_positive_and_negative() {
-        let dirty = "
-            entity e is
-              port(y : out bit);
-            signal s : bit;
-            comb begin s <= not s; end;
-            comb begin y <= s; end;
-            end;
-        ";
-        let got = lint(dirty);
-        assert!(
-            got.iter()
-                .any(|(s, m)| *s == "comb-loop" && m.contains("s")),
-            "{got:?}"
-        );
-        let clean = "
-            entity e is
-              port(clk : in bit; y : out bit);
-            signal s : bit;
-            seq(clk) begin s <= not s; end;
-            comb begin y <= s; end;
-            end;
-        ";
-        assert!(!slugs(clean).contains(&"comb-loop"));
-    }
-
-    #[test]
-    fn multi_driven_positive_and_negative() {
-        let dirty = "
-            entity e is
-              port(a : in bit; y : out bit);
-            signal t : bit;
-            comb begin t <= a; end;
-            comb begin t <= not a; end;
-            comb begin y <= t; end;
-            end;
-        ";
-        let got = lint(dirty);
-        assert!(
-            got.iter()
-                .any(|(s, m)| *s == "multi-driven" && m.contains("2 processes")),
-            "{got:?}"
-        );
-        let clean = "
-            entity e is
-              port(a : in bit; y : out bit);
-            signal t : bit;
-            comb begin t <= a; y <= t; end;
-            end;
-        ";
-        assert!(!slugs(clean).contains(&"multi-driven"));
     }
 
     #[test]
@@ -649,8 +449,7 @@ signal ghost : bit;
 comb begin ghost <= a; y <= a; end;
 end;
 ";
-        let design = parse(src).unwrap();
-        let findings = lint_design(&design);
+        let findings = lint_design(&checked(src));
         assert_eq!(findings.len(), 1);
         let (line, col) = findings[0].span.line_col(src);
         assert_eq!(line, 3, "ghost is declared on line 3");

@@ -26,7 +26,7 @@
 
 use crate::dataflow::{analyze_dead, mask, ConstEnv, FoldValue};
 use crate::dataflow::{const_by_id, fold_expr};
-use musa_hdl::ast::{walk_exprs, walk_stmts, CaseArm, Entity, Expr, NodeId, Stmt, UnaryOp};
+use musa_hdl::ast::{walk_exprs, walk_stmts, CaseArm, Entity, Expr, NodeId, Stmt};
 use musa_hdl::{CheckedDesign, EntityInfo, SymbolKind};
 use musa_mutation::{Mutant, Rewrite};
 use std::collections::{HashMap, HashSet};
@@ -263,7 +263,7 @@ impl<'a> Screener<'a> {
         let Some(orig) = self.exprs.get(&site) else {
             return false;
         };
-        let Some(mutated) = rewrite_site_expr(orig, rewrite) else {
+        let Some(mutated) = rewrite.apply_to_expr(orig) else {
             return false;
         };
         let Some(free) = self.free_vars(&[orig, &mutated]) else {
@@ -403,70 +403,6 @@ impl FreeVars {
         }
         true
     }
-}
-
-/// Applies an expression-level rewrite to a clone of the site
-/// expression, mirroring the mutation engine's application semantics.
-/// Returns `None` when the rewrite does not fit the node.
-fn rewrite_site_expr(orig: &Expr, rewrite: &Rewrite) -> Option<Expr> {
-    let mut expr = orig.clone();
-    match rewrite {
-        Rewrite::BinOp { new } => {
-            let Expr::Binary { op, .. } = &mut expr else {
-                return None;
-            };
-            *op = *new;
-        }
-        Rewrite::Ref { new } => {
-            let Expr::Ref { name, .. } = &mut expr else {
-                return None;
-            };
-            name.name.clone_from(new);
-            name.span = musa_hdl::Span::dummy();
-        }
-        Rewrite::RefToConst { value, width } => {
-            if !matches!(expr, Expr::Ref { .. }) {
-                return None;
-            }
-            expr = Expr::Literal {
-                id: orig.id(),
-                value: *value,
-                width: Some(*width),
-                span: musa_hdl::Span::dummy(),
-            };
-        }
-        Rewrite::Literal { value } => {
-            let Expr::Literal { value: slot, .. } = &mut expr else {
-                return None;
-            };
-            *slot = *value;
-        }
-        Rewrite::InsertNot => {
-            // The folder never consults a `Unary` node's own id, so a
-            // sentinel id is safe here.
-            expr = Expr::Unary {
-                id: NodeId(u32::MAX),
-                op: UnaryOp::Not,
-                arg: Box::new(expr),
-            };
-        }
-        Rewrite::DeleteNot => {
-            let Expr::Unary {
-                op: UnaryOp::Not,
-                arg,
-                ..
-            } = expr
-            else {
-                return None;
-            };
-            expr = *arg;
-        }
-        Rewrite::ConstDecl { .. }
-        | Rewrite::CaseChoice { .. }
-        | Rewrite::DeleteStmt
-        | Rewrite::StuckCondition { .. } => return None,
-    }
-    Some(expr)
 }
 
 #[cfg(test)]

@@ -635,7 +635,10 @@ impl CampaignPlan {
         let mut rows = Vec::with_capacity(self.benches.len());
         let mut circuits = Vec::with_capacity(self.benches.len());
         for &bench in &self.benches {
-            let circuit = bench.load().map_err(|e| failed(bench, e.into()))?;
+            let circuit = {
+                let _trace = musa_trace::span_detail("load", || bench.name().to_string());
+                bench.load().map_err(|e| failed(bench, e.into()))?
+            };
             if matches!(self.task, Task::AtpgTopup { .. }) && !circuit.is_combinational() {
                 return Err(CampaignError::NotCombinational(bench.name().to_string()));
             }

@@ -48,11 +48,10 @@ pub struct LintRow {
 /// # Errors
 ///
 /// Returns the [`HdlError`] when the source does not parse or fails
-/// semantic checking — lint rules presume a well-formed design, and the
-/// checker's diagnostics beat misfiring lint rules.
+/// semantic checking: the rules run on the checked design.
 pub fn lint_source(bench: &str, file: &str, source: &str) -> Result<LintRow, HdlError> {
     let checked = CheckedDesign::new(parse(source)?)?;
-    let findings = lint_design(checked.design())
+    let findings = lint_design(&checked)
         .into_iter()
         .map(|f| {
             let (line, col) = f.span.line_col(source);

@@ -96,6 +96,7 @@ impl OperatorProfile {
             fault_sim: FaultSimStats,
         }
         let measurements = try_par_map(config.jobs, &cells, |_, cell| {
+            let _trace = musa_trace::span("profile_cell");
             let (_, mutants) = &populations[cell.op_slot];
             let mg = MgConfig {
                 seed: cell.mg_seed,

@@ -2,7 +2,10 @@
 //!
 //! [`CheckedDesign::new`] validates a parsed [`Design`] and produces the
 //! side tables (symbol table, per-expression widths, process schedules)
-//! consumed by the simulator, the synthesizer and the mutation engine.
+//! consumed by the simulator, the synthesizer, the mutation engine and
+//! the static analysis. [`EntityInfo`] also answers the queries they
+//! share: combinational read sets, the combinational schedule and
+//! loop-index symbols.
 //!
 //! ## Rules enforced
 //!
@@ -24,7 +27,7 @@ use crate::ast::*;
 use crate::error::{HdlError, Result};
 use crate::span::Span;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Identity of a symbol (port, signal, constant, variable, loop index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -150,6 +153,85 @@ impl EntityInfo {
     pub fn output_bits(&self) -> u32 {
         self.outputs.iter().map(|&s| self.symbol(s).width).sum()
     }
+
+    /// The ports and signals each combinational process reads, keyed by
+    /// process index (variables, constants and loop indices excluded).
+    pub fn comb_reads(&self, entity: &Entity) -> BTreeMap<usize, BTreeSet<SymbolId>> {
+        let mut reads = BTreeMap::new();
+        for (i, process) in entity.processes.iter().enumerate() {
+            if !matches!(process.kind, ProcessKind::Comb) {
+                continue;
+            }
+            let set: &mut BTreeSet<SymbolId> = reads.entry(i).or_default();
+            walk_exprs(&process.body, &mut |e| {
+                if let Expr::Ref { id, .. } = e {
+                    if let Some(&sym) = self.resolved.get(id) {
+                        if matches!(
+                            self.symbol(sym).kind,
+                            SymbolKind::PortIn { .. } | SymbolKind::PortOut | SymbolKind::Signal
+                        ) {
+                            set.insert(sym);
+                        }
+                    }
+                }
+            });
+        }
+        reads
+    }
+
+    /// Orders the combinational processes (the keys of `reads`) so that
+    /// each runs after every other one driving a symbol in its read set
+    /// (Kahn's algorithm). `None` when the dependencies cycle.
+    pub fn comb_schedule(&self, reads: &BTreeMap<usize, BTreeSet<SymbolId>>) -> Option<Vec<usize>> {
+        let mut dependents: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut in_degree: HashMap<usize, usize> = reads.keys().map(|&i| (i, 0)).collect();
+        for (&reader, syms) in reads {
+            for sym in syms {
+                if let Some(&writer) = self.drivers.get(sym) {
+                    if writer != reader && reads.contains_key(&writer) {
+                        dependents.entry(writer).or_default().push(reader);
+                        *in_degree.get_mut(&reader).expect("reader registered") += 1;
+                    }
+                }
+            }
+        }
+        let mut ready: Vec<usize> = reads
+            .keys()
+            .copied()
+            .filter(|i| in_degree[i] == 0)
+            .collect();
+        let mut order = Vec::with_capacity(reads.len());
+        while let Some(next) = ready.pop() {
+            order.push(next);
+            for &d in dependents.get(&next).into_iter().flatten() {
+                let deg = in_degree.get_mut(&d).expect("dependent registered");
+                *deg -= 1;
+                if *deg == 0 {
+                    ready.push(d);
+                }
+            }
+        }
+        (order.len() == reads.len()).then_some(order)
+    }
+
+    /// The symbol of loop index `name`, found through a resolved
+    /// reference in the loop's `body`; `None` when the body never reads
+    /// the index.
+    pub fn loop_symbol(&self, body: &[Stmt], name: &str) -> Option<SymbolId> {
+        let mut found = None;
+        walk_exprs(body, &mut |e| {
+            if let Expr::Ref { id, name: n } = e {
+                if found.is_none() && n.name == name {
+                    found = self
+                        .resolved
+                        .get(id)
+                        .copied()
+                        .filter(|&sym| matches!(self.symbol(sym).kind, SymbolKind::LoopVar));
+                }
+            }
+        });
+        found
+    }
 }
 
 /// A design that passed semantic analysis, with its side tables.
@@ -250,9 +332,6 @@ impl<'a> Checker<'a> {
             c.check_process(process)?;
         }
         c.check_all_outputs_driven()?;
-        c.check_clock_not_read()?;
-        let (comb_order, seq_processes) = c.schedule()?;
-        c.check_full_assignment(&comb_order)?;
 
         let mut drive_class = HashMap::new();
         for (&sym, &proc_idx) in &c.drivers {
@@ -262,6 +341,13 @@ impl<'a> Checker<'a> {
             };
             drive_class.insert(sym, class);
         }
+        let seq_processes: Vec<usize> = entity
+            .processes
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| matches!(p.kind, ProcessKind::Seq { .. }))
+            .map(|(i, _)| i)
+            .collect();
 
         let clocks: Vec<SymbolId> = c
             .symbols
@@ -285,18 +371,21 @@ impl<'a> Checker<'a> {
             .map(|(i, _)| SymbolId(i as u32))
             .collect();
 
-        Ok(EntityInfo {
+        let mut info = EntityInfo {
             symbols: c.symbols,
             widths: c.widths,
             resolved: c.resolved,
             drivers: c.drivers,
             drive_class,
-            comb_order,
+            comb_order: Vec::new(),
             seq_processes,
             clocks,
             data_inputs,
             outputs,
-        })
+        };
+        info.comb_order = info.schedule(entity)?;
+        info.check_full_assignment(entity)?;
+        Ok(info)
     }
 
     // ---- declarations --------------------------------------------------
@@ -852,32 +941,26 @@ impl<'a> Checker<'a> {
         }
         Ok(())
     }
+}
 
-    fn check_clock_not_read(&self) -> Result<()> {
-        // Reads of clocks are rejected during expression checking; here we
-        // additionally reject clocks that are also driven (impossible by
-        // construction: clocks are input ports) — nothing further to do.
-        Ok(())
-    }
-
-    /// Signals/ports read by a process (transitively through its
-    /// expressions; variables and constants excluded).
-    fn process_reads(&self, process: &Process) -> HashSet<SymbolId> {
-        let mut reads = HashSet::new();
-        walk_exprs(&process.body, &mut |e| {
-            if let Expr::Ref { id, .. } = e {
-                if let Some(&sym_id) = self.resolved.get(id) {
-                    let sym = &self.symbols[sym_id.0 as usize];
-                    if matches!(
-                        sym.kind,
-                        SymbolKind::PortIn { .. } | SymbolKind::PortOut | SymbolKind::Signal
-                    ) {
-                        reads.insert(sym_id);
-                    }
-                }
+impl EntityInfo {
+    /// The combinational evaluation order: no combinational process may
+    /// read a signal it drives, and the processes must not form a loop.
+    fn schedule(&self, entity: &Entity) -> Result<Vec<usize>> {
+        let reads = self.comb_reads(entity);
+        for (&i, syms) in &reads {
+            if let Some(&sym) = syms.iter().find(|&s| self.drivers.get(s) == Some(&i)) {
+                return Err(HdlError::check(
+                    format!(
+                        "combinational process reads `{}` which it also drives",
+                        self.symbols[sym.0 as usize].name
+                    ),
+                    Span::dummy(),
+                ));
             }
-        });
-        reads
+        }
+        self.comb_schedule(&reads)
+            .ok_or_else(|| HdlError::check("combinational loop between processes", Span::dummy()))
     }
 
     /// Signals/ports driven by a process.
@@ -889,87 +972,11 @@ impl<'a> Checker<'a> {
             .collect()
     }
 
-    fn schedule(&self) -> Result<(Vec<usize>, Vec<usize>)> {
-        let entity = self.entity;
-        let comb: Vec<usize> = entity
-            .processes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p.kind, ProcessKind::Comb))
-            .map(|(i, _)| i)
-            .collect();
-        let seq: Vec<usize> = entity
-            .processes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p.kind, ProcessKind::Seq { .. }))
-            .map(|(i, _)| i)
-            .collect();
-
-        // A combinational process must not read its own outputs.
-        for &i in &comb {
-            let reads = self.process_reads(&entity.processes[i]);
-            let drives = self.process_drives(i);
-            if let Some(sym) = reads.intersection(&drives).next() {
-                return Err(HdlError::check(
-                    format!(
-                        "combinational process reads `{}` which it also drives",
-                        self.symbols[sym.0 as usize].name
-                    ),
-                    Span::dummy(),
-                ));
-            }
-        }
-
-        // Topological order on wire dependencies (Kahn's algorithm).
-        let mut dependents: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut in_degree: HashMap<usize, usize> = comb.iter().map(|&i| (i, 0)).collect();
-        for &reader in &comb {
-            let reads = self.process_reads(&entity.processes[reader]);
-            for sym in reads {
-                if let Some(&writer) = self.drivers.get(&sym) {
-                    if writer != reader
-                        && matches!(entity.processes[writer].kind, ProcessKind::Comb)
-                    {
-                        dependents.entry(writer).or_default().push(reader);
-                        *in_degree.get_mut(&reader).unwrap() += 1;
-                    }
-                }
-            }
-        }
-        let mut ready: Vec<usize> = comb
-            .iter()
-            .copied()
-            .filter(|i| in_degree[i] == 0)
-            .collect();
-        ready.sort_unstable();
-        let mut order = Vec::with_capacity(comb.len());
-        while let Some(next) = ready.pop() {
-            order.push(next);
-            if let Some(deps) = dependents.get(&next) {
-                for &d in deps {
-                    let deg = in_degree.get_mut(&d).unwrap();
-                    *deg -= 1;
-                    if *deg == 0 {
-                        ready.push(d);
-                    }
-                }
-            }
-        }
-        if order.len() != comb.len() {
-            return Err(HdlError::check(
-                "combinational loop between processes",
-                Span::dummy(),
-            ));
-        }
-        Ok((order, seq))
-    }
-
     // ---- full-assignment (latch-freedom) for comb processes -------------
 
-    fn check_full_assignment(&self, comb_order: &[usize]) -> Result<()> {
-        for &i in comb_order {
-            let process = &self.entity.processes[i];
+    fn check_full_assignment(&self, entity: &Entity) -> Result<()> {
+        for &i in &self.comb_order {
+            let process = &entity.processes[i];
             let assigned = self.assigned_masks(&process.body, &HashMap::new());
             for sym_id in self.process_drives(i) {
                 let sym = &self.symbols[sym_id.0 as usize];

@@ -323,9 +323,7 @@ impl Exec<'_, '_> {
             Stmt::For {
                 var, lo, hi, body, ..
             } => {
-                // The loop variable's symbol id: resolved refs in the body
-                // point at it; find it via any body ref, or skip if unused.
-                let loop_sym = self.loop_symbol(body, &var.name);
+                let loop_sym = self.info.loop_symbol(body, &var.name);
                 for i in *lo..=*hi {
                     if let Some(sym) = loop_sym {
                         let width = self.info.symbol(sym).width;
@@ -336,27 +334,6 @@ impl Exec<'_, '_> {
             }
             Stmt::Null { .. } => {}
         }
-    }
-
-    /// Finds the symbol id of loop variable `name` by scanning the body
-    /// for a resolved reference to a loop-var symbol with that name.
-    fn loop_symbol(&self, body: &[Stmt], name: &str) -> Option<SymbolId> {
-        let mut found = None;
-        walk_exprs(body, &mut |e| {
-            if found.is_some() {
-                return;
-            }
-            if let Expr::Ref { id, name: n } = e {
-                if n.name == name {
-                    if let Some(&sym) = self.info.resolved.get(id) {
-                        if matches!(self.info.symbol(sym).kind, SymbolKind::LoopVar) {
-                            found = Some(sym);
-                        }
-                    }
-                }
-            }
-        });
-        found
     }
 
     fn expr(&self, e: &Expr) -> Bits {

@@ -97,17 +97,17 @@ pub(crate) enum CompileError {
 ///
 /// Computed once per population (or once per [`crate::LanePlan`]) and
 /// handed to every [`compile_group`] call, so per-group compiles no
-/// longer re-walk the whole entity: the base read-dependency sets, the
-/// base combinational evaluation order and the power-on lane words are
-/// reused, and a group only pays for what its own mutants change (`VR`
-/// read edges, `CR` constant lanes, the mutated statement tapes).
+/// longer re-walk the whole entity: the base read-dependency sets and
+/// the power-on lane words are reused, and a group only pays for what
+/// its own mutants change (`VR` read edges, `CR` constant lanes, the
+/// mutated statement tapes).
 #[derive(Debug)]
 pub(crate) struct BaseCompile {
     /// Per-comb-process read sets over ports and signals (the inputs to
-    /// the Kahn scheduling that `VR` rewrites extend per group).
-    reads: HashMap<usize, BTreeSet<SymbolId>>,
-    /// Topological order of the comb processes under `reads` alone —
-    /// valid as-is for any group that adds no read edge.
+    /// the scheduling that `VR` rewrites extend per group).
+    reads: BTreeMap<usize, BTreeSet<SymbolId>>,
+    /// The checker's comb-process order — valid as-is for any group
+    /// that adds no read edge.
     order: Vec<usize>,
     /// Power-on lane words before any `CR` constant lane diverges.
     init: Vec<LaneWord>,
@@ -120,16 +120,16 @@ impl BaseCompile {
         entity_name: &str,
     ) -> Result<Self, CompileError> {
         let (entity, info) = checked.entity(entity_name).ok_or(CompileError::EntityNotFound)?;
-        let reads = base_reads(entity, info);
-        // A checked design schedules its comb processes acyclically, so
-        // the base graph (no mutants) always has a topological order.
-        let order = kahn_order(entity, info, &reads).ok_or(CompileError::Cycle)?;
         let init = info
             .symbols
             .iter()
             .map(|s| [s.init & Bits::mask_of(s.width); LANES])
             .collect();
-        Ok(Self { reads, order, init })
+        Ok(Self {
+            reads: info.comb_reads(entity),
+            order: info.comb_order.clone(),
+            init,
+        })
     }
 }
 
@@ -304,8 +304,8 @@ fn comb_order_union(
         ) {
             continue;
         }
-        for &i in base.reads.keys() {
-            if base.reads[&i].contains(&sym) {
+        for (&i, syms) in &base.reads {
+            if syms.contains(&sym) {
                 continue; // edge already in the base graph
             }
             let mut found = false;
@@ -324,77 +324,7 @@ fn comb_order_union(
     for (i, sym) in added {
         reads.entry(i).or_default().insert(sym);
     }
-    kahn_order(entity, info, &reads).ok_or(CompileError::Cycle)
-}
-
-/// Per-comb-process read sets over ports and signals.
-fn base_reads(entity: &Entity, info: &EntityInfo) -> HashMap<usize, BTreeSet<SymbolId>> {
-    let mut reads: HashMap<usize, BTreeSet<SymbolId>> = HashMap::new();
-    for (i, process) in entity.processes.iter().enumerate() {
-        if !matches!(process.kind, ProcessKind::Comb) {
-            continue;
-        }
-        let set = reads.entry(i).or_default();
-        walk_exprs(&process.body, &mut |e| {
-            if let Expr::Ref { id, .. } = e {
-                if let Some(&sym) = info.resolved.get(id) {
-                    if matches!(
-                        info.symbol(sym).kind,
-                        SymbolKind::PortIn { .. } | SymbolKind::PortOut | SymbolKind::Signal
-                    ) {
-                        set.insert(sym);
-                    }
-                }
-            }
-        });
-    }
-    reads
-}
-
-/// Kahn's algorithm over the comb processes, mirroring the checker's
-/// scheduler. `None` when the graph cycles.
-fn kahn_order(
-    entity: &Entity,
-    info: &EntityInfo,
-    reads: &HashMap<usize, BTreeSet<SymbolId>>,
-) -> Option<Vec<usize>> {
-    let comb: Vec<usize> = entity
-        .processes
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| matches!(p.kind, ProcessKind::Comb))
-        .map(|(i, _)| i)
-        .collect();
-    let mut dependents: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut in_degree: HashMap<usize, usize> = comb.iter().map(|&i| (i, 0)).collect();
-    for &reader in &comb {
-        for &sym in &reads[&reader] {
-            if let Some(&writer) = info.drivers.get(&sym) {
-                if writer != reader
-                    && matches!(entity.processes[writer].kind, ProcessKind::Comb)
-                {
-                    dependents.entry(writer).or_default().push(reader);
-                    *in_degree.get_mut(&reader).expect("reader registered") += 1;
-                }
-            }
-        }
-    }
-    let mut ready: Vec<usize> = comb.iter().copied().filter(|i| in_degree[i] == 0).collect();
-    ready.sort_unstable();
-    let mut order = Vec::with_capacity(comb.len());
-    while let Some(next) = ready.pop() {
-        order.push(next);
-        if let Some(deps) = dependents.get(&next) {
-            for &d in deps {
-                let deg = in_degree.get_mut(&d).expect("dependent registered");
-                *deg -= 1;
-                if *deg == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-    }
-    (order.len() == comb.len()).then_some(order)
+    info.comb_schedule(&reads).ok_or(CompileError::Cycle)
 }
 
 struct Compiler<'a> {
@@ -744,7 +674,7 @@ impl<'a> Compiler<'a> {
                 }
             }
             Stmt::For { var, lo, hi, body, .. } => {
-                let loop_sym = self.loop_symbol(body, &var.name);
+                let loop_sym = self.info.loop_symbol(body, &var.name);
                 for i in *lo..=*hi {
                     if let Some(sym) = loop_sym {
                         let width = self.info.symbol(sym).width;
@@ -756,27 +686,6 @@ impl<'a> Compiler<'a> {
             }
             Stmt::Null { .. } => {}
         }
-    }
-
-    /// The loop index's symbol, found exactly as the scalar simulator
-    /// finds it: through a resolved body reference.
-    fn loop_symbol(&self, body: &[Stmt], name: &str) -> Option<SymbolId> {
-        let mut found = None;
-        walk_exprs(body, &mut |e| {
-            if found.is_some() {
-                return;
-            }
-            if let Expr::Ref { id, name: n } = e {
-                if n.name == name {
-                    if let Some(&sym) = self.info.resolved.get(id) {
-                        if matches!(self.info.symbol(sym).kind, SymbolKind::LoopVar) {
-                            found = Some(sym);
-                        }
-                    }
-                }
-            }
-        });
-        found
     }
 
     // ---- expressions ----------------------------------------------------

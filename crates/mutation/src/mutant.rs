@@ -139,6 +139,18 @@ impl Mutant {
     }
 }
 
+impl Rewrite {
+    /// Applies this expression-level rewrite to a clone of `expr`, with
+    /// [`Mutant::apply`]'s semantics. An inserted `not` gets the id
+    /// `NodeId(u32::MAX)`, which no parsed node carries. Returns `None`
+    /// when the rewrite does not fit the node or is not expression-level.
+    pub fn apply_to_expr(&self, expr: &Expr) -> Option<Expr> {
+        let mut rewritten = expr.clone();
+        apply_expr_rewrite(&mut rewritten, self, u32::MAX, &mut 0).ok()?;
+        Some(rewritten)
+    }
+}
+
 /// Applies a rewrite to a design in place.
 pub(crate) fn apply_rewrite(
     design: &mut Design,

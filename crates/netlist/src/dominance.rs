@@ -22,7 +22,7 @@
 //! of the full fault universe — chains of dominating faults through a
 //! fanout-free region resolve transitively down to the region's
 //! *checkpoint* faults — and plans, for each fault of a collapsed list,
-//! how the reduced engines handle it:
+//! how the reduced engine handles it:
 //!
 //! * a *kept* fault is simulated and its first-detection index is exact;
 //! * an **observed** fault — a stem on a net with a NOT/BUF-only path
@@ -35,9 +35,9 @@
 //!   test prefix detects it — and is credited the earliest such index
 //!   (an upper bound on its true first detection);
 //! * a dropped fault none of whose representatives were detected is
-//!   **residually simulated** by the reduced engines in
-//!   [`crate::fsim`], so its detected/undetected verdict is never
-//!   guessed.
+//!   **residually simulated** by
+//!   [`crate::fault_simulate_sessions_reduced`], so its
+//!   detected/undetected verdict is never guessed.
 //!
 //! The guarantee, therefore: reduced simulation reports the **same
 //! detected/undetected verdict — hence the same final coverage and
@@ -91,7 +91,6 @@ pub enum FaultPlan {
 
 /// A dominance-reduced fault list: the caller's faults plus a per-fault
 /// simulation plan. Build with [`reduce_faults`], simulate with
-/// [`crate::fault_simulate_reduced`] /
 /// [`crate::fault_simulate_sessions_reduced`].
 #[derive(Debug, Clone)]
 pub struct FaultReduction {

@@ -58,8 +58,8 @@ pub struct FaultSimResult {
     pub vectors_applied: usize,
     /// Number of faults that actually occupied simulation lanes. Equal
     /// to `faults.len()` for the full engines; smaller under dominance
-    /// reduction ([`fault_simulate_reduced`]), where credited faults
-    /// never enter a lane.
+    /// reduction ([`fault_simulate_sessions_reduced`]), where credited
+    /// faults never enter a lane.
     pub faults_simulated: usize,
 }
 
@@ -207,22 +207,6 @@ fn simulate_subset_sessions(
         base += session.len();
     }
     (first, base)
-}
-
-/// [`fault_simulate`] over a dominance-reduced fault list: only
-/// representatives (and residuals) occupy lanes, while the result
-/// still covers **every** fault of the list. See
-/// [`fault_simulate_sessions_reduced`] for the exactness contract.
-///
-/// # Panics
-///
-/// Panics if any pattern length differs from the circuit's input count.
-pub fn fault_simulate_reduced(
-    nl: &Netlist,
-    reduction: &FaultReduction,
-    vectors: &[Pattern],
-) -> FaultSimResult {
-    fault_simulate_sessions_reduced(nl, reduction, std::slice::from_ref(&vectors.to_vec()))
 }
 
 /// [`fault_simulate_sessions`] over a dominance-reduced fault list.

@@ -37,12 +37,6 @@ impl CampaignKey {
     pub fn as_hex(&self) -> &str {
         &self.hex
     }
-
-    /// Wraps an already-derived hex spelling (store-internal; see
-    /// `CampaignKey::from_hex_unchecked`).
-    pub(crate) fn raw(hex: String) -> Self {
-        Self { hex }
-    }
 }
 
 impl fmt::Display for CampaignKey {

@@ -37,4 +37,4 @@ mod store;
 pub use digest::{digest128_hex, fnv1a64};
 pub use key::CampaignKey;
 pub use run_cached::{CachedRun, RunCached, StoreOutcome};
-pub use store::{Store, StoreEntry, INDEX_SCHEMA};
+pub use store::Store;

@@ -10,7 +10,7 @@
 
 use crate::decode::decode_report_data;
 use crate::key::CampaignKey;
-use crate::store::{Store, StoreEntry};
+use crate::store::Store;
 use musa_core::{Campaign, CampaignError, CampaignPlan, Report, RunMeta, Task};
 use std::time::{Duration, Instant};
 
@@ -82,15 +82,9 @@ impl RunCached for Campaign {
             }
         }
         let report = self.run()?;
-        let entry = StoreEntry {
-            key: key.as_hex().to_string(),
-            task: report.task.slug().to_string(),
-            benches: report.meta.benches.clone(),
-            seed: report.meta.seed,
-        };
         // Best-effort: a store that has become unwritable must not fail
         // a run that already produced its result.
-        let _ = store.put(entry, &report.to_json());
+        let _ = store.put(&key, &report.to_json());
         Ok(CachedRun { report, outcome: StoreOutcome::Miss, key: Some(key) })
     }
 }
@@ -210,7 +204,11 @@ mod tests {
             .unwrap();
         assert_eq!(run.outcome, StoreOutcome::Bypass);
         assert_eq!(run.key, None);
-        assert!(store.entries().is_empty(), "bypass must not write blobs");
+        assert_eq!(
+            fs::read_dir(&dir).unwrap().count(),
+            0,
+            "bypass must not write blobs"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

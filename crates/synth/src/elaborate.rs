@@ -271,7 +271,7 @@ impl<'a> Elaborator<'a> {
             Stmt::For {
                 var, lo, hi, body, ..
             } => {
-                let loop_sym = self.find_loop_symbol(body, &var.name);
+                let loop_sym = self.info.loop_symbol(body, &var.name);
                 for i in *lo..=*hi {
                     if let Some(sym) = loop_sym {
                         let width = self.info.symbol(sym).width;
@@ -380,25 +380,6 @@ impl<'a> Elaborator<'a> {
                 env.insert(sym, merged);
             }
         }
-    }
-
-    fn find_loop_symbol(&self, body: &[Stmt], name: &str) -> Option<SymbolId> {
-        let mut found = None;
-        walk_exprs(body, &mut |e| {
-            if found.is_some() {
-                return;
-            }
-            if let Expr::Ref { id, name: n } = e {
-                if n.name == name {
-                    if let Some(&sym) = self.info.resolved.get(id) {
-                        if matches!(self.info.symbol(sym).kind, SymbolKind::LoopVar) {
-                            found = Some(sym);
-                        }
-                    }
-                }
-            }
-        });
-        found
     }
 
     fn expr_bits(&mut self, e: &Expr, env: &HashMap<SymbolId, Vec<NetId>>) -> Vec<NetId> {

@@ -628,6 +628,54 @@ fn lint_missing_file_exits_2_and_broken_file_exits_1() {
     let out = musa(&["lint", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "parse errors are failures, not usage");
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+
+    // Designs the checker rejects fail with its error before any lint
+    // rule runs.
+    let rejected = [
+        (
+            "entity e is port(a : in bit; y : out bit);
+             comb begin y <= a; end;
+             comb begin y <= not a; end;
+             end;",
+            "`y` is driven by more than one process",
+        ),
+        (
+            "entity e is port(a : in bit; y : out bit);
+             signal s : bit;
+             signal t : bit;
+             comb begin s <= t and a; end;
+             comb begin t <= s or a; end;
+             comb begin y <= s; end;
+             end;",
+            "combinational loop between processes",
+        ),
+        (
+            "entity e is port(s : in bits(2); y : out bit);
+             comb begin
+               case s is
+                 when 0 => y <= 1;
+                 when 0 => y <= 0;
+                 when others => y <= 0;
+               end case;
+             end;
+             end;",
+            "duplicate case choice 0",
+        ),
+        (
+            "entity e is port(a : in bits(2); b : in bits(2); y : out bits(2));
+             comb begin y <= a & b; end;
+             end;",
+            "expression has width 4, context requires 2",
+        ),
+    ];
+    let file = dir.join("rejected.mhdl");
+    for (source, message) in rejected {
+        std::fs::write(&file, source).unwrap();
+        let out = musa(&["lint", file.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{message}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

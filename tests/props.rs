@@ -1,6 +1,7 @@
 //! Workspace-level property-based tests (proptest): invariants that
 //! must hold across the whole public API for arbitrary inputs.
 
+use musa::analysis::{lint_design, screen_population};
 use musa::bench::campaign::CAMPAIGN_FLAGS;
 use musa::bench::cli::{
     parse_args, BenchCommand, Bin, SampleArgs, BENCH_FLAGS, BIN_FLAGS, LINT_FLAGS, SAMPLE_FLAGS,
@@ -8,6 +9,7 @@ use musa::bench::cli::{
 use musa::core::{json, BenchReport};
 use musa::hdl::{parse, Bits, CheckedDesign, Simulator};
 use musa::metrics::{mad, median, RobustStats};
+use musa::mutation::{generate_mutants, GenerateOptions};
 use musa::netlist::{good_outputs, parse_bench};
 use musa::prng::{Lfsr, Prng, SplitMix64, XorShift64Star};
 use musa::store::request::parse_request;
@@ -196,11 +198,20 @@ proptest! {
 
     /// The MiniHDL parser and checker never panic, whatever bytes
     /// arrive: random strings and edited copies of a bundled design.
+    /// An edited design the checker accepts is also linted and its
+    /// mutants screened, since both read the checker's tables.
     #[test]
     fn parser_never_panics(input in ".{0,200}", edits in edits()) {
         let _ = parse(&input);
         if let Ok(design) = parse(&edited(B05_MHDL, &edits)) {
-            let _ = CheckedDesign::new(design);
+            if let Ok(checked) = CheckedDesign::new(design) {
+                let _ = lint_design(&checked);
+                for (entity, _) in checked.entities() {
+                    let name = &entity.name.name;
+                    let population = generate_mutants(&checked, name, &GenerateOptions::default());
+                    let _ = screen_population(&checked, name, &population);
+                }
+            }
         }
     }
 

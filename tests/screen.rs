@@ -9,7 +9,8 @@
 //!   all-bench outcome sweep is the table-level guarantee;
 //! * **usefulness** — the screen proves at least one equivalent on b01
 //!   (the `if rst = 1` width-1 relational site), so the knob is
-//!   exercised, not vacuous.
+//!   exercised, not vacuous, and every bundled design's proven count is
+//!   pinned.
 
 use musa::analysis::screen_population;
 use musa::circuits::Benchmark;
@@ -84,6 +85,27 @@ fn b01_static_screen_proves_equivalents() {
         !proven_of(index).is_empty(),
         "the b01 width-1 relational sites must screen as equivalent"
     );
+    // Every bundled design's proven count: the `screened` field of
+    // `musa sample <bench> --json`.
+    let expected = [
+        ("c17", 0),
+        ("b01", 3),
+        ("b02", 2),
+        ("b03", 3),
+        ("b04", 1),
+        ("b05", 3),
+        ("b06", 9),
+        ("b09", 2),
+        ("c432", 2),
+        ("c499", 2),
+        ("c880", 0),
+    ];
+    let counts: Vec<(&str, usize)> = circuits()
+        .iter()
+        .enumerate()
+        .map(|(i, (circuit, _))| (circuit.name.as_str(), proven_of(i).len()))
+        .collect();
+    assert_eq!(counts, expected);
 }
 
 /// Screening on vs off: byte-identical `Debug` of the full outcome —
