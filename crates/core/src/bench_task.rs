@@ -35,8 +35,7 @@ use crate::tables::TableError;
 use musa_circuits::Benchmark;
 use musa_metrics::RobustStats;
 use musa_mutation::{
-    execute_mutants_jobs, generate_mutants, Engine, GenerateOptions, LaneOptions,
-    LanePlan, OptLevel,
+    first_kills_over, generate_mutants, Engine, GenerateOptions, LaneOptions, LanePlan, OptLevel,
 };
 use musa_netlist::{
     collapsed_faults, fault_simulate_sessions, fault_simulate_sessions_reduced,
@@ -358,44 +357,44 @@ pub fn run_bench(
                 // region: the cell measures execution throughput, so a
                 // lowering that trades compile time for run time shows
                 // its run-time side here (compile cost is bounded by the
-                // plan step and amortized over the whole campaign).
+                // plan step and amortized over the whole campaign). The
+                // all-live mask is built there too.
+                let options = LaneOptions::default()
+                    .with_jobs(jobs)
+                    .with_opt(opt.unwrap_or_default());
                 let plan = match engine {
                     Engine::Scalar => None,
                     Engine::Lanes => Some(
-                        LanePlan::new(
-                            &circuit.checked,
-                            &circuit.name,
-                            &mutants,
-                            &LaneOptions::default()
-                                .with_jobs(jobs)
-                                .with_opt(opt.unwrap_or_default()),
-                        )
-                        .map_err(|e| per_bench(e.into()))?,
+                        LanePlan::new(&circuit.checked, &circuit.name, &mutants, &options)
+                            .map_err(|e| per_bench(e.into()))?,
                     ),
                 };
+                let live = vec![true; mutants.len()];
                 let (wall, results) = measure(warmup, samples, || {
-                    let (kills, lane_passes) = match &plan {
-                        None => (
-                            execute_mutants_jobs(
+                    let (killed, lane_passes) = match &plan {
+                        None => {
+                            let kills = first_kills_over(
                                 &circuit.checked,
                                 &circuit.name,
                                 &mutants,
-                                &sequence,
-                                jobs,
+                                &[&sequence],
+                                None,
+                                Engine::Scalar,
+                                &options,
                             )
-                            .map_err(|e| per_bench(e.into()))?,
-                            None,
-                        ),
+                            .map_err(|e| per_bench(e.into()))?;
+                            (kills.iter().flatten().count(), None)
+                        }
                         Some(plan) => {
                             let (kills, stats) = plan
-                                .first_kills(&sequence)
+                                .first_kills(&sequence, &live)
                                 .map_err(|e| per_bench(e.into()))?;
-                            (kills, Some(stats.passes))
+                            (kills.killed_count(), Some(stats.passes))
                         }
                     };
                     Ok(CellInvariants {
                         population: Some(mutants.len()),
-                        killed: Some(kills.killed_count()),
+                        killed: Some(killed),
                         lane_passes,
                         ..CellInvariants::default()
                     })

@@ -43,7 +43,7 @@ use crate::json::Json;
 use crate::parallel::resolve_jobs;
 use crate::profile::OperatorProfile;
 use crate::tables::{Table1, Table2, Table2Row, TableError};
-use musa_circuits::{Benchmark, Circuit};
+use musa_circuits::Benchmark;
 use musa_metrics::{f2, pct, signed0, Align, Nlfce, Table};
 use musa_mutation::{Engine, MutationError, MutationOperator, MutationScore, OptLevel};
 use musa_testgen::{mutation_guided_tests, SamplingStrategy};
@@ -610,23 +610,33 @@ impl CampaignPlan {
                     seed: self.config.seed,
                 },
             )?),
-            Task::Lint => {
-                ReportData::Lint(self.each_bench("linting", |bench, _| Ok(lint_bench(bench)))?)
-            }
+            // Lint reads each bench's source alone, so it loads (and
+            // synthesizes) no circuit.
+            Task::Lint => ReportData::Lint(
+                self.benches
+                    .iter()
+                    .map(|&bench| {
+                        let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
+                        musa_trace::progress(|| format!("linting {}", bench.name()));
+                        lint_bench(bench)
+                    })
+                    .collect(),
+            ),
         })
     }
 
-    /// The per-bench loop of every task but [`Task::Bench`]. It loads
-    /// every circuit before the first (much more expensive) measurement,
-    /// so a failure there, or a sequential bench handed to
-    /// [`Task::AtpgTopup`], cannot discard completed work. Then it runs
-    /// `measure` on each bench in turn, inside the bench's `bench` trace
-    /// span and after its progress line (`"{verb} {bench}"`); a failure
-    /// is reported as [`CampaignError::Run`] for that bench.
-    fn each_bench<T>(
+    /// The per-bench loop of every task but [`Task::Bench`] and
+    /// [`Task::Lint`]. It loads every circuit before the first (much
+    /// more expensive) measurement, so a failure there, or a sequential
+    /// bench handed to [`Task::AtpgTopup`], cannot discard completed
+    /// work. Then it builds each bench's [`BenchContext`] and runs
+    /// `measure` on it in turn, inside the bench's `bench` trace span
+    /// and after its progress line (`"{verb} {bench}"`); a failure is
+    /// reported as [`CampaignError::Run`] for that bench.
+    fn each_context<T>(
         &self,
         verb: &str,
-        mut measure: impl FnMut(Benchmark, Circuit) -> Result<T, TableError>,
+        mut measure: impl FnMut(&BenchContext) -> Result<T, MutationError>,
     ) -> Result<Vec<T>, CampaignError> {
         let failed = |bench: Benchmark, source| CampaignError::Run {
             bench: bench.name().to_string(),
@@ -647,21 +657,10 @@ impl CampaignPlan {
         for (&bench, circuit) in self.benches.iter().zip(circuits) {
             let _trace = musa_trace::span_detail("bench", || bench.name().to_string());
             musa_trace::progress(|| format!("{verb} {}", bench.name()));
-            rows.push(measure(bench, circuit).map_err(|e| failed(bench, e))?);
+            let ctx = BenchContext::new(circuit, &self.config);
+            rows.push(measure(&ctx).map_err(|e| failed(bench, e.into()))?);
         }
         Ok(rows)
-    }
-
-    /// [`each_bench`](Self::each_bench) with each circuit wrapped in its
-    /// [`BenchContext`].
-    fn each_context<T>(
-        &self,
-        verb: &str,
-        mut measure: impl FnMut(&BenchContext) -> Result<T, MutationError>,
-    ) -> Result<Vec<T>, CampaignError> {
-        self.each_bench(verb, |_, circuit| {
-            Ok(measure(&BenchContext::new(circuit, &self.config))?)
-        })
     }
 }
 

@@ -695,26 +695,27 @@ mod tests {
             let ctx = context(bench, &ExperimentConfig::fast(0));
             let (circuit, population) = (ctx.circuit(), ctx.population());
             let sequence = musa_testgen::random_sequence(circuit.info(), 24, 0xBEEF);
-            let serial = musa_mutation::execute_mutants(
-                &circuit.checked,
-                &circuit.name,
-                population,
-                &sequence,
-            )
-            .unwrap();
-            for jobs in [0, 2, 8] {
-                let sharded = musa_mutation::execute_mutants_jobs(
+            let run = |jobs, engine| {
+                musa_mutation::execute_mutants_engine_opt(
                     &circuit.checked,
                     &circuit.name,
                     population,
                     &sequence,
                     jobs,
+                    engine,
+                    musa_mutation::OptLevel::Full,
                 )
-                .unwrap();
-                assert_eq!(
-                    sharded.first_kill, serial.first_kill,
-                    "{bench}: jobs={jobs}"
-                );
+                .unwrap()
+            };
+            let serial = run(1, Engine::Scalar);
+            for engine in [Engine::Scalar, Engine::Lanes] {
+                for jobs in [0, 2, 8] {
+                    assert_eq!(
+                        run(jobs, engine).first_kill,
+                        serial.first_kill,
+                        "{bench}: {engine}, jobs={jobs}"
+                    );
+                }
             }
         }
     }

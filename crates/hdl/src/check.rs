@@ -181,8 +181,16 @@ impl EntityInfo {
 
     /// Orders the combinational processes (the keys of `reads`) so that
     /// each runs after every other one driving a symbol in its read set
-    /// (Kahn's algorithm). `None` when the dependencies cycle.
-    pub fn comb_schedule(&self, reads: &BTreeMap<usize, BTreeSet<SymbolId>>) -> Option<Vec<usize>> {
+    /// (Kahn's algorithm).
+    ///
+    /// # Errors
+    ///
+    /// When the dependencies cycle, returns a process on a cycle: the
+    /// same one for the same `reads`.
+    pub fn comb_schedule(
+        &self,
+        reads: &BTreeMap<usize, BTreeSet<SymbolId>>,
+    ) -> std::result::Result<Vec<usize>, usize> {
         let mut dependents: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut in_degree: HashMap<usize, usize> = reads.keys().map(|&i| (i, 0)).collect();
         for (&reader, syms) in reads {
@@ -211,7 +219,26 @@ impl EntityInfo {
                 }
             }
         }
-        (order.len() == reads.len()).then_some(order)
+        if order.len() == reads.len() {
+            return Ok(order);
+        }
+        // Every process left unordered has a predecessor left unordered,
+        // so walking back along them must revisit a process: that one
+        // lies on a cycle.
+        let left = |i: &usize| in_degree.get(i).is_some_and(|&d| d > 0);
+        let mut at = *reads
+            .keys()
+            .find(|i| left(i))
+            .expect("a cycle leaves a process");
+        let mut seen = BTreeSet::new();
+        while seen.insert(at) {
+            at = reads[&at]
+                .iter()
+                .filter_map(|sym| self.drivers.get(sym).copied())
+                .find(|w| *w != at && left(w))
+                .expect("an unordered process has an unordered predecessor");
+        }
+        Err(at)
     }
 
     /// The symbol of loop index `name`, found through a resolved
@@ -943,6 +970,17 @@ impl<'a> Checker<'a> {
     }
 }
 
+/// Where an error about process `i` points: its first statement with a
+/// source location.
+fn process_span(entity: &Entity, i: usize) -> Span {
+    entity.processes[i]
+        .body
+        .iter()
+        .map(Stmt::span)
+        .find(|&span| span != Span::dummy())
+        .unwrap_or_else(Span::dummy)
+}
+
 impl EntityInfo {
     /// The combinational evaluation order: no combinational process may
     /// read a signal it drives, and the processes must not form a loop.
@@ -955,12 +993,16 @@ impl EntityInfo {
                         "combinational process reads `{}` which it also drives",
                         self.symbols[sym.0 as usize].name
                     ),
-                    Span::dummy(),
+                    process_span(entity, i),
                 ));
             }
         }
-        self.comb_schedule(&reads)
-            .ok_or_else(|| HdlError::check("combinational loop between processes", Span::dummy()))
+        self.comb_schedule(&reads).map_err(|i| {
+            HdlError::check(
+                "combinational loop between processes",
+                process_span(entity, i),
+            )
+        })
     }
 
     /// Signals/ports driven by a process.
@@ -974,7 +1016,15 @@ impl EntityInfo {
 
     // ---- full-assignment (latch-freedom) for comb processes -------------
 
+    /// Every comb process assigns each signal it drives in full on every
+    /// path. The error names the partially assigned signal declared
+    /// first and points into the process driving it.
     fn check_full_assignment(&self, entity: &Entity) -> Result<()> {
+        // (symbol, process, covered bits, full mask) of the first failure
+        // in declaration order. Keeping the minimum as failures turn up
+        // costs nothing on the passing path, which mutant validation
+        // runs for every candidate.
+        let mut first: Option<(SymbolId, usize, u64, u64)> = None;
         for &i in &self.comb_order {
             let process = &entity.processes[i];
             let assigned = self.assigned_masks(&process.body, &HashMap::new());
@@ -986,19 +1036,22 @@ impl EntityInfo {
                     (1u64 << sym.width) - 1
                 };
                 let mask = assigned.get(&sym_id).copied().unwrap_or(0);
-                if mask & full != full {
-                    return Err(HdlError::check(
-                        format!(
-                            "combinational process may leave `{}` partially unassigned \
-                             (covered bits {:#b} of {:#b})",
-                            sym.name, mask, full
-                        ),
-                        Span::dummy(),
-                    ));
+                if mask & full != full && first.map_or(true, |(s, ..)| sym_id < s) {
+                    first = Some((sym_id, i, mask, full));
                 }
             }
         }
-        Ok(())
+        match first {
+            None => Ok(()),
+            Some((sym_id, i, mask, full)) => Err(HdlError::check(
+                format!(
+                    "combinational process may leave `{}` partially unassigned \
+                     (covered bits {:#b} of {:#b})",
+                    self.symbols[sym_id.0 as usize].name, mask, full
+                ),
+                process_span(entity, i),
+            )),
+        }
     }
 
     /// Per-signal bit masks guaranteed to be assigned on **every** path
@@ -1316,16 +1369,17 @@ mod tests {
 
     #[test]
     fn rejects_comb_loop_between_processes() {
-        let msg = check_err(
-            "entity e is port(a : in bit; y : out bit);
+        let src = "entity e is port(a : in bit; y : out bit);
              signal s : bit;
              signal t : bit;
              comb begin s <= t and a; end;
              comb begin t <= s or a; end;
              comb begin y <= s; end;
-             end;",
-        );
-        assert!(msg.contains("combinational loop"), "{msg}");
+             end;";
+        let err = check(src).unwrap_err();
+        assert!(err.message.contains("combinational loop"), "{err}");
+        // The error points into a process on the loop.
+        assert_eq!(err.span.lo, src.find("s <= t").unwrap() as u32, "{err}");
     }
 
     #[test]
@@ -1343,6 +1397,31 @@ mod tests {
         let info = checked.entity_info("e").unwrap();
         // Process 2 drives s, 1 drives t (reads s), 0 drives y (reads t).
         assert_eq!(info.comb_order, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn partial_assignment_names_the_first_declared_signal_every_time() {
+        // Two partially assigned outputs: the error must name `y`, the
+        // one declared first, whatever order the checker's hash maps
+        // yield them in (each checker run hashes with fresh keys).
+        let src = "entity e is port(a : in bit; y : out bit; z : out bit);
+             comb begin
+               if a = 1 then y <= 1; z <= 1; end if;
+             end;
+             end;";
+        // An `if` statement's span starts at its first condition.
+        let at = src.find("a = 1").unwrap() as u32;
+        for run in 0..64 {
+            let err = check(src).unwrap_err();
+            assert!(
+                err.message.contains("leave `y` partially unassigned"),
+                "run {run}: {err}"
+            );
+            assert_eq!(
+                err.span.lo, at,
+                "run {run}: the error points at the process body"
+            );
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub fn classify_mutants(
 
 /// [`classify_mutants`] with the lane groups sharded across `jobs`
 /// worker threads (`0` = one per CPU), exactly like
-/// [`crate::execute_mutants_jobs`] shards a population. The classes are
+/// [`crate::first_kills_over`] shards a sweep. The classes are
 /// identical for every job count.
 ///
 /// # Errors
@@ -226,11 +226,12 @@ fn mask(width: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::{execute_mutants_jobs, reference_transcript, run_one};
+    use crate::execute::{execute_mutants_engine_opt, reference_transcript, run_one, OptLevel};
     use crate::generate::{generate_mutants, GenerateOptions};
     use crate::lanes::MAX_LANES;
     use crate::mutant::{MutantId, Rewrite};
     use crate::operator::MutationOperator;
+    use crate::BUNDLED;
     use musa_hdl::ast::{BinOp, Expr, NodeId};
     use musa_hdl::parse;
 
@@ -274,21 +275,6 @@ mod tests {
         Ok(classes)
     }
 
-    /// Every bundled benchmark's MiniHDL source, by entity name.
-    const BUNDLED: [(&str, &str); 11] = [
-        ("c17", include_str!("../../circuits/src/hdl/c17.mhdl")),
-        ("b01", include_str!("../../circuits/src/hdl/b01.mhdl")),
-        ("b02", include_str!("../../circuits/src/hdl/b02.mhdl")),
-        ("b03", include_str!("../../circuits/src/hdl/b03.mhdl")),
-        ("b04", include_str!("../../circuits/src/hdl/b04.mhdl")),
-        ("b05", include_str!("../../circuits/src/hdl/b05.mhdl")),
-        ("b06", include_str!("../../circuits/src/hdl/b06.mhdl")),
-        ("b09", include_str!("../../circuits/src/hdl/b09.mhdl")),
-        ("c432", include_str!("../../circuits/src/hdl/c432.mhdl")),
-        ("c499", include_str!("../../circuits/src/hdl/c499.mhdl")),
-        ("c880", include_str!("../../circuits/src/hdl/c880.mhdl")),
-    ];
-
     /// The lane classifier equals the scalar oracle, class for class, on
     /// the survivors of a short random sequence — the population the
     /// sampling experiment actually classifies. c17 takes the exhaustive
@@ -304,7 +290,16 @@ mod tests {
             let budget = if entity == "c17" { 16 } else { 32 };
             let short = EquivalencePolicy { budget, sequences: 1, exhaustive_limit: 0, seed: 3 };
             let sequence = build_sequences(info, &short, false).remove(0);
-            let kills = execute_mutants_jobs(&d, entity, &population, &sequence, 1).unwrap();
+            let kills = execute_mutants_engine_opt(
+                &d,
+                entity,
+                &population,
+                &sequence,
+                1,
+                Engine::Scalar,
+                OptLevel::Full,
+            )
+            .unwrap();
             // Two lane groups' worth keeps the wide circuits' oracle cheap.
             let survivors: Vec<Mutant> =
                 kills.alive().iter().take(80).map(|&i| population[i].clone()).collect();

@@ -146,7 +146,7 @@ impl KillResult {
 /// # Errors
 ///
 /// Returns an error when the entity does not exist.
-pub fn reference_transcript(
+pub(crate) fn reference_transcript(
     checked: &CheckedDesign,
     entity: &str,
     sequence: &[Vec<Bits>],
@@ -156,77 +156,11 @@ pub fn reference_transcript(
     Ok(sim.run(sequence))
 }
 
-/// Executes every mutant against the sequence, with early exit at the
-/// first differing cycle.
-///
-/// # Errors
-///
-/// Propagates [`MutationError`] from mutant application (a mutant that
-/// does not belong to this design).
-pub fn execute_mutants(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    sequence: &[Vec<Bits>],
-) -> Result<KillResult, MutationError> {
-    execute_mutants_jobs(checked, entity, mutants, sequence, 1)
-}
-
-/// [`execute_mutants`] sharded across `jobs` worker threads (`0` = one
-/// per available CPU).
-///
-/// The reference transcript is computed once and shared read-only by
-/// every worker; mutants are pulled off an atomic counter for load
-/// balancing (mutant cost varies with how early the kill lands) and
-/// `first_kill` is merged back **by mutant index**, so the result is
-/// bit-identical to the serial loop for every thread count. On error
-/// the lowest-index failure is reported, exactly as the serial loop
-/// would.
-///
-/// The work queue is [`musa_trace::try_fork_map`], shared with the lane
-/// engine's group sharding and `musa_core::parallel`.
-///
-/// # Errors
-///
-/// Propagates [`MutationError`] from mutant application (a mutant that
-/// does not belong to this design).
-pub fn execute_mutants_jobs(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    sequence: &[Vec<Bits>],
-    jobs: usize,
-) -> Result<KillResult, MutationError> {
-    let reference = reference_transcript(checked, entity, sequence)?;
-    let first_kill = musa_trace::try_fork_map(jobs, mutants.len(), |i| {
-        run_one(checked, entity, &mutants[i], sequence, &reference)
-    })?;
-    Ok(KillResult { first_kill })
-}
-
-/// [`execute_mutants_jobs`] with a selectable [`Engine`]. The outcome
-/// is bit-identical across engines; `jobs` shards mutants (scalar) or
-/// whole lane groups (lanes) across worker threads.
-///
-/// # Errors
-///
-/// Propagates [`MutationError`] from mutant application (a mutant that
-/// does not belong to this design), lowest mutant index first.
-pub fn execute_mutants_engine(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    sequence: &[Vec<Bits>],
-    jobs: usize,
-    engine: Engine,
-) -> Result<KillResult, MutationError> {
-    execute_mutants_engine_opt(checked, entity, mutants, sequence, jobs, engine, OptLevel::Full)
-}
-
-/// [`execute_mutants_engine`] with an explicit lane executor
-/// ([`OptLevel`]): the one-sequence case of [`crate::first_kills_over`].
-/// Bit-identical across opt levels (and engines — the scalar engine has
-/// no tapes and ignores the knob).
+/// Each mutant's first killing vector over one `sequence`: the
+/// one-sequence case of [`crate::first_kills_over`]. `jobs` shards
+/// mutants (scalar) or whole lane groups (lanes) across worker threads.
+/// The outcome is bit-identical across engines, opt levels and job
+/// counts (the scalar engine has no tapes and ignores `opt`).
 ///
 /// # Errors
 ///
@@ -258,7 +192,7 @@ pub fn execute_mutants_engine_opt(
 /// # Errors
 ///
 /// Propagates [`MutationError`] from mutant application.
-pub fn run_one(
+pub(crate) fn run_one(
     checked: &CheckedDesign,
     entity: &str,
     mutant: &Mutant,
@@ -293,6 +227,25 @@ mod tests {
         Bits::new(1, v)
     }
 
+    /// Scalar first kills of `mutants` over one sequence, on one thread.
+    fn scalar_kills(
+        d: &CheckedDesign,
+        entity: &str,
+        mutants: &[Mutant],
+        sequence: &[Vec<Bits>],
+    ) -> KillResult {
+        execute_mutants_engine_opt(
+            d,
+            entity,
+            mutants,
+            sequence,
+            1,
+            Engine::Scalar,
+            OptLevel::Full,
+        )
+        .unwrap()
+    }
+
     const GATE: &str = "
         entity g is
           port(a : in bit; b : in bit; y : out bit);
@@ -310,7 +263,7 @@ mod tests {
         let sequence: TestSequence = (0..4u64)
             .map(|p| vec![bit(p & 1), bit((p >> 1) & 1)])
             .collect();
-        let result = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
+        let result = scalar_kills(&d, "g", &mutants, &sequence);
         // and→{or,xor,nand,nor,xnor} all differ from AND somewhere.
         assert_eq!(result.killed_count(), 5);
         assert!(result.alive().is_empty());
@@ -322,7 +275,7 @@ mod tests {
         let mutants = generate_mutants(&d, "g", &GenerateOptions::only(MutationOperator::Lor));
         // a=0,b=0: AND=0, OR=0, XOR=0 — only NAND/NOR/XNOR (value 1) die.
         let sequence: TestSequence = vec![vec![bit(0), bit(0)]];
-        let result = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
+        let result = scalar_kills(&d, "g", &mutants, &sequence);
         assert_eq!(result.killed_count(), 3);
         assert_eq!(result.alive().len(), 2);
     }
@@ -337,7 +290,7 @@ mod tests {
             vec![bit(1), bit(1)],
             vec![bit(1), bit(0)],
         ];
-        let result = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
+        let result = scalar_kills(&d, "g", &mutants, &sequence);
         let or_idx = mutants
             .iter()
             .position(|m| m.description.contains("-> or"))
@@ -363,7 +316,7 @@ mod tests {
         // Toggle twice: the stuck-0 mutant freezes q at 0 (differs at
         // t=1); stuck-1 behaves identically while en=1.
         let sequence: TestSequence = vec![vec![bit(1)], vec![bit(1)], vec![bit(1)]];
-        let result = execute_mutants(&d, "t", &mutants, &sequence).unwrap();
+        let result = scalar_kills(&d, "t", &mutants, &sequence);
         let stuck0 = mutants
             .iter()
             .position(|m| m.description.contains("stuck at 0"))
@@ -381,10 +334,18 @@ mod tests {
         let sequence: TestSequence = (0..4u64)
             .map(|p| vec![bit(p & 1), bit((p >> 1) & 1)])
             .collect();
-        let serial = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
+        let serial = scalar_kills(&d, "g", &mutants, &sequence);
         for jobs in [0, 2, 3, 8, 64] {
-            let sharded =
-                execute_mutants_jobs(&d, "g", &mutants, &sequence, jobs).unwrap();
+            let sharded = execute_mutants_engine_opt(
+                &d,
+                "g",
+                &mutants,
+                &sequence,
+                jobs,
+                Engine::Scalar,
+                OptLevel::Full,
+            )
+            .unwrap();
             assert_eq!(sharded.first_kill, serial.first_kill, "jobs={jobs}");
         }
     }
@@ -402,12 +363,18 @@ mod tests {
         let sequence: TestSequence = (0..4u64)
             .map(|p| vec![bit(p & 1), bit((p >> 1) & 1)])
             .collect();
-        let scalar =
-            execute_mutants_engine(&d, "g", &mutants, &sequence, 1, Engine::Scalar).unwrap();
+        let scalar = scalar_kills(&d, "g", &mutants, &sequence);
         for jobs in [1, 4] {
-            let lanes =
-                execute_mutants_engine(&d, "g", &mutants, &sequence, jobs, Engine::Lanes)
-                    .unwrap();
+            let lanes = execute_mutants_engine_opt(
+                &d,
+                "g",
+                &mutants,
+                &sequence,
+                jobs,
+                Engine::Lanes,
+                OptLevel::Full,
+            )
+            .unwrap();
             assert_eq!(lanes.first_kill, scalar.first_kill, "jobs={jobs}");
         }
     }
@@ -425,8 +392,7 @@ mod tests {
         let sequence: TestSequence = (0..4u64)
             .map(|p| vec![bit(p & 1), bit((p >> 1) & 1)])
             .collect();
-        let scalar =
-            execute_mutants_engine(&d, "g", &mutants, &sequence, 1, Engine::Scalar).unwrap();
+        let scalar = scalar_kills(&d, "g", &mutants, &sequence);
         for opt in [OptLevel::Full, OptLevel::Off] {
             let lanes = execute_mutants_engine_opt(
                 &d, "g", &mutants, &sequence, 1, Engine::Lanes, opt,
@@ -446,7 +412,7 @@ mod tests {
     fn empty_sequence_kills_nothing() {
         let d = checked(GATE);
         let mutants = generate_mutants(&d, "g", &GenerateOptions::default());
-        let result = execute_mutants(&d, "g", &mutants, &[]).unwrap();
+        let result = scalar_kills(&d, "g", &mutants, &[]);
         assert_eq!(result.killed_count(), 0);
     }
 }

@@ -82,27 +82,26 @@ pub(crate) struct Compiled {
     pub fallback: Vec<usize>,
 }
 
-/// Why a group could not be compiled at all.
+/// Why a group could not be compiled: the union of its mutated read
+/// dependencies has a combinational cycle, so it must be split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CompileError {
-    /// The union of the group's mutated read dependencies has a
-    /// combinational cycle; the group must be split.
-    Cycle,
-    /// The design has no entity with the requested name.
-    EntityNotFound,
-}
+pub(crate) struct Cycle;
 
 /// The group-independent part of a lane compile — the *reference tape
 /// prefix* shared by every ≤63-mutant group of one population.
 ///
 /// Computed once per population (or once per [`crate::LanePlan`]) and
 /// handed to every [`compile_group`] call, so per-group compiles no
-/// longer re-walk the whole entity: the base read-dependency sets and
-/// the power-on lane words are reused, and a group only pays for what
-/// its own mutants change (`VR` read edges, `CR` constant lanes, the
-/// mutated statement tapes).
+/// longer re-walk the whole entity: the resolved entity, the base
+/// read-dependency sets and the power-on lane words are reused, and a
+/// group only pays for what its own mutants change (`VR` read edges,
+/// `CR` constant lanes, the mutated statement tapes).
 #[derive(Debug)]
-pub(crate) struct BaseCompile {
+pub(crate) struct BaseCompile<'a> {
+    /// The entity every group compiles, resolved once.
+    entity: &'a Entity,
+    /// The checker's facts about `entity`.
+    info: &'a EntityInfo,
     /// Per-comb-process read sets over ports and signals (the inputs to
     /// the scheduling that `VR` rewrites extend per group).
     reads: BTreeMap<usize, BTreeSet<SymbolId>>,
@@ -113,19 +112,19 @@ pub(crate) struct BaseCompile {
     init: Vec<LaneWord>,
 }
 
-impl BaseCompile {
-    /// Builds the shared prefix for one entity.
-    pub(crate) fn new(
-        checked: &CheckedDesign,
-        entity_name: &str,
-    ) -> Result<Self, CompileError> {
-        let (entity, info) = checked.entity(entity_name).ok_or(CompileError::EntityNotFound)?;
+impl<'a> BaseCompile<'a> {
+    /// Builds the shared prefix for one entity; `None` when the design
+    /// has no entity of that name.
+    pub(crate) fn new(checked: &'a CheckedDesign, entity_name: &str) -> Option<Self> {
+        let (entity, info) = checked.entity(entity_name)?;
         let init = info
             .symbols
             .iter()
             .map(|s| [s.init & Bits::mask_of(s.width); LANES])
             .collect();
-        Ok(Self {
+        Some(Self {
+            entity,
+            info,
             reads: info.comb_reads(entity),
             order: info.comb_order.clone(),
             init,
@@ -217,14 +216,13 @@ enum Ctx {
 
 pub(crate) fn compile_group(
     checked: &CheckedDesign,
-    entity_name: &str,
     group: &[&Mutant],
     base: &BaseCompile,
     opt: OptLevel,
-) -> Result<Compiled, CompileError> {
-    let (entity, info) = checked.entity(entity_name).ok_or(CompileError::EntityNotFound)?;
+) -> Result<Compiled, Cycle> {
+    let (entity, info) = (base.entity, base.info);
     debug_assert!(group.len() < LANES, "at most {} mutants per group", LANES - 1);
-    let order = comb_order_union(entity, info, group, base)?;
+    let order = comb_order_union(group, base)?;
     let mut compiler = Compiler::new(entity, info, Sites::build(checked, entity, group));
     let init = compiler.build_init(&base.init);
     let comb = compiler.compile_comb(&order);
@@ -286,12 +284,8 @@ pub(crate) fn compile_group(
 /// valid for every lane (each lane's graph is a subgraph), so one order
 /// serves the reference and all mutants; the settled values are the
 /// unique fixpoint and cannot depend on tie-breaking.
-fn comb_order_union(
-    entity: &Entity,
-    info: &EntityInfo,
-    group: &[&Mutant],
-    base: &BaseCompile,
-) -> Result<Vec<usize>, CompileError> {
+fn comb_order_union(group: &[&Mutant], base: &BaseCompile) -> Result<Vec<usize>, Cycle> {
+    let (entity, info) = (base.entity, base.info);
     // VR rewrites add one read edge each (inside the process that holds
     // the site); replacements by process variables never cross processes.
     let mut added: Vec<(usize, SymbolId)> = Vec::new();
@@ -324,7 +318,7 @@ fn comb_order_union(
     for (i, sym) in added {
         reads.entry(i).or_default().insert(sym);
     }
-    info.comb_schedule(&reads).ok_or(CompileError::Cycle)
+    info.comb_schedule(&reads).map_err(|_| Cycle)
 }
 
 struct Compiler<'a> {

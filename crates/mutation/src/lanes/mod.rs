@@ -22,18 +22,20 @@
 //! First kills are the only thing the engine reports: a lane retires at
 //! its first differing cycle, and a group stops once all its lanes have.
 //! A [`LanePlan`] compiles a population once and runs it against any
-//! number of sequences, with a live mask that skips mutants already
-//! decided. [`crate::first_kills_over`] is the one sweep built on it;
-//! classification, the kill phase and test generation all go through
-//! that sweep.
+//! number of sequences through its one run method,
+//! [`LanePlan::first_kills`], with a live mask that skips mutants
+//! already decided. [`crate::first_kills_over`] is the one sweep built
+//! on it; classification, the kill phase and test generation all go
+//! through that sweep.
 //!
-//! Results are **bit-identical** to the scalar engine
-//! ([`crate::execute_mutants_jobs`]) for every lane count and job
-//! count. Mutants the tape cannot represent (an unknown site, a rewrite
-//! that does not fit its node, a replacement the checker would reject)
-//! are executed through the scalar engine lane-by-lane, so even
-//! pathological inputs keep exact behavioural parity; populations from
-//! [`crate::generate_mutants`] never need that path.
+//! Results are **bit-identical** to the scalar engine (the
+//! [`crate::Engine::Scalar`] arm of the same sweep) for every lane
+//! count and job count. Mutants the tape cannot represent (an unknown
+//! site, a rewrite that does not fit its node, a replacement the
+//! checker would reject) are executed through the scalar engine
+//! lane-by-lane, so even pathological inputs keep exact behavioural
+//! parity; populations from [`crate::generate_mutants`] never need that
+//! path.
 
 mod compile;
 mod exec;
@@ -45,8 +47,9 @@ mod verify;
 
 use crate::execute::{reference_transcript, run_one, KillResult, OptLevel};
 use crate::mutant::{Mutant, MutationError};
-use compile::{compile_group, BaseCompile, CompileError, Compiled, Executable};
+use compile::{compile_group, BaseCompile, Compiled, Cycle, Executable};
 use musa_hdl::{Bits, CheckedDesign};
+use std::convert::Infallible;
 use tape::{LaneVm, LANES};
 
 /// Maximum number of mutants per simulation pass (lane 0 is the
@@ -128,45 +131,12 @@ impl LaneStats {
     }
 }
 
-/// [`crate::execute_mutants`] on the lane engine with default options.
-///
-/// # Errors
-///
-/// Propagates [`MutationError`] exactly as the scalar engine does.
-pub fn execute_mutants_lanes(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    sequence: &[Vec<Bits>],
-) -> Result<KillResult, MutationError> {
-    execute_mutants_lanes_opts(checked, entity, mutants, sequence, &LaneOptions::default())
-        .map(|(kills, _)| kills)
-}
-
-/// The lane engine with explicit options, returning its [`LaneStats`].
-///
-/// # Errors
-///
-/// Propagates [`MutationError`] exactly as the scalar engine does: the
-/// lowest-index failing mutant is reported.
-pub fn execute_mutants_lanes_opts(
-    checked: &CheckedDesign,
-    entity: &str,
-    mutants: &[Mutant],
-    sequence: &[Vec<Bits>],
-    options: &LaneOptions,
-) -> Result<(KillResult, LaneStats), MutationError> {
-    LanePlan::new(checked, entity, mutants, options)?.first_kills(sequence)
-}
-
 /// A population compiled once and executable against **any number of
 /// test sequences** — the compiled-tape cache behind the lane engine.
 ///
-/// [`execute_mutants_lanes`] compiles the population's lane groups and
-/// throws the tapes away after one sequence. Grading the *same*
-/// population against many sequences — what
+/// Grading the *same* population against many sequences — what
 /// [`crate::first_kills_over`] does for classification, the kill phase
-/// and test generation — takes one `LanePlan` instead and amortises
+/// and test generation — takes one `LanePlan` and amortises
 /// compilation:
 ///
 /// * the group-independent *reference prefix* (read-dependency sets,
@@ -176,8 +146,8 @@ pub fn execute_mutants_lanes_opts(
 ///   re-run per sequence (compile-time cycle splitting included), so a
 ///   pool of `P` candidate sequences costs one compile instead of `P`.
 ///
-/// Results are bit-identical to the one-shot entry points for every
-/// sequence, lane count and job count.
+/// Results are bit-identical to the scalar engine for every sequence,
+/// lane count and job count.
 #[derive(Debug)]
 pub struct LanePlan<'a> {
     checked: &'a CheckedDesign,
@@ -223,41 +193,22 @@ impl<'a> LanePlan<'a> {
         mutants: &'a [Mutant],
         options: &LaneOptions,
     ) -> Result<Self, MutationError> {
-        let base = match BaseCompile::new(checked, entity) {
-            Ok(base) => base,
-            Err(CompileError::EntityNotFound) => {
-                return Err(MutationError::EntityNotFound(entity.to_string()));
-            }
-            // A checked design schedules its comb processes
-            // acyclically, so a base-graph cycle means the lane
-            // scheduler disagrees with the checker. Degrade to the
-            // scalar engine per mutant (what the old per-group bisect
-            // bottomed out at) instead of misreporting the entity.
-            Err(CompileError::Cycle) => {
-                return Ok(Self {
-                    checked,
-                    entity: entity.to_string(),
-                    mutants,
-                    groups: (0..mutants.len())
-                        .map(|slot| PlanGroup::ScalarOne { slot })
-                        .collect(),
-                    jobs: options.jobs,
-                });
-            }
-        };
+        let base = BaseCompile::new(checked, entity)
+            .ok_or_else(|| MutationError::EntityNotFound(entity.to_string()))?;
         let lanes = options.lanes();
         let ranges: Vec<(usize, usize)> = (0..mutants.len())
-            .step_by(lanes.max(1))
+            .step_by(lanes)
             .map(|start| (start, lanes.min(mutants.len() - start)))
             .collect();
         let nested = musa_trace::try_fork_map(options.jobs, ranges.len(), |i| {
             let _trace = musa_trace::span("lane_compile");
-            let compiled = compile_range(checked, entity, mutants, ranges[i], &base, options.opt);
+            let compiled = compile_range(checked, mutants, ranges[i], &base, options.opt);
             musa_trace::progress(|| {
                 format!("{entity}: lane group {}/{} compiled", i + 1, ranges.len())
             });
-            compiled
-        })?;
+            Ok::<_, Infallible>(compiled)
+        })
+        .unwrap_or_else(|never| match never {});
         Ok(Self {
             checked,
             entity: entity.to_string(),
@@ -273,25 +224,11 @@ impl<'a> LanePlan<'a> {
         self.groups.len()
     }
 
-    /// First killing vector per mutant, exactly like
-    /// [`execute_mutants_lanes_opts`], re-using the compiled tapes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MutationError`] exactly as the scalar engine does:
-    /// the lowest-index failing mutant is reported.
-    pub fn first_kills(
-        &self,
-        sequence: &[Vec<Bits>],
-    ) -> Result<(KillResult, LaneStats), MutationError> {
-        self.sweep_first_kills(sequence, None)
-    }
-
-    /// [`LanePlan::first_kills`] restricted to the mutants flagged in
-    /// `live` (indexed like the plan's population): a flagged mutant's
-    /// `first_kill` is exactly what [`LanePlan::first_kills`] reports
-    /// for it, an unflagged one reports `None` at no cost. Unflagged
-    /// lanes drop out of the output scan, scalar fallbacks for
+    /// First killing vector of each mutant flagged in `live` (indexed
+    /// like the plan's population), re-using the compiled tapes: a
+    /// flagged mutant's `first_kill` is exactly what the scalar engine
+    /// reports for it, an unflagged one reports `None` at no cost.
+    /// Unflagged lanes drop out of the output scan, scalar fallbacks for
     /// unflagged mutants never run, and a group with no flagged mutant
     /// is skipped outright (0 passes, 0 steps) — so a caller sweeping
     /// one plan through several sequences pays only for what is still
@@ -306,24 +243,15 @@ impl<'a> LanePlan<'a> {
     /// # Panics
     ///
     /// Panics if `live.len()` differs from the plan's population size.
-    pub fn first_kills_live(
+    pub fn first_kills(
         &self,
         sequence: &[Vec<Bits>],
         live: &[bool],
     ) -> Result<(KillResult, LaneStats), MutationError> {
         assert_eq!(live.len(), self.mutants.len(), "one live flag per planned mutant");
-        self.sweep_first_kills(sequence, Some(live))
-    }
-
-    fn sweep_first_kills(
-        &self,
-        sequence: &[Vec<Bits>],
-        live: Option<&[bool]>,
-    ) -> Result<(KillResult, LaneStats), MutationError> {
-        let is_live = |slot: usize| live.map_or(true, |flags| flags[slot]);
-        let reference = self.reference_if_needed(sequence, is_live)?;
+        let reference = self.reference_if_needed(sequence, live)?;
         let per_group = musa_trace::try_fork_map(self.jobs, self.groups.len(), |i| {
-            self.run_first_kill(&self.groups[i], sequence, reference.as_deref(), is_live)
+            self.run_first_kill(&self.groups[i], sequence, reference.as_deref(), live)
         })?;
         let mut first_kill = Vec::with_capacity(self.mutants.len());
         let mut stats = LaneStats::default();
@@ -338,19 +266,18 @@ impl<'a> LanePlan<'a> {
     }
 
     /// The scalar reference transcript, computed **once per sequence**
-    /// and shared by every group that needs a scalar fallback (the old
-    /// per-group path recomputed it in each such group). Only fallbacks
-    /// of mutants that `is_live` keeps count.
+    /// and shared by every group that needs a scalar fallback. Only
+    /// fallbacks of `live` mutants count.
     fn reference_if_needed(
         &self,
         sequence: &[Vec<Bits>],
-        is_live: impl Fn(usize) -> bool,
+        live: &[bool],
     ) -> Result<Option<Vec<Vec<Bits>>>, MutationError> {
         let needed = self.groups.iter().any(|g| match g {
             PlanGroup::Tape { compiled, start, .. } => {
-                compiled.fallback.iter().any(|&slot| is_live(start + slot))
+                compiled.fallback.iter().any(|&slot| live[start + slot])
             }
-            PlanGroup::ScalarOne { slot } => is_live(*slot),
+            PlanGroup::ScalarOne { slot } => live[*slot],
         });
         if !needed {
             return Ok(None);
@@ -363,10 +290,10 @@ impl<'a> LanePlan<'a> {
         group: &PlanGroup,
         sequence: &[Vec<Bits>],
         reference: Option<&[Vec<Bits>]>,
-        is_live: impl Fn(usize) -> bool,
+        live: &[bool],
     ) -> Result<(Vec<Option<usize>>, LaneStats), MutationError> {
         match group {
-            PlanGroup::ScalarOne { slot } if !is_live(*slot) => {
+            PlanGroup::ScalarOne { slot } if !live[*slot] => {
                 Ok((vec![None], LaneStats::default()))
             }
             PlanGroup::ScalarOne { slot } => {
@@ -379,7 +306,7 @@ impl<'a> LanePlan<'a> {
             }
             PlanGroup::Tape { compiled, start, len } => {
                 let mut live_mask = 0u64;
-                for slot in (0..*len).filter(|&slot| is_live(start + slot)) {
+                for slot in (0..*len).filter(|&slot| live[start + slot]) {
                     live_mask |= 1u64 << (slot + 1);
                 }
                 if live_mask == 0 {
@@ -413,9 +340,9 @@ impl<'a> LanePlan<'a> {
                         alive &= !newly;
                     }
                 }
-                if compiled.fallback.iter().any(|&slot| is_live(start + slot)) {
+                if compiled.fallback.iter().any(|&slot| live[start + slot]) {
                     let _trace = musa_trace::span("scalar_fallback");
-                    for &slot in compiled.fallback.iter().filter(|&&slot| is_live(start + slot)) {
+                    for &slot in compiled.fallback.iter().filter(|&&slot| live[start + slot]) {
                         let reference = reference.expect("fallbacks force a reference");
                         let kill = run_one(
                             self.checked,
@@ -436,32 +363,25 @@ impl<'a> LanePlan<'a> {
 }
 
 /// Compiles one contiguous mutant range, bisecting on joint
-/// combinational cycles exactly like the old per-run path did: two
-/// mutants' added read edges can cycle jointly even though each alone
-/// is fine.
+/// combinational cycles: two mutants' added read edges can cycle
+/// jointly even though each alone is fine.
 fn compile_range(
     checked: &CheckedDesign,
-    entity: &str,
     mutants: &[Mutant],
     (start, len): (usize, usize),
     base: &BaseCompile,
     opt: OptLevel,
-) -> Result<Vec<PlanGroup>, MutationError> {
+) -> Vec<PlanGroup> {
     let refs: Vec<&Mutant> = mutants[start..start + len].iter().collect();
-    match compile_group(checked, entity, &refs, base, opt) {
-        Ok(compiled) => Ok(vec![PlanGroup::Tape { compiled, start, len }]),
-        Err(CompileError::Cycle) if len > 1 => {
+    match compile_group(checked, &refs, base, opt) {
+        Ok(compiled) => vec![PlanGroup::Tape { compiled, start, len }],
+        Err(Cycle) if len > 1 => {
             let mid = len / 2;
-            let mut left = compile_range(checked, entity, mutants, (start, mid), base, opt)?;
-            let right =
-                compile_range(checked, entity, mutants, (start + mid, len - mid), base, opt)?;
-            left.extend(right);
-            Ok(left)
+            let mut left = compile_range(checked, mutants, (start, mid), base, opt);
+            left.extend(compile_range(checked, mutants, (start + mid, len - mid), base, opt));
+            left
         }
-        Err(CompileError::Cycle) => Ok(vec![PlanGroup::ScalarOne { slot: start }]),
-        Err(CompileError::EntityNotFound) => {
-            Err(MutationError::EntityNotFound(entity.to_string()))
-        }
+        Err(Cycle) => vec![PlanGroup::ScalarOne { slot: start }],
     }
 }
 
@@ -500,8 +420,13 @@ impl<'a> GroupSim<'a> {
         }
     }
 
-    /// One clock edge (next-state computation plus register commit).
+    /// Ends a cycle: one clock edge (next-state computation plus
+    /// register commit) and the settle after it. A combinational entity
+    /// has no edge.
     fn clock(&mut self) {
+        if self.compiled.combinational {
+            return;
+        }
         match &self.compiled.exec {
             Executable::Raw { edge, .. } => self.vm.run(edge),
             Executable::Lowered { edge, .. } => {
@@ -509,6 +434,7 @@ impl<'a> GroupSim<'a> {
                 self.vm.run_exec(&edge.main);
             }
         }
+        self.settle();
     }
 
     fn reset(&mut self) {
@@ -516,14 +442,9 @@ impl<'a> GroupSim<'a> {
         self.settle();
     }
 
-    /// Applies one test vector with the scalar simulator's protocol
-    /// (inputs, settle, sample, clock) and returns the mask of lanes in
-    /// `scan` whose sampled outputs differ from lane 0.
-    ///
-    /// `scan` limits the output XOR comparison to the lanes the caller
-    /// still cares about: the shrinking alive mask, so long sequences
-    /// stop scanning dead mutants mid-sequence.
-    fn step(&mut self, inputs: &[Bits], scan: u64) -> u64 {
+    /// Drives one test vector onto the data inputs and settles: the
+    /// outputs are then ready to sample, before [`GroupSim::clock`].
+    fn apply(&mut self, inputs: &[Bits]) {
         assert_eq!(
             inputs.len(),
             self.compiled.data_inputs.len(),
@@ -535,6 +456,17 @@ impl<'a> GroupSim<'a> {
             self.vm.state[sym.0 as usize] = [bits.raw(); LANES];
         }
         self.settle();
+    }
+
+    /// Applies one test vector with the scalar simulator's protocol
+    /// (inputs, settle, sample, clock) and returns the mask of lanes in
+    /// `scan` whose sampled outputs differ from lane 0.
+    ///
+    /// `scan` limits the output XOR comparison to the lanes the caller
+    /// still cares about: the shrinking alive mask, so long sequences
+    /// stop scanning dead mutants mid-sequence.
+    fn step(&mut self, inputs: &[Bits], scan: u64) -> u64 {
+        self.apply(inputs);
         let mut diff = 0u64;
         let scan = scan & self.used_mask;
         for &sym in &self.compiled.outputs {
@@ -547,10 +479,7 @@ impl<'a> GroupSim<'a> {
                 pending &= pending - 1;
             }
         }
-        if !self.compiled.combinational {
-            self.clock();
-            self.settle();
-        }
+        self.clock();
         diff
     }
 }
@@ -558,11 +487,14 @@ impl<'a> GroupSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::{execute_mutants, TestSequence};
+    use crate::execute::{execute_mutants_engine_opt, Engine, TestSequence};
     use crate::generate::{generate_mutants, GenerateOptions};
     use crate::mutant::{MutantId, Rewrite};
     use crate::operator::MutationOperator;
-    use musa_hdl::parse;
+    use musa_hdl::{parse, Simulator};
+    use musa_prng::{Prng, SplitMix64};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn checked(src: &str) -> CheckedDesign {
         CheckedDesign::new(parse(src).unwrap()).unwrap()
@@ -596,6 +528,29 @@ mod tests {
         end;
     ";
 
+    /// The scalar engine's first kills over one sequence: the oracle
+    /// every lane result here is compared with.
+    fn scalar_kills(
+        d: &CheckedDesign,
+        entity: &str,
+        mutants: &[Mutant],
+        sequence: &[Vec<Bits>],
+    ) -> Result<KillResult, MutationError> {
+        execute_mutants_engine_opt(d, entity, mutants, sequence, 1, Engine::Scalar, OptLevel::Full)
+    }
+
+    /// A fresh plan run once over `sequence` with every mutant live.
+    fn lane_kills(
+        d: &CheckedDesign,
+        entity: &str,
+        mutants: &[Mutant],
+        sequence: &[Vec<Bits>],
+        options: &LaneOptions,
+    ) -> Result<(KillResult, LaneStats), MutationError> {
+        let plan = LanePlan::new(d, entity, mutants, options)?;
+        plan.first_kills(sequence, &vec![true; mutants.len()])
+    }
+
     fn exhaustive_pairs() -> TestSequence {
         (0..4u64).map(|p| vec![bit(p & 1), bit((p >> 1) & 1)]).collect()
     }
@@ -605,8 +560,8 @@ mod tests {
         let d = checked(GATE);
         let mutants = generate_mutants(&d, "g", &GenerateOptions::default());
         let sequence = exhaustive_pairs();
-        let scalar = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
-        let lanes = execute_mutants_lanes(&d, "g", &mutants, &sequence).unwrap();
+        let scalar = scalar_kills(&d, "g", &mutants, &sequence).unwrap();
+        let lanes = lane_kills(&d, "g", &mutants, &sequence, &LaneOptions::default()).unwrap().0;
         assert_eq!(lanes.first_kill, scalar.first_kill);
     }
 
@@ -622,11 +577,10 @@ mod tests {
                 vec![bit((rng >> 60) & 1), bit((rng >> 61) & 1)]
             })
             .collect();
-        let scalar = execute_mutants(&d, "t", &mutants, &sequence).unwrap();
+        let scalar = scalar_kills(&d, "t", &mutants, &sequence).unwrap();
         for lanes_per_pass in [1, 2, 63] {
             let opts = LaneOptions { lanes_per_pass, jobs: 1, ..LaneOptions::default() };
-            let (lanes, _) =
-                execute_mutants_lanes_opts(&d, "t", &mutants, &sequence, &opts).unwrap();
+            let (lanes, _) = lane_kills(&d, "t", &mutants, &sequence, &opts).unwrap();
             assert_eq!(
                 lanes.first_kill, scalar.first_kill,
                 "lanes_per_pass={lanes_per_pass}"
@@ -641,8 +595,7 @@ mod tests {
         let n = mutants.len();
         let sequence: TestSequence = vec![vec![bit(0), bit(1)]; 4];
         let opts = LaneOptions::default();
-        let (_, stats) =
-            execute_mutants_lanes_opts(&d, "t", &mutants, &sequence, &opts).unwrap();
+        let (_, stats) = lane_kills(&d, "t", &mutants, &sequence, &opts).unwrap();
         assert_eq!(
             stats.passes,
             n.div_ceil(MAX_LANES),
@@ -650,8 +603,7 @@ mod tests {
         );
         // And at one mutant per pass the engine degenerates to N passes.
         let opts = LaneOptions { lanes_per_pass: 1, jobs: 1, ..LaneOptions::default() };
-        let (_, stats) =
-            execute_mutants_lanes_opts(&d, "t", &mutants, &sequence, &opts).unwrap();
+        let (_, stats) = lane_kills(&d, "t", &mutants, &sequence, &opts).unwrap();
         assert_eq!(stats.passes, n);
     }
 
@@ -663,13 +615,13 @@ mod tests {
         // padding the sequence must not cost extra steps.
         let mut sequence = exhaustive_pairs();
         let kill_by = {
-            let scalar = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
+            let scalar = scalar_kills(&d, "g", &mutants, &sequence).unwrap();
             scalar.first_kill.iter().map(|k| k.unwrap()).max().unwrap()
         };
         for _ in 0..100 {
             sequence.push(vec![bit(0), bit(0)]);
         }
-        let (lanes, stats) = execute_mutants_lanes_opts(
+        let (lanes, stats) = lane_kills(
             &d,
             "g",
             &mutants,
@@ -698,8 +650,8 @@ mod tests {
             "all five target one site"
         );
         let sequence = exhaustive_pairs();
-        let scalar = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
-        let lanes = execute_mutants_lanes(&d, "g", &mutants, &sequence).unwrap();
+        let scalar = scalar_kills(&d, "g", &mutants, &sequence).unwrap();
+        let lanes = lane_kills(&d, "g", &mutants, &sequence, &LaneOptions::default()).unwrap().0;
         assert_eq!(lanes.first_kill, scalar.first_kill);
         // And per-kill cycles differ between the alternatives, so a
         // lane-bleed would be visible.
@@ -719,8 +671,8 @@ mod tests {
             description: "UOI on the shared site".into(),
         });
         let sequence = exhaustive_pairs();
-        let scalar = execute_mutants(&d, "g", &mutants, &sequence).unwrap();
-        let lanes = execute_mutants_lanes(&d, "g", &mutants, &sequence).unwrap();
+        let scalar = scalar_kills(&d, "g", &mutants, &sequence).unwrap();
+        let lanes = lane_kills(&d, "g", &mutants, &sequence, &LaneOptions::default()).unwrap().0;
         assert_eq!(lanes.first_kill, scalar.first_kill);
     }
 
@@ -760,11 +712,10 @@ mod tests {
                 vec![Bits::new(4, rng >> 50), Bits::new(2, rng >> 40)]
             })
             .collect();
-        let scalar = execute_mutants(&d, "m", &mutants, &sequence).unwrap();
+        let scalar = scalar_kills(&d, "m", &mutants, &sequence).unwrap();
         for lanes_per_pass in [1, 63] {
             let opts = LaneOptions { lanes_per_pass, jobs: 1, ..LaneOptions::default() };
-            let (lanes, _) =
-                execute_mutants_lanes_opts(&d, "m", &mutants, &sequence, &opts).unwrap();
+            let (lanes, _) = lane_kills(&d, "m", &mutants, &sequence, &opts).unwrap();
             assert_eq!(
                 lanes.first_kill, scalar.first_kill,
                 "lanes_per_pass={lanes_per_pass}"
@@ -778,11 +729,10 @@ mod tests {
         let mutants = generate_mutants(&d, "t", &GenerateOptions::default());
         let sequence: TestSequence =
             (0..16).map(|i| vec![bit(u64::from(i % 7 == 0)), bit(1)]).collect();
-        let serial = execute_mutants_lanes(&d, "t", &mutants, &sequence).unwrap();
+        let serial = lane_kills(&d, "t", &mutants, &sequence, &LaneOptions::default()).unwrap().0;
         for jobs in [0, 2, 8] {
             let opts = LaneOptions { lanes_per_pass: 4, jobs, ..LaneOptions::default() };
-            let (sharded, _) =
-                execute_mutants_lanes_opts(&d, "t", &mutants, &sequence, &opts).unwrap();
+            let (sharded, _) = lane_kills(&d, "t", &mutants, &sequence, &opts).unwrap();
             assert_eq!(sharded.first_kill, serial.first_kill, "jobs={jobs}");
         }
     }
@@ -803,8 +753,9 @@ mod tests {
                     vec![bit((rng >> 60) & 1), bit((rng >> 61) & 1)]
                 })
                 .collect();
-            let fresh = execute_mutants_lanes(&d, "t", &mutants, &sequence).unwrap();
-            let (cached, _) = plan.first_kills(&sequence).unwrap();
+            let (fresh, _) =
+                lane_kills(&d, "t", &mutants, &sequence, &LaneOptions::default()).unwrap();
+            let (cached, _) = plan.first_kills(&sequence, &vec![true; mutants.len()]).unwrap();
             assert_eq!(cached.first_kill, fresh.first_kill, "round {round}");
         }
     }
@@ -816,10 +767,10 @@ mod tests {
         let plan = LanePlan::new(&d, "t", &mutants, &LaneOptions::default()).unwrap();
         let sequence: TestSequence =
             (0..12).map(|i| vec![bit(u64::from(i % 5 == 0)), bit(u64::from(i % 3 != 1))]).collect();
-        let (full, _) = plan.first_kills(&sequence).unwrap();
+        let (full, _) = plan.first_kills(&sequence, &vec![true; mutants.len()]).unwrap();
         for stride in [1, 2, 3] {
             let live: Vec<bool> = (0..mutants.len()).map(|i| i % stride == 0).collect();
-            let (partial, _) = plan.first_kills_live(&sequence, &live).unwrap();
+            let (partial, _) = plan.first_kills(&sequence, &live).unwrap();
             for (i, &flagged) in live.iter().enumerate() {
                 let expected = if flagged { full.first_kill[i] } else { None };
                 assert_eq!(partial.first_kill[i], expected, "stride {stride}, mutant {i}");
@@ -835,12 +786,12 @@ mod tests {
         let plan = LanePlan::new(&d, "t", &mutants, &opts).unwrap();
         assert!(plan.group_count() > 2);
         let sequence: TestSequence = vec![vec![bit(0), bit(1)]; 6];
-        let (kills, stats) = plan.first_kills_live(&sequence, &vec![false; mutants.len()]).unwrap();
+        let (kills, stats) = plan.first_kills(&sequence, &vec![false; mutants.len()]).unwrap();
         assert_eq!(kills.killed_count(), 0);
         assert_eq!(stats, LaneStats::default(), "no live lane anywhere: no work at all");
         // Only the first group's lanes live: exactly one pass runs.
         let live: Vec<bool> = (0..mutants.len()).map(|i| i < 4).collect();
-        let (_, stats) = plan.first_kills_live(&sequence, &live).unwrap();
+        let (_, stats) = plan.first_kills(&sequence, &live).unwrap();
         assert_eq!(stats.passes, 1);
         assert!(stats.steps <= sequence.len());
     }
@@ -894,11 +845,11 @@ mod tests {
             let mutants = vec![valid.clone(), broken];
             let plan = LanePlan::new(&d, "p", &mutants, &LaneOptions::default()).unwrap();
             assert_eq!(plan.group_count(), groups);
-            let scalar = execute_mutants(&d, "p", &mutants, &sequence);
+            let scalar = scalar_kills(&d, "p", &mutants, &sequence);
             assert!(scalar.is_err(), "the broken mutant must fail on the scalar engine");
-            let all = plan.first_kills_live(&sequence, &[true, true]);
+            let all = plan.first_kills(&sequence, &[true, true]);
             assert_eq!(format!("{all:?}"), format!("{scalar:?}"));
-            let (kills, stats) = plan.first_kills_live(&sequence, &[true, false]).unwrap();
+            let (kills, stats) = plan.first_kills(&sequence, &[true, false]).unwrap();
             assert_eq!(kills.first_kill[1], None);
             assert!(kills.first_kill[0].is_some(), "the LOR mutant dies on 4 vectors");
             assert_eq!(stats.passes, 1, "only the valid mutant's lane group runs");
@@ -923,7 +874,8 @@ mod tests {
             rewrite: Rewrite::Literal { value: 0 },
             description: String::new(),
         };
-        let err = execute_mutants_lanes(&d, "g", &[bogus], &exhaustive_pairs()).unwrap_err();
+        let err = lane_kills(&d, "g", &[bogus], &exhaustive_pairs(), &LaneOptions::default())
+            .unwrap_err();
         assert!(matches!(err, MutationError::SiteNotFound(_)), "{err}");
     }
 
@@ -943,8 +895,9 @@ mod tests {
             description: "delete the y driver".into(),
         };
         let sequence = exhaustive_pairs();
-        let scalar = execute_mutants(&d, "g", std::slice::from_ref(&sdl), &sequence);
-        let lanes = execute_mutants_lanes(&d, "g", std::slice::from_ref(&sdl), &sequence);
+        let scalar = scalar_kills(&d, "g", std::slice::from_ref(&sdl), &sequence);
+        let lanes = lane_kills(&d, "g", &[sdl], &sequence, &LaneOptions::default())
+            .map(|(kills, _)| kills);
         assert!(
             matches!(scalar, Err(MutationError::Stillborn(_))),
             "scalar: {scalar:?}"
@@ -986,8 +939,9 @@ mod tests {
             description: "case choice 0 -> 1 (duplicate)".into(),
         };
         let sequence: TestSequence = (0..4u64).map(|v| vec![Bits::new(2, v)]).collect();
-        let scalar = execute_mutants(&d, "c", std::slice::from_ref(&dup), &sequence);
-        let lanes = execute_mutants_lanes(&d, "c", std::slice::from_ref(&dup), &sequence);
+        let scalar = scalar_kills(&d, "c", std::slice::from_ref(&dup), &sequence);
+        let lanes = lane_kills(&d, "c", &[dup], &sequence, &LaneOptions::default())
+            .map(|(kills, _)| kills);
         assert!(
             matches!(scalar, Err(MutationError::Stillborn(_))),
             "scalar: {scalar:?}"
@@ -998,17 +952,23 @@ mod tests {
     #[test]
     fn unknown_entity_is_reported_before_any_work() {
         let d = checked(GATE);
-        let err = execute_mutants_lanes(&d, "zz", &[], &[]).unwrap_err();
-        assert!(matches!(err, MutationError::EntityNotFound(_)));
+        for engine in [Engine::Scalar, Engine::Lanes] {
+            let sequences = [exhaustive_pairs()];
+            let options = LaneOptions::default();
+            let err = crate::first_kills_over(&d, "zz", &[], &sequences, None, engine, &options)
+                .unwrap_err();
+            assert!(matches!(err, MutationError::EntityNotFound(_)), "{engine}");
+        }
     }
 
     #[test]
     fn empty_population_and_empty_sequence_are_harmless() {
         let d = checked(GATE);
-        let kills = execute_mutants_lanes(&d, "g", &[], &exhaustive_pairs()).unwrap();
+        let (kills, _) =
+            lane_kills(&d, "g", &[], &exhaustive_pairs(), &LaneOptions::default()).unwrap();
         assert!(kills.first_kill.is_empty());
         let mutants = generate_mutants(&d, "g", &GenerateOptions::default());
-        let kills = execute_mutants_lanes(&d, "g", &mutants, &[]).unwrap();
+        let kills = lane_kills(&d, "g", &mutants, &[], &LaneOptions::default()).unwrap().0;
         assert_eq!(kills.killed_count(), 0);
     }
 
@@ -1055,15 +1015,119 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let scalar = execute_mutants(&d, entity, &mutants, &sequence).unwrap();
+            let scalar = scalar_kills(&d, entity, &mutants, &sequence).unwrap();
             let full = LaneOptions::default().with_opt(OptLevel::Full);
             let off = LaneOptions::default().with_opt(OptLevel::Off);
-            let (opt_kills, _) =
-                execute_mutants_lanes_opts(&d, entity, &mutants, &sequence, &full).unwrap();
-            let (raw_kills, _) =
-                execute_mutants_lanes_opts(&d, entity, &mutants, &sequence, &off).unwrap();
+            let (opt_kills, _) = lane_kills(&d, entity, &mutants, &sequence, &full).unwrap();
+            let (raw_kills, _) = lane_kills(&d, entity, &mutants, &sequence, &off).unwrap();
             assert_eq!(opt_kills.first_kill, scalar.first_kill, "{entity}: full vs scalar");
             assert_eq!(raw_kills.first_kill, scalar.first_kill, "{entity}: off vs scalar");
+        }
+    }
+
+    /// One bundled circuit for the lane oracle below: a strided sample of
+    /// its population (a full lane group and a tail group), each sampled
+    /// mutant applied for the scalar simulator, and the sample's plans at
+    /// both opt levels. Built once per test process.
+    struct OracleCircuit {
+        entity: &'static str,
+        checked: &'static CheckedDesign,
+        applied: Vec<CheckedDesign>,
+        plans: [LanePlan<'static>; 2],
+    }
+
+    fn oracle_circuits() -> &'static [OracleCircuit] {
+        static CACHE: OnceLock<Vec<OracleCircuit>> = OnceLock::new();
+        CACHE.get_or_init(|| {
+            crate::BUNDLED
+                .iter()
+                .map(|&(entity, source)| {
+                    let checked: &'static CheckedDesign = Box::leak(Box::new(checked(source)));
+                    let population = generate_mutants(checked, entity, &GenerateOptions::default());
+                    let n = population.len().min(MAX_LANES + 1);
+                    let sample: &'static [Mutant] = (0..n)
+                        .map(|k| population[k * population.len() / n].clone())
+                        .collect::<Vec<_>>()
+                        .leak();
+                    let applied = sample
+                        .iter()
+                        .map(|mutant| mutant.apply(checked).expect("generated mutants apply"))
+                        .collect();
+                    let plan = |opt| {
+                        let options = LaneOptions::default().with_opt(opt);
+                        LanePlan::new(checked, entity, sample, &options).unwrap()
+                    };
+                    OracleCircuit {
+                        entity,
+                        checked,
+                        applied,
+                        plans: [plan(OptLevel::Full), plan(OptLevel::Off)],
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// Every used lane of every compiled group, at both opt levels,
+        /// samples on every cycle exactly the outputs a `Simulator` run of
+        /// its mutant produces (lane 0: of the original design). The
+        /// comparison goes on past each lane's first kill, so the lane
+        /// engine is checked output for output, not only where it first
+        /// differs.
+        #[test]
+        fn every_lane_matches_its_mutant_on_every_cycle(
+            seed in any::<u64>(),
+            pick in 0usize..crate::BUNDLED.len(),
+            cycles in 1usize..10,
+        ) {
+            let circuit = &oracle_circuits()[pick];
+            let info = circuit.checked.entity_info(circuit.entity).unwrap();
+            let mut rng = SplitMix64::new(seed);
+            let sequence: TestSequence = (0..cycles)
+                .map(|_| {
+                    info.data_inputs
+                        .iter()
+                        .map(|&input| {
+                            let width = info.symbol(input).width;
+                            Bits::new(width, rng.bits(width))
+                        })
+                        .collect()
+                })
+                .collect();
+            // Transcript 0 is the original design's, 1 + k mutant k's.
+            let transcripts: Vec<Vec<Vec<Bits>>> = std::iter::once(circuit.checked)
+                .chain(&circuit.applied)
+                .map(|d| Simulator::new(d, circuit.entity).unwrap().run(&sequence))
+                .collect();
+            for plan in &circuit.plans {
+                for group in &plan.groups {
+                    let PlanGroup::Tape { compiled, start, len } = group else {
+                        panic!("{}: a generated mutant planned as a scalar group", circuit.entity);
+                    };
+                    prop_assert!(compiled.fallback.is_empty(), "{}: fallback", circuit.entity);
+                    let mut sim = GroupSim::new(compiled, *len);
+                    sim.reset();
+                    for (t, vector) in sequence.iter().enumerate() {
+                        sim.apply(vector);
+                        for lane in 0..=*len {
+                            let expected = &transcripts[if lane == 0 { 0 } else { start + lane }][t];
+                            let sampled: Vec<u64> = compiled
+                                .outputs
+                                .iter()
+                                .map(|sym| sim.vm.state[sym.0 as usize][lane])
+                                .collect();
+                            let expected: Vec<u64> = expected.iter().map(Bits::raw).collect();
+                            prop_assert_eq!(
+                                sampled, expected,
+                                "{}: lane {} of the group at {}, cycle {}",
+                                circuit.entity, lane, start, t
+                            );
+                        }
+                        sim.clock();
+                    }
+                }
+            }
         }
     }
 }

@@ -3,24 +3,26 @@
 //! The mutation-testing engine the DATE'05 paper builds on: ten
 //! VHDL-style mutation operators ([`MutationOperator`]), deterministic
 //! mutant enumeration ([`generate_mutants`]), mutant application and
-//! differential execution ([`execute_mutants`]), a budgeted
+//! differential execution ([`first_kills_over`]), a budgeted
 //! equivalent-mutant policy ([`classify_mutants`]) and the paper's
 //! Mutation Score `MS = K/(M−E)` ([`MutationScore`]).
 //!
 //! Two execution engines grade populations with bit-identical results
-//! (select one with [`Engine`] / [`execute_mutants_engine`]): the
-//! scalar engine simulates one mutant per pass, while the bit-parallel
-//! [`lanes`] engine packs up to 63 mutants plus the reference machine
-//! into each pass — `⌈N/63⌉` simulation passes for a population of
-//! `N`, composing multiplicatively with thread sharding.
+//! (select one with [`Engine`]): the scalar engine simulates one mutant
+//! per pass, while the bit-parallel [`lanes`] engine packs up to 63
+//! mutants plus the reference machine into each pass — `⌈N/63⌉`
+//! simulation passes for a population of `N`, composing
+//! multiplicatively with thread sharding.
 //!
 //! Every caller that grades a population asks one question: when does
 //! each mutant first die? [`first_kills_over`] is the one sweep that
 //! answers it, for an ordered list of sequences each applied from
-//! reset. It retires a mutant at its first kill and, on the lane
-//! engine, reuses one [`LanePlan`] across the sequences with a live
-//! mask, repacking the survivors into a smaller plan once they fit in
-//! half its groups. Equivalence classification ([`classify_mutants`])
+//! reset. It retires a mutant at its first kill. The scalar engine runs
+//! each live mutant on its own simulator; the lane engine reuses one
+//! [`LanePlan`] across the sequences with a live mask, repacking the
+//! survivors into a smaller plan once they fit in half its groups.
+//! [`execute_mutants_engine_opt`] is its one-sequence case, returning a
+//! [`KillResult`]. Equivalence classification ([`classify_mutants`])
 //! always sweeps on the lane engine; the scalar per-mutant classifier
 //! survives only in the tests, as the differential oracle the lane
 //! classifier must match class for class. The kill phase of an
@@ -32,8 +34,8 @@
 //! ```
 //! use musa_hdl::{parse, Bits, CheckedDesign};
 //! use musa_mutation::{
-//!     classify_mutants, execute_mutants, generate_mutants, EquivalencePolicy,
-//!     GenerateOptions, MutationScore,
+//!     classify_mutants, execute_mutants_engine_opt, generate_mutants, Engine,
+//!     EquivalencePolicy, GenerateOptions, MutationScore, OptLevel,
 //! };
 //!
 //! let checked = CheckedDesign::new(parse(
@@ -48,7 +50,8 @@
 //!     .map(|p| vec![Bits::new(1, p & 1), Bits::new(1, p >> 1)])
 //!     .collect();
 //!
-//! let kills = execute_mutants(&checked, "g", &mutants, &tests)?;
+//! let (engine, opt) = (Engine::Lanes, OptLevel::Full);
+//! let kills = execute_mutants_engine_opt(&checked, "g", &mutants, &tests, 1, engine, opt)?;
 //! let classes = classify_mutants(&checked, "g", &mutants, &EquivalencePolicy::default())?;
 //! let ms = MutationScore::from_results(&kills, &classes);
 //! assert!((ms.value() - 1.0).abs() < 1e-12, "exhaustive tests kill everything: {ms}");
@@ -70,16 +73,27 @@ mod sweep;
 pub use equivalence::{
     classify_mutants, classify_mutants_jobs, survivor_class, EquivalenceClass, EquivalencePolicy,
 };
-pub use execute::{
-    execute_mutants, execute_mutants_engine, execute_mutants_engine_opt, execute_mutants_jobs,
-    reference_transcript, run_one, Engine, KillResult, OptLevel, TestSequence,
-};
-pub use lanes::{
-    execute_mutants_lanes, execute_mutants_lanes_opts, LaneOptions, LanePlan, LaneStats,
-    MAX_LANES,
-};
+pub use execute::{execute_mutants_engine_opt, Engine, KillResult, OptLevel, TestSequence};
+pub use lanes::{LaneOptions, LanePlan, LaneStats, MAX_LANES};
 pub use generate::{count_by_operator, generate_mutants, GenerateOptions};
 pub use mutant::{Mutant, MutantId, MutationError, Rewrite};
 pub use operator::MutationOperator;
 pub use score::MutationScore;
 pub use sweep::first_kills_over;
+
+/// Every bundled benchmark's MiniHDL source, by entity name, for the
+/// tests that sweep them all.
+#[cfg(test)]
+const BUNDLED: [(&str, &str); 11] = [
+    ("c17", include_str!("../../circuits/src/hdl/c17.mhdl")),
+    ("b01", include_str!("../../circuits/src/hdl/b01.mhdl")),
+    ("b02", include_str!("../../circuits/src/hdl/b02.mhdl")),
+    ("b03", include_str!("../../circuits/src/hdl/b03.mhdl")),
+    ("b04", include_str!("../../circuits/src/hdl/b04.mhdl")),
+    ("b05", include_str!("../../circuits/src/hdl/b05.mhdl")),
+    ("b06", include_str!("../../circuits/src/hdl/b06.mhdl")),
+    ("b09", include_str!("../../circuits/src/hdl/b09.mhdl")),
+    ("c432", include_str!("../../circuits/src/hdl/c432.mhdl")),
+    ("c499", include_str!("../../circuits/src/hdl/c499.mhdl")),
+    ("c880", include_str!("../../circuits/src/hdl/c880.mhdl")),
+];

@@ -8,7 +8,7 @@
 //!
 //! On the lane engine the live mutants are packed into one
 //! [`LanePlan`], which is swept through the sequences with a live mask
-//! ([`LanePlan::first_kills_live`]): a sequence costs one pass per lane
+//! ([`LanePlan::first_kills`]): a sequence costs one pass per lane
 //! group that still holds a live mutant, and nothing is recompiled.
 //! Once the live mutants would fit in half the plan's groups, they are
 //! repacked into a fresh, smaller plan for the remaining sequences. The
@@ -138,7 +138,7 @@ impl Sweep<'_> {
             let plan = LanePlan::new(self.checked, self.entity, &packed, options)?;
             let mut plan_live = vec![true; packed.len()];
             while next < sequences.len() {
-                let (kills, _) = plan.first_kills_live(sequences[next].as_ref(), &plan_live)?;
+                let (kills, _) = plan.first_kills(sequences[next].as_ref(), &plan_live)?;
                 for (slot, kill) in kills.first_kill.iter().enumerate() {
                     if let Some(t) = *kill {
                         plan_live[slot] = false;

@@ -5,10 +5,9 @@
 //! randomness from this crate so that a single `u64` seed reproduces an
 //! entire experiment bit-for-bit, across platforms and crate versions.
 //!
-//! Three sources are provided:
+//! Two sources are provided:
 //!
 //! * [`SplitMix64`] — the seeding workhorse; also a fine general stream.
-//! * [`XorShift64Star`] — a fast, long-period stream used in inner loops.
 //! * [`Lfsr`] — an external-feedback linear-feedback shift register, the
 //!   classic hardware pseudo-random test-pattern source the paper's
 //!   random baseline models.
@@ -33,11 +32,9 @@
 
 mod lfsr;
 mod splitmix;
-mod xorshift;
 
 pub use lfsr::{Lfsr, LfsrError};
 pub use splitmix::SplitMix64;
-pub use xorshift::XorShift64Star;
 
 /// A deterministic stream of pseudo-random `u64` values.
 ///
@@ -48,9 +45,9 @@ pub use xorshift::XorShift64Star;
 /// # Examples
 ///
 /// ```
-/// use musa_prng::{Prng, XorShift64Star};
+/// use musa_prng::{Prng, SplitMix64};
 ///
-/// let mut rng = XorShift64Star::new(7);
+/// let mut rng = SplitMix64::new(7);
 /// let dice = rng.below(6) + 1;
 /// assert!((1..=6).contains(&dice));
 /// ```
@@ -170,7 +167,7 @@ mod tests {
 
     #[test]
     fn unit_f64_in_unit_interval() {
-        let mut rng = XorShift64Star::new(99);
+        let mut rng = SplitMix64::new(99);
         for _ in 0..10_000 {
             let x = rng.unit_f64();
             assert!((0.0..1.0).contains(&x));

@@ -192,10 +192,33 @@ pub fn mutation_guided_tests(
 mod tests {
     use super::*;
     use musa_hdl::parse;
-    use musa_mutation::{execute_mutants, generate_mutants, GenerateOptions, MutationOperator};
+    use musa_hdl::Bits;
+    use musa_mutation::{
+        execute_mutants_engine_opt, generate_mutants, GenerateOptions, KillResult, MutationOperator,
+    };
 
     fn checked(src: &str) -> CheckedDesign {
         CheckedDesign::new(parse(src).unwrap()).unwrap()
+    }
+
+    /// The scalar engine's first kills over one sequence: the oracle the
+    /// generated data is replayed on.
+    fn scalar_kills(
+        d: &CheckedDesign,
+        entity: &str,
+        mutants: &[Mutant],
+        sequence: &[Vec<Bits>],
+    ) -> KillResult {
+        execute_mutants_engine_opt(
+            d,
+            entity,
+            mutants,
+            sequence,
+            1,
+            Engine::Scalar,
+            OptLevel::Full,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -215,7 +238,7 @@ mod tests {
         // Verify adequacy independently: re-execute the emitted data.
         let mut confirmed = vec![false; mutants.len()];
         for session in &result.sessions {
-            let kills = execute_mutants(&d, "g", &mutants, session).unwrap();
+            let kills = scalar_kills(&d, "g", &mutants, session);
             for (i, k) in kills.first_kill.iter().enumerate() {
                 if k.is_some() {
                     confirmed[i] = true;
@@ -262,7 +285,7 @@ mod tests {
         // Confirm claims session by session.
         let mut confirmed = vec![false; mutants.len()];
         for session in &result.sessions {
-            let kills = execute_mutants(&d, "t", &mutants, session).unwrap();
+            let kills = scalar_kills(&d, "t", &mutants, session);
             for (i, k) in kills.first_kill.iter().enumerate() {
                 if k.is_some() {
                     confirmed[i] = true;
@@ -310,7 +333,7 @@ mod tests {
         };
         let mut killed = vec![false; mutants.len()];
         for (k, admission) in admissions.iter().enumerate() {
-            let kills = execute_mutants(d, entity, mutants, admission).unwrap();
+            let kills = scalar_kills(d, entity, mutants, admission);
             let fresh = kills
                 .first_kill
                 .iter()

@@ -12,8 +12,8 @@
 
 use musa::hdl::{parse, Bits, CheckedDesign};
 use musa::mutation::{
-    classify_mutants, count_by_operator, execute_mutants, generate_mutants, EquivalencePolicy,
-    GenerateOptions, MutationScore,
+    classify_mutants, count_by_operator, execute_mutants_engine_opt, generate_mutants, Engine,
+    EquivalencePolicy, GenerateOptions, MutationScore, OptLevel,
 };
 
 const TRAFFIC: &str = "
@@ -83,7 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         suite.push(vec![bit(0), bit(0)]);
     }
 
-    let kills = execute_mutants(&checked, "traffic", &mutants, &suite)?;
+    let (engine, opt) = (Engine::default(), OptLevel::default());
+    let kills = execute_mutants_engine_opt(&checked, "traffic", &mutants, &suite, 1, engine, opt)?;
     let classes = classify_mutants(
         &checked,
         "traffic",

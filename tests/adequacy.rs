@@ -2,9 +2,29 @@
 //! mutants it claims, and PODEM tests must actually detect their faults.
 
 use musa::circuits::Benchmark;
-use musa::mutation::{execute_mutants, generate_mutants, GenerateOptions};
+use musa::circuits::Circuit;
+use musa::hdl::Bits;
+use musa::mutation::{
+    execute_mutants_engine_opt, generate_mutants, Engine, GenerateOptions, KillResult, Mutant,
+    OptLevel,
+};
 use musa::netlist::{collapsed_faults, fault_simulate};
 use musa::testgen::{atpg_all, mutation_guided_tests, MgConfig, PodemResult};
+
+/// The scalar engine's first kills of `mutants` over one session.
+fn scalar_kills(circuit: &Circuit, mutants: &[Mutant], session: &[Vec<Bits>]) -> KillResult {
+    let (engine, opt) = (Engine::Scalar, OptLevel::Full);
+    execute_mutants_engine_opt(
+        &circuit.checked,
+        &circuit.name,
+        mutants,
+        session,
+        1,
+        engine,
+        opt,
+    )
+    .expect("mutants belong to the design")
+}
 
 #[test]
 fn validation_data_kill_claims_are_reproducible() {
@@ -25,8 +45,7 @@ fn validation_data_kill_claims_are_reproducible() {
 
         let mut confirmed = vec![false; mutants.len()];
         for session in &generated.sessions {
-            let kills = execute_mutants(&circuit.checked, &circuit.name, &mutants, session)
-                .expect("mutants belong to the design");
+            let kills = scalar_kills(&circuit, &mutants, session);
             for (i, kill) in kills.first_kill.iter().enumerate() {
                 if kill.is_some() {
                     confirmed[i] = true;
@@ -105,7 +124,7 @@ fn mutation_score_never_counts_killed_as_equivalent() {
     // Re-derive kills from scratch and check the score's invariants.
     let mut killed = 0usize;
     for session in &generated.sessions {
-        let kills = execute_mutants(&circuit.checked, &circuit.name, &mutants, session).unwrap();
+        let kills = scalar_kills(&circuit, &mutants, session);
         killed = killed.max(kills.killed_count());
     }
     assert!(killed <= mutants.len());

@@ -676,6 +676,38 @@ fn lint_missing_file_exits_2_and_broken_file_exits_1() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(message), "{stderr}");
     }
+    // The loop and the partial assignment point into the process at
+    // fault, and the partial assignment names the first declared of its
+    // two unassigned outputs on every run.
+    let located = [
+        (
+            "entity e is port(a : in bit; y : out bit);\n\
+             signal s : bit;\n\
+             signal t : bit;\n\
+             comb begin s <= t and a; end;\n\
+             comb begin t <= s or a; end;\n\
+             comb begin y <= s; end;\n\
+             end;\n",
+            "error: check error at 4:12: combinational loop between processes\n",
+        ),
+        (
+            "entity e is port(a : in bit; y : out bit; z : out bit);\n\
+             comb begin\n\
+             if a = 1 then y <= 1; z <= 1; end if;\n\
+             end;\n\
+             end;\n",
+            "error: check error at 3:4: combinational process may leave `y` partially \
+             unassigned (covered bits 0b0 of 0b1)\n",
+        ),
+    ];
+    for (source, expected) in located {
+        std::fs::write(&file, source).unwrap();
+        for _ in 0..4 {
+            let out = musa(&["lint", file.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(1), "{expected}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), expected);
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

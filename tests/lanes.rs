@@ -1,20 +1,19 @@
 //! Differential tests of the bit-parallel lane engine against the
-//! scalar engine: `KillResult`s must be bit-identical on every bundled
+//! scalar simulator: first kills must be bit-identical on every bundled
 //! circuit, for every lane count and job count.
 
-use musa::circuits::Benchmark;
-use musa::hdl::Bits;
+use musa::circuits::{Benchmark, Circuit};
+use musa::hdl::{Bits, Simulator};
 use musa::mutation::{
-    execute_mutants, execute_mutants_engine, execute_mutants_jobs, execute_mutants_lanes_opts,
-    first_kills_over, generate_mutants, Engine, GenerateOptions, LaneOptions, LanePlan, Mutant,
-    OptLevel, MAX_LANES,
+    execute_mutants_engine_opt, first_kills_over, generate_mutants, Engine, GenerateOptions,
+    KillResult, LaneOptions, LanePlan, LaneStats, Mutant, OptLevel, MAX_LANES,
 };
 use musa::prng::{Prng, SplitMix64};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-fn circuits() -> &'static Vec<(musa::circuits::Circuit, Vec<Mutant>)> {
-    static CACHE: OnceLock<Vec<(musa::circuits::Circuit, Vec<Mutant>)>> = OnceLock::new();
+fn circuits() -> &'static Vec<(Circuit, Vec<Mutant>)> {
+    static CACHE: OnceLock<Vec<(Circuit, Vec<Mutant>)>> = OnceLock::new();
     CACHE.get_or_init(|| {
         Benchmark::all()
             .into_iter()
@@ -32,11 +31,7 @@ fn circuits() -> &'static Vec<(musa::circuits::Circuit, Vec<Mutant>)> {
     })
 }
 
-fn random_sequence_for(
-    circuit: &musa::circuits::Circuit,
-    cycles: usize,
-    seed: u64,
-) -> Vec<Vec<Bits>> {
+fn random_sequence_for(circuit: &Circuit, cycles: usize, seed: u64) -> Vec<Vec<Bits>> {
     let info = circuit.info();
     let mut rng = SplitMix64::new(seed);
     (0..cycles)
@@ -52,6 +47,45 @@ fn random_sequence_for(
         .collect()
 }
 
+/// Each mutant's first killing cycle over one sequence, from
+/// `Mutant::apply` and the scalar `Simulator` alone: the oracle every
+/// lane result here is compared with.
+fn oracle_kills(
+    circuit: &Circuit,
+    mutants: &[Mutant],
+    sequence: &[Vec<Bits>],
+) -> Vec<Option<usize>> {
+    let reference = Simulator::new(&circuit.checked, &circuit.name)
+        .unwrap()
+        .run(sequence);
+    mutants
+        .iter()
+        .map(|mutant| {
+            let mutated = mutant
+                .apply(&circuit.checked)
+                .expect("generated mutants apply");
+            let mut sim = Simulator::new(&mutated, &circuit.name).unwrap();
+            sequence
+                .iter()
+                .zip(&reference)
+                .position(|(vector, expected)| sim.step(vector) != *expected)
+        })
+        .collect()
+}
+
+/// A fresh lane plan run once over `sequence` with every mutant live.
+fn lane_kills(
+    circuit: &Circuit,
+    mutants: &[Mutant],
+    sequence: &[Vec<Bits>],
+    options: &LaneOptions,
+) -> (KillResult, LaneStats) {
+    LanePlan::new(&circuit.checked, &circuit.name, mutants, options)
+        .unwrap()
+        .first_kills(sequence, &vec![true; mutants.len()])
+        .unwrap()
+}
+
 /// Every `stride`-th mutant: bounds the scalar baseline's cost on the
 /// larger populations while touching every operator region of the walk.
 fn subsample(population: &[Mutant], limit: usize) -> Vec<Mutant> {
@@ -64,22 +98,13 @@ fn lane_engine_is_bit_identical_on_every_bundled_circuit() {
     for (circuit, population) in circuits() {
         let mutants = subsample(population, 48);
         let sequence = random_sequence_for(circuit, 16, 0x1A4E ^ circuit.name.len() as u64);
-        let scalar =
-            execute_mutants_jobs(&circuit.checked, &circuit.name, &mutants, &sequence, 1)
-                .unwrap();
+        let scalar = oracle_kills(circuit, &mutants, &sequence);
         for lanes_per_pass in [1, 2, 63] {
             for jobs in [1, 8] {
                 let opts = LaneOptions { lanes_per_pass, jobs, ..LaneOptions::default() };
-                let (lanes, _) = execute_mutants_lanes_opts(
-                    &circuit.checked,
-                    &circuit.name,
-                    &mutants,
-                    &sequence,
-                    &opts,
-                )
-                .unwrap();
+                let (lanes, _) = lane_kills(circuit, &mutants, &sequence, &opts);
                 assert_eq!(
-                    lanes.first_kill, scalar.first_kill,
+                    lanes.first_kill, scalar,
                     "{}: lanes={lanes_per_pass} jobs={jobs}",
                     circuit.name
                 );
@@ -93,14 +118,7 @@ fn full_population_takes_ceil_n_over_63_passes_on_b01() {
     let (circuit, population) = &circuits()[1]; // b01 (all() is smallest-first)
     assert_eq!(circuit.name, "b01");
     let sequence = random_sequence_for(circuit, 8, 0xB01);
-    let (kills, stats) = execute_mutants_lanes_opts(
-        &circuit.checked,
-        &circuit.name,
-        population,
-        &sequence,
-        &LaneOptions::default(),
-    )
-    .unwrap();
+    let (kills, stats) = lane_kills(circuit, population, &sequence, &LaneOptions::default());
     assert_eq!(kills.first_kill.len(), population.len());
     assert_eq!(
         stats.passes,
@@ -114,32 +132,31 @@ fn full_population_takes_ceil_n_over_63_passes_on_b01() {
 fn engine_dispatch_is_identical_through_the_public_entry_point() {
     let (circuit, population) = &circuits()[0]; // c17
     let sequence = random_sequence_for(circuit, 12, 0xC17);
-    let scalar = execute_mutants_engine(
-        &circuit.checked,
-        &circuit.name,
-        population,
-        &sequence,
-        2,
-        Engine::Scalar,
-    )
-    .unwrap();
-    let lanes = execute_mutants_engine(
-        &circuit.checked,
-        &circuit.name,
-        population,
-        &sequence,
-        2,
-        Engine::Lanes,
-    )
-    .unwrap();
-    assert_eq!(scalar.first_kill, lanes.first_kill);
+    let run = |engine| {
+        execute_mutants_engine_opt(
+            &circuit.checked,
+            &circuit.name,
+            population,
+            &sequence,
+            2,
+            engine,
+            OptLevel::Full,
+        )
+        .unwrap()
+    };
+    let scalar = run(Engine::Scalar);
+    assert_eq!(scalar.first_kill, run(Engine::Lanes).first_kill);
+    assert_eq!(
+        scalar.first_kill,
+        oracle_kills(circuit, population, &sequence)
+    );
 }
 
 /// The plain loop the first-kill sweep replaces: the sequences in
 /// order, each from reset, over the mutants neither skipped nor killed
 /// by an earlier sequence.
 fn first_kills_by_loop(
-    circuit: &musa::circuits::Circuit,
+    circuit: &Circuit,
     mutants: &[Mutant],
     sequences: &[Vec<Vec<Bits>>],
     skip: &[bool],
@@ -149,8 +166,7 @@ fn first_kills_by_loop(
         let live: Vec<usize> =
             (0..mutants.len()).filter(|&i| !skip[i] && first_kill[i].is_none()).collect();
         let subset: Vec<Mutant> = live.iter().map(|&i| mutants[i].clone()).collect();
-        let kills = execute_mutants(&circuit.checked, &circuit.name, &subset, sequence).unwrap();
-        for (&i, kill) in live.iter().zip(kills.first_kill) {
+        for (&i, kill) in live.iter().zip(oracle_kills(circuit, &subset, sequence)) {
             first_kill[i] = kill.map(|t| (s, t));
         }
     }
@@ -239,8 +255,9 @@ proptest! {
     ) {
         for ((circuit, population), (full, off)) in circuits().iter().zip(opt_plans()) {
             let sequence = random_sequence_for(circuit, cycles, seed);
-            let (kills_full, _) = full.first_kills(&sequence).unwrap();
-            let (kills_off, _) = off.first_kills(&sequence).unwrap();
+            let live = vec![true; population.len()];
+            let (kills_full, _) = full.first_kills(&sequence, &live).unwrap();
+            let (kills_off, _) = off.first_kills(&sequence, &live).unwrap();
             prop_assert_eq!(
                 &kills_full.first_kill, &kills_off.first_kill,
                 "{}: lowered-executor and interpreter kills diverged", circuit.name,
@@ -271,14 +288,9 @@ proptest! {
             .cloned()
             .collect();
         let sequence = random_sequence_for(circuit, cycles, rng.next_u64());
-        let scalar = execute_mutants_jobs(
-            &circuit.checked, &circuit.name, &mutants, &sequence, 1,
-        ).unwrap();
-        let (lanes, stats) = execute_mutants_lanes_opts(
-            &circuit.checked, &circuit.name, &mutants, &sequence,
-            &LaneOptions::default(),
-        ).unwrap();
-        prop_assert_eq!(&lanes.first_kill, &scalar.first_kill, "{}", circuit.name);
+        let scalar = oracle_kills(circuit, &mutants, &sequence);
+        let (lanes, stats) = lane_kills(circuit, &mutants, &sequence, &LaneOptions::default());
+        prop_assert_eq!(&lanes.first_kill, &scalar, "{}", circuit.name);
         prop_assert_eq!(stats.passes, 1, "10 mutants fit one pass");
     }
 }

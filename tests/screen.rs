@@ -19,7 +19,8 @@ use musa::core::{
 };
 use musa::hdl::Bits;
 use musa::mutation::{
-    execute_mutants_jobs, generate_mutants, GenerateOptions, Mutant, MutationOperator,
+    first_kills_over, generate_mutants, Engine, GenerateOptions, LaneOptions, Mutant,
+    MutationOperator,
 };
 use musa::prng::{Prng, SplitMix64};
 use musa::testgen::SamplingStrategy;
@@ -179,13 +180,14 @@ proptest! {
             let mutants: Vec<Mutant> =
                 proven.iter().map(|(_, m)| m.clone()).take(32).collect();
             let sequence = random_sequence_for(circuit, cycles, seed);
-            let kills = execute_mutants_jobs(
-                &circuit.checked, &circuit.name, &mutants, &sequence, 1,
+            let kills = first_kills_over(
+                &circuit.checked, &circuit.name, &mutants, &[sequence], None,
+                Engine::Scalar, &LaneOptions::default(),
             ).unwrap();
-            prop_assert_eq!(
-                kills.killed_count(), 0,
+            prop_assert!(
+                kills.iter().all(Option::is_none),
                 "{}: a statically-proven mutant was killed: {:?}",
-                &circuit.name, kills.first_kill
+                &circuit.name, kills
             );
         }
     }

@@ -8,9 +8,7 @@ use musa::core::{
     render_profile, trace_json_with, validate_trace_document, Campaign, ExperimentConfig,
     ReportData, Task, DEFAULT_SEED,
 };
-use musa::mutation::{
-    execute_mutants_lanes_opts, generate_mutants, GenerateOptions, LaneOptions, MutationOperator,
-};
+use musa::mutation::{generate_mutants, GenerateOptions, LaneOptions, LanePlan, MutationOperator};
 use musa::netlist::{collapsed_faults, fault_simulate};
 use musa::testgen::{lfsr_patterns, random_sequence};
 use musa::trace::{SpanRecord, TraceData, Tracer};
@@ -64,13 +62,14 @@ fn lane_counters_equal_lane_stats() {
     let tracer = Tracer::new();
     let (_kills, stats) = {
         let _install = tracer.install();
-        execute_mutants_lanes_opts(
+        LanePlan::new(
             &circuit.checked,
             &circuit.name,
             &mutants,
-            &sequence,
             &LaneOptions::default(),
         )
+        .unwrap()
+        .first_kills(&sequence, &vec![true; mutants.len()])
         .unwrap()
     };
     let data = tracer.finish();
@@ -483,6 +482,11 @@ fn non_campaign_profile_renders_via_the_main_level_tracer() {
     for phase in ["campaign", "bench", "command"] {
         assert!(rows.iter().any(|row| row == phase), "no {phase} row: {stdout}");
     }
+    // Lint reads the source alone: it never loads (synthesizes) a circuit.
+    assert!(
+        !rows.iter().any(|row| row == "load"),
+        "lint loaded a circuit: {stdout}"
+    );
     let faultsim = ["faultsim", "tests/fixtures/b01.bench", "20", "7", "--profile"];
     let (rows, stdout) = phase_rows(&faultsim);
     assert_eq!(rows, ["command"], "{stdout}");
