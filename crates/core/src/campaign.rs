@@ -2,10 +2,11 @@
 //!
 //! A [`Campaign`] validates its inputs **once**, runs the selected
 //! [`Task`] through the deterministic parallel machinery, and returns a
-//! typed [`Report`] that wraps the experiments' result structs plus run
-//! metadata — with a stable text renderer ([`Report::render_text`],
-//! byte-identical to the pre-redesign binaries' stdout) and a
-//! dependency-free JSON emitter ([`Report::to_json`]).
+//! typed [`Report`] that wraps the experiments' result structs plus the
+//! [`CampaignPlan`] it ran and its wall time — with a stable text
+//! renderer ([`Report::render_text`], byte-identical to the
+//! pre-redesign binaries' stdout) and a dependency-free JSON emitter
+//! ([`Report::to_json`]).
 //!
 //! Every task but the benchmark trajectory runs through one per-bench
 //! loop: it loads every circuit up front, then measures each bench
@@ -175,8 +176,6 @@ pub enum CampaignError {
     BadFraction(f64),
     /// [`Task::AtpgTopup`] was pointed at a sequential benchmark.
     NotCombinational(String),
-    /// A multi-benchmark table driver failed.
-    Task(TableError),
     /// A per-benchmark stage failed.
     Run {
         /// The benchmark being measured when the failure occurred.
@@ -202,7 +201,6 @@ impl fmt::Display for CampaignError {
             CampaignError::NotCombinational(name) => {
                 write!(f, "ATPG top-up targets combinational circuits; `{name}` is sequential")
             }
-            CampaignError::Task(e) => write!(f, "{e}"),
             CampaignError::Run { bench, source } => write!(f, "{bench}: {source}"),
         }
     }
@@ -211,15 +209,9 @@ impl fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CampaignError::Task(e) | CampaignError::Run { source: e, .. } => Some(e),
+            CampaignError::Run { source, .. } => Some(source),
             _ => None,
         }
-    }
-}
-
-impl From<TableError> for CampaignError {
-    fn from(e: TableError) -> Self {
-        CampaignError::Task(e)
     }
 }
 
@@ -475,8 +467,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Validation errors before any work starts; [`CampaignError::Task`]
-    /// / [`CampaignError::Run`] when a measurement fails.
+    /// Validation errors before any work starts; [`CampaignError::Run`]
+    /// when a measurement fails.
     pub fn run(&self) -> Result<Report, CampaignError> {
         // An untraced run installs nothing: its spans and counters land
         // in whatever tracer the caller installed (the `musa` binary's
@@ -484,28 +476,18 @@ impl Campaign {
         // never read the clock.
         let tracer = self.trace.then(musa_trace::Tracer::new);
         let _install = tracer.as_ref().map(musa_trace::Tracer::install);
-        let resolved = {
+        let plan = {
             let _trace = musa_trace::span("validate");
             self.resolve()?
         };
         let started = Instant::now();
         let data = {
-            let _trace = musa_trace::span_detail("campaign", || resolved.task.slug().to_string());
-            resolved.execute()?
+            let _trace = musa_trace::span_detail("campaign", || plan.task.slug().to_string());
+            plan.execute()?
         };
         Ok(Report {
-            meta: RunMeta {
-                benches: resolved.benches.iter().map(|b| b.name().to_string()).collect(),
-                seed: resolved.config.seed,
-                jobs: resolved.config.jobs,
-                engine: resolved.config.engine,
-                fault_reduce: resolved.config.fault_reduce,
-                screen: resolved.config.screen,
-                opt: resolved.config.opt,
-                preset: resolved.preset,
-                wall: started.elapsed(),
-            },
-            task: resolved.task,
+            plan,
+            wall: started.elapsed(),
             data,
             trace: tracer.map(|tracer| tracer.finish()),
         })
@@ -565,7 +547,7 @@ impl CampaignPlan {
                 })?)
             }
             Task::Table1 { operators } => ReportData::Table1(Table1::from_profiles(
-                self.each_context("profiling", |ctx| OperatorProfile::measure(ctx, operators))?,
+                &self.each_context("profiling", |ctx| OperatorProfile::measure(ctx, operators))?,
             )),
             Task::Table2 { fraction } => ReportData::Table2(Table2 {
                 rows: self.each_context("comparing strategies on", |ctx| {
@@ -668,29 +650,6 @@ impl CampaignPlan {
 // Report
 // ---------------------------------------------------------------------
 
-/// Run metadata attached to every report.
-#[derive(Debug, Clone)]
-pub struct RunMeta {
-    /// Benchmark names, in run order.
-    pub benches: Vec<String>,
-    /// Master seed the run used.
-    pub seed: u64,
-    /// Requested worker-thread count (`0` = one per available CPU).
-    pub jobs: usize,
-    /// Mutant-execution engine.
-    pub engine: Engine,
-    /// Whether dominance fault-list reduction was on.
-    pub fault_reduce: bool,
-    /// Whether static equivalent-mutant pre-screening was on.
-    pub screen: bool,
-    /// Lane executor level (`full` lowered executor, `off` interpreter).
-    pub opt: OptLevel,
-    /// Configuration preset.
-    pub preset: Preset,
-    /// Wall-clock time of the run.
-    pub wall: Duration,
-}
-
 /// One benchmark's sampling outcome.
 #[derive(Debug, Clone)]
 pub struct BenchOutcome {
@@ -774,10 +733,12 @@ pub enum ReportData {
 /// The typed outcome of one campaign run.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Run metadata (benchmarks, seed, jobs, engine, preset, wall time).
-    pub meta: RunMeta,
-    /// The task that produced the data (with its parameters).
-    pub task: Task,
+    /// The plan that ran: benchmarks, effective configuration (seed,
+    /// jobs, engine and the other knobs), preset, and the task with its
+    /// parameters.
+    pub plan: CampaignPlan,
+    /// Wall-clock time of the run.
+    pub wall: Duration,
     /// The task-specific payload.
     pub data: ReportData,
     /// Collected spans + counters when the campaign ran with
@@ -801,7 +762,9 @@ impl Report {
             return report.to_json();
         }
         if let ReportData::Lint(rows) = &self.data {
-            return lint_report_json(&self.meta.benches, rows);
+            let benches: Vec<String> =
+                self.plan.benches.iter().map(|b| b.name().to_string()).collect();
+            return lint_report_json(&benches, rows);
         }
         Json::Obj(vec![
             ("schema", Json::str("musa.campaign.v1")),
@@ -813,31 +776,32 @@ impl Report {
     }
 
     fn meta_json(&self) -> Json {
+        let (plan, config) = (&self.plan, &self.plan.config);
         Json::Obj(vec![
-            ("task", Json::str(self.task.slug())),
+            ("task", Json::str(plan.task.slug())),
             (
                 "benches",
-                Json::Arr(self.meta.benches.iter().map(Json::str).collect()),
+                Json::Arr(plan.benches.iter().map(|b| Json::str(b.name())).collect()),
             ),
-            ("seed", Json::UInt(self.meta.seed)),
-            ("jobs", Json::count(self.meta.jobs)),
-            ("engine", Json::str(self.meta.engine.name())),
+            ("seed", Json::UInt(config.seed)),
+            ("jobs", Json::count(config.jobs)),
+            ("engine", Json::str(config.engine.name())),
             (
                 "fault_reduce",
-                Json::str(if self.meta.fault_reduce { "on" } else { "off" }),
+                Json::str(if config.fault_reduce { "on" } else { "off" }),
             ),
             (
                 "screen",
-                Json::str(if self.meta.screen { "static" } else { "off" }),
+                Json::str(if config.screen { "static" } else { "off" }),
             ),
-            ("opt", Json::str(self.meta.opt.name())),
-            ("preset", Json::str(self.meta.preset.to_string())),
-            ("wall_ms", Json::count(self.meta.wall.as_millis() as usize)),
+            ("opt", Json::str(config.opt.name())),
+            ("preset", Json::str(plan.preset.to_string())),
+            ("wall_ms", Json::count(self.wall.as_millis() as usize)),
         ])
     }
 
     fn params_json(&self) -> Json {
-        match &self.task {
+        match &self.plan.task {
             Task::Sampling { fraction } | Task::Table2 { fraction } => {
                 Json::Obj(vec![("fraction", Json::Float(*fraction))])
             }
@@ -1077,37 +1041,37 @@ impl Report {
     /// to what `musa sample` and the six bench binaries printed before
     /// the campaign API existed (pinned by the CLI diff tests).
     pub fn render_text(&self) -> String {
-        let meta = &self.meta;
+        let plan = &self.plan;
         let mut out = String::new();
-        match (&self.task, &self.data) {
+        match (&plan.task, &self.data) {
             (Task::Sampling { fraction }, ReportData::Sampling(rows)) => {
                 for row in rows {
-                    render_sampling(&mut out, row, *fraction, meta);
+                    render_sampling(&mut out, row, *fraction, plan);
                 }
             }
             (Task::Table1 { .. }, ReportData::Table1(table)) => {
-                render_table1(&mut out, table, meta);
+                render_table1(&mut out, table, plan);
             }
             (Task::Table2 { fraction }, ReportData::Table2(table)) => {
-                render_table2(&mut out, table, *fraction, meta);
+                render_table2(&mut out, table, *fraction, plan);
             }
             (Task::SweepFraction { .. }, ReportData::SweepFraction(rows)) => {
-                render_sweep(&mut out, rows, meta);
+                render_sweep(&mut out, rows, plan);
             }
             (Task::CoverageCurves { .. }, ReportData::CoverageCurves(pairs)) => {
-                render_curves(&mut out, pairs, meta);
+                render_curves(&mut out, pairs, plan);
             }
             (Task::AtpgTopup { .. }, ReportData::AtpgTopup(rows)) => {
-                render_topup(&mut out, rows, meta);
+                render_topup(&mut out, rows, plan);
             }
             (Task::EquivalenceAblation { .. }, ReportData::EquivalenceAblation(rows)) => {
-                render_ablation(&mut out, rows, meta);
+                render_ablation(&mut out, rows, plan);
             }
             (Task::OperatorProfile { .. }, ReportData::OperatorProfile(profiles)) => {
-                render_profiles(&mut out, profiles, meta);
+                render_profiles(&mut out, profiles, plan);
             }
             (Task::MutationGuided, ReportData::MutationGuided(rows)) => {
-                render_mg(&mut out, rows, meta);
+                render_mg(&mut out, rows, plan);
             }
             (Task::Bench { .. }, ReportData::Bench(report)) => {
                 render_bench(&mut out, report);
@@ -1122,7 +1086,7 @@ impl Report {
                 let _ = writeln!(
                     out,
                     "report task/data mismatch: task `{}` does not describe the payload",
-                    self.task.slug()
+                    plan.task.slug()
                 );
             }
         }
@@ -1186,18 +1150,18 @@ fn curve_json(samples: &[(usize, f64)]) -> Json {
 
 use std::fmt::Write as _;
 
-fn render_sampling(out: &mut String, row: &BenchOutcome, fraction: f64, meta: &RunMeta) {
-    let o = &row.outcome;
+fn render_sampling(out: &mut String, row: &BenchOutcome, fraction: f64, plan: &CampaignPlan) {
+    let (o, config) = (&row.outcome, &plan.config);
     let _ = writeln!(
         out,
         "{}: {} strategy, {:.0}% sample, {} jobs, {} engine, {} preset, seed {:#x}",
         row.bench,
         o.strategy,
         fraction * 100.0,
-        resolve_jobs(meta.jobs),
-        meta.engine,
-        meta.preset,
-        meta.seed,
+        resolve_jobs(config.jobs),
+        config.engine,
+        plan.preset,
+        config.seed,
     );
     let _ = writeln!(
         out,
@@ -1216,13 +1180,13 @@ fn render_sampling(out: &mut String, row: &BenchOutcome, fraction: f64, meta: &R
     );
 }
 
-fn render_config_header(out: &mut String, title: &str, meta: &RunMeta) {
+fn render_config_header(out: &mut String, title: &str, plan: &CampaignPlan) {
     let _ = writeln!(out, "{title}");
-    let _ = writeln!(out, "(config: {} preset, seed {:#x})\n", meta.preset, meta.seed);
+    let _ = writeln!(out, "(config: {} preset, seed {:#x})\n", plan.preset, plan.config.seed);
 }
 
-fn render_table1(out: &mut String, table: &Table1, meta: &RunMeta) {
-    render_config_header(out, "Table 1: Operator Fault Coverage Efficiency", meta);
+fn render_table1(out: &mut String, table: &Table1, plan: &CampaignPlan) {
+    render_config_header(out, "Table 1: Operator Fault Coverage Efficiency", plan);
     let _ = writeln!(out, "{}", table.render());
 
     let _ = writeln!(out, "Paper-reported values for comparison:");
@@ -1255,14 +1219,14 @@ fn render_table1(out: &mut String, table: &Table1, meta: &RunMeta) {
     }
 }
 
-fn render_table2(out: &mut String, table: &Table2, fraction: f64, meta: &RunMeta) {
+fn render_table2(out: &mut String, table: &Table2, fraction: f64, plan: &CampaignPlan) {
     render_config_header(
         out,
         &format!(
             "Table 2: Test-Oriented Sampling vs Random Mutant Sampling ({:.0}%)",
             fraction * 100.0
         ),
-        meta,
+        plan,
     );
     let _ = writeln!(out, "{}", table.render());
 
@@ -1290,8 +1254,8 @@ fn render_table2(out: &mut String, table: &Table2, fraction: f64, meta: &RunMeta
     }
 }
 
-fn render_sweep(out: &mut String, rows: &[BenchSweep], meta: &RunMeta) {
-    let _ = writeln!(out, "E1: Sampling-fraction sweep (seed {:#x})\n", meta.seed);
+fn render_sweep(out: &mut String, rows: &[BenchSweep], plan: &CampaignPlan) {
+    let _ = writeln!(out, "E1: Sampling-fraction sweep (seed {:#x})\n", plan.config.seed);
     for row in rows {
         let mut table = Table::new(vec![
             ("Fraction", Align::Right),
@@ -1331,8 +1295,8 @@ fn ascii_plot(series: &[(usize, f64)], width: usize) -> String {
     out
 }
 
-fn render_curves(out: &mut String, pairs: &[CurvePair], meta: &RunMeta) {
-    let _ = writeln!(out, "E2: Coverage-vs-length curves (seed {:#x})\n", meta.seed);
+fn render_curves(out: &mut String, pairs: &[CurvePair], plan: &CampaignPlan) {
+    let _ = writeln!(out, "E2: Coverage-vs-length curves (seed {:#x})\n", plan.config.seed);
     for pair in pairs {
         let _ = writeln!(out, "{} — mutation data (MFC):", pair.circuit);
         out.push_str(&ascii_plot(&pair.mutation, 40));
@@ -1342,11 +1306,11 @@ fn render_curves(out: &mut String, pairs: &[CurvePair], meta: &RunMeta) {
     }
 }
 
-fn render_topup(out: &mut String, rows: &[BenchTopUp], meta: &RunMeta) {
+fn render_topup(out: &mut String, rows: &[BenchTopUp], plan: &CampaignPlan) {
     let _ = writeln!(
         out,
         "E3: ATPG top-up after validation-data reuse (seed {:#x})\n",
-        meta.seed
+        plan.config.seed
     );
     for row in rows {
         let mut table = Table::new(vec![
@@ -1375,8 +1339,8 @@ fn render_topup(out: &mut String, rows: &[BenchTopUp], meta: &RunMeta) {
     }
 }
 
-fn render_ablation(out: &mut String, rows: &[BenchAblation], meta: &RunMeta) {
-    let _ = writeln!(out, "E4: Equivalence-budget ablation (seed {:#x})\n", meta.seed);
+fn render_ablation(out: &mut String, rows: &[BenchAblation], plan: &CampaignPlan) {
+    let _ = writeln!(out, "E4: Equivalence-budget ablation (seed {:#x})\n", plan.config.seed);
     for row in rows {
         let mut table = Table::new(vec![
             ("Budget", Align::Right),
@@ -1394,8 +1358,8 @@ fn render_ablation(out: &mut String, rows: &[BenchAblation], meta: &RunMeta) {
     }
 }
 
-fn render_profiles(out: &mut String, profiles: &[OperatorProfile], meta: &RunMeta) {
-    let _ = writeln!(out, "Operator profiles (seed {:#x})\n", meta.seed);
+fn render_profiles(out: &mut String, profiles: &[OperatorProfile], plan: &CampaignPlan) {
+    let _ = writeln!(out, "Operator profiles (seed {:#x})\n", plan.config.seed);
     for profile in profiles {
         let mut table = Table::new(vec![
             ("Operator", Align::Left),
@@ -1448,8 +1412,8 @@ fn render_bench(out: &mut String, report: &BenchReport) {
     let _ = writeln!(out, "{}", table.render());
 }
 
-fn render_mg(out: &mut String, rows: &[MgOutcome], meta: &RunMeta) {
-    let _ = writeln!(out, "Mutation-guided generation (seed {:#x})\n", meta.seed);
+fn render_mg(out: &mut String, rows: &[MgOutcome], plan: &CampaignPlan) {
+    let _ = writeln!(out, "Mutation-guided generation (seed {:#x})\n", plan.config.seed);
     let mut table = Table::new(vec![
         ("Circuit", Align::Left),
         ("Population", Align::Right),
@@ -1563,8 +1527,8 @@ mod tests {
             .task(Task::MutationGuided)
             .run()
             .unwrap();
-        assert_eq!(report.meta.preset, Preset::Custom);
-        assert_eq!(report.meta.seed, 7);
+        assert_eq!(report.plan.preset, Preset::Custom);
+        assert_eq!(report.plan.config.seed, 7);
         assert!(report.to_json().contains("\"preset\": \"custom\""));
         // The custom mg sub-seed was actually used: the campaign's
         // output reproduces a direct generator call with config.mg.
@@ -1623,11 +1587,11 @@ mod tests {
     #[test]
     fn sampling_campaign_reports_and_renders() {
         let report = sampling_report();
-        assert_eq!(report.meta.benches, ["c17"]);
-        assert_eq!(report.meta.seed, 7);
-        assert_eq!(report.meta.jobs, 2);
-        assert_eq!(report.meta.engine, Engine::Lanes, "lanes is the default engine");
-        assert_eq!(report.meta.preset, Preset::Fast);
+        assert_eq!(report.plan.benches, [Benchmark::C17]);
+        assert_eq!(report.plan.config.seed, 7);
+        assert_eq!(report.plan.config.jobs, 2);
+        assert_eq!(report.plan.config.engine, Engine::Lanes, "lanes is the default engine");
+        assert_eq!(report.plan.preset, Preset::Fast);
         let text = report.render_text();
         assert!(
             text.starts_with("c17: random strategy, 50% sample, 2 jobs, lanes engine, fast preset, seed 0x7\n"),
@@ -1679,9 +1643,9 @@ mod tests {
             .task(Task::MutationGuided)
             .run()
             .unwrap();
-        assert_eq!(report.meta.jobs, 3);
-        assert_eq!(report.meta.engine, Engine::Lanes);
-        assert_eq!(report.task.slug(), "mutation-guided");
+        assert_eq!(report.plan.config.jobs, 3);
+        assert_eq!(report.plan.config.engine, Engine::Lanes);
+        assert_eq!(report.plan.task.slug(), "mutation-guided");
         let ReportData::MutationGuided(rows) = &report.data else { panic!() };
         assert_eq!(rows[0].bench, "c17");
         assert!(rows[0].killed > 0);
@@ -1696,7 +1660,7 @@ mod tests {
             .task(Task::Bench { quick: true })
             .run()
             .unwrap();
-        assert_eq!(report.task.slug(), "bench");
+        assert_eq!(report.plan.task.slug(), "bench");
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"musa.bench.v1\""), "{json}");
         assert!(!json.contains("musa.campaign.v1"), "{json}");

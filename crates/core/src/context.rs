@@ -6,17 +6,58 @@
 //! Table 1 operator profile. A [`BenchContext`] derives that shared
 //! state once per bench — the population, the collapsed fault list, the
 //! dominance plan and the static screen — and every experiment borrows
-//! it instead of re-deriving it.
+//! it instead of re-deriving it. It is also the one place validation
+//! data becomes gate-level metrics ([`BenchContext::grade_data`]).
 
 use crate::config::ExperimentConfig;
-use crate::data::{coverage_of_sessions, coverage_of_sessions_reduced, FaultSimStats};
 use musa_analysis::screen_population;
 use musa_circuits::Circuit;
-use musa_metrics::CoverageCurve;
+use musa_metrics::{CoverageCurve, Nlfce, NlfceInputs};
 use musa_mutation::{
     generate_mutants, GenerateOptions, Mutant, MutantId, MutationOperator, TestSequence,
 };
-use musa_netlist::{collapsed_faults, reduce_faults, Fault, FaultReduction};
+use musa_netlist::{
+    collapsed_faults, fault_simulate_sessions, fault_simulate_sessions_reduced, reduce_faults,
+    Fault, FaultReduction, Pattern,
+};
+use musa_synth::flatten_sequence;
+use musa_testgen::testbench_patterns;
+
+/// Lane occupancy of one fault-simulation measurement: how many faults
+/// actually occupied simulation lanes versus the full collapsed list.
+/// `faults_simulated == faults_total` whenever dominance reduction is
+/// off (or credit never landed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultSimStats {
+    /// Faults that occupied simulation lanes (representatives plus
+    /// residuals).
+    pub faults_simulated: usize,
+    /// Size of the full collapsed fault list the coverage numbers are
+    /// quoted against.
+    pub faults_total: usize,
+}
+
+impl FaultSimStats {
+    /// Stats for a full (unreduced) run over `total` faults.
+    pub fn full(total: usize) -> Self {
+        Self {
+            faults_simulated: total,
+            faults_total: total,
+        }
+    }
+}
+
+/// What [`BenchContext::grade_data`] measures of one set of validation
+/// data.
+#[derive(Debug)]
+pub(crate) struct DataGrade {
+    /// `ΔFC%`, `ΔL%` and `NLFCE` against the pseudo-random baseline.
+    pub(crate) metrics: Nlfce,
+    /// The data's final gate-level fault coverage.
+    pub(crate) coverage: f64,
+    /// Lane occupancy of the data's fault simulation.
+    pub(crate) fault_sim: FaultSimStats,
+}
 
 /// One loaded circuit, the configuration it runs under, and the state
 /// derived from both that every experiment on it shares.
@@ -119,21 +160,80 @@ impl BenchContext {
             .map_or(0, |mask| mask.iter().filter(|&&s| s).count())
     }
 
-    /// The gate-level coverage curve of behavioral mutation data, on the
-    /// dominance plan when there is one. Final coverage is exact either
-    /// way, and it is the only point the ΔFC/ΔL metrics read from this
-    /// curve; only the lane occupancy in the stats differs.
-    pub(crate) fn data_coverage(
-        &self,
-        sessions: &[TestSequence],
-    ) -> (CoverageCurve, FaultSimStats) {
-        match &self.reduction {
-            Some(reduction) => coverage_of_sessions_reduced(&self.circuit, reduction, sessions),
-            None => (
-                coverage_of_sessions(&self.circuit, &self.faults, sessions),
-                FaultSimStats::full(self.faults.len()),
-            ),
+    /// Grades behavioral validation data against the paper's
+    /// pseudo-random baseline (§3), the one sequence both tables score
+    /// by: the data's coverage ([`Self::data_coverage`]) inside a
+    /// `fault_sim` span, the `faults_simulated` and `faults_total`
+    /// counters, the baseline of
+    /// [`ExperimentConfig::baseline_len`]`(data length)` LFSR vectors
+    /// seeded by `baseline_seed` inside a `baseline` span, then
+    /// `ΔFC%`, `ΔL%` and `NLFCE`.
+    pub(crate) fn grade_data(&self, sessions: &[TestSequence], baseline_seed: u64) -> DataGrade {
+        let (data, fault_sim) = {
+            let _trace = musa_trace::span("fault_sim");
+            self.data_coverage(sessions)
+        };
+        musa_trace::count("faults_simulated", fault_sim.faults_simulated as u64);
+        musa_trace::count("faults_total", fault_sim.faults_total as u64);
+        let baseline = {
+            let _trace = musa_trace::span("baseline");
+            self.baseline_curve(self.config.baseline_len(data.len()), baseline_seed)
+        };
+        DataGrade {
+            metrics: NlfceInputs {
+                mutation: &data,
+                random: &baseline,
+            }
+            .compute(),
+            coverage: data.final_coverage(),
+            fault_sim,
         }
+    }
+
+    /// The gate-level coverage curve of behavioral validation data, on
+    /// the dominance plan when there is one: only representatives and
+    /// residuals occupy lanes. Final coverage is exact either way, and
+    /// it is the only point the metrics read from this curve; credited
+    /// faults' interior indices are upper bounds (see
+    /// [`musa_netlist::fault_simulate_sessions_reduced`]), and only the
+    /// lane occupancy in the stats differs.
+    fn data_coverage(&self, sessions: &[TestSequence]) -> (CoverageCurve, FaultSimStats) {
+        let (nl, patterns) = (&self.circuit.netlist, self.patterns(sessions));
+        let result = match &self.reduction {
+            Some(reduction) => fault_simulate_sessions_reduced(nl, reduction, &patterns),
+            None => fault_simulate_sessions(nl, &self.faults, &patterns),
+        };
+        let stats = FaultSimStats {
+            faults_simulated: result.faults_simulated,
+            faults_total: result.faults.len(),
+        };
+        (CoverageCurve::new(result.coverage_curve()), stats)
+    }
+
+    /// The pseudo-random baseline's coverage curve (paper §3's `RFC`):
+    /// `len` LFSR vectors under the testbench reset convention.
+    ///
+    /// Always full simulation, whatever
+    /// [`ExperimentConfig::fault_reduce`] says: the metrics read this
+    /// curve's *interior* (coverage at the data length, the shortest
+    /// prefix reaching a target), which dominance credit does not
+    /// preserve bit-exactly.
+    pub(crate) fn baseline_curve(&self, len: usize, seed: u64) -> CoverageCurve {
+        self.coverage(&[testbench_patterns(&self.circuit.netlist, len, seed)])
+    }
+
+    /// The cumulative coverage curve of gate-level pattern sessions,
+    /// fully fault-simulated over the collapsed fault list.
+    pub(crate) fn coverage(&self, sessions: &[Vec<Pattern>]) -> CoverageCurve {
+        let result = fault_simulate_sessions(&self.circuit.netlist, &self.faults, sessions);
+        CoverageCurve::new(result.coverage_curve())
+    }
+
+    /// Flattens behavioral test sessions into gate-level pattern
+    /// sessions.
+    pub(crate) fn patterns(&self, sessions: &[TestSequence]) -> Vec<Vec<Pattern>> {
+        let info = self.circuit.info();
+        sessions.iter().map(|s| flatten_sequence(info, s)).collect()
     }
 }
 
@@ -141,6 +241,60 @@ impl BenchContext {
 mod tests {
     use super::*;
     use musa_circuits::Benchmark;
+    use musa_hdl::Bits;
+
+    fn context(bench: Benchmark) -> BenchContext {
+        BenchContext::new(bench.load().unwrap(), &ExperimentConfig::fast(1))
+    }
+
+    #[test]
+    fn universe_is_nonempty_and_stable() {
+        let (u1, u2) = (context(Benchmark::C17), context(Benchmark::C17));
+        assert!(!u1.faults().is_empty());
+        assert_eq!(u1.faults(), u2.faults());
+    }
+
+    #[test]
+    fn coverage_of_exhaustive_c17_sessions_is_full() {
+        let ctx = context(Benchmark::C17);
+        // All 32 patterns as one behavioral session.
+        let session: TestSequence = (0..32u64)
+            .map(|p| (0..5).map(|i| Bits::new(1, (p >> i) & 1)).collect())
+            .collect();
+        let curve = ctx.coverage(&ctx.patterns(std::slice::from_ref(&session)));
+        assert!((curve.final_coverage() - 1.0).abs() < 1e-12);
+        assert_eq!(curve.len(), 32);
+        // The dominance plan reaches the same final coverage.
+        let (reduced, stats) = ctx.data_coverage(&[session]);
+        assert_eq!(reduced.final_coverage(), curve.final_coverage());
+        assert_eq!(stats.faults_total, ctx.faults().len());
+    }
+
+    #[test]
+    fn random_baseline_improves_with_length() {
+        let ctx = context(Benchmark::C17);
+        let short = ctx.baseline_curve(4, 9);
+        let long = ctx.baseline_curve(64, 9);
+        assert!(long.final_coverage() >= short.final_coverage());
+        assert!(long.final_coverage() > 0.9, "64 LFSR patterns saturate c17");
+    }
+
+    #[test]
+    fn sequential_sessions_flatten_correctly() {
+        let ctx = context(Benchmark::B01);
+        let session: TestSequence = (0..16u64)
+            .map(|i| {
+                vec![
+                    Bits::new(1, u64::from(i == 0)), // reset pulse first
+                    Bits::new(1, i & 1),
+                    Bits::new(1, (i >> 1) & 1),
+                ]
+            })
+            .collect();
+        let curve = ctx.coverage(&ctx.patterns(&[session.clone(), session]));
+        assert_eq!(curve.len(), 32);
+        assert!(curve.final_coverage() > 0.0);
+    }
 
     #[test]
     fn operator_views_equal_per_operator_generation() {

@@ -7,10 +7,9 @@
 //! baseline.
 
 use crate::config::ExperimentConfig;
-use crate::context::BenchContext;
-use crate::data::{random_baseline_curve, FaultSimStats};
+use crate::context::{BenchContext, FaultSimStats};
 use crate::parallel::{par_map, split_jobs, try_par_map};
-use musa_metrics::{Nlfce, NlfceInputs};
+use musa_metrics::Nlfce;
 use musa_mutation::{
     classify_mutants_jobs, first_kills_over, survivor_class, EquivalenceClass, EquivalencePolicy,
     KillResult, LaneOptions, Mutant, MutationError, MutationScore,
@@ -208,11 +207,8 @@ impl SamplingRun<'_> {
     }
 
     /// Phase 3 of one repetition: the Mutation Score on the full
-    /// population, and the gate-level efficiency of the same data. The
-    /// mutation-data fault simulation runs on the context's dominance
-    /// plan when there is one (its final coverage is exact either way);
-    /// the baseline stays on full simulation because its curve interior
-    /// feeds dFC/dL directly.
+    /// population, and the gate-level grade of the same data
+    /// ([`BenchContext::grade_data`]).
     fn finish(
         &self,
         killed: &Killed,
@@ -232,32 +228,17 @@ impl SamplingRun<'_> {
                 .filter(|&&i| table[i].is_equivalent())
                 .count(),
         };
-        let (mutation_curve, fault_sim) = {
-            let _trace = musa_trace::span("fault_sim");
-            ctx.data_coverage(&killed.sessions)
-        };
-        musa_trace::count("faults_simulated", fault_sim.faults_simulated as u64);
-        musa_trace::count("faults_total", fault_sim.faults_total as u64);
-        let baseline_len = ctx.config().baseline_len(mutation_curve.len());
-        let random_curve = {
-            let _trace = musa_trace::span("baseline");
-            random_baseline_curve(ctx.circuit(), ctx.faults(), baseline_len, baseline_seed)
-        };
-        let metrics = NlfceInputs {
-            mutation: &mutation_curve,
-            random: &random_curve,
-        }
-        .compute();
+        let grade = ctx.grade_data(&killed.sessions, baseline_seed);
         SamplingOutcome {
             strategy: self.strategy.label(),
             population: generated,
             sampled: killed.sampled,
             mutation_score_pct: score.percent(),
             score,
-            metrics,
-            nlfce: metrics.nlfce,
+            metrics: grade.metrics,
+            nlfce: grade.metrics.nlfce,
             data_len: killed.sessions.iter().map(Vec::len).sum(),
-            fault_sim,
+            fault_sim: grade.fault_sim,
             screened: ctx.screened_count(),
         }
     }
@@ -284,10 +265,13 @@ struct Killed {
 /// | field | aggregation |
 /// |---|---|
 /// | `strategy`, `population` | invariant across repetitions (asserted) |
-/// | `mutation_score_pct`, `nlfce`, `metrics.delta_fc_pct`, `metrics.delta_l_pct`, `metrics.nlfce` | arithmetic mean |
+/// | `mutation_score_pct`, `metrics.delta_fc_pct`, `metrics.delta_l_pct`, `metrics.nlfce` | arithmetic mean (`nlfce` copies `metrics.nlfce`) |
 /// | `sampled`, `data_len`, `metrics.mutation_len`, `score.killed`, `score.equivalent`, `fault_sim.faults_simulated` | mean, rounded via [`SamplingAggregate::mean_rounded`] |
 /// | `score.generated`, `fault_sim.faults_total` | invariant across repetitions (asserted) |
 /// | `metrics.random_len_at_equal_fc` | rounded mean when every repetition reports `Some`, else `None` (a single saturated baseline makes the mean meaningless) |
+///
+/// The `metrics` and `fault_sim` rows are `mean_grade`, which the
+/// operator profile averages its repetitions by as well.
 ///
 /// Outcomes are keyed by repetition index and [`finish`] always reduces
 /// in index order, so the merge is **order-independent**: push order —
@@ -375,43 +359,59 @@ impl SamplingAggregate {
                 "static screen verdicts vary between repetitions"
             );
         }
-        let mean_f = |field: fn(&SamplingOutcome) -> f64| -> f64 {
-            outcomes.iter().map(field).sum::<f64>() / nf
-        };
         let mean_n = |field: fn(&SamplingOutcome) -> usize| -> usize {
             Self::mean_rounded(outcomes.iter().map(field).sum(), n)
         };
-        let nlfce = mean_f(|o| o.nlfce);
-        let random_len_at_equal_fc = outcomes
-            .iter()
-            .map(|o| o.metrics.random_len_at_equal_fc)
-            .collect::<Option<Vec<usize>>>()
-            .map(|lens| Self::mean_rounded(lens.iter().sum(), n));
+        let grades: Vec<(Nlfce, FaultSimStats)> =
+            outcomes.iter().map(|o| (o.metrics, o.fault_sim)).collect();
+        let (metrics, fault_sim) = Self::mean_grade(&grades);
         SamplingOutcome {
             strategy: first.strategy,
             population: first.population,
             sampled: mean_n(|o| o.sampled),
-            mutation_score_pct: mean_f(|o| o.mutation_score_pct),
+            mutation_score_pct: outcomes.iter().map(|o| o.mutation_score_pct).sum::<f64>() / nf,
             score: MutationScore {
                 generated: first.score.generated,
                 killed: mean_n(|o| o.score.killed),
                 equivalent: mean_n(|o| o.score.equivalent),
             },
-            metrics: Nlfce {
-                delta_fc_pct: mean_f(|o| o.metrics.delta_fc_pct),
-                delta_l_pct: mean_f(|o| o.metrics.delta_l_pct),
-                nlfce,
-                mutation_len: mean_n(|o| o.metrics.mutation_len),
-                random_len_at_equal_fc,
-            },
-            nlfce,
+            metrics,
+            nlfce: metrics.nlfce,
             data_len: mean_n(|o| o.data_len),
-            fault_sim: FaultSimStats {
-                faults_simulated: mean_n(|o| o.fault_sim.faults_simulated),
-                faults_total: first.fault_sim.faults_total,
-            },
+            fault_sim,
             screened: first.screened,
         }
+    }
+
+    /// The mean of per-repetition gate-level grades, in the order
+    /// given: `ΔFC%`, `ΔL%` and `NLFCE` summed and divided by the
+    /// count, `mutation_len` and `faults_simulated` rounded by
+    /// [`Self::mean_rounded`], and `random_len_at_equal_fc` only when
+    /// every repetition has one. `faults_total` is the first grade's.
+    pub(crate) fn mean_grade(grades: &[(Nlfce, FaultSimStats)]) -> (Nlfce, FaultSimStats) {
+        let n = grades.len();
+        let mean_f = |field: fn(&Nlfce) -> f64| -> f64 {
+            grades.iter().map(|(m, _)| field(m)).sum::<f64>() / n as f64
+        };
+        let metrics = Nlfce {
+            delta_fc_pct: mean_f(|m| m.delta_fc_pct),
+            delta_l_pct: mean_f(|m| m.delta_l_pct),
+            nlfce: mean_f(|m| m.nlfce),
+            mutation_len: Self::mean_rounded(grades.iter().map(|(m, _)| m.mutation_len).sum(), n),
+            random_len_at_equal_fc: grades
+                .iter()
+                .map(|(m, _)| m.random_len_at_equal_fc)
+                .collect::<Option<Vec<usize>>>()
+                .map(|lens| Self::mean_rounded(lens.iter().sum(), n)),
+        };
+        let fault_sim = FaultSimStats {
+            faults_simulated: Self::mean_rounded(
+                grades.iter().map(|(_, s)| s.faults_simulated).sum(),
+                n,
+            ),
+            faults_total: grades[0].1.faults_total,
+        };
+        (metrics, fault_sim)
     }
 }
 

@@ -15,7 +15,6 @@
 //! Each runs on one bench's [`BenchContext`].
 
 use crate::context::BenchContext;
-use crate::data::{coverage_of_sessions, random_baseline_curve, sessions_to_patterns};
 use crate::experiment::{class_table, compare_strategies, kills_over_sessions, SamplingOutcome};
 use crate::profile::OperatorProfile;
 use musa_mutation::{EquivalencePolicy, MutationError, MutationOperator, MutationScore};
@@ -93,13 +92,8 @@ pub fn coverage_curves(ctx: &BenchContext, points: usize) -> Result<CurvePair, M
         ..config.mg
     };
     let generated = mutation_guided_tests(&circuit.checked, &circuit.name, ctx.population(), &mg)?;
-    let mutation = coverage_of_sessions(circuit, ctx.faults(), &generated.sessions);
-    let random = random_baseline_curve(
-        circuit,
-        ctx.faults(),
-        config.baseline_len(mutation.len()),
-        config.seed ^ 0xE2E2,
-    );
+    let mutation = ctx.coverage(&ctx.patterns(&generated.sessions));
+    let random = ctx.baseline_curve(config.baseline_len(mutation.len()), config.seed ^ 0xE2E2);
     Ok(CurvePair {
         circuit: circuit.name.clone(),
         mutation: mutation.sample(points),
@@ -181,10 +175,8 @@ pub fn atpg_topup(
         ..config.mg
     };
     let generated = mutation_guided_tests(&circuit.checked, &circuit.name, ctx.population(), &mg)?;
-    let validation_patterns: Vec<Pattern> = sessions_to_patterns(circuit, &generated.sessions)
-        .into_iter()
-        .flatten()
-        .collect();
+    let validation_patterns: Vec<Pattern> =
+        ctx.patterns(&generated.sessions).into_iter().flatten().collect();
     let random_patterns = lfsr_patterns(
         circuit.netlist.inputs().len(),
         validation_patterns.len().max(1),

@@ -4,7 +4,9 @@
 //!
 //! 1. [`BenchContext`] — one circuit's shared state, derived once per
 //!    bench: the mutant population, the collapsed fault list, the
-//!    dominance plan and the static screen;
+//!    dominance plan and the static screen; it is also the one place
+//!    validation data is fault-simulated and graded against the
+//!    pseudo-random baseline, for both tables;
 //! 2. [`OperatorProfile::measure`] — per-operator stuck-at efficiency
 //!    (`ΔFC%`, `ΔL%`, `NLFCE`): **Table 1**;
 //! 3. [`OperatorProfile::weights`] — efficiency weights for the
@@ -17,7 +19,7 @@
 //!    [`equivalence_ablation`] (E4);
 //! 6. the [`Campaign`] builder — the typed front door every CLI caller
 //!    routes through: validate once, run any [`Task`] over a list of
-//!    benches, get a [`Report`] with run metadata, a stable text
+//!    benches, get a [`Report`] holding the plan it ran, a stable text
 //!    rendering and JSON;
 //! 7. the benchmark trajectory ([`run_bench`], `musa bench`) — a fixed
 //!    grid of timed workloads summarized with robust statistics,
@@ -54,7 +56,6 @@ pub mod bench_task;
 pub mod campaign;
 mod config;
 mod context;
-mod data;
 mod experiment;
 mod extensions;
 pub mod json;
@@ -72,18 +73,14 @@ pub use bench_task::{
 };
 pub use campaign::{
     BenchAblation, BenchOutcome, BenchSweep, BenchTopUp, Campaign, CampaignError, CampaignPlan,
-    MgOutcome, Preset, Report, ReportData, RunMeta, Task, DEFAULT_SEED,
+    MgOutcome, Preset, Report, ReportData, Task, DEFAULT_SEED,
 };
 pub use config::ExperimentConfig;
-pub use context::BenchContext;
+pub use context::{BenchContext, FaultSimStats};
 pub use json::Json;
 pub use lint_task::{
     lint_bench, lint_report_json, lint_source, render_lint_text, total_findings,
     LintFindingRow, LintRow, LINT_SCHEMA,
-};
-pub use data::{
-    coverage_of_sessions, coverage_of_sessions_reduced, random_baseline_curve,
-    sessions_to_patterns, FaultSimStats,
 };
 pub use experiment::{run_sampling_experiment, SamplingAggregate, SamplingOutcome};
 pub use parallel::{available_jobs, par_map, resolve_jobs, split_jobs, try_par_map};

@@ -6,11 +6,10 @@
 //! `NLFCE` (paper §3). The resulting profile drives the test-oriented
 //! sampling weights (paper §4).
 
-use crate::context::BenchContext;
-use crate::data::{random_baseline_curve, FaultSimStats};
+use crate::context::{BenchContext, DataGrade, FaultSimStats};
 use crate::experiment::SamplingAggregate;
 use crate::parallel::try_par_map;
-use musa_metrics::{Nlfce, NlfceInputs};
+use musa_metrics::Nlfce;
 use musa_mutation::{Mutant, MutationError, MutationOperator};
 use musa_prng::{Prng, SplitMix64};
 use musa_testgen::{mutation_guided_tests, MgConfig, OperatorWeights};
@@ -89,13 +88,7 @@ impl OperatorProfile {
             populations.push((operator, mutants));
         }
 
-        struct RepMeasurement {
-            metrics: Nlfce,
-            data_len: usize,
-            coverage: f64,
-            fault_sim: FaultSimStats,
-        }
-        let measurements = try_par_map(config.jobs, &cells, |_, cell| {
+        let grades = try_par_map(config.jobs, &cells, |_, cell| {
             let _trace = musa_trace::span("profile_cell");
             let (_, mutants) = &populations[cell.op_slot];
             let mg = MgConfig {
@@ -104,69 +97,32 @@ impl OperatorProfile {
             };
             let generated =
                 mutation_guided_tests(&circuit.checked, &circuit.name, mutants, &mg)?;
-            let (mutation_curve, fault_sim) = ctx.data_coverage(&generated.sessions);
-            let baseline_len = config.baseline_len(mutation_curve.len());
-            let random_curve =
-                random_baseline_curve(circuit, ctx.faults(), baseline_len, cell.baseline_seed);
-            let metrics = NlfceInputs {
-                mutation: &mutation_curve,
-                random: &random_curve,
-            }
-            .compute();
-            Ok::<RepMeasurement, MutationError>(RepMeasurement {
-                metrics,
-                data_len: generated.total_len(),
-                coverage: mutation_curve.final_coverage(),
-                fault_sim,
-            })
+            Ok::<DataGrade, MutationError>(ctx.grade_data(&generated.sessions, cell.baseline_seed))
         })?;
 
-        // Index-ordered reduction per operator: cells arrive back in
-        // (operator, repetition) order, so the float sums fold exactly
-        // as the serial loop's did. Averaged integer lengths follow the
-        // workspace rounding policy (`SamplingAggregate::mean_rounded`);
-        // the saturation length is kept only when every repetition
-        // reports one.
-        let mut rows = Vec::with_capacity(populations.len());
-        for (slot, (operator, mutants)) in populations.iter().enumerate() {
-            let reps: Vec<&RepMeasurement> = cells
-                .iter()
-                .zip(&measurements)
-                .filter(|(cell, _)| cell.op_slot == slot)
-                .map(|(_, m)| m)
-                .collect();
-            let n = reps.len() as f64;
-            let data_len = SamplingAggregate::mean_rounded(
-                reps.iter().map(|r| r.data_len).sum(),
-                reps.len(),
-            );
-            let random_len_at_equal_fc = reps
-                .iter()
-                .map(|r| r.metrics.random_len_at_equal_fc)
-                .collect::<Option<Vec<usize>>>()
-                .map(|lens| SamplingAggregate::mean_rounded(lens.iter().sum(), reps.len()));
-            let mean = Nlfce {
-                delta_fc_pct: reps.iter().map(|r| r.metrics.delta_fc_pct).sum::<f64>() / n,
-                delta_l_pct: reps.iter().map(|r| r.metrics.delta_l_pct).sum::<f64>() / n,
-                nlfce: reps.iter().map(|r| r.metrics.nlfce).sum::<f64>() / n,
-                mutation_len: data_len,
-                random_len_at_equal_fc,
-            };
-            rows.push(OperatorEfficiency {
-                operator: *operator,
-                mutants: mutants.len(),
-                data_len,
-                mutation_fault_coverage: reps.iter().map(|r| r.coverage).sum::<f64>() / n,
-                metrics: mean,
-                fault_sim: FaultSimStats {
-                    faults_simulated: SamplingAggregate::mean_rounded(
-                        reps.iter().map(|r| r.fault_sim.faults_simulated).sum(),
-                        reps.len(),
-                    ),
-                    faults_total: ctx.faults().len(),
-                },
-            });
-        }
+        // Cells come back in (operator, repetition) order, each
+        // operator's repetitions contiguous, and average by the
+        // sampling experiment's rule (`SamplingAggregate::mean_grade`).
+        // Each repetition's curve length is its data length, so the mean
+        // `mutation_len` is the row's data length.
+        let rows = populations
+            .iter()
+            .zip(grades.chunks(repetitions))
+            .map(|((operator, mutants), reps)| {
+                let pairs: Vec<(Nlfce, FaultSimStats)> =
+                    reps.iter().map(|g| (g.metrics, g.fault_sim)).collect();
+                let (metrics, fault_sim) = SamplingAggregate::mean_grade(&pairs);
+                OperatorEfficiency {
+                    operator: *operator,
+                    mutants: mutants.len(),
+                    data_len: metrics.mutation_len,
+                    mutation_fault_coverage: reps.iter().map(|g| g.coverage).sum::<f64>()
+                        / reps.len() as f64,
+                    metrics,
+                    fault_sim,
+                }
+            })
+            .collect();
         Ok(Self {
             circuit: circuit.name.clone(),
             rows,

@@ -60,15 +60,13 @@ pub struct Table1Row {
 pub struct Table1 {
     /// Rows in circuit-major, operator-minor order.
     pub rows: Vec<Table1Row>,
-    /// The per-circuit profiles (reusable for Table 2 weights).
-    pub profiles: Vec<OperatorProfile>,
 }
 
 impl Table1 {
     /// Table 1 from per-circuit operator profiles (paper: b01, b03,
     /// c432, c499 with operators LOR/VR/CVR/CR), one row per profiled
     /// operator in circuit-major order.
-    pub fn from_profiles(profiles: Vec<OperatorProfile>) -> Self {
+    pub fn from_profiles(profiles: &[OperatorProfile]) -> Self {
         let rows = profiles
             .iter()
             .flat_map(|profile| {
@@ -81,7 +79,7 @@ impl Table1 {
                 })
             })
             .collect();
-        Self { rows, profiles }
+        Self { rows }
     }
 
     /// Renders the table in the paper's layout.
@@ -186,9 +184,8 @@ mod tests {
         let ctx = c17(&ExperimentConfig::fast(0x71));
         let profile =
             OperatorProfile::measure(&ctx, &[MutationOperator::Lor, MutationOperator::Vr]).unwrap();
-        let t = Table1::from_profiles(vec![profile]);
+        let t = Table1::from_profiles(&[profile]);
         assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.profiles.len(), 1);
         let rendered = t.render();
         assert!(rendered.contains("c17"));
         assert!(rendered.contains("LOR"));

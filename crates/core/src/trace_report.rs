@@ -50,7 +50,7 @@ pub fn trace_json_with(report: &Report, normalize_times: bool) -> Option<String>
     let wall_ms = if normalize_times {
         0
     } else {
-        report.meta.wall.as_millis() as usize
+        report.wall.as_millis() as usize
     };
     let spans = trace
         .spans
@@ -68,13 +68,15 @@ pub fn trace_json_with(report: &Report, normalize_times: bool) -> Option<String>
             (
                 "meta",
                 Json::Obj(vec![
-                    ("task", Json::str(report.task.slug())),
+                    ("task", Json::str(report.plan.task.slug())),
                     (
                         "benches",
-                        Json::Arr(report.meta.benches.iter().map(Json::str).collect()),
+                        Json::Arr(
+                            report.plan.benches.iter().map(|b| Json::str(b.name())).collect(),
+                        ),
                     ),
-                    ("seed", Json::UInt(report.meta.seed)),
-                    ("jobs", Json::count(report.meta.jobs)),
+                    ("seed", Json::UInt(report.plan.config.seed)),
+                    ("jobs", Json::count(report.plan.config.jobs)),
                     ("wall_ms", Json::count(wall_ms)),
                 ]),
             ),
@@ -256,7 +258,7 @@ struct PhaseRow {
 /// (the property the acceptance check pins).
 pub fn render_profile(report: &Report) -> Option<String> {
     let trace = report.trace.as_ref()?;
-    Some(render_profile_data(trace, report.meta.wall))
+    Some(render_profile_data(trace, report.wall))
 }
 
 /// [`render_profile`] over raw trace data plus an externally measured
@@ -359,8 +361,7 @@ fn aggregate_self_time(trace: &TraceData) -> Vec<PhaseRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Preset, Report, ReportData, RunMeta, Task};
-    use musa_mutation::Engine;
+    use crate::campaign::{Campaign, Report, ReportData, Task};
     use std::time::Duration;
 
     fn record(
@@ -386,18 +387,14 @@ mod tests {
 
     fn report_with(trace: TraceData) -> Report {
         Report {
-            meta: RunMeta {
-                benches: vec!["b01".to_string()],
-                seed: 7,
-                jobs: 1,
-                engine: Engine::Lanes,
-                fault_reduce: true,
-                screen: true,
-                opt: musa_mutation::OptLevel::Full,
-                preset: Preset::Fast,
-                wall: Duration::from_millis(100),
-            },
-            task: Task::MutationGuided,
+            plan: Campaign::named("b01")
+                .fast()
+                .seed(7)
+                .jobs(1)
+                .task(Task::MutationGuided)
+                .plan()
+                .unwrap(),
+            wall: Duration::from_millis(100),
             data: ReportData::MutationGuided(vec![]),
             trace: Some(trace),
         }

@@ -141,9 +141,16 @@ fn table1_is_bit_identical_with_reduction_on_and_off() {
     assert_eq!(format!("{:?}", on.rows), format!("{:?}", off.rows));
     assert_eq!(on.render(), off.render());
     // The occupancy report itself differs: reduction found lanes to drop.
-    let simulated =
-        |t: &Table1| -> usize { t.profiles.iter().flat_map(|p| &p.rows).map(|r| r.fault_sim.faults_simulated).sum() };
-    assert!(simulated(&on) < simulated(&off));
+    let simulated = |fault_reduce: bool| -> usize {
+        let task = Task::OperatorProfile { operators: operators.to_vec() };
+        let ReportData::OperatorProfile(profiles) =
+            run(&benches, config.with_fault_reduce(fault_reduce), task)
+        else {
+            unreachable!()
+        };
+        profiles.iter().flat_map(|p| &p.rows).map(|r| r.fault_sim.faults_simulated).sum()
+    };
+    assert!(simulated(true) < simulated(false));
 }
 
 #[test]

@@ -957,12 +957,12 @@ impl<'a> Checker<'a> {
         // signals may be undriven: they behave as constants holding their
         // initial value — which is exactly what an SDL mutant that deletes
         // a register's only assignment produces.
-        for (i, sym) in self.symbols.iter().enumerate() {
-            let id = SymbolId(i as u32);
-            if matches!(sym.kind, SymbolKind::PortOut) && !self.drivers.contains_key(&id) {
+        for port in &self.entity.ports {
+            let id = self.top_names[&port.name.name];
+            if port.dir == PortDir::Out && !self.drivers.contains_key(&id) {
                 return Err(HdlError::check(
-                    format!("output port `{}` is never driven", sym.name),
-                    Span::dummy(),
+                    format!("output port `{}` is never driven", port.name.name),
+                    port.name.span,
                 ));
             }
         }
@@ -1299,12 +1299,13 @@ mod tests {
 
     #[test]
     fn rejects_undriven_output() {
-        let msg = check_err(
-            "entity e is port(a : in bit; y : out bit; z : out bit);
+        let src = "entity e is port(a : in bit; y : out bit; z : out bit);
              comb begin y <= a; end;
-             end;",
-        );
-        assert!(msg.contains("never driven"), "{msg}");
+             end;";
+        let err = check(src).unwrap_err();
+        assert!(err.message.contains("`z` is never driven"), "{err}");
+        // The error points at the undriven port's name.
+        assert_eq!(err.span.lo, src.find("z : out").unwrap() as u32, "{err}");
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! The experiment crate's E4 ablation quantifies how the budget choice
 //! perturbs the Mutation Score.
 
-use crate::execute::Engine;
+use crate::execute::{random_vector, Engine};
 use crate::lanes::LaneOptions;
 use crate::mutant::{Mutant, MutationError};
 use crate::sweep::first_kills_over;
 use musa_hdl::{Bits, CheckedDesign, EntityInfo};
-use musa_prng::{Prng, SplitMix64};
+use musa_prng::SplitMix64;
 
 /// How a mutant relates to the original design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,7 +180,7 @@ fn build_sequences(
                 widths
                     .iter()
                     .map(|&w| {
-                        let v = (pattern >> cursor) & mask(w);
+                        let v = (pattern >> cursor) & Bits::mask_of(w);
                         cursor += w;
                         Bits::new(w, v)
                     })
@@ -193,34 +193,8 @@ fn build_sequences(
     let sequences = policy.sequences.max(1);
     let per_sequence = (policy.budget / sequences).max(1);
     (0..sequences)
-        .map(|_| {
-            (0..per_sequence)
-                .map(|_| {
-                    info.data_inputs
-                        .iter()
-                        .map(|&p| {
-                            let w = info.symbol(p).width;
-                            // Testbench convention: reset-like inputs pulse
-                            // sparsely (matches the test generators).
-                            if info.reset_like(p) {
-                                Bits::new(1, u64::from(rng.below(16) == 0))
-                            } else {
-                                Bits::new(w, rng.bits(w))
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        })
+        .map(|_| (0..per_sequence).map(|_| random_vector(info, &mut rng)).collect())
         .collect()
-}
-
-fn mask(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
 }
 
 #[cfg(test)]

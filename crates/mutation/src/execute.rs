@@ -5,7 +5,8 @@
 //! the strong-mutation criterion the paper's Mutation Score uses.
 
 use crate::mutant::{Mutant, MutationError};
-use musa_hdl::{Bits, CheckedDesign, Simulator};
+use musa_hdl::{Bits, CheckedDesign, EntityInfo, Simulator};
+use musa_prng::Prng;
 use std::fmt;
 use std::str::FromStr;
 
@@ -115,6 +116,33 @@ impl FromStr for OptLevel {
 /// A test sequence: one `Vec<Bits>` (data inputs, declaration order) per
 /// clock cycle. Combinational circuits treat each vector independently.
 pub type TestSequence = Vec<Vec<Bits>>;
+
+/// Probability (as `1/RESET_SPARSITY`) of a reset-like input being
+/// asserted on any given cycle.
+///
+/// Uniformly toggling a reset wipes sequential state every other cycle;
+/// every practical testbench pulses it sparsely instead. The same
+/// convention is applied to mutation candidates, the pseudo-random
+/// baseline and equivalence classification, keeping comparisons fair.
+pub const RESET_SPARSITY: u64 = 16;
+
+/// Draws one pseudo-random input vector (one [`TestSequence`] cycle)
+/// under the testbench convention: uniform bits, except reset-like
+/// ports (see [`EntityInfo::reset_like`]), which are asserted with
+/// probability `1/`[`RESET_SPARSITY`].
+pub fn random_vector(info: &EntityInfo, rng: &mut impl Prng) -> Vec<Bits> {
+    info.data_inputs
+        .iter()
+        .map(|&p| {
+            if info.reset_like(p) {
+                Bits::new(1, u64::from(rng.below(RESET_SPARSITY) == 0))
+            } else {
+                let w = info.symbol(p).width;
+                Bits::new(w, rng.bits(w))
+            }
+        })
+        .collect()
+}
 
 /// Result of executing a mutant population against one test sequence.
 #[derive(Debug, Clone)]

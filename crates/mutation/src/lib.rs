@@ -73,7 +73,10 @@ mod sweep;
 pub use equivalence::{
     classify_mutants, classify_mutants_jobs, survivor_class, EquivalenceClass, EquivalencePolicy,
 };
-pub use execute::{execute_mutants_engine_opt, Engine, KillResult, OptLevel, TestSequence};
+pub use execute::{
+    execute_mutants_engine_opt, random_vector, Engine, KillResult, OptLevel, TestSequence,
+    RESET_SPARSITY,
+};
 pub use lanes::{LaneOptions, LanePlan, LaneStats, MAX_LANES};
 pub use generate::{count_by_operator, generate_mutants, GenerateOptions};
 pub use mutant::{Mutant, MutantId, MutationError, Rewrite};

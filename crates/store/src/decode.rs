@@ -75,10 +75,6 @@ pub(crate) fn decode_report_data(blob: &str, task: &Task) -> Option<ReportData> 
                 })
                 .collect::<Option<Vec<_>>>()?,
         )),
-        // The in-memory Table 1 carries the per-circuit profiles it was
-        // derived from as a reuse convenience; they are not part of the
-        // report's text or JSON, so a decoded table legitimately
-        // carries none.
         Task::Table1 { .. } => Some(ReportData::Table1(Table1 {
             rows: data
                 .get("rows")?
@@ -94,7 +90,6 @@ pub(crate) fn decode_report_data(blob: &str, task: &Task) -> Option<ReportData> 
                     })
                 })
                 .collect::<Option<Vec<_>>>()?,
-            profiles: Vec::new(),
         })),
         Task::Table2 { .. } => Some(ReportData::Table2(Table2 {
             rows: data
@@ -303,14 +298,21 @@ mod tests {
         Campaign::named("c17").fast().seed(7).jobs(1).task(task).run().unwrap()
     }
 
-    /// Emit → decode → re-emit must be byte-identical; the re-emitted
-    /// report borrows the original meta so only `data` is exercised.
+    /// Emit → decode → re-emit must be byte-identical, and the decoded
+    /// payload must equal the fresh one; the re-emitted report borrows
+    /// the original plan and wall so only `data` is exercised.
     fn assert_roundtrips(task: Task) {
         let report = run(task.clone());
         let blob = report.to_json();
         let data = decode_report_data(&blob, &task)
             .unwrap_or_else(|| panic!("{} blob must decode", task.slug()));
-        let rebuilt = Report { meta: report.meta.clone(), task, data, trace: None };
+        assert_eq!(
+            format!("{data:?}"),
+            format!("{:?}", report.data),
+            "{}: a hit must equal a fresh run",
+            task.slug()
+        );
+        let rebuilt = Report { plan: report.plan.clone(), wall: report.wall, data, trace: None };
         assert_eq!(rebuilt.to_json(), blob, "decode must invert to_json");
         assert_eq!(rebuilt.render_text(), report.render_text(), "text must round-trip too");
     }

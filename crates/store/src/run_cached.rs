@@ -1,18 +1,17 @@
 //! `Campaign::run_cached(&store)` — the store-aware front door.
 //!
-//! A hit rebuilds the report from the stored blob with metadata
-//! restamped from the *current* plan (seed, jobs, engine, preset, a
-//! fresh wall clock), so `render_text()` and `to_json()` of a hit are
-//! byte-identical to a fresh run — wall time aside — even when the
-//! caller asked for a different `jobs` value than the run that
-//! populated the store (jobs never enters the key, but it does appear
-//! in the report header).
+//! A hit rebuilds the report from the stored blob around the *current*
+//! plan (seed, jobs, engine, preset) and a fresh wall clock, so
+//! `render_text()` and `to_json()` of a hit are byte-identical to a
+//! fresh run — wall time aside — even when the caller asked for a
+//! different `jobs` value than the run that populated the store (jobs
+//! never enters the key, but it does appear in the report header).
 
 use crate::decode::decode_report_data;
 use crate::key::CampaignKey;
 use crate::store::Store;
-use musa_core::{Campaign, CampaignError, CampaignPlan, Report, RunMeta, Task};
-use std::time::{Duration, Instant};
+use musa_core::{Campaign, CampaignError, Report, Task};
+use std::time::Instant;
 
 /// How a [`RunCached::run_cached`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +71,7 @@ impl RunCached for Campaign {
         let key = CampaignKey::of(&plan);
         if let Some(blob) = store.get(&key) {
             if let Some(data) = decode_report_data(&blob, &plan.task) {
-                let report = Report {
-                    meta: meta_from_plan(&plan, started.elapsed()),
-                    task: plan.task,
-                    data,
-                    trace: None,
-                };
+                let report = Report { plan, wall: started.elapsed(), data, trace: None };
                 return Ok(CachedRun { report, outcome: StoreOutcome::Hit, key: Some(key) });
             }
         }
@@ -89,29 +83,13 @@ impl RunCached for Campaign {
     }
 }
 
-/// Builds the [`RunMeta`] a fresh [`Campaign::run`] of `plan` would
-/// attach, with the given wall time, so a hit stamps its report
-/// exactly like a fresh run.
-fn meta_from_plan(plan: &CampaignPlan, wall: Duration) -> RunMeta {
-    RunMeta {
-        benches: plan.benches.iter().map(|b| b.name().to_string()).collect(),
-        seed: plan.config.seed,
-        jobs: plan.config.jobs,
-        engine: plan.config.engine,
-        fault_reduce: plan.config.fault_reduce,
-        screen: plan.config.screen,
-        opt: plan.config.opt,
-        preset: plan.preset,
-        wall,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -133,7 +111,7 @@ mod tests {
     /// nondeterministic byte range.
     fn normalized_json(report: &Report) -> String {
         let mut r = report.clone();
-        r.meta.wall = Duration::ZERO;
+        r.wall = Duration::ZERO;
         r.to_json()
     }
 
@@ -158,7 +136,7 @@ mod tests {
         // hit must render with the *caller's* jobs value.
         let hit = campaign().jobs(3).run_cached(&store).unwrap();
         assert_eq!(hit.outcome, StoreOutcome::Hit);
-        assert_eq!(hit.report.meta.jobs, 3);
+        assert_eq!(hit.report.plan.config.jobs, 3);
         assert!(hit.report.render_text().contains("3 jobs"));
         fs::remove_dir_all(&dir).unwrap();
     }

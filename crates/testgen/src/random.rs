@@ -9,40 +9,18 @@
 //!   the classic hardware pattern generator.
 
 use musa_hdl::{Bits, EntityInfo};
+use musa_mutation::random_vector;
+pub use musa_mutation::RESET_SPARSITY;
 use musa_netlist::Pattern;
 use musa_prng::{Lfsr, Prng, SplitMix64};
 
-/// Probability (as `1/RESET_SPARSITY`) of a reset-like input being
-/// asserted on any given cycle.
-///
-/// Uniformly toggling a reset wipes sequential state every other cycle;
-/// every practical testbench pulses it sparsely instead. The same
-/// convention is applied to mutation candidates, the pseudo-random
-/// baseline and equivalence classification, keeping comparisons fair.
-pub const RESET_SPARSITY: u64 = 16;
-
-/// Generates `len` pseudo-random input vectors for an entity.
-///
-/// Inputs follow the testbench convention: uniform bits, except
-/// reset-like ports (see [`EntityInfo::reset_like`]) which are asserted
-/// with probability `1/`[`RESET_SPARSITY`].
+/// Generates `len` pseudo-random input vectors for an entity, each
+/// drawn by [`random_vector`] under the testbench convention: uniform
+/// bits, except reset-like ports (see [`EntityInfo::reset_like`]) which
+/// are asserted with probability `1/`[`RESET_SPARSITY`].
 pub fn random_sequence(info: &EntityInfo, len: usize, seed: u64) -> Vec<Vec<Bits>> {
     let mut rng = SplitMix64::new(seed);
-    (0..len)
-        .map(|_| {
-            info.data_inputs
-                .iter()
-                .map(|&p| {
-                    let w = info.symbol(p).width;
-                    if info.reset_like(p) {
-                        Bits::new(1, u64::from(rng.below(RESET_SPARSITY) == 0))
-                    } else {
-                        Bits::new(w, rng.bits(w))
-                    }
-                })
-                .collect()
-        })
-        .collect()
+    (0..len).map(|_| random_vector(info, &mut rng)).collect()
 }
 
 /// Generates `len` gate-level patterns from maximal-length LFSRs, one

@@ -678,7 +678,8 @@ fn lint_missing_file_exits_2_and_broken_file_exits_1() {
     }
     // The loop and the partial assignment point into the process at
     // fault, and the partial assignment names the first declared of its
-    // two unassigned outputs on every run.
+    // two unassigned outputs on every run; an undriven output points at
+    // its port declaration.
     let located = [
         (
             "entity e is port(a : in bit; y : out bit);\n\
@@ -698,6 +699,10 @@ fn lint_missing_file_exits_2_and_broken_file_exits_1() {
              end;\n",
             "error: check error at 3:4: combinational process may leave `y` partially \
              unassigned (covered bits 0b0 of 0b1)\n",
+        ),
+        (
+            "entity e is port(a : in bit; y : out bit; z : out bit); comb begin y <= a; end; end;",
+            "error: check error at 1:43: output port `z` is never driven\n",
         ),
     ];
     for (source, expected) in located {

@@ -8,9 +8,9 @@ use musa::bench::cli::{
 };
 use musa::core::{json, BenchReport};
 use musa::hdl::{parse, Bits, CheckedDesign, Simulator};
-use musa::metrics::{mad, median, RobustStats};
+use musa::metrics::{mad, median, CoverageCurve, RobustStats};
 use musa::mutation::{generate_mutants, GenerateOptions};
-use musa::netlist::{good_outputs, parse_bench};
+use musa::netlist::{good_outputs, parse_bench, Fault, FaultSimResult, NetId};
 use musa::prng::{Lfsr, Prng, SplitMix64};
 use musa::store::request::parse_request;
 use musa::synth::{flatten_inputs, synthesize, unflatten_outputs};
@@ -324,6 +324,58 @@ proptest! {
         prop_assert!(m >= sorted[0] && m <= sorted[n - 1]);
         prop_assert!(mad(&samples) >= 0.0);
         prop_assert_eq!(RobustStats::of(&samples).min, sorted[0]);
+    }
+
+    /// A coverage curve reaches `k` of `n` faults exactly where the
+    /// detected count does: `length_to_reach(k / n)` is one plus the
+    /// first vector index whose cumulative detected count is at least
+    /// `k` (`Some(0)` for `k = 0`, `None` when the count never gets
+    /// there). The curve's 1e-12 tolerance sits far below `1 / n`, so a
+    /// baseline may stop at a detected count without moving a metric.
+    #[test]
+    fn coverage_reaches_k_of_n_where_the_detected_count_does(
+        n in 1usize..=5000,
+        len in 0usize..512,
+        undetected_pct in 0u64..=100,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let first_detected: Vec<Option<usize>> = (0..n)
+            .map(|_| {
+                let detected = len > 0 && rng.below(100) >= undetected_pct;
+                detected.then(|| rng.below(len as u64) as usize)
+            })
+            .collect();
+        let mut count = vec![0usize; len];
+        for &t in first_detected.iter().flatten() {
+            count[t] += 1;
+        }
+        let cumulative: Vec<usize> = count
+            .iter()
+            .scan(0, |sum, &c| {
+                *sum += c;
+                Some(*sum)
+            })
+            .collect();
+        let result = FaultSimResult {
+            faults: vec![Fault::net_sa0(NetId(0)); n],
+            first_detected,
+            vectors_applied: len,
+            faults_simulated: n,
+        };
+        let curve = CoverageCurve::new(result.coverage_curve());
+        let mut reach = 0;
+        for k in 0..=n {
+            while reach < len && cumulative[reach] < k {
+                reach += 1;
+            }
+            let expected = match k {
+                0 => Some(0),
+                _ if reach < len => Some(reach + 1),
+                _ => None,
+            };
+            prop_assert_eq!(curve.length_to_reach(k as f64 / n as f64), expected, "k={} of n={}", k, n);
+        }
     }
 
     /// Synthesized combinational datapaths agree with the behavioral

@@ -265,6 +265,31 @@ fn table2_derives_each_bench_state_once() {
     }
 }
 
+#[test]
+fn table2_profile_cells_grade_their_data_like_repetitions() {
+    // Every operator-profile cell grades its data through the sequence
+    // a sampling repetition uses: one `fault_sim` and one `baseline`
+    // span inside each `profile_cell`.
+    let report = Campaign::named("c17")
+        .config(one_rep_config())
+        .trace(true)
+        .task(Task::Table2 { fraction: 0.10 })
+        .run()
+        .unwrap();
+    let data = report.trace.expect("tracing was enabled");
+    let cells = data.spans.iter().filter(|s| s.name == "profile_cell").count();
+    assert!(cells > 0, "Table 2 measures an operator profile");
+    for name in ["fault_sim", "baseline"] {
+        let in_cells = data
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .filter(|s| parent_of(&data, s).is_some_and(|p| p.name == "profile_cell"))
+            .count();
+        assert_eq!(in_cells, cells, "{name} spans inside profile cells");
+    }
+}
+
 /// The busy total of the `--profile` table: its `total` row's busy ms.
 fn profile_busy_ms(report: &musa::core::Report) -> f64 {
     let table = render_profile(report).expect("tracing was enabled");
