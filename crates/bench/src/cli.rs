@@ -423,7 +423,7 @@ impl SampleArgs {
         let fraction = match args.positionals.get(1) {
             Some(raw) => raw
                 .parse()
-                .map_err(|_| "bad fraction (expected 0..=1)".to_string())?,
+                .map_err(|_| "bad fraction (expected a number in (0, 1])".to_string())?,
             None => 0.10,
         };
         if args.store.is_some() && args.trace.wants_trace() {
@@ -1122,9 +1122,10 @@ mod tests {
         assert!(!args.args.paper);
 
         assert_eq!(SampleArgs::parse(&[]).unwrap_err(), SAMPLE_USAGE);
-        assert!(SampleArgs::parse(&strings(&["c17", "xx"]))
-            .unwrap_err()
-            .contains("bad fraction"));
+        assert_eq!(
+            SampleArgs::parse(&strings(&["c17", "xx"])).unwrap_err(),
+            "bad fraction (expected a number in (0, 1])"
+        );
         assert!(SampleArgs::parse(&strings(&["c17", "--engine", "turbo"]))
             .unwrap_err()
             .contains("unknown engine"));

@@ -43,8 +43,9 @@ pub struct ExperimentConfig {
     /// they dominate, with an exact residual pass for anything credit
     /// cannot resolve. Detected/undetected verdicts — hence every
     /// reported coverage number — are identical with the knob on or
-    /// off; on is the default. The pseudo-random baseline (whose curve
-    /// interior the ΔFC/ΔL metrics read) always uses full simulation.
+    /// off; on is the default. The pseudo-random baseline, whose curve
+    /// interior the ΔFC/ΔL metrics read, is never reduced: it simulates
+    /// every fault, up to the prefix those metrics read.
     pub fault_reduce: bool,
     /// Static equivalent-mutant pre-screening (`musa_analysis`): mutants
     /// proven unkillable by dataflow analysis — dead mutation sites or

@@ -17,8 +17,8 @@ use musa_mutation::{
     generate_mutants, GenerateOptions, Mutant, MutantId, MutationOperator, TestSequence,
 };
 use musa_netlist::{
-    collapsed_faults, fault_simulate_sessions, fault_simulate_sessions_reduced, reduce_faults,
-    Fault, FaultReduction, Pattern,
+    collapsed_faults, fault_simulate_sessions, fault_simulate_sessions_reduced,
+    fault_simulate_until, reduce_faults, Fault, FaultReduction, FaultSimResult, Pattern,
 };
 use musa_synth::flatten_sequence;
 use musa_testgen::testbench_patterns;
@@ -162,62 +162,84 @@ impl BenchContext {
 
     /// Grades behavioral validation data against the paper's
     /// pseudo-random baseline (§3), the one sequence both tables score
-    /// by: the data's coverage ([`Self::data_coverage`]) inside a
+    /// by: the data's coverage ([`Self::data_fault_sim`]) inside a
     /// `fault_sim` span, the `faults_simulated` and `faults_total`
-    /// counters, the baseline of
-    /// [`ExperimentConfig::baseline_len`]`(data length)` LFSR vectors
-    /// seeded by `baseline_seed` inside a `baseline` span, then
-    /// `ΔFC%`, `ΔL%` and `NLFCE`.
+    /// counters, the baseline inside a `baseline` span, then `ΔFC%`,
+    /// `ΔL%` and `NLFCE`.
+    ///
+    /// The baseline declares [`ExperimentConfig::baseline_len`]`(L)`
+    /// LFSR vectors seeded by `baseline_seed`, for the data length `L`,
+    /// but is fault-simulated only until both numbers the metrics read
+    /// from it are known ([`fault_simulate_until`]): it stops at the
+    /// first boundary by which `L` patterns are applied and as many
+    /// faults are detected as the data detects. `RFC(L)` lies inside
+    /// that prefix, and so does the shortest prefix reaching the data's
+    /// coverage, since reaching it means detecting that many faults. A
+    /// baseline that never gets there runs to its end, whose length is
+    /// then `ΔL%`'s fallback. So every metric equals the full curve's.
+    /// The `fsim_baseline_patterns` and `fsim_baseline_declared`
+    /// counters show the patterns simulated against those declared.
     pub(crate) fn grade_data(&self, sessions: &[TestSequence], baseline_seed: u64) -> DataGrade {
-        let (data, fault_sim) = {
+        let (data, detected, fault_sim) = {
             let _trace = musa_trace::span("fault_sim");
-            self.data_coverage(sessions)
+            let result = self.data_fault_sim(sessions);
+            let stats = FaultSimStats {
+                faults_simulated: result.faults_simulated,
+                faults_total: result.faults.len(),
+            };
+            let curve = CoverageCurve::new(result.coverage_curve());
+            (curve, result.detected_count(), stats)
         };
         musa_trace::count("faults_simulated", fault_sim.faults_simulated as u64);
         musa_trace::count("faults_total", fault_sim.faults_total as u64);
+        let declared = self.config.baseline_len(data.len());
         let baseline = {
             let _trace = musa_trace::span("baseline");
-            self.baseline_curve(self.config.baseline_len(data.len()), baseline_seed)
+            let nl = &self.circuit.netlist;
+            let patterns = testbench_patterns(nl, declared, baseline_seed);
+            let result = fault_simulate_until(nl, &self.faults, &patterns, data.len(), detected);
+            musa_trace::count("fsim_baseline_patterns", result.vectors_applied as u64);
+            musa_trace::count("fsim_baseline_declared", declared as u64);
+            CoverageCurve::new(result.coverage_curve())
         };
+        let metrics = NlfceInputs {
+            mutation: &data,
+            random: &baseline,
+        }
+        .compute();
+        debug_assert!(
+            data.is_empty()
+                || metrics.random_len_at_equal_fc.is_some()
+                || baseline.len() == declared,
+            "a baseline that never reaches the data's coverage runs to its end"
+        );
         DataGrade {
-            metrics: NlfceInputs {
-                mutation: &data,
-                random: &baseline,
-            }
-            .compute(),
+            metrics,
             coverage: data.final_coverage(),
             fault_sim,
         }
     }
 
-    /// The gate-level coverage curve of behavioral validation data, on
+    /// The gate-level fault simulation of behavioral validation data, on
     /// the dominance plan when there is one: only representatives and
-    /// residuals occupy lanes. Final coverage is exact either way, and
-    /// it is the only point the metrics read from this curve; credited
-    /// faults' interior indices are upper bounds (see
+    /// residuals occupy lanes. The detected count, hence final coverage,
+    /// is exact either way, and it is all the metrics read from the
+    /// data; credited faults' interior indices are upper bounds (see
     /// [`musa_netlist::fault_simulate_sessions_reduced`]), and only the
-    /// lane occupancy in the stats differs.
-    fn data_coverage(&self, sessions: &[TestSequence]) -> (CoverageCurve, FaultSimStats) {
+    /// lane occupancy differs.
+    fn data_fault_sim(&self, sessions: &[TestSequence]) -> FaultSimResult {
         let (nl, patterns) = (&self.circuit.netlist, self.patterns(sessions));
-        let result = match &self.reduction {
+        match &self.reduction {
             Some(reduction) => fault_simulate_sessions_reduced(nl, reduction, &patterns),
             None => fault_simulate_sessions(nl, &self.faults, &patterns),
-        };
-        let stats = FaultSimStats {
-            faults_simulated: result.faults_simulated,
-            faults_total: result.faults.len(),
-        };
-        (CoverageCurve::new(result.coverage_curve()), stats)
+        }
     }
 
-    /// The pseudo-random baseline's coverage curve (paper §3's `RFC`):
-    /// `len` LFSR vectors under the testbench reset convention.
-    ///
-    /// Always full simulation, whatever
-    /// [`ExperimentConfig::fault_reduce`] says: the metrics read this
-    /// curve's *interior* (coverage at the data length, the shortest
-    /// prefix reaching a target), which dominance credit does not
-    /// preserve bit-exactly.
+    /// The pseudo-random baseline's whole coverage curve (paper §3's
+    /// `RFC`): `len` LFSR vectors under the testbench reset convention,
+    /// every fault simulated over every vector, for E2, which samples
+    /// the curve's interior. [`Self::grade_data`] simulates only the
+    /// prefix its metrics read.
     pub(crate) fn baseline_curve(&self, len: usize, seed: u64) -> CoverageCurve {
         self.coverage(&[testbench_patterns(&self.circuit.netlist, len, seed)])
     }
@@ -265,9 +287,9 @@ mod tests {
         assert!((curve.final_coverage() - 1.0).abs() < 1e-12);
         assert_eq!(curve.len(), 32);
         // The dominance plan reaches the same final coverage.
-        let (reduced, stats) = ctx.data_coverage(&[session]);
-        assert_eq!(reduced.final_coverage(), curve.final_coverage());
-        assert_eq!(stats.faults_total, ctx.faults().len());
+        let reduced = ctx.data_fault_sim(&[session]);
+        assert_eq!(reduced.coverage(), curve.final_coverage());
+        assert_eq!(reduced.faults.len(), ctx.faults().len());
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //! [`Injections`](crate::Injections) is the reference model the tests
 //! compare both engines against.
 //!
+//! Both also take one stop rule, which [`fault_simulate_until`] sets: a
+//! run may end at a *boundary* (the end of a 64-pattern batch, or of a
+//! frame) once enough patterns are applied and enough faults detected.
+//! Every other entry point passes a rule that never fires.
+//!
 //! Every `fault_simulate*` call adds its work to trace counters, once:
 //! `fsim_gate_evals` counts the gate evaluations it executed
 //! (good-machine sweeps plus faulty-cone events for PPSFP, one full
@@ -137,13 +142,48 @@ impl FaultSimResult {
 ///
 /// Panics if any pattern length differs from the circuit's input count.
 pub fn fault_simulate(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> FaultSimResult {
+    simulate_single(nl, faults, vectors, Stop::NEVER)
+}
+
+/// [`fault_simulate`] cut short: the run stops at the first boundary
+/// (the end of a 64-pattern batch on a combinational circuit, of a frame
+/// on a sequential one) by which at least `min_len` patterns are applied
+/// and at least `target` faults detected. If no boundary qualifies,
+/// every pattern is applied.
+///
+/// `vectors_applied` is the length of the prefix simulated, and
+/// `first_detected` is a full run's with every index past that prefix
+/// set to `None`. So the prefix's coverage curve is the full curve's
+/// first `vectors_applied` points.
+///
+/// # Panics
+///
+/// Panics if any pattern length differs from the circuit's input count.
+pub fn fault_simulate_until(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+    min_len: usize,
+    target: usize,
+) -> FaultSimResult {
+    simulate_single(nl, faults, vectors, Stop { min_len, target })
+}
+
+/// One session from reset under `stop`, inside a `fault_simulate` span.
+fn simulate_single(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+    stop: Stop,
+) -> FaultSimResult {
+    let _trace = musa_trace::span("fault_simulate");
     let mut work = Work::default();
-    let first_detected = simulate(nl, faults, vectors, &mut work);
+    let (first_detected, applied) = simulate(nl, faults, vectors, stop, &mut work);
     work.emit(nl);
     FaultSimResult {
         faults: faults.to_vec(),
         first_detected,
-        vectors_applied: vectors.len(),
+        vectors_applied: applied,
         faults_simulated: faults.len(),
     }
 }
@@ -195,7 +235,7 @@ fn simulate_subset_sessions(
             continue;
         }
         let subset: Vec<Fault> = alive.iter().map(|&s| faults[indices[s]]).collect();
-        let detected = simulate(nl, &subset, session, work);
+        let (detected, _) = simulate(nl, &subset, session, Stop::NEVER, work);
         let mut still = Vec::with_capacity(alive.len());
         for (lane, &slot) in alive.iter().enumerate() {
             match detected[lane] {
@@ -369,18 +409,43 @@ fn check_widths(nl: &Netlist, vectors: &[Pattern]) {
 }
 
 /// One session from reset: the first detections of `faults` over
-/// `vectors`, adding the work done to `work`.
+/// `vectors` and the number of patterns applied before `stop` fired,
+/// adding the work done to `work`.
 fn simulate(
     nl: &Netlist,
     faults: &[Fault],
     vectors: &[Pattern],
+    stop: Stop,
     work: &mut Work,
-) -> Vec<Option<usize>> {
+) -> (Vec<Option<usize>>, usize) {
     check_widths(nl, vectors);
     if nl.is_combinational() {
-        ppsfp(nl, faults, vectors, &mut work.gate_evals)
+        ppsfp(nl, faults, vectors, stop, &mut work.gate_evals)
     } else {
-        time_major(nl, faults, vectors, work)
+        time_major(nl, faults, vectors, stop, work)
+    }
+}
+
+/// When a session may end before its last pattern: at a boundary by
+/// which at least `min_len` patterns are applied and at least `target`
+/// faults detected.
+#[derive(Debug, Clone, Copy)]
+struct Stop {
+    min_len: usize,
+    target: usize,
+}
+
+impl Stop {
+    /// A rule that never fires: the session applies every pattern.
+    const NEVER: Stop = Stop {
+        min_len: usize::MAX,
+        target: usize::MAX,
+    };
+
+    /// Whether a boundary with `applied` patterns applied and `detected`
+    /// faults detected ends the session.
+    fn fires(self, applied: usize, detected: usize) -> bool {
+        applied >= self.min_len && detected >= self.target
     }
 }
 
@@ -433,12 +498,14 @@ fn load_batch(nl: &Netlist, values: &mut [u64], batch: &[Pattern]) {
 }
 
 /// Parallel-pattern single-fault propagation for combinational circuits.
+/// Its boundaries are the ends of the 64-pattern batches.
 fn ppsfp(
     nl: &Netlist,
     faults: &[Fault],
     vectors: &[Pattern],
+    stop: Stop,
     evals: &mut u64,
-) -> Vec<Option<usize>> {
+) -> (Vec<Option<usize>>, usize) {
     let flat = nl.flat();
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     // (fault index, site, stuck word) of every fault still undetected.
@@ -449,25 +516,31 @@ fn ppsfp(
         .filter(|&(_, site, _)| site != Site::Inert)
         .collect();
     let mut cone = Cone::new(flat);
+    let mut detected = 0;
     for (batch_index, batch) in vectors.chunks(64).enumerate() {
-        if live.is_empty() {
-            break; // every fault dropped
-        }
-        load_batch(nl, &mut cone.values, batch);
-        flat.sweep(&mut cone.values);
-        *evals += flat.gate_count() as u64;
-        let lanes = lane_mask(batch.len());
-        live.retain(
-            |&(fi, site, stuck)| match cone.first_lane(flat, site, stuck, lanes, evals) {
-                Some(lane) => {
-                    first_detected[fi] = Some(batch_index * 64 + lane);
-                    false
+        // Once every fault is dropped, a batch only moves the boundary.
+        if !live.is_empty() {
+            load_batch(nl, &mut cone.values, batch);
+            flat.sweep(&mut cone.values);
+            *evals += flat.gate_count() as u64;
+            let lanes = lane_mask(batch.len());
+            live.retain(|&(fi, site, stuck)| {
+                match cone.first_lane(flat, site, stuck, lanes, evals) {
+                    Some(lane) => {
+                        first_detected[fi] = Some(batch_index * 64 + lane);
+                        detected += 1;
+                        false
+                    }
+                    None => true,
                 }
-                None => true,
-            },
-        );
+            });
+        }
+        let applied = batch_index * 64 + batch.len();
+        if stop.fires(applied, detected) {
+            return (first_detected, applied);
+        }
     }
-    first_detected
+    (first_detected, vectors.len())
 }
 
 /// Single-fault propagation scratch over one batch's good machine.
@@ -699,13 +772,15 @@ impl Live {
 /// unscreened ones; its lane 0 then supplies the good values that
 /// screen the rest. A fault leaves at the frame that detects it. Once
 /// every live fault fits one word, that word stays in place for the
-/// rest of the session, one sweep a frame.
+/// rest of the session, one sweep a frame. Its boundaries are the ends
+/// of the frames.
 fn time_major(
     nl: &Netlist,
     faults: &[Fault],
     vectors: &[Pattern],
+    stop: Stop,
     work: &mut Work,
-) -> Vec<Option<usize>> {
+) -> (Vec<Option<usize>>, usize) {
     let flat = nl.flat();
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     let mut live: Vec<Live> = faults
@@ -733,10 +808,11 @@ fn time_major(
     // whose state equals the good state.
     let mut order: Vec<usize> = Vec::new();
     let mut quiet: Vec<usize> = Vec::new();
+    let mut found = 0;
     let mut frames = vectors.iter().enumerate();
     while live.len() > WORD {
         let Some((t, bits)) = frames.next() else {
-            return first_detected;
+            return (first_detected, vectors.len());
         };
         work.fault_frames += live.len() as u64;
         order.clear();
@@ -756,29 +832,36 @@ fn time_major(
         // Screen the quiet rest on the first word's good values (lane 0).
         order.extend(quiet.iter().copied().filter(|&i| machine.excites(&live[i])));
         for word in order[first..].chunks(WORD) {
-            detected |= machine.frame(nl, bits, t, &mut live, word, &mut first_detected);
+            detected += machine.frame(nl, bits, t, &mut live, word, &mut first_detected);
         }
         work.active_fault_frames += order.len() as u64;
         work.gate_evals += (order.len().div_ceil(WORD) * flat.gate_count()) as u64;
-        if detected {
+        if detected > 0 {
             live.retain(|f| first_detected[f.index].is_none());
+            found += detected;
         }
         machine.advance();
+        if stop.fires(t + 1, found) {
+            return (first_detected, t + 1);
+        }
     }
     // One word holds every live fault: it runs the rest of the session
-    // in place, and a detected fault only leaves its lane.
+    // in place, and a detected fault only leaves its lane. Once every
+    // fault is dropped, a frame only moves the boundary.
     machine.load(&live);
     for (t, bits) in frames {
-        if machine.active == 0 {
-            break; // every fault dropped
+        if machine.active != 0 {
+            let riders = u64::from(machine.active.count_ones());
+            work.fault_frames += riders;
+            work.active_fault_frames += riders;
+            work.gate_evals += flat.gate_count() as u64;
+            found += machine.step(nl, bits, t, &mut first_detected).count_ones() as usize;
         }
-        let riders = u64::from(machine.active.count_ones());
-        work.fault_frames += riders;
-        work.active_fault_frames += riders;
-        work.gate_evals += flat.gate_count() as u64;
-        machine.step(nl, bits, t, &mut first_detected);
+        if stop.fires(t + 1, found) {
+            return (first_detected, t + 1);
+        }
     }
-    first_detected
+    (first_detected, vectors.len())
 }
 
 /// The word the sequential engine steps, and the good state and the
@@ -859,8 +942,8 @@ impl Machine {
     }
 
     /// One frame of the faults at `word`: loads, steps, and stores each
-    /// fault's next state difference in `spare`. Returns whether an
-    /// output detected one.
+    /// fault's next state difference in `spare`. Returns how many of
+    /// them an output detected.
     fn frame(
         &mut self,
         nl: &Netlist,
@@ -869,7 +952,7 @@ impl Machine {
         live: &mut [Live],
         word: &[usize],
         first_detected: &mut [Option<usize>],
-    ) -> bool {
+    ) -> usize {
         self.load(word.iter().map(|&i| &live[i]));
         let detected = self.step(nl, bits, t, first_detected);
         // Count each lane's differing flops, give each fault its range
@@ -901,7 +984,7 @@ impl Machine {
                 rest &= rest - 1;
             }
         }
-        detected != 0
+        detected.count_ones() as usize
     }
 
     /// Whether the good machine of the last step (lane 0) drives the

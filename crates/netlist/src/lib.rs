@@ -47,8 +47,8 @@ pub use bench::{parse_bench, write_bench, BenchError, C17};
 pub use dominance::{reduce_faults, FaultPlan, FaultReduction};
 pub use fault::{collapse, collapsed_faults, full_faults, Fault, FaultSite};
 pub use fsim::{
-    fault_simulate, fault_simulate_sessions, fault_simulate_sessions_reduced, good_outputs,
-    FaultSimResult, Pattern,
+    fault_simulate, fault_simulate_sessions, fault_simulate_sessions_reduced, fault_simulate_until,
+    good_outputs, FaultSimResult, Pattern,
 };
 pub use netlist::{GateKind, NetId, Netlist, NetlistError, Node};
 pub use sim::{Injections, LogicSim};

@@ -254,6 +254,19 @@ fn sample_rejects_bad_fraction() {
 }
 
 #[test]
+fn sample_names_one_fraction_range_for_unparsable_and_out_of_range_values() {
+    for (fraction, message) in [
+        ("0x10", "error: bad fraction (expected a number in (0, 1])"),
+        ("0", "error: fraction must be in (0, 1]"),
+    ] {
+        let out = musa(&["sample", "c17", fraction]);
+        assert_eq!(out.status.code(), Some(1), "{fraction}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().next(), Some(message), "{fraction}: {stderr}");
+    }
+}
+
+#[test]
 fn bench_with_unknown_name_exits_1() {
     let out = musa(&["bench", "zz99"]);
     assert_eq!(out.status.code(), Some(1));

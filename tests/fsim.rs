@@ -3,12 +3,16 @@
 //! circuits, parallel-fault for sequential ones) must equal the
 //! one-fault-at-a-time `LogicSim` + `Injections::single` reference, and
 //! `good_outputs` must equal the reference's good machine — on every
-//! bundled circuit and on random netlists.
+//! bundled circuit and on random netlists. A run that
+//! `fault_simulate_until` stops early must equal the full run over its
+//! prefix, and a baseline stopped at validation data's length and
+//! detected count must give the data the full baseline's metrics.
 
 use musa::circuits::Benchmark;
+use musa::metrics::{CoverageCurve, NlfceInputs};
 use musa::netlist::{
-    collapsed_faults, fault_simulate_sessions, full_faults, good_outputs, Fault, GateKind,
-    Injections, LogicSim, NetId, Netlist, Pattern,
+    collapsed_faults, fault_simulate, fault_simulate_sessions, fault_simulate_until, full_faults,
+    good_outputs, Fault, FaultSimResult, GateKind, Injections, LogicSim, NetId, Netlist, Pattern,
 };
 use musa::prng::{Prng, SplitMix64};
 use proptest::prelude::*;
@@ -206,5 +210,114 @@ proptest! {
         let sessions = split_sessions(&mut rng, &vectors);
         let faults = full_faults(&nl);
         assert_matches_reference(&nl, &faults, &sessions, faults.len(), 0, &mut HashMap::new());
+    }
+}
+
+/// Asserts that `fault_simulate_until` stops at the first boundary (the
+/// end of each 64-pattern batch of a combinational netlist, of each
+/// frame of a sequential one) by which `min_len` patterns are applied
+/// and `target` faults detected, or at the last pattern, and that its
+/// first detections are the full run's inside that prefix.
+fn assert_stops_at_its_prefix(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+    min_len: usize,
+    target: usize,
+) {
+    let full = fault_simulate(nl, faults, vectors);
+    let stopped = fault_simulate_until(nl, faults, vectors, min_len, target);
+    let step = if nl.is_combinational() { 64 } else { 1 };
+    let detected_by = |end: usize| {
+        full.first_detected
+            .iter()
+            .flatten()
+            .filter(|&&t| t < end)
+            .count()
+    };
+    let prefix = (1..=vectors.len().div_ceil(step))
+        .map(|k| (k * step).min(vectors.len()))
+        .find(|&end| end >= min_len && detected_by(end) >= target)
+        .unwrap_or(vectors.len());
+    let rule = format!(
+        "{}: min_len {min_len}, target {target} over {} patterns and {} faults",
+        nl.name(),
+        vectors.len(),
+        faults.len()
+    );
+    assert_eq!(stopped.vectors_applied, prefix, "{rule}");
+    let inside: Vec<Option<usize>> = full
+        .first_detected
+        .iter()
+        .map(|first| first.filter(|&t| t < prefix))
+        .collect();
+    assert_eq!(stopped.first_detected, inside, "{rule}");
+    assert_eq!(stopped.faults, full.faults);
+}
+
+proptest! {
+    /// Random netlists, vectors and stop rules, and one netlist in
+    /// eight with no faults at all: a stopped run is the full run over
+    /// its prefix. Both bounds zero, each alone, a length past the last
+    /// pattern and a target above the fault count are checked every
+    /// case.
+    #[test]
+    fn a_stopped_run_is_the_full_run_over_its_prefix(seed in any::<u64>(), len in 0usize..=200) {
+        let nl = random_netlist(seed);
+        let mut rng = SplitMix64::new(seed.rotate_left(41));
+        let vectors = random_patterns(&mut rng, nl.inputs().len(), len);
+        let faults = if seed % 8 == 0 { Vec::new() } else { full_faults(&nl) };
+        let min_len = rng.below(len as u64 + 1) as usize;
+        let target = rng.below(faults.len() as u64 + 1) as usize;
+        for (min_len, target) in [
+            (0, 0),
+            (min_len, 0),
+            (0, target),
+            (min_len, target),
+            (len + 1, target),
+            (min_len, faults.len() + 1),
+        ] {
+            assert_stops_at_its_prefix(&nl, &faults, &vectors, min_len, target);
+        }
+    }
+
+    /// Random netlists, baselines and validation data: the baseline
+    /// stopped at the data's length and detected count gives the data
+    /// the same `ΔFC%`, `ΔL%` and NLFCE as the whole baseline, whether
+    /// or not the baseline reaches the data's coverage.
+    #[test]
+    fn metrics_on_the_stopped_baseline_equal_those_on_the_full_one(
+        seed in any::<u64>(),
+        len in 0usize..=200,
+        data_len in 0usize..=80,
+        undetected_pct in 0u64..=100,
+    ) {
+        let nl = random_netlist(seed);
+        let faults = full_faults(&nl);
+        let mut rng = SplitMix64::new(seed.rotate_left(53));
+        let baseline = random_patterns(&mut rng, nl.inputs().len(), len);
+        let data = FaultSimResult {
+            faults: faults.clone(),
+            first_detected: faults
+                .iter()
+                .map(|_| {
+                    let detected = data_len > 0 && rng.below(100) >= undetected_pct;
+                    detected.then(|| rng.below(data_len as u64) as usize)
+                })
+                .collect(),
+            vectors_applied: data_len,
+            faults_simulated: faults.len(),
+        };
+        let mutation = CoverageCurve::new(data.coverage_curve());
+        let metrics = |random: FaultSimResult| {
+            NlfceInputs {
+                mutation: &mutation,
+                random: &CoverageCurve::new(random.coverage_curve()),
+            }
+            .compute()
+        };
+        let target = data.detected_count();
+        let stopped = fault_simulate_until(&nl, &faults, &baseline, data_len, target);
+        prop_assert_eq!(metrics(stopped), metrics(fault_simulate(&nl, &faults, &baseline)));
     }
 }

@@ -5,12 +5,14 @@
 //! constant-net sites, more than 64 flip-flops, state differences that
 //! must not survive a session boundary, and larger random netlists.
 //! Every oracle test compares `fault_simulate_sessions` with the
-//! one-fault-at-a-time `LogicSim` + `Injections::single` reference.
+//! one-fault-at-a-time `LogicSim` + `Injections::single` reference. A
+//! run that `fault_simulate_until` stops at a frame must equal the full
+//! run over its prefix, in both of the engine's loops.
 
 use musa::circuits::Benchmark;
 use musa::netlist::{
-    collapsed_faults, fault_simulate_sessions, full_faults, parse_bench, Fault, FaultSite,
-    GateKind, Injections, LogicSim, NetId, Netlist, Pattern,
+    collapsed_faults, fault_simulate, fault_simulate_sessions, fault_simulate_until, full_faults,
+    parse_bench, Fault, FaultSite, GateKind, Injections, LogicSim, NetId, Netlist, Pattern,
 };
 use musa::prng::{Prng, SplitMix64};
 use musa::testgen::testbench_patterns;
@@ -296,6 +298,70 @@ proptest! {
         let faults = full_faults(&nl);
         let stride = faults.len().div_ceil(12);
         assert_matches_reference(&nl, &faults, &sessions, stride, seed as usize);
+    }
+}
+
+/// Asserts that `fault_simulate_until` stops at the first frame by
+/// which `min_len` vectors are applied and `target` faults detected, or
+/// at the last vector, and that its first detections are `full`'s (a
+/// full run's) inside that prefix.
+fn assert_stops_at_its_prefix(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+    full: &[Option<usize>],
+    min_len: usize,
+    target: usize,
+) {
+    let detected_by = |end: usize| full.iter().flatten().filter(|&&t| t < end).count();
+    let prefix = (1..=vectors.len())
+        .find(|&end| end >= min_len && detected_by(end) >= target)
+        .unwrap_or(vectors.len());
+    let stopped = fault_simulate_until(nl, faults, vectors, min_len, target);
+    let rule = format!("{}: min_len {min_len}, target {target}", nl.name());
+    assert_eq!(stopped.vectors_applied, prefix, "{rule}");
+    let inside: Vec<Option<usize>> = full
+        .iter()
+        .map(|first| first.filter(|&t| t < prefix))
+        .collect();
+    assert_eq!(stopped.first_detected, inside, "{rule}");
+}
+
+proptest! {
+    /// Larger random sequential netlists, vectors and stop rules: a
+    /// stopped run is the full run over its prefix. Both bounds zero,
+    /// each alone, a length past the last vector and a target above the
+    /// fault count are checked every case, on the whole fault universe
+    /// (more than one 63-fault word, so stops land in both of the
+    /// engine's loops) and on the faults the vectors detect (all of
+    /// them are dropped at the last detection, and the run may go on).
+    #[test]
+    fn a_stopped_run_is_the_full_run_over_its_prefix(seed in any::<u64>(), len in 0usize..=60) {
+        let nl = random_sequential_netlist(seed);
+        let mut rng = SplitMix64::new(seed.rotate_left(31));
+        let vectors = random_patterns(&mut rng, nl.inputs().len(), len);
+        let universe = full_faults(&nl);
+        let full = fault_simulate(&nl, &universe, &vectors);
+        let detectable: Vec<Fault> = universe
+            .iter()
+            .zip(&full.first_detected)
+            .filter_map(|(&fault, first)| first.map(|_| fault))
+            .collect();
+        for faults in [universe, detectable] {
+            let full = fault_simulate(&nl, &faults, &vectors).first_detected;
+            let min_len = rng.below(len as u64 + 1) as usize;
+            let target = rng.below(faults.len() as u64 + 1) as usize;
+            for (min_len, target) in [
+                (0, 0),
+                (min_len, 0),
+                (0, target),
+                (min_len, target),
+                (len + 1, target),
+                (min_len, faults.len() + 1),
+            ] {
+                assert_stops_at_its_prefix(&nl, &faults, &vectors, &full, min_len, target);
+            }
+        }
     }
 }
 

@@ -193,6 +193,46 @@ fn fsim_frame_counters_are_identical_for_every_job_count_on_b03() {
     }
 }
 
+/// The baseline counters on a b05 campaign: every job count simulates
+/// the same baseline prefixes, which stop short of the patterns the
+/// baselines declare.
+#[test]
+fn fsim_baseline_counters_are_identical_for_every_job_count_on_b05() {
+    let run = |jobs: usize| {
+        let mut config = one_rep_config();
+        config.jobs = jobs;
+        let report = Campaign::named("b05")
+            .config(config)
+            .trace(true)
+            .task(Task::Sampling { fraction: 0.10 })
+            .run()
+            .unwrap();
+        let data = report.trace.clone().expect("tracing was enabled");
+        let counters = (
+            counter(&data, "fsim_baseline_patterns"),
+            counter(&data, "fsim_baseline_declared"),
+        );
+        (report, counters)
+    };
+    let (report, (patterns, declared)) = run(1);
+    let ReportData::Sampling(rows) = &report.data else {
+        panic!("sampling task yields sampling rows");
+    };
+    let config = one_rep_config();
+    assert_eq!(
+        declared,
+        config.baseline_len(rows[0].outcome.data_len) as u64,
+        "one repetition declares one baseline"
+    );
+    assert!(
+        0 < patterns && patterns < declared,
+        "{patterns} of {declared}"
+    );
+    for jobs in [2, 4] {
+        assert_eq!(run(jobs).1, (patterns, declared), "jobs={jobs}");
+    }
+}
+
 #[test]
 fn fsim_gate_evals_shows_the_cone_pruning_on_c432() {
     // The whole-netlist-per-fault engine would evaluate every gate for
@@ -512,9 +552,11 @@ fn non_campaign_profile_renders_via_the_main_level_tracer() {
         !rows.iter().any(|row| row == "load"),
         "lint loaded a circuit: {stdout}"
     );
+    // The simulation has a row of its own; rows sort by busy time.
     let faultsim = ["faultsim", "tests/fixtures/b01.bench", "20", "7", "--profile"];
-    let (rows, stdout) = phase_rows(&faultsim);
-    assert_eq!(rows, ["command"], "{stdout}");
+    let (mut rows, stdout) = phase_rows(&faultsim);
+    rows.sort();
+    assert_eq!(rows, ["command", "fault_simulate"], "{stdout}");
     assert!(stdout.contains("fsim_gate_evals"), "{stdout}");
 }
 
