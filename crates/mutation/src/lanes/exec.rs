@@ -82,12 +82,28 @@ impl ExecOp {
 }
 
 /// A lowered, executable tape.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct ExecTape {
     /// Ops in evaluation order; destinations are strictly increasing.
     pub ops: Vec<ExecOp>,
     /// `(symbol, reg)` write-backs committed after the sweep.
     pub stores: Vec<(u32, Reg)>,
+}
+
+impl ExecTape {
+    /// Rewrites every `MaskSel` mask from `src`, the same stream as
+    /// compiled, for a group whose lanes have moved: bit `p` of the new
+    /// mask is bit `slot[p]` of the compiled one, where `slot[p]` is
+    /// the compiled lane now at position `p`.
+    pub(crate) fn remap_masks(&mut self, src: &ExecTape, slot: &[u8; LANES]) {
+        for (op, compiled) in self.ops.iter_mut().zip(&src.ops) {
+            if let (ExecOp::MaskSel { mask, .. }, ExecOp::MaskSel { mask: from, .. }) =
+                (op, compiled)
+            {
+                *mask = (0..LANES).fold(0, |m, p| m | (((from >> slot[p]) & 1) << p));
+            }
+        }
+    }
 }
 
 /// One sweep's executable form: the uniform scalar prefix plus the
@@ -373,14 +389,25 @@ fn reduce(op: ReduceOp, x: u64, m: u64) -> u64 {
     }
 }
 
-/// Lanes evaluated per executor sweep column. A full 64-lane register
-/// file for a realistic tape overflows L1 (~150 live registers × 512 B
-/// ≈ 75 KB), so the executor sweeps the tape once per 32-lane column,
-/// two columns per lane word: each sweep touches half of every lane
-/// word's cache lines, which stay resident across ops.
-/// Columns are disjoint lanes, so per-column store commits cannot be
-/// observed across columns and results are bit-identical.
-const TILE: usize = 32;
+/// Lanes evaluated per executor tile. A full 64-lane register file for
+/// a realistic tape overflows L1 (~150 live registers × 512 B ≈ 75 KB),
+/// so the executor sweeps the tape once per 16-lane tile, four tiles per
+/// lane word: a tile's registers (~150 × 128 B ≈ 19 KB) stay resident
+/// across ops. Tiles are disjoint lanes, so per-tile store commits
+/// cannot be observed across tiles and results are bit-identical.
+/// Narrow tiles pay off with packing: a group's survivors move into
+/// the low tiles, and tiles holding no live lane are not swept at all.
+pub(crate) const TILE: usize = 16;
+
+/// The lanes of the tile starting at lane 0.
+const TILE_MASK: u64 = u64::MAX >> (LANES - TILE);
+
+/// The first lane of each `TILE`-lane tile holding a lane of `lanes`.
+pub(crate) fn tiles_of(lanes: u64) -> impl Iterator<Item = usize> {
+    (0..LANES)
+        .step_by(TILE)
+        .filter(move |&lo| (lanes >> lo) & TILE_MASK != 0)
+}
 
 /// A `TILE`-lane view into a lane word, starting at lane `lo`.
 #[inline(always)]
@@ -454,16 +481,23 @@ impl LaneVm {
         }
     }
 
-    /// Evaluates a lowered tape: one forward sweep per `TILE`-lane column,
-    /// writing each op's destination in place (no lane-word copy), then
-    /// that column's write-backs.
-    pub(crate) fn run_exec(&mut self, tape: &ExecTape) {
-        for t in 0..LANES / TILE {
-            self.run_exec_tile(tape, t * TILE);
+    /// Evaluates a lowered tape over the lanes of `lanes`: one forward
+    /// sweep per `TILE`-lane tile holding one of them, writing each op's
+    /// destination in place (no lane-word copy), then that tile's
+    /// write-backs. Tile 0 always runs: it holds the reference lane 0.
+    /// A skipped tile's registers and state keep stale values, which is
+    /// sound as long as nothing reads its lanes again. Returns the
+    /// number of lanes computed.
+    pub(crate) fn run_exec(&mut self, tape: &ExecTape, lanes: u64) -> usize {
+        let mut computed = 0;
+        for lo in tiles_of(lanes | 1) {
+            self.run_exec_tile(tape, lo);
+            computed += TILE;
         }
+        computed
     }
 
-    /// One column sweep over lanes `lo..lo + TILE`.
+    /// One tile sweep over lanes `lo..lo + TILE`.
     fn run_exec_tile(&mut self, tape: &ExecTape, lo: usize) {
         for op in &tape.ops {
             // Destinations are strictly increasing and operands strictly
@@ -563,9 +597,9 @@ impl LaneVm {
                 }
             }
         }
-        // Commit this column's write-backs. Columns are disjoint lanes,
-        // so the next column's Loads still read their own pre-sweep
-        // lanes — semantics match the whole-word interpreter exactly.
+        // Commit this tile's write-backs. Tiles are disjoint lanes, so
+        // the next tile's Loads still read their own pre-sweep lanes —
+        // semantics match the whole-word interpreter exactly.
         for &(sym, reg) in &tape.stores {
             self.state[sym as usize][lo..lo + TILE]
                 .copy_from_slice(&self.regs[reg as usize][lo..lo + TILE]);
@@ -587,7 +621,7 @@ mod tests {
         let mut vm = LaneVm::new(init, lowered.scratch, lowered.scratch_scalar);
         vm.seed_consts(&lowered.consts);
         vm.run_scalar(&lowered.comb.pre);
-        vm.run_exec(&lowered.comb.main);
+        vm.run_exec(&lowered.comb.main, u64::MAX);
         assert_eq!(vm.state, reference.state);
     }
 

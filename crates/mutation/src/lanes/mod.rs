@@ -21,6 +21,12 @@
 //!
 //! First kills are the only thing the engine reports: a lane retires at
 //! its first differing cycle, and a group stops once all its lanes have.
+//! In between, the lowered executor computes only the 16-lane tiles
+//! that hold a live lane (and tile 0, the reference's), and a group
+//! packs its survivors into the lowest positions whenever that frees a
+//! tile, at power-on and after kills. A pack moves state lanes and
+//! rewrites the group's `MaskSel` masks; nothing is recompiled, and a
+//! position → slot map tells whose lane each position holds.
 //! A [`LanePlan`] compiles a population once and runs it against any
 //! number of sequences through its one run method,
 //! [`LanePlan::first_kills`], with a live mask that skips mutants
@@ -48,6 +54,7 @@ mod verify;
 use crate::execute::{reference_transcript, run_one, KillResult, OptLevel};
 use crate::mutant::{Mutant, MutationError};
 use compile::{compile_group, BaseCompile, Compiled, Cycle, Executable};
+use exec::{tiles_of, ExecTape, TILE};
 use musa_hdl::{Bits, CheckedDesign};
 use std::convert::Infallible;
 use tape::{LaneVm, LANES};
@@ -112,22 +119,34 @@ pub struct LaneStats {
     /// at their own first kill) makes this less than
     /// `passes × sequence_len`.
     pub steps: usize,
+    /// Lane-op evaluations: each lane-stream sweep's op count times the
+    /// lanes it computed (the lanes of the tiles it ran; all 64 on the
+    /// raw-tape interpreter).
+    pub ops: u64,
+    /// The share of [`LaneStats::ops`] that fell on a live lane or the
+    /// reference: each sweep's op count times its live lanes plus one.
+    pub live_ops: u64,
 }
 
 impl LaneStats {
     /// Publishes the totals into the installed tracer's counter
-    /// registry (`lane_passes` / `lane_steps`); a no-op when tracing is
-    /// off. Called once per execution, after the per-group merge, so
-    /// the counters always equal the returned stats exactly.
+    /// registry (`lane_passes` / `lane_steps` / `lane_ops` /
+    /// `lane_live_ops`); a no-op when tracing is off. Called once per
+    /// execution, after the per-group merge, so the counters always
+    /// equal the returned stats exactly.
     fn emit(self) {
         musa_trace::count("lane_passes", self.passes as u64);
         musa_trace::count("lane_steps", self.steps as u64);
+        musa_trace::count("lane_ops", self.ops);
+        musa_trace::count("lane_live_ops", self.live_ops);
     }
 
     /// Folds one group's counters into the execution totals.
     fn absorb(&mut self, group: LaneStats) {
         self.passes += group.passes;
         self.steps += group.steps;
+        self.ops += group.ops;
+        self.live_ops += group.live_ops;
     }
 }
 
@@ -302,7 +321,7 @@ impl<'a> LanePlan<'a> {
                 let kill =
                     run_one(self.checked, &self.entity, &self.mutants[*slot], sequence, reference)?;
                 let steps = kill.map_or(sequence.len(), |t| t + 1);
-                Ok((vec![kill], LaneStats { passes: 1, steps }))
+                Ok((vec![kill], LaneStats { passes: 1, steps, ..LaneStats::default() }))
             }
             PlanGroup::Tape { compiled, start, len } => {
                 let mut live_mask = 0u64;
@@ -323,7 +342,10 @@ impl<'a> LanePlan<'a> {
                 let mut alive = sim.used_mask & !fallback_mask & live_mask;
                 {
                     let _trace = musa_trace::span("lane_interpret");
-                    sim.reset();
+                    // From here on `alive` holds lane positions: a pack
+                    // moves the survivors, and `sim.slot` says whose
+                    // lane each position holds.
+                    alive = sim.reset(alive);
                     for (t, vector) in sequence.iter().enumerate() {
                         if alive == 0 {
                             break; // every mutant in the batch is killed
@@ -331,15 +353,14 @@ impl<'a> LanePlan<'a> {
                         // Killed lanes drop out of the diff scan entirely.
                         let newly = sim.step(vector, alive);
                         stats.steps += 1;
-                        let mut bits = newly;
-                        while bits != 0 {
-                            let lane = bits.trailing_zeros() as usize;
-                            first_kill[lane - 1] = Some(t);
-                            bits &= bits - 1;
+                        for position in lanes_of(newly) {
+                            first_kill[usize::from(sim.slot[position]) - 1] = Some(t);
                         }
-                        alive &= !newly;
+                        alive = sim.pack(alive & !newly);
                     }
                 }
+                stats.ops = sim.ops;
+                stats.live_ops = sim.live_ops;
                 if compiled.fallback.iter().any(|&slot| live[start + slot]) {
                     let _trace = musa_trace::span("scalar_fallback");
                     for &slot in compiled.fallback.iter().filter(|&&slot| live[start + slot]) {
@@ -386,10 +407,38 @@ fn compile_range(
 }
 
 /// One compiled lane group stepping through a test sequence.
+///
+/// On the lowered executor only the tiles holding a live lane run, and
+/// the group packs its survivors into the lowest positions whenever
+/// that frees a tile (see [`GroupSim::pack`]), so after a pack a lane's
+/// position is no longer its mutant's slot: [`GroupSim::slot`] maps one
+/// to the other. The raw-tape interpreter never packs and computes all
+/// 64 lanes.
 struct GroupSim<'a> {
     vm: LaneVm,
     compiled: &'a Compiled,
     used_mask: u64,
+    /// The compiled lane each position holds: position 0 always holds
+    /// the reference, and lane `k` is slot `k - 1` of the group.
+    slot: [u8; LANES],
+    /// The lane streams (`comb.main`, `edge.main`) with their masks
+    /// rewritten for the positions in `slot`; copied at the first pack.
+    packed: Option<(ExecTape, ExecTape)>,
+    /// Lane-op evaluations, as [`LaneStats::ops`] counts them.
+    ops: u64,
+    /// Live lane-op evaluations, as [`LaneStats::live_ops`] counts them.
+    live_ops: u64,
+}
+
+/// The lanes set in `mask`, ascending.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 impl<'a> GroupSim<'a> {
@@ -405,46 +454,116 @@ impl<'a> GroupSim<'a> {
         } else {
             ((1u64 << (group_len + 1)) - 1) & !1
         };
-        Self { vm, compiled, used_mask }
+        Self {
+            vm,
+            compiled,
+            used_mask,
+            slot: std::array::from_fn(|p| p as u8),
+            packed: None,
+            ops: 0,
+            live_ops: 0,
+        }
     }
 
-    /// One combinational settle, on whichever engine the opt level
-    /// compiled: the lowered executor or the raw-tape interpreter.
-    fn settle(&mut self) {
+    /// Counts one lane-stream sweep of `len` ops that computed
+    /// `computed` lanes for the live lanes in `lanes`.
+    fn count(&mut self, len: usize, computed: usize, lanes: u64) {
+        self.ops += (len * computed) as u64;
+        self.live_ops += len as u64 * u64::from(lanes.count_ones());
+    }
+
+    /// One combinational settle of the lanes in `lanes` (lane 0
+    /// included), on whichever engine the opt level compiled: the
+    /// lowered executor, or the raw-tape interpreter over all lanes.
+    fn settle(&mut self, lanes: u64) {
         match &self.compiled.exec {
-            Executable::Raw { comb, .. } => self.vm.run(comb),
+            Executable::Raw { comb, .. } => {
+                self.vm.run(comb);
+                self.count(comb.instrs.len(), LANES, lanes);
+            }
             Executable::Lowered { comb, .. } => {
                 self.vm.run_scalar(&comb.pre);
-                self.vm.run_exec(&comb.main);
+                let main = self.packed.as_ref().map_or(&comb.main, |(comb, _)| comb);
+                let computed = self.vm.run_exec(main, lanes);
+                self.count(main.ops.len(), computed, lanes);
             }
         }
     }
 
-    /// Ends a cycle: one clock edge (next-state computation plus
-    /// register commit) and the settle after it. A combinational entity
-    /// has no edge.
-    fn clock(&mut self) {
+    /// Ends a cycle for the lanes in `lanes`: one clock edge (next-state
+    /// computation plus register commit) and the settle after it. A
+    /// combinational entity has no edge.
+    fn clock(&mut self, lanes: u64) {
         if self.compiled.combinational {
             return;
         }
         match &self.compiled.exec {
-            Executable::Raw { edge, .. } => self.vm.run(edge),
+            Executable::Raw { edge, .. } => {
+                self.vm.run(edge);
+                self.count(edge.instrs.len(), LANES, lanes);
+            }
             Executable::Lowered { edge, .. } => {
                 self.vm.run_scalar(&edge.pre);
-                self.vm.run_exec(&edge.main);
+                let main = self.packed.as_ref().map_or(&edge.main, |(_, edge)| edge);
+                let computed = self.vm.run_exec(main, lanes);
+                self.count(main.ops.len(), computed, lanes);
             }
         }
-        self.settle();
+        self.settle(lanes);
     }
 
-    fn reset(&mut self) {
+    /// Powers a fresh group on with the lanes in `alive` live: packs
+    /// them first when the live mask is sparse, then settles. Returns
+    /// the live lanes' positions. Each sequence starts from a fresh
+    /// group, so no earlier pack has to be undone.
+    fn reset(&mut self, alive: u64) -> u64 {
         self.vm.reset(&self.compiled.init);
-        self.settle();
+        let alive = self.pack(alive);
+        self.settle(alive | 1);
+        alive
     }
 
-    /// Drives one test vector onto the data inputs and settles: the
-    /// outputs are then ready to sample, before [`GroupSim::clock`].
-    fn apply(&mut self, inputs: &[Bits]) {
+    /// Packs the lanes in `alive` into positions `1..=n` when they span
+    /// more tiles than `n` lanes and the reference need, and returns
+    /// their positions (`alive` itself when nothing moves).
+    ///
+    /// Every lane moves down, in ascending order, in every symbol word
+    /// of the state, so the copy is safe in place; the slot map follows
+    /// and the lane streams' `MaskSel` masks are rewritten for the new
+    /// positions. That is exact because every other lowered op works
+    /// lane by lane, scratch registers are rewritten before every read
+    /// within a sweep, and the pool registers hold one value in every
+    /// lane; the positions left behind are never read again. Only the
+    /// lowered executor packs.
+    fn pack(&mut self, alive: u64) -> u64 {
+        let Executable::Lowered { comb, edge, .. } = &self.compiled.exec else {
+            return alive;
+        };
+        let live = alive.count_ones() as usize;
+        if tiles_of(alive | 1).count() <= (live + 1).div_ceil(TILE) {
+            return alive;
+        }
+        for word in &mut self.vm.state {
+            for (from, to) in lanes_of(alive).zip(1..) {
+                word[to] = word[from];
+            }
+        }
+        for (from, to) in lanes_of(alive).zip(1..) {
+            self.slot[to] = self.slot[from];
+        }
+        let (c, e) = self
+            .packed
+            .get_or_insert_with(|| (comb.main.clone(), edge.main.clone()));
+        c.remap_masks(&comb.main, &self.slot);
+        e.remap_masks(&edge.main, &self.slot);
+        // Packing frees a tile, so fewer than 63 lanes are live.
+        ((1u64 << live) - 1) << 1
+    }
+
+    /// Drives one test vector onto the data inputs and settles the
+    /// lanes in `lanes`: their outputs are then ready to sample, before
+    /// [`GroupSim::clock`].
+    fn apply(&mut self, inputs: &[Bits], lanes: u64) {
         assert_eq!(
             inputs.len(),
             self.compiled.data_inputs.len(),
@@ -455,20 +574,22 @@ impl<'a> GroupSim<'a> {
             assert_eq!(width, bits.width(), "width mismatch on data input");
             self.vm.state[sym.0 as usize] = [bits.raw(); LANES];
         }
-        self.settle();
+        self.settle(lanes);
     }
 
     /// Applies one test vector with the scalar simulator's protocol
-    /// (inputs, settle, sample, clock) and returns the mask of lanes in
-    /// `scan` whose sampled outputs differ from lane 0.
+    /// (inputs, settle, sample, clock) to the lanes in `alive` and
+    /// returns the mask of those whose sampled outputs differ from
+    /// lane 0.
     ///
-    /// `scan` limits the output XOR comparison to the lanes the caller
-    /// still cares about: the shrinking alive mask, so long sequences
-    /// stop scanning dead mutants mid-sequence.
-    fn step(&mut self, inputs: &[Bits], scan: u64) -> u64 {
-        self.apply(inputs);
+    /// Only the live lanes and the reference are computed, and only
+    /// they are compared, so long sequences stop paying for dead
+    /// mutants mid-sequence. Positions are the packed ones; the caller
+    /// maps them through [`GroupSim::slot`].
+    fn step(&mut self, inputs: &[Bits], alive: u64) -> u64 {
+        self.apply(inputs, alive | 1);
         let mut diff = 0u64;
-        let scan = scan & self.used_mask;
+        let scan = alive & self.used_mask;
         for &sym in &self.compiled.outputs {
             let lanes = &self.vm.state[sym.0 as usize];
             let reference = lanes[0];
@@ -479,7 +600,7 @@ impl<'a> GroupSim<'a> {
                 pending &= pending - 1;
             }
         }
-        self.clock();
+        self.clock(alive | 1);
         diff
     }
 }
@@ -1068,18 +1189,34 @@ mod tests {
         })
     }
 
+    /// `mask` with each lane retired with probability `p`.
+    fn retire(mask: u64, p: f64, rng: &mut SplitMix64) -> u64 {
+        lanes_of(mask)
+            .filter(|_| !rng.chance(p))
+            .fold(0, |kept, lane| kept | 1 << lane)
+    }
+
     proptest! {
-        /// Every used lane of every compiled group, at both opt levels,
+        /// Every live lane of every compiled group, at both opt levels,
         /// samples on every cycle exactly the outputs a `Simulator` run of
         /// its mutant produces (lane 0: of the original design). The
         /// comparison goes on past each lane's first kill, so the lane
         /// engine is checked output for output, not only where it first
         /// differs.
+        ///
+        /// Each case draws a retire probability (`retire_tenths` tenths). At 0
+        /// every lane stays live and is compared on every cycle. Above
+        /// 0, each live lane retires with that probability at power-on
+        /// and after every cycle, and the group packs its survivors
+        /// through [`GroupSim::pack`], as a first-kill run does: each
+        /// survivor is then found through the slot map at whatever
+        /// position it holds.
         #[test]
         fn every_lane_matches_its_mutant_on_every_cycle(
             seed in any::<u64>(),
             pick in 0usize..crate::BUNDLED.len(),
             cycles in 1usize..10,
+            retire_tenths in 0u32..5,
         ) {
             let circuit = &oracle_circuits()[pick];
             let info = circuit.checked.entity_info(circuit.entity).unwrap();
@@ -1095,6 +1232,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            let p = f64::from(retire_tenths) / 10.0;
             // Transcript 0 is the original design's, 1 + k mutant k's.
             let transcripts: Vec<Vec<Vec<Bits>>> = std::iter::once(circuit.checked)
                 .chain(&circuit.applied)
@@ -1107,24 +1245,27 @@ mod tests {
                     };
                     prop_assert!(compiled.fallback.is_empty(), "{}: fallback", circuit.entity);
                     let mut sim = GroupSim::new(compiled, *len);
-                    sim.reset();
+                    let mut alive = retire(sim.used_mask, p, &mut rng);
+                    alive = sim.reset(alive);
                     for (t, vector) in sequence.iter().enumerate() {
-                        sim.apply(vector);
-                        for lane in 0..=*len {
+                        sim.apply(vector, alive | 1);
+                        for position in lanes_of(alive | 1) {
+                            let lane = usize::from(sim.slot[position]);
                             let expected = &transcripts[if lane == 0 { 0 } else { start + lane }][t];
                             let sampled: Vec<u64> = compiled
                                 .outputs
                                 .iter()
-                                .map(|sym| sim.vm.state[sym.0 as usize][lane])
+                                .map(|sym| sim.vm.state[sym.0 as usize][position])
                                 .collect();
                             let expected: Vec<u64> = expected.iter().map(Bits::raw).collect();
                             prop_assert_eq!(
                                 sampled, expected,
-                                "{}: lane {} of the group at {}, cycle {}",
-                                circuit.entity, lane, start, t
+                                "{}: lane {} (at position {}) of the group at {}, cycle {}",
+                                circuit.entity, lane, position, start, t
                             );
                         }
-                        sim.clock();
+                        sim.clock(alive | 1);
+                        alive = sim.pack(retire(alive, p, &mut rng));
                     }
                 }
             }

@@ -242,27 +242,54 @@ fn opt_plans() -> &'static Vec<(LanePlan<'static>, LanePlan<'static>)> {
     })
 }
 
+/// A live mask over `n` mutants, in one of five shapes picked by
+/// `kind`: every mutant, none, each with a random probability, only
+/// slots ≥ 32 of each 63-mutant group, only the last slot of each
+/// group. The sparse shapes make the lowered executor pack its groups at
+/// power-on; kills then pack them further.
+fn live_mask(n: usize, kind: u32, rng: &mut SplitMix64) -> Vec<bool> {
+    let p = rng.unit_f64();
+    (0..n)
+        .map(|i| match kind {
+            0 => true,
+            1 => false,
+            2 => rng.chance(p),
+            3 => i % MAX_LANES >= 32,
+            _ => i % MAX_LANES == MAX_LANES - 1 || i == n - 1,
+        })
+        .collect()
+}
+
 proptest! {
     /// The lowered executor is semantics-preserving on every bundled
-    /// circuit's FULL mutant population: for random stimulus, the
-    /// lowered tapes (`OptLevel::Full`) reproduce the raw-tape
-    /// interpreter's (`OptLevel::Off`) first-kill vector bit for bit.
-    /// The sweep test above pins both levels to the scalar engine.
+    /// circuit's FULL mutant population: for random stimulus and a
+    /// random live mask, the lowered tapes (`OptLevel::Full`), which
+    /// skip dead tiles and pack their survivors, reproduce the raw-tape
+    /// interpreter's (`OptLevel::Off`) first-kill vector bit for bit,
+    /// and neither reports a kill for an unflagged mutant. The sweep
+    /// test above pins both levels to the scalar engine.
     #[test]
     fn optimizer_preserves_kills_on_full_populations(
         seed in any::<u64>(),
         cycles in 2usize..12,
+        kind in 0u32..5,
     ) {
+        let mut rng = SplitMix64::new(seed);
         for ((circuit, population), (full, off)) in circuits().iter().zip(opt_plans()) {
             let sequence = random_sequence_for(circuit, cycles, seed);
-            let live = vec![true; population.len()];
+            let live = live_mask(population.len(), kind, &mut rng);
             let (kills_full, _) = full.first_kills(&sequence, &live).unwrap();
             let (kills_off, _) = off.first_kills(&sequence, &live).unwrap();
             prop_assert_eq!(
                 &kills_full.first_kill, &kills_off.first_kill,
-                "{}: lowered-executor and interpreter kills diverged", circuit.name,
+                "{}: lowered-executor and interpreter kills diverged (mask kind {})",
+                circuit.name, kind,
             );
             prop_assert_eq!(kills_full.first_kill.len(), population.len());
+            for i in (0..live.len()).filter(|&i| !live[i]) {
+                prop_assert_eq!(kills_full.first_kill[i], None, "{}: unflagged {}", circuit.name, i);
+                prop_assert_eq!(kills_off.first_kill[i], None, "{}: unflagged {}", circuit.name, i);
+            }
         }
     }
 }

@@ -76,6 +76,9 @@ fn lane_counters_equal_lane_stats() {
     assert!(stats.passes > 0);
     assert_eq!(counter(&data, "lane_passes"), stats.passes as u64);
     assert_eq!(counter(&data, "lane_steps"), stats.steps as u64);
+    assert_eq!(counter(&data, "lane_ops"), stats.ops);
+    assert_eq!(counter(&data, "lane_live_ops"), stats.live_ops);
+    assert!(0 < stats.live_ops && stats.live_ops <= stats.ops);
 }
 
 #[test]
@@ -230,6 +233,30 @@ fn fsim_baseline_counters_are_identical_for_every_job_count_on_b05() {
     );
     for jobs in [2, 4] {
         assert_eq!(run(jobs).1, (patterns, declared), "jobs={jobs}");
+    }
+}
+
+/// The lane-op counters on a b05 campaign: every job count computes
+/// the same tiles of the same lane groups, and the live lane-ops are a
+/// share of all of them.
+#[test]
+fn lane_op_counters_are_identical_for_every_job_count_on_b05() {
+    let run = |jobs: usize| {
+        let mut config = one_rep_config();
+        config.jobs = jobs;
+        let report = Campaign::named("b05")
+            .config(config)
+            .trace(true)
+            .task(Task::Sampling { fraction: 0.10 })
+            .run()
+            .unwrap();
+        let data = report.trace.expect("tracing was enabled");
+        (counter(&data, "lane_ops"), counter(&data, "lane_live_ops"))
+    };
+    let (ops, live_ops) = run(1);
+    assert!(0 < live_ops && live_ops <= ops, "{live_ops} live of {ops}");
+    for jobs in [2, 4] {
+        assert_eq!(run(jobs), (ops, live_ops), "jobs={jobs}");
     }
 }
 
