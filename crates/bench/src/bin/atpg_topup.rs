@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p musa_bench --bin atpg_topup \
 //!     [--fast|--paper] [--seed N|0xHEX] [--jobs N] [--engine scalar|lanes] \
-//!     [--fault-reduce on|off] [--screen static|off] [--opt full|off] [--json] \
+//!     [--fault-reduce on|off] [--screen static|off] [--json] \
 //!     [--trace FILE] [--trace-format json|chrome] [--profile] [--progress]
 //! ```
 //!

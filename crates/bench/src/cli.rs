@@ -14,7 +14,7 @@ use musa_core::{
     render_profile, trace_json, BenchReport, Campaign, CampaignError, ComparePolicy, Report,
     ReportData, Task, DEFAULT_BENCHES,
 };
-use musa_mutation::{Engine, MutationOperator, OptLevel};
+use musa_mutation::{Engine, MutationOperator};
 use std::fmt;
 
 /// An argument a front end cannot use. Every front end words it the
@@ -118,13 +118,13 @@ pub fn emit_observability(
 /// The flags of the six experiment binaries.
 pub const BIN_FLAGS: &[&str] = &[
     "--fast", "--paper", "--json", "--seed", "--jobs", "--engine", "--fault-reduce",
-    "--screen", "--opt", "--trace", "--trace-format", "--profile", "--progress",
+    "--screen", "--trace", "--trace-format", "--profile", "--progress",
 ];
 
 /// The flags of `musa sample`: the experiment binaries' plus `--store`.
 pub const SAMPLE_FLAGS: &[&str] = &[
     "--fast", "--paper", "--json", "--seed", "--jobs", "--engine", "--fault-reduce",
-    "--screen", "--opt", "--trace", "--trace-format", "--profile", "--progress", "--store",
+    "--screen", "--trace", "--trace-format", "--profile", "--progress", "--store",
 ];
 
 /// The flags of `musa bench`.
@@ -162,9 +162,6 @@ pub struct Args {
     pub fault_reduce: Option<bool>,
     /// `--screen static|off`: static equivalent-mutant pre-screening.
     pub screen: Option<bool>,
-    /// `--opt full|off`: the lowered executor or the raw-tape
-    /// interpreter.
-    pub opt: Option<OptLevel>,
     /// `--trace`, `--trace-format`, `--profile`, `--progress`.
     pub trace: TraceOpts,
     /// `--store DIR`: run through the content-addressed result store.
@@ -255,7 +252,6 @@ pub fn parse_args(
                     _ => None,
                 })?);
             }
-            "--opt" => args.opt = Some(value(rest, "--opt", "full|off", |v| v.parse().ok())?),
             "--trace-format" => {
                 args.trace.format = value(rest, "--trace-format", "json|chrome", |v| match v {
                     "json" => Some(TraceFormat::Json),
@@ -329,9 +325,6 @@ impl Args {
         if let Some(screen) = self.screen {
             campaign = campaign.screen(screen);
         }
-        if let Some(opt) = self.opt {
-            campaign = campaign.opt(opt);
-        }
         if self.fast {
             campaign = campaign.fast();
         }
@@ -367,11 +360,6 @@ options (shared by every musa_bench experiment binary):
               statically proven-equivalent mutants skip simulation and
               fold into the E term directly — reported numbers are
               bit-identical either way
-  --opt full|off
-              lane executor (default full): `full` runs the compiled
-              lane tapes on the lowered executor (constant pool, scalar
-              prefix); `off` interprets the raw tapes — outcomes are
-              bit-identical, only wall time changes
   --json      emit the typed campaign report as JSON (stable
               `musa.campaign.v1` schema) instead of text
   --trace FILE
@@ -403,7 +391,7 @@ pub struct SampleArgs {
 /// The `musa sample` usage line.
 pub const SAMPLE_USAGE: &str = "expected <name> [fraction] [--jobs N] [--seed N|0xHEX] \
 [--paper] [--fast] [--json] [--engine scalar|lanes] [--fault-reduce on|off] \
-[--screen static|off] [--opt full|off] [--store DIR] [--trace FILE] \
+[--screen static|off] [--store DIR] [--trace FILE] \
 [--trace-format json|chrome] [--profile] [--progress]";
 
 impl SampleArgs {
@@ -881,7 +869,6 @@ mod tests {
                 .engine(Engine::default())
                 .fault_reduce(true)
                 .screen(true)
-                .opt(OptLevel::default())
         };
         for fast in [false, true] {
             let argv: &[&str] = if fast { &["--fast"] } else { &[] };
@@ -1020,27 +1007,6 @@ mod tests {
         // Default: screening on.
         let sample = SampleArgs::parse(&strings(&["c17"])).unwrap();
         assert!(sample.campaign().plan().unwrap().config.screen);
-    }
-
-    #[test]
-    fn opt_flag_parses_and_reaches_the_config() {
-        assert_eq!(bin_args(&["--opt", "off"]).unwrap().opt, Some(OptLevel::Off));
-        assert_eq!(bin_args(&["--opt", "full"]).unwrap().opt, Some(OptLevel::Full));
-        for bad in [&["--opt"][..], &["--opt", "fast"][..]] {
-            assert_eq!(
-                bin_args(bad).unwrap_err(),
-                CliError::Value { flag: "--opt", expects: "full|off" },
-                "{bad:?}"
-            );
-        }
-        let cfg = config(&["--opt", "off"]);
-        assert_eq!(cfg.opt, OptLevel::Off);
-        assert_eq!(cfg.mg.opt, OptLevel::Off, "--opt must reach generation too");
-        let sample = SampleArgs::parse(&strings(&["c17", "--opt", "off"])).unwrap();
-        assert_eq!(sample.campaign().plan().unwrap().config.opt, OptLevel::Off);
-        // Default: the lowered executor.
-        let sample = SampleArgs::parse(&strings(&["c17"])).unwrap();
-        assert_eq!(sample.campaign().plan().unwrap().config.opt, OptLevel::Full);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! `tests/cli_diff.rs`). The binaries accept `--fast`, `--paper`,
 //! `--seed N` (decimal or `0x` hex), `--jobs N`,
 //! `--engine scalar|lanes`, `--fault-reduce on|off`,
-//! `--screen static|off`, `--opt full|off`, `--json` (the typed
+//! `--screen static|off`, `--json` (the typed
 //! [`musa_core::Report`] instead of text), `--trace FILE`,
 //! `--trace-format json|chrome`, `--profile`, `--progress` and
 //! `--help`. An unknown argument exits 2 with the usage text. Timing

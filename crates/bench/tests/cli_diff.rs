@@ -146,3 +146,16 @@ fn unknown_argument_exits_2_with_usage() {
     assert!(stderr.contains("unknown argument `--frobnicate`"), "stderr: {stderr}");
     assert!(stderr.contains("--help"), "usage text expected: {stderr}");
 }
+
+#[test]
+fn retired_opt_flag_exits_2_with_usage() {
+    // One lane executor, no level to pick: `--opt` is unknown.
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .args(["--fast", "--opt", "off"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument `--opt`"), "stderr: {stderr}");
+}

@@ -151,7 +151,9 @@ pub struct BenchCell {
     /// Mutant-execution engine (`mutant_exec` only).
     pub engine: Option<Engine>,
     /// Lane executor level (`mutant_exec` on `lanes` only; the scalar
-    /// engine has no tapes). `None` also covers reports committed
+    /// engine has no tapes): always [`OptLevel::Full`], printed as
+    /// `"opt": "full"` so lane cells keep the `lanes-opt` id of the
+    /// committed trajectory. `None` also covers reports committed
     /// before the `opt` field existed.
     pub opt: Option<OptLevel>,
     /// Worker threads, `0` = auto (`mutant_exec` only).
@@ -167,9 +169,7 @@ pub struct BenchCell {
 impl BenchCell {
     /// The stable cell identifier baselines are matched on, e.g.
     /// `mutant_exec/c432/lanes-opt/jobs=1` or `fault_sim/b01/reduce=on`.
-    /// Lane cells carry their executor level (`lanes-opt` for the
-    /// lowered executor, `lanes-noopt` for the raw-tape interpreter); a
-    /// plain `lanes` id only arises from reports committed before the
+    /// A plain `lanes` id only arises from reports committed before the
     /// `opt` field existed.
     pub fn id(&self) -> String {
         match self.workload {
@@ -178,7 +178,6 @@ impl BenchCell {
                 self.bench,
                 match (self.engine.unwrap_or_default(), self.opt) {
                     (Engine::Lanes, Some(OptLevel::Full)) => "lanes-opt",
-                    (Engine::Lanes, Some(OptLevel::Off)) => "lanes-noopt",
                     (engine, _) => engine.name(),
                 },
                 match self.jobs.unwrap_or(1) {
@@ -335,13 +334,8 @@ pub fn run_bench(
         );
         let sequence = random_sequence(circuit.info(), MUTANT_VECTORS, opts.seed);
 
-        // -- mutant_exec: engine (× opt on lanes) × jobs --------------
-        let configs = [
-            (Engine::Scalar, None),
-            (Engine::Lanes, Some(OptLevel::Full)),
-            (Engine::Lanes, Some(OptLevel::Off)),
-        ];
-        for (engine, opt) in configs {
+        // -- mutant_exec: engine × jobs --------------------------------
+        for (engine, opt) in [(Engine::Scalar, None), (Engine::Lanes, Some(OptLevel::Full))] {
             for jobs in [1usize, 0] {
                 let mut cell = BenchCell {
                     workload: BenchWorkload::MutantExec,
@@ -359,9 +353,7 @@ pub fn run_bench(
                 // its run-time side here (compile cost is bounded by the
                 // plan step and amortized over the whole campaign). The
                 // all-live mask is built there too.
-                let options = LaneOptions::default()
-                    .with_jobs(jobs)
-                    .with_opt(opt.unwrap_or_default());
+                let options = LaneOptions::default().with_jobs(jobs);
                 let plan = match engine {
                     Engine::Scalar => None,
                     Engine::Lanes => Some(
@@ -448,10 +440,10 @@ pub fn run_bench(
         }
     }
 
-    // The lane executor must not change any outcome — pin the
-    // opt/noopt invariant identity right in the report run.
+    // Sharding must not change any lane outcome — pin the jobs
+    // invariant identity right in the report run.
     for bench in benches {
-        let by_opt: Vec<&BenchCell> = cells
+        let lanes: Vec<&BenchCell> = cells
             .iter()
             .filter(|c| {
                 c.workload == BenchWorkload::MutantExec
@@ -459,10 +451,10 @@ pub fn run_bench(
                     && c.engine == Some(Engine::Lanes)
             })
             .collect();
-        for pair in by_opt.windows(2) {
+        for pair in lanes.windows(2) {
             assert_eq!(
                 pair[0].invariants, pair[1].invariants,
-                "{}: lane invariants differ across opt/jobs settings ({} vs {})",
+                "{}: lane invariants differ across jobs settings ({} vs {})",
                 bench.name(),
                 pair[0].id(),
                 pair[1].id(),
@@ -604,7 +596,9 @@ impl BenchReport {
             cells: cells
                 .iter()
                 .enumerate()
-                .map(|(i, c)| cell_from_json(c).map_err(|e| format!("cells[{i}]: {e}")))
+                .filter_map(|(i, c)| {
+                    cell_from_json(c).map_err(|e| format!("cells[{i}]: {e}")).transpose()
+                })
                 .collect::<Result<Vec<_>, String>>()?,
         })
     }
@@ -653,7 +647,9 @@ fn cell_json(cell: &BenchCell) -> Json {
     ])
 }
 
-fn cell_from_json(value: &JsonValue) -> Result<BenchCell, String> {
+/// One cell of a report, or `None` for a cell of an executor that no
+/// longer exists.
+fn cell_from_json(value: &JsonValue) -> Result<Option<BenchCell>, String> {
     let workload = match value.get("workload").and_then(JsonValue::as_str) {
         Some("mutant_exec") => BenchWorkload::MutantExec,
         Some("fault_sim") => BenchWorkload::FaultSim,
@@ -670,7 +666,9 @@ fn cell_from_json(value: &JsonValue) -> Result<BenchCell, String> {
     };
     let opt = match value.get("opt").and_then(JsonValue::as_str) {
         Some("full") => Some(OptLevel::Full),
-        Some("off") => Some(OptLevel::Off),
+        // The `lanes-noopt` cells of reports committed while the
+        // raw-tape interpreter existed: nothing runs it any more.
+        Some("off") => return Ok(None),
         Some(other) => return Err(format!("bad opt `{other}`")),
         // Reports committed before the `opt` field existed have no
         // `opt` key; their lane cells keep the legacy `lanes` id.
@@ -698,7 +696,7 @@ fn cell_from_json(value: &JsonValue) -> Result<BenchCell, String> {
                 .ok_or(format!("non-integer `invariants.{key}`")),
         }
     };
-    Ok(BenchCell {
+    Ok(Some(BenchCell {
         workload,
         bench,
         engine,
@@ -725,7 +723,7 @@ fn cell_from_json(value: &JsonValue) -> Result<BenchCell, String> {
             faults_simulated: inv_opt("faults_simulated")?,
             detected: inv_opt("detected")?,
         },
-    })
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -816,17 +814,6 @@ pub enum Regression {
         /// Current scalar÷lanes median ratio.
         current: f64,
     },
-    /// The lowered executor's noopt÷opt speedup over the raw-tape
-    /// interpreter dropped beyond threshold — the lowering stopped
-    /// paying for itself.
-    OptRatio {
-        /// `(workload, bench, jobs)` key, e.g. `mutant_exec/c432/jobs=1`.
-        key: String,
-        /// Baseline noopt÷opt median ratio.
-        baseline: f64,
-        /// Current noopt÷opt median ratio.
-        current: f64,
-    },
 }
 
 impl fmt::Display for Regression {
@@ -849,10 +836,6 @@ impl fmt::Display for Regression {
                 f,
                 "{key}: scalar/lanes speedup ratio fell {baseline:.2}x -> {current:.2}x"
             ),
-            Regression::OptRatio { key, baseline, current } => write!(
-                f,
-                "{key}: lane-opt noopt/opt speedup ratio fell {baseline:.2}x -> {current:.2}x"
-            ),
         }
     }
 }
@@ -865,51 +848,11 @@ fn engine_ratios(report: &BenchReport, min_gate_ns: f64) -> Vec<(String, f64)> {
         if cell.engine != Some(Engine::Scalar) {
             continue;
         }
-        // The lanes partner is the production configuration: the lowered
-        // executor, or an older report with no recorded level.
         let Some(partner) = report.cells.iter().find(|c| {
             c.workload == cell.workload
                 && c.bench == cell.bench
                 && c.jobs == cell.jobs
                 && c.engine == Some(Engine::Lanes)
-                && c.opt != Some(OptLevel::Off)
-        }) else {
-            continue;
-        };
-        if partner.wall.median < min_gate_ns || cell.wall.median < min_gate_ns {
-            continue;
-        }
-        let key = format!(
-            "{}/{}/jobs={}",
-            cell.workload.slug(),
-            cell.bench,
-            match cell.jobs.unwrap_or(1) {
-                0 => "auto".to_string(),
-                n => n.to_string(),
-            },
-        );
-        out.push((key, cell.wall.median / partner.wall.median));
-    }
-    out
-}
-
-/// Noopt÷opt median ratios per `(workload, bench, jobs)` key — the
-/// lowered executor's machine-independent speedup over the raw-tape
-/// interpreter, for cell pairs whose `lanes-opt` median clears the
-/// gate floor. Empty for reports committed before the `opt` field
-/// existed (no `lanes-noopt` cells).
-fn opt_ratios(report: &BenchReport, min_gate_ns: f64) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for cell in &report.cells {
-        if cell.engine != Some(Engine::Lanes) || cell.opt != Some(OptLevel::Off) {
-            continue;
-        }
-        let Some(partner) = report.cells.iter().find(|c| {
-            c.workload == cell.workload
-                && c.bench == cell.bench
-                && c.jobs == cell.jobs
-                && c.engine == Some(Engine::Lanes)
-                && c.opt == Some(OptLevel::Full)
         }) else {
             continue;
         };
@@ -992,23 +935,6 @@ pub fn compare(
         };
         if *cur_ratio < base_ratio * (1.0 - policy.max_ratio_regression) {
             findings.push(Regression::EngineRatio {
-                key,
-                baseline: base_ratio,
-                current: *cur_ratio,
-            });
-        }
-    }
-    // Executor-ratio gate: same machine-independence argument as the
-    // engine ratio — noopt and opt run the same work on the same box,
-    // so their quotient transfers across machines.
-    let current_opt = opt_ratios(current, policy.min_gate_ns);
-    for (key, base_ratio) in opt_ratios(baseline, policy.min_gate_ns) {
-        let Some((_, cur_ratio)) = current_opt.iter().find(|(k, _)| *k == key)
-        else {
-            continue;
-        };
-        if *cur_ratio < base_ratio * (1.0 - policy.max_ratio_regression) {
-            findings.push(Regression::OptRatio {
                 key,
                 baseline: base_ratio,
                 current: *cur_ratio,
@@ -1257,9 +1183,6 @@ mod tests {
             exec_cell("c432", Engine::Lanes, 0, 1.0, 5).id(),
             "mutant_exec/c432/lanes-opt/jobs=auto"
         );
-        let mut noopt = exec_cell("c432", Engine::Lanes, 1, 1.0, 5);
-        noopt.opt = Some(OptLevel::Off);
-        assert_eq!(noopt.id(), "mutant_exec/c432/lanes-noopt/jobs=1");
         // Older reports (no recorded level) keep the legacy id.
         let mut legacy = exec_cell("c432", Engine::Lanes, 1, 1.0, 5);
         legacy.opt = None;
@@ -1376,36 +1299,6 @@ mod tests {
     }
 
     #[test]
-    fn opt_ratio_regression_gates_in_quick_mode() {
-        let noopt_cell = |median_ms: f64| {
-            let mut cell = exec_cell("c432", Engine::Lanes, 1, median_ms, 301);
-            cell.opt = Some(OptLevel::Off);
-            cell
-        };
-        // opt 10 ms vs noopt 20 ms: the lowered executor earns 2.0x.
-        let mut baseline = report(grid());
-        baseline.cells.push(noopt_cell(20.0));
-        // The lowered executor decays to 1.1x: ratio falls past the 30 % gate.
-        let mut current = report(grid());
-        current.cells.push(noopt_cell(11.0));
-        let findings = compare(&baseline, &current, &ComparePolicy::quick());
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        let Regression::OptRatio { key, baseline: b, current: c } = &findings[0]
-        else {
-            panic!("{findings:?}");
-        };
-        assert_eq!(key, "mutant_exec/c432/jobs=1");
-        assert!((b - 2.0).abs() < 1e-9);
-        assert!((c - 1.1).abs() < 1e-9);
-        // A noopt cell that speeds up alongside opt passes (ratio held),
-        // and older baselines (no noopt cells) never gate.
-        let mut faster = report(grid());
-        faster.cells.push(noopt_cell(19.0));
-        assert_eq!(compare(&baseline, &faster, &ComparePolicy::quick()), vec![]);
-        assert_eq!(compare(&report(grid()), &current, &ComparePolicy::quick()), vec![]);
-    }
-
-    #[test]
     fn sub_floor_ratios_are_skipped() {
         // b01-sized cells (lanes < 5 ms) must not anchor a ratio gate.
         let baseline = report(vec![
@@ -1432,6 +1325,20 @@ mod tests {
             BenchReport::from_json(&anonymous.to_json()).unwrap().meta.git,
             None
         );
+    }
+
+    #[test]
+    fn retired_noopt_cells_are_skipped_on_load() {
+        // Lane cells of the retired raw-tape interpreter carry
+        // `"opt": "off"`; a report loads without them.
+        let doc = report(grid()).to_json().replace(r#""opt": "full""#, r#""opt": "off""#);
+        let parsed = BenchReport::from_json(&doc).unwrap();
+        assert_eq!(parsed.cells.len(), 3);
+        assert!(parsed.cells.iter().all(|c| c.engine != Some(Engine::Lanes)));
+        // The committed trajectory point CI gates on keeps its other 18
+        // cells.
+        let bench4 = BenchReport::from_json(include_str!("../../../BENCH_4.json")).unwrap();
+        assert_eq!(bench4.cells.len(), 18);
     }
 
     #[test]
@@ -1489,8 +1396,8 @@ mod tests {
         let report =
             run_bench(&[Benchmark::C17], &BenchOptions { quick: true, seed: 7 })
                 .unwrap();
-        // (scalar + lanes-opt + lanes-noopt) x 2 jobs + 2 reduce settings.
-        assert_eq!(report.cells.len(), 8);
+        // (scalar + lanes-opt) x 2 jobs + 2 reduce settings.
+        assert_eq!(report.cells.len(), 6);
         let ids: Vec<String> = report.cells.iter().map(BenchCell::id).collect();
         assert_eq!(
             ids,
@@ -1499,14 +1406,12 @@ mod tests {
                 "mutant_exec/c17/scalar/jobs=auto",
                 "mutant_exec/c17/lanes-opt/jobs=1",
                 "mutant_exec/c17/lanes-opt/jobs=auto",
-                "mutant_exec/c17/lanes-noopt/jobs=1",
-                "mutant_exec/c17/lanes-noopt/jobs=auto",
                 "fault_sim/c17/reduce=off",
                 "fault_sim/c17/reduce=on",
             ]
         );
-        // Invariants are engine-, opt- and jobs-independent...
-        let killed: Vec<Option<usize>> = report.cells[..6]
+        // Invariants are engine- and jobs-independent...
+        let killed: Vec<Option<usize>> = report.cells[..4]
             .iter()
             .map(|c| c.invariants.killed)
             .collect();
@@ -1517,13 +1422,13 @@ mod tests {
         assert!(report.cells[2].invariants.lane_passes.unwrap() > 0);
         assert_eq!(
             report.cells[2].invariants.lane_passes,
-            report.cells[4].invariants.lane_passes,
-            "the executor level must not change the pass structure"
+            report.cells[3].invariants.lane_passes,
+            "sharding must not change the pass structure"
         );
         // ...and the fsim pair detects identically while reduction
         // frees lanes.
-        let off = &report.cells[6].invariants;
-        let on = &report.cells[7].invariants;
+        let off = &report.cells[4].invariants;
+        let on = &report.cells[5].invariants;
         assert_eq!(off.detected, on.detected);
         assert_eq!(off.faults_simulated, off.faults_total);
         assert!(on.faults_simulated.unwrap() <= on.faults_total.unwrap());

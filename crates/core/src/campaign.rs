@@ -46,7 +46,7 @@ use crate::profile::OperatorProfile;
 use crate::tables::{Table1, Table2, Table2Row, TableError};
 use musa_circuits::Benchmark;
 use musa_metrics::{f2, pct, signed0, Align, Nlfce, Table};
-use musa_mutation::{Engine, MutationError, MutationOperator, MutationScore, OptLevel};
+use musa_mutation::{Engine, MutationError, MutationOperator, MutationScore};
 use musa_testgen::{mutation_guided_tests, SamplingStrategy};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -227,7 +227,6 @@ pub struct Campaign {
     engine: Option<Engine>,
     fault_reduce: Option<bool>,
     screen: Option<bool>,
-    opt: Option<OptLevel>,
     paper: bool,
     fast: bool,
     task: Option<Task>,
@@ -255,7 +254,6 @@ impl Campaign {
             engine: None,
             fault_reduce: None,
             screen: None,
-            opt: None,
             paper: false,
             fast: false,
             task: None,
@@ -322,15 +320,6 @@ impl Campaign {
     #[must_use]
     pub fn screen(mut self, screen: bool) -> Self {
         self.screen = Some(screen);
-        self
-    }
-
-    /// Lane executor (default `full`, the lowered executor; `off` runs
-    /// the raw-tape interpreter). Purely a wall-clock knob: outcomes
-    /// are bit-identical at every level.
-    #[must_use]
-    pub fn opt(mut self, opt: OptLevel) -> Self {
-        self.opt = Some(opt);
         self
     }
 
@@ -425,9 +414,6 @@ impl Campaign {
         }
         if let Some(screen) = self.screen {
             config = config.with_screen(screen);
-        }
-        if let Some(opt) = self.opt {
-            config = config.with_opt(opt);
         }
         if config.repetitions == 0 {
             return Err(CampaignError::ZeroRepetitions);
@@ -794,6 +780,8 @@ impl Report {
                 "screen",
                 Json::str(if config.screen { "static" } else { "off" }),
             ),
+            // The lane executor's one level, kept only because every
+            // recorded benchmark digest hashes this line.
             ("opt", Json::str(config.opt.name())),
             ("preset", Json::str(plan.preset.to_string())),
             ("wall_ms", Json::count(self.wall.as_millis() as usize)),

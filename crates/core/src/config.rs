@@ -55,11 +55,10 @@ pub struct ExperimentConfig {
     /// Every reported number is bit-identical with the knob on or off;
     /// on is the default.
     pub screen: bool,
-    /// Lane executor for every lane-engine stage: `full` (the default)
-    /// runs the compiler's tapes on the lowered executor (constant
-    /// pooling, scalar prefix); `off` runs the raw compiler tapes on
-    /// the reference interpreter. Outcomes are bit-identical either
-    /// way — like `jobs` and `engine`, purely a wall-clock knob.
+    /// The lane executor's one level, [`OptLevel::Full`]: nothing
+    /// reads it but `campaign_bench` and the `"opt"` line of a report's
+    /// `meta`, which every recorded benchmark digest hashes. The
+    /// benchmark change that re-records those digests deletes it.
     pub opt: OptLevel,
 }
 
@@ -79,7 +78,6 @@ impl ExperimentConfig {
                 max_rounds: 2,
                 seed,
                 engine: Engine::default(),
-                opt: OptLevel::default(),
             },
             equivalence: EquivalencePolicy {
                 budget: 2_000,
@@ -128,15 +126,6 @@ impl ExperimentConfig {
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self.mg.engine = engine;
-        self
-    }
-
-    /// Returns a copy with the given lane executor level, for
-    /// population grading *and* mutation-guided generation.
-    #[must_use]
-    pub fn with_opt(mut self, opt: OptLevel) -> Self {
-        self.opt = opt;
-        self.mg.opt = opt;
         self
     }
 
@@ -202,15 +191,5 @@ mod tests {
         let c = c.with_engine(Engine::Scalar);
         assert_eq!(c.engine, Engine::Scalar);
         assert_eq!(c.mg.engine, Engine::Scalar, "MG generation must follow the knob");
-    }
-
-    #[test]
-    fn opt_propagates_to_generation() {
-        let c = ExperimentConfig::fast(1);
-        assert_eq!(c.opt, OptLevel::Full);
-        assert_eq!(c.mg.opt, OptLevel::Full);
-        let c = c.with_opt(OptLevel::Off);
-        assert_eq!(c.opt, OptLevel::Off);
-        assert_eq!(c.mg.opt, OptLevel::Off, "MG generation must follow the knob");
     }
 }

@@ -437,7 +437,7 @@ pub(crate) fn kills_over_sessions(
         sessions,
         screened,
         config.engine,
-        &LaneOptions::default().with_jobs(jobs).with_opt(config.opt),
+        &LaneOptions::default().with_jobs(jobs),
     )?;
     let starts: Vec<usize> = sessions
         .iter()

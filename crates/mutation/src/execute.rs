@@ -65,50 +65,26 @@ impl FromStr for Engine {
     }
 }
 
-/// Which executor runs the lane engine's compiled tapes (`--opt`).
+/// The lane executor's level: one level, [`OptLevel::Full`], the
+/// lowered executor.
 ///
-/// `Full` (the default) lowers the compiler's tapes one op per
-/// instruction and runs them on the lowered executor: a pooled constant
-/// file and a scalar prefix for the values no mutant can influence. `Off`
-/// runs the same tapes one instruction at a time on the raw-tape
-/// reference interpreter. The two settings are **bit-identical** for
-/// every population, sequence and job count, so the knob exists for
-/// differential testing and benchmarking, and `opt` stays *out* of the
-/// `musa.key.v1` cache key. The scalar engine ignores it.
+/// It has no CLI spelling and selects nothing. It survives only as a
+/// shim for `campaign_bench`, which passes `ExperimentConfig::opt` to
+/// [`execute_mutants_engine_opt`] and hashes `"opt": "full"` in every
+/// recorded digest; the benchmark change that re-records those digests
+/// deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum OptLevel {
-    /// Run the lowered executor. The default.
+    /// The lowered executor. The only level.
     #[default]
     Full,
-    /// Interpret the raw compiler output (the tests' oracle and the
-    /// benchmarking baseline).
-    Off,
 }
 
 impl OptLevel {
-    /// The CLI spelling (`full` / `off`).
+    /// The name a report prints (`full`).
     pub fn name(self) -> &'static str {
         match self {
             OptLevel::Full => "full",
-            OptLevel::Off => "off",
-        }
-    }
-}
-
-impl fmt::Display for OptLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for OptLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(OptLevel::Full),
-            "off" => Ok(OptLevel::Off),
-            other => Err(format!("unknown opt level `{other}` (expected full|off)")),
         }
     }
 }
@@ -187,8 +163,10 @@ pub(crate) fn reference_transcript(
 /// Each mutant's first killing vector over one `sequence`: the
 /// one-sequence case of [`crate::first_kills_over`]. `jobs` shards
 /// mutants (scalar) or whole lane groups (lanes) across worker threads.
-/// The outcome is bit-identical across engines, opt levels and job
-/// counts (the scalar engine has no tapes and ignores `opt`).
+/// The outcome is bit-identical across engines and job counts.
+///
+/// The last parameter is accepted and ignored: `campaign_bench` passes
+/// it, and the benchmark change that retires [`OptLevel`] drops it.
 ///
 /// # Errors
 ///
@@ -201,7 +179,7 @@ pub fn execute_mutants_engine_opt(
     sequence: &[Vec<Bits>],
     jobs: usize,
     engine: Engine,
-    opt: OptLevel,
+    _opt: OptLevel,
 ) -> Result<KillResult, MutationError> {
     let kills = crate::sweep::first_kills_over(
         checked,
@@ -210,7 +188,7 @@ pub fn execute_mutants_engine_opt(
         &[sequence],
         None,
         engine,
-        &crate::lanes::LaneOptions::default().with_jobs(jobs).with_opt(opt),
+        &crate::lanes::LaneOptions::default().with_jobs(jobs),
     )?;
     Ok(KillResult { first_kill: kills.into_iter().map(|kill| kill.map(|(_, t)| t)).collect() })
 }
@@ -404,29 +382,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(lanes.first_kill, scalar.first_kill, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn opt_knob_parses_and_dispatches_identically() {
-        assert_eq!("full".parse::<OptLevel>().unwrap(), OptLevel::Full);
-        assert_eq!("off".parse::<OptLevel>().unwrap(), OptLevel::Off);
-        assert!("fast".parse::<OptLevel>().is_err());
-        assert_eq!(OptLevel::default(), OptLevel::Full);
-        assert_eq!(OptLevel::Off.to_string(), "off");
-
-        let d = checked(GATE);
-        let mutants = generate_mutants(&d, "g", &GenerateOptions::default());
-        let sequence: TestSequence = (0..4u64)
-            .map(|p| vec![bit(p & 1), bit((p >> 1) & 1)])
-            .collect();
-        let scalar = scalar_kills(&d, "g", &mutants, &sequence);
-        for opt in [OptLevel::Full, OptLevel::Off] {
-            let lanes = execute_mutants_engine_opt(
-                &d, "g", &mutants, &sequence, 1, Engine::Lanes, opt,
-            )
-            .unwrap();
-            assert_eq!(lanes.first_kill, scalar.first_kill, "opt={opt}");
         }
     }
 

@@ -1,8 +1,7 @@
 //! Entity → lane-tape compiler.
 //!
 //! First stage of the compile → lower/execute pipeline; its tapes go
-//! straight to [`super::exec`]'s lowering (or, at [`OptLevel::Off`], to
-//! the raw-tape interpreter).
+//! straight to [`super::exec`]'s lowering.
 //!
 //! Compiles one checked entity **once per lane group** into two flat
 //! tapes — the combinational settle and the clock edge — with every
@@ -21,47 +20,20 @@
 //! through the scalar engine so observable behaviour — including
 //! errors — matches the scalar path exactly.
 
-use super::exec::{lower_unit, ExecUnit};
+use super::exec::{lower_unit, Lowered};
 use super::tape::{Instr, LaneWord, Reg, Tape, LANES};
-use crate::execute::OptLevel;
 use crate::mutant::{Mutant, Rewrite};
 use musa_hdl::ast::*;
 use musa_hdl::{Bits, CheckedDesign, EntityInfo, SymbolId, SymbolKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// The executable payload of a [`Compiled`] group — which engine runs
-/// the sweeps is the [`OptLevel`] decision.
-#[derive(Debug)]
-pub(crate) enum Executable {
-    /// `--opt off`: the compiler's raw SSA tapes, run on the
-    /// [`super::tape::LaneVm::run`] reference interpreter — the
-    /// baseline the `lanes-noopt` bench cells and the differential
-    /// suites measure the lowered executor against.
-    Raw {
-        /// The combinational settle (runs on reset, after inputs, after edge).
-        comb: Tape,
-        /// The clock edge: next-state computation plus register commit.
-        edge: Tape,
-    },
-    /// `--opt full`: the compiler's tapes lowered to executor tapes
-    /// with a shared constant pool.
-    Lowered {
-        /// The combinational settle (runs on reset, after inputs, after edge).
-        comb: ExecUnit,
-        /// The clock edge: next-state computation plus register commit.
-        edge: ExecUnit,
-        /// Constant pool shared by both tapes, seeded once per simulation.
-        consts: Vec<u64>,
-    },
-}
-
-/// A group compiled for lane execution — the output of the
-/// compile → lower pipeline (the lowering is skipped at
-/// [`OptLevel::Off`]).
+/// A group compiled for lane execution: the output of the
+/// compile → lower pipeline.
 #[derive(Debug)]
 pub(crate) struct Compiled {
-    /// The executable tapes, shaped by the [`OptLevel`].
-    pub exec: Executable,
+    /// The lowered comb and edge tapes, their constant pool and the
+    /// scratch sizes they need.
+    pub lowered: Lowered,
     /// Power-on lanes per symbol (constants carry per-lane CR values).
     pub init: Vec<LaneWord>,
     /// Data-input symbols in declaration order, with their widths (the
@@ -71,12 +43,6 @@ pub(crate) struct Compiled {
     pub outputs: Vec<SymbolId>,
     /// `true` when the entity has no clocked process.
     pub combinational: bool,
-    /// Scratch registers needed (constant pool plus the widest lowered
-    /// lane stream at `Full`; the longest raw tape at `Off`).
-    pub scratch: usize,
-    /// Scalar scratch registers (pool plus the widest scalar prefix at
-    /// `Full`; zero at `Off` — the interpreter has no scalar file).
-    pub scratch_scalar: usize,
     /// Group-local indices of mutants the tape cannot represent; the
     /// runner executes these through the scalar engine. Ascending.
     pub fallback: Vec<usize>,
@@ -148,20 +114,23 @@ struct Sites {
 }
 
 impl Sites {
-    fn build(checked: &CheckedDesign, entity: &Entity, group: &[&Mutant]) -> Self {
+    fn build(
+        checked: &CheckedDesign,
+        entity: &Entity,
+        info: &EntityInfo,
+        group: &[&Mutant],
+    ) -> Self {
         let mut sites = Sites::default();
         for (slot, mutant) in group.iter().enumerate() {
             let lane = slot as u32 + 1;
             match &mutant.rewrite {
-                // An SDL inside a combinational process can violate the
-                // checker's full-assignment rule — the scalar engine
-                // rejects such a mutant as stillborn at apply time.
-                // Compile it in only when it passes the same acceptance
-                // test; otherwise the lane stays unapplied and the group
+                // An SDL can leave an output port undriven, or violate
+                // full assignment in a combinational process: the scalar
+                // engine rejects such a mutant as stillborn at apply
+                // time. Compile it in only when re-checking would accept
+                // it; otherwise the lane stays unapplied and the group
                 // runner's scalar fallback reproduces the exact error.
-                // (Clocked-process deletions are always legal: registers
-                // hold their value.)
-                Rewrite::DeleteStmt if sdl_is_tape_safe(checked, entity, mutant) => {
+                Rewrite::DeleteStmt if sdl_is_tape_safe(checked, entity, info, mutant) => {
                     *sites.stmt_delete.entry(mutant.site).or_insert(0) |= 1 << lane;
                 }
                 Rewrite::DeleteStmt => {}
@@ -189,27 +158,52 @@ impl Sites {
     }
 }
 
-/// Whether deleting this statement survives re-checking. Only the
-/// full-assignment rule can reject an SDL (no names, widths or drivers
-/// change), and it only applies to combinational processes — so clocked
-/// deletions pass outright and combinational ones take the scalar
-/// engine's own acceptance test (one apply + re-check per group
-/// compile; comb-SDL mutants are a small slice of any population).
-fn sdl_is_tape_safe(checked: &CheckedDesign, entity: &Entity, mutant: &Mutant) -> bool {
-    let in_comb = entity.processes.iter().any(|p| {
-        matches!(p.kind, ProcessKind::Comb) && {
-            let mut found = false;
-            walk_stmts(&p.body, &mut |s| found |= s.id() == mutant.site);
-            found
+/// Whether deleting this assignment survives re-checking. No name or
+/// width changes, so two rules can reject an SDL. In any process,
+/// deleting its only assignment to an output port leaves the port
+/// undriven. In a combinational process, the deletion can break full
+/// assignment: those take the scalar engine's own acceptance test (one
+/// apply + re-check per group compile; comb-SDL mutants are a small
+/// slice of any population). A site that is no assignment passes here
+/// and is never applied, so the scalar fallback reports it.
+fn sdl_is_tape_safe(
+    checked: &CheckedDesign,
+    entity: &Entity,
+    info: &EntityInfo,
+    mutant: &Mutant,
+) -> bool {
+    let target_of = |s: &Stmt| match s {
+        Stmt::Assign { target, .. } => Some(info.resolved[&target.id]),
+        _ => None,
+    };
+    for process in &entity.processes {
+        let mut deleted = None;
+        walk_stmts(&process.body, &mut |s| {
+            if s.id() == mutant.site {
+                deleted = target_of(s);
+            }
+        });
+        let Some(sym) = deleted else { continue };
+        if matches!(info.symbol(sym).kind, SymbolKind::PortOut) {
+            let mut drives = 0;
+            walk_stmts(&process.body, &mut |s| {
+                drives += usize::from(target_of(s) == Some(sym));
+            });
+            if drives == 1 {
+                return false;
+            }
         }
-    });
-    !in_comb || mutant.apply(checked).is_ok()
+        return !matches!(process.kind, ProcessKind::Comb) || mutant.apply(checked).is_ok();
+    }
+    true
 }
 
 /// Child-register context handed to the mutation-site folder so `LOR`
-/// reuses the already-compiled operands and `UOD` the inner argument.
+/// reuses the already-compiled operands and `UOD` the inner argument;
+/// a literal index carries the width the checker bounds it by.
 enum Ctx {
     Plain,
+    Index { width: u32 },
     Not { arg: Reg },
     Binary { a: Reg, b: Reg },
 }
@@ -218,12 +212,11 @@ pub(crate) fn compile_group(
     checked: &CheckedDesign,
     group: &[&Mutant],
     base: &BaseCompile,
-    opt: OptLevel,
 ) -> Result<Compiled, Cycle> {
     let (entity, info) = (base.entity, base.info);
     debug_assert!(group.len() < LANES, "at most {} mutants per group", LANES - 1);
     let order = comb_order_union(group, base)?;
-    let mut compiler = Compiler::new(entity, info, Sites::build(checked, entity, group));
+    let mut compiler = Compiler::new(entity, info, Sites::build(checked, entity, info, group));
     let init = compiler.build_init(&base.init);
     let comb = compiler.compile_comb(&order);
     let edge = compiler.compile_edge();
@@ -235,35 +228,21 @@ pub(crate) fn compile_group(
         super::verify::verify_tape(&comb, init.len());
         super::verify::verify_tape(&edge, init.len());
     }
-    let (exec, scratch, scratch_scalar) = match opt {
-        OptLevel::Off => {
-            let scratch = comb.instrs.len().max(edge.instrs.len());
-            (Executable::Raw { comb, edge }, scratch, 0)
+    let lowered = lower_unit(&comb, &edge, &init);
+    #[cfg(debug_assertions)]
+    {
+        for (unit, tape) in [(&lowered.comb, &comb), (&lowered.edge, &edge)] {
+            super::verify::verify_unit(
+                unit,
+                tape,
+                init.len(),
+                lowered.consts.len(),
+                lowered.scratch_scalar,
+            );
         }
-        OptLevel::Full => {
-            let lowered = lower_unit(&comb, &edge, &init);
-            #[cfg(debug_assertions)]
-            {
-                for (unit, tape) in [(&lowered.comb, &comb), (&lowered.edge, &edge)] {
-                    super::verify::verify_unit(
-                        unit,
-                        tape,
-                        init.len(),
-                        lowered.consts.len(),
-                        lowered.scratch_scalar,
-                    );
-                }
-            }
-            let exec = Executable::Lowered {
-                comb: lowered.comb,
-                edge: lowered.edge,
-                consts: lowered.consts,
-            };
-            (exec, lowered.scratch, lowered.scratch_scalar)
-        }
-    };
+    }
     Ok(Compiled {
-        exec,
+        lowered,
         init,
         data_inputs: info
             .data_inputs
@@ -272,8 +251,6 @@ pub(crate) fn compile_group(
             .collect(),
         outputs: info.outputs.clone(),
         combinational: info.is_combinational(),
-        scratch,
-        scratch_scalar,
         fallback,
     })
 }
@@ -529,7 +506,7 @@ impl<'a> Compiler<'a> {
                 let new = match &target.sel {
                     None => self.expr(value),
                     Some(Select::Index(index)) => {
-                        let ix = self.expr(index);
+                        let ix = self.index(index, width);
                         let bit = self.expr(value);
                         let cur = self.read(sym);
                         self.emit(Instr::DynSet { cur, index: ix, bit, width })
@@ -698,8 +675,8 @@ impl<'a> Compiler<'a> {
             }
             Expr::Index { base, index, .. } => {
                 let b = self.expr(base);
-                let ix = self.expr(index);
                 let width = self.width_of(base.id());
+                let ix = self.index(index, width);
                 let orig = self.emit(Instr::DynGet { base: b, index: ix, width });
                 self.expr_sites(e, orig, Ctx::Plain)
             }
@@ -743,6 +720,16 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// Compiles the index of a `width`-bit base. A literal index is
+    /// bounded by that width, as the checker bounds it.
+    fn index(&mut self, index: &Expr, width: u32) -> Reg {
+        let Expr::Literal { id, value, .. } = index else {
+            return self.expr(index);
+        };
+        let orig = self.konst(value & Bits::mask_of(self.width_of(*id)));
+        self.expr_sites(index, orig, Ctx::Index { width })
+    }
+
     /// Folds every rewrite addressing this node into a chain of
     /// mask-driven lane selects over the original value. Rewrites that
     /// do not fit the node (or would be stillborn) stay unapplied; the
@@ -755,7 +742,13 @@ impl<'a> Compiler<'a> {
         let mut acc = orig;
         for (lane, rewrite) in list {
             let mutated = match (&rewrite, &ctx) {
-                (Rewrite::BinOp { new }, Ctx::Binary { a, b }) => {
+                // A relational operator has a 1-bit result and operands
+                // of their own width, any other the context's width, so
+                // a swap across the two classes changes the node's width.
+                (Rewrite::BinOp { new }, Ctx::Binary { a, b })
+                    if matches!(e, Expr::Binary { op, .. }
+                        if op.is_relational() == new.is_relational()) =>
+                {
                     Some(self.emit(Instr::Bin { op: *new, a: *a, b: *b, width: w }))
                 }
                 (Rewrite::InsertNot, _) => Some(self.emit(Instr::Not { a: orig, width: w })),
@@ -771,11 +764,10 @@ impl<'a> Compiler<'a> {
                     }
                 }
                 (Rewrite::Literal { value }, _) if matches!(e, Expr::Literal { .. }) => {
-                    if w == 64 || *value < (1u64 << w) {
-                        Some(self.konst(*value))
-                    } else {
-                        None
-                    }
+                    let fits = w == 64 || *value < (1u64 << w);
+                    let in_range =
+                        !matches!(ctx, Ctx::Index { width } if *value >= u64::from(width));
+                    (fits && in_range).then(|| self.konst(*value))
                 }
                 _ => None,
             };

@@ -1,11 +1,11 @@
 //! The lane executor: SSA tapes lowered to an explicit-destination op
 //! stream, one op per instruction.
 //!
-//! Second stage of the compile → lower/execute pipeline: the
-//! compiler's tapes come here as they are (`--opt full`; `--opt off`
-//! interprets them on [`LaneVm::run`] instead). Lowering turns a
-//! [`Tape`] into an [`ExecTape`] whose ops carry their destination
-//! register and precomputed width masks; it additionally:
+//! Second stage of the compile → lower/execute pipeline, and the only
+//! way a compiled group runs: the compiler's tapes come here as they
+//! are. Lowering turns a [`Tape`] into an [`ExecTape`] whose ops carry
+//! their destination register and precomputed width masks; it
+//! additionally:
 //!
 //! * **pools constants** — `Const` broadcasts are materialized once per
 //!   group simulation (they are loop-invariant across every sweep), so
@@ -26,10 +26,6 @@ use std::collections::BTreeMap;
 pub(crate) enum ExecOp {
     /// Read a symbol's lanes from persistent state.
     Load { dst: Reg, sym: u32 },
-    /// Broadcast a constant. Never emitted by [`lower_unit`] (pooling
-    /// absorbs every `Const`); kept so lowering stays total over
-    /// [`Instr`].
-    Const { dst: Reg, value: u64 },
     /// Compile-time lane select (the mutation-site primitive).
     MaskSel { dst: Reg, mask: u64, a: Reg, b: Reg },
     /// Runtime per-lane select on a width-1 predicate.
@@ -64,7 +60,6 @@ impl ExecOp {
     pub(crate) fn dst(&self) -> Reg {
         match *self {
             ExecOp::Load { dst, .. }
-            | ExecOp::Const { dst, .. }
             | ExecOp::MaskSel { dst, .. }
             | ExecOp::Sel { dst, .. }
             | ExecOp::Not { dst, .. }
@@ -125,7 +120,9 @@ pub(crate) struct ExecUnit {
 /// The lowered unit: both tapes plus the shared constant pool.
 #[derive(Debug)]
 pub(crate) struct Lowered {
+    /// The combinational settle (runs on reset, after inputs, after edge).
     pub comb: ExecUnit,
+    /// The clock edge: next-state computation plus register commit.
     pub edge: ExecUnit,
     /// Constant pool: register `j` holds `consts[j]`, seeded once per VM
     /// into both the lane and the scalar register files.
@@ -224,11 +221,12 @@ pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord
     }
 }
 
-/// Lowers one instruction, mapping operands through `res`.
+/// Lowers one non-`Const` instruction (constants resolve into the
+/// pool), mapping operands through `res`.
 fn lower_op(instr: &Instr, dst: Reg, res: impl Fn(Reg) -> Reg) -> ExecOp {
     match *instr {
         Instr::Load { sym } => ExecOp::Load { dst, sym },
-        Instr::Const { value } => ExecOp::Const { dst, value },
+        Instr::Const { .. } => unreachable!("constants resolve into the pool"),
         Instr::MaskSel { mask, a, b } => ExecOp::MaskSel { dst, mask, a: res(a), b: res(b) },
         Instr::Sel { cond, a, b } => {
             ExecOp::Sel { dst, cond: res(cond), a: res(a), b: res(b) }
@@ -358,7 +356,7 @@ fn lower(tape: &Tape, pool: &BTreeMap<u64, Reg>, first: Reg, div: &[bool]) -> Ex
 }
 
 /// Per-lane binary-operator evaluation, identical to the scalar
-/// [`Bits`] semantics (and to `LaneVm::run`).
+/// [`Bits`] semantics.
 #[inline(always)]
 fn bin(op: BinOp, a: u64, b: u64, m: u64) -> u64 {
     match op {
@@ -434,7 +432,6 @@ impl LaneVm {
             let s = &self.sregs;
             let v = match *op {
                 ExecOp::Load { sym, .. } => self.state[sym as usize][0],
-                ExecOp::Const { value, .. } => value,
                 ExecOp::Sel { cond, a, b, .. } => {
                     if s[cond as usize] != 0 { s[a as usize] } else { s[b as usize] }
                 }
@@ -508,7 +505,6 @@ impl LaneVm {
                 (&mut rest[0][lo..lo + TILE]).try_into().expect("tile within lane word");
             match *op {
                 ExecOp::Load { sym, .. } => *out = *tile(&self.state[sym as usize], lo),
-                ExecOp::Const { value, .. } => *out = [value; TILE],
                 ExecOp::Splat { src, .. } => *out = [self.sregs[src as usize]; TILE],
                 ExecOp::MaskSel { mask, a, b, .. } => {
                     let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
@@ -598,8 +594,8 @@ impl LaneVm {
             }
         }
         // Commit this tile's write-backs. Tiles are disjoint lanes, so
-        // the next tile's Loads still read their own pre-sweep lanes —
-        // semantics match the whole-word interpreter exactly.
+        // the next tile's Loads still read their own pre-sweep lanes:
+        // every lane sees exactly a whole-word sweep's values.
         for &(sym, reg) in &tape.stores {
             self.state[sym as usize][lo..lo + TILE]
                 .copy_from_slice(&self.regs[reg as usize][lo..lo + TILE]);
@@ -608,21 +604,36 @@ impl LaneVm {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::lanes::tape::LaneWord;
 
-    /// Differential harness: the lowered tape must match the reference
-    /// `Tape::run` interpreter on the same state.
-    fn assert_lowering_matches(comb: Tape, init: &[LaneWord]) {
-        let mut reference = LaneVm::new(init, comb.instrs.len(), 0);
-        reference.run(&comb);
-        let lowered = lower_unit(&comb, &Tape::default(), init);
+    /// Lowers `comb` and runs it once over every lane, as a group's
+    /// settle does: the scalar prefix, then the lane stream.
+    pub(crate) fn run_lowered(comb: &Tape, init: &[LaneWord]) -> LaneVm {
+        let lowered = lower_unit(comb, &Tape::default(), init);
         let mut vm = LaneVm::new(init, lowered.scratch, lowered.scratch_scalar);
         vm.seed_consts(&lowered.consts);
         vm.run_scalar(&lowered.comb.pre);
         vm.run_exec(&lowered.comb.main, u64::MAX);
-        assert_eq!(vm.state, reference.state);
+        vm
+    }
+
+    /// Runs `comb` lowered and checks every lane's stored values against
+    /// `expected`, which computes them with [`Bits`] from the lane index
+    /// and the lane's initial symbol values.
+    fn assert_lanes_follow_bits(
+        comb: &Tape,
+        init: &[LaneWord],
+        expected: impl Fn(usize, &[u64]) -> Vec<u64>,
+    ) {
+        let vm = run_lowered(comb, init);
+        for lane in 0..LANES {
+            let inputs: Vec<u64> = init.iter().map(|word| word[lane]).collect();
+            let stored: Vec<u64> =
+                comb.stores.iter().map(|&(sym, _)| vm.state[sym as usize][lane]).collect();
+            assert_eq!(stored, expected(lane, &inputs), "lane {lane}");
+        }
     }
 
     fn ramp(seed: u64) -> LaneWord {
@@ -636,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn lowering_matches_the_interpreter_on_bin_masksel_pairs() {
+    fn lowering_matches_bits_semantics_on_bin_masksel_pairs() {
         // The expression-mutation shape: original Bin, mutated Bin,
         // MaskSel routing the mutant lane.
         let comb = Tape {
@@ -649,11 +660,14 @@ mod tests {
             ],
             stores: vec![(2, 4)],
         };
-        assert_lowering_matches(comb, &[ramp(1), ramp(2), [0; LANES]]);
+        assert_lanes_follow_bits(&comb, &[ramp(1), ramp(2), [0; LANES]], |lane, v| {
+            let (a, b) = (Bits::new(8, v[0]), Bits::new(8, v[1]));
+            vec![if lane == 2 { a.or(b) } else { a.and(b) }.raw()]
+        });
     }
 
     #[test]
-    fn lowering_matches_the_interpreter_on_load_bin_and_not_reduce() {
+    fn lowering_matches_bits_semantics_on_load_bin_and_not_reduce() {
         // A complemented operand reduced to one bit.
         let comb = Tape {
             instrs: vec![
@@ -665,11 +679,13 @@ mod tests {
             ],
             stores: vec![(2, 4)],
         };
-        assert_lowering_matches(comb, &[ramp(3), ramp(4), [0; LANES]]);
+        assert_lanes_follow_bits(&comb, &[ramp(3), ramp(4), [0; LANES]], |_, v| {
+            vec![Bits::new(8, v[0]).xor(Bits::new(8, v[1])).not().reduce_and().raw()]
+        });
     }
 
     #[test]
-    fn lowering_matches_the_interpreter_on_multi_use_and_stored_producers() {
+    fn lowering_matches_bits_semantics_on_multi_use_and_stored_producers() {
         // A Bin that feeds the MaskSel and is also stored.
         let comb = Tape {
             instrs: vec![
@@ -680,7 +696,71 @@ mod tests {
             ],
             stores: vec![(0, 2), (1, 3)],
         };
-        assert_lowering_matches(comb, &[ramp(5), ramp(6)]);
+        assert_lanes_follow_bits(&comb, &[ramp(5), ramp(6)], |lane, v| {
+            let sum = Bits::new(8, v[0]).add(Bits::new(8, v[1])).raw();
+            vec![sum, if lane == 1 { sum } else { v[0] }]
+        });
+    }
+
+    /// Every instruction kind computes in each lane what [`Bits`]
+    /// computes on that lane's values (dynamic indices past the width
+    /// read 0 and write nothing, as the simulator's do): on the lane
+    /// stream when the inputs differ across lanes, and on the scalar
+    /// prefix, with `Splat`s into the one `MaskSel`, when they do not.
+    #[test]
+    fn every_op_matches_bits_semantics_on_both_streams() {
+        // Symbols 0..4 are a, b (8 bits), i (3 bits) and j (4 bits);
+        // instruction r stores into symbol r - 1.
+        let comb = Tape {
+            instrs: vec![
+                Instr::Load { sym: 0 },
+                Instr::Load { sym: 1 },
+                Instr::Load { sym: 2 },
+                Instr::Load { sym: 3 },
+                Instr::Const { value: 0x5A },
+                Instr::Bin { op: BinOp::Sub, a: 0, b: 1, width: 8 },
+                Instr::Bin { op: BinOp::Lt, a: 0, b: 4, width: 1 },
+                Instr::Not { a: 5, width: 8 },
+                Instr::Reduce { op: ReduceOp::Xor, a: 0, width: 8 },
+                Instr::Shift { op: ShiftOp::Left, a: 1, amount: 3, width: 8 },
+                Instr::Shift { op: ShiftOp::Right, a: 1, amount: 9, width: 8 },
+                Instr::Slice { a: 0, hi: 6, lo: 2 },
+                Instr::Concat { a: 11, b: 2, rhs_width: 3 },
+                Instr::DynGet { base: 1, index: 3, width: 8 },
+                Instr::DynSet { cur: 0, index: 3, bit: 8, width: 8 },
+                Instr::WithSlice { cur: 1, v: 2, hi: 5, lo: 3 },
+                Instr::Sel { cond: 6, a: 9, b: 15 },
+                Instr::MaskSel { mask: 0xAAAA_AAAA_AAAA_AAAA, a: 12, b: 16 },
+            ],
+            stores: (5..=17).map(|r| (r - 1, r)).collect(),
+        };
+        let expected = |lane: usize, v: &[u64]| {
+            let (a, b, i, j) = (Bits::new(8, v[0]), Bits::new(8, v[1]), Bits::new(3, v[2]), v[3]);
+            let lt = a.cmp_lt(Bits::new(8, 0x5A));
+            let xr = a.reduce_xor();
+            let (shl, slice) = (b.shl(3), a.slice(6, 2));
+            let (cat, ws) = (slice.concat(i), b.with_slice(5, 3, i));
+            let (get, set) = match u32::try_from(j).ok().filter(|&j| j < 8) {
+                Some(j) => (Bits::bit_value(b.bit(j)), a.with_bit(j, xr.as_bool())),
+                None => (Bits::zero(1), a),
+            };
+            let sel = if lt.as_bool() { shl } else { ws };
+            let routed = if lane % 2 == 1 { cat } else { sel };
+            let sub = a.sub(b);
+            [sub, lt, sub.not(), xr, shl, b.shr(9), slice, cat, get, set, ws, sel, routed]
+                .map(|bits| bits.raw())
+                .to_vec()
+        };
+        let mut init = vec![ramp(7), ramp(8), ramp(9), ramp(10)];
+        init[2].iter_mut().for_each(|v| *v &= 7);
+        init[3].iter_mut().for_each(|v| *v &= 15);
+        init.resize(17, [0; LANES]);
+        let uniform: Vec<LaneWord> = init.iter().map(|word| [word[5]; LANES]).collect();
+        for (init, prefix_ops) in [(&init, 0), (&uniform, 16)] {
+            let lowered = lower_unit(&comb, &Tape::default(), init);
+            assert_eq!(lowered.comb.pre.ops.len(), prefix_ops);
+            assert_lanes_follow_bits(&comb, init, expected);
+        }
     }
 
     #[test]
@@ -695,17 +775,10 @@ mod tests {
         };
         let lowered = lower_unit(&comb, &edge, &[[0; LANES]; 2]);
         assert_eq!(lowered.consts, vec![7, 1]);
-        let all = lowered
-            .comb
-            .pre
-            .ops
-            .iter()
-            .chain(&lowered.comb.main.ops)
-            .chain(&lowered.edge.pre.ops)
-            .chain(&lowered.edge.main.ops);
-        assert!(
-            all.clone().all(|op| !matches!(op, ExecOp::Const { .. })),
-            "no Const op survives pooling"
-        );
+        // No op is emitted for a constant: the comb tape lowers to its
+        // `Not` alone, and the edge tape to a store from the pool.
+        assert_eq!(lowered.comb.pre.ops.len() + lowered.comb.main.ops.len(), 1);
+        assert!(lowered.edge.pre.ops.is_empty() && lowered.edge.main.ops.is_empty());
+        assert_eq!(lowered.edge.pre.stores, vec![(1, 1)]);
     }
 }

@@ -16,8 +16,7 @@
 //! The pipeline has two stages: `compile` turns the entity into a
 //! comb/edge tape pair, and `exec` lowers that pair as it is, one op
 //! per instruction (constant pool, uniform scalar prefix), and runs
-//! it. At [`OptLevel::Off`] the lowering is skipped and
-//! the raw tapes run on the reference interpreter, the tests' oracle.
+//! it. That executor is the only one; the scalar engine is its oracle.
 //!
 //! First kills are the only thing the engine reports: a lane retires at
 //! its first differing cycle, and a group stops once all its lanes have.
@@ -51,9 +50,9 @@ mod tape;
 #[cfg(debug_assertions)]
 mod verify;
 
-use crate::execute::{reference_transcript, run_one, KillResult, OptLevel};
+use crate::execute::{reference_transcript, run_one, KillResult};
 use crate::mutant::{Mutant, MutationError};
-use compile::{compile_group, BaseCompile, Compiled, Cycle, Executable};
+use compile::{compile_group, BaseCompile, Compiled, Cycle};
 use exec::{tiles_of, ExecTape, TILE};
 use musa_hdl::{Bits, CheckedDesign};
 use std::convert::Infallible;
@@ -72,17 +71,11 @@ pub struct LaneOptions {
     pub lanes_per_pass: usize,
     /// Worker threads sharding the lane groups (`0` = one per CPU).
     pub jobs: usize,
-    /// Which executor runs the compiled tapes. [`OptLevel::Full`] (the
-    /// default) runs them on the lowered executor; [`OptLevel::Off`]
-    /// interprets the compiler's raw tapes — the reference
-    /// interpreter, kept for differential testing and the
-    /// `lanes-noopt` benchmark cells. Bit-identical either way.
-    pub opt: OptLevel,
 }
 
 impl Default for LaneOptions {
     fn default() -> Self {
-        Self { lanes_per_pass: MAX_LANES, jobs: 1, opt: OptLevel::default() }
+        Self { lanes_per_pass: MAX_LANES, jobs: 1 }
     }
 }
 
@@ -91,13 +84,6 @@ impl LaneOptions {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Options with the given executor level ([`LaneOptions::opt`]).
-    #[must_use]
-    pub fn with_opt(mut self, opt: OptLevel) -> Self {
-        self.opt = opt;
         self
     }
 
@@ -120,8 +106,7 @@ pub struct LaneStats {
     /// `passes × sequence_len`.
     pub steps: usize,
     /// Lane-op evaluations: each lane-stream sweep's op count times the
-    /// lanes it computed (the lanes of the tiles it ran; all 64 on the
-    /// raw-tape interpreter).
+    /// lanes it computed (the lanes of the tiles it ran).
     pub ops: u64,
     /// The share of [`LaneStats::ops`] that fell on a live lane or the
     /// reference: each sweep's op count times its live lanes plus one.
@@ -221,7 +206,7 @@ impl<'a> LanePlan<'a> {
             .collect();
         let nested = musa_trace::try_fork_map(options.jobs, ranges.len(), |i| {
             let _trace = musa_trace::span("lane_compile");
-            let compiled = compile_range(checked, mutants, ranges[i], &base, options.opt);
+            let compiled = compile_range(checked, mutants, ranges[i], &base);
             musa_trace::progress(|| {
                 format!("{entity}: lane group {}/{} compiled", i + 1, ranges.len())
             });
@@ -391,15 +376,14 @@ fn compile_range(
     mutants: &[Mutant],
     (start, len): (usize, usize),
     base: &BaseCompile,
-    opt: OptLevel,
 ) -> Vec<PlanGroup> {
     let refs: Vec<&Mutant> = mutants[start..start + len].iter().collect();
-    match compile_group(checked, &refs, base, opt) {
+    match compile_group(checked, &refs, base) {
         Ok(compiled) => vec![PlanGroup::Tape { compiled, start, len }],
         Err(Cycle) if len > 1 => {
             let mid = len / 2;
-            let mut left = compile_range(checked, mutants, (start, mid), base, opt);
-            left.extend(compile_range(checked, mutants, (start + mid, len - mid), base, opt));
+            let mut left = compile_range(checked, mutants, (start, mid), base);
+            left.extend(compile_range(checked, mutants, (start + mid, len - mid), base));
             left
         }
         Err(Cycle) => vec![PlanGroup::ScalarOne { slot: start }],
@@ -408,12 +392,10 @@ fn compile_range(
 
 /// One compiled lane group stepping through a test sequence.
 ///
-/// On the lowered executor only the tiles holding a live lane run, and
-/// the group packs its survivors into the lowest positions whenever
-/// that frees a tile (see [`GroupSim::pack`]), so after a pack a lane's
-/// position is no longer its mutant's slot: [`GroupSim::slot`] maps one
-/// to the other. The raw-tape interpreter never packs and computes all
-/// 64 lanes.
+/// Only the tiles holding a live lane run, and the group packs its
+/// survivors into the lowest positions whenever that frees a tile (see
+/// [`GroupSim::pack`]), so after a pack a lane's position is no longer
+/// its mutant's slot: [`GroupSim::slot`] maps one to the other.
 struct GroupSim<'a> {
     vm: LaneVm,
     compiled: &'a Compiled,
@@ -443,12 +425,11 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 
 impl<'a> GroupSim<'a> {
     fn new(compiled: &'a Compiled, group_len: usize) -> Self {
-        let mut vm = LaneVm::new(&compiled.init, compiled.scratch, compiled.scratch_scalar);
-        if let Executable::Lowered { consts, .. } = &compiled.exec {
-            // The pool registers sit below every op destination and are
-            // loop-invariant, so one seeding serves all sweeps.
-            vm.seed_consts(consts);
-        }
+        let lowered = &compiled.lowered;
+        let mut vm = LaneVm::new(&compiled.init, lowered.scratch, lowered.scratch_scalar);
+        // The pool registers sit below every op destination and are
+        // loop-invariant, so one seeding serves all sweeps.
+        vm.seed_consts(&lowered.consts);
         let used_mask = if group_len + 1 >= LANES {
             !1u64
         } else {
@@ -473,21 +454,13 @@ impl<'a> GroupSim<'a> {
     }
 
     /// One combinational settle of the lanes in `lanes` (lane 0
-    /// included), on whichever engine the opt level compiled: the
-    /// lowered executor, or the raw-tape interpreter over all lanes.
+    /// included).
     fn settle(&mut self, lanes: u64) {
-        match &self.compiled.exec {
-            Executable::Raw { comb, .. } => {
-                self.vm.run(comb);
-                self.count(comb.instrs.len(), LANES, lanes);
-            }
-            Executable::Lowered { comb, .. } => {
-                self.vm.run_scalar(&comb.pre);
-                let main = self.packed.as_ref().map_or(&comb.main, |(comb, _)| comb);
-                let computed = self.vm.run_exec(main, lanes);
-                self.count(main.ops.len(), computed, lanes);
-            }
-        }
+        let comb = &self.compiled.lowered.comb;
+        self.vm.run_scalar(&comb.pre);
+        let main = self.packed.as_ref().map_or(&comb.main, |(comb, _)| comb);
+        let computed = self.vm.run_exec(main, lanes);
+        self.count(main.ops.len(), computed, lanes);
     }
 
     /// Ends a cycle for the lanes in `lanes`: one clock edge (next-state
@@ -497,18 +470,11 @@ impl<'a> GroupSim<'a> {
         if self.compiled.combinational {
             return;
         }
-        match &self.compiled.exec {
-            Executable::Raw { edge, .. } => {
-                self.vm.run(edge);
-                self.count(edge.instrs.len(), LANES, lanes);
-            }
-            Executable::Lowered { edge, .. } => {
-                self.vm.run_scalar(&edge.pre);
-                let main = self.packed.as_ref().map_or(&edge.main, |(_, edge)| edge);
-                let computed = self.vm.run_exec(main, lanes);
-                self.count(main.ops.len(), computed, lanes);
-            }
-        }
+        let edge = &self.compiled.lowered.edge;
+        self.vm.run_scalar(&edge.pre);
+        let main = self.packed.as_ref().map_or(&edge.main, |(_, edge)| edge);
+        let computed = self.vm.run_exec(main, lanes);
+        self.count(main.ops.len(), computed, lanes);
         self.settle(lanes);
     }
 
@@ -533,12 +499,8 @@ impl<'a> GroupSim<'a> {
     /// positions. That is exact because every other lowered op works
     /// lane by lane, scratch registers are rewritten before every read
     /// within a sweep, and the pool registers hold one value in every
-    /// lane; the positions left behind are never read again. Only the
-    /// lowered executor packs.
+    /// lane; the positions left behind are never read again.
     fn pack(&mut self, alive: u64) -> u64 {
-        let Executable::Lowered { comb, edge, .. } = &self.compiled.exec else {
-            return alive;
-        };
         let live = alive.count_ones() as usize;
         if tiles_of(alive | 1).count() <= (live + 1).div_ceil(TILE) {
             return alive;
@@ -551,11 +513,11 @@ impl<'a> GroupSim<'a> {
         for (from, to) in lanes_of(alive).zip(1..) {
             self.slot[to] = self.slot[from];
         }
-        let (c, e) = self
-            .packed
-            .get_or_insert_with(|| (comb.main.clone(), edge.main.clone()));
-        c.remap_masks(&comb.main, &self.slot);
-        e.remap_masks(&edge.main, &self.slot);
+        let lowered = &self.compiled.lowered;
+        let (comb, edge) = (&lowered.comb.main, &lowered.edge.main);
+        let (c, e) = self.packed.get_or_insert_with(|| (comb.clone(), edge.clone()));
+        c.remap_masks(comb, &self.slot);
+        e.remap_masks(edge, &self.slot);
         // Packing frees a tile, so fewer than 63 lanes are live.
         ((1u64 << live) - 1) << 1
     }
@@ -608,7 +570,7 @@ impl<'a> GroupSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::{execute_mutants_engine_opt, Engine, TestSequence};
+    use crate::execute::{execute_mutants_engine_opt, Engine, OptLevel, TestSequence};
     use crate::generate::{generate_mutants, GenerateOptions};
     use crate::mutant::{MutantId, Rewrite};
     use crate::operator::MutationOperator;
@@ -700,7 +662,7 @@ mod tests {
             .collect();
         let scalar = scalar_kills(&d, "t", &mutants, &sequence).unwrap();
         for lanes_per_pass in [1, 2, 63] {
-            let opts = LaneOptions { lanes_per_pass, jobs: 1, ..LaneOptions::default() };
+            let opts = LaneOptions { lanes_per_pass, jobs: 1 };
             let (lanes, _) = lane_kills(&d, "t", &mutants, &sequence, &opts).unwrap();
             assert_eq!(
                 lanes.first_kill, scalar.first_kill,
@@ -723,7 +685,7 @@ mod tests {
             "population {n} must take ⌈N/63⌉ passes"
         );
         // And at one mutant per pass the engine degenerates to N passes.
-        let opts = LaneOptions { lanes_per_pass: 1, jobs: 1, ..LaneOptions::default() };
+        let opts = LaneOptions { lanes_per_pass: 1, jobs: 1 };
         let (_, stats) = lane_kills(&d, "t", &mutants, &sequence, &opts).unwrap();
         assert_eq!(stats.passes, n);
     }
@@ -835,7 +797,7 @@ mod tests {
             .collect();
         let scalar = scalar_kills(&d, "m", &mutants, &sequence).unwrap();
         for lanes_per_pass in [1, 63] {
-            let opts = LaneOptions { lanes_per_pass, jobs: 1, ..LaneOptions::default() };
+            let opts = LaneOptions { lanes_per_pass, jobs: 1 };
             let (lanes, _) = lane_kills(&d, "m", &mutants, &sequence, &opts).unwrap();
             assert_eq!(
                 lanes.first_kill, scalar.first_kill,
@@ -852,7 +814,7 @@ mod tests {
             (0..16).map(|i| vec![bit(u64::from(i % 7 == 0)), bit(1)]).collect();
         let serial = lane_kills(&d, "t", &mutants, &sequence, &LaneOptions::default()).unwrap().0;
         for jobs in [0, 2, 8] {
-            let opts = LaneOptions { lanes_per_pass: 4, jobs, ..LaneOptions::default() };
+            let opts = LaneOptions { lanes_per_pass: 4, jobs };
             let (sharded, _) = lane_kills(&d, "t", &mutants, &sequence, &opts).unwrap();
             assert_eq!(sharded.first_kill, serial.first_kill, "jobs={jobs}");
         }
@@ -1008,16 +970,25 @@ mod tests {
         // very same error instead of silently simulating the deletion.
         let d = checked(GATE);
         let site = d.design().entities[0].processes[0].body[0].id();
-        let sdl = Mutant {
-            id: MutantId(0),
-            operator: MutationOperator::Sdl,
-            site,
-            rewrite: Rewrite::DeleteStmt,
-            description: "delete the y driver".into(),
-        };
-        let sequence = exhaustive_pairs();
-        let scalar = scalar_kills(&d, "g", std::slice::from_ref(&sdl), &sequence);
-        let lanes = lane_kills(&d, "g", &[sdl], &sequence, &LaneOptions::default())
+        let sdl = lone(MutationOperator::Sdl, site, Rewrite::DeleteStmt);
+        assert_stillborn_on_both_engines(&d, "g", sdl);
+    }
+
+    /// A lone mutant on both engines over a few vectors: the scalar
+    /// engine must reject it as stillborn, and the lane engine report
+    /// that very error instead of silently simulating the rewrite.
+    fn assert_stillborn_on_both_engines(d: &CheckedDesign, entity: &str, mutant: Mutant) {
+        let info = d.entity_info(entity).unwrap();
+        let sequence: TestSequence = (0..4u64)
+            .map(|v| {
+                info.data_inputs
+                    .iter()
+                    .map(|&input| Bits::new(info.symbol(input).width, v & 1))
+                    .collect()
+            })
+            .collect();
+        let scalar = scalar_kills(d, entity, std::slice::from_ref(&mutant), &sequence);
+        let lanes = lane_kills(d, entity, &[mutant], &sequence, &LaneOptions::default())
             .map(|(kills, _)| kills);
         assert!(
             matches!(scalar, Err(MutationError::Stillborn(_))),
@@ -1028,6 +999,66 @@ mod tests {
             format!("{lanes:?}"),
             "engines must agree on the stillborn error"
         );
+    }
+
+    fn lone(operator: MutationOperator, site: musa_hdl::ast::NodeId, rewrite: Rewrite) -> Mutant {
+        Mutant { id: MutantId(0), operator, site, rewrite, description: String::new() }
+    }
+
+    #[test]
+    fn stillborn_clocked_sdl_errors_exactly_like_scalar() {
+        // Registers hold their value, but deleting a clocked process's
+        // only assignment to an output port leaves the port undriven.
+        let d = checked(
+            "entity r is port(clk : in bit; a : in bit; q : out bit);
+             seq(clk) begin q <= a; end;
+             end;",
+        );
+        let site = d.design().entities[0].processes[0].body[0].id();
+        let sdl = lone(MutationOperator::Sdl, site, Rewrite::DeleteStmt);
+        assert_stillborn_on_both_engines(&d, "r", sdl);
+    }
+
+    #[test]
+    fn stillborn_relational_swap_errors_exactly_like_scalar() {
+        // `and` -> `lt` gives a 2-bit context a 1-bit expression.
+        let d = checked(
+            "entity x is port(a : in bits(2); b : in bits(2); y : out bits(2));
+             comb begin y <= a and b; end;
+             end;",
+        );
+        let musa_hdl::ast::Stmt::Assign { value, .. } = &d.design().entities[0].processes[0].body[0]
+        else {
+            panic!("the body is one assignment");
+        };
+        let lt = Rewrite::BinOp { new: musa_hdl::ast::BinOp::Lt };
+        let swap = lone(MutationOperator::Lor, value.id(), lt);
+        assert_stillborn_on_both_engines(&d, "x", swap);
+    }
+
+    #[test]
+    fn stillborn_out_of_range_index_cr_errors_exactly_like_scalar() {
+        // The checker bounds a literal index by the indexed width, in a
+        // read and in an assignment target alike, so a CR past it is
+        // stillborn although the (32-bit) literal itself fits.
+        for src in [
+            "entity x is port(a : in bits(3); y : out bit);
+             comb begin y <= a[1]; end;
+             end;",
+            "entity x is port(a : in bit; y : out bits(3));
+             comb begin y <= 0; y[1] <= a; end;
+             end;",
+        ] {
+            let d = checked(src);
+            let mut site = None;
+            musa_hdl::ast::walk_exprs(&d.design().entities[0].processes[0].body, &mut |e| {
+                if let musa_hdl::ast::Expr::Literal { id, value: 1, .. } = e {
+                    site = Some(*id);
+                }
+            });
+            let cr = lone(MutationOperator::Cr, site.unwrap(), Rewrite::Literal { value: 3 });
+            assert_stillborn_on_both_engines(&d, "x", cr);
+        }
     }
 
     #[test]
@@ -1052,22 +1083,9 @@ mod tests {
                 arm_site = Some(arms[0].id);
             }
         });
-        let dup = Mutant {
-            id: MutantId(0),
-            operator: MutationOperator::Cr,
-            site: arm_site.unwrap(),
-            rewrite: Rewrite::CaseChoice { index: 0, value: 1 },
-            description: "case choice 0 -> 1 (duplicate)".into(),
-        };
-        let sequence: TestSequence = (0..4u64).map(|v| vec![Bits::new(2, v)]).collect();
-        let scalar = scalar_kills(&d, "c", std::slice::from_ref(&dup), &sequence);
-        let lanes = lane_kills(&d, "c", &[dup], &sequence, &LaneOptions::default())
-            .map(|(kills, _)| kills);
-        assert!(
-            matches!(scalar, Err(MutationError::Stillborn(_))),
-            "scalar: {scalar:?}"
-        );
-        assert_eq!(format!("{scalar:?}"), format!("{lanes:?}"));
+        let choice = Rewrite::CaseChoice { index: 0, value: 1 };
+        let dup = lone(MutationOperator::Cr, arm_site.unwrap(), choice);
+        assert_stillborn_on_both_engines(&d, "c", dup);
     }
 
     #[test]
@@ -1094,8 +1112,7 @@ mod tests {
     }
 
     /// The central pipeline contract: for every entity shape the suite
-    /// exercises, the lowered executor (`OptLevel::Full`), the raw-tape
-    /// interpreter (`OptLevel::Off`) and the scalar engine agree
+    /// exercises, the lane executor and the scalar engine agree
     /// bit-for-bit on first kills.
     #[test]
     fn optimizer_is_bit_identical_to_unoptimized_and_scalar() {
@@ -1137,24 +1154,21 @@ mod tests {
                 })
                 .collect();
             let scalar = scalar_kills(&d, entity, &mutants, &sequence).unwrap();
-            let full = LaneOptions::default().with_opt(OptLevel::Full);
-            let off = LaneOptions::default().with_opt(OptLevel::Off);
-            let (opt_kills, _) = lane_kills(&d, entity, &mutants, &sequence, &full).unwrap();
-            let (raw_kills, _) = lane_kills(&d, entity, &mutants, &sequence, &off).unwrap();
-            assert_eq!(opt_kills.first_kill, scalar.first_kill, "{entity}: full vs scalar");
-            assert_eq!(raw_kills.first_kill, scalar.first_kill, "{entity}: off vs scalar");
+            let options = LaneOptions::default();
+            let (lanes, _) = lane_kills(&d, entity, &mutants, &sequence, &options).unwrap();
+            assert_eq!(lanes.first_kill, scalar.first_kill, "{entity}: lanes vs scalar");
         }
     }
 
     /// One bundled circuit for the lane oracle below: a strided sample of
     /// its population (a full lane group and a tail group), each sampled
-    /// mutant applied for the scalar simulator, and the sample's plans at
-    /// both opt levels. Built once per test process.
+    /// mutant applied for the scalar simulator, and the sample's plan.
+    /// Built once per test process.
     struct OracleCircuit {
         entity: &'static str,
         checked: &'static CheckedDesign,
         applied: Vec<CheckedDesign>,
-        plans: [LanePlan<'static>; 2],
+        plan: LanePlan<'static>,
     }
 
     fn oracle_circuits() -> &'static [OracleCircuit] {
@@ -1174,16 +1188,9 @@ mod tests {
                         .iter()
                         .map(|mutant| mutant.apply(checked).expect("generated mutants apply"))
                         .collect();
-                    let plan = |opt| {
-                        let options = LaneOptions::default().with_opt(opt);
-                        LanePlan::new(checked, entity, sample, &options).unwrap()
-                    };
-                    OracleCircuit {
-                        entity,
-                        checked,
-                        applied,
-                        plans: [plan(OptLevel::Full), plan(OptLevel::Off)],
-                    }
+                    let plan =
+                        LanePlan::new(checked, entity, sample, &LaneOptions::default()).unwrap();
+                    OracleCircuit { entity, checked, applied, plan }
                 })
                 .collect()
         })
@@ -1197,9 +1204,9 @@ mod tests {
     }
 
     proptest! {
-        /// Every live lane of every compiled group, at both opt levels,
-        /// samples on every cycle exactly the outputs a `Simulator` run of
-        /// its mutant produces (lane 0: of the original design). The
+        /// Every live lane of every compiled group samples on every
+        /// cycle exactly the outputs a `Simulator` run of its mutant
+        /// produces (lane 0: of the original design). The
         /// comparison goes on past each lane's first kill, so the lane
         /// engine is checked output for output, not only where it first
         /// differs.
@@ -1238,35 +1245,33 @@ mod tests {
                 .chain(&circuit.applied)
                 .map(|d| Simulator::new(d, circuit.entity).unwrap().run(&sequence))
                 .collect();
-            for plan in &circuit.plans {
-                for group in &plan.groups {
-                    let PlanGroup::Tape { compiled, start, len } = group else {
-                        panic!("{}: a generated mutant planned as a scalar group", circuit.entity);
-                    };
-                    prop_assert!(compiled.fallback.is_empty(), "{}: fallback", circuit.entity);
-                    let mut sim = GroupSim::new(compiled, *len);
-                    let mut alive = retire(sim.used_mask, p, &mut rng);
-                    alive = sim.reset(alive);
-                    for (t, vector) in sequence.iter().enumerate() {
-                        sim.apply(vector, alive | 1);
-                        for position in lanes_of(alive | 1) {
-                            let lane = usize::from(sim.slot[position]);
-                            let expected = &transcripts[if lane == 0 { 0 } else { start + lane }][t];
-                            let sampled: Vec<u64> = compiled
-                                .outputs
-                                .iter()
-                                .map(|sym| sim.vm.state[sym.0 as usize][position])
-                                .collect();
-                            let expected: Vec<u64> = expected.iter().map(Bits::raw).collect();
-                            prop_assert_eq!(
-                                sampled, expected,
-                                "{}: lane {} (at position {}) of the group at {}, cycle {}",
-                                circuit.entity, lane, position, start, t
-                            );
-                        }
-                        sim.clock(alive | 1);
-                        alive = sim.pack(retire(alive, p, &mut rng));
+            for group in &circuit.plan.groups {
+                let PlanGroup::Tape { compiled, start, len } = group else {
+                    panic!("{}: a generated mutant planned as a scalar group", circuit.entity);
+                };
+                prop_assert!(compiled.fallback.is_empty(), "{}: fallback", circuit.entity);
+                let mut sim = GroupSim::new(compiled, *len);
+                let mut alive = retire(sim.used_mask, p, &mut rng);
+                alive = sim.reset(alive);
+                for (t, vector) in sequence.iter().enumerate() {
+                    sim.apply(vector, alive | 1);
+                    for position in lanes_of(alive | 1) {
+                        let lane = usize::from(sim.slot[position]);
+                        let expected = &transcripts[if lane == 0 { 0 } else { start + lane }][t];
+                        let sampled: Vec<u64> = compiled
+                            .outputs
+                            .iter()
+                            .map(|sym| sim.vm.state[sym.0 as usize][position])
+                            .collect();
+                        let expected: Vec<u64> = expected.iter().map(Bits::raw).collect();
+                        prop_assert_eq!(
+                            sampled, expected,
+                            "{}: lane {} (at position {}) of the group at {}, cycle {}",
+                            circuit.entity, lane, position, start, t
+                        );
                     }
+                    sim.clock(alive | 1);
+                    alive = sim.pack(retire(alive, p, &mut rng));
                 }
             }
         }

@@ -11,12 +11,11 @@
 //!
 //! The tape is the hand-off between the two stages of the lane
 //! pipeline: [`super::compile`] emits it and [`super::exec`] lowers it,
-//! as is, for the lowered executor (`--opt full`). [`LaneVm::run`]
-//! interprets it directly (`--opt off`) and is the executable
-//! definition of its semantics.
+//! as is, for the lane executor, which is the only thing that runs it.
+//! Each instruction means what [`musa_hdl::Bits`] computes on every
+//! lane's value; the lowering's tests check that per lane.
 
 use musa_hdl::ast::{BinOp, ReduceOp, ShiftOp};
-use musa_hdl::Bits;
 
 /// Number of lanes per word array: the reference plus up to 63 mutants.
 pub(crate) const LANES: usize = 64;
@@ -113,10 +112,9 @@ pub(crate) struct Tape {
 pub(crate) struct LaneVm {
     /// Per-symbol lanes, indexed by `SymbolId`.
     pub state: Vec<LaneWord>,
-    /// Scratch registers; `super::exec` drives them for lowered tapes.
+    /// Lane scratch registers, driven by `super::exec`.
     pub(crate) regs: Vec<LaneWord>,
-    /// Scalar scratch registers for the uniform prefix of lowered
-    /// tapes; empty for interpreted (`--opt off`) tapes.
+    /// Scalar scratch registers for the uniform prefix.
     pub(crate) sregs: Vec<u64>,
 }
 
@@ -135,149 +133,16 @@ impl LaneVm {
     pub fn reset(&mut self, init: &[LaneWord]) {
         self.state.copy_from_slice(init);
     }
-
-    /// Evaluates a tape: one forward sweep, then the write-back commits.
-    ///
-    /// This is the *reference interpreter* — the executable definition
-    /// of tape semantics, and the engine `--opt off` runs in
-    /// production. `--opt full` sweeps go through the lowered
-    /// `super::exec` path instead; the executor's tests use this as
-    /// their differential oracle.
-    pub fn run(&mut self, tape: &Tape) {
-        for (i, instr) in tape.instrs.iter().enumerate() {
-            let mut out = [0u64; LANES];
-            match *instr {
-                Instr::Load { sym } => out = self.state[sym as usize],
-                Instr::Const { value } => out = [value; LANES],
-                Instr::MaskSel { mask, a, b } => {
-                    let (x, y) = (&self.regs[a as usize], &self.regs[b as usize]);
-                    for l in 0..LANES {
-                        out[l] = if (mask >> l) & 1 == 1 { x[l] } else { y[l] };
-                    }
-                }
-                Instr::Sel { cond, a, b } => {
-                    let c = &self.regs[cond as usize];
-                    let (x, y) = (&self.regs[a as usize], &self.regs[b as usize]);
-                    for l in 0..LANES {
-                        out[l] = if c[l] != 0 { x[l] } else { y[l] };
-                    }
-                }
-                Instr::Not { a, width } => {
-                    let m = Bits::mask_of(width);
-                    let x = &self.regs[a as usize];
-                    for l in 0..LANES {
-                        out[l] = !x[l] & m;
-                    }
-                }
-                Instr::Bin { op, a, b, width } => {
-                    let m = Bits::mask_of(width);
-                    let (x, y) = (&self.regs[a as usize], &self.regs[b as usize]);
-                    for l in 0..LANES {
-                        let (a, b) = (x[l], y[l]);
-                        out[l] = match op {
-                            BinOp::And => a & b,
-                            BinOp::Or => a | b,
-                            BinOp::Xor => a ^ b,
-                            BinOp::Nand => !(a & b) & m,
-                            BinOp::Nor => !(a | b) & m,
-                            BinOp::Xnor => !(a ^ b) & m,
-                            BinOp::Add => a.wrapping_add(b) & m,
-                            BinOp::Sub => a.wrapping_sub(b) & m,
-                            BinOp::Mul => a.wrapping_mul(b) & m,
-                            BinOp::Eq => u64::from(a == b),
-                            BinOp::Ne => u64::from(a != b),
-                            BinOp::Lt => u64::from(a < b),
-                            BinOp::Le => u64::from(a <= b),
-                            BinOp::Gt => u64::from(a > b),
-                            BinOp::Ge => u64::from(a >= b),
-                        };
-                    }
-                }
-                Instr::Reduce { op, a, width } => {
-                    let m = Bits::mask_of(width);
-                    let x = &self.regs[a as usize];
-                    for l in 0..LANES {
-                        out[l] = match op {
-                            ReduceOp::Or => u64::from(x[l] != 0),
-                            ReduceOp::And => u64::from(x[l] == m),
-                            ReduceOp::Xor => u64::from(x[l].count_ones() % 2 == 1),
-                        };
-                    }
-                }
-                Instr::Shift { op, a, amount, width } => {
-                    let m = Bits::mask_of(width);
-                    let x = &self.regs[a as usize];
-                    for l in 0..LANES {
-                        out[l] = if amount >= width {
-                            0
-                        } else {
-                            match op {
-                                ShiftOp::Left => (x[l] << amount) & m,
-                                ShiftOp::Right => x[l] >> amount,
-                            }
-                        };
-                    }
-                }
-                Instr::Slice { a, hi, lo } => {
-                    let m = Bits::mask_of(hi - lo + 1);
-                    let x = &self.regs[a as usize];
-                    for l in 0..LANES {
-                        out[l] = (x[l] >> lo) & m;
-                    }
-                }
-                Instr::Concat { a, b, rhs_width } => {
-                    let (x, y) = (&self.regs[a as usize], &self.regs[b as usize]);
-                    for l in 0..LANES {
-                        out[l] = (x[l] << rhs_width) | y[l];
-                    }
-                }
-                Instr::DynGet { base, index, width } => {
-                    let (x, ix) = (&self.regs[base as usize], &self.regs[index as usize]);
-                    for l in 0..LANES {
-                        out[l] = if ix[l] < u64::from(width) {
-                            (x[l] >> ix[l]) & 1
-                        } else {
-                            0
-                        };
-                    }
-                }
-                Instr::DynSet { cur, index, bit, width } => {
-                    let c = &self.regs[cur as usize];
-                    let ix = &self.regs[index as usize];
-                    let v = &self.regs[bit as usize];
-                    for l in 0..LANES {
-                        out[l] = if ix[l] < u64::from(width) {
-                            (c[l] & !(1 << ix[l])) | ((v[l] & 1) << ix[l])
-                        } else {
-                            c[l]
-                        };
-                    }
-                }
-                Instr::WithSlice { cur, v, hi, lo } => {
-                    let field = Bits::mask_of(hi - lo + 1) << lo;
-                    let (c, x) = (&self.regs[cur as usize], &self.regs[v as usize]);
-                    for l in 0..LANES {
-                        out[l] = (c[l] & !field) | (x[l] << lo);
-                    }
-                }
-            }
-            self.regs[i] = out;
-        }
-        for &(sym, reg) in &tape.stores {
-            self.state[sym as usize] = self.regs[reg as usize];
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::exec::tests::run_lowered;
+    use musa_hdl::Bits;
 
     fn run_one(instrs: Vec<Instr>, stores: Vec<(u32, Reg)>, init: &[LaneWord]) -> LaneVm {
-        let tape = Tape { instrs, stores };
-        let mut vm = LaneVm::new(init, tape.instrs.len(), 0);
-        vm.run(&tape);
-        vm
+        run_lowered(&Tape { instrs, stores }, init)
     }
 
     #[test]
@@ -291,11 +156,9 @@ mod tests {
             vec![(0, 2)],
             &[[9u64; LANES]],
         );
-        assert_eq!(vm.state[0][0], 0);
-        assert_eq!(vm.state[0][1], 1);
-        assert_eq!(vm.state[0][2], 0);
-        assert_eq!(vm.state[0][3], 1);
-        assert_eq!(vm.state[0][4], 0);
+        for lane in 0..LANES {
+            assert_eq!(vm.state[0][lane], (0b1010 >> lane) & 1, "lane {lane}");
+        }
     }
 
     #[test]
@@ -310,7 +173,8 @@ mod tests {
             vec![(0, 2)],
             &[[0u64; LANES]],
         );
-        assert!(vm.state[0].iter().all(|&v| v == 0));
+        let expected = Bits::new(4, 15).add(Bits::new(4, 1)).raw();
+        assert!(vm.state[0].iter().all(|&v| v == expected));
     }
 
     #[test]
@@ -321,16 +185,16 @@ mod tests {
         index[0] = 1;
         base[1] = 0b1010;
         index[1] = 7; // out of range for width 4 -> 0
-        let mut vm = LaneVm::new(&[base, index], 3, 0);
-        vm.run(&Tape {
-            instrs: vec![
+        let vm = run_one(
+            vec![
                 Instr::Load { sym: 0 },
                 Instr::Load { sym: 1 },
                 Instr::DynGet { base: 0, index: 1, width: 4 },
             ],
-            stores: vec![(0, 2)],
-        });
-        assert_eq!(vm.state[0][0], 1);
+            vec![(0, 2)],
+            &[base, index],
+        );
+        assert_eq!(vm.state[0][0], u64::from(Bits::new(4, 0b1010).bit(1)));
         assert_eq!(vm.state[0][1], 0);
     }
 }

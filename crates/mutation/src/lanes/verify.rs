@@ -167,7 +167,6 @@ pub(crate) fn verify_exec(tape: &ExecTape, n_symbols: usize, n_consts: usize, n_
         };
         match *op {
             ExecOp::Load { sym, .. } => check_sym(sym, "loads"),
-            ExecOp::Const { .. } => {}
             ExecOp::MaskSel { mask, a, b, .. } => {
                 check_reg(a, "mask-sel a");
                 check_reg(b, "mask-sel b");

@@ -27,8 +27,8 @@ use musa_hdl::{Bits, CheckedDesign};
 ///
 /// `options.jobs` shards the mutants (scalar engine) or lane groups
 /// (lane engine) of each sequence across worker threads;
-/// `options.opt` and `options.lanes_per_pass` apply to the lane engine
-/// only. The result is identical for every engine and option.
+/// `options.lanes_per_pass` applies to the lane engine only. The result
+/// is identical for every engine and option.
 ///
 /// # Errors
 ///

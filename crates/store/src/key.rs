@@ -6,9 +6,10 @@
 //! derived from the validated [`CampaignPlan`] — so builder-field
 //! ordering, preset spelling and other surface details never matter —
 //! and covers the task (with parameters), benchmarks, seed and every
-//! effective configuration field **except** `jobs` and `opt`, which
-//! respectively spread and speed up the work without touching a single
-//! output bit (`wall` and tracing never enter the plan at all).
+//! effective configuration field **except** `jobs`, which spreads the
+//! work without touching a single output bit, and `opt`, the lane
+//! executor's one level (`wall` and tracing never enter the plan at
+//! all).
 //!
 //! `engine`, `fault_reduce` and `screen` are included even though the
 //! differential suites pin them bit-identical: they are part of the
@@ -89,11 +90,9 @@ pub(crate) fn key_material(plan: &CampaignPlan) -> String {
         config.equivalence.exhaustive_limit,
         config.equivalence.seed,
     );
-    // `config.jobs` and `config.opt` intentionally absent: pure
-    // wall-clock knobs — threading and the lane executor (lowered or
-    // raw-tape interpreter) are both pinned bit-identical by the
-    // differential suites, so results are shareable across their
-    // settings.
+    // `config.jobs` intentionally absent: threading is pinned
+    // bit-identical by the differential suites, so results are
+    // shareable across job counts. `config.opt` has one level.
     s
 }
 
@@ -140,11 +139,20 @@ mod tests {
 
     #[test]
     fn opt_level_shares_the_key() {
-        // The lowered executor and the raw-tape interpreter are
-        // bit-identity-pinned, so `--opt off` may reuse a `--opt full`
-        // result (and vice versa).
-        use musa_mutation::OptLevel;
-        assert_eq!(key(&base()), key(&base().opt(OptLevel::Off)));
+        // The lane executor has one level and no builder knob: a request
+        // that still names `"opt"`, from when it chose between two
+        // executors, keys like one that does not.
+        let request = |opt: &str| {
+            let text = format!(
+                r#"{{ "schema": "musa.request.v1", "task": "sampling",
+                     "params": {{ "fraction": 0.5 }}, "benches": ["c17"],
+                     "preset": "fast", "seed": 7{opt} }}"#
+            );
+            key(&crate::request::parse_request(&text).unwrap())
+        };
+        for opt in ["", r#", "opt": "full""#, r#", "opt": "off""#] {
+            assert_eq!(request(opt), key(&base()), "{opt}");
+        }
     }
 
     #[test]

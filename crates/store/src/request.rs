@@ -17,15 +17,14 @@
 //!   "jobs": 2,
 //!   "engine": "lanes",
 //!   "fault_reduce": "on",
-//!   "screen": "static",
-//!   "opt": "full"
+//!   "screen": "static"
 //! }
 //! ```
 //!
 //! `task` and `benches` are required; everything else is optional and
 //! defaults exactly like the builder (seed [`DEFAULT_SEED`], paper
-//! preset, all jobs, default engine, reduction and screening on, and
-//! the lowered lane executor).
+//! preset, all jobs, default engine, reduction and screening on). A key
+//! the schema does not name is not read.
 //! Errors are strings meant for a CLI usage message — a malformed
 //! request is a *caller* mistake and exits with code 2 before any
 //! computation starts.
@@ -35,7 +34,7 @@
 use musa_circuits::Benchmark;
 use musa_core::json::{self, JsonValue};
 use musa_core::{Campaign, Task};
-use musa_mutation::{Engine, MutationOperator, OptLevel};
+use musa_mutation::{Engine, MutationOperator};
 
 /// The request schema tag.
 pub const REQUEST_SCHEMA: &str = "musa.request.v1";
@@ -116,14 +115,6 @@ pub fn parse_request(text: &str) -> Result<Campaign, String> {
             _ => return Err("request \"screen\" must be \"static\" or \"off\"".to_string()),
         };
         campaign = campaign.screen(on);
-    }
-    if let Some(v) = doc.get("opt") {
-        let opt = match v.as_str() {
-            Some("full") => OptLevel::Full,
-            Some("off") => OptLevel::Off,
-            _ => return Err("request \"opt\" must be \"full\" or \"off\"".to_string()),
-        };
-        campaign = campaign.opt(opt);
     }
     Ok(campaign)
 }
@@ -224,8 +215,7 @@ mod tests {
         "jobs": 2,
         "engine": "lanes",
         "fault_reduce": "on",
-        "screen": "static",
-        "opt": "off"
+        "screen": "static"
     }"#;
 
     #[test]
@@ -238,7 +228,6 @@ mod tests {
             .engine(Engine::Lanes)
             .fault_reduce(true)
             .screen(true)
-            .opt(OptLevel::Off)
             .task(Task::Sampling { fraction: 0.5 });
         let (a, b) = (campaign.plan().unwrap(), direct.plan().unwrap());
         assert_eq!(CampaignKey::of(&a), CampaignKey::of(&b));
@@ -304,10 +293,6 @@ mod tests {
             (
                 r#"{ "schema": "musa.request.v1", "task": "warp", "benches": ["c17"] }"#,
                 "unknown task `warp`",
-            ),
-            (
-                r#"{ "schema": "musa.request.v1", "task": "table1", "params": {}, "benches": ["c17"], "opt": "fast" }"#,
-                "\"opt\" must be \"full\" or \"off\"",
             ),
         ] {
             let err = parse_request(text).expect_err(text);

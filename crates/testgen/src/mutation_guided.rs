@@ -18,9 +18,7 @@
 //!   whole.
 
 use musa_hdl::CheckedDesign;
-use musa_mutation::{
-    first_kills_over, Engine, LaneOptions, Mutant, MutationError, OptLevel, TestSequence,
-};
+use musa_mutation::{first_kills_over, Engine, LaneOptions, Mutant, MutationError, TestSequence};
 use musa_prng::{Prng, SplitMix64};
 
 use crate::random::random_sequence;
@@ -41,10 +39,6 @@ pub struct MgConfig {
     /// engines emit bit-identical data; `lanes` grades up to 63 live
     /// mutants per simulation pass.
     pub engine: Engine,
-    /// Lane executor: the lowered executor (`full`) or the raw-tape
-    /// interpreter (`off`); ignored by the scalar engine. Both levels
-    /// emit bit-identical data.
-    pub opt: OptLevel,
 }
 
 impl Default for MgConfig {
@@ -55,7 +49,6 @@ impl Default for MgConfig {
             max_rounds: 12,
             seed: 0x6D67,
             engine: Engine::default(),
-            opt: OptLevel::default(),
         }
     }
 }
@@ -69,7 +62,6 @@ impl MgConfig {
             max_rounds: 6,
             seed,
             engine: Engine::default(),
-            opt: OptLevel::default(),
         }
     }
 
@@ -77,13 +69,6 @@ impl MgConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Returns a copy with the given lane executor ([`MgConfig::opt`]).
-    #[must_use]
-    pub fn with_opt(mut self, opt: OptLevel) -> Self {
-        self.opt = opt;
         self
     }
 }
@@ -130,7 +115,7 @@ pub fn mutation_guided_tests(
     let combinational = info.is_combinational();
     // Sequential pools are smaller: each candidate costs subseq_len steps.
     let pool_count = (config.pool_size / 4).max(4);
-    let options = LaneOptions::default().with_opt(config.opt);
+    let options = LaneOptions::default();
     let mut rng = SplitMix64::new(config.seed);
     let mut killed = vec![false; mutants.len()];
     let mut vectors: TestSequence = Vec::new();
@@ -195,6 +180,7 @@ mod tests {
     use musa_hdl::Bits;
     use musa_mutation::{
         execute_mutants_engine_opt, generate_mutants, GenerateOptions, KillResult, MutationOperator,
+        OptLevel,
     };
 
     fn checked(src: &str) -> CheckedDesign {
@@ -394,18 +380,12 @@ mod tests {
                 &config.with_engine(Engine::Scalar),
             )
             .unwrap();
-            for opt in [OptLevel::Full, OptLevel::Off] {
-                let lanes = mutation_guided_tests(
-                    &d,
-                    entity,
-                    &mutants,
-                    &config.with_engine(Engine::Lanes).with_opt(opt),
-                )
-                .unwrap();
-                assert_eq!(scalar.sessions, lanes.sessions, "{entity}/{opt}: sessions differ");
-                assert_eq!(scalar.killed, lanes.killed, "{entity}/{opt}: kill claims differ");
-                assert_eq!(scalar.rounds, lanes.rounds, "{entity}/{opt}: rounds differ");
-            }
+            let lanes =
+                mutation_guided_tests(&d, entity, &mutants, &config.with_engine(Engine::Lanes))
+                    .unwrap();
+            assert_eq!(scalar.sessions, lanes.sessions, "{entity}: sessions differ");
+            assert_eq!(scalar.killed, lanes.killed, "{entity}: kill claims differ");
+            assert_eq!(scalar.rounds, lanes.rounds, "{entity}: rounds differ");
             assert!(scalar.killed_count() > 0, "{entity}: nothing killed");
             assert_first_come(&d, entity, &mutants, &scalar);
         }

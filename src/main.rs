@@ -77,7 +77,7 @@ usage: musa <command> ...
   sample   <name> [FRACTION]         run a sampling experiment
            [--jobs N] [--seed N] [--paper] [--fast] [--json]
            [--engine scalar|lanes] [--fault-reduce on|off]
-           [--screen static|off] [--opt full|off] [--store DIR]
+           [--screen static|off] [--store DIR]
            [--trace FILE] [--trace-format json|chrome] [--profile]
            [--progress]
   campaign <request.json|->          run a musa.request.v1 campaign

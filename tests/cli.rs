@@ -240,6 +240,18 @@ fn sample_rejects_unknown_engine() {
 }
 
 #[test]
+fn sample_rejects_the_retired_opt_flag() {
+    // The lane engine has one executor, so there is no level to pick:
+    // `--opt` is an unknown argument like any other (`musa sample`
+    // exits 1 on a bad command line; the experiment binaries exit 2).
+    let out = musa(&["sample", "c17", "--opt", "full"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument `--opt`"), "stderr: {stderr}");
+}
+
+#[test]
 fn sample_without_benchmark_exits_1_with_usage() {
     let out = musa(&["sample"]);
     assert_eq!(out.status.code(), Some(1));

@@ -101,7 +101,7 @@ fn lane_engine_is_bit_identical_on_every_bundled_circuit() {
         let scalar = oracle_kills(circuit, &mutants, &sequence);
         for lanes_per_pass in [1, 2, 63] {
             for jobs in [1, 8] {
-                let opts = LaneOptions { lanes_per_pass, jobs, ..LaneOptions::default() };
+                let opts = LaneOptions { lanes_per_pass, jobs };
                 let (lanes, _) = lane_kills(circuit, &mutants, &sequence, &opts);
                 assert_eq!(
                     lanes.first_kill, scalar,
@@ -204,42 +204,55 @@ fn first_kill_sweep_matches_the_per_sequence_loop_on_every_bundled_circuit() {
         let scalar = sweep(Engine::Scalar, LaneOptions::default());
         assert_eq!(scalar, expected, "{}: scalar", circuit.name);
         for jobs in [1, 2] {
-            for opt in [OptLevel::Full, OptLevel::Off] {
-                for lanes_per_pass in [8, MAX_LANES] {
-                    let options = LaneOptions { lanes_per_pass, jobs, opt };
-                    assert_eq!(
-                        sweep(Engine::Lanes, options),
-                        expected,
-                        "{}: lanes, {options:?}",
-                        circuit.name
-                    );
-                }
+            for lanes_per_pass in [8, MAX_LANES] {
+                let options = LaneOptions { lanes_per_pass, jobs };
+                assert_eq!(
+                    sweep(Engine::Lanes, options),
+                    expected,
+                    "{}: lanes, {options:?}",
+                    circuit.name
+                );
             }
         }
     }
 }
 
-/// Per-circuit `(full, off)` plans over the FULL population, compiled
-/// once — the property test below only varies the stimulus.
-fn opt_plans() -> &'static Vec<(LanePlan<'static>, LanePlan<'static>)> {
-    static CACHE: OnceLock<Vec<(LanePlan<'static>, LanePlan<'static>)>> = OnceLock::new();
+/// Per-circuit plans over the FULL population, compiled once and shared
+/// by the two tests below.
+fn full_plans() -> &'static Vec<LanePlan<'static>> {
+    static CACHE: OnceLock<Vec<LanePlan<'static>>> = OnceLock::new();
     CACHE.get_or_init(|| {
         circuits()
             .iter()
             .map(|(circuit, population)| {
-                let plan = |opt| {
-                    LanePlan::new(
-                        &circuit.checked,
-                        &circuit.name,
-                        population,
-                        &LaneOptions::default().with_opt(opt),
-                    )
+                LanePlan::new(&circuit.checked, &circuit.name, population, &LaneOptions::default())
                     .expect("plan compiles")
-                };
-                (plan(OptLevel::Full), plan(OptLevel::Off))
             })
             .collect()
     })
+}
+
+#[test]
+fn full_population_plans_match_the_scalar_sweep() {
+    // Every mutant live, so every group runs and packs as its lanes
+    // die: the all-live run the property test below compares with.
+    for ((circuit, population), plan) in circuits().iter().zip(full_plans()) {
+        let sequence = random_sequence_for(circuit, 8, 0xF011 ^ circuit.name.len() as u64);
+        let (lanes, _) = plan.first_kills(&sequence, &vec![true; population.len()]).unwrap();
+        let scalar = first_kills_over(
+            &circuit.checked,
+            &circuit.name,
+            population,
+            &[&sequence],
+            None,
+            Engine::Scalar,
+            &LaneOptions::default(),
+        )
+        .unwrap();
+        let scalar: Vec<Option<usize>> =
+            scalar.into_iter().map(|kill| kill.map(|(_, t)| t)).collect();
+        assert_eq!(lanes.first_kill, scalar, "{}", circuit.name);
+    }
 }
 
 /// A live mask over `n` mutants, in one of five shapes picked by
@@ -261,13 +274,12 @@ fn live_mask(n: usize, kind: u32, rng: &mut SplitMix64) -> Vec<bool> {
 }
 
 proptest! {
-    /// The lowered executor is semantics-preserving on every bundled
-    /// circuit's FULL mutant population: for random stimulus and a
-    /// random live mask, the lowered tapes (`OptLevel::Full`), which
-    /// skip dead tiles and pack their survivors, reproduce the raw-tape
-    /// interpreter's (`OptLevel::Off`) first-kill vector bit for bit,
-    /// and neither reports a kill for an unflagged mutant. The sweep
-    /// test above pins both levels to the scalar engine.
+    /// Skipping dead tiles and packing survivors never changes a kill:
+    /// on every bundled circuit's FULL mutant population, for random
+    /// stimulus and a random live mask, the plan reports for each
+    /// flagged mutant exactly what the same plan reports with every
+    /// mutant live, and no kill for an unflagged one. The all-live run
+    /// is pinned to the scalar sweep by the test above.
     #[test]
     fn optimizer_preserves_kills_on_full_populations(
         seed in any::<u64>(),
@@ -275,21 +287,28 @@ proptest! {
         kind in 0u32..5,
     ) {
         let mut rng = SplitMix64::new(seed);
-        for ((circuit, population), (full, off)) in circuits().iter().zip(opt_plans()) {
+        for ((circuit, population), plan) in circuits().iter().zip(full_plans()) {
             let sequence = random_sequence_for(circuit, cycles, seed);
             let live = live_mask(population.len(), kind, &mut rng);
-            let (kills_full, _) = full.first_kills(&sequence, &live).unwrap();
-            let (kills_off, _) = off.first_kills(&sequence, &live).unwrap();
+            // The all-live run, less the 63-mutant groups that hold no
+            // flagged mutant: the mask discards their kills either way.
+            let flagged_groups: Vec<bool> = live
+                .chunks(MAX_LANES)
+                .flat_map(|group| vec![group.contains(&true); group.len()])
+                .collect();
+            let (all, _) = plan.first_kills(&sequence, &flagged_groups).unwrap();
+            let (masked, _) = plan.first_kills(&sequence, &live).unwrap();
+            let expected: Vec<Option<usize>> = all
+                .first_kill
+                .iter()
+                .zip(&live)
+                .map(|(&kill, &flagged)| kill.filter(|_| flagged))
+                .collect();
             prop_assert_eq!(
-                &kills_full.first_kill, &kills_off.first_kill,
-                "{}: lowered-executor and interpreter kills diverged (mask kind {})",
+                &masked.first_kill, &expected,
+                "{}: masked and all-live kills diverged (mask kind {})",
                 circuit.name, kind,
             );
-            prop_assert_eq!(kills_full.first_kill.len(), population.len());
-            for i in (0..live.len()).filter(|&i| !live[i]) {
-                prop_assert_eq!(kills_full.first_kill[i], None, "{}: unflagged {}", circuit.name, i);
-                prop_assert_eq!(kills_off.first_kill[i], None, "{}: unflagged {}", circuit.name, i);
-            }
         }
     }
 }
