@@ -109,7 +109,7 @@ pub fn emit_observability(
         if json_stdout {
             eprint!("{table}");
         } else {
-            print!("{table}");
+            crate::out!("{table}");
         }
     }
     Ok(())
@@ -661,9 +661,9 @@ fn run_history(args: &Args) -> u8 {
         return 2;
     }
     if args.json {
-        println!("{}", bench_history_json(&labels, &reports));
+        crate::outln!("{}", bench_history_json(&labels, &reports));
     } else {
-        print!("{}", render_bench_history(&labels, &reports));
+        crate::out!("{}", render_bench_history(&labels, &reports));
     }
     0
 }
@@ -783,7 +783,7 @@ pub fn drive(bin: Bin) {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv, BIN_FLAGS, 0) {
         Ok(args) if args.help => {
-            println!("{BIN_USAGE}");
+            crate::outln!("{BIN_USAGE}");
             std::process::exit(0);
         }
         Ok(args) => args,
@@ -814,9 +814,23 @@ pub fn drive(bin: Bin) {
 /// `--json`.
 pub fn print_report(report: &Report, json: bool) {
     if json {
-        println!("{}", report.to_json());
+        crate::outln!("{}", report.to_json());
     } else {
-        print!("{}", report.render_text());
+        crate::out!("{}", report.render_text());
+    }
+}
+
+/// Writes to stdout like `print!`, except that a closed stdout (its
+/// reader went away, as `| head -1` does) drops the output quietly
+/// instead of panicking, so the command still ends with its own exit
+/// code. Any other write error panics as `print!` does.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        assert!(
+            e.kind() == std::io::ErrorKind::BrokenPipe,
+            "failed printing to stdout: {e}"
+        );
     }
 }
 

@@ -35,6 +35,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `print!` for the front ends: on a closed stdout it drops the output
+/// instead of panicking ([`cli::write_stdout`]).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the front ends: on a closed stdout it drops the
+/// output instead of panicking ([`cli::write_stdout`]).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 pub mod campaign;
 pub mod cli;
 

@@ -22,6 +22,17 @@
 //!   execution path (no inferred latches), tracked per bit;
 //! * static indices and slices are in range; case choices fit the subject
 //!   width and are not duplicated; loop ranges are non-empty.
+//!
+//! The rules a one-node rewrite can break are public, so a mutant can be
+//! validated where it sits instead of re-checking a clone of the whole
+//! design: [`ExprScope`] holds the expression rules (names, widths,
+//! ranges, the target-index rule), [`check_const_value`] and
+//! [`check_case_choice`] the declaration and choice rules, and
+//! [`EntityInfo`] the whole-entity ones ([`EntityInfo::undriven_output`],
+//! [`EntityInfo::reads_own_drive`], [`EntityInfo::comb_schedule`],
+//! [`EntityInfo::partially_assigned`] with a [`BodyEdit`]).
+//! [`CheckedDesign::new`] reaches every rule through these same
+//! functions.
 
 use crate::ast::*;
 use crate::error::{HdlError, Result};
@@ -101,6 +112,11 @@ pub struct EntityInfo {
     pub data_inputs: Vec<SymbolId>,
     /// Output ports, in declaration order.
     pub outputs: Vec<SymbolId>,
+    /// The index symbol of each `for` statement, by the statement's id.
+    pub loop_indices: HashMap<NodeId, SymbolId>,
+    /// Ports, constants and signals by name (what [`ExprScope`] looks up
+    /// outside a process's own scope).
+    top_names: HashMap<String, SymbolId>,
 }
 
 impl EntityInfo {
@@ -166,10 +182,7 @@ impl EntityInfo {
             walk_exprs(&process.body, &mut |e| {
                 if let Expr::Ref { id, .. } = e {
                     if let Some(&sym) = self.resolved.get(id) {
-                        if matches!(
-                            self.symbol(sym).kind,
-                            SymbolKind::PortIn { .. } | SymbolKind::PortOut | SymbolKind::Signal
-                        ) {
+                        if self.is_comb_read(sym) {
                             set.insert(sym);
                         }
                     }
@@ -177,6 +190,45 @@ impl EntityInfo {
             });
         }
         reads
+    }
+
+    /// Whether reading `sym` counts in [`EntityInfo::comb_reads`]: ports
+    /// and signals do, variables, constants and loop indices do not.
+    pub fn is_comb_read(&self, sym: SymbolId) -> bool {
+        matches!(
+            self.symbol(sym).kind,
+            SymbolKind::PortIn { .. } | SymbolKind::PortOut | SymbolKind::Signal
+        )
+    }
+
+    /// The self-read rule: combinational process `process` may not read
+    /// `sym` when it drives `sym` itself.
+    pub fn reads_own_drive(&self, process: usize, sym: SymbolId) -> bool {
+        self.drivers.get(&sym) == Some(&process)
+    }
+
+    /// The output-driven rule: the first output port, in declaration
+    /// order, that `driven` says has no driver.
+    pub fn undriven_output(&self, driven: impl Fn(SymbolId) -> bool) -> Option<SymbolId> {
+        self.outputs.iter().copied().find(|&sym| !driven(sym))
+    }
+
+    /// The expression rules in one scope: `scope` lists the variables and
+    /// loop indices visible there (innermost last), and the checked
+    /// nodes' widths and symbols land in `widths` and `resolved`.
+    pub fn expr_scope<'s>(
+        &'s self,
+        scope: &'s [(String, SymbolId)],
+        widths: &'s mut HashMap<NodeId, u32>,
+        resolved: &'s mut HashMap<NodeId, SymbolId>,
+    ) -> ExprScope<'s> {
+        ExprScope {
+            symbols: &self.symbols,
+            top_names: &self.top_names,
+            scopes: scope,
+            widths,
+            resolved,
+        }
     }
 
     /// Orders the combinational processes (the keys of `reads`) so that
@@ -335,6 +387,7 @@ struct Checker<'a> {
     widths: HashMap<NodeId, u32>,
     resolved: HashMap<NodeId, SymbolId>,
     drivers: HashMap<SymbolId, usize>,
+    loop_indices: HashMap<NodeId, SymbolId>,
     /// Scope stack for vars and loop variables.
     scopes: Vec<(String, SymbolId)>,
     current_process: usize,
@@ -349,6 +402,7 @@ impl<'a> Checker<'a> {
             widths: HashMap::new(),
             resolved: HashMap::new(),
             drivers: HashMap::new(),
+            loop_indices: HashMap::new(),
             scopes: Vec::new(),
             current_process: 0,
         };
@@ -358,7 +412,6 @@ impl<'a> Checker<'a> {
             c.current_process = i;
             c.check_process(process)?;
         }
-        c.check_all_outputs_driven()?;
 
         let mut drive_class = HashMap::new();
         for (&sym, &proc_idx) in &c.drivers {
@@ -409,7 +462,21 @@ impl<'a> Checker<'a> {
             clocks,
             data_inputs,
             outputs,
+            loop_indices: c.loop_indices,
+            top_names: c.top_names,
         };
+        // Output ports must be driven (interface contract). Internal
+        // signals may be undriven: they behave as constants holding their
+        // initial value — which is exactly what an SDL mutant that deletes
+        // a register's only assignment produces.
+        if let Some(sym) = info.undriven_output(|sym| info.drivers.contains_key(&sym)) {
+            let name = &info.symbol(sym).name;
+            let port = entity.ports.iter().find(|p| p.name.name == *name);
+            return Err(HdlError::check(
+                format!("output port `{name}` is never driven"),
+                port.map_or_else(Span::dummy, |p| p.name.span),
+            ));
+        }
         info.comb_order = info.schedule(entity)?;
         info.check_full_assignment(entity)?;
         Ok(info)
@@ -449,15 +516,7 @@ impl<'a> Checker<'a> {
             )?;
         }
         for cst in &self.entity.consts {
-            if cst.width < 64 && cst.value >= (1u64 << cst.width) {
-                return Err(HdlError::check(
-                    format!(
-                        "constant `{}` value {} does not fit in {} bits",
-                        cst.name.name, cst.value, cst.width
-                    ),
-                    cst.name.span,
-                ));
-            }
+            check_const_value(cst, cst.value)?;
             self.declare(
                 &cst.name,
                 Symbol {
@@ -513,9 +572,24 @@ impl<'a> Checker<'a> {
         }
         Ok(())
     }
+}
 
-    // ---- name lookup ---------------------------------------------------
+/// The expression rules — names, widths, literal and index ranges — in
+/// one scope of one entity.
+///
+/// The checker applies them to every expression it meets; a mutant
+/// validator gets one from [`EntityInfo::expr_scope`] and applies them
+/// to the one expression a rewrite changes.
+pub struct ExprScope<'s> {
+    symbols: &'s [Symbol],
+    top_names: &'s HashMap<String, SymbolId>,
+    /// Variables and loop indices in scope, innermost last.
+    scopes: &'s [(String, SymbolId)],
+    widths: &'s mut HashMap<NodeId, u32>,
+    resolved: &'s mut HashMap<NodeId, SymbolId>,
+}
 
+impl ExprScope<'_> {
     fn lookup(&self, name: &Ident) -> Result<SymbolId> {
         // Innermost scope first (vars, loop indices), then top level.
         for (n, id) in self.scopes.iter().rev() {
@@ -562,22 +636,9 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn expr_span(e: &Expr) -> Span {
-        match e {
-            Expr::Literal { span, .. } => *span,
-            Expr::Ref { name, .. } => name.span,
-            Expr::Index { base, .. }
-            | Expr::Slice { base, .. } => Self::expr_span(base),
-            Expr::Unary { arg, .. } | Expr::Reduce { arg, .. } | Expr::Shift { arg, .. } => {
-                Self::expr_span(arg)
-            }
-            Expr::Binary { lhs, .. } | Expr::Concat { lhs, .. } => Self::expr_span(lhs),
-        }
-    }
-
     /// Checks an expression against an optional expected width and records
     /// its resolved width. Returns the width.
-    fn check_expr(&mut self, e: &Expr, expected: Option<u32>) -> Result<u32> {
+    pub fn check_expr(&mut self, e: &Expr, expected: Option<u32>) -> Result<u32> {
         let width = match e {
             Expr::Literal {
                 value,
@@ -642,13 +703,13 @@ impl<'a> Checker<'a> {
                 if hi < lo {
                     return Err(HdlError::check(
                         format!("slice [{hi}:{lo}] has hi < lo"),
-                        Self::expr_span(base),
+                        expr_span(base),
                     ));
                 }
                 if *hi >= base_w {
                     return Err(HdlError::check(
                         format!("slice [{hi}:{lo}] out of range for width {base_w}"),
-                        Self::expr_span(base),
+                        expr_span(base),
                     ));
                 }
                 hi - lo + 1
@@ -662,7 +723,7 @@ impl<'a> Checker<'a> {
                         .ok_or_else(|| {
                             HdlError::check(
                                 "cannot infer operand width of comparison",
-                                Self::expr_span(e),
+                                expr_span(e),
                             )
                         })?;
                     self.check_expr(lhs, Some(w))?;
@@ -676,7 +737,7 @@ impl<'a> Checker<'a> {
                         .ok_or_else(|| {
                             HdlError::check(
                                 format!("cannot infer width of `{}` expression", op.symbol()),
-                                Self::expr_span(e),
+                                expr_span(e),
                             )
                         })?;
                     self.check_expr(lhs, Some(w))?;
@@ -694,7 +755,7 @@ impl<'a> Checker<'a> {
                 if wl + wr > 64 {
                     return Err(HdlError::check(
                         format!("concatenation width {} exceeds 64", wl + wr),
-                        Self::expr_span(e),
+                        expr_span(e),
                     ));
                 }
                 wl + wr
@@ -705,7 +766,7 @@ impl<'a> Checker<'a> {
                     None => {
                         return Err(HdlError::check(
                             "cannot infer width of shift operand",
-                            Self::expr_span(e),
+                            expr_span(e),
                         ));
                     }
                 };
@@ -717,7 +778,7 @@ impl<'a> Checker<'a> {
             if we != width {
                 return Err(HdlError::check(
                     format!("expression has width {width}, context requires {we}"),
-                    Self::expr_span(e),
+                    expr_span(e),
                 ));
             }
         }
@@ -726,11 +787,46 @@ impl<'a> Checker<'a> {
     }
 
     /// Checks an expression whose width must be self-determined.
-    fn check_det(&mut self, e: &Expr) -> Result<u32> {
+    pub fn check_det(&mut self, e: &Expr) -> Result<u32> {
         let w = self.try_det(e).ok_or_else(|| {
-            HdlError::check("cannot infer expression width", Self::expr_span(e))
+            HdlError::check("cannot infer expression width", expr_span(e))
         })?;
         self.check_expr(e, Some(w))
+    }
+
+    /// The target-index rule for an assignment to `target`: a literal
+    /// index lies inside the target (and reads as 32 bits wide), any
+    /// other index has a self-determined width.
+    pub fn check_target_index(&mut self, index: &Expr, target: &Symbol) -> Result<()> {
+        if let Expr::Literal { value, span, .. } = index {
+            if *value >= target.width as u64 {
+                return Err(HdlError::check(
+                    format!(
+                        "index {value} out of range for `{}` (width {})",
+                        target.name, target.width
+                    ),
+                    *span,
+                ));
+            }
+            self.widths.insert(index.id(), 32);
+        } else {
+            self.check_det(index)?;
+        }
+        Ok(())
+    }
+}
+
+impl<'a> Checker<'a> {
+    /// The expression rules over the checker's own tables, in the
+    /// current scope.
+    fn exprs(&mut self) -> ExprScope<'_> {
+        ExprScope {
+            symbols: &self.symbols,
+            top_names: &self.top_names,
+            scopes: &self.scopes,
+            widths: &mut self.widths,
+            resolved: &mut self.resolved,
+        }
     }
 
     // ---- statements ----------------------------------------------------
@@ -786,7 +882,7 @@ impl<'a> Checker<'a> {
                 value,
                 ..
             } => {
-                let sym_id = self.lookup(&target.base)?;
+                let sym_id = self.exprs().lookup(&target.base)?;
                 let sym = self.symbols[sym_id.0 as usize].clone();
                 match (&sym.kind, akind) {
                     (SymbolKind::PortOut | SymbolKind::Signal, AssignKind::Signal) => {
@@ -846,20 +942,7 @@ impl<'a> Checker<'a> {
                 let value_width = match &target.sel {
                     None => sym.width,
                     Some(Select::Index(index)) => {
-                        if let Expr::Literal { value, span, .. } = index {
-                            if *value >= sym.width as u64 {
-                                return Err(HdlError::check(
-                                    format!(
-                                        "index {value} out of range for `{}` (width {})",
-                                        sym.name, sym.width
-                                    ),
-                                    *span,
-                                ));
-                            }
-                            self.widths.insert(index.id(), 32);
-                        } else {
-                            self.check_det(index)?;
-                        }
+                        self.exprs().check_target_index(index, &sym)?;
                         1
                     }
                     Some(Select::Slice { hi, lo }) => {
@@ -875,14 +958,14 @@ impl<'a> Checker<'a> {
                         hi - lo + 1
                     }
                 };
-                self.check_expr(value, Some(value_width))?;
+                self.exprs().check_expr(value, Some(value_width))?;
                 Ok(())
             }
             Stmt::If {
                 arms, else_body, ..
             } => {
                 for (cond, body) in arms {
-                    self.check_expr(cond, Some(1))?;
+                    self.exprs().check_expr(cond, Some(1))?;
                     self.check_stmts(body, kind)?;
                 }
                 if let Some(body) = else_body {
@@ -896,22 +979,12 @@ impl<'a> Checker<'a> {
                 default,
                 ..
             } => {
-                let w = self.check_det(subject)?;
+                let w = self.exprs().check_det(subject)?;
                 let mut seen = HashSet::new();
                 for arm in arms {
                     for &choice in &arm.choices {
-                        if w < 64 && choice >= (1u64 << w) {
-                            return Err(HdlError::check(
-                                format!("case choice {choice} does not fit in {w} bits"),
-                                Self::expr_span(subject),
-                            ));
-                        }
-                        if !seen.insert(choice) {
-                            return Err(HdlError::check(
-                                format!("duplicate case choice {choice}"),
-                                Self::expr_span(subject),
-                            ));
-                        }
+                        check_case_choice(choice, w, &seen, expr_span(subject))?;
+                        seen.insert(choice);
                     }
                     self.check_stmts(&arm.body, kind)?;
                 }
@@ -921,7 +994,11 @@ impl<'a> Checker<'a> {
                 Ok(())
             }
             Stmt::For {
-                var, lo, hi, body, ..
+                id: id_of_for,
+                var,
+                lo,
+                hi,
+                body,
             } => {
                 if self.top_names.contains_key(&var.name)
                     || self.scopes.iter().any(|(n, _)| *n == var.name)
@@ -942,6 +1019,7 @@ impl<'a> Checker<'a> {
                     init: *lo,
                 });
                 self.scopes.push((var.name.clone(), id));
+                self.loop_indices.insert(*id_of_for, id);
                 self.check_stmts(body, kind)?;
                 self.scopes.pop();
                 Ok(())
@@ -949,24 +1027,49 @@ impl<'a> Checker<'a> {
             Stmt::Null { .. } => Ok(()),
         }
     }
+}
 
-    // ---- whole-entity checks --------------------------------------------
+/// The constant rule: `value` fits the declared width of `cst`.
+pub fn check_const_value(cst: &ConstDecl, value: u64) -> Result<()> {
+    if cst.width < 64 && value >= (1u64 << cst.width) {
+        return Err(HdlError::check(
+            format!(
+                "constant `{}` value {} does not fit in {} bits",
+                cst.name.name, value, cst.width
+            ),
+            cst.name.span,
+        ));
+    }
+    Ok(())
+}
 
-    fn check_all_outputs_driven(&self) -> Result<()> {
-        // Output ports must be driven (interface contract). Internal
-        // signals may be undriven: they behave as constants holding their
-        // initial value — which is exactly what an SDL mutant that deletes
-        // a register's only assignment produces.
-        for port in &self.entity.ports {
-            let id = self.top_names[&port.name.name];
-            if port.dir == PortDir::Out && !self.drivers.contains_key(&id) {
-                return Err(HdlError::check(
-                    format!("output port `{}` is never driven", port.name.name),
-                    port.name.span,
-                ));
-            }
+/// The case-choice rule: `choice` fits a `width`-bit subject and is not
+/// among the `taken` choices of the same statement. `span` is the
+/// subject's.
+pub fn check_case_choice(choice: u64, width: u32, taken: &HashSet<u64>, span: Span) -> Result<()> {
+    if width < 64 && choice >= (1u64 << width) {
+        return Err(HdlError::check(
+            format!("case choice {choice} does not fit in {width} bits"),
+            span,
+        ));
+    }
+    if taken.contains(&choice) {
+        return Err(HdlError::check(format!("duplicate case choice {choice}"), span));
+    }
+    Ok(())
+}
+
+/// Where an error about expression `e` points: its leftmost leaf.
+fn expr_span(e: &Expr) -> Span {
+    match e {
+        Expr::Literal { span, .. } => *span,
+        Expr::Ref { name, .. } => name.span,
+        Expr::Index { base, .. }
+        | Expr::Slice { base, .. } => expr_span(base),
+        Expr::Unary { arg, .. } | Expr::Reduce { arg, .. } | Expr::Shift { arg, .. } => {
+            expr_span(arg)
         }
-        Ok(())
+        Expr::Binary { lhs, .. } | Expr::Concat { lhs, .. } => expr_span(lhs),
     }
 }
 
@@ -987,7 +1090,7 @@ impl EntityInfo {
     fn schedule(&self, entity: &Entity) -> Result<Vec<usize>> {
         let reads = self.comb_reads(entity);
         for (&i, syms) in &reads {
-            if let Some(&sym) = syms.iter().find(|&s| self.drivers.get(s) == Some(&i)) {
+            if let Some(&sym) = syms.iter().find(|&&s| self.reads_own_drive(i, s)) {
                 return Err(HdlError::check(
                     format!(
                         "combinational process reads `{}` which it also drives",
@@ -1006,7 +1109,7 @@ impl EntityInfo {
     }
 
     /// Signals/ports driven by a process.
-    fn process_drives(&self, process_idx: usize) -> HashSet<SymbolId> {
+    pub fn process_drives(&self, process_idx: usize) -> HashSet<SymbolId> {
         self.drivers
             .iter()
             .filter(|(_, &p)| p == process_idx)
@@ -1026,17 +1129,10 @@ impl EntityInfo {
         // runs for every candidate.
         let mut first: Option<(SymbolId, usize, u64, u64)> = None;
         for &i in &self.comb_order {
-            let process = &entity.processes[i];
-            let assigned = self.assigned_masks(&process.body, &HashMap::new());
-            for sym_id in self.process_drives(i) {
-                let sym = &self.symbols[sym_id.0 as usize];
-                let full = if sym.width == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << sym.width) - 1
-                };
-                let mask = assigned.get(&sym_id).copied().unwrap_or(0);
-                if mask & full != full && first.map_or(true, |(s, ..)| sym_id < s) {
+            let drives = self.process_drives(i);
+            let partial = self.partially_assigned(&entity.processes[i], drives, BodyEdit::None);
+            if let Some((sym_id, mask, full)) = partial {
+                if first.map_or(true, |(s, ..)| sym_id < s) {
                     first = Some((sym_id, i, mask, full));
                 }
             }
@@ -1054,18 +1150,47 @@ impl EntityInfo {
         }
     }
 
+    /// The full-assignment rule for one combinational process, with
+    /// `edit` applied to its body: of the `drives` symbols, the one with
+    /// the lowest id that some path leaves partially assigned, with its
+    /// covered bits and its full mask.
+    pub fn partially_assigned(
+        &self,
+        process: &Process,
+        drives: impl IntoIterator<Item = SymbolId>,
+        edit: BodyEdit<'_>,
+    ) -> Option<(SymbolId, u64, u64)> {
+        let assigned = self.assigned_masks(&process.body, &HashMap::new(), edit);
+        let mut first: Option<(SymbolId, u64, u64)> = None;
+        for sym_id in drives {
+            let sym = &self.symbols[sym_id.0 as usize];
+            let full = if sym.width == 64 {
+                u64::MAX
+            } else {
+                (1u64 << sym.width) - 1
+            };
+            let mask = assigned.get(&sym_id).copied().unwrap_or(0);
+            if mask & full != full && first.map_or(true, |(s, ..)| sym_id < s) {
+                first = Some((sym_id, mask, full));
+            }
+        }
+        first
+    }
+
     /// Per-signal bit masks guaranteed to be assigned on **every** path
-    /// through `stmts`. `loop_bounds` maps an active loop index name to its
-    /// inclusive range.
+    /// through `stmts`, with `edit` applied. `loop_bounds` maps an active
+    /// loop index name to its inclusive range.
     fn assigned_masks(
         &self,
         stmts: &[Stmt],
         loop_bounds: &HashMap<String, (u64, u64)>,
+        edit: BodyEdit<'_>,
     ) -> HashMap<SymbolId, u64> {
         let mut acc: HashMap<SymbolId, u64> = HashMap::new();
         for stmt in stmts {
             match stmt {
-                Stmt::Assign { target, .. } => {
+                Stmt::Assign { id, .. } if edit == BodyEdit::Delete(*id) => {}
+                Stmt::Assign { id, target, .. } => {
                     let Some(&sym_id) = self.resolved.get(&target.id) else {
                         continue;
                     };
@@ -1085,7 +1210,7 @@ impl EntityInfo {
                             let m = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
                             m << lo
                         }
-                        Some(Select::Index(index)) => match index {
+                        Some(Select::Index(index)) => match edit.index_of(*id).unwrap_or(index) {
                             Expr::Literal { value, .. } if *value < 64 => 1u64 << value,
                             Expr::Ref { name, .. } => {
                                 // Loop-index-driven assignment covers the
@@ -1112,24 +1237,28 @@ impl EntityInfo {
                     if let Some(else_body) = else_body {
                         let mut branch_masks: Vec<HashMap<SymbolId, u64>> = arms
                             .iter()
-                            .map(|(_, body)| self.assigned_masks(body, loop_bounds))
+                            .map(|(_, body)| self.assigned_masks(body, loop_bounds, edit))
                             .collect();
-                        branch_masks.push(self.assigned_masks(else_body, loop_bounds));
+                        branch_masks.push(self.assigned_masks(else_body, loop_bounds, edit));
                         merge_intersection(&mut acc, &branch_masks);
                     }
                 }
                 Stmt::Case {
+                    id,
                     subject,
                     arms,
                     default,
-                    ..
                 } => {
                     let mut branch_masks: Vec<HashMap<SymbolId, u64>> = arms
                         .iter()
-                        .map(|arm| self.assigned_masks(&arm.body, loop_bounds))
+                        .map(|arm| self.assigned_masks(&arm.body, loop_bounds, edit))
                         .collect();
-                    let covers_all = if let Some(w) = self.widths.get(&subject.id()) {
-                        if *w <= 16 {
+                    let width = match edit {
+                        BodyEdit::SubjectWidth(case, w) if case == *id => Some(w),
+                        _ => self.widths.get(&subject.id()).copied(),
+                    };
+                    let covers_all = if let Some(w) = width {
+                        if w <= 16 {
                             let total: usize = arms.iter().map(|a| a.choices.len()).sum();
                             total == (1usize << w)
                         } else {
@@ -1139,7 +1268,7 @@ impl EntityInfo {
                         false
                     };
                     if let Some(default) = default {
-                        branch_masks.push(self.assigned_masks(default, loop_bounds));
+                        branch_masks.push(self.assigned_masks(default, loop_bounds, edit));
                         merge_intersection(&mut acc, &branch_masks);
                     } else if covers_all && !branch_masks.is_empty() {
                         merge_intersection(&mut acc, &branch_masks);
@@ -1150,7 +1279,7 @@ impl EntityInfo {
                 } => {
                     let mut bounds = loop_bounds.clone();
                     bounds.insert(var.name.clone(), (*lo, *hi));
-                    let body_masks = self.assigned_masks(body, &bounds);
+                    let body_masks = self.assigned_masks(body, &bounds, edit);
                     for (sym, mask) in body_masks {
                         *acc.entry(sym).or_insert(0) |= mask;
                     }
@@ -1159,6 +1288,32 @@ impl EntityInfo {
             }
         }
         acc
+    }
+}
+
+/// One rewritten node of a process body, as the full-assignment rule
+/// ([`EntityInfo::partially_assigned`]) sees it. Statements are named by
+/// their node ids.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BodyEdit<'a> {
+    /// The body as written.
+    None,
+    /// This assignment is deleted.
+    Delete(NodeId),
+    /// This assignment indexes its target with a new expression.
+    TargetIndex(NodeId, &'a Expr),
+    /// This case statement's subject has a new width.
+    SubjectWidth(NodeId, u32),
+}
+
+impl<'a> BodyEdit<'a> {
+    /// The new target index of assignment `stmt`, if this edit gives it
+    /// one.
+    fn index_of(self, stmt: NodeId) -> Option<&'a Expr> {
+        match self {
+            BodyEdit::TargetIndex(at, index) if at == stmt => Some(index),
+            _ => None,
+        }
     }
 }
 

@@ -1,14 +1,19 @@
 //! Deterministic enumeration of the mutant population.
 //!
-//! [`generate_mutants`] walks the checked entity and produces every
-//! mutant of every operator class, in a fixed order, then validates each
-//! one by applying it and re-checking the design — mutants that would be
-//! stillborn (e.g. a `VR` creating a combinational loop, or an `SDL`
-//! leaving a combinational output unassigned) are discarded, exactly as a
-//! VHDL mutation tool discards syntactically illegal mutants.
+//! [`candidate_mutants`] walks the checked entity and produces every
+//! candidate of every operator class, in a fixed order.
+//! [`generate_mutants`] keeps the candidates that are not stillborn
+//! (e.g. a `VR` creating a combinational loop, or an `SDL` leaving a
+//! combinational output unassigned), exactly as a VHDL mutation tool
+//! discards syntactically illegal mutants. It asks a [`Validator`],
+//! which re-checks each rewrite at its site — the rewritten statement's
+//! root expression and the few whole-process rules the rewrite can
+//! break — and gives the verdict of [`Mutant::apply`] (clone the design,
+//! re-check all of it), which stays the oracle in the tests.
 
 use crate::mutant::{Mutant, MutantId, Rewrite};
 use crate::operator::MutationOperator;
+use crate::validate::Validator;
 use musa_hdl::ast::*;
 use musa_hdl::pretty::expr_to_string;
 use musa_hdl::{CheckedDesign, EntityInfo, SymbolKind};
@@ -33,11 +38,14 @@ impl GenerateOptions {
     }
 }
 
-/// Enumerates the valid mutants of `entity` within `checked`.
+/// Enumerates the valid mutants of `entity` within `checked`: the
+/// [`candidate_mutants`] a [`Validator`] accepts, renumbered.
 ///
 /// Returns an empty vector if the entity does not exist. Mutant ids are
 /// dense (`0..n`) and the order is deterministic: walk order over the
-/// AST, operator class order within each site.
+/// AST, operator class order within each site. Under a tracer, counts
+/// the candidates as `mutants_checked` and the stillborn ones as
+/// `mutants_rejected`.
 ///
 /// # Examples
 ///
@@ -65,6 +73,29 @@ pub fn generate_mutants(
     entity_name: &str,
     options: &GenerateOptions,
 ) -> Vec<Mutant> {
+    let mut mutants = candidate_mutants(checked, entity_name, options);
+    if mutants.is_empty() {
+        return mutants;
+    }
+    let validator = Validator::new(checked);
+    let checked_count = mutants.len();
+    mutants.retain(|candidate| validator.check(candidate));
+    for (i, mutant) in mutants.iter_mut().enumerate() {
+        mutant.id = MutantId(i as u32);
+    }
+    musa_trace::count("mutants_checked", checked_count as u64);
+    musa_trace::count("mutants_rejected", (checked_count - mutants.len()) as u64);
+    mutants
+}
+
+/// Every candidate mutant of `entity` within `checked`, stillborn ones
+/// included, in [`generate_mutants`]'s order; ids number the candidates
+/// `0..n`. Empty if the entity does not exist.
+pub fn candidate_mutants(
+    checked: &CheckedDesign,
+    entity_name: &str,
+    options: &GenerateOptions,
+) -> Vec<Mutant> {
     let Some((entity, info)) = checked.entity(entity_name) else {
         return Vec::new();
     };
@@ -74,22 +105,17 @@ pub fn generate_mutants(
         candidates: Vec::new(),
     };
     gen.walk_entity(entity);
-
-    let mut mutants = Vec::new();
-    for (operator, site, rewrite, description) in gen.candidates {
-        let mutant = Mutant {
-            id: MutantId(mutants.len() as u32),
+    gen.candidates
+        .into_iter()
+        .enumerate()
+        .map(|(i, (operator, site, rewrite, description))| Mutant {
+            id: MutantId(i as u32),
             operator,
             site,
             rewrite,
             description,
-        };
-        if mutant.apply(checked).is_err() {
-            continue; // stillborn
-        }
-        mutants.push(mutant);
-    }
-    mutants
+        })
+        .collect()
 }
 
 /// Per-operator population counts (reporting helper).

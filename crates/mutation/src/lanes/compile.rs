@@ -18,14 +18,22 @@
 //! replacement that the scalar engine would reject as stillborn) are
 //! reported in [`Compiled::fallback`]; the group runner executes those
 //! through the scalar engine so observable behaviour — including
-//! errors — matches the scalar path exactly.
+//! errors — matches the scalar path exactly. Cheap structural refusals
+//! cover the expression rewrites (a literal index past its width, a
+//! swap into or out of the relational class, a literal index under
+//! `not`); a deletion (SDL) and any rewrite inside an assignment's
+//! target index, which can break whole-process rules, ask the
+//! population's [`Validator`] instead (built on first need, so a plan
+//! without such a rewrite never builds one).
 
 use super::exec::{lower_unit, Lowered};
 use super::tape::{Instr, LaneWord, Reg, Tape, LANES};
 use crate::mutant::{Mutant, Rewrite};
+use crate::validate::Validator;
 use musa_hdl::ast::*;
 use musa_hdl::{Bits, CheckedDesign, EntityInfo, SymbolId, SymbolKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// A group compiled for lane execution: the output of the
 /// compile → lower pipeline.
@@ -64,6 +72,7 @@ pub(crate) struct Cycle;
 /// `CR` constant lanes, the mutated statement tapes).
 #[derive(Debug)]
 pub(crate) struct BaseCompile<'a> {
+    checked: &'a CheckedDesign,
     /// The entity every group compiles, resolved once.
     entity: &'a Entity,
     /// The checker's facts about `entity`.
@@ -76,6 +85,9 @@ pub(crate) struct BaseCompile<'a> {
     order: Vec<usize>,
     /// Power-on lane words before any `CR` constant lane diverges.
     init: Vec<LaneWord>,
+    /// The stillborn test for deletions and target-index rewrites,
+    /// built by the first group that holds one.
+    validator: OnceLock<Validator<'a>>,
 }
 
 impl<'a> BaseCompile<'a> {
@@ -89,12 +101,19 @@ impl<'a> BaseCompile<'a> {
             .map(|s| [s.init & Bits::mask_of(s.width); LANES])
             .collect();
         Some(Self {
+            checked,
             entity,
             info,
             reads: info.comb_reads(entity),
             order: info.comb_order.clone(),
             init,
+            validator: OnceLock::new(),
         })
+    }
+
+    /// Whether re-checking would accept `mutant` (see [`Validator`]).
+    fn accepts(&self, mutant: &Mutant) -> bool {
+        self.validator.get_or_init(|| Validator::new(self.checked)).check(mutant)
     }
 }
 
@@ -114,12 +133,7 @@ struct Sites {
 }
 
 impl Sites {
-    fn build(
-        checked: &CheckedDesign,
-        entity: &Entity,
-        info: &EntityInfo,
-        group: &[&Mutant],
-    ) -> Self {
+    fn build(base: &BaseCompile, group: &[&Mutant]) -> Self {
         let mut sites = Sites::default();
         for (slot, mutant) in group.iter().enumerate() {
             let lane = slot as u32 + 1;
@@ -130,7 +144,7 @@ impl Sites {
                 // time. Compile it in only when re-checking would accept
                 // it; otherwise the lane stays unapplied and the group
                 // runner's scalar fallback reproduces the exact error.
-                Rewrite::DeleteStmt if sdl_is_tape_safe(checked, entity, info, mutant) => {
+                Rewrite::DeleteStmt if base.accepts(mutant) => {
                     *sites.stmt_delete.entry(mutant.site).or_insert(0) |= 1 << lane;
                 }
                 Rewrite::DeleteStmt => {}
@@ -158,46 +172,6 @@ impl Sites {
     }
 }
 
-/// Whether deleting this assignment survives re-checking. No name or
-/// width changes, so two rules can reject an SDL. In any process,
-/// deleting its only assignment to an output port leaves the port
-/// undriven. In a combinational process, the deletion can break full
-/// assignment: those take the scalar engine's own acceptance test (one
-/// apply + re-check per group compile; comb-SDL mutants are a small
-/// slice of any population). A site that is no assignment passes here
-/// and is never applied, so the scalar fallback reports it.
-fn sdl_is_tape_safe(
-    checked: &CheckedDesign,
-    entity: &Entity,
-    info: &EntityInfo,
-    mutant: &Mutant,
-) -> bool {
-    let target_of = |s: &Stmt| match s {
-        Stmt::Assign { target, .. } => Some(info.resolved[&target.id]),
-        _ => None,
-    };
-    for process in &entity.processes {
-        let mut deleted = None;
-        walk_stmts(&process.body, &mut |s| {
-            if s.id() == mutant.site {
-                deleted = target_of(s);
-            }
-        });
-        let Some(sym) = deleted else { continue };
-        if matches!(info.symbol(sym).kind, SymbolKind::PortOut) {
-            let mut drives = 0;
-            walk_stmts(&process.body, &mut |s| {
-                drives += usize::from(target_of(s) == Some(sym));
-            });
-            if drives == 1 {
-                return false;
-            }
-        }
-        return !matches!(process.kind, ProcessKind::Comb) || mutant.apply(checked).is_ok();
-    }
-    true
-}
-
 /// Child-register context handed to the mutation-site folder so `LOR`
 /// reuses the already-compiled operands and `UOD` the inner argument;
 /// a literal index carries the width the checker bounds it by.
@@ -208,15 +182,11 @@ enum Ctx {
     Binary { a: Reg, b: Reg },
 }
 
-pub(crate) fn compile_group(
-    checked: &CheckedDesign,
-    group: &[&Mutant],
-    base: &BaseCompile,
-) -> Result<Compiled, Cycle> {
-    let (entity, info) = (base.entity, base.info);
+pub(crate) fn compile_group(group: &[&Mutant], base: &BaseCompile) -> Result<Compiled, Cycle> {
+    let info = base.info;
     debug_assert!(group.len() < LANES, "at most {} mutants per group", LANES - 1);
     let order = comb_order_union(group, base)?;
-    let mut compiler = Compiler::new(entity, info, Sites::build(checked, entity, info, group));
+    let mut compiler = Compiler::new(base, group, Sites::build(base, group));
     let init = compiler.build_init(&base.init);
     let comb = compiler.compile_comb(&order);
     let edge = compiler.compile_edge();
@@ -298,10 +268,15 @@ fn comb_order_union(group: &[&Mutant], base: &BaseCompile) -> Result<Vec<usize>,
     info.comb_schedule(&reads).map_err(|_| Cycle)
 }
 
-struct Compiler<'a> {
+struct Compiler<'a, 'b> {
     entity: &'a Entity,
     info: &'a EntityInfo,
+    base: &'b BaseCompile<'a>,
+    group: &'b [&'b Mutant],
     sites: Sites,
+    /// Compiling an assignment's target index, where every rewrite must
+    /// pass the validator.
+    in_target_index: bool,
     /// Lanes whose rewrite landed somewhere in the compiled entity.
     applied: u64,
     // ---- per-tape build state -------------------------------------------
@@ -317,8 +292,9 @@ struct Compiler<'a> {
     var_syms: HashMap<(usize, String), SymbolId>,
 }
 
-impl<'a> Compiler<'a> {
-    fn new(entity: &'a Entity, info: &'a EntityInfo, sites: Sites) -> Self {
+impl<'a, 'b> Compiler<'a, 'b> {
+    fn new(base: &'b BaseCompile<'a>, group: &'b [&'b Mutant], sites: Sites) -> Self {
+        let (entity, info) = (base.entity, base.info);
         let mut var_syms = HashMap::new();
         for (i, sym) in info.symbols.iter().enumerate() {
             if let SymbolKind::Var { process } = sym.kind {
@@ -328,7 +304,10 @@ impl<'a> Compiler<'a> {
         Self {
             entity,
             info,
+            base,
+            group,
             sites,
+            in_target_index: false,
             applied: 0,
             instrs: Vec::new(),
             stores: Vec::new(),
@@ -506,7 +485,9 @@ impl<'a> Compiler<'a> {
                 let new = match &target.sel {
                     None => self.expr(value),
                     Some(Select::Index(index)) => {
+                        self.in_target_index = true;
                         let ix = self.index(index, width);
+                        self.in_target_index = false;
                         let bit = self.expr(value);
                         let cur = self.read(sym);
                         self.emit(Instr::DynSet { cur, index: ix, bit, width })
@@ -720,13 +701,17 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Compiles the index of a `width`-bit base. A literal index is
-    /// bounded by that width, as the checker bounds it.
+    /// Compiles the index of a `width`-bit base. A literal index, and a
+    /// reference a `CVR` turns into one, is bounded by that width, as
+    /// the checker bounds it.
     fn index(&mut self, index: &Expr, width: u32) -> Reg {
-        let Expr::Literal { id, value, .. } = index else {
-            return self.expr(index);
+        let orig = match index {
+            Expr::Literal { id, value, .. } => {
+                self.konst(value & Bits::mask_of(self.width_of(*id)))
+            }
+            Expr::Ref { id, .. } => self.read(self.info.resolved[id]),
+            _ => return self.expr(index),
         };
-        let orig = self.konst(value & Bits::mask_of(self.width_of(*id)));
         self.expr_sites(index, orig, Ctx::Index { width })
     }
 
@@ -741,6 +726,11 @@ impl<'a> Compiler<'a> {
         let w = self.width_of(e.id());
         let mut acc = orig;
         for (lane, rewrite) in list {
+            // A new target index can leave its target partially assigned
+            // while the index stays in range.
+            if self.in_target_index && !self.base.accepts(self.group[lane as usize - 1]) {
+                continue;
+            }
             let mutated = match (&rewrite, &ctx) {
                 // A relational operator has a 1-bit result and operands
                 // of their own width, any other the context's width, so
@@ -751,17 +741,21 @@ impl<'a> Compiler<'a> {
                 {
                     Some(self.emit(Instr::Bin { op: *new, a: *a, b: *b, width: w }))
                 }
+                // The checker reads a bare literal index as 32 bits wide,
+                // but `not` gives it its own width, or none at all.
+                (Rewrite::InsertNot, Ctx::Index { .. }) if matches!(e, Expr::Literal { .. }) => {
+                    None
+                }
                 (Rewrite::InsertNot, _) => Some(self.emit(Instr::Not { a: orig, width: w })),
                 (Rewrite::DeleteNot, Ctx::Not { arg }) => Some(*arg),
                 (Rewrite::Ref { new }, _) if matches!(e, Expr::Ref { .. }) => {
                     self.resolve_replacement(new, w).map(|sym| self.read(sym))
                 }
                 (Rewrite::RefToConst { value, width }, _) if matches!(e, Expr::Ref { .. }) => {
-                    if *width == w && (w == 64 || *value < (1u64 << w)) {
-                        Some(self.konst(*value))
-                    } else {
-                        None
-                    }
+                    let fits = *width == w && (w == 64 || *value < (1u64 << w));
+                    let in_range =
+                        !matches!(ctx, Ctx::Index { width } if *value >= u64::from(width));
+                    (fits && in_range).then(|| self.konst(*value))
                 }
                 (Rewrite::Literal { value }, _) if matches!(e, Expr::Literal { .. }) => {
                     let fits = w == 64 || *value < (1u64 << w);

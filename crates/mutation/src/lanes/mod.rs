@@ -206,7 +206,7 @@ impl<'a> LanePlan<'a> {
             .collect();
         let nested = musa_trace::try_fork_map(options.jobs, ranges.len(), |i| {
             let _trace = musa_trace::span("lane_compile");
-            let compiled = compile_range(checked, mutants, ranges[i], &base);
+            let compiled = compile_range(mutants, ranges[i], &base);
             musa_trace::progress(|| {
                 format!("{entity}: lane group {}/{} compiled", i + 1, ranges.len())
             });
@@ -372,18 +372,17 @@ impl<'a> LanePlan<'a> {
 /// combinational cycles: two mutants' added read edges can cycle
 /// jointly even though each alone is fine.
 fn compile_range(
-    checked: &CheckedDesign,
     mutants: &[Mutant],
     (start, len): (usize, usize),
     base: &BaseCompile,
 ) -> Vec<PlanGroup> {
     let refs: Vec<&Mutant> = mutants[start..start + len].iter().collect();
-    match compile_group(checked, &refs, base) {
+    match compile_group(&refs, base) {
         Ok(compiled) => vec![PlanGroup::Tape { compiled, start, len }],
         Err(Cycle) if len > 1 => {
             let mid = len / 2;
-            let mut left = compile_range(checked, mutants, (start, mid), base);
-            left.extend(compile_range(checked, mutants, (start + mid, len - mid), base));
+            let mut left = compile_range(mutants, (start, mid), base);
+            left.extend(compile_range(mutants, (start + mid, len - mid), base));
             left
         }
         Err(Cycle) => vec![PlanGroup::ScalarOne { slot: start }],
@@ -1058,6 +1057,85 @@ mod tests {
             });
             let cr = lone(MutationOperator::Cr, site.unwrap(), Rewrite::Literal { value: 3 });
             assert_stillborn_on_both_engines(&d, "x", cr);
+        }
+    }
+
+    #[test]
+    fn stillborn_partial_target_index_cr_errors_exactly_like_scalar() {
+        // Moving a combinational target index to another bit in range
+        // leaves the bit it left unassigned: full assignment fails.
+        let d = checked(
+            "entity x is port(a : in bit; y : out bits(2));
+             comb begin y[0] <= a; y[1] <= not a; end;
+             end;",
+        );
+        let musa_hdl::ast::Stmt::Assign { target, .. } = &d.design().entities[0].processes[0].body[1]
+        else {
+            panic!("the second statement is an assignment");
+        };
+        let Some(musa_hdl::ast::Select::Index(index)) = &target.sel else {
+            panic!("the target is indexed");
+        };
+        let cr = lone(MutationOperator::Cr, index.id(), Rewrite::Literal { value: 0 });
+        assert_stillborn_on_both_engines(&d, "x", cr);
+    }
+
+    #[test]
+    fn stillborn_read_index_rewrites_error_exactly_like_scalar() {
+        // A CVR that turns an index into a literal past the indexed
+        // width, and a UOI on a decimal literal index, whose width the
+        // checker cannot infer.
+        let d = checked(
+            "entity x is port(a : in bits(3); s : in bits(2); y : out bit; z : out bit);
+             comb begin y <= a[s]; z <= a[1]; end;
+             end;",
+        );
+        let mut sites = (None, None);
+        musa_hdl::ast::walk_exprs(&d.design().entities[0].processes[0].body, &mut |e| match e {
+            musa_hdl::ast::Expr::Ref { id, name } if name.name == "s" => sites.0 = Some(*id),
+            musa_hdl::ast::Expr::Literal { id, .. } => sites.1 = Some(*id),
+            _ => {}
+        });
+        let cvr = Rewrite::RefToConst { value: 3, width: 2 };
+        assert_stillborn_on_both_engines(&d, "x", lone(MutationOperator::Cvr, sites.0.unwrap(), cvr));
+        let uoi = lone(MutationOperator::Uoi, sites.1.unwrap(), Rewrite::InsertNot);
+        assert_stillborn_on_both_engines(&d, "x", uoi);
+    }
+
+    #[test]
+    fn uoi_on_a_typed_literal_index_matches_scalar() {
+        // `not 0b01` is 2 bits wide, not the 32 bits of a bare literal
+        // index: the lanes leave it to the scalar engine. Read as 32
+        // bits it would index past `a` and read 0, where `a[2]` is 1 on
+        // the first vector.
+        for src in [
+            "entity x is port(a : in bits(3); y : out bit);
+             comb begin y <= a[0b01]; end;
+             end;",
+            "entity x is port(a : in bit; y : out bits(3));
+             comb begin y <= 0; y[0b01] <= a; end;
+             end;",
+        ] {
+            let d = checked(src);
+            let mut site = None;
+            musa_hdl::ast::walk_exprs(&d.design().entities[0].processes[0].body, &mut |e| {
+                if let musa_hdl::ast::Expr::Literal { id, value: 1, .. } = e {
+                    site = Some(*id);
+                }
+            });
+            let uoi = lone(MutationOperator::Uoi, site.unwrap(), Rewrite::InsertNot);
+            assert!(uoi.apply(&d).is_ok(), "the checker accepts `not 0b01` as an index");
+            let info = d.entity_info("x").unwrap();
+            let sequence: TestSequence = (0..8u64)
+                .map(|v| {
+                    let width = info.symbol(info.data_inputs[0]).width;
+                    vec![Bits::new(width, (v + 4) & Bits::mask_of(width))]
+                })
+                .collect();
+            let scalar = scalar_kills(&d, "x", std::slice::from_ref(&uoi), &sequence);
+            let lanes = lane_kills(&d, "x", &[uoi], &sequence, &LaneOptions::default())
+                .map(|(kills, _)| kills);
+            assert_eq!(format!("{scalar:?}"), format!("{lanes:?}"));
         }
     }
 

@@ -69,6 +69,7 @@ mod mutant;
 mod operator;
 mod score;
 mod sweep;
+mod validate;
 
 pub use equivalence::{
     classify_mutants, classify_mutants_jobs, survivor_class, EquivalenceClass, EquivalencePolicy,
@@ -78,11 +79,12 @@ pub use execute::{
     RESET_SPARSITY,
 };
 pub use lanes::{LaneOptions, LanePlan, LaneStats, MAX_LANES};
-pub use generate::{count_by_operator, generate_mutants, GenerateOptions};
+pub use generate::{candidate_mutants, count_by_operator, generate_mutants, GenerateOptions};
 pub use mutant::{Mutant, MutantId, MutationError, Rewrite};
 pub use operator::MutationOperator;
 pub use score::MutationScore;
 pub use sweep::first_kills_over;
+pub use validate::Validator;
 
 /// Every bundled benchmark's MiniHDL source, by entity name, for the
 /// tests that sweep them all.

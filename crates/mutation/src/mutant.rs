@@ -225,20 +225,7 @@ fn rewrite_stmts(
                 arms, else_body, ..
             } => {
                 for (cond, body) in arms.iter_mut() {
-                    // CSR addresses the condition expression.
-                    if cond.id() == site {
-                        if let Rewrite::StuckCondition { value } = rewrite {
-                            *cond = Expr::Literal {
-                                id: cond.id(),
-                                value: *value as u64,
-                                width: Some(1),
-                                span: musa_hdl::Span::dummy(),
-                            };
-                            *outcome = Some(Ok(()));
-                            return;
-                        }
-                    }
-                    rewrite_expr(cond, site, rewrite, fresh_base, fresh_used, outcome);
+                    rewrite_cond(cond, site, rewrite, fresh_base, fresh_used, outcome);
                     rewrite_stmts(body, site, rewrite, fresh_base, fresh_used, outcome);
                 }
                 if let Some(body) = else_body {
@@ -278,7 +265,35 @@ fn rewrite_stmts(
     }
 }
 
-fn rewrite_expr(
+/// Rewrites an `if` condition: CSR replaces the condition itself, and
+/// every other rewrite addresses the nodes inside it.
+pub(crate) fn rewrite_cond(
+    cond: &mut Expr,
+    site: NodeId,
+    rewrite: &Rewrite,
+    fresh_base: u32,
+    fresh_used: &mut u32,
+    outcome: &mut Option<Result<(), MutationError>>,
+) {
+    if outcome.is_some() {
+        return;
+    }
+    if let (true, Rewrite::StuckCondition { value }) = (cond.id() == site, rewrite) {
+        *cond = Expr::Literal {
+            id: site,
+            value: *value as u64,
+            width: Some(1),
+            span: musa_hdl::Span::dummy(),
+        };
+        *outcome = Some(Ok(()));
+        return;
+    }
+    rewrite_expr(cond, site, rewrite, fresh_base, fresh_used, outcome);
+}
+
+/// Rewrites the node `site` inside `expr`, recording in `outcome`
+/// whether it was found and whether the rewrite fits it.
+pub(crate) fn rewrite_expr(
     expr: &mut Expr,
     site: NodeId,
     rewrite: &Rewrite,

@@ -43,6 +43,7 @@ use musa::bench::cli::{
     emit_observability, parse_args, parse_seed, print_report, run_trajectory, BenchCommand,
     CliError, SampleArgs, BENCH_USAGE, LINT_FLAGS, LINT_USAGE,
 };
+use musa::bench::{out, outln};
 use musa::circuits::{Benchmark, Circuit};
 use musa::core::{
     lint_report_json, lint_source, render_lint_text, total_findings, Campaign, ReportData, Task,
@@ -138,7 +139,7 @@ fn main() -> ExitCode {
         let _command = musa::trace::span("command");
         dispatch(&args)
     };
-    print!("{}", musa::core::render_profile_data(&tracer.finish(), started.elapsed()));
+    out!("{}", musa::core::render_profile_data(&tracer.finish(), started.elapsed()));
     code
 }
 
@@ -156,7 +157,7 @@ fn dispatch(args: &[String]) -> ExitCode {
         Some("lint") => return cmd_lint(&args[1..]),
         Some("list") => cmd_list(),
         Some("help") | Some("--help") | Some("-h") => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         _ => {
@@ -195,7 +196,7 @@ fn load_netlist(path: &str) -> Result<Netlist, String> {
 }
 
 fn print_netlist_stats(nl: &Netlist) {
-    println!(
+    outln!(
         "  {} inputs, {} outputs, {} gates, {} flops, depth {}",
         nl.inputs().len(),
         nl.outputs().len(),
@@ -203,7 +204,7 @@ fn print_netlist_stats(nl: &Netlist) {
         nl.dff_count(),
         nl.depth()
     );
-    println!(
+    outln!(
         "  collapsed stuck-at faults: {}",
         collapsed_faults(nl).len()
     );
@@ -212,8 +213,8 @@ fn print_netlist_stats(nl: &Netlist) {
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let (checked, entity) = load_design(args)?;
     let info = checked.entity_info(&entity).expect("load_design resolved the entity");
-    println!("{entity}:");
-    println!(
+    outln!("{entity}:");
+    outln!(
         "  {} data inputs ({} bits), {} outputs ({} bits), {}",
         info.data_inputs.len(),
         info.input_bits(),
@@ -233,16 +234,16 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 fn cmd_synth(args: &[String]) -> Result<(), String> {
     let (checked, entity) = load_design(args)?;
     let nl = synthesize(&checked, &entity).map_err(|e| e.to_string())?;
-    print!("{}", write_bench(&nl));
+    out!("{}", write_bench(&nl));
     Ok(())
 }
 
 fn cmd_mutants(args: &[String]) -> Result<(), String> {
     let (checked, entity) = load_design(args)?;
     let mutants = generate_mutants(&checked, &entity, &GenerateOptions::default());
-    println!("{} valid mutants:", mutants.len());
+    outln!("{} valid mutants:", mutants.len());
     for (op, count) in count_by_operator(&mutants) {
-        println!("  {:<4} {count:>5}   {}", op.acronym(), op.description());
+        outln!("  {:<4} {count:>5}   {}", op.acronym(), op.description());
     }
     Ok(())
 }
@@ -268,7 +269,7 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     let patterns = lfsr_patterns(nl.inputs().len(), vectors, seed);
     let result = fault_simulate(&nl, &faults, &patterns);
     let curve = CoverageCurve::new(result.coverage_curve());
-    println!(
+    outln!(
         "{}: {} faults, {} vectors -> {:.2}% coverage",
         nl.name(),
         faults.len(),
@@ -276,7 +277,7 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         100.0 * curve.final_coverage()
     );
     for (len, cov) in curve.sample(10) {
-        println!("  {len:>6} : {:>6.2}%", 100.0 * cov);
+        outln!("  {len:>6} : {:>6.2}%", 100.0 * cov);
     }
     Ok(())
 }
@@ -292,7 +293,7 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
     }
     let faults = collapsed_faults(&nl);
     let (_, stats) = atpg_all(&nl, &faults, limit);
-    println!(
+    outln!(
         "{}: {} faults -> {} tested, {} untestable, {} aborted ({} backtracks)",
         nl.name(),
         stats.targeted,
@@ -311,9 +312,9 @@ fn cmd_scoap(args: &[String]) -> Result<(), String> {
     let top: usize = args.get(1).map_or(Ok(10), |s| s.parse().map_err(|_| "bad count"))?;
     let nl = load_netlist(path)?;
     let scoap = Testability::analyze(&nl);
-    println!("{}: hardest nets (CC0/CC1/CO, combined effort):", nl.name());
+    outln!("{}: hardest nets (CC0/CC1/CO, combined effort):", nl.name());
     for (net, effort) in scoap.hardest_nets(&nl, top) {
-        println!(
+        outln!(
             "  {:<16} cc0={:<6} cc1={:<6} co={:<6} effort={}",
             nl.net_name(net),
             scoap.cc0(net),
@@ -354,14 +355,14 @@ fn usage_error(error: Option<CliError>, usage: &str) -> ExitCode {
 fn bench_stats(name: &str) -> Result<(), String> {
     let bench = Benchmark::from_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let circuit: Circuit = bench.load().map_err(|e| e.to_string())?;
-    println!("{}:", circuit.name);
+    outln!("{}:", circuit.name);
     print_netlist_stats(&circuit.netlist);
     let mutants = generate_mutants(
         &circuit.checked,
         &circuit.name,
         &GenerateOptions::default(),
     );
-    println!("  mutant population: {}", mutants.len());
+    outln!("  mutant population: {}", mutants.len());
     Ok(())
 }
 
@@ -429,12 +430,12 @@ fn lint_file(path: &str, json: bool) -> ExitCode {
     };
     let findings = total_findings(std::slice::from_ref(&row));
     if json {
-        println!(
+        outln!(
             "{}",
             lint_report_json(std::slice::from_ref(&stem), std::slice::from_ref(&row))
         );
     } else {
-        print!("{}", render_lint_text(std::slice::from_ref(&row)));
+        out!("{}", render_lint_text(std::slice::from_ref(&row)));
     }
     exit_by_findings(findings)
 }
@@ -463,7 +464,7 @@ fn cmd_sample(args: &[String]) -> Result<(), String> {
 
 fn cmd_list() -> Result<(), String> {
     for bench in Benchmark::all() {
-        println!("{bench}");
+        outln!("{bench}");
     }
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! pins proving the campaign redesign preserved stdout byte-for-byte
 //! and keeps the `--json` schema stable.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn musa(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_musa"))
@@ -987,4 +987,69 @@ fn info_requires_file_and_entity() {
     let out = musa(&["info", "only-one-arg"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("expected <file.mhdl> <entity>"));
+}
+
+/// A reader that goes away before `musa` writes (as `| head -1` does
+/// once it has its line) must not make it panic: the command ends
+/// quietly with its own exit code.
+#[test]
+fn closed_stdout_ends_quietly_with_the_commands_own_exit_code() {
+    let c432 = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/circuits/src/hdl/c432.mhdl");
+    for (args, code) in [
+        (&["mutants", c432, "c432"][..], 0),
+        (&["info", c432, "c432"], 0),
+        (&["list"], 0),
+        (&["lint", "tests/fixtures/lint_dirty.mhdl"], 1),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_musa"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("musa binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("musa binary ends");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    }
+}
+
+/// One combinational `case` over a 16-bit subject with `arms` arms, arm
+/// `i` assigning `a xor (i mod 256)`: a single process that grows with
+/// the arm count, the shape that made whole-design re-checking
+/// quadratic.
+fn stress_design(arms: usize) -> String {
+    let mut src = String::from(
+        "entity stress is\n  port(s : in bits(16); a : in bits(8); y : out bits(8));\n  comb begin\n    case s is\n",
+    );
+    for i in 0..arms {
+        src.push_str(&format!("      when {i} => y <= a xor {};\n", i % 256));
+    }
+    src.push_str("      when others => y <= a;\n    end case;\n  end;\nend stress;\n");
+    src
+}
+
+/// `musa mutants` on a 300-arm design: the population is the one
+/// whole-design re-checking of every candidate produced, counted per
+/// operator, and validating it takes seconds at most in a debug build.
+#[test]
+fn mutants_scale_to_a_300_arm_case() {
+    let dir = std::env::temp_dir().join(format!("musa-stress-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stress.mhdl");
+    std::fs::write(&path, stress_design(300)).unwrap();
+    let stdout = stdout_of(&["mutants", path.to_str().unwrap(), "stress"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let expected = [
+        "9456 valid mutants:",
+        "  LOR   1500   logical operator replacement",
+        "  CVR   4832   constant for variable replacement",
+        "  CR    2822   constant replacement",
+        "  UOI    302   unary operator insertion",
+    ];
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), expected);
 }

@@ -7,9 +7,12 @@ use musa::bench::cli::{
     parse_args, BenchCommand, Bin, SampleArgs, BENCH_FLAGS, BIN_FLAGS, LINT_FLAGS, SAMPLE_FLAGS,
 };
 use musa::core::{json, BenchReport};
+use musa::hdl::ast::{BinOp, NodeId};
 use musa::hdl::{parse, Bits, CheckedDesign, Simulator};
 use musa::metrics::{mad, median, CoverageCurve, RobustStats};
-use musa::mutation::{generate_mutants, GenerateOptions};
+use musa::mutation::{
+    candidate_mutants, generate_mutants, GenerateOptions, Mutant, Rewrite, Validator,
+};
 use musa::netlist::{good_outputs, parse_bench, Fault, FaultSimResult, NetId};
 use musa::prng::{Lfsr, Prng, SplitMix64};
 use musa::store::request::parse_request;
@@ -125,6 +128,33 @@ fn settled<T, E: std::fmt::Display>(result: Result<T, E>, argv: &[String]) -> Op
     }
 }
 
+/// Every binary operator, so a drawn `BinOp` rewrite can cross classes.
+const BIN_OPS: [BinOp; 15] = [
+    BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Nand, BinOp::Nor, BinOp::Xnor, BinOp::Add,
+    BinOp::Sub, BinOp::Mul, BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge,
+];
+
+/// A rewrite of any kind drawn from `(kind, a, b)`; a `Ref` names one of
+/// `names` (every symbol of the entity, whatever its kind or scope) or
+/// a name nothing declares.
+fn drawn_rewrite((kind, a, b): (u64, u64, u64), names: &[String]) -> Rewrite {
+    let small = a % 40;
+    match kind % 10 {
+        0 => Rewrite::BinOp { new: BIN_OPS[(a % 15) as usize] },
+        1 => Rewrite::Ref {
+            new: names.get((a % (names.len() as u64 + 1)) as usize).map_or("nosuch", String::as_str).into(),
+        },
+        2 => Rewrite::RefToConst { value: small, width: (b % 10) as u32 + 1 },
+        3 => Rewrite::Literal { value: small },
+        4 => Rewrite::ConstDecl { value: small },
+        5 => Rewrite::CaseChoice { index: (b % 3) as usize, value: small },
+        6 => Rewrite::InsertNot,
+        7 => Rewrite::DeleteNot,
+        8 => Rewrite::DeleteStmt,
+        _ => Rewrite::StuckCondition { value: a & 1 == 1 },
+    }
+}
+
 /// The edited documents start from inputs every parser accepts.
 #[test]
 fn committed_documents_parse() {
@@ -208,6 +238,47 @@ proptest! {
                     let name = &entity.name.name;
                     let population = generate_mutants(&checked, name, &GenerateOptions::default());
                     let _ = screen_population(&checked, name, &population);
+                }
+            }
+        }
+    }
+
+    /// The site-local validator gives `Mutant::apply`'s verdict on edited
+    /// copies of b05: on drawn candidates, and on drawn rewrites of every
+    /// kind (cross-class operators, names of any kind and scope, values
+    /// that do not fit) at candidate sites and at any node id.
+    #[test]
+    fn validator_gives_the_verdict_of_apply(
+        edits in edits(),
+        draws in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 64..65),
+    ) {
+        if let Ok(design) = parse(&edited(B05_MHDL, &edits)) {
+            if let Ok(checked) = CheckedDesign::new(design) {
+                let validator = Validator::new(&checked);
+                for (entity, info) in checked.entities() {
+                    let names: Vec<String> = info.symbols.iter().map(|s| s.name.clone()).collect();
+                    let candidates =
+                        candidate_mutants(&checked, &entity.name.name, &GenerateOptions::default());
+                    if candidates.is_empty() {
+                        continue;
+                    }
+                    for &(pick, kind, payload) in &draws {
+                        let candidate = &candidates[(pick % candidates.len() as u64) as usize];
+                        let site = if kind & 1 == 0 {
+                            candidate.site
+                        } else {
+                            NodeId((payload % u64::from(checked.design().next_node_id + 2)) as u32)
+                        };
+                        let rewrite = drawn_rewrite((kind >> 1, payload, pick), &names);
+                        let drawn = Mutant { site, rewrite, ..candidate.clone() };
+                        for mutant in [candidate, &drawn] {
+                            prop_assert_eq!(
+                                validator.check(mutant),
+                                mutant.apply(&checked).is_ok(),
+                                "{:?} at {}", mutant.rewrite, mutant.site
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -236,6 +236,29 @@ fn fsim_baseline_counters_are_identical_for_every_job_count_on_b05() {
     }
 }
 
+/// The setup counters on a c432 campaign: `generate_mutants` checks
+/// every candidate once (1,630) and rejects the stillborn ones (106),
+/// whatever the job count; the lane compiler's checks are not counted.
+#[test]
+fn setup_counters_count_every_candidate_once_on_c432() {
+    let run = |jobs: usize| {
+        let mut config = one_rep_config();
+        config.jobs = jobs;
+        let report = Campaign::named("c432")
+            .config(config)
+            .trace(true)
+            .task(Task::Sampling { fraction: 0.10 })
+            .run()
+            .unwrap();
+        let data = report.trace.expect("tracing was enabled");
+        (counter(&data, "mutants_checked"), counter(&data, "mutants_rejected"))
+    };
+    assert_eq!(run(1), (1630, 106));
+    for jobs in [2, 4] {
+        assert_eq!(run(jobs), (1630, 106), "jobs={jobs}");
+    }
+}
+
 /// The lane-op counters on a b05 campaign: every job count computes
 /// the same tiles of the same lane groups, and the live lane-ops are a
 /// share of all of them.
