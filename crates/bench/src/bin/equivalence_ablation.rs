@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p musa_bench --bin equivalence_ablation \
-//!     [--fast|--paper] [--seed N|0xHEX] [--jobs N] [--engine scalar|lanes] \
+//!     [--fast|--paper] [--seed N|0xHEX] [--jobs N] \
 //!     [--fault-reduce on|off] [--screen static|off] [--json] \
 //!     [--trace FILE] [--trace-format json|chrome] [--profile] [--progress]
 //! ```

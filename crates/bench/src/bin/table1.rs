@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p musa_bench --bin table1 \
-//!     [--fast|--paper] [--seed N|0xHEX] [--jobs N] [--engine scalar|lanes] \
+//!     [--fast|--paper] [--seed N|0xHEX] [--jobs N] \
 //!     [--fault-reduce on|off] [--screen static|off] [--json] \
 //!     [--trace FILE] [--trace-format json|chrome] [--profile] [--progress]
 //! ```

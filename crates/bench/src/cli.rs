@@ -14,7 +14,7 @@ use musa_core::{
     render_profile, trace_json, BenchReport, Campaign, CampaignError, ComparePolicy, Report,
     ReportData, Task, DEFAULT_BENCHES,
 };
-use musa_mutation::{Engine, MutationOperator};
+use musa_mutation::MutationOperator;
 use std::fmt;
 
 /// An argument a front end cannot use. Every front end words it the
@@ -28,8 +28,6 @@ pub enum CliError {
         /// What the flag takes (`on|off`, `a file path`, …).
         expects: &'static str,
     },
-    /// `--engine` named no engine; carries [`Engine`]'s parse message.
-    Engine(String),
     /// An argument the front end does not accept: a flag outside its
     /// list, or a positional beyond the number it takes.
     Unknown(String),
@@ -39,7 +37,6 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Value { flag, expects } => write!(f, "{flag} expects {expects}"),
-            CliError::Engine(message) => f.write_str(message),
             CliError::Unknown(arg) => write!(f, "unknown argument `{arg}`"),
         }
     }
@@ -117,14 +114,14 @@ pub fn emit_observability(
 
 /// The flags of the six experiment binaries.
 pub const BIN_FLAGS: &[&str] = &[
-    "--fast", "--paper", "--json", "--seed", "--jobs", "--engine", "--fault-reduce",
-    "--screen", "--trace", "--trace-format", "--profile", "--progress",
+    "--fast", "--paper", "--json", "--seed", "--jobs", "--fault-reduce", "--screen",
+    "--trace", "--trace-format", "--profile", "--progress",
 ];
 
 /// The flags of `musa sample`: the experiment binaries' plus `--store`.
 pub const SAMPLE_FLAGS: &[&str] = &[
-    "--fast", "--paper", "--json", "--seed", "--jobs", "--engine", "--fault-reduce",
-    "--screen", "--trace", "--trace-format", "--profile", "--progress", "--store",
+    "--fast", "--paper", "--json", "--seed", "--jobs", "--fault-reduce", "--screen",
+    "--trace", "--trace-format", "--profile", "--progress", "--store",
 ];
 
 /// The flags of `musa bench`.
@@ -156,8 +153,6 @@ pub struct Args {
     pub seed: Option<u64>,
     /// `--jobs N`: worker threads (`0` = one per available CPU).
     pub jobs: Option<usize>,
-    /// `--engine scalar|lanes`: mutant-execution engine.
-    pub engine: Option<Engine>,
     /// `--fault-reduce on|off`: dominance fault-list reduction.
     pub fault_reduce: Option<bool>,
     /// `--screen static|off`: static equivalent-mutant pre-screening.
@@ -234,10 +229,6 @@ pub fn parse_args(
             "--jobs" => {
                 args.jobs = Some(value(rest, "--jobs", "a thread count", |v| v.parse().ok())?);
             }
-            "--engine" => {
-                let raw = value(rest, "--engine", "scalar|lanes", Some)?;
-                args.engine = Some(raw.parse().map_err(CliError::Engine)?);
-            }
             "--fault-reduce" => {
                 args.fault_reduce = Some(value(rest, "--fault-reduce", "on|off", |v| match v {
                     "on" => Some(true),
@@ -306,8 +297,8 @@ pub fn parse_seed(text: &str) -> Option<u64> {
 }
 
 impl Args {
-    /// `campaign` with the knobs these arguments set: seed, jobs,
-    /// engine, fault reduction, screen, executor, preset and tracing.
+    /// `campaign` with the knobs these arguments set: seed, jobs, fault
+    /// reduction, screen, preset and tracing.
     /// An unset knob keeps the preset's value.
     pub fn apply(&self, mut campaign: Campaign) -> Campaign {
         if let Some(seed) = self.seed {
@@ -315,9 +306,6 @@ impl Args {
         }
         if let Some(jobs) = self.jobs {
             campaign = campaign.jobs(jobs);
-        }
-        if let Some(engine) = self.engine {
-            campaign = campaign.engine(engine);
         }
         if let Some(fault_reduce) = self.fault_reduce {
             campaign = campaign.fault_reduce(fault_reduce);
@@ -346,10 +334,6 @@ options (shared by every musa_bench experiment binary):
   --jobs N    worker threads (default: one per available CPU);
               results are bit-identical for every value, so this is
               purely a wall-clock knob
-  --engine E  mutant-execution engine: `scalar` (one Simulator pass
-              per mutant) or `lanes` (63 mutants + the reference
-              machine per pass); outcomes are bit-identical, and
-              lanes compose multiplicatively with --jobs
   --fault-reduce on|off
               dominance fault-list reduction for the mutation-data
               fault simulation (default on); reported numbers are
@@ -390,9 +374,8 @@ pub struct SampleArgs {
 
 /// The `musa sample` usage line.
 pub const SAMPLE_USAGE: &str = "expected <name> [fraction] [--jobs N] [--seed N|0xHEX] \
-[--paper] [--fast] [--json] [--engine scalar|lanes] [--fault-reduce on|off] \
-[--screen static|off] [--store DIR] [--trace FILE] \
-[--trace-format json|chrome] [--profile] [--progress]";
+[--paper] [--fast] [--json] [--fault-reduce on|off] [--screen static|off] \
+[--store DIR] [--trace FILE] [--trace-format json|chrome] [--profile] [--progress]";
 
 impl SampleArgs {
     /// Parses `musa sample`'s arguments (everything after the
@@ -866,13 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_option_reaches_the_config_and_generation() {
-        let cfg = config(&["--fast", "--engine", "lanes"]);
-        assert_eq!(cfg.engine, Engine::Lanes);
-        assert_eq!(cfg.mg.engine, Engine::Lanes);
-    }
-
-    #[test]
     fn unset_knobs_keep_the_preset() {
         // The pre-parser binaries passed every knob with its default
         // spelled out; leaving them unset must resolve to the same plan.
@@ -880,7 +856,6 @@ mod tests {
             campaign
                 .seed(DEFAULT_SEED)
                 .jobs(0)
-                .engine(Engine::default())
                 .fault_reduce(true)
                 .screen(true)
         };
@@ -917,14 +892,10 @@ mod tests {
 
     #[test]
     fn shared_parser_handles_the_full_flag_set() {
-        let parsed = bin_args(&[
-            "--fast", "--seed", "9", "--jobs", "2", "--engine", "lanes", "--json",
-        ])
-        .unwrap();
+        let parsed = bin_args(&["--fast", "--seed", "9", "--jobs", "2", "--json"]).unwrap();
         assert!(parsed.fast && parsed.json && !parsed.paper);
         assert_eq!(parsed.seed, Some(9));
         assert_eq!(parsed.jobs, Some(2));
-        assert_eq!(parsed.engine, Some(Engine::Lanes));
     }
 
     #[test]
@@ -935,11 +906,6 @@ mod tests {
             value("--seed", "a decimal or 0x-hex integer")
         );
         assert_eq!(bin_args(&["--jobs"]).unwrap_err(), value("--jobs", "a thread count"));
-        assert_eq!(bin_args(&["--engine"]).unwrap_err(), value("--engine", "scalar|lanes"));
-        assert!(matches!(
-            bin_args(&["--engine", "turbo"]).unwrap_err(),
-            CliError::Engine(message) if message.contains("unknown engine `turbo`")
-        ));
     }
 
     #[test]
@@ -1106,9 +1072,6 @@ mod tests {
             SampleArgs::parse(&strings(&["c17", "xx"])).unwrap_err(),
             "bad fraction (expected a number in (0, 1])"
         );
-        assert!(SampleArgs::parse(&strings(&["c17", "--engine", "turbo"]))
-            .unwrap_err()
-            .contains("unknown engine"));
         assert_eq!(
             SampleArgs::parse(&strings(&["c17", "--wat"])).unwrap_err(),
             "unknown argument `--wat`"
@@ -1261,8 +1224,7 @@ mod tests {
             Task::EquivalenceAblation { budgets: vec![100, 500, 2_000, 10_000, 50_000] }
         );
         // Every bin's campaign validates (no run).
-        let args = bin_args(&["--fast", "--seed", "1", "--jobs", "1", "--engine", "scalar"])
-            .unwrap();
+        let args = bin_args(&["--fast", "--seed", "1", "--jobs", "1"]).unwrap();
         for bin in [
             Bin::Table1,
             Bin::Table2,

@@ -18,8 +18,7 @@
 //! the pre-redesign binaries (pinned by the diff tests in
 //! `tests/cli_diff.rs`). The binaries accept `--fast`, `--paper`,
 //! `--seed N` (decimal or `0x` hex), `--jobs N`,
-//! `--engine scalar|lanes`, `--fault-reduce on|off`,
-//! `--screen static|off`, `--json` (the typed
+//! `--fault-reduce on|off`, `--screen static|off`, `--json` (the typed
 //! [`musa_core::Report`] instead of text), `--trace FILE`,
 //! `--trace-format json|chrome`, `--profile`, `--progress` and
 //! `--help`. An unknown argument exits 2 with the usage text. Timing

@@ -2,7 +2,7 @@
 //! **byte-identical** to the pre-campaign-redesign output (the golden
 //! files under `tests/golden/` were captured from the pre-redesign
 //! binaries), and the `--json` reports must be bit-identical across
-//! `--engine scalar|lanes` and every `--jobs` value.
+//! every `--jobs` value.
 
 use std::process::Command;
 
@@ -64,47 +64,42 @@ golden_test!(
     "equivalence_ablation_fast.txt"
 );
 
-/// Drops the per-run metadata (`wall_ms`) and the knobs under test
-/// (`engine`, `jobs`) — everything else must be bit-identical.
+/// Drops the per-run metadata (`wall_ms`) and the knob under test
+/// (`jobs`) — everything else must be bit-identical.
 fn normalize_json(text: String) -> String {
     text.lines()
-        .filter(|l| {
-            !l.contains("\"wall_ms\":")
-                && !l.contains("\"engine\":")
-                && !l.contains("\"jobs\":")
-        })
+        .filter(|l| !l.contains("\"wall_ms\":") && !l.contains("\"jobs\":"))
         .collect::<Vec<_>>()
         .join("\n")
 }
 
 #[test]
-fn coverage_curves_json_is_identical_across_engines_and_jobs() {
+fn coverage_curves_json_is_identical_across_jobs() {
     let base = normalize_json(run(
         "coverage_curves",
-        &["--fast", "--seed", "9", "--jobs", "1", "--engine", "scalar", "--json"],
+        &["--fast", "--seed", "9", "--jobs", "1", "--json"],
     ));
     assert!(base.contains("\"schema\": \"musa.campaign.v1\""), "{base}");
     assert!(base.contains("\"task\": \"coverage-curves\""), "{base}");
-    for (jobs, engine) in [("2", "scalar"), ("1", "lanes"), ("2", "lanes")] {
-        let other = normalize_json(run(
-            "coverage_curves",
-            &["--fast", "--seed", "9", "--jobs", jobs, "--engine", engine, "--json"],
-        ));
-        assert_eq!(base, other, "jobs={jobs} engine={engine}");
-    }
+    assert!(base.contains("\"engine\": \"lanes\""), "{base}");
+    let other = normalize_json(run(
+        "coverage_curves",
+        &["--fast", "--seed", "9", "--jobs", "2", "--json"],
+    ));
+    assert_eq!(base, other);
 }
 
 #[test]
-fn equivalence_ablation_json_is_identical_across_engines() {
-    let scalar = normalize_json(run(
+fn equivalence_ablation_json_is_identical_across_jobs() {
+    let serial = normalize_json(run(
         "equivalence_ablation",
-        &["--fast", "--seed", "9", "--engine", "scalar", "--json"],
+        &["--fast", "--seed", "9", "--jobs", "1", "--json"],
     ));
-    let lanes = normalize_json(run(
+    let parallel = normalize_json(run(
         "equivalence_ablation",
-        &["--fast", "--seed", "9", "--engine", "lanes", "--jobs", "2", "--json"],
+        &["--fast", "--seed", "9", "--jobs", "2", "--json"],
     ));
-    assert_eq!(scalar, lanes);
+    assert_eq!(serial, parallel);
 }
 
 #[test]
@@ -115,9 +110,10 @@ fn help_exits_zero_and_names_the_shared_flags() {
         .expect("binary runs");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for flag in ["--fast", "--paper", "--seed", "--jobs", "--engine", "--json"] {
+    for flag in ["--fast", "--paper", "--seed", "--jobs", "--json"] {
         assert!(stdout.contains(flag), "--help output lacks {flag}");
     }
+    assert!(!stdout.contains("--engine"), "--help names a retired flag");
 }
 
 #[test]
@@ -145,6 +141,19 @@ fn unknown_argument_exits_2_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown argument `--frobnicate`"), "stderr: {stderr}");
     assert!(stderr.contains("--help"), "usage text expected: {stderr}");
+}
+
+#[test]
+fn retired_engine_flag_exits_2_with_usage() {
+    // Every sweep runs on the lane engine: `--engine` is unknown.
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .args(["--fast", "--engine", "lanes"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument `--engine`"), "stderr: {stderr}");
 }
 
 #[test]

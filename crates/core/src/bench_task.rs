@@ -152,9 +152,8 @@ pub struct BenchCell {
     pub engine: Option<Engine>,
     /// Lane executor level (`mutant_exec` on `lanes` only; the scalar
     /// engine has no tapes): always [`OptLevel::Full`], printed as
-    /// `"opt": "full"` so lane cells keep the `lanes-opt` id of the
-    /// committed trajectory. `None` also covers reports committed
-    /// before the `opt` field existed.
+    /// `"opt": "full"`. `None` also covers reports committed before the
+    /// `opt` field existed. It does not enter the cell's id.
     pub opt: Option<OptLevel>,
     /// Worker threads, `0` = auto (`mutant_exec` only).
     pub jobs: Option<usize>,
@@ -167,19 +166,16 @@ pub struct BenchCell {
 }
 
 impl BenchCell {
-    /// The stable cell identifier baselines are matched on, e.g.
-    /// `mutant_exec/c432/lanes-opt/jobs=1` or `fault_sim/b01/reduce=on`.
-    /// A plain `lanes` id only arises from reports committed before the
-    /// `opt` field existed.
+    /// The stable cell identifier baselines and `--history` rows are
+    /// matched on, e.g. `mutant_exec/c432/lanes/jobs=1` or
+    /// `fault_sim/b01/reduce=on`. A lane cell has one id whether or not
+    /// its report recorded the `opt` field.
     pub fn id(&self) -> String {
         match self.workload {
             BenchWorkload::MutantExec => format!(
                 "mutant_exec/{}/{}/jobs={}",
                 self.bench,
-                match (self.engine.unwrap_or_default(), self.opt) {
-                    (Engine::Lanes, Some(OptLevel::Full)) => "lanes-opt",
-                    (engine, _) => engine.name(),
-                },
+                self.engine.unwrap_or_default().name(),
                 match self.jobs.unwrap_or(1) {
                     0 => "auto".to_string(),
                     n => n.to_string(),
@@ -1181,9 +1177,9 @@ mod tests {
     fn cell_ids_are_stable() {
         assert_eq!(
             exec_cell("c432", Engine::Lanes, 0, 1.0, 5).id(),
-            "mutant_exec/c432/lanes-opt/jobs=auto"
+            "mutant_exec/c432/lanes/jobs=auto"
         );
-        // Older reports (no recorded level) keep the legacy id.
+        // Older reports (no recorded level) share the id.
         let mut legacy = exec_cell("c432", Engine::Lanes, 1, 1.0, 5);
         legacy.opt = None;
         assert_eq!(legacy.id(), "mutant_exec/c432/lanes/jobs=1");
@@ -1257,7 +1253,7 @@ mod tests {
         assert!(
             findings
                 .iter()
-                .any(|f| matches!(f, Regression::MissingCell { id } if id == "mutant_exec/c432/lanes-opt/jobs=1")),
+                .any(|f| matches!(f, Regression::MissingCell { id } if id == "mutant_exec/c432/lanes/jobs=1")),
             "{findings:?}"
         );
         // Extra cells in the current run are fine (grid growth).
@@ -1396,7 +1392,7 @@ mod tests {
         let report =
             run_bench(&[Benchmark::C17], &BenchOptions { quick: true, seed: 7 })
                 .unwrap();
-        // (scalar + lanes-opt) x 2 jobs + 2 reduce settings.
+        // (scalar + lanes) x 2 jobs + 2 reduce settings.
         assert_eq!(report.cells.len(), 6);
         let ids: Vec<String> = report.cells.iter().map(BenchCell::id).collect();
         assert_eq!(
@@ -1404,8 +1400,8 @@ mod tests {
             [
                 "mutant_exec/c17/scalar/jobs=1",
                 "mutant_exec/c17/scalar/jobs=auto",
-                "mutant_exec/c17/lanes-opt/jobs=1",
-                "mutant_exec/c17/lanes-opt/jobs=auto",
+                "mutant_exec/c17/lanes/jobs=1",
+                "mutant_exec/c17/lanes/jobs=auto",
                 "fault_sim/c17/reduce=off",
                 "fault_sim/c17/reduce=on",
             ]

@@ -224,7 +224,6 @@ pub struct Campaign {
     config: Option<ExperimentConfig>,
     seed: Option<u64>,
     jobs: Option<usize>,
-    engine: Option<Engine>,
     fault_reduce: Option<bool>,
     screen: Option<bool>,
     paper: bool,
@@ -251,7 +250,6 @@ impl Campaign {
             config: None,
             seed: None,
             jobs: None,
-            engine: None,
             fault_reduce: None,
             screen: None,
             paper: false,
@@ -271,8 +269,8 @@ impl Campaign {
     /// Starts from an explicit [`ExperimentConfig`] instead of a
     /// preset; the config is taken as-is (sub-seeds included) and the
     /// report's preset is [`Preset::Custom`]. Explicit
-    /// [`seed`](Self::seed) / [`jobs`](Self::jobs) /
-    /// [`engine`](Self::engine) calls still apply on top.
+    /// [`seed`](Self::seed) / [`jobs`](Self::jobs) calls still apply on
+    /// top.
     #[must_use]
     pub fn config(mut self, config: ExperimentConfig) -> Self {
         self.config = Some(config);
@@ -292,14 +290,6 @@ impl Campaign {
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs);
-        self
-    }
-
-    /// Mutant-execution engine for every differential-simulation stage.
-    /// Purely a wall-clock knob: outcomes are bit-identical.
-    #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -405,9 +395,6 @@ impl Campaign {
         }
         if let Some(jobs) = self.jobs {
             config = config.with_jobs(jobs);
-        }
-        if let Some(engine) = self.engine {
-            config = config.with_engine(engine);
         }
         if let Some(fault_reduce) = self.fault_reduce {
             config = config.with_fault_reduce(fault_reduce);
@@ -720,7 +707,7 @@ pub enum ReportData {
 #[derive(Debug, Clone)]
 pub struct Report {
     /// The plan that ran: benchmarks, effective configuration (seed,
-    /// jobs, engine and the other knobs), preset, and the task with its
+    /// jobs and the other knobs), preset, and the task with its
     /// parameters.
     pub plan: CampaignPlan,
     /// Wall-clock time of the run.
@@ -771,7 +758,9 @@ impl Report {
             ),
             ("seed", Json::UInt(config.seed)),
             ("jobs", Json::count(config.jobs)),
-            ("engine", Json::str(config.engine.name())),
+            // Every sweep runs on the lane engine; the line stays
+            // because every recorded benchmark digest hashes it.
+            ("engine", Json::str(Engine::Lanes.name())),
             (
                 "fault_reduce",
                 Json::str(if config.fault_reduce { "on" } else { "off" }),
@@ -1142,12 +1131,11 @@ fn render_sampling(out: &mut String, row: &BenchOutcome, fraction: f64, plan: &C
     let (o, config) = (&row.outcome, &plan.config);
     let _ = writeln!(
         out,
-        "{}: {} strategy, {:.0}% sample, {} jobs, {} engine, {} preset, seed {:#x}",
+        "{}: {} strategy, {:.0}% sample, {} jobs, lanes engine, {} preset, seed {:#x}",
         row.bench,
         o.strategy,
         fraction * 100.0,
         resolve_jobs(config.jobs),
-        config.engine,
         plan.preset,
         config.seed,
     );
@@ -1578,7 +1566,6 @@ mod tests {
         assert_eq!(report.plan.benches, [Benchmark::C17]);
         assert_eq!(report.plan.config.seed, 7);
         assert_eq!(report.plan.config.jobs, 2);
-        assert_eq!(report.plan.config.engine, Engine::Lanes, "lanes is the default engine");
         assert_eq!(report.plan.preset, Preset::Fast);
         let text = report.render_text();
         assert!(
@@ -1622,17 +1609,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_jobs_knobs_reach_the_config_and_meta() {
+    fn jobs_knob_reaches_the_config_and_meta() {
         let report = Campaign::new(Benchmark::C17)
             .fast()
             .seed(7)
             .jobs(3)
-            .engine(Engine::Lanes)
             .task(Task::MutationGuided)
             .run()
             .unwrap();
         assert_eq!(report.plan.config.jobs, 3);
-        assert_eq!(report.plan.config.engine, Engine::Lanes);
+        let json = report.to_json();
+        assert!(json.contains("\"jobs\": 3,"), "{json}");
+        // The meta names the engine every sweep runs on.
+        assert!(json.contains("\"engine\": \"lanes\","), "{json}");
         assert_eq!(report.plan.task.slug(), "mutation-guided");
         let ReportData::MutationGuided(rows) = &report.data else { panic!() };
         assert_eq!(rows[0].bench, "c17");
@@ -1657,7 +1646,7 @@ mod tests {
         assert!(parsed.meta.quick);
         let text = report.render_text();
         assert!(text.starts_with("Benchmark trajectory (quick mode, seed 0x7"), "{text}");
-        assert!(text.contains("mutant_exec/c17/lanes-opt/jobs=auto"), "{text}");
+        assert!(text.contains("mutant_exec/c17/lanes/jobs=auto"), "{text}");
         assert!(text.contains("fault_sim/c17/reduce=on"), "{text}");
     }
 

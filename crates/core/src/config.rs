@@ -30,12 +30,10 @@ pub struct ExperimentConfig {
     /// available CPU). Results are bit-identical for every value — see
     /// [`crate::parallel`] — so this is purely a wall-clock knob.
     pub jobs: usize,
-    /// Mutant-execution engine for every differential-simulation stage
-    /// (population grading and mutation-guided generation). `lanes`
-    /// packs up to 63 mutants plus the reference machine into one
-    /// simulation pass; outcomes are bit-identical across engines, so
-    /// like `jobs` this is purely a wall-clock knob — and the two
-    /// compose multiplicatively.
+    /// [`Engine::Lanes`] in both presets. No pipeline stage reads it:
+    /// every sweep runs on the lane engine. Only `campaign_bench` does,
+    /// passing it to `execute_mutants_engine_opt`; the benchmark change
+    /// that re-records its digests deletes the field.
     pub engine: Engine,
     /// Dominance fault-list reduction for the mutation-data fault
     /// simulation (the Table 1/2 hot path): dominating faults are
@@ -77,7 +75,6 @@ impl ExperimentConfig {
                 subseq_len: 16,
                 max_rounds: 2,
                 seed,
-                engine: Engine::default(),
             },
             equivalence: EquivalencePolicy {
                 budget: 2_000,
@@ -117,15 +114,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Returns a copy running every mutant-execution stage — population
-    /// grading *and* mutation-guided generation — on `engine`.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self.mg.engine = engine;
         self
     }
 
@@ -179,17 +167,5 @@ mod tests {
         assert_eq!(c.seed, 77);
         assert_eq!(c.mg.seed, 77);
         assert_eq!(c.equivalence.seed, 77);
-    }
-
-    #[test]
-    fn engine_propagates_to_generation() {
-        // Lanes is the workspace default (promoted after soaking behind
-        // `--engine lanes`); `scalar` remains selectable.
-        let c = ExperimentConfig::fast(1);
-        assert_eq!(c.engine, Engine::Lanes);
-        assert_eq!(c.mg.engine, Engine::Lanes);
-        let c = c.with_engine(Engine::Scalar);
-        assert_eq!(c.engine, Engine::Scalar);
-        assert_eq!(c.mg.engine, Engine::Scalar, "MG generation must follow the knob");
     }
 }

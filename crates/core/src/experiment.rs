@@ -11,8 +11,8 @@ use crate::context::{BenchContext, FaultSimStats};
 use crate::parallel::{par_map, split_jobs, try_par_map};
 use musa_metrics::Nlfce;
 use musa_mutation::{
-    classify_mutants_jobs, first_kills_over, survivor_class, EquivalenceClass, EquivalencePolicy,
-    KillResult, LaneOptions, Mutant, MutationError, MutationScore,
+    classify_mutants_jobs, first_kills_over, survivor_class, Engine, EquivalenceClass,
+    EquivalencePolicy, KillResult, LaneOptions, Mutant, MutationError, MutationScore,
 };
 use musa_prng::{Prng, SplitMix64};
 use musa_testgen::{
@@ -418,8 +418,8 @@ impl SamplingAggregate {
 /// Executes the bench's whole population against multi-session data,
 /// one [`first_kills_over`] sweep with the sessions in order: a mutant
 /// killed by one session is not simulated again, and `first_kill`
-/// indexes the concatenated data. `jobs` shards each session's live
-/// mutants (or lane groups, on the lane engine) across worker threads.
+/// indexes the concatenated data. `jobs` shards each session's lane
+/// groups across worker threads.
 /// Mutants flagged in `screened` are statically proven unkillable and
 /// never occupy a simulation slot (their `first_kill` stays `None`,
 /// exactly as exhaustive execution would leave it).
@@ -429,14 +429,14 @@ pub(crate) fn kills_over_sessions(
     jobs: usize,
     screened: Option<&[bool]>,
 ) -> Result<KillResult, MutationError> {
-    let (circuit, config) = (ctx.circuit(), ctx.config());
+    let circuit = ctx.circuit();
     let kills = first_kills_over(
         &circuit.checked,
         &circuit.name,
         ctx.population(),
         sessions,
         screened,
-        config.engine,
+        Engine::Lanes,
         &LaneOptions::default().with_jobs(jobs),
     )?;
     let starts: Vec<usize> = sessions
@@ -520,7 +520,6 @@ pub(crate) fn class_table(
 mod tests {
     use super::*;
     use musa_circuits::Benchmark;
-    use musa_mutation::Engine;
     use proptest::prelude::*;
 
     fn context(bench: Benchmark, config: &ExperimentConfig) -> BenchContext {
@@ -669,22 +668,32 @@ mod tests {
 
     #[test]
     fn lane_engine_outcome_is_bit_identical_to_scalar() {
+        // The kill phase sweeps the unscreened population on the lane
+        // engine; the scalar sweep over the same sessions is its oracle.
         for bench in [Benchmark::C17, Benchmark::B01] {
-            let config = ExperimentConfig::fast(0xE6);
-            let scalar =
-                run_sampling_experiment(&context(bench, &config), SamplingStrategy::random(0.4))
-                    .unwrap();
+            let ctx = context(bench, &ExperimentConfig::fast(0xE6));
+            let circuit = ctx.circuit();
+            let lens = [5, 1, 9];
+            let sessions: Vec<_> = (0..lens.len())
+                .map(|s| musa_testgen::random_sequence(circuit.info(), lens[s], 0xE6 + s as u64))
+                .collect();
+            let scalar = first_kills_over(
+                &circuit.checked,
+                &circuit.name,
+                ctx.population(),
+                &sessions,
+                ctx.screened(),
+                Engine::Scalar,
+                &LaneOptions::default(),
+            )
+            .unwrap();
+            let starts = [0, lens[0], lens[0] + lens[1]];
+            let scalar: Vec<Option<usize>> =
+                scalar.into_iter().map(|kill| kill.map(|(s, t)| starts[s] + t)).collect();
+            assert!(scalar.iter().any(Option::is_some), "{bench}: nothing killed");
             for jobs in [1, 4] {
-                let lanes = run_sampling_experiment(
-                    &context(bench, &config.with_engine(Engine::Lanes).with_jobs(jobs)),
-                    SamplingStrategy::random(0.4),
-                )
-                .unwrap();
-                assert_identical(
-                    &scalar,
-                    &lanes,
-                    &format!("{bench}: scalar vs lanes (jobs={jobs})"),
-                );
+                let lanes = kills_over_sessions(&ctx, &sessions, jobs, ctx.screened()).unwrap();
+                assert_eq!(lanes.first_kill, scalar, "{bench}: scalar vs lanes (jobs={jobs})");
             }
         }
     }
@@ -713,7 +722,7 @@ mod tests {
                     assert_eq!(
                         run(jobs, engine).first_kill,
                         serial.first_kill,
-                        "{bench}: {engine}, jobs={jobs}"
+                        "{bench}: {engine:?}, jobs={jobs}"
                     );
                 }
             }

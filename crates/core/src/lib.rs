@@ -28,10 +28,9 @@
 //!
 //! Repetition loops and mutant executions are sharded across worker
 //! threads by the [`parallel`] module, and every differential-
-//! simulation stage can run on the bit-parallel mutant lane engine
-//! ([`ExperimentConfig::engine`], 63 mutants + reference per pass);
-//! outcomes are bit-identical for every [`ExperimentConfig::jobs`]
-//! value and both engines.
+//! simulation stage runs on the bit-parallel mutant lane engine (63
+//! mutants + reference per pass); outcomes are bit-identical for every
+//! [`ExperimentConfig::jobs`] value.
 //!
 //! # Example
 //!

@@ -196,20 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_is_bit_identical_across_engines() {
-        use musa_mutation::Engine;
-        let config = ExperimentConfig::fast(0x3C);
-        let operators = [MutationOperator::Lor, MutationOperator::Vr];
-        let scalar = c17_profile(&operators, &config);
-        let lanes = c17_profile(&operators, &config.with_engine(Engine::Lanes));
-        assert_eq!(
-            format!("{:?}", scalar.rows),
-            format!("{:?}", lanes.rows),
-            "scalar vs lanes"
-        );
-    }
-
-    #[test]
     fn profile_is_bit_identical_for_every_job_count() {
         let config = ExperimentConfig::fast(0x2B);
         let operators = [MutationOperator::Lor, MutationOperator::Vr];

@@ -7,49 +7,39 @@
 use crate::mutant::{Mutant, MutationError};
 use musa_hdl::{Bits, CheckedDesign, EntityInfo, Simulator};
 use musa_prng::Prng;
-use std::fmt;
 use std::str::FromStr;
 
-/// Which mutant-execution engine grades a population.
+/// Which mutant-execution engine a [`crate::first_kills_over`] sweep
+/// runs on.
 ///
 /// Both engines produce **bit-identical** [`KillResult`]s for every
-/// population, sequence, lane count and job count; the knob exists for
-/// differential testing and because the scalar engine accepts arbitrary
-/// (even stillborn) mutants while the lane engine is built for
-/// validated populations.
-///
-/// Every grading stage dispatches on it through one function,
-/// [`crate::first_kills_over`]. The knob (`--engine`) selects the engine
-/// of the kill phase and of mutation-guided generation only:
-/// equivalence classification ([`crate::classify_mutants`]) always runs
-/// on the lane engine, whose classes match the scalar classifier's
-/// exactly.
+/// population, sequence, lane count and job count. Every production
+/// sweep — the kill phase, mutation-guided generation and equivalence
+/// classification — runs on [`Engine::Lanes`]; nothing selects an
+/// engine at run time. [`Engine::Scalar`] stays as the lane engine's
+/// differential oracle in the tests and in `musa bench`'s `scalar`
+/// cells. The lane engine itself falls back to the scalar per-mutant
+/// run for a rewrite a tape cannot represent, which also reproduces the
+/// exact error of a stillborn mutant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum Engine {
     /// One full `Simulator` pass per mutant, early-exiting at its first
     /// kill. The reference baseline.
     Scalar,
     /// The bit-parallel lane engine ([`crate::lanes`]): up to 63 mutants
-    /// plus the reference machine per simulation pass. The default —
-    /// promoted after soaking behind `--engine lanes` with the
-    /// differential suites pinning bit-identity against scalar.
+    /// plus the reference machine per simulation pass. The production
+    /// engine, and the default.
     #[default]
     Lanes,
 }
 
 impl Engine {
-    /// The CLI spelling (`scalar` / `lanes`).
+    /// The name a bench report records (`scalar` / `lanes`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Scalar => "scalar",
             Engine::Lanes => "lanes",
         }
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -165,8 +155,11 @@ pub(crate) fn reference_transcript(
 /// mutants (scalar) or whole lane groups (lanes) across worker threads.
 /// The outcome is bit-identical across engines and job counts.
 ///
-/// The last parameter is accepted and ignored: `campaign_bench` passes
-/// it, and the benchmark change that retires [`OptLevel`] drops it.
+/// `engine` picks the tests' scalar oracle or the lane engine; the only
+/// other caller, `campaign_bench`, passes `ExperimentConfig::engine`,
+/// which is always [`Engine::Lanes`]. The last parameter is accepted and
+/// ignored: `campaign_bench` passes it, and the benchmark change that
+/// retires [`OptLevel`] drops it.
 ///
 /// # Errors
 ///
@@ -362,7 +355,7 @@ mod tests {
         assert_eq!("lanes".parse::<Engine>().unwrap(), Engine::Lanes);
         assert!("turbo".parse::<Engine>().is_err());
         assert_eq!(Engine::default(), Engine::Lanes);
-        assert_eq!(Engine::Lanes.to_string(), "lanes");
+        assert_eq!(Engine::Lanes.name(), "lanes");
 
         let d = checked(GATE);
         let mutants = generate_mutants(&d, "g", &GenerateOptions::default());

@@ -31,8 +31,9 @@ use super::tape::{Instr, LaneWord, Reg, Tape, LANES};
 use crate::mutant::{Mutant, Rewrite};
 use crate::validate::Validator;
 use musa_hdl::ast::*;
-use musa_hdl::{Bits, CheckedDesign, EntityInfo, SymbolId, SymbolKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use musa_hdl::check::{check_case_choice, check_const_value};
+use musa_hdl::{Bits, CheckedDesign, EntityInfo, Span, SymbolId, SymbolKind};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// A group compiled for lane execution: the output of the
@@ -328,9 +329,8 @@ impl<'a, 'b> Compiler<'a, 'b> {
         for cst in &self.entity.consts {
             let Some(list) = self.sites.const_decl.get(&cst.id) else { continue };
             let Some(sym) = self.info.symbol_by_name(&cst.name.name) else { continue };
-            let width = self.info.symbol(sym).width;
             for &(lane, value) in list {
-                if width == 64 || value < (1u64 << width) {
+                if check_const_value(cst, value).is_ok() {
                     init[sym.0 as usize][lane as usize] = value;
                     self.applied |= 1 << lane;
                 }
@@ -558,30 +558,25 @@ impl<'a, 'b> Compiler<'a, 'b> {
                 let subj = self.expr(subject);
                 let sw = self.width_of(subject.id());
                 // Re-check parity for CR on case choices: a replacement
-                // that does not fit the subject width, or that collides
-                // with any *other* choice of this statement, is stillborn
-                // under the scalar engine — leave those lanes unapplied
-                // so the scalar fallback reproduces the exact error.
-                let all_choices: Vec<&[u64]> =
-                    arms.iter().map(|arm| arm.choices.as_slice()).collect();
-                let choice_ok = |arm_idx: usize, idx: usize, value: u64| -> bool {
-                    let fits = sw == 64 || value < (1u64 << sw);
-                    fits && !all_choices.iter().enumerate().any(|(ai, choices)| {
-                        choices
-                            .iter()
-                            .enumerate()
-                            .any(|(ci, &c)| c == value && !(ai == arm_idx && ci == idx))
-                    })
+                // the checker's case-choice rule rejects (it does not fit
+                // the subject width, or it collides with any *other*
+                // choice of this statement) is stillborn under the scalar
+                // engine — leave those lanes unapplied so the scalar
+                // fallback reproduces the exact error.
+                let choices: HashSet<u64> =
+                    arms.iter().flat_map(|arm| arm.choices.iter().copied()).collect();
+                let choice_ok = |old: u64, value: u64| {
+                    value == old || check_case_choice(value, sw, &choices, Span::dummy()).is_ok()
                 };
                 let mut taken: Option<Reg> = None;
-                for (arm_idx, arm) in arms.iter().enumerate() {
+                for arm in arms {
                     let choice_sites = self.sites.case_choice.get(&arm.id).cloned();
                     let mut matched: Option<Reg> = None;
                     for (index, &choice) in arm.choices.iter().enumerate() {
                         let mut k = self.konst(choice & Bits::mask_of(sw));
                         if let Some(list) = &choice_sites {
                             for &(lane, idx, value) in list {
-                                if idx == index && choice_ok(arm_idx, idx, value) {
+                                if idx == index && choice_ok(choice, value) {
                                     let kv = self.konst(value);
                                     k = self.emit(Instr::MaskSel {
                                         mask: 1 << lane,
@@ -792,7 +787,7 @@ impl<'a, 'b> Compiler<'a, 'b> {
             return None; // clocks cannot be read as data
         }
         let comb_self_read = self.overlay.is_none()
-            && self.info.drivers.get(&sym) == Some(&self.current_process)
+            && self.info.reads_own_drive(self.current_process, sym)
             && matches!(
                 self.entity.processes[self.current_process].kind,
                 ProcessKind::Comb

@@ -1174,7 +1174,7 @@ mod tests {
             let options = LaneOptions::default();
             let err = crate::first_kills_over(&d, "zz", &[], &sequences, None, engine, &options)
                 .unwrap_err();
-            assert!(matches!(err, MutationError::EntityNotFound(_)), "{engine}");
+            assert!(matches!(err, MutationError::EntityNotFound(_)), "{engine:?}");
         }
     }
 

@@ -7,12 +7,12 @@
 //! equivalent-mutant policy ([`classify_mutants`]) and the paper's
 //! Mutation Score `MS = K/(M−E)` ([`MutationScore`]).
 //!
-//! Two execution engines grade populations with bit-identical results
-//! (select one with [`Engine`]): the scalar engine simulates one mutant
-//! per pass, while the bit-parallel [`lanes`] engine packs up to 63
-//! mutants plus the reference machine into each pass — `⌈N/63⌉`
-//! simulation passes for a population of `N`, composing
-//! multiplicatively with thread sharding.
+//! The bit-parallel [`lanes`] engine grades every population: it packs
+//! up to 63 mutants plus the reference machine into each pass —
+//! `⌈N/63⌉` simulation passes for a population of `N`, composing
+//! multiplicatively with thread sharding. The scalar engine, one
+//! mutant per pass, stays as its oracle (see [`Engine`]) and as the
+//! per-mutant fallback for rewrites a tape cannot represent.
 //!
 //! Every caller that grades a population asks one question: when does
 //! each mutant first die? [`first_kills_over`] is the one sweep that
@@ -22,12 +22,11 @@
 //! [`LanePlan`] across the sequences with a live mask, repacking the
 //! survivors into a smaller plan once they fit in half its groups.
 //! [`execute_mutants_engine_opt`] is its one-sequence case, returning a
-//! [`KillResult`]. Equivalence classification ([`classify_mutants`])
-//! always sweeps on the lane engine; the scalar per-mutant classifier
-//! survives only in the tests, as the differential oracle the lane
-//! classifier must match class for class. The kill phase of an
-//! experiment and mutation-guided generation sweep on the engine the
-//! configuration selects.
+//! [`KillResult`]. Equivalence classification ([`classify_mutants`]),
+//! the kill phase of an experiment and mutation-guided generation all
+//! sweep on the lane engine; the scalar per-mutant classifier survives
+//! only in the tests, as the differential oracle the lane classifier
+//! must match class for class.
 //!
 //! # Example: measuring a test set's mutation score
 //!

@@ -11,10 +11,11 @@
 //! ([`LanePlan::first_kills`]): a sequence costs one pass per lane
 //! group that still holds a live mutant, and nothing is recompiled.
 //! Once the live mutants would fit in half the plan's groups, they are
-//! repacked into a fresh, smaller plan for the remaining sequences. The
-//! scalar engine runs each live mutant on its own simulator, sequence
-//! by sequence. Both engines report identical kills, and the same error
-//! for a mutant that cannot be applied.
+//! repacked into a fresh, smaller plan for the remaining sequences.
+//! Every production sweep runs on the lane engine. The scalar engine,
+//! the tests' oracle, runs each live mutant on its own simulator,
+//! sequence by sequence. Both engines report identical kills, and the
+//! same error for a mutant that cannot be applied.
 
 use crate::execute::{reference_transcript, run_one, Engine};
 use crate::lanes::{LaneOptions, LanePlan};

@@ -9,13 +9,13 @@
 //! effective configuration field **except** `jobs`, which spreads the
 //! work without touching a single output bit, and `opt`, the lane
 //! executor's one level (`wall` and tracing never enter the plan at
-//! all).
+//! all). The material names the engine as the literal `lanes`, the one
+//! every sweep runs on, so existing stores keep their keys.
 //!
-//! `engine`, `fault_reduce` and `screen` are included even though the
+//! `fault_reduce` and `screen` are included even though the
 //! differential suites pin them bit-identical: they are part of the
-//! campaign's identity (the ISSUE contract keys on them), keeping the
-//! store conservative — a false split costs one recompute, a false
-//! merge would cost correctness.
+//! campaign's identity, keeping the store conservative — a false split
+//! costs one recompute, a false merge would cost correctness.
 
 use crate::digest::digest128_hex;
 use musa_core::{CampaignPlan, Task};
@@ -67,20 +67,19 @@ pub(crate) fn key_material(plan: &CampaignPlan) -> String {
     let _ = writeln!(s, "repetitions={}", config.repetitions);
     let _ = writeln!(s, "baseline_multiple={}", config.baseline_multiple);
     let _ = writeln!(s, "baseline_floor={}", config.baseline_floor);
-    let _ = writeln!(s, "engine={}", config.engine.name());
+    let _ = writeln!(s, "engine=lanes");
     let _ = writeln!(s, "fault_reduce={}", config.fault_reduce);
     let _ = writeln!(s, "screen={}", config.screen);
     // `first-come` names the generator's admission policy, the only
-    // one it has; it stays in the material so existing stores keep
-    // their keys.
+    // one it has, and `lanes` the engine it grades on; both stay in the
+    // material so existing stores keep their keys.
     let _ = writeln!(
         s,
-        "mg={},{},{},first-come,{},{}",
+        "mg={},{},{},first-come,{},lanes",
         config.mg.pool_size,
         config.mg.subseq_len,
         config.mg.max_rounds,
         config.mg.seed,
-        config.mg.engine.name(),
     );
     let _ = writeln!(
         s,
@@ -124,7 +123,6 @@ fn task_params(task: &Task) -> String {
 mod tests {
     use super::*;
     use musa_core::{Campaign, Task};
-    use musa_mutation::Engine;
 
     fn key(campaign: &Campaign) -> CampaignKey {
         CampaignKey::of(&campaign.plan().unwrap())
@@ -172,10 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn differing_seed_engine_screen_or_task_move_the_key() {
+    fn differing_seed_screen_or_task_move_the_key() {
         let a = key(&base());
         assert_ne!(a, key(&base().seed(8)), "seed");
-        assert_ne!(a, key(&base().engine(Engine::Scalar)), "engine");
         assert_ne!(a, key(&base().screen(false)), "screen");
         assert_ne!(a, key(&base().fault_reduce(false)), "fault_reduce");
         assert_ne!(a, key(&base().task(Task::Sampling { fraction: 0.25 })), "fraction");

@@ -2,9 +2,8 @@
 //!
 //! The paper's experiments are **pure functions** of the validated
 //! campaign: task, parameters, seed, benchmarks and the effective
-//! configuration. Jobs, engine, fault reduction, screening and tracing
-//! are wall-clock knobs pinned bit-identical by the differential
-//! suites. That purity makes a finished campaign safe to cache:
+//! configuration. Jobs, fault reduction, screening and tracing are
+//! wall-clock knobs pinned bit-identical by the differential suites. That purity makes a finished campaign safe to cache:
 //!
 //! * [`CampaignKey`] — a canonical, content-addressed key derived from
 //!   a [`CampaignPlan`](musa_core::CampaignPlan) (`jobs`, wall time and

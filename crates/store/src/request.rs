@@ -15,7 +15,6 @@
 //!   "seed": 7,
 //!   "preset": "fast",
 //!   "jobs": 2,
-//!   "engine": "lanes",
 //!   "fault_reduce": "on",
 //!   "screen": "static"
 //! }
@@ -23,8 +22,9 @@
 //!
 //! `task` and `benches` are required; everything else is optional and
 //! defaults exactly like the builder (seed [`DEFAULT_SEED`], paper
-//! preset, all jobs, default engine, reduction and screening on). A key
-//! the schema does not name is not read.
+//! preset, all jobs, reduction and screening on). A key the schema does
+//! not name is not read: `"engine"` and `"opt"`, which requests once
+//! used to pick an executor, key and run like a request without them.
 //! Errors are strings meant for a CLI usage message — a malformed
 //! request is a *caller* mistake and exits with code 2 before any
 //! computation starts.
@@ -34,7 +34,7 @@
 use musa_circuits::Benchmark;
 use musa_core::json::{self, JsonValue};
 use musa_core::{Campaign, Task};
-use musa_mutation::{Engine, MutationOperator};
+use musa_mutation::MutationOperator;
 
 /// The request schema tag.
 pub const REQUEST_SCHEMA: &str = "musa.request.v1";
@@ -91,14 +91,6 @@ pub fn parse_request(text: &str) -> Result<Campaign, String> {
     }
     if let Some(v) = doc.get("jobs") {
         campaign = campaign.jobs(v.as_usize().ok_or("request \"jobs\" must be a non-negative integer")?);
-    }
-    if let Some(v) = doc.get("engine") {
-        let engine = match v.as_str() {
-            Some("scalar") => Engine::Scalar,
-            Some("lanes") => Engine::Lanes,
-            _ => return Err("request \"engine\" must be \"scalar\" or \"lanes\"".to_string()),
-        };
-        campaign = campaign.engine(engine);
     }
     if let Some(v) = doc.get("fault_reduce") {
         let on = match v.as_str() {
@@ -213,7 +205,6 @@ mod tests {
         "seed": 7,
         "preset": "fast",
         "jobs": 2,
-        "engine": "lanes",
         "fault_reduce": "on",
         "screen": "static"
     }"#;
@@ -225,7 +216,6 @@ mod tests {
             .fast()
             .seed(7)
             .jobs(2)
-            .engine(Engine::Lanes)
             .fault_reduce(true)
             .screen(true)
             .task(Task::Sampling { fraction: 0.5 });
@@ -233,6 +223,20 @@ mod tests {
         assert_eq!(CampaignKey::of(&a), CampaignKey::of(&b));
         assert_eq!(a.preset, b.preset, "preset label must survive the wire");
         assert_eq!(a.config.jobs, b.config.jobs);
+    }
+
+    #[test]
+    fn a_retired_engine_key_is_not_read() {
+        // Every sweep runs on the lane engine: a request that still
+        // names `"engine"`, from when it chose between two engines,
+        // plans the same key as one that does not, whatever it says.
+        let key = |engine: &str| {
+            let text = FULL.replace(r#""jobs": 2,"#, &format!(r#""jobs": 2,{engine}"#));
+            CampaignKey::of(&parse_request(&text).unwrap().plan().unwrap())
+        };
+        for engine in [r#" "engine": "lanes","#, r#" "engine": "scalar","#, r#" "engine": 5,"#] {
+            assert_eq!(key(engine), key(""), "{engine}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `Campaign::run_cached(&store)` — the store-aware front door.
 //!
 //! A hit rebuilds the report from the stored blob around the *current*
-//! plan (seed, jobs, engine, preset) and a fresh wall clock, so
+//! plan (seed, jobs, preset) and a fresh wall clock, so
 //! `render_text()` and `to_json()` of a hit are byte-identical to a
 //! fresh run — wall time aside — even when the caller asked for a
 //! different `jobs` value than the run that populated the store (jobs

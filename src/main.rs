@@ -15,7 +15,7 @@
 //!             [--write] [--seed N]      a committed BENCH_<n>.json
 //! musa sample <name> [FRACTION]         run a sampling experiment
 //!             [--jobs N] [--seed N] [--paper] [--fast] [--json]
-//!             [--engine scalar|lanes] [--store DIR]
+//!             [--store DIR]
 //! musa campaign <request.json|->        run a musa.request.v1 campaign
 //!             [--store DIR] [--json]
 //! musa lint   <name>|--all|<file.mhdl>  run the static lint catalog;
@@ -26,10 +26,10 @@
 //!
 //! `sample` parses through the shared `musa_bench::cli` layer and runs
 //! a `musa_core::Campaign`: repetitions (and each repetition's mutant
-//! executions) shard across `--jobs` worker threads; `--engine lanes`
-//! packs up to 63 mutants plus the reference machine into each
+//! executions) shard across `--jobs` worker threads, and the lane
+//! engine packs up to 63 mutants plus the reference machine into each
 //! behavioral simulation pass. The outcome is bit-identical for every
-//! job count and both engines, so the two knobs compose freely.
+//! job count.
 //! `--json` emits the typed campaign report (`musa.campaign.v1`)
 //! instead of text.
 //!
@@ -77,8 +77,7 @@ usage: musa <command> ...
            [--filter <bench>]        over the committed BENCH_<n>.json files
   sample   <name> [FRACTION]         run a sampling experiment
            [--jobs N] [--seed N] [--paper] [--fast] [--json]
-           [--engine scalar|lanes] [--fault-reduce on|off]
-           [--screen static|off] [--store DIR]
+           [--fault-reduce on|off] [--screen static|off] [--store DIR]
            [--trace FILE] [--trace-format json|chrome] [--profile]
            [--progress]
   campaign <request.json|->          run a musa.request.v1 campaign

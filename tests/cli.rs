@@ -91,30 +91,6 @@ fn sample_outcome_is_identical_across_job_counts() {
     assert_eq!(serial_tail, tail(&parallel));
 }
 
-#[test]
-fn sample_outcome_is_identical_across_engines() {
-    let scalar = musa(&["sample", "c17", "0.5", "--seed", "7", "--engine", "scalar"]);
-    let lanes = musa(&["sample", "c17", "0.5", "--seed", "7", "--engine", "lanes"]);
-    assert_eq!(scalar.status.code(), Some(0));
-    assert_eq!(lanes.status.code(), Some(0));
-    assert!(
-        String::from_utf8_lossy(&lanes.stdout).contains("lanes engine"),
-        "header names the engine"
-    );
-    // Everything after the header line (which names the engine) must be
-    // byte-identical: the lane engine guarantees bit-equal outcomes.
-    let tail = |out: &Output| -> String {
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .skip(1)
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let scalar_tail = tail(&scalar);
-    assert!(!scalar_tail.is_empty());
-    assert_eq!(scalar_tail, tail(&lanes));
-}
-
 // ---------------------------------------------------------------------
 // Golden pins: the campaign redesign preserved the CLI byte-for-byte.
 // The golden files were captured from the pre-redesign binaries.
@@ -128,9 +104,9 @@ fn sample_stdout_is_byte_identical_to_pre_campaign_golden() {
         "musa sample c17 drifted from the pre-redesign stdout"
     );
     assert_eq!(
-        stdout_of(&["sample", "b01", "0.3", "--jobs", "2", "--seed", "7", "--engine", "lanes"]),
+        stdout_of(&["sample", "b01", "0.3", "--jobs", "2", "--seed", "7"]),
         golden("sample_b01_lanes_text.txt"),
-        "musa sample b01 --engine lanes drifted from the pre-redesign stdout"
+        "musa sample b01 drifted from the pre-redesign stdout"
     );
 }
 
@@ -162,28 +138,17 @@ fn sample_json_matches_the_golden_schema() {
 }
 
 #[test]
-fn sample_json_is_identical_across_engines_and_jobs() {
+fn sample_json_is_identical_across_jobs() {
     let normalize = |text: String| -> String {
         text.lines()
-            .filter(|l| {
-                !l.contains("\"wall_ms\":")
-                    && !l.contains("\"engine\":")
-                    && !l.contains("\"jobs\":")
-            })
+            .filter(|l| !l.contains("\"wall_ms\":") && !l.contains("\"jobs\":"))
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let base = normalize(stdout_of(&[
-        "sample", "b01", "0.3", "--seed", "7", "--jobs", "1", "--engine", "scalar", "--json",
-    ]));
+    let base = normalize(stdout_of(&["sample", "b01", "0.3", "--seed", "7", "--jobs", "1", "--json"]));
     assert!(base.contains("\"schema\": \"musa.campaign.v1\""));
-    for combo in [["2", "scalar"], ["1", "lanes"], ["2", "lanes"]] {
-        let other = normalize(stdout_of(&[
-            "sample", "b01", "0.3", "--seed", "7", "--jobs", combo[0], "--engine", combo[1],
-            "--json",
-        ]));
-        assert_eq!(base, other, "jobs={} engine={}", combo[0], combo[1]);
-    }
+    let other = normalize(stdout_of(&["sample", "b01", "0.3", "--seed", "7", "--jobs", "2", "--json"]));
+    assert_eq!(base, other);
 }
 
 #[test]
@@ -234,9 +199,16 @@ fn sample_rejects_conflicting_presets() {
 
 #[test]
 fn sample_rejects_unknown_engine() {
-    let out = musa(&["sample", "c17", "--engine", "turbo"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine"));
+    // Every sweep runs on the lane engine, so no engine is there to
+    // pick: `--engine` is an unknown argument like `--opt` below,
+    // whatever its value.
+    for engine in ["lanes", "turbo"] {
+        let out = musa(&["sample", "c17", "--engine", engine]);
+        assert_eq!(out.status.code(), Some(1), "{engine}");
+        assert!(out.stdout.is_empty(), "nothing may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown argument `--engine`"), "stderr: {stderr}");
+    }
 }
 
 #[test]
@@ -479,6 +451,27 @@ fn bench_rejects_unknown_trajectory_arguments_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown argument `extra-positional`"), "stderr: {stderr}");
     assert!(stderr.contains("usage: musa bench"), "stderr: {stderr}");
+}
+
+#[test]
+fn bench_history_has_one_row_per_cell_and_no_lane_gaps() {
+    // The committed reports name the lane engine's cells two ways:
+    // without an `opt` field (BENCH_1, BENCH_2) and with
+    // `"opt": "full"` (BENCH_3, BENCH_4). Both read as one
+    // `…/lanes/…` row that spans the whole trajectory.
+    let out = Command::new(env!("CARGO_BIN_EXE_musa"))
+        .args(["bench", "--history"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("musa binary runs");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(stdout.ends_with(", 18 cell(s); medians in ms\n"), "{stdout}");
+    let lane_rows: Vec<&str> = stdout.lines().filter(|l| l.contains("/lanes/")).collect();
+    assert_eq!(lane_rows.len(), 6, "{stdout}");
+    for row in lane_rows {
+        assert!(!row.split_whitespace().any(|field| field == "-"), "gap in {row}");
+    }
 }
 
 /// Normalizes the `musa.bench.v1` timing and machine fields (the

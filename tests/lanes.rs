@@ -236,9 +236,14 @@ fn full_plans() -> &'static Vec<LanePlan<'static>> {
 fn full_population_plans_match_the_scalar_sweep() {
     // Every mutant live, so every group runs and packs as its lanes
     // die: the all-live run the property test below compares with.
+    // A generated population compiles into ⌈N/63⌉ tape groups and takes
+    // one pass per group: no mutant reaches the scalar fallback.
     for ((circuit, population), plan) in circuits().iter().zip(full_plans()) {
+        let groups = population.len().div_ceil(MAX_LANES);
+        assert_eq!(plan.group_count(), groups, "{}: groups", circuit.name);
         let sequence = random_sequence_for(circuit, 8, 0xF011 ^ circuit.name.len() as u64);
-        let (lanes, _) = plan.first_kills(&sequence, &vec![true; population.len()]).unwrap();
+        let (lanes, stats) = plan.first_kills(&sequence, &vec![true; population.len()]).unwrap();
+        assert_eq!(stats.passes, groups, "{}: passes", circuit.name);
         let scalar = first_kills_over(
             &circuit.checked,
             &circuit.name,

@@ -73,7 +73,7 @@ fn edited(doc: &str, edits: &[Edit]) -> String {
 /// One real command line per front end: the experiment binaries,
 /// `musa sample`, `musa bench`, `musa campaign` and `musa lint`.
 const COMMAND_LINES: &[&[&str]] = &[
-    &["--fast", "--seed", "7", "--jobs", "2", "--engine", "lanes", "--json"],
+    &["--fast", "--seed", "7", "--jobs", "2", "--fault-reduce", "on", "--json"],
     &["c17", "0.5", "--seed", "0x10", "--jobs", "1", "--screen", "off", "--store", ".s"],
     &["--quick", "--filter", "c17", "--seed", "7", "--baseline", "BENCH_4.json"],
     &["req.json", "--store", ".s", "--json"],
