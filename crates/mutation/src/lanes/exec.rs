@@ -16,6 +16,7 @@
 //!
 //! Every other instruction lowers to exactly one [`ExecOp`].
 
+use super::lanes_of;
 use super::tape::{Instr, LaneVm, Reg, Tape, LANES};
 use musa_hdl::ast::{BinOp, ReduceOp, ShiftOp};
 use musa_hdl::Bits;
@@ -87,15 +88,18 @@ pub(crate) struct ExecTape {
 
 impl ExecTape {
     /// Rewrites every `MaskSel` mask from `src`, the same stream as
-    /// compiled, for a group whose lanes have moved: bit `p` of the new
-    /// mask is bit `slot[p]` of the compiled one, where `slot[p]` is
-    /// the compiled lane now at position `p`.
-    pub(crate) fn remap_masks(&mut self, src: &ExecTape, slot: &[u8; LANES]) {
+    /// compiled, for a group whose lanes have moved into positions
+    /// `0..=live`: bit `p` of the new mask is bit `slot[p]` of the
+    /// compiled one, where `slot[p]` is the compiled lane now at
+    /// position `p`. Positions past `live` are never read again, so
+    /// their bits stay clear and the rewrite costs `live + 1` bits per
+    /// mask, not 64.
+    pub(crate) fn remap_masks(&mut self, src: &ExecTape, slot: &[u8; LANES], live: usize) {
         for (op, compiled) in self.ops.iter_mut().zip(&src.ops) {
             if let (ExecOp::MaskSel { mask, .. }, ExecOp::MaskSel { mask: from, .. }) =
                 (op, compiled)
             {
-                *mask = (0..LANES).fold(0, |m, p| m | (((from >> slot[p]) & 1) << p));
+                *mask = (0..=live).fold(0, |m, p| m | (((from >> slot[p]) & 1) << p));
             }
         }
     }
@@ -387,14 +391,86 @@ fn reduce(op: ReduceOp, x: u64, m: u64) -> u64 {
     }
 }
 
+/// Per-lane constant-amount shift of a live `Shift` (amount below the
+/// width).
+#[inline(always)]
+fn shift(op: ShiftOp, x: u64, amount: u32, m: u64) -> u64 {
+    match op {
+        ShiftOp::Left => (x << amount) & m,
+        ShiftOp::Right => x >> amount,
+    }
+}
+
+/// Per-lane dynamic single-bit read: an index at or past `width` reads 0.
+#[inline(always)]
+fn dyn_get(x: u64, ix: u64, width: u32) -> u64 {
+    if ix < u64::from(width) { (x >> ix) & 1 } else { 0 }
+}
+
+/// Per-lane dynamic single-bit write: an index at or past `width`
+/// leaves `cur` as it is.
+#[inline(always)]
+fn dyn_set(cur: u64, ix: u64, bit: u64, width: u32) -> u64 {
+    if ix < u64::from(width) { (cur & !(1 << ix)) | ((bit & 1) << ix) } else { cur }
+}
+
+/// Matches `$op` once and runs `$body` with `$o` bound to the matched
+/// variant as a literal, one arm per listed variant: the lane loop in
+/// each arm then inlines `bin`/`reduce`/`shift` down to that one
+/// operator, so no lane pays a dispatch.
+macro_rules! per_operator {
+    ($op:expr, $Enum:ident::{$($v:ident),* $(,)?}, |$o:ident| $body:expr) => {
+        match $op {
+            $($Enum::$v => {
+                let $o = $Enum::$v;
+                $body
+            })*
+        }
+    };
+}
+
+/// `out[l] = f(x[l])` over one tile.
+#[inline(always)]
+fn map1(out: &mut [u64; TILE], x: &[u64; TILE], f: impl Fn(u64) -> u64) {
+    for l in 0..TILE {
+        out[l] = f(x[l]);
+    }
+}
+
+/// `out[l] = f(x[l], y[l])` over one tile.
+#[inline(always)]
+fn map2(out: &mut [u64; TILE], x: &[u64; TILE], y: &[u64; TILE], f: impl Fn(u64, u64) -> u64) {
+    for l in 0..TILE {
+        out[l] = f(x[l], y[l]);
+    }
+}
+
+/// `out[l] = f(x[l], y[l], z[l])` over one tile.
+#[inline(always)]
+fn map3(
+    out: &mut [u64; TILE],
+    x: &[u64; TILE],
+    y: &[u64; TILE],
+    z: &[u64; TILE],
+    f: impl Fn(u64, u64, u64) -> u64,
+) {
+    for l in 0..TILE {
+        out[l] = f(x[l], y[l], z[l]);
+    }
+}
+
 /// Lanes evaluated per executor tile. A full 64-lane register file for
 /// a realistic tape overflows L1 (~150 live registers × 512 B ≈ 75 KB),
 /// so the executor sweeps the tape once per 16-lane tile, four tiles per
-/// lane word: a tile's registers (~150 × 128 B ≈ 19 KB) stay resident
-/// across ops. Tiles are disjoint lanes, so per-tile store commits
-/// cannot be observed across tiles and results are bit-identical.
-/// Narrow tiles pay off with packing: a group's survivors move into
-/// the low tiles, and tiles holding no live lane are not swept at all.
+/// lane word. The register file is tile-major ([`LaneVm::regs`]), so a
+/// tile's registers are one contiguous block (~150 × 128 B ≈ 19 KB)
+/// that stays resident across ops; interleaved with the other tiles'
+/// lanes, each 128-byte slice would sit 512 B from the next and they
+/// would crowd into a quarter of a 64-set L1's sets. Tiles are disjoint
+/// lanes, so per-tile store commits cannot be observed across tiles and
+/// results are bit-identical. Narrow tiles pay off with packing: a
+/// group's survivors move into the low tiles, and tiles holding no live
+/// lane are not swept at all.
 pub(crate) const TILE: usize = 16;
 
 /// The lanes of the tile starting at lane 0.
@@ -419,7 +495,9 @@ impl LaneVm {
     /// start above the pool).
     pub(crate) fn seed_consts(&mut self, consts: &[u64]) {
         for (j, &value) in consts.iter().enumerate() {
-            self.regs[j] = [value; LANES];
+            for t in 0..LANES / TILE {
+                self.regs[t * self.scratch + j] = [value; TILE];
+            }
             self.sregs[j] = value;
         }
     }
@@ -439,30 +517,17 @@ impl LaneVm {
                 ExecOp::Bin { op, a, b, m, .. } => bin(op, s[a as usize], s[b as usize], m),
                 ExecOp::Reduce { op, a, m, .. } => reduce(op, s[a as usize], m),
                 ExecOp::Shift { op, a, amount, live, m, .. } => {
-                    if !live {
-                        0
-                    } else {
-                        match op {
-                            ShiftOp::Left => (s[a as usize] << amount) & m,
-                            ShiftOp::Right => s[a as usize] >> amount,
-                        }
-                    }
+                    if live { shift(op, s[a as usize], amount, m) } else { 0 }
                 }
                 ExecOp::Slice { a, lo, m, .. } => (s[a as usize] >> lo) & m,
                 ExecOp::Concat { a, b, rhs_width, .. } => {
                     (s[a as usize] << rhs_width) | s[b as usize]
                 }
                 ExecOp::DynGet { base, index, width, .. } => {
-                    let ix = s[index as usize];
-                    if ix < u64::from(width) { (s[base as usize] >> ix) & 1 } else { 0 }
+                    dyn_get(s[base as usize], s[index as usize], width)
                 }
                 ExecOp::DynSet { cur, index, bit, width, .. } => {
-                    let (c, ix) = (s[cur as usize], s[index as usize]);
-                    if ix < u64::from(width) {
-                        (c & !(1 << ix)) | ((s[bit as usize] & 1) << ix)
-                    } else {
-                        c
-                    }
+                    dyn_set(s[cur as usize], s[index as usize], s[bit as usize], width)
                 }
                 ExecOp::WithSlice { cur, v, lo, field, .. } => {
                     (s[cur as usize] & !field) | (s[v as usize] << lo)
@@ -494,102 +559,80 @@ impl LaneVm {
         computed
     }
 
-    /// One tile sweep over lanes `lo..lo + TILE`.
+    /// One tile sweep over lanes `lo..lo + TILE`, on that tile's block
+    /// of the register file.
     fn run_exec_tile(&mut self, tape: &ExecTape, lo: usize) {
+        let t = lo / TILE;
+        let regs = &mut self.regs[t * self.scratch..(t + 1) * self.scratch];
         for op in &tape.ops {
             // Destinations are strictly increasing and operands strictly
             // lower, so splitting the register file at `dst` gives the
             // output slot and the readable prefix without aliasing.
-            let (regs, rest) = self.regs.split_at_mut(op.dst() as usize);
-            let out: &mut [u64; TILE] =
-                (&mut rest[0][lo..lo + TILE]).try_into().expect("tile within lane word");
+            let (regs, rest) = regs.split_at_mut(op.dst() as usize);
+            let out = &mut rest[0];
             match *op {
                 ExecOp::Load { sym, .. } => *out = *tile(&self.state[sym as usize], lo),
                 ExecOp::Splat { src, .. } => *out = [self.sregs[src as usize]; TILE],
                 ExecOp::MaskSel { mask, a, b, .. } => {
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    // Branchless per-lane blend: the select vectorizes
-                    // instead of branching on mask bits.
-                    let mask = mask >> lo;
-                    for l in 0..TILE {
-                        let sel = 0u64.wrapping_sub((mask >> l) & 1);
-                        out[l] = y[l] ^ ((x[l] ^ y[l]) & sel);
+                    // A site's mask names a lane or a few: copy `b`'s
+                    // tile and overwrite only those lanes from `a`.
+                    *out = regs[b as usize];
+                    let x = &regs[a as usize];
+                    for l in lanes_of((mask >> lo) & TILE_MASK) {
+                        out[l] = x[l];
                     }
                 }
                 ExecOp::Sel { cond, a, b, .. } => {
-                    let c = tile(&regs[cond as usize], lo);
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    for l in 0..TILE {
-                        let sel = 0u64.wrapping_sub(u64::from(c[l] != 0));
-                        out[l] = y[l] ^ ((x[l] ^ y[l]) & sel);
-                    }
+                    // Branchless per-lane blend: the select vectorizes
+                    // instead of branching on the predicate.
+                    let (c, x, y) = (&regs[cond as usize], &regs[a as usize], &regs[b as usize]);
+                    map3(out, c, x, y, |c, x, y| {
+                        y ^ ((x ^ y) & 0u64.wrapping_sub(u64::from(c != 0)))
+                    });
                 }
-                ExecOp::Not { a, m, .. } => {
-                    let x = tile(&regs[a as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = !x[l] & m;
-                    }
-                }
+                ExecOp::Not { a, m, .. } => map1(out, &regs[a as usize], |x| !x & m),
                 ExecOp::Bin { op, a, b, m, .. } => {
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    for l in 0..TILE {
-                        out[l] = bin(op, x[l], y[l], m);
-                    }
+                    let (x, y) = (&regs[a as usize], &regs[b as usize]);
+                    per_operator!(
+                        op,
+                        BinOp::{
+                            And, Or, Xor, Nand, Nor, Xnor, Add, Sub, Mul, Eq, Ne, Lt, Le, Gt, Ge
+                        },
+                        |op| map2(out, x, y, |x, y| bin(op, x, y, m))
+                    );
                 }
                 ExecOp::Reduce { op, a, m, .. } => {
-                    let x = tile(&regs[a as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = reduce(op, x[l], m);
-                    }
+                    let x = &regs[a as usize];
+                    per_operator!(op, ReduceOp::{Or, And, Xor}, |op| {
+                        map1(out, x, |x| reduce(op, x, m))
+                    });
                 }
-                ExecOp::Shift { op, a, amount, live, m, .. } => {
-                    let x = tile(&regs[a as usize], lo);
-                    if !live {
-                        *out = [0u64; TILE];
-                    } else {
-                        for l in 0..TILE {
-                            out[l] = match op {
-                                ShiftOp::Left => (x[l] << amount) & m,
-                                ShiftOp::Right => x[l] >> amount,
-                            };
-                        }
-                    }
+                ExecOp::Shift { live: false, .. } => *out = [0u64; TILE],
+                ExecOp::Shift { op, a, amount, m, .. } => {
+                    let x = &regs[a as usize];
+                    per_operator!(op, ShiftOp::{Left, Right}, |op| {
+                        map1(out, x, |x| shift(op, x, amount, m))
+                    });
                 }
-                ExecOp::Slice { a: src, lo: shift, m, .. } => {
-                    let x = tile(&regs[src as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = (x[l] >> shift) & m;
-                    }
+                ExecOp::Slice { a, lo: at, m, .. } => {
+                    map1(out, &regs[a as usize], |x| (x >> at) & m);
                 }
                 ExecOp::Concat { a, b, rhs_width, .. } => {
-                    let (x, y) = (tile(&regs[a as usize], lo), tile(&regs[b as usize], lo));
-                    for l in 0..TILE {
-                        out[l] = (x[l] << rhs_width) | y[l];
-                    }
+                    map2(out, &regs[a as usize], &regs[b as usize], |x, y| (x << rhs_width) | y);
                 }
                 ExecOp::DynGet { base, index, width, .. } => {
-                    let (x, ix) = (tile(&regs[base as usize], lo), tile(&regs[index as usize], lo));
-                    for l in 0..TILE {
-                        out[l] = if ix[l] < u64::from(width) { (x[l] >> ix[l]) & 1 } else { 0 };
-                    }
+                    map2(out, &regs[base as usize], &regs[index as usize], |x, ix| {
+                        dyn_get(x, ix, width)
+                    });
                 }
                 ExecOp::DynSet { cur, index, bit, width, .. } => {
-                    let c = tile(&regs[cur as usize], lo);
-                    let ix = tile(&regs[index as usize], lo);
-                    let v = tile(&regs[bit as usize], lo);
-                    for l in 0..TILE {
-                        out[l] = if ix[l] < u64::from(width) {
-                            (c[l] & !(1 << ix[l])) | ((v[l] & 1) << ix[l])
-                        } else {
-                            c[l]
-                        };
-                    }
+                    let (c, ix) = (&regs[cur as usize], &regs[index as usize]);
+                    map3(out, c, ix, &regs[bit as usize], |c, ix, v| dyn_set(c, ix, v, width));
                 }
-                ExecOp::WithSlice { cur, v, lo: shift, field, .. } => {
-                    let (c, x) = (tile(&regs[cur as usize], lo), tile(&regs[v as usize], lo));
-                    for l in 0..TILE {
-                        out[l] = (c[l] & !field) | (x[l] << shift);
-                    }
+                ExecOp::WithSlice { cur, v, lo: at, field, .. } => {
+                    map2(out, &regs[cur as usize], &regs[v as usize], |c, x| {
+                        (c & !field) | (x << at)
+                    });
                 }
             }
         }
@@ -597,8 +640,7 @@ impl LaneVm {
         // the next tile's Loads still read their own pre-sweep lanes:
         // every lane sees exactly a whole-word sweep's values.
         for &(sym, reg) in &tape.stores {
-            self.state[sym as usize][lo..lo + TILE]
-                .copy_from_slice(&self.regs[reg as usize][lo..lo + TILE]);
+            self.state[sym as usize][lo..lo + TILE].copy_from_slice(&regs[reg as usize]);
         }
     }
 }
@@ -607,16 +649,24 @@ impl LaneVm {
 pub(super) mod tests {
     use super::*;
     use crate::lanes::tape::LaneWord;
+    use musa_prng::{Prng, SplitMix64};
+    use proptest::prelude::*;
 
     /// Lowers `comb` and runs it once over every lane, as a group's
     /// settle does: the scalar prefix, then the lane stream.
     pub(crate) fn run_lowered(comb: &Tape, init: &[LaneWord]) -> LaneVm {
+        run_lowered_over(comb, init, u64::MAX).0
+    }
+
+    /// Lowers `comb` and runs it once over the tiles holding a lane of
+    /// `lanes`; returns the VM and the number of lanes computed.
+    fn run_lowered_over(comb: &Tape, init: &[LaneWord], lanes: u64) -> (LaneVm, usize) {
         let lowered = lower_unit(comb, &Tape::default(), init);
         let mut vm = LaneVm::new(init, lowered.scratch, lowered.scratch_scalar);
         vm.seed_consts(&lowered.consts);
         vm.run_scalar(&lowered.comb.pre);
-        vm.run_exec(&lowered.comb.main, u64::MAX);
-        vm
+        let computed = vm.run_exec(&lowered.comb.main, lanes);
+        (vm, computed)
     }
 
     /// Runs `comb` lowered and checks every lane's stored values against
@@ -780,5 +830,250 @@ pub(super) mod tests {
         assert_eq!(lowered.comb.pre.ops.len() + lowered.comb.main.ops.len(), 1);
         assert!(lowered.edge.pre.ops.is_empty() && lowered.edge.main.ops.is_empty());
         assert_eq!(lowered.edge.pre.stores, vec![(1, 1)]);
+    }
+
+    /// How the kernel oracle draws one operand (registers 0..=2, loaded
+    /// from symbols 0..=2).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Operand {
+        /// A value of this width.
+        Value(u32),
+        /// A dynamic bit index into a value of this width: in range half
+        /// the time, at or past the width (up to `u64::MAX`) otherwise.
+        Index(u32),
+    }
+
+    impl Operand {
+        fn draw(self, rng: &mut SplitMix64) -> u64 {
+            match self {
+                Operand::Value(w) => rng.bits(w),
+                Operand::Index(w) if rng.chance(0.5) => rng.below(u64::from(w)),
+                Operand::Index(w) => {
+                    let past = 1 + rng.below(64) as u32;
+                    u64::from(w).saturating_add(rng.bits(past))
+                }
+            }
+        }
+
+        /// One lane's three operand values. A second operand drawn like
+        /// the first copies it a quarter of the time, so that relational
+        /// operators meet equal operands in nearly every case.
+        fn draw_lane(operands: [Operand; 3], rng: &mut SplitMix64) -> [u64; 3] {
+            let mut v = operands.map(|operand| operand.draw(rng));
+            if operands[0] == operands[1] && rng.chance(0.25) {
+                v[1] = v[0];
+            }
+            v
+        }
+    }
+
+    const BIN_OPS: [BinOp; 15] = [
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Nand,
+        BinOp::Nor,
+        BinOp::Xnor,
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+    ];
+    const REDUCE_OPS: [ReduceOp; 3] = [ReduceOp::Or, ReduceOp::And, ReduceOp::Xor];
+
+    /// Op kinds the kernel oracle draws: every binary operator, every
+    /// reduction, then both shifts, `Not`, `Slice`, `Concat`,
+    /// `WithSlice`, `DynGet`, `DynSet`, `Sel` and `MaskSel`.
+    const KINDS: usize = BIN_OPS.len() + REDUCE_OPS.len() + 10;
+
+    /// A 64-lane mask drawn tile by tile: each `TILE`-lane tile holds no
+    /// lane, one, several or all of them.
+    fn tile_mask(rng: &mut SplitMix64) -> u64 {
+        (0..LANES).step_by(TILE).fold(0, |mask, lo| {
+            let tile = match rng.below(4) {
+                0 => 0,
+                1 => 1 << rng.below(TILE as u64),
+                2 => rng.bits(TILE as u32) | 0b11 << rng.below(TILE as u64 - 1),
+                _ => TILE_MASK,
+            };
+            mask | tile << lo
+        })
+    }
+
+    /// Op `kind` at width `w` over registers 0..=2, and how to draw each
+    /// of them; an operand the op does not read is drawn all the same.
+    fn draw_op(kind: usize, w: u32, rng: &mut SplitMix64) -> (Instr, [Operand; 3]) {
+        use Operand::{Index, Value};
+        let at = |rng: &mut SplitMix64| {
+            let lo = rng.below(u64::from(w)) as u32;
+            (lo + rng.below(u64::from(w - lo)) as u32, lo)
+        };
+        let (bins, reduces) = (BIN_OPS.len(), BIN_OPS.len() + REDUCE_OPS.len());
+        match kind {
+            k if k < bins => {
+                let op = BIN_OPS[k];
+                let width = if op.is_relational() { 1 } else { w };
+                (Instr::Bin { op, a: 0, b: 1, width }, [Value(w); 3])
+            }
+            k if k < reduces => {
+                (Instr::Reduce { op: REDUCE_OPS[k - bins], a: 0, width: w }, [Value(w); 3])
+            }
+            k => match k - reduces {
+                shift @ (0 | 1) => {
+                    let op = [ShiftOp::Left, ShiftOp::Right][shift];
+                    let w64 = u64::from(w);
+                    let amount =
+                        if rng.chance(0.5) { rng.below(w64) } else { w64 + rng.below(w64 + 1) };
+                    (Instr::Shift { op, a: 0, amount: amount as u32, width: w }, [Value(w); 3])
+                }
+                2 => (Instr::Not { a: 0, width: w }, [Value(w); 3]),
+                3 => {
+                    let (hi, lo) = at(rng);
+                    (Instr::Slice { a: 0, hi, lo }, [Value(w); 3])
+                }
+                4 => {
+                    let total = w.max(2);
+                    let rhs_width = 1 + rng.below(u64::from(total - 1)) as u32;
+                    let lhs = Value(total - rhs_width);
+                    (Instr::Concat { a: 0, b: 1, rhs_width }, [lhs, Value(rhs_width), lhs])
+                }
+                5 => {
+                    let (hi, lo) = at(rng);
+                    let v = Value(hi - lo + 1);
+                    (Instr::WithSlice { cur: 0, v: 1, hi, lo }, [Value(w), v, Value(w)])
+                }
+                6 => {
+                    (Instr::DynGet { base: 0, index: 1, width: w }, [Value(w), Index(w), Value(w)])
+                }
+                7 => (
+                    Instr::DynSet { cur: 0, index: 1, bit: 2, width: w },
+                    [Value(w), Index(w), Value(1)],
+                ),
+                8 => (Instr::Sel { cond: 2, a: 0, b: 1 }, [Value(w), Value(w), Value(1)]),
+                _ => (Instr::MaskSel { mask: tile_mask(rng), a: 0, b: 1 }, [Value(w); 3]),
+            },
+        }
+    }
+
+    /// What [`Bits`] computes for the oracle's `instr` in `lane`, from
+    /// the lane's operand values `v`, drawn as `operands` says.
+    fn bits_of(instr: &Instr, lane: usize, v: [u64; 3], operands: [Operand; 3]) -> u64 {
+        let x = |k: usize| match operands[k] {
+            Operand::Value(w) => Bits::new(w, v[k]),
+            Operand::Index(_) => unreachable!("indices are read raw"),
+        };
+        let (a, index) = (x(0), u32::try_from(v[1]).ok());
+        let bit = index.filter(|&i| i < a.width());
+        let value = match *instr {
+            Instr::Bin { op, .. } => {
+                let b = x(1);
+                match op {
+                    BinOp::And => a.and(b),
+                    BinOp::Or => a.or(b),
+                    BinOp::Xor => a.xor(b),
+                    BinOp::Nand => a.nand(b),
+                    BinOp::Nor => a.nor(b),
+                    BinOp::Xnor => a.xnor(b),
+                    BinOp::Add => a.add(b),
+                    BinOp::Sub => a.sub(b),
+                    BinOp::Mul => a.mul(b),
+                    BinOp::Eq => a.cmp_eq(b),
+                    BinOp::Ne => a.cmp_eq(b).not(),
+                    BinOp::Lt => a.cmp_lt(b),
+                    BinOp::Le => b.cmp_lt(a).not(),
+                    BinOp::Gt => b.cmp_lt(a),
+                    BinOp::Ge => a.cmp_lt(b).not(),
+                }
+            }
+            Instr::Reduce { op: ReduceOp::Or, .. } => a.reduce_or(),
+            Instr::Reduce { op: ReduceOp::And, .. } => a.reduce_and(),
+            Instr::Reduce { op: ReduceOp::Xor, .. } => a.reduce_xor(),
+            Instr::Shift { op: ShiftOp::Left, amount, .. } => a.shl(amount),
+            Instr::Shift { op: ShiftOp::Right, amount, .. } => a.shr(amount),
+            Instr::Not { .. } => a.not(),
+            Instr::Slice { hi, lo, .. } => a.slice(hi, lo),
+            Instr::Concat { .. } => a.concat(x(1)),
+            Instr::WithSlice { hi, lo, .. } => a.with_slice(hi, lo, x(1)),
+            Instr::DynGet { .. } => bit.map_or(Bits::zero(1), |i| Bits::bit_value(a.bit(i))),
+            Instr::DynSet { .. } => bit.map_or(a, |i| a.with_bit(i, x(2).as_bool())),
+            Instr::Sel { .. } => if x(2).as_bool() { a } else { x(1) },
+            Instr::MaskSel { mask, .. } => if (mask >> lane) & 1 == 1 { a } else { x(1) },
+            Instr::Load { .. } | Instr::Const { .. } => unreachable!("not drawn"),
+        };
+        value.raw()
+    }
+
+    proptest! {
+        /// Kernel oracle: one drawn op at a drawn width in 1..=64 computes
+        /// in every lane what [`Bits`] computes on that lane's values.
+        /// The op reads loads of three drawn symbols and is stored into
+        /// a fourth, and runs two ways:
+        ///
+        /// * on lane-divergent inputs, through [`LaneVm::run_exec`] with
+        ///   a drawn `lanes` mask: every lane of a computed tile must
+        ///   match, and the tiles it skips must keep their old state;
+        /// * on uniform inputs, through the scalar prefix (a `MaskSel`
+        ///   still runs on the lane stream, fed by `Splat`s).
+        #[test]
+        fn every_operator_kernel_matches_bits_on_every_computed_lane(
+            seed in any::<u64>(),
+            kind in 0..KINDS,
+            width in 1u32..=64,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let (instr, operands) = draw_op(kind, width, &mut rng);
+            let comb = Tape {
+                instrs: vec![
+                    Instr::Load { sym: 0 },
+                    Instr::Load { sym: 1 },
+                    Instr::Load { sym: 2 },
+                    instr.clone(),
+                ],
+                stores: vec![(3, 3)],
+            };
+            let lanes = tile_mask(&mut rng);
+            let stale: LaneWord = std::array::from_fn(|_| rng.next_u64());
+            let per_lane: [[u64; 3]; LANES] =
+                std::array::from_fn(|_| Operand::draw_lane(operands, &mut rng));
+            let once = Operand::draw_lane(operands, &mut rng);
+            let divergent: Vec<LaneWord> = (0..3)
+                .map(|k| std::array::from_fn(|lane| per_lane[lane][k]))
+                .chain([stale])
+                .collect();
+            let uniform: Vec<LaneWord> = once.iter().map(|&v| [v; LANES]).chain([stale]).collect();
+            let runs = [(&divergent, lanes, true), (&uniform, u64::MAX, false)];
+            for (init, lanes, on_lanes) in runs {
+                let lowered = lower_unit(&comb, &Tape::default(), init);
+                if on_lanes {
+                    prop_assert!(lowered.comb.pre.ops.is_empty(), "{:?} on the lane stream", instr);
+                } else {
+                    // Two `Splat`s feed a `MaskSel`; every other op runs
+                    // in the prefix and stores a broadcast.
+                    let lane_ops = if matches!(instr, Instr::MaskSel { .. }) { 3 } else { 0 };
+                    prop_assert_eq!(lowered.comb.main.ops.len(), lane_ops, "{:?}", instr);
+                }
+                let (vm, computed) = run_lowered_over(&comb, init, lanes);
+                let tiles: Vec<usize> = tiles_of(lanes | 1).collect();
+                prop_assert_eq!(computed, tiles.len() * TILE);
+                for lane in 0..LANES {
+                    let got = vm.state[3][lane];
+                    if tiles.contains(&(lane / TILE * TILE)) {
+                        let v = [init[0][lane], init[1][lane], init[2][lane]];
+                        let want = bits_of(&instr, lane, v, operands);
+                        prop_assert_eq!(
+                            got, want,
+                            "{:?} at width {}, lane {}, operands {:?}", instr, width, lane, v
+                        );
+                    } else {
+                        prop_assert_eq!(got, stale[lane], "{:?}: skipped lane {}", instr, lane);
+                    }
+                }
+            }
+        }
     }
 }

@@ -495,10 +495,10 @@ impl<'a> GroupSim<'a> {
     /// Every lane moves down, in ascending order, in every symbol word
     /// of the state, so the copy is safe in place; the slot map follows
     /// and the lane streams' `MaskSel` masks are rewritten for the new
-    /// positions. That is exact because every other lowered op works
-    /// lane by lane, scratch registers are rewritten before every read
-    /// within a sweep, and the pool registers hold one value in every
-    /// lane; the positions left behind are never read again.
+    /// positions `0..=n`. That is exact because every other lowered op
+    /// works lane by lane, scratch registers are rewritten before every
+    /// read within a sweep, and the pool registers hold one value in
+    /// every lane; the positions left behind are never read again.
     fn pack(&mut self, alive: u64) -> u64 {
         let live = alive.count_ones() as usize;
         if tiles_of(alive | 1).count() <= (live + 1).div_ceil(TILE) {
@@ -515,8 +515,8 @@ impl<'a> GroupSim<'a> {
         let lowered = &self.compiled.lowered;
         let (comb, edge) = (&lowered.comb.main, &lowered.edge.main);
         let (c, e) = self.packed.get_or_insert_with(|| (comb.clone(), edge.clone()));
-        c.remap_masks(comb, &self.slot);
-        e.remap_masks(edge, &self.slot);
+        c.remap_masks(comb, &self.slot, live);
+        e.remap_masks(edge, &self.slot, live);
         // Packing frees a tile, so fewer than 63 lanes are live.
         ((1u64 << live) - 1) << 1
     }

@@ -15,6 +15,7 @@
 //! Each instruction means what [`musa_hdl::Bits`] computes on every
 //! lane's value; the lowering's tests check that per lane.
 
+use super::exec::TILE;
 use musa_hdl::ast::{BinOp, ReduceOp, ShiftOp};
 
 /// Number of lanes per word array: the reference plus up to 63 mutants.
@@ -112,19 +113,25 @@ pub(crate) struct Tape {
 pub(crate) struct LaneVm {
     /// Per-symbol lanes, indexed by `SymbolId`.
     pub state: Vec<LaneWord>,
-    /// Lane scratch registers, driven by `super::exec`.
-    pub(crate) regs: Vec<LaneWord>,
+    /// Lane scratch registers, driven by `super::exec`, tile-major:
+    /// register `r` of the `TILE`-lane tile `t` is
+    /// `regs[t * scratch + r]`, so one tile's sweep reads and writes
+    /// one contiguous block rather than a slice of every lane word.
+    pub(crate) regs: Vec<[u64; TILE]>,
+    /// Lane scratch registers per tile.
+    pub(crate) scratch: usize,
     /// Scalar scratch registers for the uniform prefix.
     pub(crate) sregs: Vec<u64>,
 }
 
 impl LaneVm {
     /// Creates a VM with the given initial symbol state and scratch
-    /// sizes (lane words and scalar registers).
+    /// sizes (lane registers per tile and scalar registers).
     pub fn new(init: &[LaneWord], scratch: usize, scratch_scalar: usize) -> Self {
         Self {
             state: init.to_vec(),
-            regs: vec![[0u64; LANES]; scratch],
+            regs: vec![[0u64; TILE]; scratch * (LANES / TILE)],
+            scratch,
             sregs: vec![0u64; scratch_scalar],
         }
     }

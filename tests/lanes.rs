@@ -114,21 +114,6 @@ fn lane_engine_is_bit_identical_on_every_bundled_circuit() {
 }
 
 #[test]
-fn full_population_takes_ceil_n_over_63_passes_on_b01() {
-    let (circuit, population) = &circuits()[1]; // b01 (all() is smallest-first)
-    assert_eq!(circuit.name, "b01");
-    let sequence = random_sequence_for(circuit, 8, 0xB01);
-    let (kills, stats) = lane_kills(circuit, population, &sequence, &LaneOptions::default());
-    assert_eq!(kills.first_kill.len(), population.len());
-    assert_eq!(
-        stats.passes,
-        population.len().div_ceil(MAX_LANES),
-        "population {} must cost ⌈N/63⌉ passes, not N",
-        population.len()
-    );
-}
-
-#[test]
 fn engine_dispatch_is_identical_through_the_public_entry_point() {
     let (circuit, population) = &circuits()[0]; // c17
     let sequence = random_sequence_for(circuit, 12, 0xC17);
