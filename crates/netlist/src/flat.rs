@@ -13,12 +13,23 @@
 //! Indices: *nets* are `NetId` values; *gates* are positions in the
 //! topological order (so a gate always precedes every gate reading its
 //! output); *slots* index the fan-in CSR array, one per gate input pin.
+//!
+//! It also records the netlist's *fanout-free regions*. A net is a
+//! region *member* when it is not a primary output and exactly one
+//! fan-in slot reads it (no flip-flop D pin does); it then belongs to
+//! the region of the net its reader drives. Every other net is a region
+//! *root*: a primary output, a net read by several slots (two pins of
+//! one gate count as two), or a net no slot reads. A member's only way
+//! to the rest of the circuit is its one path up to its root.
 
 use crate::fault::{Fault, FaultSite};
 use crate::netlist::{GateKind, NetId, Node};
 
 /// Marks a net that no gate drives in [`Flat::gate_of`].
 const NOT_A_GATE: u32 = u32::MAX;
+
+/// Marks a region root in [`Flat::region_slot`].
+const ROOT: u32 = u32::MAX;
 
 /// One D flip-flop of the flat form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +81,12 @@ pub(crate) struct Flat {
     gate_of: Vec<u32>,
     /// Primary-output flag per net.
     pub is_output: Vec<bool>,
+    /// The root of each net's fanout-free region (the net itself for a
+    /// root).
+    pub region_root: Vec<u32>,
+    /// The one fan-in slot reading each region member ([`ROOT`] for a
+    /// root).
+    region_slot: Vec<u32>,
     /// Constant nets with their broadcast words.
     pub consts: Vec<(u32, u64)>,
     /// Flip-flops in declaration order.
@@ -135,7 +152,39 @@ impl Flat {
                 _ => unreachable!("the flop list holds only flops"),
             })
             .collect();
+        flat.build_regions();
         flat
+    }
+
+    /// Fills `region_slot` and `region_root`: counts the pins reading
+    /// each net, then hands each member its reader's root, readers
+    /// first (reverse gate order).
+    fn build_regions(&mut self) {
+        let nets = self.net_count();
+        let mut reads = vec![0u32; nets];
+        self.region_slot = vec![ROOT; nets];
+        for (slot, &n) in self.fanin.iter().enumerate() {
+            reads[n as usize] += 1;
+            self.region_slot[n as usize] = slot as u32;
+        }
+        for flop in &self.flops {
+            reads[flop.d as usize] += 1;
+        }
+        for (n, slot) in self.region_slot.iter_mut().enumerate() {
+            if reads[n] != 1 || self.is_output[n] {
+                *slot = ROOT;
+            }
+        }
+        self.region_root = (0..nets as u32).collect();
+        for g in (0..self.gate_count()).rev() {
+            let root = self.region_root[self.out[g].0 as usize];
+            for i in self.fanin_start[g] as usize..self.fanin_start[g + 1] as usize {
+                let n = self.fanin[i] as usize;
+                if self.region_slot[n] != ROOT {
+                    self.region_root[n] = root;
+                }
+            }
+        }
     }
 
     /// Number of nets.
@@ -159,6 +208,34 @@ impl Flat {
     pub(crate) fn readers(&self, n: u32) -> &[u32] {
         &self.fanout
             [self.fanout_start[n as usize] as usize..self.fanout_start[n as usize + 1] as usize]
+    }
+
+    /// The `(gate, slot)` reading region member `n`; `None` for a root.
+    #[inline]
+    pub(crate) fn region_reader(&self, n: u32) -> Option<(usize, usize)> {
+        let slot = self.region_slot[n as usize];
+        // A member has one reading slot, so one reading gate.
+        (slot != ROOT).then(|| (self.readers(n)[0] as usize, slot as usize))
+    }
+
+    /// The lanes in which gate `g`'s output follows a flip of its fan-in
+    /// `slot` while its other pins keep their `values` words: the AND of
+    /// the other pins for AND/NAND, their NOR for OR/NOR, every lane for
+    /// XOR/XNOR/NOT/BUF.
+    #[inline]
+    pub(crate) fn sensitivity(&self, g: usize, slot: usize, values: &[u64]) -> u64 {
+        let first = self.fanin_start[g] as usize;
+        let others = self
+            .gate_inputs(g)
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| first + i != slot)
+            .map(|(_, &n)| values[n as usize]);
+        match self.kinds[g] {
+            GateKind::And | GateKind::Nand => others.fold(u64::MAX, |a, x| a & x),
+            GateKind::Or | GateKind::Nor => !others.fold(0, |a, x| a | x),
+            GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buf => u64::MAX,
+        }
     }
 
     /// Gate `g` over the current net words.
@@ -294,6 +371,121 @@ mod tests {
         let nl = nl.freeze().unwrap();
         assert_eq!(nl.flat().readers(a.0), &[0]);
         assert_eq!(nl.flat().gate_inputs(0), &[a.0, a.0]);
+    }
+
+    /// Asserts that `net` is a region member read at pin `pin` of the
+    /// gate driving `reader`, in the region rooted at `root`.
+    fn assert_member(nl: &Netlist, net: NetId, reader: NetId, pin: u32, root: NetId) {
+        let flat = nl.flat();
+        let g = flat.out.iter().position(|&o| o == reader).unwrap();
+        let slot = flat.fanin_start[g] as usize + pin as usize;
+        assert_eq!(
+            flat.region_reader(net.0),
+            Some((g, slot)),
+            "{}",
+            nl.net_name(net)
+        );
+        assert_eq!(
+            flat.region_root[net.0 as usize],
+            root.0,
+            "{}",
+            nl.net_name(net)
+        );
+    }
+
+    /// Asserts that `net` is the root of its own region.
+    fn assert_root(nl: &Netlist, net: NetId) {
+        let flat = nl.flat();
+        assert_eq!(flat.region_reader(net.0), None, "{}", nl.net_name(net));
+        assert_eq!(
+            flat.region_root[net.0 as usize],
+            net.0,
+            "{}",
+            nl.net_name(net)
+        );
+    }
+
+    #[test]
+    fn regions_end_at_outputs_shared_nets_and_unread_nets() {
+        let mut nl = Netlist::new("regions");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let k = nl.add_const("k", true);
+        // A constant and an input read once each.
+        let x = nl.add_gate("x", GateKind::And, vec![k, a]);
+        nl.mark_output(x);
+        // `x` is an output that also feeds a gate; `b` sits on two pins.
+        let y = nl.add_gate("y", GateKind::Or, vec![x, b, b]);
+        nl.mark_output(y);
+        // `u` is read by no slot.
+        let u = nl.add_gate("u", GateKind::Not, vec![y]);
+        // An inverter chain up to an output.
+        let n1 = nl.add_gate("n1", GateKind::Not, vec![c]);
+        let n2 = nl.add_gate("n2", GateKind::Not, vec![n1]);
+        let n3 = nl.add_gate("n3", GateKind::Not, vec![n2]);
+        nl.mark_output(n3);
+        let nl = nl.freeze().unwrap();
+        assert_member(&nl, k, x, 0, x);
+        assert_member(&nl, a, x, 1, x);
+        for root in [x, b, y, u, n3] {
+            assert_root(&nl, root);
+        }
+        assert_member(&nl, c, n1, 0, n3);
+        assert_member(&nl, n1, n2, 0, n3);
+        assert_member(&nl, n2, n3, 0, n3);
+    }
+
+    #[test]
+    fn a_net_a_flop_reads_is_a_root() {
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(d)\nd = AND(a, q)\ne = NOT(b)\np = DFF(e)\ny = OR(e, p)\n";
+        let nl = parse_bench(src, "t").unwrap();
+        let net = |name: &str| nl.net_by_name(name).unwrap();
+        // `d` feeds only a flop; `e` feeds a gate and a flop.
+        assert_root(&nl, net("d"));
+        assert_root(&nl, net("e"));
+        assert_member(&nl, net("a"), net("d"), 0, net("d"));
+        assert_member(&nl, net("b"), net("e"), 0, net("e"));
+    }
+
+    #[test]
+    fn a_pin_is_sensitive_where_its_gate_passes_a_flip() {
+        let mut nl = Netlist::new("t");
+        let ins: Vec<NetId> = (0..3).map(|i| nl.add_input(format!("i{i}"))).collect();
+        let kinds = [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let g = nl.add_gate(format!("g{i}"), kind, ins.clone());
+            nl.mark_output(g);
+        }
+        let nl = nl.freeze().unwrap();
+        let flat = nl.flat();
+        let mut values = vec![0u64; flat.net_count()];
+        let words = [0b1100u64, 0b1010, 0b0110];
+        for (&net, &word) in ins.iter().zip(&words) {
+            values[net.0 as usize] = word;
+        }
+        // Pin 0 of each gate, with the other two pins at their words.
+        for g in 0..flat.gate_count() {
+            let expected = match flat.kinds[g] {
+                GateKind::And | GateKind::Nand => words[1] & words[2],
+                GateKind::Or | GateKind::Nor => !(words[1] | words[2]),
+                _ => u64::MAX,
+            };
+            let slot = flat.fanin_start[g] as usize;
+            assert_eq!(
+                flat.sensitivity(g, slot, &values),
+                expected,
+                "{:?}",
+                flat.kinds[g]
+            );
+        }
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! per-site forces — no gate evaluation hashes or allocates:
 //!
 //! * **combinational** circuits use *parallel-pattern single-fault
-//!   propagation* (PPSFP): the good machine is evaluated once per
-//!   64-pattern batch; then each live fault is seeded at its site (the
-//!   stem, or the one forced gate pin) and propagated in topological
-//!   order through that site's fanout cone only, dropping every gate
-//!   whose faulty word equals the good word on the lanes that could
-//!   still lower the fault's first detection;
+//!   propagation* (PPSFP) by region roots: the good machine is
+//!   evaluated once per 64-pattern batch. Inside each fanout-free region
+//!   that [`Netlist::freeze`] records, a fault flips the region's root
+//!   in the lanes where it is excited and its path is sensitised, which
+//!   a backward trace over the good words gives (critical-path tracing,
+//!   Abramovici, Menon & Miller, IEEE D&T 1984). Only the roots are
+//!   propagated, each once per batch in the lanes some fault flips it,
+//!   in topological order through its fanout cone only (Lee & Ha, ITC
+//!   1991), dropping every gate whose word equals the good word on the
+//!   lanes no output has shown yet;
 //! * **sequential** circuits use *time-major* parallel-fault simulation:
 //!   frame by frame from the reset state, words of up to 63 faulty
 //!   machines beside the good machine in lane 0, with `[sa0, sa1]` lane
@@ -37,11 +41,13 @@
 //!
 //! Every `fault_simulate*` call adds its work to trace counters, once:
 //! `fsim_gate_evals` counts the gate evaluations it executed
-//! (good-machine sweeps plus faulty-cone events for PPSFP, one full
-//! sweep per simulated word per frame for sequential circuits). On
-//! sequential circuits, `fsim_fault_frames` sums the live faults over
-//! the frames and `fsim_active_fault_frames` the faults that rode a
-//! word; combinational circuits emit neither.
+//! (good-machine sweeps plus root-cone events for PPSFP, whose backward
+//! trace evaluates no gate and is not counted; one full sweep per
+//! simulated word per frame for sequential circuits). On combinational
+//! circuits, `fsim_roots_propagated` sums the region roots propagated
+//! over the batches. On sequential circuits, `fsim_fault_frames` sums
+//! the live faults over the frames and `fsim_active_fault_frames` the
+//! faults that rode a word. Each kind emits only its own counters.
 
 use crate::dominance::{FaultPlan, FaultReduction};
 use crate::fault::Fault;
@@ -420,7 +426,7 @@ fn simulate(
 ) -> (Vec<Option<usize>>, usize) {
     check_widths(nl, vectors);
     if nl.is_combinational() {
-        ppsfp(nl, faults, vectors, stop, &mut work.gate_evals)
+        ppsfp(nl, faults, vectors, stop, work)
     } else {
         time_major(nl, faults, vectors, stop, work)
     }
@@ -455,6 +461,9 @@ impl Stop {
 struct Work {
     /// Gate evaluations (`fsim_gate_evals`).
     gate_evals: u64,
+    /// Region roots propagated, summed over the combinational batches
+    /// (`fsim_roots_propagated`).
+    roots_propagated: u64,
     /// Live faults summed over the sequential frames
     /// (`fsim_fault_frames`).
     fault_frames: u64,
@@ -464,11 +473,14 @@ struct Work {
 }
 
 impl Work {
-    /// Adds the counters to the trace; the frame counters only for a
-    /// sequential netlist, the only kind that has frames.
+    /// Adds the counters to the trace; the root counter only for a
+    /// combinational netlist and the frame counters only for a
+    /// sequential one, the only kinds that have roots or frames.
     fn emit(&self, nl: &Netlist) {
         musa_trace::count("fsim_gate_evals", self.gate_evals);
-        if !nl.is_combinational() {
+        if nl.is_combinational() {
+            musa_trace::count("fsim_roots_propagated", self.roots_propagated);
+        } else {
             musa_trace::count("fsim_fault_frames", self.fault_frames);
             musa_trace::count("fsim_active_fault_frames", self.active_fault_frames);
         }
@@ -497,14 +509,27 @@ fn load_batch(nl: &Netlist, values: &mut [u64], batch: &[Pattern]) {
     }
 }
 
-/// Parallel-pattern single-fault propagation for combinational circuits.
-/// Its boundaries are the ends of the 64-pattern batches.
+/// Parallel-pattern single-fault propagation for combinational circuits,
+/// by region roots. Its boundaries are the ends of the 64-pattern
+/// batches.
+///
+/// Per batch, after the one good sweep, each live fault gets its *local
+/// mask*: the lanes its site is excited in (the good word differs from
+/// the stuck word) and sensitised to its fanout-free region's root
+/// ([`Paths`]). Inside a region each site has one path to its root, so
+/// those are exactly the lanes in which the fault flips the root, and
+/// nothing else outside the region. The masks are ORed per root, and
+/// each root with a non-empty mask is flipped in those lanes and
+/// propagated once through its fanout cone ([`Cone::observe`]). Lanes
+/// are independent, so a fault is detected in the lanes of its mask in
+/// which its root's flip reaches an output, and its first detection is
+/// the lowest of them.
 fn ppsfp(
     nl: &Netlist,
     faults: &[Fault],
     vectors: &[Pattern],
     stop: Stop,
-    evals: &mut u64,
+    work: &mut Work,
 ) -> (Vec<Option<usize>>, usize) {
     let flat = nl.flat();
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
@@ -513,27 +538,57 @@ fn ppsfp(
         .iter()
         .enumerate()
         .map(|(i, f)| (i, flat.site(f), broadcast(f.stuck_at_one)))
-        .filter(|&(_, site, _)| site != Site::Inert)
+        .filter(|&(_, site, _)| matches!(site, Site::Net(_) | Site::Pin { .. }))
         .collect();
     let mut cone = Cone::new(flat);
+    let mut paths = Paths::new(flat);
+    // Each live fault's (root, local mask) in the current batch.
+    let mut local: Vec<(u32, u64)> = Vec::new();
+    // Per root: the lanes flipped, then the lanes an output observed.
+    let mut flips = vec![0u64; flat.net_count()];
+    // The roots with a non-empty mask in the current batch.
+    let mut roots: Vec<u32> = Vec::new();
     let mut detected = 0;
     for (batch_index, batch) in vectors.chunks(64).enumerate() {
         // Once every fault is dropped, a batch only moves the boundary.
         if !live.is_empty() {
             load_batch(nl, &mut cone.values, batch);
             flat.sweep(&mut cone.values);
-            *evals += flat.gate_count() as u64;
+            work.gate_evals += flat.gate_count() as u64;
             let lanes = lane_mask(batch.len());
-            live.retain(|&(fi, site, stuck)| {
-                match cone.first_lane(flat, site, stuck, lanes, evals) {
-                    Some(lane) => {
-                        first_detected[fi] = Some(batch_index * 64 + lane);
+            paths.clear();
+            local.clear();
+            for &(_, site, stuck) in &live {
+                let (root, mask) = paths.local(flat, &cone.values, site, stuck);
+                let mask = mask & lanes;
+                if mask != 0 {
+                    if flips[root as usize] == 0 {
+                        roots.push(root);
+                    }
+                    flips[root as usize] |= mask;
+                }
+                local.push((root, mask));
+            }
+            work.roots_propagated += roots.len() as u64;
+            for &root in &roots {
+                let flip = flips[root as usize];
+                flips[root as usize] = cone.observe(flat, root, flip, &mut work.gate_evals);
+            }
+            let mut local = local.iter();
+            live.retain(|&(fi, ..)| {
+                let (root, mask) = local.next().expect("one local mask per live fault");
+                match mask & flips[*root as usize] {
+                    0 => true,
+                    hit => {
+                        first_detected[fi] = Some(batch_index * 64 + hit.trailing_zeros() as usize);
                         detected += 1;
                         false
                     }
-                    None => true,
                 }
             });
+            for root in roots.drain(..) {
+                flips[root as usize] = 0;
+            }
         }
         let applied = batch_index * 64 + batch.len();
         if stop.fires(applied, detected) {
@@ -543,12 +598,90 @@ fn ppsfp(
     (first_detected, vectors.len())
 }
 
-/// Single-fault propagation scratch over one batch's good machine.
+/// The backward trace of one batch: the lanes in which each region
+/// member is sensitised to its root over the good words, memoised per
+/// batch. A member's sensitivity is its reader's
+/// [`Flat::sensitivity`] on its slot, ANDed with the sensitivity of the
+/// net that reader drives; a root's is every lane. The trace executes
+/// no gate evaluation, so `fsim_gate_evals` does not count it.
+struct Paths {
+    /// Sensitivity of each member traced in the current batch.
+    sens: Vec<u64>,
+    /// The batch (`epoch`) in which each member's `sens` was traced.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Members on the way up to a traced net, with their reading
+    /// `(gate, slot)`, scratch.
+    chain: Vec<(u32, usize, usize)>,
+}
+
+impl Paths {
+    fn new(flat: &Flat) -> Self {
+        Paths {
+            sens: vec![0; flat.net_count()],
+            stamp: vec![0; flat.net_count()],
+            epoch: 0,
+            chain: Vec::new(),
+        }
+    }
+
+    /// Forgets the last batch's trace.
+    fn clear(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// A fault's region root and the lanes in which it flips that root:
+    /// its excitation ANDed with its site's sensitivity to the root. A
+    /// pin fault also passes its own pin's sensitivity.
+    fn local(&mut self, flat: &Flat, values: &[u64], site: Site, stuck: u64) -> (u32, u64) {
+        match site {
+            Site::Net(net) => {
+                let excited = values[net as usize] ^ stuck;
+                let root = flat.region_root[net as usize];
+                (root, excited & self.sensitised(flat, values, net))
+            }
+            Site::Pin { gate, slot } => {
+                let (g, slot) = (gate as usize, slot as usize);
+                let excited = values[flat.fanin[slot] as usize] ^ stuck;
+                let out = flat.out[g].0;
+                let sens = flat.sensitivity(g, slot, values) & self.sensitised(flat, values, out);
+                (flat.region_root[out as usize], excited & sens)
+            }
+            Site::DPin(_) | Site::Inert => unreachable!("PPSFP holds only net and pin faults"),
+        }
+    }
+
+    /// The lanes in which `net` is sensitised to its region root: walks
+    /// up to the root or to a member already traced this batch, then
+    /// records each member on the way back down.
+    fn sensitised(&mut self, flat: &Flat, values: &[u64], net: u32) -> u64 {
+        let mut n = net;
+        let mut sens = loop {
+            match flat.region_reader(n) {
+                None => break u64::MAX,
+                Some(_) if self.stamp[n as usize] == self.epoch => break self.sens[n as usize],
+                Some((g, slot)) => {
+                    self.chain.push((n, g, slot));
+                    n = flat.out[g].0;
+                }
+            }
+        };
+        for &(m, g, slot) in self.chain.iter().rev() {
+            sens &= flat.sensitivity(g, slot, values);
+            self.sens[m as usize] = sens;
+            self.stamp[m as usize] = self.epoch;
+        }
+        self.chain.clear();
+        sens
+    }
+}
+
+/// Root propagation scratch over one batch's good machine.
 struct Cone {
     /// Net words: the good machine, overwritten inside the current
-    /// fault's cone and restored afterwards.
+    /// root's cone and restored afterwards.
     values: Vec<u64>,
-    /// Nets overwritten for the current fault, with their good words.
+    /// Nets overwritten for the current root, with their good words.
     saved: Vec<(u32, u64)>,
     /// Gates awaiting evaluation, as a bitset over gate indices.
     pending: Vec<u64>,
@@ -563,77 +696,59 @@ impl Cone {
         }
     }
 
-    /// The lowest lane of `lanes` in which the fault at `site`, stuck at
-    /// `stuck`, flips a primary output; leaves `values` as it found it.
+    /// The lanes of `flip` in which flipping `root` changes a primary
+    /// output; leaves `values` as it found it. A root that is itself an
+    /// output is observed in every flipped lane, with no evaluation.
     ///
     /// Events run in gate (topological) order, so each gate is evaluated
     /// at most once, after all its changed inputs. `search` holds the
-    /// lanes that could still lower the answer: the batch lanes at
-    /// first, then only those below the lowest detecting lane found so
-    /// far. A gate whose faulty word equals its good word on `search`
-    /// stops the event there: lanes are independent, so whatever it
-    /// would change downstream lies in lanes that no longer matter.
-    fn first_lane(
-        &mut self,
-        flat: &Flat,
-        site: Site,
-        stuck: u64,
-        lanes: u64,
-        evals: &mut u64,
-    ) -> Option<usize> {
-        let (net, word) = match site {
-            Site::Net(net) => (net, stuck),
-            Site::Pin { gate, slot } => {
-                *evals += 1;
-                let (g, slot) = (gate as usize, slot as usize);
-                let word =
-                    flat.eval_pins(g, &self.values, |s, w| if s == slot { stuck } else { w });
-                (flat.out[g].0, word)
+    /// flipped lanes not yet seen at an output. A gate whose new word
+    /// equals its good word on `search` stops the event there: lanes are
+    /// independent, so whatever it would change downstream lies in lanes
+    /// already seen.
+    fn observe(&mut self, flat: &Flat, root: u32, flip: u64, evals: &mut u64) -> u64 {
+        let mut search = flip;
+        let mut seen = 0u64;
+        let word = self.values[root as usize] ^ flip;
+        self.change(flat, root, word, &mut seen, &mut search);
+        // Readers are ascending, so no gate before the first one's word
+        // is ever pending.
+        let mut w = flat
+            .readers(root)
+            .first()
+            .map_or(self.pending.len(), |&g| g as usize / 64);
+        while w < self.pending.len() && search != 0 {
+            let bits = self.pending[w];
+            if bits == 0 {
+                w += 1;
+                continue;
             }
-            Site::DPin(_) | Site::Inert => return None,
-        };
-        let mut search = lanes;
-        let mut diff = 0u64;
-        if (word ^ self.values[net as usize]) & search != 0 {
-            self.change(flat, net, word, &mut diff, &mut search);
-            // Readers are ascending, so no gate before the first one's
-            // word is ever pending.
-            let mut w = flat
-                .readers(net)
-                .first()
-                .map_or(self.pending.len(), |&g| g as usize / 64);
-            while w < self.pending.len() && search != 0 {
-                let bits = self.pending[w];
-                if bits == 0 {
-                    w += 1;
-                    continue;
-                }
-                self.pending[w] = bits & (bits - 1);
-                let g = w * 64 + bits.trailing_zeros() as usize;
-                *evals += 1;
-                let word = flat.eval(g, &self.values);
-                let out = flat.out[g].0;
-                if (word ^ self.values[out as usize]) & search != 0 {
-                    self.change(flat, out, word, &mut diff, &mut search);
-                }
+            self.pending[w] = bits & (bits - 1);
+            let g = w * 64 + bits.trailing_zeros() as usize;
+            *evals += 1;
+            let word = flat.eval(g, &self.values);
+            let out = flat.out[g].0;
+            if (word ^ self.values[out as usize]) & search != 0 {
+                self.change(flat, out, word, &mut seen, &mut search);
             }
-            // An early stop leaves events behind.
-            self.pending[w..].fill(0);
         }
+        // An early stop leaves events behind.
+        self.pending[w..].fill(0);
         for (net, good) in self.saved.drain(..).rev() {
             self.values[net as usize] = good;
         }
-        (diff != 0).then(|| diff.trailing_zeros() as usize)
+        seen
     }
 
-    /// Writes a faulty word that differs from the good one on `search`:
-    /// at a primary output, records the detecting lanes and narrows
-    /// `search` to the lanes below them; then schedules the readers.
-    fn change(&mut self, flat: &Flat, net: u32, word: u64, diff: &mut u64, search: &mut u64) {
+    /// Writes a word that differs from the good one on `search`: at a
+    /// primary output, moves the lanes it differs in from `search` to
+    /// `seen`; then schedules the readers.
+    fn change(&mut self, flat: &Flat, net: u32, word: u64, seen: &mut u64, search: &mut u64) {
         let slot = net as usize;
         if flat.is_output[slot] {
-            *diff |= (word ^ self.values[slot]) & *search;
-            *search = (1u64 << diff.trailing_zeros()) - 1;
+            let hit = (word ^ self.values[slot]) & *search;
+            *seen |= hit;
+            *search &= !hit;
         }
         self.saved.push((net, self.values[slot]));
         self.values[slot] = word;

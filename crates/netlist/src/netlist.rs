@@ -294,7 +294,8 @@ impl Netlist {
 
     /// Validates the netlist, computes the evaluation order and builds
     /// the flat levelized form the fault simulators run on (CSR fan-in
-    /// and fan-out over gates in that order; O(nets) words).
+    /// and fan-out over gates in that order, and each net's fanout-free
+    /// region; O(nets) words).
     ///
     /// # Errors
     ///

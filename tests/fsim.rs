@@ -3,10 +3,13 @@
 //! circuits, parallel-fault for sequential ones) must equal the
 //! one-fault-at-a-time `LogicSim` + `Injections::single` reference, and
 //! `good_outputs` must equal the reference's good machine — on every
-//! bundled circuit and on random netlists. A run that
-//! `fault_simulate_until` stops early must equal the full run over its
-//! prefix, and a baseline stopped at validation data's length and
-//! detected count must give the data the full baseline's metrics.
+//! bundled circuit and on random netlists. Larger random combinational
+//! netlists and every collapsed fault of c432, c499 and c880 check
+//! PPSFP's fanout-free regions against the same reference, evaluated
+//! 64 patterns per word. A run that `fault_simulate_until` stops early
+//! must equal the full run over its prefix, and a baseline stopped at
+//! validation data's length and detected count must give the data the
+//! full baseline's metrics.
 
 use musa::circuits::Benchmark;
 use musa::metrics::{CoverageCurve, NlfceInputs};
@@ -210,6 +213,143 @@ proptest! {
         let sessions = split_sessions(&mut rng, &vectors);
         let faults = full_faults(&nl);
         assert_matches_reference(&nl, &faults, &sessions, faults.len(), 0, &mut HashMap::new());
+    }
+}
+
+/// The reference first detections of `faults` over `vectors` on a
+/// combinational netlist: `LogicSim` evaluates 64 patterns per word, the
+/// good machine once per batch and each undetected fault alone in every
+/// lane.
+fn reference_combinational(
+    nl: &Netlist,
+    faults: &[Fault],
+    vectors: &[Pattern],
+) -> Vec<Option<usize>> {
+    let mut first = vec![None; faults.len()];
+    let mut sim = LogicSim::new(nl);
+    for (b, batch) in vectors.chunks(64).enumerate() {
+        let words: Vec<u64> = (0..nl.inputs().len())
+            .map(|slot| {
+                batch.iter().enumerate().fold(0, |word, (lane, pattern)| {
+                    word | u64::from(pattern[slot]) << lane
+                })
+            })
+            .collect();
+        let lanes = u64::MAX >> (64 - batch.len());
+        sim.set_inputs(&words);
+        sim.eval(&Injections::none());
+        let good = sim.outputs();
+        for (fault, first) in faults.iter().zip(&mut first) {
+            if first.is_some() {
+                continue;
+            }
+            sim.eval(&Injections::single(fault));
+            let diff = sim
+                .outputs()
+                .iter()
+                .zip(&good)
+                .fold(0, |diff, (bad, good)| diff | (bad ^ good))
+                & lanes;
+            if diff != 0 {
+                *first = Some(b * 64 + diff.trailing_zeros() as usize);
+            }
+        }
+    }
+    first
+}
+
+/// Asserts that `fault_simulate` gives every fault of `faults` the
+/// reference's first detection over `vectors` (combinational netlists).
+fn assert_matches_reference_combinational(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) {
+    let result = fault_simulate(nl, faults, vectors);
+    let expected = reference_combinational(nl, faults, vectors);
+    for ((fault, got), expected) in faults.iter().zip(&result.first_detected).zip(expected) {
+        assert_eq!(
+            *got,
+            expected,
+            "{}: fault {} over {} patterns",
+            nl.name(),
+            fault.describe(nl),
+            vectors.len()
+        );
+    }
+}
+
+/// A larger random combinational netlist: 2–8 inputs, an optional
+/// constant and 20–120 gates of fan-in 1–4. Three pins in four read one
+/// of the last three nets, so fanout-free trees run deep and a gate
+/// often reads one net on two pins; the rest read any earlier net, so
+/// stems reconverge. The last net and 1–4 others, internal ones
+/// included, are outputs.
+fn random_combinational_netlist(seed: u64) -> Netlist {
+    const KINDS: [GateKind; 8] = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+    ];
+    let mut rng = SplitMix64::new(seed);
+    let mut nl = Netlist::new(format!("comb{seed:x}"));
+    let mut nets: Vec<NetId> = (0..2 + rng.below(7))
+        .map(|i| nl.add_input(format!("i{i}")))
+        .collect();
+    if rng.below(2) == 0 {
+        nets.push(nl.add_const("k", rng.below(2) == 0));
+    }
+    for g in 0..20 + rng.below(101) {
+        let kind = KINDS[rng.below(8) as usize];
+        let arity = match kind {
+            GateKind::Not | GateKind::Buf => 1,
+            _ => 2 + rng.below(3) as usize,
+        };
+        let inputs = (0..arity)
+            .map(|_| {
+                let window = if rng.below(4) == 0 {
+                    nets.len()
+                } else {
+                    nets.len().min(3)
+                };
+                nets[nets.len() - 1 - rng.below(window as u64) as usize]
+            })
+            .collect();
+        nets.push(nl.add_gate(format!("g{g}"), kind, inputs));
+    }
+    nl.mark_output(*nets.last().expect("at least one gate"));
+    for _ in 0..1 + rng.below(4) {
+        nl.mark_output(nets[rng.below(nets.len() as u64) as usize]);
+    }
+    nl.freeze().expect("gates only read earlier nets")
+}
+
+proptest! {
+    /// Larger random combinational netlists, whose fanout-free regions
+    /// hold deep trees, repeated pins and outputs that feed gates: every
+    /// fault of the full universe gets the reference's first detection
+    /// over 1–200 patterns.
+    #[test]
+    fn larger_random_combinational_netlists_match_the_reference(seed in any::<u64>(), len in 1usize..=200) {
+        let nl = random_combinational_netlist(seed);
+        let mut rng = SplitMix64::new(seed.rotate_left(23));
+        let vectors = random_patterns(&mut rng, nl.inputs().len(), len);
+        assert_matches_reference_combinational(&nl, &full_faults(&nl), &vectors);
+    }
+}
+
+/// Every collapsed fault of the larger bundled combinational circuits
+/// against the reference over one 64-pattern batch, in which all of
+/// them are live at once and share their region roots.
+#[test]
+fn every_collapsed_fault_of_the_larger_combinational_circuits_matches_the_reference() {
+    for bench in [Benchmark::C432, Benchmark::C499, Benchmark::C880] {
+        let circuit = bench.load().unwrap();
+        let nl = &circuit.netlist;
+        let mut rng = SplitMix64::new(0x64 ^ nl.net_count() as u64);
+        let vectors = random_patterns(&mut rng, nl.inputs().len(), 64);
+        assert_matches_reference_combinational(nl, &collapsed_faults(nl), &vectors);
     }
 }
 

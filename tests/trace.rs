@@ -154,15 +154,16 @@ fn fsim_gate_evals_is_identical_for_every_job_count() {
             .task(Task::Sampling { fraction: 0.10 })
             .run()
             .unwrap();
-        counter(
-            &report.trace.expect("tracing was enabled"),
-            "fsim_gate_evals",
+        let data = report.trace.expect("tracing was enabled");
+        (
+            counter(&data, "fsim_gate_evals"),
+            counter(&data, "fsim_roots_propagated"),
         )
     };
-    let serial = evals(1);
-    assert!(serial > 0);
+    let (serial, roots) = evals(1);
+    assert!(serial > 0 && roots > 0, "{serial} evals, {roots} roots");
     for jobs in [2, 4] {
-        assert_eq!(evals(jobs), serial, "jobs={jobs}");
+        assert_eq!(evals(jobs), (serial, roots), "jobs={jobs}");
     }
 }
 
@@ -286,9 +287,11 @@ fn lane_op_counters_are_identical_for_every_job_count_on_b05() {
 #[test]
 fn fsim_gate_evals_shows_the_cone_pruning_on_c432() {
     // The whole-netlist-per-fault engine would evaluate every gate for
-    // every fault in every 64-pattern batch; cone-limited propagation
-    // with event pruning must do strictly less, and at least the good
-    // machine's sweep per batch.
+    // every fault in every 64-pattern batch. PPSFP sweeps the good
+    // machine once per batch and then propagates each fanout-free
+    // region's root, at most once per batch, through its own cone with
+    // event pruning, so it must do strictly less, and at least the good
+    // sweeps.
     let circuit = Benchmark::C432.load().unwrap();
     let nl = &circuit.netlist;
     let faults = collapsed_faults(nl);
@@ -298,10 +301,23 @@ fn fsim_gate_evals_shows_the_cone_pruning_on_c432() {
         let _install = tracer.install();
         fault_simulate(nl, &faults, &patterns);
     }
-    let evals = counter(&tracer.finish(), "fsim_gate_evals");
+    let data = tracer.finish();
+    let evals = counter(&data, "fsim_gate_evals");
     let (gates, batches) = (nl.gate_count() as u64, patterns.len().div_ceil(64) as u64);
     assert!(evals >= gates * batches, "{evals}");
     assert!(evals < gates * faults.len() as u64 * batches, "{evals}");
+    // A region root: an output, or a net not read by exactly one pin
+    // (a flop's D pin counts as one).
+    let fanouts = nl.fanouts();
+    let roots = nl
+        .nets()
+        .filter(|n| nl.outputs().contains(n) || fanouts[n.0 as usize].len() != 1)
+        .count() as u64;
+    let propagated = counter(&data, "fsim_roots_propagated");
+    assert!(
+        0 < propagated && propagated <= roots * batches,
+        "{propagated} of {roots} roots"
+    );
 }
 
 /// The span `span` records as its parent, wherever it sits.
