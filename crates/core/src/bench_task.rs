@@ -375,7 +375,7 @@ pub fn run_bench(
                         }
                         Some(plan) => {
                             let (kills, stats) = plan
-                                .first_kills(&sequence, &live)
+                                .first_kills(&sequence, &live, jobs)
                                 .map_err(|e| per_bench(e.into()))?;
                             (kills.killed_count(), Some(stats.passes))
                         }

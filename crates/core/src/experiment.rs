@@ -11,8 +11,8 @@ use crate::context::{BenchContext, FaultSimStats};
 use crate::parallel::{par_map, split_jobs, try_par_map};
 use musa_metrics::Nlfce;
 use musa_mutation::{
-    classify_mutants_jobs, first_kills_over, survivor_class, Engine, EquivalenceClass,
-    EquivalencePolicy, KillResult, LaneOptions, Mutant, MutationError, MutationScore,
+    classify_mutants_jobs, first_kills_from, survivor_class, EquivalenceClass, EquivalencePolicy,
+    KillResult, LaneOptions, LanePlan, Mutant, MutationError, MutationScore,
 };
 use musa_prng::{Prng, SplitMix64};
 use musa_testgen::{
@@ -61,7 +61,10 @@ pub struct SamplingOutcome {
 /// The repetitions run in three phases:
 ///
 /// 1. per repetition, sharded across `config.jobs` worker threads:
-///    sample, generate the validation data, kill;
+///    sample, generate the validation data, kill. Every kill phase runs
+///    the same unscreened population, so its lane plan is compiled
+///    once, with the whole thread budget, before the repetitions fork,
+///    and dropped once they are done;
 /// 2. **one** equivalence classification of the union of every
 ///    repetition's unscreened survivors, in ascending population order
 ///    (a mutant's class is a pure function of the circuit, the mutant
@@ -144,9 +147,12 @@ impl SamplingRun<'_> {
         // classification between the phases has the whole budget.
         let (outer_jobs, inner_jobs) = split_jobs(ctx.config().jobs, repetitions);
         let _trace = musa_trace::span_detail("repetitions", || name.clone());
-        let killed = try_par_map(outer_jobs, &self.seeds, |_, &[sample, mg, _]| {
-            self.kill_phase(sample, mg, inner_jobs)
-        })?;
+        let killed = {
+            let plan = kill_plan(ctx, ctx.screened())?;
+            try_par_map(outer_jobs, &self.seeds, |_, &[sample, mg, _]| {
+                self.kill_phase(&plan, sample, mg, inner_jobs)
+            })?
+        };
         let survivor_sets: Vec<&[usize]> = killed.iter().map(|k| k.survivors.as_slice()).collect();
         let table = {
             let _trace = musa_trace::span("classify");
@@ -171,11 +177,13 @@ impl SamplingRun<'_> {
 
     /// Phase 1 of one repetition: sample the population, generate
     /// validation data from the sample, and run the **full** population
-    /// against it. Statically screened mutants never enter the
-    /// simulator: they stay unkilled and are classified directly with
-    /// the class execution would report.
+    /// against it, from the experiment's kill `plan`. Statically
+    /// screened mutants never enter the simulator: they stay unkilled
+    /// and are classified directly with the class execution would
+    /// report.
     fn kill_phase(
         &self,
+        plan: &LanePlan<'_>,
         sample_seed: u64,
         mg_seed: u64,
         jobs: usize,
@@ -197,7 +205,7 @@ impl SamplingRun<'_> {
         };
         let kills = {
             let _trace = musa_trace::span("mutant_exec");
-            kills_over_sessions(ctx, &generated.sessions, jobs, ctx.screened())?
+            kills_over_sessions(plan, &generated.sessions, jobs, ctx.screened())?
         };
         Ok(Killed {
             sampled: subset.len(),
@@ -415,30 +423,45 @@ impl SamplingAggregate {
     }
 }
 
+/// The kill phase's lane plan: every mutant of the bench's population
+/// that `screened` does not flag, in population order — the first plan
+/// a [`musa_mutation::first_kills_over`] sweep under that mask
+/// compiles, so its groups, passes and lane-ops are that sweep's — with
+/// `config.jobs` threads sharding the compile.
+///
+/// # Errors
+///
+/// Returns [`MutationError::EntityNotFound`] when the circuit has no
+/// entity of its name.
+pub(crate) fn kill_plan<'c>(
+    ctx: &'c BenchContext,
+    screened: Option<&[bool]>,
+) -> Result<LanePlan<'c>, MutationError> {
+    let (circuit, population) = (ctx.circuit(), ctx.population());
+    let members = (0..population.len())
+        .filter(|&i| !screened.is_some_and(|mask| mask[i]))
+        .collect();
+    let options = LaneOptions::default().with_jobs(ctx.config().jobs);
+    LanePlan::over(&circuit.checked, &circuit.name, population, members, &options)
+}
+
 /// Executes the bench's whole population against multi-session data,
-/// one [`first_kills_over`] sweep with the sessions in order: a mutant
-/// killed by one session is not simulated again, and `first_kill`
-/// indexes the concatenated data. `jobs` shards each session's lane
-/// groups across worker threads.
+/// one [`first_kills_from`] sweep from `plan` ([`kill_plan`] under the
+/// same `screened` mask) with the sessions in order: a mutant killed
+/// by one session is not simulated again, and `first_kill` indexes the
+/// concatenated data. `jobs` shards each session's lane groups across
+/// worker threads; the plan itself is not recompiled, so a caller
+/// grading many session sets compiles it once.
 /// Mutants flagged in `screened` are statically proven unkillable and
 /// never occupy a simulation slot (their `first_kill` stays `None`,
 /// exactly as exhaustive execution would leave it).
 pub(crate) fn kills_over_sessions(
-    ctx: &BenchContext,
+    plan: &LanePlan<'_>,
     sessions: &[musa_mutation::TestSequence],
     jobs: usize,
     screened: Option<&[bool]>,
 ) -> Result<KillResult, MutationError> {
-    let circuit = ctx.circuit();
-    let kills = first_kills_over(
-        &circuit.checked,
-        &circuit.name,
-        ctx.population(),
-        sessions,
-        screened,
-        Engine::Lanes,
-        &LaneOptions::default().with_jobs(jobs),
-    )?;
+    let kills = first_kills_from(plan, sessions, screened, jobs)?;
     let starts: Vec<usize> = sessions
         .iter()
         .scan(0, |offset, session| {
@@ -520,6 +543,7 @@ pub(crate) fn class_table(
 mod tests {
     use super::*;
     use musa_circuits::Benchmark;
+    use musa_mutation::{first_kills_over, Engine};
     use proptest::prelude::*;
 
     fn context(bench: Benchmark, config: &ExperimentConfig) -> BenchContext {
@@ -666,34 +690,87 @@ mod tests {
         }
     }
 
+    /// The counters `run` leaves in a tracer of its own: the four
+    /// [`musa_mutation::LaneStats`] ones, and `lane_groups_compiled`.
+    fn lane_counters<T>(run: impl FnOnce() -> T) -> (T, [u64; 4], u64) {
+        let tracer = musa_trace::Tracer::new();
+        let out = {
+            let _install = tracer.install();
+            run()
+        };
+        let data = tracer.finish();
+        let counter = |name: &str| {
+            data.counters.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v)
+        };
+        let stats = ["lane_passes", "lane_steps", "lane_ops", "lane_live_ops"].map(counter);
+        (out, stats, counter("lane_groups_compiled"))
+    }
+
     #[test]
     fn lane_engine_outcome_is_bit_identical_to_scalar() {
         // The kill phase sweeps the unscreened population on the lane
-        // engine; the scalar sweep over the same sessions is its oracle.
-        for bench in [Benchmark::C17, Benchmark::B01] {
+        // engine from one plan per experiment, which every repetition
+        // runs with data of its own; the scalar sweep over the same
+        // sessions is its oracle. Each bench reuses one plan for three
+        // session sets, and each set's lane counters equal those of a
+        // sweep that compiles its own first plan. c432 keeps every
+        // eighth mutant live, so its plan's slots are not population
+        // indices, and holds several groups; b05's sessions kill enough
+        // for the sweep to repack onto a plan of its own after the
+        // shared one.
+        for (bench, stride) in [
+            (Benchmark::C17, 1),
+            (Benchmark::B01, 1),
+            (Benchmark::B05, 1),
+            (Benchmark::C432, 8),
+        ] {
             let ctx = context(bench, &ExperimentConfig::fast(0xE6));
-            let circuit = ctx.circuit();
-            let lens = [5, 1, 9];
-            let sessions: Vec<_> = (0..lens.len())
-                .map(|s| musa_testgen::random_sequence(circuit.info(), lens[s], 0xE6 + s as u64))
+            let (circuit, population) = (ctx.circuit(), ctx.population());
+            let skip: Vec<bool> = (0..population.len())
+                .map(|i| i % stride != 0 || ctx.screened().is_some_and(|mask| mask[i]))
                 .collect();
-            let scalar = first_kills_over(
-                &circuit.checked,
-                &circuit.name,
-                ctx.population(),
-                &sessions,
-                ctx.screened(),
-                Engine::Scalar,
-                &LaneOptions::default(),
-            )
-            .unwrap();
-            let starts = [0, lens[0], lens[0] + lens[1]];
-            let scalar: Vec<Option<usize>> =
-                scalar.into_iter().map(|kill| kill.map(|(s, t)| starts[s] + t)).collect();
-            assert!(scalar.iter().any(Option::is_some), "{bench}: nothing killed");
-            for jobs in [1, 4] {
-                let lanes = kills_over_sessions(&ctx, &sessions, jobs, ctx.screened()).unwrap();
-                assert_eq!(lanes.first_kill, scalar, "{bench}: scalar vs lanes (jobs={jobs})");
+            let plan = kill_plan(&ctx, Some(&skip)).unwrap();
+            assert!(stride == 1 || plan.group_count() >= 3, "{bench}: groups");
+            let sweep = |sessions: &[musa_mutation::TestSequence], engine| {
+                first_kills_over(
+                    &circuit.checked,
+                    &circuit.name,
+                    population,
+                    sessions,
+                    Some(&skip),
+                    engine,
+                    &LaneOptions::default(),
+                )
+                .unwrap()
+            };
+            let mut repacks = 0;
+            for set in 0..3u64 {
+                let lens = [5, 1, 9, 3];
+                let sessions: Vec<_> = (0..lens.len())
+                    .map(|s| {
+                        let seed = 0xE6 + 16 * set + s as u64;
+                        musa_testgen::random_sequence(circuit.info(), lens[s], seed)
+                    })
+                    .collect();
+                let starts = [0, 5, 6, 15];
+                let scalar: Vec<Option<usize>> = sweep(&sessions, Engine::Scalar)
+                    .into_iter()
+                    .map(|kill| kill.map(|(s, t)| starts[s] + t))
+                    .collect();
+                assert!(scalar.iter().any(Option::is_some), "{bench}: nothing killed");
+                let (_, fresh, _) = lane_counters(|| sweep(&sessions, Engine::Lanes));
+                for jobs in [1, 4] {
+                    let (lanes, stats, compiled) = lane_counters(|| {
+                        kills_over_sessions(&plan, &sessions, jobs, Some(&skip)).unwrap()
+                    });
+                    let what = format!("{bench}: session set {set}, jobs={jobs}");
+                    assert_eq!(lanes.first_kill, scalar, "{what}: scalar vs lanes");
+                    assert_eq!(stats, fresh, "{what}: lane counters vs a fresh sweep");
+                    repacks += compiled;
+                }
+            }
+            if bench == Benchmark::B05 {
+                assert!(repacks > 0, "b05: the sweep never left the shared plan");
             }
         }
     }

@@ -15,7 +15,9 @@
 //! Each runs on one bench's [`BenchContext`].
 
 use crate::context::BenchContext;
-use crate::experiment::{class_table, compare_strategies, kills_over_sessions, SamplingOutcome};
+use crate::experiment::{
+    class_table, compare_strategies, kill_plan, kills_over_sessions, SamplingOutcome,
+};
 use crate::profile::OperatorProfile;
 use musa_mutation::{EquivalencePolicy, MutationError, MutationOperator, MutationScore};
 use musa_netlist::{fault_simulate_sessions, Fault, Pattern};
@@ -287,7 +289,10 @@ pub fn equivalence_ablation(
     // The ablation varies the *classification budget*; screening would
     // remove exactly the mutants whose class the budget decides, so the
     // whole population runs unscreened here.
-    let kills = kills_over_sessions(ctx, &generated.sessions, config.jobs, None)?;
+    let kills = {
+        let plan = kill_plan(ctx, None)?;
+        kills_over_sessions(&plan, &generated.sessions, config.jobs, None)?
+    };
 
     let survivors = kills.alive();
     budgets

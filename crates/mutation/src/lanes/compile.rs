@@ -43,8 +43,10 @@ pub(crate) struct Compiled {
     /// The lowered comb and edge tapes, their constant pool and the
     /// scratch sizes they need.
     pub lowered: Lowered,
-    /// Power-on lanes per symbol (constants carry per-lane CR values).
-    pub init: Vec<LaneWord>,
+    /// Where this group's power-on lanes differ from the plan's shared
+    /// ones ([`BaseCompile::init`]): `(symbol, lane, value)` for each CR
+    /// mutant of a constant declaration.
+    pub power_on: Vec<(u32, u32, u64)>,
     /// Data-input symbols in declaration order, with their widths (the
     /// step protocol asserts them exactly like `Simulator::set_input`).
     pub data_inputs: Vec<(SymbolId, u32)>,
@@ -67,10 +69,11 @@ pub(crate) struct Cycle;
 ///
 /// Computed once per population (or once per [`crate::LanePlan`]) and
 /// handed to every [`compile_group`] call, so per-group compiles no
-/// longer re-walk the whole entity: the resolved entity, the base
-/// read-dependency sets and the power-on lane words are reused, and a
-/// group only pays for what its own mutants change (`VR` read edges,
-/// `CR` constant lanes, the mutated statement tapes).
+/// longer re-walk the whole entity: the resolved entity and the base
+/// read-dependency sets are reused, and a group only pays for what its
+/// own mutants change (`VR` read edges, `CR` constant lanes, the
+/// mutated statement tapes). Its power-on lane words outlive it: the
+/// plan keeps them, once, for every group it runs.
 #[derive(Debug)]
 pub(crate) struct BaseCompile<'a> {
     checked: &'a CheckedDesign,
@@ -84,8 +87,10 @@ pub(crate) struct BaseCompile<'a> {
     /// The checker's comb-process order — valid as-is for any group
     /// that adds no read edge.
     order: Vec<usize>,
-    /// Power-on lane words before any `CR` constant lane diverges.
-    init: Vec<LaneWord>,
+    /// Power-on lane words before any `CR` constant lane diverges: each
+    /// symbol's declared init value in every lane. The plan keeps them
+    /// for all its groups.
+    pub(crate) init: Vec<LaneWord>,
     /// The stillborn test for deletions and target-index rewrites,
     /// built by the first group that holds one.
     validator: OnceLock<Validator<'a>>,
@@ -188,25 +193,32 @@ pub(crate) fn compile_group(group: &[&Mutant], base: &BaseCompile) -> Result<Com
     debug_assert!(group.len() < LANES, "at most {} mutants per group", LANES - 1);
     let order = comb_order_union(group, base)?;
     let mut compiler = Compiler::new(base, group, Sites::build(base, group));
-    let init = compiler.build_init(&base.init);
+    let power_on = compiler.build_power_on();
     let comb = compiler.compile_comb(&order);
     let edge = compiler.compile_edge();
     let fallback: Vec<usize> = (0..group.len())
         .filter(|slot| compiler.applied & (1u64 << (slot + 1)) == 0)
         .collect();
+    let symbols = base.init.len();
     #[cfg(debug_assertions)]
     {
-        super::verify::verify_tape(&comb, init.len());
-        super::verify::verify_tape(&edge, init.len());
+        super::verify::verify_tape(&comb, symbols);
+        super::verify::verify_tape(&edge, symbols);
     }
-    let lowered = lower_unit(&comb, &edge, &init);
+    // A symbol whose power-on lanes differ taints its loads. The shared
+    // lanes are uniform, so a CR entry diverges when it differs from them.
+    let mut diverges = vec![false; symbols];
+    for &(sym, _, value) in &power_on {
+        diverges[sym as usize] |= value != base.init[sym as usize][0];
+    }
+    let lowered = lower_unit(&comb, &edge, diverges);
     #[cfg(debug_assertions)]
     {
         for (unit, tape) in [(&lowered.comb, &comb), (&lowered.edge, &edge)] {
             super::verify::verify_unit(
                 unit,
                 tape,
-                init.len(),
+                symbols,
                 lowered.consts.len(),
                 lowered.scratch_scalar,
             );
@@ -214,7 +226,7 @@ pub(crate) fn compile_group(group: &[&Mutant], base: &BaseCompile) -> Result<Com
     }
     Ok(Compiled {
         lowered,
-        init,
+        power_on,
         data_inputs: info
             .data_inputs
             .iter()
@@ -321,22 +333,23 @@ impl<'a, 'b> Compiler<'a, 'b> {
         }
     }
 
-    /// Power-on lanes: every symbol broadcasts its declared init value
-    /// (cached in the shared [`BaseCompile`]); CR mutants of constant
-    /// declarations diverge their lane here.
-    fn build_init(&mut self, base: &[LaneWord]) -> Vec<LaneWord> {
-        let mut init: Vec<LaneWord> = base.to_vec();
+    /// The group's power-on lanes over the shared ones (every symbol
+    /// broadcasts its declared init value, [`BaseCompile`]): CR mutants
+    /// of constant declarations diverge their lane, one
+    /// `(symbol, lane, value)` entry each.
+    fn build_power_on(&mut self) -> Vec<(u32, u32, u64)> {
+        let mut power_on = Vec::new();
         for cst in &self.entity.consts {
             let Some(list) = self.sites.const_decl.get(&cst.id) else { continue };
             let Some(sym) = self.info.symbol_by_name(&cst.name.name) else { continue };
             for &(lane, value) in list {
                 if check_const_value(cst, value).is_ok() {
-                    init[sym.0 as usize][lane as usize] = value;
+                    power_on.push((sym.0, lane, value));
                     self.applied |= 1 << lane;
                 }
             }
         }
-        init
+        power_on
     }
 
     fn begin_tape(&mut self) {

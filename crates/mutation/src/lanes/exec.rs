@@ -128,8 +128,8 @@ pub(crate) struct Lowered {
     pub comb: ExecUnit,
     /// The clock edge: next-state computation plus register commit.
     pub edge: ExecUnit,
-    /// Constant pool: register `j` holds `consts[j]`, seeded once per VM
-    /// into both the lane and the scalar register files.
+    /// Constant pool: register `j` holds `consts[j]`, seeded once per
+    /// group run into both the lane and the scalar register files.
     pub consts: Vec<u64>,
     /// Lane scratch registers the VM needs (pool + widest lane stream).
     pub scratch: usize,
@@ -144,13 +144,10 @@ pub(crate) struct Lowered {
 /// a divergent register, and any `Load` of a symbol that ever holds
 /// divergent state. Symbol divergence is a fixpoint across both tapes
 /// (a comb store feeding an edge load and back), seeded by initial
-/// state whose lanes already differ. Everything else is *uniform* —
-/// lane-identical on every sweep — and lowers to the scalar prefix.
-fn divergence(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord]) -> (Vec<bool>, Vec<bool>) {
-    let mut div_sym: Vec<bool> = init
-        .iter()
-        .map(|w| w.iter().any(|&v| v != w[0]))
-        .collect();
+/// state whose lanes already differ (`div_sym`). Everything else is
+/// *uniform* — lane-identical on every sweep — and lowers to the
+/// scalar prefix.
+fn divergence(comb: &Tape, edge: &Tape, mut div_sym: Vec<bool>) -> (Vec<bool>, Vec<bool>) {
     let mut dc = vec![false; comb.instrs.len()];
     let mut de = vec![false; edge.instrs.len()];
     loop {
@@ -188,10 +185,10 @@ fn divergence(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord]) -> (Vec<
     (dc, de)
 }
 
-/// Lowers a compiled tape pair for execution. `init` seeds the
-/// divergence analysis: symbols whose initial lanes already differ
-/// (mutated power-on state) taint their loads.
-pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord]) -> Lowered {
+/// Lowers a compiled tape pair for execution. `diverges` seeds the
+/// divergence analysis, one flag per symbol: a symbol whose power-on
+/// lanes already differ (mutated power-on state) taints its loads.
+pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, diverges: Vec<bool>) -> Lowered {
     // Shared pool over both tapes, ordered by first appearance.
     let mut pool: BTreeMap<u64, Reg> = BTreeMap::new();
     let mut consts = Vec::new();
@@ -206,7 +203,7 @@ pub(crate) fn lower_unit(comb: &Tape, edge: &Tape, init: &[super::tape::LaneWord
         }
     }
     let first = consts.len() as Reg;
-    let (dc, de) = divergence(comb, edge, init);
+    let (dc, de) = divergence(comb, edge, diverges);
     let comb = lower(comb, &pool, first, &dc);
     let edge = lower(edge, &pool, first, &de);
     let scalar = comb.pre.ops.len() + edge.pre.ops.len();
@@ -490,9 +487,9 @@ fn tile(w: &[u64; LANES], lo: usize) -> &[u64; TILE] {
 }
 
 impl LaneVm {
-    /// Seeds the constant-pool registers in both files (once per group
-    /// simulation — sweeps never overwrite them, their destinations
-    /// start above the pool).
+    /// Seeds the constant-pool registers in both files, at the stride
+    /// of the last [`LaneVm::fit`] (once per group run — sweeps never
+    /// overwrite them, their destinations start above the pool).
     pub(crate) fn seed_consts(&mut self, consts: &[u64]) {
         for (j, &value) in consts.iter().enumerate() {
             for t in 0..LANES / TILE {
@@ -658,11 +655,19 @@ pub(super) mod tests {
         run_lowered_over(comb, init, u64::MAX).0
     }
 
+    /// One divergence seed per symbol of `init`: whether its lanes
+    /// differ, as a group's CR power-on lanes make them.
+    fn diverging(init: &[LaneWord]) -> Vec<bool> {
+        init.iter().map(|w| w.iter().any(|&v| v != w[0])).collect()
+    }
+
     /// Lowers `comb` and runs it once over the tiles holding a lane of
     /// `lanes`; returns the VM and the number of lanes computed.
     fn run_lowered_over(comb: &Tape, init: &[LaneWord], lanes: u64) -> (LaneVm, usize) {
-        let lowered = lower_unit(comb, &Tape::default(), init);
-        let mut vm = LaneVm::new(init, lowered.scratch, lowered.scratch_scalar);
+        let lowered = lower_unit(comb, &Tape::default(), diverging(init));
+        let mut vm = LaneVm::default();
+        vm.fit(lowered.scratch, lowered.scratch_scalar);
+        vm.reset(init, &[]);
         vm.seed_consts(&lowered.consts);
         vm.run_scalar(&lowered.comb.pre);
         let computed = vm.run_exec(&lowered.comb.main, lanes);
@@ -807,7 +812,7 @@ pub(super) mod tests {
         init.resize(17, [0; LANES]);
         let uniform: Vec<LaneWord> = init.iter().map(|word| [word[5]; LANES]).collect();
         for (init, prefix_ops) in [(&init, 0), (&uniform, 16)] {
-            let lowered = lower_unit(&comb, &Tape::default(), init);
+            let lowered = lower_unit(&comb, &Tape::default(), diverging(init));
             assert_eq!(lowered.comb.pre.ops.len(), prefix_ops);
             assert_lanes_follow_bits(&comb, init, expected);
         }
@@ -823,7 +828,7 @@ pub(super) mod tests {
             instrs: vec![Instr::Const { value: 7 }, Instr::Const { value: 1 }],
             stores: vec![(1, 1)],
         };
-        let lowered = lower_unit(&comb, &edge, &[[0; LANES]; 2]);
+        let lowered = lower_unit(&comb, &edge, vec![false; 2]);
         assert_eq!(lowered.consts, vec![7, 1]);
         // No op is emitted for a constant: the comb tape lowers to its
         // `Not` alone, and the edge tape to a store from the pool.
@@ -1048,7 +1053,7 @@ pub(super) mod tests {
             let uniform: Vec<LaneWord> = once.iter().map(|&v| [v; LANES]).chain([stale]).collect();
             let runs = [(&divergent, lanes, true), (&uniform, u64::MAX, false)];
             for (init, lanes, on_lanes) in runs {
-                let lowered = lower_unit(&comb, &Tape::default(), init);
+                let lowered = lower_unit(&comb, &Tape::default(), diverging(init));
                 if on_lanes {
                     prop_assert!(lowered.comb.pre.ops.is_empty(), "{:?} on the lane stream", instr);
                 } else {

@@ -29,9 +29,14 @@
 //! A [`LanePlan`] compiles a population once and runs it against any
 //! number of sequences through its one run method,
 //! [`LanePlan::first_kills`], with a live mask that skips mutants
-//! already decided. [`crate::first_kills_over`] is the one sweep built
-//! on it; classification, the kill phase and test generation all go
-//! through that sweep.
+//! already decided. Each worker of a call runs every group it takes on
+//! one lane VM, which a group fits (register files and stride),
+//! re-seeds (constant pool) and resets in place, so no group run
+//! allocates a VM of its own. [`crate::first_kills_over`] is the one
+//! sweep built on the plan; classification, the kill phase and test
+//! generation all go through that sweep, and the kill phase starts it
+//! from one plan per sampling experiment ([`crate::first_kills_from`]),
+//! which every repetition shares.
 //!
 //! Results are **bit-identical** to the scalar engine (the
 //! [`crate::Engine::Scalar`] arm of the same sweep) for every lane
@@ -56,7 +61,7 @@ use compile::{compile_group, BaseCompile, Compiled, Cycle};
 use exec::{tiles_of, ExecTape, TILE};
 use musa_hdl::{Bits, CheckedDesign};
 use std::convert::Infallible;
-use tape::{LaneVm, LANES};
+use tape::{LaneVm, LaneWord, LANES};
 
 /// Maximum number of mutants per simulation pass (lane 0 is the
 /// reference machine).
@@ -69,7 +74,8 @@ pub struct LaneOptions {
     /// values exist for differential testing; 63 is the throughput
     /// setting.
     pub lanes_per_pass: usize,
-    /// Worker threads sharding the lane groups (`0` = one per CPU).
+    /// Worker threads sharding the lane groups (`0` = one per CPU): a
+    /// plan's compiles, and a sweep's runs of them.
     pub jobs: usize,
 }
 
@@ -150,15 +156,28 @@ impl LaneStats {
 ///   re-run per sequence (compile-time cycle splitting included), so a
 ///   pool of `P` candidate sequences costs one compile instead of `P`.
 ///
+/// A plan refers to the caller's mutants by population index (its
+/// members, one per slot) and keeps one copy of the power-on lanes for
+/// all its groups; a group holds only where its CR lanes differ. It
+/// holds no thread budget: [`LanePlan::first_kills`] takes one per
+/// call, so a plan compiled once with every thread can run inside
+/// workers that each have a share of them
+/// ([`crate::first_kills_from`]).
+///
 /// Results are bit-identical to the scalar engine for every sequence,
 /// lane count and job count.
 #[derive(Debug)]
 pub struct LanePlan<'a> {
-    checked: &'a CheckedDesign,
-    entity: String,
-    mutants: &'a [Mutant],
+    pub(crate) checked: &'a CheckedDesign,
+    pub(crate) entity: String,
+    /// The caller's population: slot `k` runs `mutants[members[k]]`.
+    pub(crate) mutants: &'a [Mutant],
+    pub(crate) members: Vec<usize>,
+    /// Mutants per group, as compiled (`LaneOptions::lanes`).
+    pub(crate) lanes: usize,
+    /// Power-on lanes every group starts from, before its CR entries.
+    power_on: Vec<LaneWord>,
     groups: Vec<PlanGroup>,
-    jobs: usize,
 }
 
 /// One executable unit of a [`LanePlan`].
@@ -169,7 +188,7 @@ pub struct LanePlan<'a> {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum PlanGroup {
-    /// A compiled lane group covering `mutants[start..start + len]`.
+    /// A compiled lane group covering slots `start..start + len`.
     Tape {
         compiled: Compiled,
         start: usize,
@@ -181,8 +200,29 @@ enum PlanGroup {
 }
 
 impl<'a> LanePlan<'a> {
-    /// Compiles the population's lane groups (sharded across
-    /// `options.jobs` worker threads, merged back by group index).
+    /// Compiles every mutant of `mutants` into lane groups: the plan
+    /// over all of them ([`LanePlan::over`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`LanePlan::over`].
+    pub fn new(
+        checked: &'a CheckedDesign,
+        entity: &str,
+        mutants: &'a [Mutant],
+        options: &LaneOptions,
+    ) -> Result<Self, MutationError> {
+        Self::over(checked, entity, mutants, (0..mutants.len()).collect(), options)
+    }
+
+    /// Compiles `mutants[members[k]]` into slot `k` of the plan's lane
+    /// groups, sharding the groups across `options.jobs` worker threads
+    /// (merged back by group index). `members` are population indices;
+    /// a sweep's plans take them ascending.
+    ///
+    /// Counts the groups it compiles (`lane_groups_compiled`; a range
+    /// split on a joint cycle counts each half that compiles), once per
+    /// plan.
     ///
     /// # Errors
     ///
@@ -191,34 +231,47 @@ impl<'a> LanePlan<'a> {
     /// scalar engine's up-front reference transcript does. Per-mutant
     /// failures (unknown sites, stillborn rewrites) surface at
     /// execution time, matching the scalar engine's error behaviour.
-    pub fn new(
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is not an index of `mutants`.
+    pub fn over(
         checked: &'a CheckedDesign,
         entity: &str,
         mutants: &'a [Mutant],
+        members: Vec<usize>,
         options: &LaneOptions,
     ) -> Result<Self, MutationError> {
         let base = BaseCompile::new(checked, entity)
             .ok_or_else(|| MutationError::EntityNotFound(entity.to_string()))?;
+        let planned: Vec<&Mutant> = members.iter().map(|&i| &mutants[i]).collect();
         let lanes = options.lanes();
-        let ranges: Vec<(usize, usize)> = (0..mutants.len())
+        let ranges: Vec<(usize, usize)> = (0..planned.len())
             .step_by(lanes)
-            .map(|start| (start, lanes.min(mutants.len() - start)))
+            .map(|start| (start, lanes.min(planned.len() - start)))
             .collect();
         let nested = musa_trace::try_fork_map(options.jobs, ranges.len(), |i| {
             let _trace = musa_trace::span("lane_compile");
-            let compiled = compile_range(mutants, ranges[i], &base);
+            let compiled = compile_range(&planned, ranges[i], &base);
             musa_trace::progress(|| {
                 format!("{entity}: lane group {}/{} compiled", i + 1, ranges.len())
             });
             Ok::<_, Infallible>(compiled)
         })
         .unwrap_or_else(|never| match never {});
+        let groups: Vec<PlanGroup> = nested.into_iter().flatten().collect();
+        let compiled = groups.iter().filter(|g| matches!(g, PlanGroup::Tape { .. })).count();
+        if compiled > 0 {
+            musa_trace::count("lane_groups_compiled", compiled as u64);
+        }
         Ok(Self {
             checked,
             entity: entity.to_string(),
             mutants,
-            groups: nested.into_iter().flatten().collect(),
-            jobs: options.jobs,
+            members,
+            lanes,
+            power_on: base.init,
+            groups,
         })
     }
 
@@ -228,15 +281,24 @@ impl<'a> LanePlan<'a> {
         self.groups.len()
     }
 
+    /// The mutant in `slot`.
+    fn mutant(&self, slot: usize) -> &Mutant {
+        &self.mutants[self.members[slot]]
+    }
+
     /// First killing vector of each mutant flagged in `live` (indexed
-    /// like the plan's population), re-using the compiled tapes: a
-    /// flagged mutant's `first_kill` is exactly what the scalar engine
-    /// reports for it, an unflagged one reports `None` at no cost.
-    /// Unflagged lanes drop out of the output scan, scalar fallbacks for
-    /// unflagged mutants never run, and a group with no flagged mutant
-    /// is skipped outright (0 passes, 0 steps) — so a caller sweeping
-    /// one plan through several sequences pays only for what is still
-    /// undecided, without recompiling.
+    /// by slot: flag `k` is the `k`-th member's), re-using the compiled
+    /// tapes: a flagged mutant's `first_kill` is exactly what the
+    /// scalar engine reports for it, an unflagged one reports `None` at
+    /// no cost. Unflagged lanes drop out of the output scan, scalar
+    /// fallbacks for unflagged mutants never run, and a group with no
+    /// flagged mutant is skipped outright (0 passes, 0 steps) — so a
+    /// caller sweeping one plan through several sequences pays only for
+    /// what is still undecided, without recompiling.
+    ///
+    /// `jobs` worker threads shard the groups; each runs all the groups
+    /// it takes on one lane VM, reset in place per group and dropped
+    /// with the call.
     ///
     /// # Errors
     ///
@@ -246,18 +308,20 @@ impl<'a> LanePlan<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `live.len()` differs from the plan's population size.
+    /// Panics if `live.len()` differs from the plan's member count.
     pub fn first_kills(
         &self,
         sequence: &[Vec<Bits>],
         live: &[bool],
+        jobs: usize,
     ) -> Result<(KillResult, LaneStats), MutationError> {
-        assert_eq!(live.len(), self.mutants.len(), "one live flag per planned mutant");
+        assert_eq!(live.len(), self.members.len(), "one live flag per planned mutant");
         let reference = self.reference_if_needed(sequence, live)?;
-        let per_group = musa_trace::try_fork_map(self.jobs, self.groups.len(), |i| {
-            self.run_first_kill(&self.groups[i], sequence, reference.as_deref(), live)
-        })?;
-        let mut first_kill = Vec::with_capacity(self.mutants.len());
+        let per_group =
+            musa_trace::try_fork_map_init(jobs, self.groups.len(), LaneVm::default, |vm, i| {
+                self.run_first_kill(vm, &self.groups[i], sequence, reference.as_deref(), live)
+            })?;
+        let mut first_kill = Vec::with_capacity(self.members.len());
         let mut stats = LaneStats::default();
         for (kills, group_stats) in per_group {
             first_kill.extend(kills);
@@ -291,6 +355,7 @@ impl<'a> LanePlan<'a> {
 
     fn run_first_kill(
         &self,
+        vm: &mut LaneVm,
         group: &PlanGroup,
         sequence: &[Vec<Bits>],
         reference: Option<&[Vec<Bits>]>,
@@ -304,7 +369,7 @@ impl<'a> LanePlan<'a> {
                 let _trace = musa_trace::span("scalar_fallback");
                 let reference = reference.expect("scalar groups force a reference");
                 let kill =
-                    run_one(self.checked, &self.entity, &self.mutants[*slot], sequence, reference)?;
+                    run_one(self.checked, &self.entity, self.mutant(*slot), sequence, reference)?;
                 let steps = kill.map_or(sequence.len(), |t| t + 1);
                 Ok((vec![kill], LaneStats { passes: 1, steps, ..LaneStats::default() }))
             }
@@ -321,7 +386,7 @@ impl<'a> LanePlan<'a> {
                 for &slot in &compiled.fallback {
                     fallback_mask |= 1u64 << (slot + 1);
                 }
-                let mut sim = GroupSim::new(compiled, *len);
+                let mut sim = GroupSim::new(vm, compiled, &self.power_on, *len);
                 let mut stats = LaneStats { passes: 1, ..LaneStats::default() };
                 let mut first_kill = vec![None; *len];
                 let mut alive = sim.used_mask & !fallback_mask & live_mask;
@@ -353,7 +418,7 @@ impl<'a> LanePlan<'a> {
                         let kill = run_one(
                             self.checked,
                             &self.entity,
-                            &self.mutants[start + slot],
+                            self.mutant(start + slot),
                             sequence,
                             reference,
                         )?;
@@ -368,36 +433,39 @@ impl<'a> LanePlan<'a> {
     }
 }
 
-/// Compiles one contiguous mutant range, bisecting on joint
+/// Compiles one contiguous range of planned mutants, bisecting on joint
 /// combinational cycles: two mutants' added read edges can cycle
 /// jointly even though each alone is fine.
 fn compile_range(
-    mutants: &[Mutant],
+    planned: &[&Mutant],
     (start, len): (usize, usize),
     base: &BaseCompile,
 ) -> Vec<PlanGroup> {
-    let refs: Vec<&Mutant> = mutants[start..start + len].iter().collect();
-    match compile_group(&refs, base) {
+    match compile_group(&planned[start..start + len], base) {
         Ok(compiled) => vec![PlanGroup::Tape { compiled, start, len }],
         Err(Cycle) if len > 1 => {
             let mid = len / 2;
-            let mut left = compile_range(mutants, (start, mid), base);
-            left.extend(compile_range(mutants, (start + mid, len - mid), base));
+            let mut left = compile_range(planned, (start, mid), base);
+            left.extend(compile_range(planned, (start + mid, len - mid), base));
             left
         }
         Err(Cycle) => vec![PlanGroup::ScalarOne { slot: start }],
     }
 }
 
-/// One compiled lane group stepping through a test sequence.
+/// One compiled lane group stepping through a test sequence, on a lane
+/// VM it borrows: the worker's one VM, which the group fits, re-seeds
+/// and powers on for itself.
 ///
 /// Only the tiles holding a live lane run, and the group packs its
 /// survivors into the lowest positions whenever that frees a tile (see
 /// [`GroupSim::pack`]), so after a pack a lane's position is no longer
 /// its mutant's slot: [`GroupSim::slot`] maps one to the other.
-struct GroupSim<'a> {
-    vm: LaneVm,
+struct GroupSim<'a, 'v> {
+    vm: &'v mut LaneVm,
     compiled: &'a Compiled,
+    /// The plan's shared power-on lanes.
+    power_on: &'a [LaneWord],
     used_mask: u64,
     /// The compiled lane each position holds: position 0 always holds
     /// the reference, and lane `k` is slot `k - 1` of the group.
@@ -422,10 +490,18 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-impl<'a> GroupSim<'a> {
-    fn new(compiled: &'a Compiled, group_len: usize) -> Self {
+impl<'a, 'v> GroupSim<'a, 'v> {
+    /// Readies `vm`, whatever group ran on it before, for `compiled`:
+    /// fits its register files and stride and seeds the group's
+    /// constant pool. [`GroupSim::reset`] then powers it on.
+    fn new(
+        vm: &'v mut LaneVm,
+        compiled: &'a Compiled,
+        power_on: &'a [LaneWord],
+        group_len: usize,
+    ) -> Self {
         let lowered = &compiled.lowered;
-        let mut vm = LaneVm::new(&compiled.init, lowered.scratch, lowered.scratch_scalar);
+        vm.fit(lowered.scratch, lowered.scratch_scalar);
         // The pool registers sit below every op destination and are
         // loop-invariant, so one seeding serves all sweeps.
         vm.seed_consts(&lowered.consts);
@@ -437,6 +513,7 @@ impl<'a> GroupSim<'a> {
         Self {
             vm,
             compiled,
+            power_on,
             used_mask,
             slot: std::array::from_fn(|p| p as u8),
             packed: None,
@@ -477,12 +554,13 @@ impl<'a> GroupSim<'a> {
         self.settle(lanes);
     }
 
-    /// Powers a fresh group on with the lanes in `alive` live: packs
-    /// them first when the live mask is sparse, then settles. Returns
+    /// Powers a fresh group on with the lanes in `alive` live: the
+    /// plan's power-on lanes with the group's CR entries over them,
+    /// packed first when the live mask is sparse, then settled. Returns
     /// the live lanes' positions. Each sequence starts from a fresh
     /// group, so no earlier pack has to be undone.
     fn reset(&mut self, alive: u64) -> u64 {
-        self.vm.reset(&self.compiled.init);
+        self.vm.reset(self.power_on, &self.compiled.power_on);
         let alive = self.pack(alive);
         self.settle(alive | 1);
         alive
@@ -630,7 +708,7 @@ mod tests {
         options: &LaneOptions,
     ) -> Result<(KillResult, LaneStats), MutationError> {
         let plan = LanePlan::new(d, entity, mutants, options)?;
-        plan.first_kills(sequence, &vec![true; mutants.len()])
+        plan.first_kills(sequence, &vec![true; mutants.len()], options.jobs)
     }
 
     fn exhaustive_pairs() -> TestSequence {
@@ -837,7 +915,7 @@ mod tests {
                 .collect();
             let (fresh, _) =
                 lane_kills(&d, "t", &mutants, &sequence, &LaneOptions::default()).unwrap();
-            let (cached, _) = plan.first_kills(&sequence, &vec![true; mutants.len()]).unwrap();
+            let (cached, _) = plan.first_kills(&sequence, &vec![true; mutants.len()], 1).unwrap();
             assert_eq!(cached.first_kill, fresh.first_kill, "round {round}");
         }
     }
@@ -849,10 +927,10 @@ mod tests {
         let plan = LanePlan::new(&d, "t", &mutants, &LaneOptions::default()).unwrap();
         let sequence: TestSequence =
             (0..12).map(|i| vec![bit(u64::from(i % 5 == 0)), bit(u64::from(i % 3 != 1))]).collect();
-        let (full, _) = plan.first_kills(&sequence, &vec![true; mutants.len()]).unwrap();
+        let (full, _) = plan.first_kills(&sequence, &vec![true; mutants.len()], 1).unwrap();
         for stride in [1, 2, 3] {
             let live: Vec<bool> = (0..mutants.len()).map(|i| i % stride == 0).collect();
-            let (partial, _) = plan.first_kills(&sequence, &live).unwrap();
+            let (partial, _) = plan.first_kills(&sequence, &live, 1).unwrap();
             for (i, &flagged) in live.iter().enumerate() {
                 let expected = if flagged { full.first_kill[i] } else { None };
                 assert_eq!(partial.first_kill[i], expected, "stride {stride}, mutant {i}");
@@ -868,12 +946,12 @@ mod tests {
         let plan = LanePlan::new(&d, "t", &mutants, &opts).unwrap();
         assert!(plan.group_count() > 2);
         let sequence: TestSequence = vec![vec![bit(0), bit(1)]; 6];
-        let (kills, stats) = plan.first_kills(&sequence, &vec![false; mutants.len()]).unwrap();
+        let (kills, stats) = plan.first_kills(&sequence, &vec![false; mutants.len()], 1).unwrap();
         assert_eq!(kills.killed_count(), 0);
         assert_eq!(stats, LaneStats::default(), "no live lane anywhere: no work at all");
         // Only the first group's lanes live: exactly one pass runs.
         let live: Vec<bool> = (0..mutants.len()).map(|i| i < 4).collect();
-        let (_, stats) = plan.first_kills(&sequence, &live).unwrap();
+        let (_, stats) = plan.first_kills(&sequence, &live, 1).unwrap();
         assert_eq!(stats.passes, 1);
         assert!(stats.steps <= sequence.len());
     }
@@ -929,12 +1007,121 @@ mod tests {
             assert_eq!(plan.group_count(), groups);
             let scalar = scalar_kills(&d, "p", &mutants, &sequence);
             assert!(scalar.is_err(), "the broken mutant must fail on the scalar engine");
-            let all = plan.first_kills(&sequence, &[true, true]);
+            let all = plan.first_kills(&sequence, &[true, true], 1);
             assert_eq!(format!("{all:?}"), format!("{scalar:?}"));
-            let (kills, stats) = plan.first_kills(&sequence, &[true, false]).unwrap();
+            let (kills, stats) = plan.first_kills(&sequence, &[true, false], 1).unwrap();
             assert_eq!(kills.first_kill[1], None);
             assert!(kills.first_kill[0].is_some(), "the LOR mutant dies on 4 vectors");
             assert_eq!(stats.passes, 1, "only the valid mutant's lane group runs");
+        }
+    }
+
+    /// `n` drawn two-input sessions of `len` vectors for `COUNTER`.
+    fn counter_sessions(n: usize, len: usize, seed: u64) -> Vec<TestSequence> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| (0..len).map(|_| vec![bit(rng.bits(1)), bit(rng.bits(1))]).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_given_plan_sweeps_like_the_plan_the_sweep_compiles() {
+        // One plan over the mutants a mask leaves live, reused for
+        // several session sets: each set's kills equal those of a sweep
+        // that compiles its own plans, repacks included (four mutants
+        // per group, so survivors repack onto fewer groups).
+        let d = checked(COUNTER);
+        let mutants = generate_mutants(&d, "t", &GenerateOptions::default());
+        let skip: Vec<bool> = (0..mutants.len()).map(|i| i % 3 == 1).collect();
+        let members: Vec<usize> = (0..mutants.len()).filter(|&i| !skip[i]).collect();
+        let options = LaneOptions { lanes_per_pass: 4, jobs: 2 };
+        let plan = LanePlan::over(&d, "t", &mutants, members.clone(), &options).unwrap();
+        assert_eq!(plan.members, members);
+        for set in 0..3 {
+            let sessions = counter_sessions(4, 3, set);
+            let compiled = crate::first_kills_over(
+                &d,
+                "t",
+                &mutants,
+                &sessions,
+                Some(&skip),
+                Engine::Lanes,
+                &options,
+            )
+            .unwrap();
+            for jobs in [1, 3] {
+                let given = crate::first_kills_from(&plan, &sessions, Some(&skip), jobs).unwrap();
+                assert_eq!(given, compiled, "session set {set}, jobs={jobs}");
+            }
+            assert!(compiled.iter().any(Option::is_some), "session set {set}: no kill");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the plan covers exactly the sweep's live mutants")]
+    fn a_sweep_refuses_a_plan_built_under_another_mask() {
+        // The plan leaves mutant 0 out and the sweep's mask mutant 1:
+        // as many members either way, but slot 0 would grade the wrong
+        // mutant.
+        let d = checked(COUNTER);
+        let mutants = generate_mutants(&d, "t", &GenerateOptions::default());
+        let members = (1..mutants.len()).collect();
+        let plan = LanePlan::over(&d, "t", &mutants, members, &LaneOptions::default()).unwrap();
+        let skip: Vec<bool> = (0..mutants.len()).map(|i| i == 1).collect();
+        let _ = crate::first_kills_from(&plan, &counter_sessions(2, 4, 7), Some(&skip), 1);
+    }
+
+    /// A sequential entity whose constants drive both its state and an
+    /// output: its CR mutants of constant declarations are power-on
+    /// lanes of their own.
+    const CONSTANTS: &str = "
+        entity k is
+          port(clk : in bit; a : in bits(4); y : out bits(4); f : out bit);
+        constant LIM : bits(4) := 9;
+        constant STEP : bits(4) := 3;
+        signal c : bits(4);
+        seq(clk) begin
+          if c > LIM then
+            c <= 0;
+          else
+            c <= c + STEP;
+          end if;
+        end;
+        comb begin
+          y <= c xor a;
+          f <= a > LIM;
+        end;
+        end;
+    ";
+
+    #[test]
+    fn constant_lanes_power_on_over_the_shared_lanes_in_every_group() {
+        // At four mutants per group every group runs on the one VM of a
+        // single-job call, each after another group's CR lanes: each
+        // reset must lay the shared power-on lanes down again and then
+        // only its own group's CR entries.
+        let d = checked(CONSTANTS);
+        let mutants = generate_mutants(&d, "k", &GenerateOptions::default());
+        let is_constant = |m: &Mutant| matches!(m.rewrite, Rewrite::ConstDecl { .. });
+        assert!(mutants.iter().filter(|m| is_constant(m)).count() >= 4);
+        let mut rng = SplitMix64::new(0xC0);
+        for lanes_per_pass in [4, MAX_LANES] {
+            let options = LaneOptions { lanes_per_pass, jobs: 1 };
+            let plan = LanePlan::new(&d, "k", &mutants, &options).unwrap();
+            for round in 0..3 {
+                let sequence: TestSequence =
+                    (0..12).map(|_| vec![Bits::new(4, rng.bits(4))]).collect();
+                let scalar = scalar_kills(&d, "k", &mutants, &sequence).unwrap();
+                let live = vec![true; mutants.len()];
+                let (lanes, _) = plan.first_kills(&sequence, &live, 1).unwrap();
+                let what = format!("lanes_per_pass={lanes_per_pass}, round {round}");
+                assert_eq!(lanes.first_kill, scalar.first_kill, "{what}");
+                let killed = mutants.iter().zip(&scalar.first_kill);
+                assert!(
+                    killed.filter(|(m, _)| is_constant(m)).any(|(_, k)| k.is_some()),
+                    "{what}: no constant mutant killed"
+                );
+            }
         }
     }
 
@@ -1281,6 +1468,55 @@ mod tests {
             .fold(0, |kept, lane| kept | 1 << lane)
     }
 
+    /// `cycles` drawn vectors for `circuit`'s data inputs.
+    fn draw_sequence(circuit: &OracleCircuit, cycles: usize, rng: &mut SplitMix64) -> TestSequence {
+        let info = circuit.checked.entity_info(circuit.entity).unwrap();
+        (0..cycles)
+            .map(|_| {
+                info.data_inputs
+                    .iter()
+                    .map(|&input| {
+                        let width = info.symbol(input).width;
+                        Bits::new(width, rng.bits(width))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs `group` of `circuit`'s plan on `vm` over `sequence`, as a
+    /// first-kill run steps it, and hands `sampled` each cycle's outputs
+    /// of every live position (the reference's included) with the lane
+    /// it holds. Each live lane retires with probability `p` at power-on
+    /// and after every cycle, and the group packs its survivors through
+    /// [`GroupSim::pack`].
+    fn drive(
+        vm: &mut LaneVm,
+        circuit: &OracleCircuit,
+        group: &PlanGroup,
+        sequence: &TestSequence,
+        (p, rng): (f64, &mut SplitMix64),
+        mut sampled: impl FnMut(usize, usize, usize, Vec<u64>),
+    ) {
+        let PlanGroup::Tape { compiled, len, .. } = group else {
+            panic!("{}: a generated mutant planned as a scalar group", circuit.entity);
+        };
+        prop_assert!(compiled.fallback.is_empty(), "{}: fallback", circuit.entity);
+        let mut sim = GroupSim::new(vm, compiled, &circuit.plan.power_on, *len);
+        let mut alive = retire(sim.used_mask, p, rng);
+        alive = sim.reset(alive);
+        for (t, vector) in sequence.iter().enumerate() {
+            sim.apply(vector, alive | 1);
+            for position in lanes_of(alive | 1) {
+                let outputs =
+                    compiled.outputs.iter().map(|sym| sim.vm.state[sym.0 as usize][position]);
+                sampled(t, usize::from(sim.slot[position]), position, outputs.collect());
+            }
+            sim.clock(alive | 1);
+            alive = sim.pack(retire(alive, p, rng));
+        }
+    }
+
     proptest! {
         /// Every live lane of every compiled group samples on every
         /// cycle exactly the outputs a `Simulator` run of its mutant
@@ -1296,61 +1532,46 @@ mod tests {
         /// through [`GroupSim::pack`], as a first-kill run does: each
         /// survivor is then found through the slot map at whatever
         /// position it holds.
+        ///
+        /// All the groups of a case run on one VM, as a worker runs all
+        /// the groups it takes in one `first_kills` call, and a drawn
+        /// group of another drawn design runs on it first. So every
+        /// group starts from what a wider or narrower group left in the
+        /// state, the registers, the constant pool and the stride.
         #[test]
         fn every_lane_matches_its_mutant_on_every_cycle(
             seed in any::<u64>(),
             pick in 0usize..crate::BUNDLED.len(),
+            before in 0usize..crate::BUNDLED.len(),
             cycles in 1usize..10,
             retire_tenths in 0u32..5,
         ) {
             let circuit = &oracle_circuits()[pick];
-            let info = circuit.checked.entity_info(circuit.entity).unwrap();
             let mut rng = SplitMix64::new(seed);
-            let sequence: TestSequence = (0..cycles)
-                .map(|_| {
-                    info.data_inputs
-                        .iter()
-                        .map(|&input| {
-                            let width = info.symbol(input).width;
-                            Bits::new(width, rng.bits(width))
-                        })
-                        .collect()
-                })
-                .collect();
+            let sequence = draw_sequence(circuit, cycles, &mut rng);
             let p = f64::from(retire_tenths) / 10.0;
             // Transcript 0 is the original design's, 1 + k mutant k's.
             let transcripts: Vec<Vec<Vec<Bits>>> = std::iter::once(circuit.checked)
                 .chain(&circuit.applied)
                 .map(|d| Simulator::new(d, circuit.entity).unwrap().run(&sequence))
                 .collect();
+            let mut vm = LaneVm::default();
+            let other = &oracle_circuits()[before];
+            let group = &other.plan.groups[rng.below(other.plan.groups.len() as u64) as usize];
+            let warm_up = draw_sequence(other, cycles, &mut rng);
+            drive(&mut vm, other, group, &warm_up, (p, &mut rng), |_, _, _, _| {});
             for group in &circuit.plan.groups {
-                let PlanGroup::Tape { compiled, start, len } = group else {
-                    panic!("{}: a generated mutant planned as a scalar group", circuit.entity);
-                };
-                prop_assert!(compiled.fallback.is_empty(), "{}: fallback", circuit.entity);
-                let mut sim = GroupSim::new(compiled, *len);
-                let mut alive = retire(sim.used_mask, p, &mut rng);
-                alive = sim.reset(alive);
-                for (t, vector) in sequence.iter().enumerate() {
-                    sim.apply(vector, alive | 1);
-                    for position in lanes_of(alive | 1) {
-                        let lane = usize::from(sim.slot[position]);
-                        let expected = &transcripts[if lane == 0 { 0 } else { start + lane }][t];
-                        let sampled: Vec<u64> = compiled
-                            .outputs
-                            .iter()
-                            .map(|sym| sim.vm.state[sym.0 as usize][position])
-                            .collect();
-                        let expected: Vec<u64> = expected.iter().map(Bits::raw).collect();
-                        prop_assert_eq!(
-                            sampled, expected,
-                            "{}: lane {} (at position {}) of the group at {}, cycle {}",
-                            circuit.entity, lane, position, start, t
-                        );
-                    }
-                    sim.clock(alive | 1);
-                    alive = sim.pack(retire(alive, p, &mut rng));
-                }
+                let PlanGroup::Tape { start, .. } = group else { unreachable!("drive panics") };
+                let rng = (p, &mut rng);
+                drive(&mut vm, circuit, group, &sequence, rng, |t, lane, position, sampled| {
+                    let expected = &transcripts[if lane == 0 { 0 } else { start + lane }][t];
+                    let expected: Vec<u64> = expected.iter().map(Bits::raw).collect();
+                    prop_assert_eq!(
+                        sampled, expected,
+                        "{}: lane {} (at position {}) of the group at {}, cycle {}",
+                        circuit.entity, lane, position, start, t
+                    );
+                });
             }
         }
     }

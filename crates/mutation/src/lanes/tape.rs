@@ -109,7 +109,13 @@ pub(crate) struct Tape {
 
 /// The lane virtual machine: persistent per-symbol lane state plus a
 /// scratch register file sized to the longest tape.
-#[derive(Debug)]
+///
+/// One VM serves every group a worker runs in one
+/// [`super::LanePlan::first_kills`] call: [`LaneVm::fit`] sizes it for
+/// each group and [`LaneVm::reset`] powers it on, so nothing is
+/// allocated per group run once the files are as large as the widest
+/// group's.
+#[derive(Debug, Default)]
 pub(crate) struct LaneVm {
     /// Per-symbol lanes, indexed by `SymbolId`.
     pub state: Vec<LaneWord>,
@@ -118,27 +124,41 @@ pub(crate) struct LaneVm {
     /// `regs[t * scratch + r]`, so one tile's sweep reads and writes
     /// one contiguous block rather than a slice of every lane word.
     pub(crate) regs: Vec<[u64; TILE]>,
-    /// Lane scratch registers per tile.
+    /// Lane scratch registers per tile: the stride of `regs`.
     pub(crate) scratch: usize,
     /// Scalar scratch registers for the uniform prefix.
     pub(crate) sregs: Vec<u64>,
 }
 
 impl LaneVm {
-    /// Creates a VM with the given initial symbol state and scratch
-    /// sizes (lane registers per tile and scalar registers).
-    pub fn new(init: &[LaneWord], scratch: usize, scratch_scalar: usize) -> Self {
-        Self {
-            state: init.to_vec(),
-            regs: vec![[0u64; TILE]; scratch * (LANES / TILE)],
-            scratch,
-            sregs: vec![0u64; scratch_scalar],
+    /// Fits the register files to a unit that needs `scratch` lane
+    /// registers per tile and `scratch_scalar` scalar ones: each file
+    /// grows when it is too small, and `scratch` becomes the stride.
+    ///
+    /// Nothing is zeroed. Every scratch register is written before it
+    /// is read within a sweep, and the pool registers are written by
+    /// `seed_consts`, which the caller runs after every `fit`: the pool
+    /// of an earlier unit sits at its own stride.
+    pub fn fit(&mut self, scratch: usize, scratch_scalar: usize) {
+        let lane_regs = scratch * (LANES / TILE);
+        if self.regs.len() < lane_regs {
+            self.regs.resize(lane_regs, [0; TILE]);
         }
+        if self.sregs.len() < scratch_scalar {
+            self.sregs.resize(scratch_scalar, 0);
+        }
+        self.scratch = scratch;
     }
 
-    /// Resets the persistent state to `init` (the power-on lanes).
-    pub fn reset(&mut self, init: &[LaneWord]) {
-        self.state.copy_from_slice(init);
+    /// Resets the persistent state to the power-on lanes: `base` for
+    /// every symbol, then `value` in lane `lane` of symbol `sym` for
+    /// each `(sym, lane, value)` of `lanes`.
+    pub fn reset(&mut self, base: &[LaneWord], lanes: &[(u32, u32, u64)]) {
+        self.state.clear();
+        self.state.extend_from_slice(base);
+        for &(sym, lane, value) in lanes {
+            self.state[sym as usize][lane as usize] = value;
+        }
     }
 }
 

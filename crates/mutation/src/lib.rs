@@ -21,6 +21,9 @@
 //! each live mutant on its own simulator; the lane engine reuses one
 //! [`LanePlan`] across the sequences with a live mask, repacking the
 //! survivors into a smaller plan once they fit in half its groups.
+//! [`first_kills_from`] runs the same sweep from a plan the caller
+//! compiled, so an experiment compiles its kill phase's plan once and
+//! shares it across its repetitions.
 //! [`execute_mutants_engine_opt`] is its one-sequence case, returning a
 //! [`KillResult`]. Equivalence classification ([`classify_mutants`]),
 //! the kill phase of an experiment and mutation-guided generation all
@@ -82,7 +85,7 @@ pub use generate::{candidate_mutants, count_by_operator, generate_mutants, Gener
 pub use mutant::{Mutant, MutantId, MutationError, Rewrite};
 pub use operator::MutationOperator;
 pub use score::MutationScore;
-pub use sweep::first_kills_over;
+pub use sweep::{first_kills_from, first_kills_over};
 pub use validate::Validator;
 
 /// Every bundled benchmark's MiniHDL source, by entity name, for the

@@ -12,6 +12,13 @@
 //! group that still holds a live mutant, and nothing is recompiled.
 //! Once the live mutants would fit in half the plan's groups, they are
 //! repacked into a fresh, smaller plan for the remaining sequences.
+//! [`first_kills_over`] compiles the first plan itself;
+//! [`first_kills_from`] starts from one the caller compiled over
+//! exactly the live mutants, so a population graded against many
+//! independent session sets (an experiment's repetitions) compiles it
+//! once. Both run the one sweep loop below, and their repacked plans
+//! are their own.
+//!
 //! Every production sweep runs on the lane engine. The scalar engine,
 //! the tests' oracle, runs each live mutant on its own simulator,
 //! sequence by sequence. Both engines report identical kills, and the
@@ -53,23 +60,41 @@ pub fn first_kills_over<S: AsRef<[Vec<Bits>]>>(
     if checked.entity_info(entity).is_none() {
         return Err(MutationError::EntityNotFound(entity.to_string()));
     }
-    let mut sweep = Sweep {
-        checked,
-        entity,
-        mutants,
-        live: match skip {
-            Some(skip) => {
-                assert_eq!(skip.len(), mutants.len(), "one skip flag per mutant");
-                skip.iter().map(|&skipped| !skipped).collect()
-            }
-            None => vec![true; mutants.len()],
-        },
-        first_kill: vec![None; mutants.len()],
-    };
+    let mut sweep = Sweep::new(checked, entity, mutants, skip);
     match engine {
         Engine::Scalar => sweep.scalar(sequences, options.jobs)?,
-        Engine::Lanes => sweep.lanes(sequences, options)?,
+        Engine::Lanes => sweep.lanes(sequences, None, options)?,
     }
+    Ok(sweep.first_kill)
+}
+
+/// [`first_kills_over`] on the lane engine over `plan`'s population,
+/// starting from `plan` instead of compiling the first plan: the same
+/// kills, passes, steps and lane-ops, with the plan's lanes per pass
+/// and `jobs` worker threads. A repack compiles its own plan, as ever.
+///
+/// # Errors
+///
+/// As [`first_kills_over`], past the entity check `plan` already made.
+///
+/// # Panics
+///
+/// Panics if `skip` holds a different number of flags than the plan's
+/// population, or if the mutants it leaves live are not exactly the
+/// plan's members, in population order.
+pub fn first_kills_from<S: AsRef<[Vec<Bits>]>>(
+    plan: &LanePlan<'_>,
+    sequences: &[S],
+    skip: Option<&[bool]>,
+    jobs: usize,
+) -> Result<Vec<Option<(usize, usize)>>, MutationError> {
+    let mut sweep = Sweep::new(plan.checked, &plan.entity, plan.mutants, skip);
+    assert!(
+        plan.members == sweep.members(),
+        "the plan covers exactly the sweep's live mutants"
+    );
+    let options = LaneOptions { lanes_per_pass: plan.lanes, jobs };
+    sweep.lanes(sequences, Some(plan), &options)?;
     Ok(sweep.first_kill)
 }
 
@@ -83,7 +108,28 @@ struct Sweep<'a> {
     first_kill: Vec<Option<(usize, usize)>>,
 }
 
-impl Sweep<'_> {
+impl<'a> Sweep<'a> {
+    fn new(
+        checked: &'a CheckedDesign,
+        entity: &'a str,
+        mutants: &'a [Mutant],
+        skip: Option<&[bool]>,
+    ) -> Self {
+        Sweep {
+            checked,
+            entity,
+            mutants,
+            live: match skip {
+                Some(skip) => {
+                    assert_eq!(skip.len(), mutants.len(), "one skip flag per mutant");
+                    skip.iter().map(|&skipped| !skipped).collect()
+                }
+                None => vec![true; mutants.len()],
+            },
+            first_kill: vec![None; mutants.len()],
+        }
+    }
+
     /// Population indices of the live mutants, ascending.
     fn members(&self) -> Vec<usize> {
         (0..self.mutants.len()).filter(|&i| self.live[i]).collect()
@@ -124,9 +170,13 @@ impl Sweep<'_> {
         Ok(())
     }
 
+    /// The lane sweep: `given`, a plan over exactly the live mutants,
+    /// serves the first sequences, and every repack compiles a plan
+    /// over the survivors.
     fn lanes<S: AsRef<[Vec<Bits>]>>(
         &mut self,
         sequences: &[S],
+        mut given: Option<&LanePlan<'_>>,
         options: &LaneOptions,
     ) -> Result<(), MutationError> {
         let mut next = 0;
@@ -135,15 +185,23 @@ impl Sweep<'_> {
             if members.is_empty() {
                 break;
             }
-            let packed: Vec<Mutant> = members.iter().map(|&i| self.mutants[i].clone()).collect();
-            let plan = LanePlan::new(self.checked, self.entity, &packed, options)?;
-            let mut plan_live = vec![true; packed.len()];
+            let repacked;
+            let plan = match given.take() {
+                Some(plan) => plan,
+                None => {
+                    repacked =
+                        LanePlan::over(self.checked, self.entity, self.mutants, members, options)?;
+                    &repacked
+                }
+            };
+            let mut plan_live = vec![true; plan.members.len()];
             while next < sequences.len() {
-                let (kills, _) = plan.first_kills(sequences[next].as_ref(), &plan_live)?;
+                let (kills, _) =
+                    plan.first_kills(sequences[next].as_ref(), &plan_live, options.jobs)?;
                 for (slot, kill) in kills.first_kill.iter().enumerate() {
                     if let Some(t) = *kill {
                         plan_live[slot] = false;
-                        self.retire(members[slot], next, t);
+                        self.retire(plan.members[slot], next, t);
                     }
                 }
                 next += 1;

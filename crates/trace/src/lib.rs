@@ -16,8 +16,8 @@
 //!   recorded structure depends only on the item index, never on which
 //!   worker ran the item or when. Merging sorts by `(path, seq)`,
 //!   making the span list **bit-identical for every `--jobs` count**.
-//!   [`try_fork_map`] is the workspace's one work queue built on that
-//!   contract;
+//!   [`try_fork_map_init`] is the workspace's one work queue built on
+//!   that contract ([`try_fork_map`] is its stateless form);
 //! - with no tracer installed every helper is a no-op that **never
 //!   reads the clock**, so instrumented code paths stay bit-identical
 //!   to their un-instrumented selves when observability is disabled.
@@ -430,13 +430,39 @@ pub fn try_fork_map<T: Send, E: Send>(
     count: usize,
     run: impl Fn(usize) -> Result<T, E> + Sync,
 ) -> Result<Vec<T>, E> {
+    try_fork_map_init(jobs, count, || (), |(), i| run(i))
+}
+
+/// [`try_fork_map`] with per-worker state, in the shape of rayon's
+/// `map_init`: each worker calls `init` once, before its first item,
+/// and hands that state to `run` for every item it takes. The serial
+/// path is one worker, so it calls `init` once for all `count` items.
+///
+/// Which items share a state depends on scheduling, so `run`'s result
+/// must not depend on what earlier items left in it.
+///
+/// # Errors
+///
+/// Returns the lowest-index error produced by `run`.
+///
+/// # Panics
+///
+/// Propagates a panic from `init` or `run` (the scope joins all workers
+/// first).
+pub fn try_fork_map_init<S, T: Send, E: Send>(
+    jobs: usize,
+    count: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
     let jobs = resolve_jobs(jobs).min(count.max(1));
     let fork = ForkScope::capture();
     if jobs <= 1 {
+        let mut state = init();
         return (0..count)
             .map(|i| {
                 let _trace = fork.enter(i);
-                run(i)
+                run(&mut state, i)
             })
             .collect();
     }
@@ -444,16 +470,19 @@ pub fn try_fork_map<T: Send, E: Send>(
     let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..count).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
+            scope.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let result = {
+                        let _trace = fork.enter(i);
+                        run(&mut state, i)
+                    };
+                    *slots[i].lock().expect("worker deposits its own slot") = Some(result);
                 }
-                let result = {
-                    let _trace = fork.enter(i);
-                    run(i)
-                };
-                *slots[i].lock().expect("worker deposits its own slot") = Some(result);
             });
         }
     });
@@ -665,6 +694,43 @@ mod tests {
         }
         let data = tracer.finish();
         assert_eq!(data.counters, vec![("per_thread", 42)]);
+    }
+
+    #[test]
+    fn fork_map_init_hands_each_worker_one_state_for_all_its_items() {
+        use std::sync::atomic::AtomicUsize;
+        for jobs in [1, 2, 4] {
+            let inits = AtomicUsize::new(0);
+            let squares = try_fork_map_init(
+                jobs,
+                9,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |seen: &mut Vec<usize>, i| {
+                    seen.push(i);
+                    Ok::<_, ()>((i * i, seen.len()))
+                },
+            )
+            .unwrap();
+            let inits = inits.into_inner();
+            assert!(1 <= inits && inits <= jobs, "jobs={jobs}: {inits} states");
+            assert_eq!(
+                squares.iter().map(|&(sq, _)| sq).collect::<Vec<_>>(),
+                (0..9).map(|i| i * i).collect::<Vec<_>>()
+            );
+            // A state's first item sees one entry; every later item on
+            // that state sees more. So the items that saw one entry are
+            // the states that ran anything, at most one per worker.
+            let states_used = squares.iter().filter(|&&(_, n)| n == 1).count();
+            assert!(1 <= states_used && states_used <= inits, "jobs={jobs}");
+            if jobs == 1 {
+                assert_eq!(inits, 1, "the serial path builds one state");
+            }
+        }
+        let err = try_fork_map_init(2, 5, || (), |(), i| if i >= 3 { Err(i) } else { Ok(i) });
+        assert_eq!(err, Err(3), "the lowest failing index wins");
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn lane_kills(
 ) -> (KillResult, LaneStats) {
     LanePlan::new(&circuit.checked, &circuit.name, mutants, options)
         .unwrap()
-        .first_kills(sequence, &vec![true; mutants.len()])
+        .first_kills(sequence, &vec![true; mutants.len()], options.jobs)
         .unwrap()
 }
 
@@ -227,7 +227,7 @@ fn full_population_plans_match_the_scalar_sweep() {
         let groups = population.len().div_ceil(MAX_LANES);
         assert_eq!(plan.group_count(), groups, "{}: groups", circuit.name);
         let sequence = random_sequence_for(circuit, 8, 0xF011 ^ circuit.name.len() as u64);
-        let (lanes, stats) = plan.first_kills(&sequence, &vec![true; population.len()]).unwrap();
+        let (lanes, stats) = plan.first_kills(&sequence, &vec![true; population.len()], 1).unwrap();
         assert_eq!(stats.passes, groups, "{}: passes", circuit.name);
         let scalar = first_kills_over(
             &circuit.checked,
@@ -286,8 +286,8 @@ proptest! {
                 .chunks(MAX_LANES)
                 .flat_map(|group| vec![group.contains(&true); group.len()])
                 .collect();
-            let (all, _) = plan.first_kills(&sequence, &flagged_groups).unwrap();
-            let (masked, _) = plan.first_kills(&sequence, &live).unwrap();
+            let (all, _) = plan.first_kills(&sequence, &flagged_groups, 1).unwrap();
+            let (masked, _) = plan.first_kills(&sequence, &live, 1).unwrap();
             let expected: Vec<Option<usize>> = all
                 .first_kill
                 .iter()

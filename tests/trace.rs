@@ -69,7 +69,7 @@ fn lane_counters_equal_lane_stats() {
             &LaneOptions::default(),
         )
         .unwrap()
-        .first_kills(&sequence, &vec![true; mutants.len()])
+        .first_kills(&sequence, &vec![true; mutants.len()], 1)
         .unwrap()
     };
     let data = tracer.finish();
@@ -281,6 +281,47 @@ fn lane_op_counters_are_identical_for_every_job_count_on_b05() {
     assert!(0 < live_ops && live_ops <= ops, "{live_ops} live of {ops}");
     for jobs in [2, 4] {
         assert_eq!(run(jobs), (ops, live_ops), "jobs={jobs}");
+    }
+}
+
+/// Every lane counter of a c432 sampling campaign whose three
+/// repetitions share one kill plan, compiled before they fork: every
+/// job count compiles the same groups once and runs them over the same
+/// tiles.
+#[test]
+fn lane_counters_are_identical_for_every_job_count_on_c432() {
+    let run = |jobs: usize| {
+        let mut config = one_rep_config();
+        config.repetitions = 3;
+        config.jobs = jobs;
+        let report = Campaign::named("c432")
+            .config(config)
+            .trace(true)
+            .task(Task::Sampling { fraction: 0.10 })
+            .run()
+            .unwrap();
+        let data = report.trace.expect("tracing was enabled");
+        data.counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("lane_"))
+            .collect::<Vec<_>>()
+    };
+    let serial = run(1);
+    let names: Vec<&str> = serial.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        names,
+        [
+            "lane_groups_compiled",
+            "lane_live_ops",
+            "lane_ops",
+            "lane_passes",
+            "lane_scalar_ops",
+            "lane_steps"
+        ]
+    );
+    assert!(serial.iter().all(|&(_, value)| value > 0), "{serial:?}");
+    for jobs in [2, 4] {
+        assert_eq!(run(jobs), serial, "jobs={jobs}");
     }
 }
 
